@@ -1,7 +1,7 @@
 # Convenience targets; scripts/ci.sh is the canonical gate.
 GO ?= go
 
-.PHONY: all build vet test race chaos crash failover tenants repex stream ci bench fmt
+.PHONY: all build vet test race chaos crash failover tenants repex stream ci bench bench-e2e fmt
 
 all: build
 
@@ -65,6 +65,12 @@ ci:
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
+
+# The end-to-end benchmark (BENCHMARK.json): all five cpcbench workloads
+# against a real in-process fabric — see benchmarks/ and
+# docs/PERFORMANCE.md.
+bench-e2e:
+	$(GO) run -C benchmarks ./cpcbench --workload all --seconds 15
 
 fmt:
 	gofmt -w ./cmd ./internal ./examples *.go

@@ -22,9 +22,7 @@ func (s *Server) Projects() []wire.ProjectStatus {
 	s.mu.Unlock()
 	out := make([]wire.ProjectStatus, 0, len(ps))
 	for _, p := range ps {
-		p.mu.Lock()
-		out = append(out, s.statusLocked(p))
-		p.mu.Unlock()
+		out = append(out, s.status(p))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out

@@ -19,18 +19,57 @@ import (
 	"copernicus/internal/wire"
 )
 
-// journal appends one lifecycle record to the configured store, blocking
-// until it is fsynced. Journaling failures are availability-over-durability:
-// the server keeps serving (the store's wal_errors counter and the log
-// record the gap) rather than refusing work because a disk is unhappy.
+// journal and commit are the two halves of every durable transition, and
+// between them hold the server's one durability invariant: records are
+// written in lock order; nothing leaves the process until the WAL is durable
+// through the last record the reply could depend on.
+//
+// journal stages one lifecycle record in the configured store — framed and
+// written, in the order callers hold the project lock, but not yet fsynced —
+// and never blocks on the disk, so it is safe under p.mu. Journaling
+// failures are availability-over-durability: the server keeps serving (the
+// store's wal_errors counter and the log record the gap) rather than
+// refusing work because a disk is unhappy.
 func (s *Server) journal(rec store.Record) {
 	if s.cfg.Store == nil || s.replaying.Load() {
 		return
 	}
-	if err := s.cfg.Store.Append(rec); err != nil {
+	if _, err := s.cfg.Store.Stage(rec); err != nil {
 		s.log.Error("journaling state transition failed; continuing without durability",
 			"type", rec.Type.String(), "project", rec.Project, "cmd", rec.Command, "err", err)
 	}
+}
+
+// journalPayload journals rec with payload v as its Data. A payload that
+// will not encode costs the record, which is logged like any other journaling
+// failure instead of being dropped silently.
+func (s *Server) journalPayload(rec store.Record, v any) {
+	data, err := wire.Marshal(v)
+	if err != nil {
+		s.log.Error("encoding journal record failed; continuing without durability",
+			"type", rec.Type.String(), "project", rec.Project, "cmd", rec.Command, "err", err)
+		return
+	}
+	rec.Data = data
+	s.journal(rec)
+}
+
+// commit blocks until everything journaled so far is durable. Every handler
+// whose reply tells a peer that a transition happened calls it after
+// dropping its locks and before the reply leaves: the WAL is prefix-durable,
+// so one barrier on the tail covers every record the handler (or anyone
+// before it) staged, and concurrent handlers share the fsync. A crash before
+// the barrier returns means the peer was never acked, and redelivery, orphan
+// requeue and duplicate absorption heal it exactly as for a torn tail.
+// Transitions with no reply (reap, requeue, preempt, progress notes) only
+// journal; the next barrier or the syncer's own pace makes them durable.
+func (s *Server) commit() {
+	if s.cfg.Store == nil || s.replaying.Load() {
+		return
+	}
+	// A failed fsync is logged and counted once by the store, not by each
+	// handler waiting on it; like journal, the server carries on.
+	_ = s.cfg.Store.Commit(s.cfg.Store.LastSeq())
 }
 
 // withProject runs f under the project lock if the project exists.
@@ -447,9 +486,10 @@ func (s *Server) maybeSnapshot() {
 
 // SnapshotNow rotates the WAL and writes a snapshot of all project state,
 // letting the store compact everything older. The ordering is what makes
-// it crash-safe: rotate FIRST, capture second — any record journaled
-// during the capture lands in the new segment and is replayed (idempotently)
-// on top of the snapshot, so no transition can fall between the two. The
+// it crash-safe: rotate FIRST, capture second, commit third — any record
+// journaled during the capture lands in the new segment and is replayed
+// (idempotently) on top of the snapshot, so no transition can fall between
+// the two, and is durable before the snapshot that may reflect it is. The
 // snapshot is stamped with the rotate-time last sequence, not a later
 // cursor: the capture only guarantees to reflect records journaled before
 // the rotation, and recovery skips everything at or below the stamp.
@@ -468,6 +508,10 @@ func (s *Server) SnapshotNow() error {
 		// baseline plus an extra (unrotated-away) segment.
 		return err
 	}
+	// The capture may reflect records staged after the rotation and not yet
+	// fsynced; publishing it first could leave a snapshot that knows more
+	// than the log it sits on.
+	s.commit()
 	if err := st.WriteSnapshot(idx, lastSeq, snap); err != nil {
 		return err
 	}
@@ -477,7 +521,7 @@ func (s *Server) SnapshotNow() error {
 
 // captureSnapshot serializes every project under its own lock. Journal
 // calls hold the same lock, so each project's image is consistent with the
-// WAL ordering.
+// WAL ordering; the caller commits before publishing the image.
 func (s *Server) captureSnapshot() (*store.Snapshot, error) {
 	s.mu.Lock()
 	ps := make([]*project, 0, len(s.projects))

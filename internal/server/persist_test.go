@@ -4,9 +4,12 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
+	"copernicus/internal/obs"
+	"copernicus/internal/overlay"
 	"copernicus/internal/store"
 	"copernicus/internal/wire"
 )
@@ -299,5 +302,215 @@ func TestRecoveryFinishedProjectStaysQueryable(t *testing.T) {
 	}
 	if len(wl2.Commands) != 0 {
 		t.Fatalf("finished project's commands re-queued: %v", wl2.Commands)
+	}
+}
+
+// syncGate is a store.Options.SyncHook that holds every fsync in flight
+// while held.
+type syncGate struct {
+	mu   sync.Mutex
+	held chan struct{}
+}
+
+func (g *syncGate) hook(sync func() error) error {
+	g.mu.Lock()
+	held := g.held
+	g.mu.Unlock()
+	if held != nil {
+		<-held
+	}
+	return sync()
+}
+
+func (g *syncGate) hold() {
+	g.mu.Lock()
+	g.held = make(chan struct{})
+	g.mu.Unlock()
+}
+
+func (g *syncGate) release() {
+	g.mu.Lock()
+	if g.held != nil {
+		close(g.held)
+		g.held = nil
+	}
+	g.mu.Unlock()
+}
+
+// asyncRequest sends one request on a link of its own — a link serves one
+// request at a time, and these are meant to block — and delivers the reply.
+func asyncRequest(t *testing.T, r *rig, seed uint64, typ wire.MsgType, req any) <-chan []byte {
+	t.Helper()
+	node := overlay.NewNode(overlay.NewIdentityFromSeed(seed), overlay.NewTrustStore(), r.net.Transport())
+	if _, err := node.ConnectPeer("srv"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { node.Close() })
+	payload, err := wire.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(chan []byte, 1)
+	go func() {
+		reply, err := node.RequestTimeout(r.srv.Node().ID(), typ, payload, 10*time.Second)
+		if err != nil {
+			t.Errorf("request %v: %v", typ, err)
+		}
+		out <- reply
+	}()
+	return out
+}
+
+// awaitStaged waits until the store has staged n more records than base:
+// the handlers that journal them have reached their commit barrier.
+func awaitStaged(t *testing.T, st *store.Store, base uint64, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for st.LastSeq() < base+uint64(n) {
+		if time.Now().After(deadline) {
+			t.Fatalf("store staged %d records, want %d", st.LastSeq()-base, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond) // room for a premature reply to land
+}
+
+// TestAckImpliesDurable pins the pipelined commit's invariant from both
+// sides. With the WAL's fsync held in flight, a result and an announce are
+// journaled but neither is acknowledged, while the project stays readable
+// (no lock is held across the wait); both acks leave once the fsync
+// completes. And a crash while an ack is still held back loses nothing that
+// was promised: the unacknowledged result is not counted, its command comes
+// back as an orphan, and the redelivered result is taken exactly once.
+func TestAckImpliesDurable(t *testing.T) {
+	dir := t.TempDir()
+	gate := &syncGate{}
+	st, err := store.Open(store.Options{Dir: dir, NoSync: true, SyncHook: gate.hook})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	r1 := newRig(t, Config{HeartbeatInterval: time.Hour, Store: st}, threeCmdCtl())
+	t.Cleanup(gate.release) // before the rig closes: handlers may be held on it
+	r1.submit(t, "proj")
+	var wl wire.Workload
+	if err := r1.request(t, wire.MsgAnnounce, announce("w1", 1), &wl); err != nil {
+		t.Fatal(err)
+	}
+	first := wl.Commands[0].ID
+	result := func(cmd, worker string) *wire.CommandResult {
+		return &wire.CommandResult{CommandID: cmd, Project: "proj", WorkerID: worker,
+			OK: true, Output: []byte("out-" + cmd)}
+	}
+
+	gate.hold()
+	base := st.LastSeq()
+	resAck := asyncRequest(t, r1, 10, wire.MsgResult, result(first, "w1"))
+	awaitStaged(t, st, base, 1)
+	// The result handler is now waiting for its fsync, and must not be
+	// holding the project's lock while it does.
+	looked := make(chan wire.ProjectStatus, 1)
+	go func() {
+		pst, _ := r1.srv.Project("proj")
+		looked <- pst
+	}()
+	select {
+	case pst := <-looked:
+		if pst.State != "running" || pst.Finished != 1 {
+			t.Fatalf("status during the held fsync: %+v", pst)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("status lookup blocked behind the fsync wait")
+	}
+	wlReply := asyncRequest(t, r1, 11, wire.MsgAnnounce, announce("w2", 1))
+	awaitStaged(t, st, base, 2) // one result, one assignment
+	select {
+	case <-resAck:
+		t.Fatal("result acknowledged before its record was durable")
+	case <-wlReply:
+		t.Fatal("workload handed out before its assignment was durable")
+	default:
+	}
+	gate.release()
+	var wl2 wire.Workload
+	select {
+	case reply := <-wlReply:
+		if err := wire.Unmarshal(reply, &wl2); err != nil || len(wl2.Commands) != 1 {
+			t.Fatalf("workload after release: %+v err=%v", wl2, err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("workload reply never left after the fsync completed")
+	}
+	select {
+	case <-resAck:
+	case <-time.After(5 * time.Second):
+		t.Fatal("result ack never left after the fsync completed")
+	}
+
+	// Everything acknowledged so far is durable and nothing is in flight:
+	// this copy is the disk a power cut would leave from here until the
+	// next fsync completes — which, held, it never does.
+	crashDir := t.TempDir()
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no segments: %v %v", segs, err)
+	}
+	for _, seg := range segs {
+		data, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(crashDir, filepath.Base(seg)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	second := wl2.Commands[0].ID
+	gate.hold()
+	base = st.LastSeq()
+	lostAck := asyncRequest(t, r1, 12, wire.MsgResult, result(second, "w2"))
+	awaitStaged(t, st, base, 1)
+
+	// Crash: the restarted server sees only the durable prefix.
+	o := obs.New()
+	st2 := openTestStore(t, crashDir)
+	defer st2.Close()
+	ctrl2 := threeCmdCtl()
+	r2 := newRig(t, Config{HeartbeatInterval: time.Hour, Store: st2, Obs: o}, ctrl2)
+	if fin, _ := ctrl2.counts(); fin != 1 {
+		t.Fatalf("recovered %d completions, want only the acknowledged one", fin)
+	}
+	select {
+	case <-lostAck:
+		t.Fatal("result acknowledged while its fsync was still held")
+	default:
+	}
+	var wl3 wire.Workload
+	if err := r2.request(t, wire.MsgAnnounce, announce("w3", 3), &wl3); err != nil {
+		t.Fatal(err)
+	}
+	requeued := false
+	for _, c := range wl3.Commands {
+		requeued = requeued || c.ID == second
+	}
+	if len(wl3.Commands) != 2 || !requeued {
+		t.Fatalf("recovered queue handed out %+v, want the orphaned %s and the untouched command", wl3.Commands, second)
+	}
+	// The worker was never acked, so it redelivers — twice, say.
+	for i := 0; i < 2; i++ {
+		if err := r2.request(t, wire.MsgResult, result(second, "w2"), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if fin, _ := ctrl2.counts(); fin != 2 {
+		t.Fatalf("redelivered result counted %d times", fin-1)
+	}
+	if got := metricValue(t, o, "copernicus_results_duplicate_total"); got != 1 {
+		t.Errorf("copernicus_results_duplicate_total = %g, want 1", got)
+	}
+	gate.release()
+	select {
+	case <-lostAck:
+	case <-time.After(5 * time.Second):
+		t.Fatal("held result ack never left")
 	}
 }

@@ -400,6 +400,25 @@ func (s *Server) handleSubmit(from string, payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	err = s.startProject(&sub, ctrl)
+	s.commit()
+	if err != nil {
+		return nil, err
+	}
+	s.log.Info("project started", "project", sub.Name,
+		"controller", sub.Controller, "tenant", sub.Tenant)
+	return wire.Marshal(&wire.SubmitReceipt{
+		Project:          sub.Name,
+		Tenant:           sub.Tenant,
+		Server:           s.node.ID(),
+		AcceptedUnixNano: now.UnixNano(),
+	})
+}
+
+// startProject publishes an admitted project, runs its controller's Start
+// handler and journals the submission, all under the project's lock. The
+// caller commits before replying.
+func (s *Server) startProject(sub *wire.ProjectSubmit, ctrl controller.Controller) error {
 	p := &project{
 		name:     sub.Name,
 		ctrl:     ctrl,
@@ -410,20 +429,21 @@ func (s *Server) handleSubmit(from string, payload []byte) ([]byte, error) {
 		done:     make(chan struct{}),
 		seed:     seedFromName(sub.Name),
 	}
-	// Publish the project under its own (already held) lock, then journal
-	// OUTSIDE s.mu: the journal append blocks for a group-commit fsync,
-	// which must not stall every announce/result/status lookup on the
-	// global lock. Holding p.mu instead keeps the snapshot protocol safe:
-	// a capture that sees the project blocks on p.mu until the record is
-	// durable, and a capture that scanned before the publish also rotated
-	// before it, so the record's sequence is above the snapshot's
-	// rotate-time LastSeq and is replayed.
+	// Publish the project under its own (already held) lock and hold that
+	// lock until the submission is journaled, which keeps the snapshot
+	// protocol (rotate, then capture, then barrier) safe. A capture that
+	// sees the project blocks on p.mu until the record is staged, and ends
+	// with a commit barrier on the WAL tail before its snapshot is
+	// published, so the snapshot never outlives a submission the log lost.
+	// A capture that scanned before the publish also rotated before it, so
+	// the record's sequence is above the snapshot's rotate-time LastSeq and
+	// is replayed on top of it.
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	s.mu.Lock()
 	if _, dup := s.projects[sub.Name]; dup {
 		s.mu.Unlock()
-		return nil, fmt.Errorf("server: project %q already exists", sub.Name)
+		return fmt.Errorf("server: project %q already exists", sub.Name)
 	}
 	s.projects[sub.Name] = p
 	s.mu.Unlock()
@@ -435,38 +455,30 @@ func (s *Server) handleSubmit(from string, payload []byte) ([]byte, error) {
 	// generation) land before RecProjectSubmitted in the WAL; replay drops
 	// them (no project yet) and re-derives them by re-running the
 	// deterministic Start.
-	if err := ctrl.Start(s.contextFor(p), sub.Params); err != nil {
-		if errors.Is(err, wire.ErrQuotaExceeded) || errors.Is(err, wire.ErrAdmissionShed) {
-			for id := range p.commands {
-				if !s.q.Remove(id) {
-					// A concurrent announce already dispatched it; settle the
-					// in-flight charge — the result will find no project.
-					s.q.Release(id, 0)
-				}
+	err := ctrl.Start(s.contextFor(p), sub.Params)
+	if errors.Is(err, wire.ErrQuotaExceeded) || errors.Is(err, wire.ErrAdmissionShed) {
+		for id := range p.commands {
+			if !s.q.Remove(id) {
+				// A concurrent announce already dispatched it; settle the
+				// in-flight charge — the result will find no project.
+				s.q.Release(id, 0)
 			}
-			s.mu.Lock()
-			delete(s.projects, sub.Name)
-			s.mu.Unlock()
-			s.met.admissionReject.Inc()
-			return nil, fmt.Errorf("server: admitting project %q: %w", sub.Name, err)
 		}
-		s.journal(store.Record{Type: store.RecProjectSubmitted, Project: sub.Name,
-			Tenant: sub.Tenant, Count: sub.Priority, Note: sub.Controller, Data: sub.Params})
-		p.state = "failed"
-		p.failErr = err.Error()
-		close(p.done)
-		return nil, fmt.Errorf("server: starting project %q: %w", sub.Name, err)
+		s.mu.Lock()
+		delete(s.projects, sub.Name)
+		s.mu.Unlock()
+		s.met.admissionReject.Inc()
+		return fmt.Errorf("server: admitting project %q: %w", sub.Name, err)
 	}
 	s.journal(store.Record{Type: store.RecProjectSubmitted, Project: sub.Name,
 		Tenant: sub.Tenant, Count: sub.Priority, Note: sub.Controller, Data: sub.Params})
-	s.log.Info("project started", "project", sub.Name,
-		"controller", sub.Controller, "tenant", sub.Tenant)
-	return wire.Marshal(&wire.SubmitReceipt{
-		Project:          sub.Name,
-		Tenant:           sub.Tenant,
-		Server:           s.node.ID(),
-		AcceptedUnixNano: now.UnixNano(),
-	})
+	if err != nil {
+		p.state = "failed"
+		p.failErr = err.Error()
+		close(p.done)
+		return fmt.Errorf("server: starting project %q: %w", sub.Name, err)
+	}
+	return nil
 }
 
 // seedFromName derives a stable project seed.
@@ -487,9 +499,7 @@ func (s *Server) Project(name string) (wire.ProjectStatus, bool) {
 	if p == nil {
 		return wire.ProjectStatus{}, false
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return s.statusLocked(p), true
+	return s.status(p), true
 }
 
 // ProjectNames returns the names of every project this server holds. A
@@ -523,9 +533,20 @@ func (s *Server) WaitProject(ctx context.Context, name string) (wire.ProjectStat
 	case <-ctx.Done():
 		return wire.ProjectStatus{}, fmt.Errorf("server: project %q still running: %w", name, ctx.Err())
 	}
+	return s.status(p), nil
+}
+
+// status reads a project's status under its lock. A terminal state is a
+// promise the project will not run again, so it is only reported once the
+// record that ended the project is durable.
+func (s *Server) status(p *project) wire.ProjectStatus {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	return s.statusLocked(p), nil
+	st := s.statusLocked(p)
+	p.mu.Unlock()
+	if st.State != "running" {
+		s.commit()
+	}
+	return st
 }
 
 func (s *Server) statusLocked(p *project) wire.ProjectStatus {
@@ -613,10 +634,8 @@ func (c *ctxImpl) Submit(cmd wire.CommandSpec) error {
 	if err := c.s.q.CheckStorage(cmd.Tenant, int64(len(cmd.Payload))); err != nil {
 		return fmt.Errorf("server: submitting command %q: %w", cmd.ID, err)
 	}
-	if data, err := wire.Marshal(&cmd); err == nil {
-		c.s.journal(store.Record{Type: store.RecCommandQueued,
-			Project: c.p.name, Command: cmd.ID, Tenant: cmd.Tenant, Data: data})
-	}
+	c.s.journalPayload(store.Record{Type: store.RecCommandQueued,
+		Project: c.p.name, Command: cmd.ID, Tenant: cmd.Tenant}, &cmd)
 	if err := c.s.q.Push(cmd); err != nil {
 		return err
 	}
@@ -695,6 +714,10 @@ func (s *Server) handleAnnounce(from string, payload []byte) ([]byte, error) {
 		wl.HeartbeatSeconds = s.cfg.HeartbeatInterval.Seconds()
 		wl.SharedFS = s.cfg.FSToken != "" && s.cfg.FSToken == req.Info.FSToken
 		s.markAssigned(req.Info, wl, from, !req.Relayed)
+		// One barrier for the whole workload: it covers every assignment
+		// above and, the WAL being prefix-durable, the RecCommandQueued of
+		// every command in it.
+		s.commit()
 		return wire.Marshal(&wl)
 	}
 	if req.Relayed {
@@ -761,12 +784,10 @@ func (s *Server) markAssigned(info wire.WorkerInfo, wl wire.Workload, from strin
 	now := time.Now()
 	for _, cmd := range wl.Commands {
 		s.withProjectCommand(cmd.Project, cmd.ID, func(p *project, cs *cmdState) {
-			// Journal before the workload reply is sent: recovery must know
-			// the command may be running somewhere so it can requeue it as
-			// an orphan if the result never arrives. This holds only this
-			// project's lock across the group-commit wait — a deliberate
-			// tradeoff: the assignment must be durable before the reply
-			// releases the worker, and the global lock stays free.
+			// Journal before the workload reply is sent (handleAnnounce
+			// commits): recovery must know the command may be running
+			// somewhere so it can requeue it as an orphan if the result never
+			// arrives.
 			s.journal(store.Record{Type: store.RecCommandAssigned,
 				Project: cmd.Project, Command: cmd.ID, Worker: info.ID})
 			cs.status = cmdRunning
@@ -912,6 +933,9 @@ func (s *Server) handleResult(from string, payload []byte) ([]byte, error) {
 	}
 
 	reply, settledWorker, err := s.ingestResult(p, &res)
+	// The ack — for a result, a checkpoint, or a controller failure alike —
+	// leaves only once what the ingest journaled is durable.
+	s.commit()
 	s.maybeSnapshot()
 	if settledWorker != "" {
 		// The command is settled: drop it from the worker's assignment record
@@ -964,12 +988,11 @@ func (s *Server) ingestResult(p *project, res *wire.CommandResult) (reply []byte
 		s.q.Remove(res.CommandID)
 	}
 	// Journal the full result (output included, so replay is independent of
-	// shared-FS spool files) before the controller reacts or the worker is
+	// shared-FS spool files) before the controller reacts; handleResult
+	// commits it, and whatever the controller journals, before the worker is
 	// acked.
-	if data, err := wire.Marshal(res); err == nil {
-		s.journal(store.Record{Type: store.RecResult,
-			Project: res.Project, Command: res.CommandID, Worker: res.WorkerID, Data: data})
-	}
+	s.journalPayload(store.Record{Type: store.RecResult,
+		Project: res.Project, Command: res.CommandID, Worker: res.WorkerID}, res)
 	cs.status = cmdDone
 	p.finished++
 	// Settle the fair-share charge with the measured wall time and bill the
@@ -1044,7 +1067,9 @@ func (s *Server) handleFrameChunk(from string, payload []byte) ([]byte, error) {
 	if p == nil {
 		return nil, overlay.ErrNotHandled // maybe another server's project
 	}
-	return s.ingestChunk(p, &chunk, payload)
+	reply, err := s.ingestChunk(p, &chunk, payload)
+	s.commit()
+	return reply, err
 }
 
 // ingestChunk applies one streamed chunk under the project lock, advancing
@@ -1409,9 +1434,8 @@ func (s *Server) handleTenantQuotaSet(from string, payload []byte) ([]byte, erro
 		return nil, fmt.Errorf("server: tenant quota update needs a tenant ID")
 	}
 	st := s.q.SetQuota(upd)
-	if data, err := wire.Marshal(&upd); err == nil {
-		s.journal(store.Record{Type: store.RecTenantQuota, Tenant: upd.Tenant, Data: data})
-	}
+	s.journalPayload(store.Record{Type: store.RecTenantQuota, Tenant: upd.Tenant}, &upd)
+	s.commit()
 	s.log.Info("tenant quota updated", "tenant", upd.Tenant, "weight", st.Weight,
 		"max_queued", st.MaxQueued, "max_cores", st.MaxCores, "max_storage_bytes", st.MaxStorageBytes)
 	return wire.Marshal(&st)

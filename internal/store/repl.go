@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	"copernicus/internal/store/atomicfile"
 )
@@ -92,10 +91,7 @@ func (s *Store) ReadSince(after uint64, max int) (recs []Record, gap bool, err e
 	if len(recs) == 0 {
 		// Nothing newer on disk — either the caller is caught up, or the
 		// records above `after` were compacted into a snapshot.
-		s.mu.Lock()
-		last := s.nextSeq - 1
-		s.mu.Unlock()
-		if last > after {
+		if s.LastSeq() > after {
 			return nil, true, nil
 		}
 	}
@@ -128,108 +124,33 @@ func (s *Store) NewestSnapshot() (lastSeq uint64, blob []byte, err error) {
 // AppendReplicatedBatch appends records shipped from a primary, preserving
 // their sequence numbers and timestamps. Records at or below the replica's
 // applied frontier are skipped (redelivery is idempotent); a record beyond
-// frontier+1 aborts with ErrReplicaGap before anything is written. The call
-// blocks until a group-commit fsync covers the batch. It returns how many
-// records were newly applied.
+// frontier+1 stops the batch with ErrReplicaGap. Whatever was written, the
+// whole batch or the part before a gap or write fault, is committed before
+// the call returns how many records were newly applied.
 func (s *Store) AppendReplicatedBatch(recs []Record) (applied int, err error) {
-	start := time.Now()
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return 0, errors.New("store: closed")
+	err = s.readyLocked()
+	for i := 0; err == nil && i < len(recs); i++ {
+		switch rec := recs[i]; {
+		case rec.Seq < s.nextSeq:
+			// already applied; duplicate shipment
+		case rec.Seq > s.nextSeq:
+			err = fmt.Errorf("%w: have %d, shipped %d", ErrReplicaGap, s.nextSeq-1, rec.Seq)
+		default:
+			if err = s.writeLocked(&rec); err == nil {
+				applied++
+			}
+		}
 	}
-	if s.poisoned {
-		if err := s.rotateLocked(); err != nil {
-			s.mu.Unlock()
-			s.met.walErrors.Inc()
-			return 0, fmt.Errorf("store: rotating away from poisoned segment: %w", err)
-		}
-	}
-	for _, rec := range recs {
-		if rec.Seq < s.nextSeq {
-			continue // already applied; duplicate shipment
-		}
-		if rec.Seq > s.nextSeq {
-			have := s.nextSeq - 1
-			s.mu.Unlock()
-			if applied > 0 {
-				// Partially applied batches still need their fsync before
-				// reporting, so the caller's applied-frontier stays honest.
-				if werr := s.waitSync(start); werr != nil {
-					return 0, werr
-				}
-			}
-			return applied, fmt.Errorf("%w: have %d, shipped %d", ErrReplicaGap, have, rec.Seq)
-		}
-		frame, ferr := encodeFrame(&rec)
-		if ferr != nil {
-			s.mu.Unlock()
-			return applied, ferr
-		}
-		if s.opts.WriteHook != nil {
-			full := len(frame)
-			frame, ferr = s.opts.WriteHook(frame)
-			if ferr != nil {
-				s.poisoned = true
-				s.mu.Unlock()
-				s.met.walErrors.Inc()
-				return applied, fmt.Errorf("store: injected write fault: %w", ferr)
-			}
-			if len(frame) != full {
-				n, _ := s.seg.Write(frame)
-				s.segBytes += int64(n)
-				s.poisoned = true
-				s.mu.Unlock()
-				s.met.walErrors.Inc()
-				return applied, fmt.Errorf("store: injected short write: %d of %d bytes of record %d", len(frame), full, rec.Seq)
-			}
-		}
-		if n, werr := s.seg.Write(frame); werr != nil || n != len(frame) {
-			s.segBytes += int64(n)
-			s.poisoned = true
-			s.mu.Unlock()
-			s.met.walErrors.Inc()
-			if werr == nil {
-				werr = fmt.Errorf("short write")
-			}
-			return applied, fmt.Errorf("store: appending replicated record %d: %w", rec.Seq, werr)
-		}
-		s.nextSeq = rec.Seq + 1
-		s.segBytes += int64(len(frame))
-		s.sinceSnap++
-		applied++
-		s.met.appends.Inc()
-		s.met.recordBytes.Observe(float64(len(frame)))
-	}
+	tail := s.nextSeq - 1
 	s.mu.Unlock()
 	if applied == 0 {
-		return 0, nil
+		return 0, err
 	}
-	return applied, s.waitSync(start)
-}
-
-// waitSync enqueues one group-commit waiter and blocks until the fsync
-// covering everything written so far completes. Called without s.mu.
-func (s *Store) waitSync(start time.Time) error {
-	done := make(chan error, 1)
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return errors.New("store: closed")
+	if cerr := s.Commit(tail); cerr != nil && err == nil {
+		err = fmt.Errorf("store: replicated batch: %w", cerr)
 	}
-	s.pending = append(s.pending, done)
-	s.mu.Unlock()
-	select {
-	case s.kick <- struct{}{}:
-	default:
-	}
-	err := <-done
-	s.met.appendWait.Observe(time.Since(start).Seconds())
-	if err != nil {
-		s.met.walErrors.Inc()
-		return fmt.Errorf("store: fsync covering replicated batch: %w", err)
-	}
-	return nil
+	return applied, err
 }
 
 // InstallSnapshot installs a snapshot file image shipped from a primary as
@@ -265,6 +186,7 @@ func (s *Store) InstallSnapshot(blob []byte) (installed bool, err error) {
 			return false, err
 		}
 		s.nextSeq = snap.LastSeq + 1
+		s.durable = snap.LastSeq // the snapshot itself covers the skipped range
 		idx = s.segIndex
 		s.segFirst[idx] = s.nextSeq
 	} else {

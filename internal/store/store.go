@@ -77,6 +77,10 @@ type Options struct {
 	// and I/O errors. Returning a shortened slice simulates a torn write;
 	// returning an error simulates a failing disk.
 	WriteHook func(frame []byte) ([]byte, error)
+	// SyncHook, when set, runs in place of every fsync of the active segment
+	// and is handed the real one (a no-op under NoSync). Test-only: it lets a
+	// test hold a group commit in flight, fail it, or note what it covered.
+	SyncHook func(sync func() error) error
 	// Obs receives the copernicus_store_* metrics; nil selects a silent
 	// bundle.
 	Obs *obs.Obs
@@ -125,8 +129,20 @@ type Store struct {
 	segBytes  int64
 	nextSeq   uint64
 	sinceSnap int
-	pending   []chan error
 	closed    bool
+	// durable is the commit frontier: every record with Seq <= durable has
+	// its verdict — covered by a completed fsync, or by a range in failed
+	// (one per failed fsync). Commit waits on synced (tied to mu) for it.
+	durable uint64
+	failed  []failedSync
+	synced  *sync.Cond
+	// pendingSince is when the oldest record that no fsync has picked up
+	// yet was staged; zero when there is none.
+	pendingSince time.Time
+	// syncing is true while the syncer fsyncs seg outside mu: staging goes
+	// on, rotation and close wait on synced so the file is not sealed or
+	// closed under it.
+	syncing bool
 	// segFirst maps segment index → the first sequence number appended (or
 	// appendable) in that segment, for segments created by this process. It
 	// lets replication shipping skip whole segments and lets a replica pick
@@ -143,13 +159,19 @@ type Store struct {
 
 	// latMu guards latEWMA, the moving average behind AppendLatency. A
 	// separate mutex so readers (the scheduler's Match hot path) never
-	// contend with an in-flight fsync holding s.mu.
+	// contend with writers staging under s.mu.
 	latMu   sync.Mutex
 	latEWMA float64
 
 	kick chan struct{}
 	stop chan struct{}
 	wg   sync.WaitGroup
+}
+
+// failedSync is one failed fsync: records from..to may not be durable.
+type failedSync struct {
+	from, to uint64
+	err      error
 }
 
 // storeMetrics are the copernicus_store_* series.
@@ -185,7 +207,7 @@ func newStoreMetrics(o *obs.Obs, dir string) storeMetrics {
 		recoveries: m.Counter("copernicus_store_recoveries_total",
 			"Times a state directory was recovered at startup.", l),
 		appendWait: m.Histogram("copernicus_store_wal_append_seconds",
-			"Append latency including the group-commit fsync wait.",
+			"Stage-to-durable latency of the oldest record in each group commit.",
 			fsyncBuckets, l),
 		fsyncTime: m.Histogram("copernicus_store_wal_fsync_seconds",
 			"Latency of each group-commit fsync.", fsyncBuckets, l),
@@ -234,6 +256,7 @@ func Open(opts Options) (*Store, error) {
 	if rec.Snapshot != nil || len(rec.Records) > 0 {
 		s.met.recoveries.Inc()
 	}
+	s.synced = sync.NewCond(&s.mu)
 	s.nextSeq = 1
 	if rec.Snapshot != nil && rec.Snapshot.LastSeq >= s.nextSeq {
 		s.nextSeq = rec.Snapshot.LastSeq + 1
@@ -241,6 +264,7 @@ func Open(opts Options) (*Store, error) {
 	if n := len(rec.Records); n > 0 && rec.Records[n-1].Seq >= s.nextSeq {
 		s.nextSeq = rec.Records[n-1].Seq + 1
 	}
+	s.durable = s.nextSeq - 1
 	s.segIndex = maxIndex // rotateLocked moves to maxIndex+1
 	if err := s.rotateLocked(); err != nil {
 		return nil, err
@@ -264,107 +288,132 @@ func (s *Store) Recovered() *Recovered { return s.recovered }
 // Dir returns the state directory.
 func (s *Store) Dir() string { return s.opts.Dir }
 
-// Append journals one record durably: it frames and writes the record to
-// the active segment and blocks until a group-commit fsync covers it. Seq
-// and Time are assigned by the store. An error means the record may not be
-// durable; the owner decides whether to degrade or abort.
+// Append journals one record durably: Stage, then Commit of the staged
+// record. An error means the record may not be durable; the owner decides
+// whether to degrade or abort.
 func (s *Store) Append(rec Record) error {
-	start := time.Now()
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return errors.New("store: closed")
+	seq, err := s.Stage(rec)
+	if err != nil {
+		return err
 	}
-	// A previous append left a possibly-torn frame in the active segment;
-	// anything written after it would be unreadable at recovery (a segment
-	// is only trusted up to its first corrupt frame), so open a fresh
-	// segment before this record.
-	if s.poisoned {
-		if err := s.rotateLocked(); err != nil {
-			s.mu.Unlock()
-			s.met.walErrors.Inc()
-			return fmt.Errorf("store: rotating away from poisoned segment: %w", err)
-		}
+	return s.Commit(seq)
+}
+
+// Stage assigns rec its Seq and Time, frames it and writes it to the active
+// segment, and returns the Seq without waiting for an fsync. The WAL is
+// prefix-durable: an fsync that covers a record covers every record staged
+// before it. A failed Stage consumes no sequence number.
+func (s *Store) Stage(rec Record) (uint64, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.readyLocked(); err != nil {
+		return 0, err
 	}
 	rec.Seq = s.nextSeq
 	rec.Time = time.Now().UnixNano()
-	frame, err := encodeFrame(&rec)
-	if err != nil {
-		s.mu.Unlock()
-		return err
+	if err := s.writeLocked(&rec); err != nil {
+		return 0, err
 	}
-	if s.opts.WriteHook != nil {
-		full := len(frame)
-		frame, err = s.opts.WriteHook(frame)
-		if err != nil {
-			// The fault may have hit after partial bytes reached the file;
-			// treat the segment as torn either way.
-			s.poisoned = true
-			s.mu.Unlock()
-			s.met.walErrors.Inc()
-			return fmt.Errorf("store: injected write fault: %w", err)
-		}
-		if len(frame) != full {
-			// Injected torn write: put the truncated frame on disk — the
-			// image a power cut leaves behind — but report the append as
-			// failed, exactly like a real short write from the kernel. The
-			// record was never durable; acknowledging it would be a lie.
-			n, _ := s.seg.Write(frame)
-			s.segBytes += int64(n)
-			s.poisoned = true
-			s.mu.Unlock()
-			s.met.walErrors.Inc()
-			return fmt.Errorf("store: injected short write: %d of %d bytes of record %d", len(frame), full, rec.Seq)
-		}
-	}
-	if n, err := s.seg.Write(frame); err != nil || n != len(frame) {
-		s.segBytes += int64(n)
-		s.poisoned = true
-		s.mu.Unlock()
-		s.met.walErrors.Inc()
-		if err == nil {
-			err = io.ErrShortWrite
-		}
-		return fmt.Errorf("store: appending record %d: %w", rec.Seq, err)
-	}
-	s.nextSeq++
-	s.segBytes += int64(len(frame))
-	s.sinceSnap++
-	s.met.appends.Inc()
-	s.met.recordBytes.Observe(float64(len(frame)))
-	done := make(chan error, 1)
-	s.pending = append(s.pending, done)
-	s.mu.Unlock()
+	return rec.Seq, nil
+}
 
-	select {
-	case s.kick <- struct{}{}:
-	default: // a kick is already queued; the syncer will pick us up
+// Commit blocks until the fsync frontier covers seq, a Seq that Stage
+// returned; Commit(LastSeq()) is a barrier over everything staged so far.
+// Its error is a failed fsync over seq, which the store has already logged
+// and counted once; nil also vouches for every earlier record that no
+// failed fsync gave up on.
+func (s *Store) Commit(seq uint64) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if seq >= s.nextSeq {
+		return fmt.Errorf("store: commit of record %d, but the log ends at %d", seq, s.nextSeq-1)
 	}
-	err = <-done
-	elapsed := time.Since(start).Seconds()
-	s.met.appendWait.Observe(elapsed)
-	s.observeAppendLatency(elapsed)
-	if err != nil {
-		s.met.walErrors.Inc()
-		return fmt.Errorf("store: fsync covering record %d: %w", rec.Seq, err)
+	for s.durable < seq {
+		s.synced.Wait()
+	}
+	for _, f := range s.failed {
+		if f.from <= seq && seq <= f.to {
+			return fmt.Errorf("store: fsync covering record %d: %w", seq, f.err)
+		}
 	}
 	return nil
 }
 
-// AppendLatency returns an exponentially-weighted moving average of recent
-// Append latencies in seconds, including the group-commit fsync wait. The
-// scheduler feeds it into queue.Match as a backpressure signal, so a slow
-// WAL disk throttles new assignment instead of growing the in-flight window
-// (every assignment costs a journaled record). Zero until the first append.
+// readyLocked checks that the store can take a frame. After a failed write
+// or fsync the active segment may end in a torn frame, and recovery trusts a
+// segment only up to its first corrupt one, so it opens a fresh segment first.
+func (s *Store) readyLocked() error {
+	if s.closed {
+		return errors.New("store: closed")
+	}
+	if s.poisoned {
+		if err := s.rotateLocked(); err != nil {
+			s.met.walErrors.Inc()
+			return fmt.Errorf("store: rotating away from poisoned segment: %w", err)
+		}
+	}
+	return nil
+}
+
+// writeLocked frames rec (whose Seq the caller has set to s.nextSeq) and
+// writes it to the active segment: the one routine that puts a frame in the
+// WAL. It wakes the syncer but does not wait for it.
+func (s *Store) writeLocked(rec *Record) error {
+	frame, err := encodeFrame(rec)
+	if err != nil {
+		return err
+	}
+	full := len(frame)
+	if s.opts.WriteHook != nil {
+		if frame, err = s.opts.WriteHook(frame); err != nil {
+			// The fault may have hit after partial bytes reached the file;
+			// treat the segment as torn either way.
+			s.poisoned = true
+			s.met.walErrors.Inc()
+			return fmt.Errorf("store: injected write fault: %w", err)
+		}
+	}
+	// A frame the hook shortened is an injected torn write: it goes to disk,
+	// the image a power cut leaves behind, and fails the append exactly like
+	// a short write from the kernel. The record was never durable.
+	n, err := s.seg.Write(frame)
+	s.segBytes += int64(n)
+	if err == nil && n != full {
+		err = io.ErrShortWrite
+	}
+	if err != nil {
+		s.poisoned = true
+		s.met.walErrors.Inc()
+		return fmt.Errorf("store: appending record %d: %d of %d bytes: %w", rec.Seq, n, full, err)
+	}
+	s.nextSeq = rec.Seq + 1
+	s.sinceSnap++
+	s.met.appends.Inc()
+	s.met.recordBytes.Observe(float64(full))
+	if s.pendingSince.IsZero() {
+		s.pendingSince = time.Now()
+	}
+	select {
+	case s.kick <- struct{}{}:
+	default: // a kick is already queued; the syncer will pick this record up
+	}
+	return nil
+}
+
+// AppendLatency returns an exponentially-weighted moving average, in
+// seconds, of how long the oldest record of each group commit waited from
+// Stage to durable. The scheduler feeds it into queue.Match as a
+// backpressure signal, so a slow WAL disk throttles new assignment instead of
+// growing the in-flight window. Zero until the first fsync.
 func (s *Store) AppendLatency() float64 {
 	s.latMu.Lock()
 	defer s.latMu.Unlock()
 	return s.latEWMA
 }
 
-// observeAppendLatency folds one append's latency into the EWMA. Alpha 0.2
-// reacts to a disk going slow within a handful of appends while smoothing
-// over a single unlucky fsync.
+// observeAppendLatency folds one group commit's latency into the EWMA. Alpha
+// 0.2 reacts to a disk going slow within a handful of commits while
+// smoothing over a single unlucky fsync.
 func (s *Store) observeAppendLatency(sec float64) {
 	s.latMu.Lock()
 	if s.latEWMA == 0 {
@@ -376,7 +425,8 @@ func (s *Store) observeAppendLatency(sec float64) {
 	s.latMu.Unlock()
 }
 
-// syncLoop is the group-commit engine: one fsync per batch of waiters.
+// syncLoop is the group-commit engine: one fsync per batch of staged
+// records.
 func (s *Store) syncLoop() {
 	defer s.wg.Done()
 	for {
@@ -386,42 +436,82 @@ func (s *Store) syncLoop() {
 		case <-s.kick:
 		}
 		if d := s.opts.FsyncInterval; d > 0 {
-			// Let more appends accumulate into this batch.
+			// Let more records accumulate into this batch.
 			select {
 			case <-s.stop:
 				return
 			case <-time.After(d):
 			}
 		}
-		s.mu.Lock()
-		s.syncLocked()
-		s.mu.Unlock()
+		s.flush()
 	}
 }
 
-// syncLocked fsyncs the active segment and releases every pending waiter.
-// Called with s.mu held.
-func (s *Store) syncLocked() {
-	ws := s.pending
-	s.pending = nil
-	if len(ws) == 0 {
+// flush fsyncs the active segment outside s.mu, so writers keep staging into
+// it, and moves the frontier over everything staged when the fsync began.
+func (s *Store) flush() {
+	s.mu.Lock()
+	through, since := s.nextSeq-1, s.pendingSince
+	if through == s.durable {
+		s.mu.Unlock()
 		return
 	}
-	var err error
-	if !s.opts.NoSync {
-		t0 := time.Now()
-		err = s.seg.Sync()
-		s.met.fsyncTime.Observe(time.Since(t0).Seconds())
+	seg := s.seg
+	s.pendingSince = time.Time{}
+	s.syncing = true
+	s.mu.Unlock()
+
+	t0 := time.Now()
+	err := s.fsync(seg)
+	s.met.fsyncTime.Observe(time.Since(t0).Seconds())
+
+	s.mu.Lock()
+	s.syncing = false
+	if err != nil {
+		// Records staged behind the failing fsync sit in the same segment,
+		// so their durability is just as unknown.
+		through, s.pendingSince = s.nextSeq-1, time.Time{}
+	}
+	s.resolveLocked(through, since, err)
+	s.mu.Unlock()
+}
+
+// fsync syncs one segment file, through the test hook if one is set.
+func (s *Store) fsync(seg *os.File) error {
+	sync := seg.Sync
+	if s.opts.NoSync {
+		sync = func() error { return nil }
+	}
+	if s.opts.SyncHook != nil {
+		return s.opts.SyncHook(sync)
+	}
+	return sync()
+}
+
+// resolveLocked gives every record up to through (the oldest staged at
+// since) the verdict of an fsync of the active segment, and wakes whoever
+// waits on the frontier or on the fsync's end. A failure is logged and
+// counted here, once, not by each waiter it fails.
+func (s *Store) resolveLocked(through uint64, since time.Time, err error) {
+	if err != nil {
+		// Durability of everything in the segment is now unknown; the next
+		// append starts a fresh one rather than extending it.
+		s.poisoned = true
+	}
+	if through > s.durable {
 		if err != nil {
-			// Durability of everything in the segment is now unknown;
-			// start fresh rather than extending it.
-			s.poisoned = true
+			s.failed = append(s.failed, failedSync{from: s.durable + 1, to: through, err: err})
+			s.met.walErrors.Inc()
+			s.log.Error("fsync of the write-ahead log failed; continuing without durability for the records it covered",
+				"first_seq", s.durable+1, "last_seq", through, "err", err)
 		}
+		s.durable = through
+		s.met.fsyncs.Inc()
+		elapsed := time.Since(since).Seconds()
+		s.met.appendWait.Observe(elapsed)
+		s.observeAppendLatency(elapsed)
 	}
-	s.met.fsyncs.Inc()
-	for _, w := range ws {
-		w <- err
-	}
+	s.synced.Broadcast()
 }
 
 // ShouldSnapshot reports whether enough records have accumulated since the
@@ -461,9 +551,6 @@ func (s *Store) AppendedSinceRotation() int {
 func (s *Store) Rotate() (idx, lastSeq uint64, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return 0, 0, errors.New("store: closed")
-	}
 	if err := s.rotateLocked(); err != nil {
 		return 0, 0, err
 	}
@@ -473,16 +560,28 @@ func (s *Store) Rotate() (idx, lastSeq uint64, err error) {
 	return s.segIndex, s.nextSeq - 1, nil
 }
 
-// rotateLocked seals s.seg (if any) and opens segment s.segIndex+1. A
-// poisoned segment is sealed best-effort: its tail is torn garbage anyway,
-// and refusing to rotate would pin every future append to the damage.
+// rotateLocked seals s.seg (if any) and opens segment s.segIndex+1. It
+// first waits out an in-flight fsync, releasing s.mu meanwhile, so callers
+// must not rely on state read before the call; the seal fsync itself runs
+// under s.mu so no record slips into the old segment behind it. A poisoned
+// segment is sealed best-effort: its tail is torn garbage anyway, and
+// refusing to rotate would pin every future append to the damage.
 func (s *Store) rotateLocked() error {
 	if s.seg != nil {
-		s.syncLocked()
-		if !s.opts.NoSync {
-			if err := s.seg.Sync(); err != nil && !s.poisoned {
-				return fmt.Errorf("store: sealing segment %d: %w", s.segIndex, err)
-			}
+		for s.syncing {
+			s.synced.Wait()
+		}
+		if s.closed {
+			return errors.New("store: closed")
+		}
+		// A seal failure matters to the rotation only when nobody else gets
+		// to hear of it: records still above the frontier take the verdict.
+		moot := s.poisoned || s.durable < s.nextSeq-1
+		err := s.fsync(s.seg)
+		s.resolveLocked(s.nextSeq-1, s.pendingSince, err)
+		s.pendingSince = time.Time{}
+		if err != nil && !moot {
+			return fmt.Errorf("store: sealing segment %d: %w", s.segIndex, err)
 		}
 		if err := s.seg.Close(); err != nil && !s.poisoned {
 			return fmt.Errorf("store: closing segment %d: %w", s.segIndex, err)
@@ -583,14 +682,11 @@ func (s *Store) Close() error {
 	s.closed = true
 	s.mu.Unlock()
 	close(s.stop)
-	s.wg.Wait()
+	s.wg.Wait() // the syncer is gone: no fsync is in flight past this point
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.syncLocked()
-	var err error
-	if !s.opts.NoSync {
-		err = s.seg.Sync()
-	}
+	err := s.fsync(s.seg)
+	s.resolveLocked(s.nextSeq-1, s.pendingSince, err)
 	if cerr := s.seg.Close(); err == nil {
 		err = cerr
 	}

@@ -26,6 +26,11 @@ go test -race ./internal/obs/... ./internal/server/... \
     ./internal/store/replica/... ./internal/md/... ./internal/des/... \
     ./internal/repex/... ./internal/msm/...
 
+echo "== benchmarks module (vet, test) =="
+# benchmarks/ is a nested module: ./... above does not reach it.
+go vet -C benchmarks ./...
+go test -C benchmarks ./...
+
 echo "== md bench smoke =="
 go test -run=NONE -bench=. -benchtime=1x ./internal/md
 

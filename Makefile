@@ -1,7 +1,7 @@
 # Convenience targets; scripts/ci.sh is the canonical gate.
 GO ?= go
 
-.PHONY: all build vet test race chaos crash failover tenants repex stream ci bench bench-e2e fmt
+.PHONY: all build vet test race chaos crash failover dispatch tenants repex stream ci bench bench-e2e fmt
 
 all: build
 
@@ -40,6 +40,18 @@ crash:
 # docs/PERSISTENCE.md ("Replication & failover").
 failover:
 	$(GO) test -race -run TestFailover -v -timeout 600s ./internal/core/
+
+# Event-driven dispatch under stress: relay-homed workers picking up a
+# campaign submitted after they parked, the park/wake/expire/supersede/close
+# interleavings, and the overlay's concurrent request handlers, 20 times
+# each under the race detector — see docs/SCHEDULING.md ("Dispatch").
+dispatch:
+	$(GO) test -race -count=20 -timeout 600s \
+		-run 'TestFabricMSMDistributedAcrossRelays|TestIdleFleetPicksUpAtOnce|TestFabricCloseWithIdleWorkers' ./internal/core/
+	$(GO) test -race -count=20 -timeout 600s \
+		-run 'TestParked|TestWakeCostsOnePerPush|TestLateRelayedWorkloadHandedBack|TestRelayedAssignmentLostReplyRecovered' ./internal/server/
+	$(GO) test -race -count=20 -timeout 600s \
+		-run 'TestBlockedHandler|TestCloseWithBlockedHandler|TestLinkHandlerCap|TestFloodPasses' ./internal/overlay/
 
 # The multi-tenant scheduling acceptance scenario: 2000 tenants with
 # heavy-tailed traffic against the real fair-share queue, with a

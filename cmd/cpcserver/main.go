@@ -49,8 +49,7 @@ func main() {
 	seed := flag.Uint64("seed", 0, "deterministic identity seed (0 = random identity)")
 	heartbeat := flag.Duration("heartbeat-interval", 120*time.Second, "worker heartbeat interval")
 	flag.DurationVar(heartbeat, "heartbeat", 120*time.Second, "deprecated alias for -heartbeat-interval")
-	relayTimeout := flag.Duration("relay-timeout", 0, "anycast work-search deadline per announce (0 = default 2s)")
-	relayCooldown := flag.Duration("relay-cooldown", 0, "pause between fruitless work searches (0 = relay-timeout)")
+	relayTimeout := flag.Duration("relay-timeout", 0, "longest an idle announce is held waiting for work (0 = default 2s)")
 	maxQueued := flag.Int("max-queued", 0, "global queued-command bound across all tenants; submits beyond it are shed (0 = unlimited)")
 	starvationAge := flag.Duration("starvation-age", 0, "queued-command age that jumps fair-share order (0 = default 30s, negative disables)")
 	preemptAge := flag.Duration("preempt-age", 0, "tenant starvation age that triggers checkpoint-boundary preemption of the dominant tenant (0 = disabled)")
@@ -141,7 +140,6 @@ func main() {
 		return server.Config{
 			HeartbeatInterval: *heartbeat,
 			RelayTimeout:      *relayTimeout,
-			RelayCooldown:     *relayCooldown,
 			FSToken:           *fsToken,
 			MaxQueuedTotal:    *maxQueued,
 			StarvationAge:     *starvationAge,

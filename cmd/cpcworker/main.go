@@ -44,7 +44,7 @@ func main() {
 	serverList := flag.String("server", "127.0.0.1:7770", "comma-separated server addresses; first responder becomes home, the rest are re-home candidates")
 	cores := flag.Int("cores", runtime.NumCPU(), "cores to announce; MD commands clamp their force-loop shards to this grant (payload Shards<=0 auto-sizes to it)")
 	platform := flag.String("platform", "smp", "platform plugin name")
-	poll := flag.Duration("poll", 2*time.Second, "idle re-announce interval")
+	poll := flag.Duration("poll", 2*time.Second, "back-off after an empty or failed announce")
 	fsToken := flag.String("fs-token", "", "shared-filesystem token")
 	spool := flag.String("spool-dir", "", "shared-filesystem spool directory")
 	flag.StringVar(spool, "spool", "", "deprecated alias for -spool-dir")

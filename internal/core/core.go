@@ -43,7 +43,8 @@ type FabricConfig struct {
 	// fabric deployments — scaled down from the paper's 120 s so tests can
 	// exercise failure detection quickly).
 	Heartbeat time.Duration
-	// Poll is the workers' idle re-announce interval (default 20 ms).
+	// Poll is the workers' back-off after an empty or failed announce
+	// (default 20 ms).
 	Poll time.Duration
 	// Latency injects a per-write delay on the in-memory network.
 	Latency time.Duration
@@ -264,14 +265,7 @@ func NewFabric(cfg FabricConfig) (*Fabric, error) {
 			return nil, err
 		}
 		f.Stores = append(f.Stores, st)
-		srv := server.New(node, cfg.Registry, server.Config{
-			HeartbeatInterval: cfg.Heartbeat,
-			RelayTimeout:      2 * time.Second,
-			FSToken:           cfg.FSToken,
-			Store:             st,
-			Obs:               cfg.Obs,
-		})
-		f.Servers = append(f.Servers, srv)
+		f.Servers = append(f.Servers, server.New(node, cfg.Registry, f.serverConfig(st)))
 		f.Peers = append(f.Peers, nil)
 	}
 

@@ -8,7 +8,6 @@ package core
 import (
 	"fmt"
 	"path/filepath"
-	"time"
 
 	"copernicus/internal/server"
 	"copernicus/internal/store"
@@ -96,7 +95,6 @@ func (f *Fabric) replStoreOptions() store.Options {
 func (f *Fabric) serverConfig(st *store.Store) server.Config {
 	return server.Config{
 		HeartbeatInterval: f.cfg.Heartbeat,
-		RelayTimeout:      2 * time.Second,
 		FSToken:           f.cfg.FSToken,
 		Store:             st,
 		Obs:               f.cfg.Obs,

@@ -57,6 +57,16 @@ func (e *RemoteError) Unwrap() error { return wire.SentinelFor(e.Code) }
 // Handler processes a request payload from a peer and returns the reply
 // payload. Returning ErrNotHandled forwards the request instead (only
 // meaningful for anycast requests).
+//
+// A request that arrives over a peer link is handled on a goroutine of its
+// own (see serve), so a handler may block — on an fsync, on a parked
+// announce — without delaying the link's other requests or the replies to
+// this node's own requests. Handlers of one link therefore run concurrently
+// and in no particular order; a sender that needs one request applied before
+// the next waits for the first one's reply, as every in-tree sender that
+// cares does (frame chunks, partial results, WAL shipping). Close waits for
+// running handlers, so whatever a handler blocks on must be released before
+// the node is closed.
 type Handler func(from string, payload []byte) ([]byte, error)
 
 // DefaultTTL bounds forwarding hops; overlays in the paper are a handful of
@@ -99,6 +109,11 @@ type Node struct {
 // real link.
 const linkQueueDepth = 512
 
+// maxLinkHandlers caps the request handlers one peer link may have running
+// at once, so a peer cannot make this node spawn goroutines without bound.
+// At the cap the link's read loop blocks until a handler returns.
+const maxLinkHandlers = 128
+
 type peerLink struct {
 	id   string
 	conn net.Conn
@@ -106,6 +121,8 @@ type peerLink struct {
 	out  chan *wire.Envelope
 	done chan struct{}
 	once sync.Once
+	// handlers holds one token per running request handler of this link.
+	handlers chan struct{}
 
 	// Per-peer traffic series, resolved once at addPeer.
 	rxMsgs, txMsgs   *obs.Counter
@@ -114,10 +131,11 @@ type peerLink struct {
 
 func newPeerLink(id string, conn net.Conn) *peerLink {
 	return &peerLink{
-		id:   id,
-		conn: conn,
-		out:  make(chan *wire.Envelope, linkQueueDepth),
-		done: make(chan struct{}),
+		id:       id,
+		conn:     conn,
+		out:      make(chan *wire.Envelope, linkQueueDepth),
+		done:     make(chan struct{}),
+		handlers: make(chan struct{}, maxLinkHandlers),
 	}
 }
 
@@ -194,8 +212,7 @@ func (n *Node) Identity() *Identity { return n.id }
 func (n *Node) Trust() *TrustStore { return n.trust }
 
 // Handle registers the handler for a message type. Must be called before
-// traffic arrives; handlers run on the connection's reader goroutine, so
-// long work should be dispatched internally.
+// traffic arrives. See Handler for how handlers are run.
 func (n *Node) Handle(t wire.MsgType, h Handler) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -371,7 +388,7 @@ func (n *Node) runPeer(link *peerLink) error {
 		}
 		link.rxMsgs.Inc()
 		link.rxBytes.Add(uint64(len(env.Payload)))
-		n.route(env, link.id)
+		n.route(env, link)
 	}
 }
 
@@ -487,7 +504,7 @@ func (n *Node) Request(ctx context.Context, to string, t wire.MsgType, payload [
 		TTL:       DefaultTTL,
 		Payload:   payload,
 	}
-	n.route(env, "")
+	n.route(env, nil)
 
 	select {
 	case reply, ok := <-ch:
@@ -521,10 +538,36 @@ func (n *Node) RequestTimeout(to string, t wire.MsgType, payload []byte, timeout
 	return n.Request(ctx, to, t, payload)
 }
 
-// route processes an envelope arriving from origin ("" = locally created).
-func (n *Node) route(env *wire.Envelope, origin string) {
+// Flood sends a one-way notice to every node the overlay can reach: the
+// envelope is anycast-addressed and has no pending entry, so a node without
+// a handler for t passes it on and nobody replies. A handler that wants the
+// notice to travel further returns ErrNotHandled, as for any anycast request.
+// Delivery is best effort (a congested link drops it).
+func (n *Node) Flood(t wire.MsgType, payload []byte) {
+	env := &wire.Envelope{
+		Version:   wire.ProtocolVersion,
+		Type:      t,
+		From:      n.id.ID,
+		RequestID: n.reqID.Add(1),
+		TTL:       DefaultTTL,
+		Payload:   payload,
+	}
+	// Marked seen so that a copy echoed back around a cycle stops here.
+	n.seen.firstTime(env.From, env.RequestID, false)
+	n.forward(env, "")
+}
+
+// route processes an envelope arriving over link (nil = locally created).
+// Replies and forwarding are handled inline — they never block, and a reply
+// must never queue behind a handler — while a request for this node is
+// handed to serve.
+func (n *Node) route(env *wire.Envelope, link *peerLink) {
 	if !n.seen.firstTime(env.From, env.RequestID, env.IsReply) {
 		return
+	}
+	origin := ""
+	if link != nil {
+		origin = link.id
 	}
 
 	if env.IsReply {
@@ -552,18 +595,60 @@ func (n *Node) route(env *wire.Envelope, origin string) {
 		h := n.handlers[env.Type]
 		n.mu.RUnlock()
 		if h != nil {
-			reply, err := h(env.From, env.Payload)
-			if !errors.Is(err, ErrNotHandled) {
-				n.reply(env, reply, err, origin)
-				return
-			}
-		} else if env.To == n.id.ID {
+			n.serve(h, env, link)
+			return
+		}
+		if env.To == n.id.ID {
 			n.reply(env, nil, fmt.Errorf("no handler for %q", env.Type), origin)
 			return
 		}
 		// Anycast fall-through: not handled here, forward.
 	}
 	n.forward(env, origin)
+}
+
+// serve runs a request's handler. A locally created request is served on
+// the caller's goroutine (it is waiting for the reply anyway); one that
+// arrived over a link gets a goroutine of its own, so the link's read loop is
+// free for the next envelope whatever the handler waits for. The goroutine
+// is tracked by n.wg — added under n.mu with closed checked (Close sets it
+// under the write lock before it waits), so the Add cannot race the Wait —
+// and holds one of the link's maxLinkHandlers tokens; with none free the
+// read loop blocks here.
+func (n *Node) serve(h Handler, env *wire.Envelope, link *peerLink) {
+	if link == nil {
+		n.handle(h, env, "")
+		return
+	}
+	select {
+	case link.handlers <- struct{}{}:
+	case <-link.done:
+		return
+	}
+	n.mu.RLock()
+	if n.closed {
+		n.mu.RUnlock()
+		<-link.handlers
+		return
+	}
+	n.wg.Add(1)
+	n.mu.RUnlock()
+	go func() {
+		defer n.wg.Done()
+		n.handle(h, env, link.id)
+		<-link.handlers
+	}()
+}
+
+// handle is the one place a request handler is invoked: it runs h on env and
+// replies, or forwards an anycast request the handler declined.
+func (n *Node) handle(h Handler, env *wire.Envelope, origin string) {
+	reply, err := h(env.From, env.Payload)
+	if errors.Is(err, ErrNotHandled) {
+		n.forward(env, origin)
+		return
+	}
+	n.reply(env, reply, err, origin)
 }
 
 // reply sends a response back toward the requester.
@@ -584,7 +669,7 @@ func (n *Node) reply(req *wire.Envelope, payload []byte, err error, origin strin
 	}
 	if req.From == n.id.ID {
 		// Local request answered locally.
-		n.route(rep, "")
+		n.route(rep, nil)
 		return
 	}
 	// Prefer the link the request came in on; fall back to flooding.

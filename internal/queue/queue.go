@@ -84,6 +84,13 @@ type Config struct {
 	// MaxQueuedTotal bounds the whole queue across tenants; Push beyond it
 	// sheds with wire.ErrAdmissionShed. 0 = unlimited.
 	MaxQueuedTotal int
+	// Ready, when set, is called — outside the queue's lock — after every
+	// event that can make a Match succeed that would have failed before it:
+	// a Push or Requeue, and a Release, SetQuota or DemoteGang while commands
+	// are queued. first reports that the event put a command into an empty
+	// queue. Servers hang their parked announces on it. What clears with
+	// time alone (WAL pressure, starvation age) fires nothing.
+	Ready func(first bool)
 }
 
 const (
@@ -224,6 +231,20 @@ func NewWithConfig(cfg Config) *Queue {
 }
 
 func (q *Queue) now() time.Time { return q.cfg.Clock() }
+
+// readiness is what a mutating call tells unlock about itself.
+type readiness struct {
+	fire  bool // the call can have made a failed Match succeed
+	first bool // it put a command into an empty queue
+}
+
+// unlock releases q.mu and then fires the readiness hook if r says so.
+func (q *Queue) unlock(r *readiness) {
+	q.mu.Unlock()
+	if r.fire && q.cfg.Ready != nil {
+		q.cfg.Ready(r.first)
+	}
+}
 
 // tenantLocked returns (creating if needed) the account for id.
 func (q *Queue) tenantLocked(id string) *tenantQ {
@@ -368,8 +389,9 @@ func (q *Queue) push(cmd wire.CommandSpec, admit bool) error {
 	if err := cmd.Validate(); err != nil {
 		return err
 	}
+	var ready readiness
 	q.mu.Lock()
-	defer q.mu.Unlock()
+	defer q.unlock(&ready)
 	if _, dup := q.byID[cmd.ID]; dup {
 		return fmt.Errorf("queue: duplicate command ID %q", cmd.ID)
 	}
@@ -435,6 +457,7 @@ func (q *Queue) push(cmd wire.CommandSpec, admit bool) error {
 	heap.Push(&t.ages, it)
 	q.total++
 	q.pushes.Inc()
+	ready = readiness{fire: true, first: q.total == 1}
 	return nil
 }
 
@@ -766,12 +789,16 @@ func (q *Queue) takeEligibleLocked(t *tenantQ, canRun map[string]bool, remaining
 // elapsed time since dispatch is used. Safe to call for unknown IDs
 // (returns false) — double releases are no-ops.
 func (q *Queue) Release(cmdID string, wallSeconds float64) bool {
+	var ready readiness
 	q.mu.Lock()
-	defer q.mu.Unlock()
+	defer q.unlock(&ready)
 	fl, ok := q.inflight[cmdID]
 	if !ok {
 		return false
 	}
+	// Freed cores can lift a tenant's core-quota veto, and a gang's last
+	// in-flight member its dispatch barrier.
+	ready.fire = q.total > 0
 	delete(q.inflight, cmdID)
 	t := fl.t
 	t.inflightCores -= fl.cores
@@ -867,8 +894,10 @@ func (q *Queue) DominantTenant(exclude string) (tenant string, cores int, ok boo
 // wire.TenantQuotaUpdate: Weight <= 0 keeps the current weight, negative
 // quota fields keep current values, zero clears (unlimited).
 func (q *Queue) SetQuota(upd wire.TenantQuotaUpdate) wire.TenantStatus {
+	var ready readiness
 	q.mu.Lock()
-	defer q.mu.Unlock()
+	defer q.unlock(&ready)
+	ready.fire = q.total > 0
 	t := q.tenantLocked(upd.Tenant)
 	if upd.Weight > 0 {
 		t.weight = upd.Weight
@@ -982,12 +1011,14 @@ func (q *Queue) Gang(id string) (queued, size, inflight int, ok bool) {
 // all-or-nothing barrier. In-flight members are unaffected; their eventual
 // Release still settles against the old gang record.
 func (q *Queue) DemoteGang(id string) int {
+	var ready readiness
 	q.mu.Lock()
-	defer q.mu.Unlock()
+	defer q.unlock(&ready)
 	g, ok := q.gangs[id]
 	if !ok {
 		return 0
 	}
+	ready.fire = len(g.members) > 0
 	n := 0
 	for cid, it := range g.members {
 		it.gang = nil

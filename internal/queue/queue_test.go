@@ -294,3 +294,65 @@ func TestConcurrentPushMatchRemove(t *testing.T) {
 		t.Errorf("queue not drained: %d left", q.Len())
 	}
 }
+
+// TestReadyHook: the readiness hook fires once for each event that can turn
+// a failed Match into a successful one — and for nothing else — and reports
+// the push that found the queue empty. The hook is called outside the
+// queue's lock: it calls back into the queue here, which would deadlock
+// otherwise.
+func TestReadyHook(t *testing.T) {
+	var q *Queue
+	var fired []bool
+	q = NewWithConfig(Config{Ready: func(first bool) {
+		_ = q.Len()
+		fired = append(fired, first)
+	}})
+	expect := func(what string, want ...bool) {
+		t.Helper()
+		if fmt.Sprint(fired) != fmt.Sprint(want) {
+			t.Errorf("%s: hook fired %v, want %v", what, fired, want)
+		}
+		fired = nil
+	}
+	mustPush(t, q, cmd("a", 0, 1, 1))
+	expect("push into an empty queue", true)
+	mustPush(t, q, cmd("b", 0, 1, 1))
+	expect("push into a non-empty queue", false)
+	if err := q.Push(cmd("b", 0, 1, 1)); err == nil {
+		t.Fatal("duplicate push accepted")
+	}
+	expect("rejected push")
+
+	wl := q.Match(worker(1, "sim"))
+	if len(wl.Commands) != 1 {
+		t.Fatalf("matched %d", len(wl.Commands))
+	}
+	expect("match")
+	q.Release("a", 0.1)
+	expect("release with a command queued", false)
+	q.Release("a", 0.1)
+	expect("release of an unknown command")
+	q.SetQuota(wire.TenantQuotaUpdate{Tenant: "", Weight: 2, MaxQueued: -1, MaxCores: -1, MaxStorageBytes: -1})
+	expect("quota change with a command queued", false)
+	if err := q.Requeue(cmd("a", 0, 1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	expect("requeue", false)
+
+	q.Match(worker(4, "sim"))
+	q.Release("a", 0.1)
+	q.Release("b", 0.1)
+	q.SetQuota(wire.TenantQuotaUpdate{Tenant: "", Weight: 1, MaxQueued: -1, MaxCores: -1, MaxStorageBytes: -1})
+	expect("release and quota change with nothing queued")
+
+	g := cmd("g0", 0, 1, 1)
+	g.GangID, g.GangSize = "gang", 2
+	mustPush(t, q, g)
+	expect("gang member into an empty queue", true)
+	if n := q.DemoteGang("gang"); n != 1 {
+		t.Fatalf("demoted %d", n)
+	}
+	expect("gang demotion", false)
+	q.DemoteGang("gang")
+	expect("demotion of a gang that is gone")
+}

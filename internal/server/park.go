@@ -1,0 +1,376 @@
+package server
+
+import (
+	"container/list"
+	"context"
+	"errors"
+	"math"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"copernicus/internal/obs"
+	"copernicus/internal/overlay"
+	"copernicus/internal/retry"
+	"copernicus/internal/wire"
+)
+
+// Event-driven dispatch. A direct announce the local queue cannot serve is
+// parked: its handler (which the overlay runs on a goroutine of its own)
+// waits, the worker's request stays open, and the announce ends in exactly
+// one of five ways:
+//
+//	local       a queue event woke it and its re-match found commands
+//	relayed     the overlay search started on its behalf brought a workload
+//	expired     the hold ran out: empty workload, the worker announces again
+//	superseded  the same worker announced again: empty workload, never matched
+//	closed      the server is shutting down: empty workload
+//
+// Every transition happens under parking.mu, so "exactly one" is the lock's
+// doing. All announce matching runs under the same lock, which closes the
+// gap between a match that misses and the park that follows it: a command
+// pushed in that gap finds the waiter in line, or the match finds the
+// command.
+
+type parkOutcome int
+
+const (
+	parkLocal parkOutcome = iota
+	parkRelayed
+	parkExpired
+	parkSuperseded
+	parkClosed // a shutdown, not a dispatch outcome: not in the histogram
+)
+
+// outcomeLabels are the hold histogram's outcome label values.
+var outcomeLabels = [parkClosed]string{"local", "relayed", "expired", "superseded"}
+
+// waiter is one parked announce.
+type waiter struct {
+	req      wire.AnnounceRequest
+	parkedAt time.Time
+	deadline time.Time
+	elem     *list.Element // position in parking.line; nil once resolved
+	done     chan struct{} // closed by resolveLocked
+
+	// Set under parking.mu before done is closed, read after it.
+	outcome parkOutcome
+	wl      wire.Workload // parkLocal: what the re-match took from the queue
+	reply   []byte        // parkRelayed: the remote server's encoded workload
+}
+
+// parking is the server's line of parked announces and what the dispatcher
+// needs to serve it.
+type parking struct {
+	mu       sync.Mutex
+	line     *list.List         // *waiter, in arrival order
+	byWorker map[string]*waiter // one waiter per worker ID
+	closed   bool
+	// wanted records that another server's search went away from here with
+	// nothing since the last work-available notice: someone out there has a
+	// worker parked, so a notice has a reader.
+	wanted bool
+
+	// ready wakes the dispatcher; edge is set with it when the event put a
+	// command into an empty queue.
+	ready chan struct{}
+	edge  atomic.Bool
+
+	// pushing holds the projects whose controllers have queued commands
+	// and may still be queueing more; see awaitPushers.
+	pushMu  sync.Mutex
+	pushing map[*project]struct{}
+
+	hold [parkClosed]*obs.Histogram // by outcome
+}
+
+// holdBuckets span an in-process wake (microseconds) to the longest hold.
+var holdBuckets = []float64{.0001, .001, .005, .01, .05, .1, .25, .5, 1, 2, 5}
+
+func (s *Server) initParking() {
+	p := &s.park
+	p.line = list.New()
+	p.byWorker = make(map[string]*waiter)
+	p.ready = make(chan struct{}, 1)
+	p.pushing = make(map[*project]struct{})
+	m, node := s.cfg.Obs.Metrics, s.node.ID()
+	m.GaugeFunc("copernicus_server_parked_announces",
+		"Idle workers' announces held open until work turns up.", obs.L("node", node),
+		func() float64 {
+			p.mu.Lock()
+			defer p.mu.Unlock()
+			return float64(p.line.Len())
+		})
+	for o, name := range outcomeLabels {
+		p.hold[o] = m.Histogram("copernicus_server_announce_hold_seconds",
+			"How long a parked announce was held, by how it ended.",
+			holdBuckets, obs.L("node", node, "outcome", name))
+	}
+}
+
+// queueReady is the queue's readiness hook: it only nudges the dispatcher,
+// because the caller may hold a project lock.
+func (s *Server) queueReady(first bool) {
+	if first {
+		s.park.edge.Store(true)
+	}
+	select {
+	case s.park.ready <- struct{}{}:
+	default:
+	}
+}
+
+// notePush records, before the push, that project p's controller is queueing
+// a command (ctxImpl.Submit, under p.mu).
+func (s *Server) notePush(p *project) {
+	s.park.pushMu.Lock()
+	s.park.pushing[p] = struct{}{}
+	s.park.pushMu.Unlock()
+}
+
+// awaitPushers waits until the controller handlers that have been queueing
+// commands return. A controller queues a generation's commands one by one
+// under its project's lock, the first push already wakes the dispatcher, and
+// a fresh announce can arrive between two pushes; a worker takes one
+// workload and does not announce again until it has run it, so it must be
+// offered the whole batch, not its first command. Taking each pushing
+// project's lock once is that wait — for those handlers only, and for no
+// timer. The note is dropped under the project's lock, where no handler of
+// the project can be adding it back. With cores commands queued already the
+// worker can be filled whatever else is coming, and nothing is waited for.
+func (s *Server) awaitPushers(cores int) {
+	if s.q.Len() >= cores {
+		return
+	}
+	pk := &s.park
+	pk.pushMu.Lock()
+	pushing := make([]*project, 0, len(pk.pushing))
+	for p := range pk.pushing {
+		pushing = append(pushing, p)
+	}
+	pk.pushMu.Unlock()
+	for _, p := range pushing {
+		p.mu.Lock()
+		pk.pushMu.Lock()
+		delete(pk.pushing, p)
+		pk.pushMu.Unlock()
+		p.mu.Unlock()
+	}
+}
+
+// runDispatcher serves the line whenever the queue reports an event.
+func (s *Server) runDispatcher() {
+	defer s.wg.Done()
+	for {
+		select {
+		case <-s.stop:
+			return
+		case <-s.park.ready:
+			s.wakeParked()
+		}
+	}
+}
+
+// wakeParked offers the queue to the line, head first. A waiter whose match
+// finds commands leaves with them; one that cannot use what is queued (wrong
+// executable, too few cores, a tenant's quota) goes to the back of the line
+// and the next one is tried, until the queue is empty or everyone in line
+// has passed — so k pushed commands cost about k matches, not one per parked
+// worker. If commands are still left, this was the event that put the first
+// of them into an empty queue, and another server has been looking, the
+// overlay is told once.
+func (s *Server) wakeParked() {
+	p := &s.park
+	edge := p.edge.Swap(false)
+	p.mu.Lock()
+	idle := p.line.Len() == 0 && !(edge && p.wanted)
+	p.mu.Unlock()
+	if idle {
+		return // nobody to wake and nobody to tell: the common case under load
+	}
+	s.awaitPushers(math.MaxInt)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for passed := 0; p.line.Len() > 0 && passed < p.line.Len() && s.q.Len() > 0; {
+		w := p.line.Front().Value.(*waiter)
+		wl := s.q.Match(w.req.Info)
+		if len(wl.Commands) == 0 {
+			p.line.MoveToBack(w.elem)
+			passed++
+			continue
+		}
+		passed = 0
+		w.wl = wl
+		s.resolveLocked(w, parkLocal)
+	}
+	if edge && p.wanted && s.q.Len() > 0 {
+		p.wanted = false
+		s.node.Flood(wire.MsgWorkAvailable, nil)
+	}
+}
+
+// matchOrPark serves a direct announce: an older announce of the same worker
+// is answered first (the worker has given up on it), then the queue is
+// tried, and on a miss the announce joins the line for hold — the server's
+// RelayTimeout or the worker's stated budget, whichever is shorter. The
+// waiter is nil when the match hit, and when the server is closing.
+func (s *Server) matchOrPark(req *wire.AnnounceRequest) (wire.Workload, *waiter) {
+	s.awaitPushers(req.Info.Cores)
+	p := &s.park
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if old := p.byWorker[req.Info.ID]; old != nil {
+		s.resolveLocked(old, parkSuperseded)
+	}
+	wl := s.q.Match(req.Info)
+	if len(wl.Commands) > 0 || p.closed {
+		return wl, nil
+	}
+	hold := s.cfg.RelayTimeout
+	if budget := time.Duration(req.WaitSeconds * float64(time.Second)); budget > 0 && budget < hold {
+		hold = budget
+	}
+	now := time.Now()
+	w := &waiter{req: *req, parkedAt: now, deadline: now.Add(hold), done: make(chan struct{})}
+	w.elem = p.line.PushBack(w)
+	p.byWorker[req.Info.ID] = w
+	return wl, w
+}
+
+// matchRelayed serves another server's search. Relayed announces are never
+// parked — two servers could both end up answering one request and the
+// second workload would be lost — so a miss is only remembered: the searcher
+// has a worker waiting, which is what makes a later notice worth sending.
+func (s *Server) matchRelayed(info wire.WorkerInfo) wire.Workload {
+	s.awaitPushers(info.Cores)
+	p := &s.park
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	wl := s.q.Match(info)
+	if len(wl.Commands) == 0 {
+		p.wanted = true
+	}
+	return wl
+}
+
+// resolveLocked ends a parked announce with the given outcome, unless it
+// has been answered already.
+func (s *Server) resolveLocked(w *waiter, o parkOutcome) {
+	p := &s.park
+	if w.elem == nil {
+		return
+	}
+	p.line.Remove(w.elem)
+	w.elem = nil
+	delete(p.byWorker, w.req.Info.ID)
+	w.outcome = o
+	if o != parkClosed {
+		p.hold[o].Observe(time.Since(w.parkedAt).Seconds())
+	}
+	close(w.done)
+}
+
+// await blocks the announce's handler until the waiter is resolved, expiring
+// it when the hold runs out.
+func (s *Server) await(w *waiter) {
+	t := time.NewTimer(time.Until(w.deadline))
+	defer t.Stop()
+	select {
+	case <-w.done:
+	case <-t.C:
+		s.park.mu.Lock()
+		s.resolveLocked(w, parkExpired)
+		s.park.mu.Unlock()
+	}
+}
+
+// releaseParked answers every parked announce at once and refuses new ones;
+// Close calls it.
+func (s *Server) releaseParked() {
+	p := &s.park
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.closed = true
+	for p.line.Len() > 0 {
+		s.resolveLocked(p.line.Front().Value.(*waiter), parkClosed)
+	}
+}
+
+// search looks for work in the overlay on a parked worker's behalf, in the
+// background: a relayed copy of the announce goes out anycast and runs until
+// some server answers it or the waiter's hold ends. Only transport failures
+// (dropped links, truncated frames) are retried: an anycast deadline means
+// "no server has work", a missing route means the same, and a remote handler
+// error will not change on retry. A workload that comes back is recorded
+// against the worker whether or not the waiter still stands; if it does not,
+// the workload is not delivered, and the worker's next announce finds the
+// commands on its record, takes them for orphans and hands them back to
+// their origin (touchWorker, recoverOrphans).
+func (s *Server) search(w *waiter) {
+	select {
+	case <-w.done:
+		return
+	default:
+	}
+	s.goAsync(func() {
+		relay := w.req
+		relay.Relayed = true
+		payload, err := wire.Marshal(&relay)
+		if err != nil {
+			return
+		}
+		ctx, cancel := context.WithDeadline(s.ctx, w.deadline)
+		defer cancel()
+		var reply []byte
+		err = s.rpol.Do(ctx, "announce_relay", func(ctx context.Context) error {
+			r, err := s.node.Request(ctx, "", wire.MsgAnnounce, payload)
+			if err != nil {
+				var remote *overlay.RemoteError
+				if errors.As(err, &remote) ||
+					errors.Is(err, context.DeadlineExceeded) ||
+					errors.Is(err, overlay.ErrNoRoute) {
+					return retry.Permanent(err)
+				}
+				return err
+			}
+			reply = r
+			return nil
+		})
+		if err != nil {
+			return
+		}
+		var remote wire.Workload
+		if err := wire.Unmarshal(reply, &remote); err != nil || len(remote.Commands) == 0 {
+			return
+		}
+		s.recordRelayedWorkload(w.req.Info, &remote)
+		s.park.mu.Lock()
+		delivered := w.elem != nil
+		if delivered {
+			w.reply = reply
+			s.resolveLocked(w, parkRelayed)
+		}
+		s.park.mu.Unlock()
+		if !delivered {
+			s.log.Info("relayed workload arrived after its announce was answered; left for orphan recovery",
+				"worker", w.req.Info.ID, "commands", len(remote.Commands))
+		}
+	})
+}
+
+// handleWorkAvailable receives another server's notice that it has commands
+// nobody there took: every parked worker gets a fresh search. Declining the
+// notice lets the overlay carry it on to the servers behind this one.
+func (s *Server) handleWorkAvailable(from string, payload []byte) ([]byte, error) {
+	p := &s.park
+	p.mu.Lock()
+	waiters := make([]*waiter, 0, p.line.Len())
+	for e := p.line.Front(); e != nil; e = e.Next() {
+		waiters = append(waiters, e.Value.(*waiter))
+	}
+	p.mu.Unlock()
+	for _, w := range waiters {
+		s.search(w)
+	}
+	return nil, overlay.ErrNotHandled
+}

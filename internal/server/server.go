@@ -35,20 +35,16 @@ type Config struct {
 	// HeartbeatInterval is what workers are told to use; a worker is
 	// declared dead after missing two intervals (§2.3). Default 120 s.
 	HeartbeatInterval time.Duration
-	// RelayTimeout bounds the anycast search for work on behalf of a
-	// locally-announced worker. Default 2 s.
+	// RelayTimeout is the longest an idle worker's announce is held open
+	// waiting for work (a worker that states a shorter budget is held for
+	// that), and with it the longest the overlay search on its behalf runs.
+	// Default 2 s.
 	RelayTimeout time.Duration
-	// RelayCooldown is how long the server skips further relay searches
-	// after one came back empty. Without it an idle fleet death-spirals:
-	// every announce against an empty overlay blocks its worker link for
-	// the full RelayTimeout, which can exceed the worker's own per-attempt
-	// deadline so no announce ever succeeds. Default RelayTimeout.
-	RelayCooldown time.Duration
 	// MaxRetries is how many times a command is requeued after worker
 	// failures before the controller sees a terminal failure. Default 2.
 	MaxRetries int
 	// Retry is the backoff policy for overlay requests the server makes on
-	// its own behalf (announce relays, upstream worker-failure reports).
+	// its own behalf (work searches, upstream worker-failure reports).
 	// Zero fields take the retry package defaults; PerAttempt defaults to
 	// RelayTimeout.
 	Retry retry.Policy
@@ -90,9 +86,6 @@ func (c *Config) fill() {
 	}
 	if c.RelayTimeout <= 0 {
 		c.RelayTimeout = 2 * time.Second
-	}
-	if c.RelayCooldown <= 0 {
-		c.RelayCooldown = c.RelayTimeout
 	}
 	if c.MaxRetries == 0 {
 		c.MaxRetries = 2
@@ -171,13 +164,15 @@ type Server struct {
 	log  *obs.Logger
 	met  serverMetrics
 
-	mu              sync.Mutex
-	projects        map[string]*project
-	workers         map[string]*workerState
-	relayEmptyUntil time.Time
+	mu       sync.Mutex
+	projects map[string]*project
+	workers  map[string]*workerState
 	// preempted holds command IDs evicted by fair-share preemption whose
 	// old worker has not yet been told to abort (via heartbeat ack).
 	preempted map[string]struct{}
+
+	// park holds the announces of idle workers; see park.go.
+	park parking
 
 	// closeMu/closing gate goAsync against Close: handlers can still fire
 	// while Close drains, and a WaitGroup must never be Add-ed
@@ -192,8 +187,12 @@ type Server struct {
 	// snapshotting serialises background snapshot captures.
 	snapshotting atomic.Bool
 
-	stop chan struct{}
-	wg   sync.WaitGroup
+	// stop ends the background loops; ctx is cancelled with it and bounds the
+	// overlay searches run for parked workers.
+	stop   chan struct{}
+	ctx    context.Context
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
 }
 
 // serverMetrics are the control-plane series the server maintains.
@@ -268,21 +267,10 @@ func newServerMetrics(o *obs.Obs, nodeID string) serverMetrics {
 // monitor.
 func New(node *overlay.Node, reg *controller.Registry, cfg Config) *Server {
 	cfg.fill()
-	qcfg := queue.Config{
-		StarvationAge:  cfg.StarvationAge,
-		MaxQueuedTotal: cfg.MaxQueuedTotal,
-	}
-	if cfg.Store != nil {
-		// WAL-aware backpressure: the store's append-latency EWMA, normalised
-		// by the slow-append threshold, throttles matching and admission.
-		st, slow := cfg.Store, cfg.WALSlowAppend.Seconds()
-		qcfg.Pressure = func() float64 { return st.AppendLatency() / slow }
-	}
 	s := &Server{
 		node:      node,
 		reg:       reg,
 		cfg:       cfg,
-		q:         queue.NewWithConfig(qcfg),
 		log:       cfg.Obs.Log.Named("server").With("node", node.ID()),
 		met:       newServerMetrics(cfg.Obs, node.ID()),
 		projects:  make(map[string]*project),
@@ -290,6 +278,20 @@ func New(node *overlay.Node, reg *controller.Registry, cfg Config) *Server {
 		preempted: make(map[string]struct{}),
 		stop:      make(chan struct{}),
 	}
+	s.ctx, s.cancel = context.WithCancel(context.Background())
+	s.initParking()
+	qcfg := queue.Config{
+		StarvationAge:  cfg.StarvationAge,
+		MaxQueuedTotal: cfg.MaxQueuedTotal,
+		Ready:          s.queueReady,
+	}
+	if cfg.Store != nil {
+		// WAL-aware backpressure: the store's append-latency EWMA, normalised
+		// by the slow-append threshold, throttles matching and admission.
+		st, slow := cfg.Store, cfg.WALSlowAppend.Seconds()
+		qcfg.Pressure = func() float64 { return st.AppendLatency() / slow }
+	}
+	s.q = queue.NewWithConfig(qcfg)
 	s.rpol = cfg.Retry
 	s.rpol.Scope = node.ID()
 	nodeLabel := obs.L("node", node.ID())
@@ -321,12 +323,14 @@ func New(node *overlay.Node, reg *controller.Registry, cfg Config) *Server {
 	node.Handle(wire.MsgHeartbeat, s.handleHeartbeat)
 	node.Handle(wire.MsgStatus, s.handleStatus)
 	node.Handle(wire.MsgWorkerFailed, s.handleWorkerFailed)
+	node.Handle(wire.MsgWorkAvailable, s.handleWorkAvailable)
 	node.Handle(wire.MsgTenantList, s.handleTenantList)
 	node.Handle(wire.MsgTenantQuotaGet, s.handleTenantQuotaGet)
 	node.Handle(wire.MsgTenantQuotaSet, s.handleTenantQuotaSet)
 	node.Handle(wire.MsgPing, func(_ string, p []byte) ([]byte, error) { return p, nil })
-	s.wg.Add(1)
+	s.wg.Add(2)
 	go s.monitorHeartbeats()
+	go s.runDispatcher()
 	return s
 }
 
@@ -336,8 +340,9 @@ func (s *Server) Node() *overlay.Node { return s.node }
 // QueueLen reports the number of commands waiting for workers.
 func (s *Server) QueueLen() int { return s.q.Len() }
 
-// Close stops the heartbeat monitor and waits for background work
-// (snapshot captures, failure reports). The overlay node is left to its
+// Close stops the heartbeat monitor and the dispatcher, answers every parked
+// announce (empty) and waits for background work (snapshot captures, failure
+// reports; overlay searches are cancelled). The overlay node is left to its
 // owner.
 func (s *Server) Close() {
 	s.closeMu.Lock()
@@ -348,6 +353,8 @@ func (s *Server) Close() {
 	default:
 		close(s.stop)
 	}
+	s.cancel()
+	s.releaseParked()
 	s.wg.Wait()
 }
 
@@ -636,6 +643,7 @@ func (c *ctxImpl) Submit(cmd wire.CommandSpec) error {
 	}
 	c.s.journalPayload(store.Record{Type: store.RecCommandQueued,
 		Project: c.p.name, Command: cmd.ID, Tenant: cmd.Tenant}, &cmd)
+	c.s.notePush(c.p)
 	if err := c.s.q.Push(cmd); err != nil {
 		return err
 	}
@@ -700,94 +708,70 @@ func (c *ctxImpl) Fail(err error) {
 
 // --- worker traffic ---
 
-// handleAnnounce matches a worker to queued commands; when the local queue
-// has nothing suitable it relays the announcement into the overlay (for a
-// direct announcement) or declines it (for an already-relayed one), so the
-// request reaches "the first server with available commands".
+// handleAnnounce matches a worker to queued commands. A relayed announce —
+// another server searching on its worker's behalf — is matched or declined,
+// so the overlay carries it on to "the first server with available
+// commands". A direct announce that misses is parked (park.go): it waits for
+// a queue event, for the overlay search started on its behalf, or for its
+// hold to run out, and is answered then. Nothing on this path waits on a
+// timer while there is work to hand out.
 func (s *Server) handleAnnounce(from string, payload []byte) ([]byte, error) {
 	var req wire.AnnounceRequest
 	if err := wire.Unmarshal(payload, &req); err != nil {
 		return nil, err
 	}
-	wl := s.q.Match(req.Info)
-	if len(wl.Commands) > 0 {
-		wl.HeartbeatSeconds = s.cfg.HeartbeatInterval.Seconds()
-		wl.SharedFS = s.cfg.FSToken != "" && s.cfg.FSToken == req.Info.FSToken
-		s.markAssigned(req.Info, wl, from, !req.Relayed)
-		// One barrier for the whole workload: it covers every assignment
-		// above and, the WAL being prefix-durable, the RecCommandQueued of
-		// every command in it.
-		s.commit()
-		return wire.Marshal(&wl)
-	}
 	if req.Relayed {
-		return nil, overlay.ErrNotHandled
-	}
-	// Direct announcement from one of our workers: search the overlay on
-	// its behalf — unless a recent search already found the overlay empty,
-	// in which case answer immediately and let the worker poll again.
-	s.recoverOrphans(req.Info.ID, s.touchWorker(req.Info))
-	s.mu.Lock()
-	skipRelay := time.Now().Before(s.relayEmptyUntil)
-	s.mu.Unlock()
-	if !skipRelay {
-		relay := req
-		relay.Relayed = true
-		rp, err := wire.Marshal(&relay)
-		if err != nil {
-			return nil, err
+		if from == s.node.ID() {
+			// Our own search, passing through on its way out: the direct
+			// announce it copies has just missed here.
+			return nil, overlay.ErrNotHandled
 		}
-		reply, err := s.relayRequest("announce_relay", "", wire.MsgAnnounce, rp)
-		if err == nil {
-			var remote wire.Workload
-			if derr := wire.Unmarshal(reply, &remote); derr == nil && len(remote.Commands) > 0 {
-				s.recordRelayedWorkload(req.Info.ID, &remote)
-				return reply, nil
-			}
+		wl := s.matchRelayed(req.Info)
+		if len(wl.Commands) == 0 {
+			return nil, overlay.ErrNotHandled
 		}
-		s.mu.Lock()
-		s.relayEmptyUntil = time.Now().Add(s.cfg.RelayCooldown)
-		s.mu.Unlock()
+		return s.assign(req.Info, wl, false)
 	}
-	// Nothing anywhere: empty workload, worker will poll again.
-	empty := wire.Workload{HeartbeatSeconds: s.cfg.HeartbeatInterval.Seconds()}
-	return wire.Marshal(&empty)
+	wl, w := s.matchOrPark(&req)
+	if w != nil {
+		s.recoverOrphans(req.Info.ID, s.touchWorker(req.Info))
+		s.search(w)
+		s.await(w)
+		if w.outcome == parkRelayed {
+			return w.reply, nil
+		}
+		wl = w.wl
+	}
+	if len(wl.Commands) == 0 {
+		// Nothing anywhere: empty workload, the worker announces again.
+		return wire.Marshal(&wire.Workload{HeartbeatSeconds: s.cfg.HeartbeatInterval.Seconds()})
+	}
+	return s.assign(req.Info, wl, true)
 }
 
-// relayRequest runs one overlay request on the server's own behalf under
-// the retry policy. Only transport failures (dropped links, truncated
-// frames) are retried: an anycast deadline means "no server has work", a
-// missing route means the same, and a remote handler error will not change
-// on retry — all three stop immediately.
-func (s *Server) relayRequest(op, to string, t wire.MsgType, payload []byte) ([]byte, error) {
-	var reply []byte
-	err := s.rpol.Do(context.Background(), op, func(ctx context.Context) error {
-		r, err := s.node.Request(ctx, to, t, payload)
-		if err != nil {
-			var remote *overlay.RemoteError
-			if errors.As(err, &remote) ||
-				errors.Is(err, context.DeadlineExceeded) ||
-				errors.Is(err, overlay.ErrNoRoute) {
-				return retry.Permanent(err)
-			}
-			return err
-		}
-		reply = r
-		return nil
-	})
-	return reply, err
+// assign hands a matched workload to the announcing worker: the assignments
+// are recorded and journaled, made durable, and only then encoded for the
+// reply — on the direct path and on a parked announce's wake alike.
+func (s *Server) assign(info wire.WorkerInfo, wl wire.Workload, direct bool) ([]byte, error) {
+	wl.HeartbeatSeconds = s.cfg.HeartbeatInterval.Seconds()
+	wl.SharedFS = s.cfg.FSToken != "" && s.cfg.FSToken == info.FSToken
+	s.markAssigned(info, wl, direct)
+	// One barrier for the whole workload: it covers every assignment above
+	// and, the WAL being prefix-durable, the RecCommandQueued of every
+	// command in it.
+	s.commit()
+	return wire.Marshal(&wl)
 }
 
 // markAssigned updates project command states for a local match and, when
 // the worker announced directly to us, records it for heartbeat tracking.
-func (s *Server) markAssigned(info wire.WorkerInfo, wl wire.Workload, from string, direct bool) {
+func (s *Server) markAssigned(info wire.WorkerInfo, wl wire.Workload, direct bool) {
 	now := time.Now()
 	for _, cmd := range wl.Commands {
 		s.withProjectCommand(cmd.Project, cmd.ID, func(p *project, cs *cmdState) {
-			// Journal before the workload reply is sent (handleAnnounce
-			// commits): recovery must know the command may be running
-			// somewhere so it can requeue it as an orphan if the result never
-			// arrives.
+			// Journal before the workload reply is sent (assign commits):
+			// recovery must know the command may be running somewhere so it
+			// can requeue it as an orphan if the result never arrives.
 			s.journal(store.Record{Type: store.RecCommandAssigned,
 				Project: cmd.Project, Command: cmd.ID, Worker: info.ID})
 			cs.status = cmdRunning
@@ -829,9 +813,9 @@ func (s *Server) markAssigned(info wire.WorkerInfo, wl wire.Workload, from strin
 	// Relayed match. When the worker is one of our own (it has announced
 	// directly before, so a liveness record exists), record the assignment
 	// NOW rather than waiting for the relay reply to make it home: the
-	// reply can still be lost — most plainly when the anycast raced its
-	// deadline and the caller discards the late answer — and these
-	// commands would otherwise be tracked by nobody. The worker's next
+	// reply can still be lost — most plainly when the search raced its
+	// deadline and the late answer is discarded — and these commands would
+	// otherwise be tracked by nobody. The worker's next
 	// idle announce then recovers them through the normal orphan path.
 	// For another server's worker the record does not exist here and the
 	// origin server notes the assignment on the reply instead.
@@ -845,14 +829,21 @@ func (s *Server) markAssigned(info wire.WorkerInfo, wl wire.Workload, from strin
 }
 
 // recordRelayedWorkload notes which origin server each relayed command
-// belongs to, so heartbeat failures can be reported upstream.
-func (s *Server) recordRelayedWorkload(workerID string, wl *wire.Workload) {
+// belongs to, so heartbeat failures can be reported upstream — and, for a
+// workload that came back too late to be delivered, so the worker's next
+// announce hands the commands back. The worker was last seen when its
+// announce was parked, which can be longer ago than the reaper allows: its
+// liveness record is refreshed (the announce was open until now), or created
+// again if the reaper has already taken it.
+func (s *Server) recordRelayedWorkload(info wire.WorkerInfo, wl *wire.Workload) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ws := s.workers[workerID]
+	ws := s.workers[info.ID]
 	if ws == nil {
-		return
+		ws = &workerState{info: info, commands: make(map[string]string)}
+		s.workers[info.ID] = ws
 	}
+	ws.lastSeen = time.Now()
 	for _, cmd := range wl.Commands {
 		ws.commands[cmd.ID] = cmd.Origin
 	}

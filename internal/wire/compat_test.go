@@ -47,6 +47,33 @@ var (
 	statusV2PreGangFixture = []byte("\xff\x9a\xff\x81\x03\x01\x01\rProjectStatus\x01\xff\x82\x00\x01\v\x01\x04Name\x01\f\x00\x01\nController\x01\f\x00\x01\x06Tenant\x01\f\x00\x01\x05State\x01\f\x00\x01\x06Queued\x01\x04\x00\x01\aRunning\x01\x04\x00\x01\bFinished\x01\x04\x00\x01\x06Failed\x01\x04\x00\x01\nGeneration\x01\x04\x00\x01\x04Note\x01\f\x00\x01\x06Result\x01\n\x00\x00\x000\xff\x82\x01\x06villin\x01\x03msm\x01\x04acme\x01\arunning\x01\x04\x01\x06\x01\b\x01\x02\x01\f\x01\x05gen 6\x00")
 )
 
+// Captured ProtocolVersion=2 fixture from before AnnounceRequest.WaitSeconds
+// existed. As above: do not regenerate from the current struct.
+//
+// gob(AnnounceRequest{Info: WorkerInfo{ID:"w-7", Platform:"smp", Cores:4,
+// Executables:{"landscape-md","mdrun"}, FSToken:"fs-a"}, Relayed:true})
+// encoded when AnnounceRequest ended at Relayed.
+var announcePreWaitFixture = []byte("2\x7f\x03\x01\x01\x0fAnnounceRequest\x01\xff\x80\x00\x01\x02\x01\x04Info\x01\xff\x82\x00\x01\aRelayed\x01\x02\x00\x00\x00S\xff\x81\x03\x01\x01\nWorkerInfo\x01\xff\x82\x00\x01\x05\x01\x02ID\x01\f\x00\x01\bPlatform\x01\f\x00\x01\x05Cores\x01\x04\x00\x01\vExecutables\x01\xff\x84\x00\x01\aFSToken\x01\f\x00\x00\x00\x16\xff\x83\x02\x01\x01\b[]string\x01\xff\x84\x00\x01\f\x00\x00.\xff\x80\x01\x01\x03w-7\x01\x03smp\x01\b\x01\x02\flandscape-md\x05mdrun\x01\x04fs-a\x00\x01\x01\x00")
+
+// TestPreWaitAnnounceDecodesWithZeroWait: an announce from a worker that
+// predates WaitSeconds decodes with the budget unstated (0), which a server
+// holds for its own limit.
+func TestPreWaitAnnounceDecodesWithZeroWait(t *testing.T) {
+	var got AnnounceRequest
+	if err := Unmarshal(announcePreWaitFixture, &got); err != nil {
+		t.Fatalf("pre-wait AnnounceRequest fixture failed to decode: %v", err)
+	}
+	in := got.Info
+	if in.ID != "w-7" || in.Platform != "smp" || in.Cores != 4 || in.FSToken != "fs-a" ||
+		len(in.Executables) != 2 || in.Executables[0] != "landscape-md" || in.Executables[1] != "mdrun" ||
+		!got.Relayed {
+		t.Errorf("pre-wait fields corrupted: %+v", got)
+	}
+	if got.WaitSeconds != 0 {
+		t.Errorf("WaitSeconds must decode as 0 from pre-wait frames, got %g", got.WaitSeconds)
+	}
+}
+
 // TestPreGangCommandSpecDecodesWithZeroGangFields is the gang-scheduling
 // compatibility guarantee: a pre-gang v2 frame decodes with GangID == "" and
 // GangSize == 0 — exactly the "not gang-scheduled" state — and still

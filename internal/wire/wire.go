@@ -167,6 +167,13 @@ const (
 	// never see the type, and FrameChunk's fields decode as zero values from
 	// any frame that predates them.
 	MsgFrameChunk MsgType = "framechunk"
+	// MsgWorkAvailable is a one-way notice (overlay.Node.Flood, no payload,
+	// no reply): the sending server has queued commands that none of its own
+	// waiting workers took. A server holding idle workers' announces answers
+	// it by searching the overlay again on their behalf. It rides within
+	// version 2: a node without a handler for it passes it on, as for any
+	// anycast type it does not know.
+	MsgWorkAvailable MsgType = "workavailable"
 )
 
 // Envelope is the routed unit: a typed request or response addressed to a
@@ -341,10 +348,18 @@ type HeartbeatAck struct {
 // AnnounceRequest wraps a worker announcement. Relayed marks announcements
 // a server forwards into the overlay on a worker's behalf; a server whose
 // queue is empty declines relayed announcements (so the overlay keeps
-// searching) but answers direct ones with an empty workload.
+// searching) but holds a direct one until work turns up or the hold runs
+// out, and then answers it with an empty workload.
 type AnnounceRequest struct {
 	Info    WorkerInfo
 	Relayed bool
+	// WaitSeconds is how long the worker is prepared to wait for the reply:
+	// a server with nothing to hand out holds the announce no longer than
+	// this (and no longer than its own limit). Workers set it well inside
+	// their per-attempt request deadline. Decodes as 0 from frames that
+	// predate it, which a server reads as "not stated" and holds for its own
+	// limit, as it always held such a worker.
+	WaitSeconds float64
 }
 
 // WorkerFailed reports a heartbeat timeout to a project server, listing the

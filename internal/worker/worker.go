@@ -31,8 +31,11 @@ type Config struct {
 	Platform string
 	// Cores is the announced core count (default 1).
 	Cores int
-	// PollInterval is the idle re-announcement period (default 500 ms —
-	// batch systems would use seconds; tests use milliseconds).
+	// PollInterval is the shortest time between two idle announces: the
+	// back-off after one that came back empty or failed (default 500 ms —
+	// batch systems would use seconds; tests use milliseconds). The server
+	// holds an idle worker's announce open until work turns up, so an
+	// announce held at least this long is followed by the next at once.
 	PollInterval time.Duration
 	// RequestTimeout bounds each overlay request attempt (default 10 s).
 	RequestTimeout time.Duration
@@ -104,6 +107,9 @@ type Worker struct {
 	rpol    retry.Policy
 	log     *obs.Logger
 	met     workerMetrics
+
+	// executables is the sorted engine list every announce carries.
+	executables []string
 
 	mu      sync.Mutex
 	home    string // node ID of the current home server
@@ -194,7 +200,9 @@ func New(node *overlay.Node, home string, engs []engines.Engine, cfg Config) (*W
 			return nil, fmt.Errorf("worker: duplicate engine %q", e.Name())
 		}
 		w.engines[e.Name()] = e
+		w.executables = append(w.executables, e.Name())
 	}
+	sort.Strings(w.executables)
 	w.rpol = cfg.Retry
 	w.rpol.Scope = node.ID()
 	w.log = cfg.Obs.Log.Named("worker").With("worker", node.ID())
@@ -279,15 +287,11 @@ func (w *Worker) request(ctx context.Context, op, to string, t wire.MsgType, pay
 
 // info builds the announcement payload.
 func (w *Worker) info() wire.WorkerInfo {
-	names := make([]string, 0, len(w.engines))
-	for n := range w.engines {
-		names = append(names, n)
-	}
 	return wire.WorkerInfo{
 		ID:          w.node.ID(),
 		Platform:    w.cfg.Platform,
 		Cores:       w.cfg.Cores,
-		Executables: names,
+		Executables: w.executables,
 		FSToken:     w.cfg.FSToken,
 	}
 }
@@ -299,6 +303,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
+		announced := time.Now()
 		wl, err := w.announce(ctx)
 		if err != nil {
 			w.met.announceErrors.Inc()
@@ -307,36 +312,49 @@ func (w *Worker) Run(ctx context.Context) error {
 			if w.announceFails >= w.cfg.RehomeAfter {
 				w.rehome()
 			}
-			if !sleepCtx(ctx, w.cfg.PollInterval) {
-				return ctx.Err()
+		} else {
+			w.announceFails = 0
+			w.drainSpool(ctx)
+			if len(wl.Commands) > 0 {
+				w.execute(ctx, wl)
+				continue
 			}
-			continue
 		}
-		w.announceFails = 0
-		w.drainSpool(ctx)
-		if len(wl.Commands) == 0 {
-			if !sleepCtx(ctx, w.cfg.PollInterval) {
-				return ctx.Err()
-			}
-			continue
+		// Nothing to run. The server has usually held the announce for as
+		// long as it was willing to; what is left of PollInterval keeps a
+		// server that answers at once (or not at all) from being hammered.
+		if !sleepCtx(ctx, w.cfg.PollInterval-time.Since(announced)) {
+			return ctx.Err()
 		}
-		w.execute(ctx, wl)
 	}
 }
 
+// sleepCtx waits for d (not at all if d <= 0) and reports whether ctx is
+// still live.
 func sleepCtx(ctx context.Context, d time.Duration) bool {
+	if d <= 0 {
+		return ctx.Err() == nil
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
 	select {
 	case <-ctx.Done():
 		return false
-	case <-time.After(d):
+	case <-t.C:
 		return true
 	}
 }
 
-// announce sends the resource announcement and decodes the workload.
+// announce sends the resource announcement and decodes the workload. It
+// tells the server how long the reply may take: half the per-attempt
+// deadline, so a held announce is answered well before the attempt is given
+// up.
 func (w *Worker) announce(ctx context.Context) (*wire.Workload, error) {
 	w.met.announces.Inc()
-	payload, err := wire.Marshal(&wire.AnnounceRequest{Info: w.info()})
+	payload, err := wire.Marshal(&wire.AnnounceRequest{
+		Info:        w.info(),
+		WaitSeconds: (w.rpol.PerAttempt / 2).Seconds(),
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -399,7 +399,7 @@ func TestWorkerInfoAnnouncesEverything(t *testing.T) {
 	net := overlay.NewMemNetwork()
 	n := overlay.NewNode(overlay.NewIdentityFromSeed(9), overlay.NewTrustStore(), net.Transport())
 	defer n.Close()
-	wk, err := New(n, "home", []engines.Engine{&fakeEngine{name: "a"}, &fakeEngine{name: "b"}}, Config{
+	wk, err := New(n, "home", []engines.Engine{&fakeEngine{name: "c"}, &fakeEngine{name: "a"}, &fakeEngine{name: "b"}}, Config{
 		Platform: "mpi", Cores: 48, FSToken: "fs",
 	})
 	if err != nil {
@@ -409,8 +409,11 @@ func TestWorkerInfoAnnouncesEverything(t *testing.T) {
 	if info.Platform != "mpi" || info.Cores != 48 || info.FSToken != "fs" {
 		t.Errorf("info = %+v", info)
 	}
-	if len(info.Executables) != 2 {
-		t.Errorf("executables = %v", info.Executables)
+	// Sorted once at New: the payload is the same bytes on every announce.
+	for i := 0; i < 20; i++ {
+		if got := strings.Join(wk.info().Executables, ","); got != "a,b,c" {
+			t.Fatalf("executables = %q, want a,b,c on every announce", got)
+		}
 	}
 }
 

@@ -43,6 +43,14 @@ go test -race -run TestFabricCrashRestart -timeout 600s ./internal/core/
 echo "== standby failover (race) =="
 go test -race -run TestFailover -timeout 600s ./internal/core/
 
+echo "== event-driven dispatch stress (race, x20) =="
+go test -race -count=20 -timeout 600s \
+    -run 'TestFabricMSMDistributedAcrossRelays|TestIdleFleetPicksUpAtOnce|TestFabricCloseWithIdleWorkers' ./internal/core/
+go test -race -count=20 -timeout 600s \
+    -run 'TestParked|TestWakeCostsOnePerPush|TestLateRelayedWorkloadHandedBack|TestRelayedAssignmentLostReplyRecovered' ./internal/server/
+go test -race -count=20 -timeout 600s \
+    -run 'TestBlockedHandler|TestCloseWithBlockedHandler|TestLinkHandlerCap|TestFloodPasses' ./internal/overlay/
+
 echo "== multi-tenant scheduling scenario (race) =="
 go test -race -run TestMultiTenantScenario -timeout 300s ./internal/des/
 

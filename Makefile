@@ -1,7 +1,7 @@
 # Convenience targets; scripts/ci.sh is the canonical gate.
 GO ?= go
 
-.PHONY: all build vet test race chaos crash failover dispatch tenants repex stream ci bench bench-e2e fmt
+.PHONY: all build vet test race fuzz chaos crash failover dispatch tenants repex stream ci bench bench-e2e fmt
 
 all: build
 
@@ -17,10 +17,17 @@ test:
 # Race-enabled tests for the concurrency-heavy packages
 # (./internal/store/... includes internal/store/replica).
 race:
-	$(GO) test -race ./internal/obs/... ./internal/server/... \
+	$(GO) test -race ./internal/wire/... ./internal/obs/... ./internal/server/... \
 		./internal/worker/... ./internal/queue/... ./internal/overlay/... \
 		./internal/store/... ./internal/store/replica/... ./internal/repex/... \
 		./internal/msm/...
+
+# The wire decoders against arbitrary bytes, ten seconds per target: no
+# panic, no allocation out of proportion to the input, and whatever decodes
+# survives a round trip (go test -fuzz takes one target per run).
+fuzz:
+	$(GO) test -run '^$$' -fuzz=FuzzUnmarshalHot -fuzztime=10s ./internal/wire
+	$(GO) test -run '^$$' -fuzz=FuzzReadEnvelope -fuzztime=10s ./internal/wire
 
 # Chaos soak: the MSM pipeline completing under seeded fault injection
 # (25% dropped writes, partial frames, a forced full partition) — see

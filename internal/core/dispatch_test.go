@@ -1,11 +1,14 @@
 package core
 
 import (
+	"context"
 	"runtime"
 	"testing"
 	"time"
 
 	"copernicus/internal/controller"
+	"copernicus/internal/engines"
+	"copernicus/internal/wire"
 )
 
 // waitParked waits until n idle workers have their announces held at the
@@ -18,13 +21,31 @@ func waitParked(t *testing.T, f *Fabric, n float64) {
 	}
 }
 
+// heldBAR is the BAR engine with every command held for a while before it
+// runs. A bare BAR command of 100 samples is some 60 µs of work: two local
+// workers, each in a request/reply hand-off with the server, run a batch of
+// eight inside one 10 ms scheduler time slice, on a two-CPU host often before
+// the goroutines that carry the notice to the relay and its search back have
+// had a turn. Held longer than a slice, the batch outlasts that hop however
+// the scheduler orders things.
+type heldBAR struct {
+	engines.BAREngine
+	hold time.Duration
+}
+
+func (e *heldBAR) Run(ctx context.Context, spec wire.CommandSpec, cores int, progress func([]byte)) ([]byte, error) {
+	time.Sleep(e.hold)
+	return e.BAREngine.Run(ctx, spec, cores, progress)
+}
+
 // TestIdleFleetPicksUpAtOnce: a project submitted to a fleet whose workers
 // all sit parked — two of them behind a relay — has its first result back in
 // a fraction of the 2 s the held announces have left to run: the push wakes
 // the local workers, and the work-available notice sends the relay's search
 // out again.
 func TestIdleFleetPicksUpAtOnce(t *testing.T) {
-	f, err := NewFabric(FabricConfig{Servers: 2, WorkersPerServer: 2})
+	f, err := NewFabric(FabricConfig{Servers: 2, WorkersPerServer: 2,
+		Engines: []engines.Engine{&heldBAR{hold: 20 * time.Millisecond}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,10 +68,22 @@ func TestIdleFleetPicksUpAtOnce(t *testing.T) {
 	if _, err := f.Wait(ctxTimeout(t, time.Minute), "idle"); err != nil {
 		t.Fatal(err)
 	}
+	// A worker counts a command once its result is acknowledged, and the
+	// ack of the project's last result may still be on its way back through
+	// the relay: wait until every finished command is on some worker's count.
+	finished := int(fabricMetric(t, f, "copernicus_commands_finished_total"))
 	relayed := 0
-	for i, w := range f.Workers {
-		if i%2 == 1 { // homed at server 1, the relay
-			relayed += w.Completed()
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		total := 0
+		relayed = 0
+		for i, w := range f.Workers {
+			total += w.Completed()
+			if i%2 == 1 { // homed at server 1, the relay
+				relayed += w.Completed()
+			}
+		}
+		if total >= finished || time.Now().After(deadline) {
+			break
 		}
 	}
 	if relayed == 0 {

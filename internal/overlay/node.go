@@ -27,13 +27,9 @@ var ErrNotHandled = errors.New("overlay: request not handled here")
 // transient: a reconnect or re-home may restore a route.
 var ErrNoRoute = errors.New("overlay: no route to peer")
 
-// ErrVersionMismatch re-exports the wire sentinel: a handshake against a
-// node speaking a different protocol version fails with an error matching
-// errors.Is(err, overlay.ErrVersionMismatch).
-var ErrVersionMismatch = wire.ErrVersionMismatch
-
-// ErrProtoVersion is the preferred name for ErrVersionMismatch, matching
-// the wire sentinel it re-exports.
+// ErrProtoVersion re-exports the wire sentinel: a handshake against a node
+// speaking a different protocol version fails with an error matching
+// errors.Is(err, overlay.ErrProtoVersion).
 var ErrProtoVersion = wire.ErrProtoVersion
 
 // RemoteError is an error reply produced by the remote handler. Its
@@ -261,11 +257,17 @@ func (n *Node) handshake(conn net.Conn, initiator bool) (string, error) {
 	}
 	send := func() error { return wire.WriteEnvelope(conn, hello) }
 	recv := func() (string, error) {
-		if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
-			return "", err
-		}
+		// A connection that cannot take a deadline is already dead, and the
+		// read below says how it died.
+		_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 		defer conn.SetReadDeadline(time.Time{})
 		env, err := wire.ReadEnvelope(conn)
+		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+			// A peer that cannot parse our hello says nothing and hangs up:
+			// what a node older than the binary envelope does.
+			return "", fmt.Errorf("overlay: peer hung up during the hello; it may speak another protocol version (this node speaks protocol version %d): %w",
+				wire.ProtocolVersion, err)
+		}
 		if err != nil {
 			return "", fmt.Errorf("overlay: reading hello: %w", err)
 		}

@@ -1,8 +1,11 @@
 package overlay
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -500,8 +503,8 @@ func TestHandshakeVersionMismatch(t *testing.T) {
 	if err == nil {
 		t.Fatal("handshake against version-99 peer succeeded")
 	}
-	if !errors.Is(err, ErrVersionMismatch) {
-		t.Errorf("errors.Is(err, ErrVersionMismatch) = false for %v", err)
+	if !errors.Is(err, ErrProtoVersion) {
+		t.Errorf("errors.Is(err, ErrProtoVersion) = false for %v", err)
 	}
 	var ve *wire.VersionError
 	if !errors.As(err, &ve) || ve.Got != 99 {
@@ -543,6 +546,69 @@ func TestHandshakeOldPeerRefusedCleanly(t *testing.T) {
 	if !errors.As(err, &ve) || ve.Got != 1 || ve.Want != wire.ProtocolVersion {
 		t.Errorf("error %v does not carry both versions", err)
 	}
+}
+
+// parentHelloFixture is the framed hello the build before the binary codec
+// (protocol version 2, gob envelope) puts on a fresh connection. Captured from
+// that build with NewIdentityFromSeed(7); do not regenerate.
+const parentHelloFixture = "\x00\x00\x00\xff|\x7f\x03\x01\x01\bEnvelope\x01\xff\x80\x00\x01\n\x01\aVersion\x01\x04\x00\x01\x04Type\x01\f\x00\x01\x04From\x01\f\x00\x01\x02To\x01\f\x00\x01\tRequestID\x01\x06\x00\x01\aIsReply\x01\x02\x00\x01\x03TTL\x01\x04\x00\x01\aPayload\x01\n\x00\x01\x03Err\x01\f\x00\x01\aErrCode\x01\f\x00\x00\x00\xff\x80\xff\x80\x01\x04\x01\x05hello\x01\x10e9d160cc37e4f235\x05`\xbc\xf8\xbd&\x905\x19\x04\u0397\xcf\xee\xc1\xd7\xef\xfd+\x997\xf2e\x8d\xbd\xa4\xb8\x8a\xe55--\x06\xb0^\u00ec\xc4\x15\xd0\n\x11\x8b\x90\x1b\af3\xf7\x98\x99Z\ue3f7\xc9^;\x91\x9a\xfa\x15~\x9b\x92\xd2\x02\x7f\xf1FW\x8bw\x14,`\xe9g8\xc4\"\x90r,>E\xff\xe7.H\xfc\x88qz!\xde:\n\x00"
+
+// TestMixedFleetFailsAtHello joins a node of this build to a peer of the
+// previous one, in both roles. Dialed by the old node, this side reads the
+// old hello and refuses it with both versions named. Dialing the old node,
+// this side speaks first; the old node cannot parse a v3 hello, says nothing
+// and hangs up, and the error here says which version this node speaks.
+// Neither leaves a link behind.
+func TestMixedFleetFailsAtHello(t *testing.T) {
+	t.Run("dialed by an old node", func(t *testing.T) {
+		a := NewNode(NewIdentityFromSeed(5), NewTrustStore(), NewMemNetwork().Transport())
+		defer a.Close()
+		conn, old := net.Pipe()
+		defer old.Close()
+		go func() { _, _ = old.Write([]byte(parentHelloFixture)) }()
+		err := a.handleInbound(conn)
+		want := fmt.Sprintf("protocol version 2, want %d", wire.ProtocolVersion)
+		var ve *wire.VersionError
+		if !errors.Is(err, ErrProtoVersion) || !errors.As(err, &ve) || ve.Got != 2 ||
+			!strings.Contains(err.Error(), want) {
+			t.Errorf("handshake error = %v, want one saying %q", err, want)
+		}
+		if n := len(a.Peers()); n != 0 {
+			t.Errorf("%d peer links after a refused hello", n)
+		}
+	})
+
+	t.Run("dialing an old node", func(t *testing.T) {
+		tr := NewMemNetwork().Transport()
+		ln, err := tr.Listen("old-listener")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		go func() {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			// The old node reads the frame, fails to decode it as gob, and
+			// closes without a word.
+			var hdr [4]byte
+			if _, err := io.ReadFull(conn, hdr[:]); err == nil {
+				_, _ = io.CopyN(io.Discard, conn, int64(binary.BigEndian.Uint32(hdr[:])))
+			}
+			conn.Close()
+		}()
+		a := NewNode(NewIdentityFromSeed(4), NewTrustStore(), tr)
+		defer a.Close()
+		_, err = a.ConnectPeer("old-listener")
+		want := fmt.Sprintf("this node speaks protocol version %d", wire.ProtocolVersion)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("handshake error = %v, want one saying %q", err, want)
+		}
+		if n := len(a.Peers()); n != 0 {
+			t.Errorf("%d peer links after a failed hello", n)
+		}
+	})
 }
 
 // TestRemoteErrorCodePlumbing sends a request whose handler fails with the

@@ -31,7 +31,7 @@ import (
 // store's wal_errors counter and the log record the gap) rather than
 // refusing work because a disk is unhappy.
 func (s *Server) journal(rec store.Record) {
-	if s.cfg.Store == nil || s.replaying.Load() {
+	if !s.journaling() {
 		return
 	}
 	if _, err := s.cfg.Store.Stage(rec); err != nil {
@@ -40,10 +40,18 @@ func (s *Server) journal(rec store.Record) {
 	}
 }
 
-// journalPayload journals rec with payload v as its Data. A payload that
-// will not encode costs the record, which is logged like any other journaling
-// failure instead of being dropped silently.
+// journaling reports whether transitions are being written down: there is a
+// store and the server is not replaying it.
+func (s *Server) journaling() bool { return s.cfg.Store != nil && !s.replaying.Load() }
+
+// journalPayload journals rec with payload v as its Data; a server that is
+// not journaling does not encode v at all. A payload that will not encode
+// costs the record, which is logged like any other journaling failure instead
+// of being dropped silently.
 func (s *Server) journalPayload(rec store.Record, v any) {
+	if !s.journaling() {
+		return
+	}
 	data, err := wire.Marshal(v)
 	if err != nil {
 		s.log.Error("encoding journal record failed; continuing without durability",
@@ -64,7 +72,7 @@ func (s *Server) journalPayload(rec store.Record, v any) {
 // Transitions with no reply (reap, requeue, preempt, progress notes) only
 // journal; the next barrier or the syncer's own pace makes them durable.
 func (s *Server) commit() {
-	if s.cfg.Store == nil || s.replaying.Load() {
+	if !s.journaling() {
 		return
 	}
 	// A failed fsync is logged and counted once by the store, not by each
@@ -293,7 +301,7 @@ func (s *Server) replayRecord(r store.Record) {
 		// The normal ingest path, with journaling/metrics suppressed by the
 		// replay flag: settled commands are skipped, fresh ones drive the
 		// controller exactly as they did live.
-		if _, _, err := s.ingestResult(p, &res); err != nil {
+		if _, _, err := s.ingestResult(p, &res, nil); err != nil {
 			s.log.Warn("replaying result failed", "cmd", res.CommandID, "err", err)
 		}
 

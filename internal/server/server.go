@@ -921,9 +921,10 @@ func (s *Server) handleResult(from string, payload []byte) ([]byte, error) {
 			return nil, fmt.Errorf("server: reading shared-FS output %s: %w", res.OutputPath, err)
 		}
 		res.Output = data
+		payload = nil // no longer res's encoding
 	}
 
-	reply, settledWorker, err := s.ingestResult(p, &res)
+	reply, settledWorker, err := s.ingestResult(p, &res, payload)
 	// The ack — for a result, a checkpoint, or a controller failure alike —
 	// leaves only once what the ingest journaled is durable.
 	s.commit()
@@ -946,8 +947,11 @@ func (s *Server) handleResult(from string, payload []byte) ([]byte, error) {
 }
 
 // ingestResult applies one result under the project lock and returns the ID
-// of the worker whose assignment it settled ("" if none).
-func (s *Server) ingestResult(p *project, res *wire.CommandResult) (reply []byte, settledWorker string, err error) {
+// of the worker whose assignment it settled ("" if none). encoded is res as
+// it arrived, which is journaled as it is; nil when the caller has altered
+// res since, and the journal encodes it afresh, and nil from replay, which
+// journals nothing.
+func (s *Server) ingestResult(p *project, res *wire.CommandResult, encoded []byte) (reply []byte, settledWorker string, err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	cs := p.commands[res.CommandID]
@@ -982,8 +986,13 @@ func (s *Server) ingestResult(p *project, res *wire.CommandResult) (reply []byte
 	// shared-FS spool files) before the controller reacts; handleResult
 	// commits it, and whatever the controller journals, before the worker is
 	// acked.
-	s.journalPayload(store.Record{Type: store.RecResult,
-		Project: res.Project, Command: res.CommandID, Worker: res.WorkerID}, res)
+	rec := store.Record{Type: store.RecResult,
+		Project: res.Project, Command: res.CommandID, Worker: res.WorkerID, Data: encoded}
+	if encoded != nil {
+		s.journal(rec)
+	} else {
+		s.journalPayload(rec, res)
+	}
 	cs.status = cmdDone
 	p.finished++
 	// Settle the fair-share charge with the measured wall time and bill the

@@ -114,24 +114,49 @@ func TestPreGangProjectStatusDecodesWithNilDetail(t *testing.T) {
 	}
 }
 
+// commandSpecPreGang is CommandSpec as a build from before gang scheduling
+// knows it, with the decoder such a build would have: it reads the ten fields
+// it knows and nothing else.
+type commandSpecPreGang struct {
+	ID         string
+	Project    string
+	Tenant     string
+	Origin     string
+	Type       string
+	MinCores   int
+	MaxCores   int
+	Priority   int
+	Payload    []byte
+	Checkpoint []byte
+}
+
+func (c *commandSpecPreGang) bodyLen() int             { panic("decode only") }
+func (c *commandSpecPreGang) appendTo(b []byte) []byte { panic("decode only") }
+
+func (c *commandSpecPreGang) decode(body []byte) error {
+	r := reader{b: body}
+	*c = commandSpecPreGang{
+		ID:         r.string(),
+		Project:    r.string(),
+		Tenant:     r.string(),
+		Origin:     r.string(),
+		Type:       r.string(),
+		MinCores:   r.int(),
+		MaxCores:   r.int(),
+		Priority:   r.int(),
+		Payload:    r.bytes(),
+		Checkpoint: r.bytes(),
+	}
+	return r.err
+}
+
 // TestGangSpecDecodesByPreGangShape covers the reverse direction: a gang
-// command decodes under the pre-gang field set (gob drops unknown fields) —
-// which is precisely why an old worker cannot tell a gang member from a solo
+// command decodes under the pre-gang field set (the bytes after the last
+// field a decoder knows are skipped, as gob dropped unknown fields) — which
+// is precisely why an old worker cannot tell a gang member from a solo
 // command, and why the current worker re-checks gang completeness of every
 // workload instead of trusting the dispatcher.
 func TestGangSpecDecodesByPreGangShape(t *testing.T) {
-	type commandSpecPreGang struct {
-		ID         string
-		Project    string
-		Tenant     string
-		Origin     string
-		Type       string
-		MinCores   int
-		MaxCores   int
-		Priority   int
-		Payload    []byte
-		Checkpoint []byte
-	}
 	raw, err := Marshal(&CommandSpec{
 		ID: "rx-e00001-r03", Project: "remd", Type: "repex-md",
 		MinCores: 1, MaxCores: 1, GangID: "remd/e00001", GangSize: 8,

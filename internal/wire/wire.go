@@ -1,12 +1,28 @@
 // Package wire defines the message vocabulary and framing of the Copernicus
 // overlay protocol: command specifications and results, worker announcements,
-// workload assignments and heartbeats, together with a length-prefixed gob
-// codec used by every transport.
+// workload assignments and heartbeats, together with the length-prefixed
+// framing used by every transport.
 //
 // The protocol is request/response over reliable byte streams (the paper
-// chose SSL for the same reason); every payload is a gob-encoded struct from
-// this package, carried inside an Envelope that supports TTL-limited
+// chose SSL for the same reason); every payload is a struct from this
+// package, carried inside an Envelope that supports TTL-limited
 // store-and-forward routing across the server overlay.
+//
+// Two encodings sit behind Marshal and Unmarshal, one per type. The messages
+// of the command round trip — Envelope, AnnounceRequest, Workload and its
+// CommandSpecs, CommandResult, Heartbeat and its ack, FrameChunk,
+// WorkerFailed — use the hand-written binary codec in codec.go: tag byte 0x00,
+// then every struct as
+//
+//	uvarint bodyLen | fields in declaration order
+//
+// with fields only ever appended, a short body leaving the missing fields
+// zero and a long one skipped past the last known field (the evolution rule;
+// codec.go has the field encodings). Everything else — controller parameters,
+// engine outputs, the admin and replication payloads — is gob, which gives the
+// same append-only contract by field name. Unmarshal reads either: a gob
+// stream never starts with 0x00, so blobs written before the binary codec
+// existed (WAL records, snapshots) still decode.
 package wire
 
 import (
@@ -20,33 +36,28 @@ import (
 
 // ProtocolVersion guards against mixed-version overlays. Version 2 added
 // tenant identity, admission-control error codes and the tenant admin
-// messages; v2 payload structs still decode v1 frames (gob leaves the new
-// fields at their zero values), but the hello/join handshake refuses a
-// version-skewed peer with ErrProtoVersion so an old node fails cleanly
-// instead of mis-decoding newer control messages.
+// messages; version 3 replaced the gob envelope and the gob encoding of the
+// command round trip's messages with the binary codec (codec.go). The
+// hello/join handshake refuses a version-skewed peer: a v3 node reads a v1 or
+// v2 hello through the gob fallback and fails with ErrProtoVersion naming
+// both versions; a v2 node cannot parse a v3 hello at all and fails with a
+// decode error. Payload blobs of either era still decode (old WAL records).
 //
-// The gang-scheduling fields (CommandSpec.GangID/GangSize) and
-// ProjectStatus.Detail ride within version 2: frames captured before they
-// existed decode with the fields at their zero values (no gang, no detail),
-// and workers independently verify gang completeness of a workload, so a
-// mixed-fleet worker rejects a gang command it cannot co-schedule instead
-// of silently running it solo.
-//
-// The frame-streaming additions (MsgFrameChunk, FrameChunk, the engine
-// payload's StreamEveryNs) also ride within version 2: streaming is purely
-// additive — a node that has never heard of MsgFrameChunk declines it via
-// the overlay's unknown-handler path and the final result blob still
-// carries every frame, so mixed fleets degrade to the batch pipeline.
-const ProtocolVersion = 2
+// Additions ride within a version as appended fields: the gang-scheduling
+// fields (CommandSpec.GangID/GangSize), ProjectStatus.Detail, the
+// frame-streaming messages and AnnounceRequest.WaitSeconds all arrived that
+// way, and frames captured before each existed decode with the new fields at
+// their zero values. Workers independently verify gang completeness of a
+// workload, and a node that has never heard of MsgFrameChunk declines it via
+// the overlay's unknown-handler path while the final result blob still
+// carries every frame, so a fleet of mixed minor builds degrades instead of
+// mis-scheduling.
+const ProtocolVersion = 3
 
 // ErrProtoVersion is the sentinel for cross-version handshake and envelope
 // rejection; match it with errors.Is. The concrete error is a *VersionError
 // carrying both versions.
 var ErrProtoVersion = errors.New("wire: protocol version mismatch")
-
-// ErrVersionMismatch is the historical name of ErrProtoVersion, kept so
-// existing errors.Is call sites keep matching.
-var ErrVersionMismatch = ErrProtoVersion
 
 // VersionError reports an envelope whose protocol version differs from this
 // node's. It is returned during the overlay handshake (and any later read)
@@ -115,7 +126,8 @@ func SentinelFor(code string) error {
 }
 
 // MaxFrameBytes bounds a single frame; anything larger is rejected as
-// corrupt rather than allocated blindly.
+// corrupt. A length below the bound is not trusted either: ReadEnvelope
+// allocates a large body only as its bytes arrive.
 const MaxFrameBytes = 1 << 30
 
 // MsgType enumerates the request types a node can handle.
@@ -524,8 +536,13 @@ type TenantQuotaUpdate struct {
 	MaxStorageBytes int64
 }
 
-// Marshal gob-encodes a payload struct.
+// Marshal encodes a payload struct: the binary codec for the types it knows
+// (into one buffer of exactly the encoded size), gob for the rest. A nil
+// pointer is an error under either.
 func Marshal(v any) ([]byte, error) {
+	if m := hotMessage(v); m != nil {
+		return marshalMessage(m, 0)
+	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
 		return nil, fmt.Errorf("wire: encoding %T: %w", v, err)
@@ -533,38 +550,56 @@ func Marshal(v any) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Unmarshal gob-decodes into v.
+// Unmarshal decodes data into v, whichever of the two encodings data is in.
+//
+// The binary codec decodes in place: the []byte fields of the result
+// (Envelope.Payload, CommandSpec.Payload and Checkpoint, CommandResult.Output
+// and Checkpoint) are sub-slices of data, not copies. Callers therefore hand
+// over data for good — it must not be written to or reused while v is alive.
+// Every producer in the tree allocates data per message (a frame body, a
+// Marshal result, a WAL record) and never reuses it, so nothing is pooled.
 func Unmarshal(data []byte, v any) error {
+	if len(data) > 0 && data[0] == codecTag {
+		m, ok := v.(message)
+		if !ok {
+			return fmt.Errorf("wire: decoding %T: data is binary-coded, which this type is not", v)
+		}
+		if err := unmarshalMessage(data[1:], m); err != nil {
+			return fmt.Errorf("wire: decoding %T: %w", v, err)
+		}
+		return nil
+	}
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(v); err != nil {
 		return fmt.Errorf("wire: decoding %T: %w", v, err)
 	}
 	return nil
 }
 
-// WriteEnvelope frames and writes one envelope: a 4-byte big-endian length
-// followed by the gob encoding.
+// frameHeaderLen is the size of a frame's big-endian length prefix.
+const frameHeaderLen = 4
+
+// WriteEnvelope frames and writes one envelope — a 4-byte big-endian length
+// followed by the encoded envelope — in a single Write.
 func WriteEnvelope(w io.Writer, env *Envelope) error {
-	body, err := Marshal(env)
+	frame, err := marshalMessage(env, frameHeaderLen)
 	if err != nil {
 		return err
 	}
-	if len(body) > MaxFrameBytes {
-		return fmt.Errorf("wire: frame of %d bytes exceeds limit", len(body))
+	n := len(frame) - frameHeaderLen
+	if n > MaxFrameBytes {
+		return fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("wire: writing frame header: %w", err)
-	}
-	if _, err := w.Write(body); err != nil {
-		return fmt.Errorf("wire: writing frame body: %w", err)
+	binary.BigEndian.PutUint32(frame, uint32(n))
+	if _, err := w.Write(frame); err != nil {
+		return fmt.Errorf("wire: writing frame: %w", err)
 	}
 	return nil
 }
 
-// ReadEnvelope reads one framed envelope.
+// ReadEnvelope reads one framed envelope. The envelope's Payload is a
+// sub-slice of the frame body, which is allocated per frame.
 func ReadEnvelope(r io.Reader) (*Envelope, error) {
-	var hdr [4]byte
+	var hdr [frameHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err // io.EOF passes through for clean shutdown detection
 	}
@@ -572,8 +607,8 @@ func ReadEnvelope(r io.Reader) (*Envelope, error) {
 	if n > MaxFrameBytes {
 		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	body, err := readBody(r, int(n))
+	if err != nil {
 		return nil, fmt.Errorf("wire: reading frame body: %w", err)
 	}
 	var env Envelope
@@ -584,4 +619,25 @@ func ReadEnvelope(r io.Reader) (*Envelope, error) {
 		return nil, &VersionError{Got: env.Version, Want: ProtocolVersion}
 	}
 	return &env, nil
+}
+
+// trustedBodyBytes is the largest frame body allocated on the header's word
+// alone.
+const trustedBodyBytes = 1 << 20
+
+// readBody reads a frame body of n bytes. Up to trustedBodyBytes it is one
+// allocation; beyond that the buffer doubles as bytes actually arrive, so a
+// hostile or torn header costs at most twice what its sender delivered.
+func readBody(r io.Reader, n int) ([]byte, error) {
+	body := make([]byte, min(n, trustedBodyBytes))
+	got := 0
+	for {
+		if _, err := io.ReadFull(r, body[got:]); err != nil {
+			return nil, err
+		}
+		if got = len(body); got == n {
+			return body, nil
+		}
+		body = append(body, make([]byte, min(n-got, got))...)
+	}
 }

@@ -19,8 +19,8 @@ if [ "${1:-}" = "quick" ]; then
     exit 0
 fi
 
-echo "== go test -race (obs, server, worker, queue, overlay, retry, chaos, store, store/replica, md, des, repex, msm) =="
-go test -race ./internal/obs/... ./internal/server/... \
+echo "== go test -race (wire, obs, server, worker, queue, overlay, retry, chaos, store, store/replica, md, des, repex, msm) =="
+go test -race ./internal/wire/... ./internal/obs/... ./internal/server/... \
     ./internal/worker/... ./internal/queue/... ./internal/overlay/... \
     ./internal/retry/... ./internal/chaos/... ./internal/store/... \
     ./internal/store/replica/... ./internal/md/... ./internal/des/... \
@@ -31,8 +31,13 @@ echo "== benchmarks module (vet, test) =="
 go vet -C benchmarks ./...
 go test -C benchmarks ./...
 
-echo "== md bench smoke =="
+echo "== wire fuzz (10 s per target) =="
+go test -run '^$' -fuzz=FuzzUnmarshalHot -fuzztime=10s ./internal/wire
+go test -run '^$' -fuzz=FuzzReadEnvelope -fuzztime=10s ./internal/wire
+
+echo "== bench smoke (md, wire) =="
 go test -run=NONE -bench=. -benchtime=1x ./internal/md
+go test -run=NONE -bench=BenchmarkWireRoundTrip -benchtime=1x ./internal/wire
 
 echo "== chaos soak (race) =="
 go test -race -run TestChaosSoak -timeout 300s ./internal/core/

@@ -74,7 +74,7 @@ repex:
 
 # The streaming-analysis scenario: incremental mini-batch clustering vs
 # full batch reclustering over a 20-round adaptive campaign, on the real
-# internal/msm code — flat per-round analysis cost, ≥5× cheaper by round
+# internal/msm code — flat per-round analysis cost, ≥3× cheaper by round
 # 20 — see docs/PERFORMANCE.md ("Streaming analysis").
 stream:
 	$(GO) test -race -run TestStreamAnalysisDES -v -timeout 300s ./internal/des/

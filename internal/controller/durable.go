@@ -125,6 +125,8 @@ func (c *MSMController) RestoreState(data []byte) error {
 	}
 	c.trajs = make(map[string]*msmTraj, len(st.Trajs))
 	c.order = c.order[:0]
+	c.points.Reset() // derived from the frames below at the next barrier
+	c.gathered = 0
 	for _, ts := range st.Trajs {
 		c.trajs[ts.ID] = &msmTraj{
 			id: ts.ID, bornGen: ts.BornGen, times: ts.Times, frames: ts.Frames,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"time"
 
 	"copernicus/internal/engines"
@@ -237,6 +238,14 @@ type MSMController struct {
 	// genStart marks when the current generation's cohort was launched, so
 	// clusterAndRespawn can report the generation's wall time.
 	genStart time.Time
+	// points is what the batch barrier clusters: the frames of the first
+	// gathered trajectories of c.order, trajectory after trajectory. Every
+	// trajectory is terminated at its barrier and never grows again, so the
+	// set is append-only and a barrier adds only its own cohort. Derived
+	// state: it is not saved, and refills from the trajectories' frames at
+	// the first barrier after a restore.
+	points   msm.PointSet
+	gathered int
 
 	// Streaming-mode state (all zero when p.Stream is false).
 	stream *msm.StreamClusterer
@@ -672,13 +681,10 @@ func (c *MSMController) generationStream(ctx Context) error {
 // the next generation or finish the project.
 func (c *MSMController) clusterAndRespawn(ctx Context) error {
 	analysisStart := time.Now()
-	points := c.allFrames()
-	k := c.p.Clusters
-	clu, err := msm.KCenters(points, k, c.p.Seed+uint64(c.gen))
+	clu, dtrajs, err := c.cluster()
 	if err != nil {
 		return fmt.Errorf("msm controller: clustering: %w", err)
 	}
-	dtrajs := c.discretise(clu)
 	lagFrames := int(c.p.LagNs/c.p.FrameNs + 0.5)
 	if lagFrames < 1 {
 		lagFrames = 1
@@ -713,7 +719,7 @@ func (c *MSMController) clusterAndRespawn(ctx Context) error {
 	gs := GenerationStats{
 		Generation:      c.gen,
 		SegmentsDone:    c.segDone,
-		FramesTotal:     len(points),
+		FramesTotal:     c.points.Len(),
 		SimulatedNs:     c.totalNs(),
 		MinRMSD:         c.minRMSD,
 		States:          len(lcs),
@@ -728,7 +734,7 @@ func (c *MSMController) clusterAndRespawn(ctx Context) error {
 		c.stats = append(c.stats, gs)
 		c.observeGeneration(ctx, gs)
 		ctx.SetStatus(c.gen, "final analysis")
-		return c.finish(ctx, clu, rt, mapping)
+		return c.finish(ctx, clu, dtrajs, rt, mapping)
 	}
 
 	// Adaptive (or even) respawn for the next generation.
@@ -796,36 +802,43 @@ func (c *MSMController) observeGeneration(ctx Context, gs GenerationStats) {
 			"generation":     fmt.Sprint(gs.Generation),
 			"states":         fmt.Sprint(gs.States),
 			"spawned_states": fmt.Sprint(gs.SpawnedStates),
+			"frames":         fmt.Sprint(gs.FramesTotal),
+			"analysis_s":     strconv.FormatFloat(gs.AnalysisSeconds, 'g', 4, 64),
 		},
 	})
 	c.genStart = time.Now()
 }
 
-// allFrames gathers every stored frame across all trajectories.
-func (c *MSMController) allFrames() (points [][]float64) {
-	for _, id := range c.order {
-		tr := c.trajs[id]
-		points = append(points, tr.frames...)
+// cluster is the barrier's one pass over the frames: it appends the
+// trajectories created since the last barrier to c.points (creation order ×
+// time order), runs k-centers over the whole set, and cuts the assignment
+// k-centers already holds into one state sequence per trajectory. The
+// sequences alias c.points' work buffer and are good until the next call.
+func (c *MSMController) cluster() (*msm.Clustering, [][]int, error) {
+	for ; c.gathered < len(c.order); c.gathered++ {
+		if err := c.points.Append(c.trajs[c.order[c.gathered]].frames...); err != nil {
+			return nil, nil, err
+		}
 	}
-	return points
-}
-
-// discretise assigns every trajectory's frames to clusters, returning the
-// per-trajectory state sequences.
-func (c *MSMController) discretise(clu *msm.Clustering) (dtrajs [][]int) {
-	for _, id := range c.order {
-		tr := c.trajs[id]
-		dtrajs = append(dtrajs, clu.AssignAll(tr.frames))
+	clu, err := c.points.KCenters(c.p.Clusters, c.p.Seed+uint64(c.gen))
+	if err != nil {
+		return nil, nil, err
 	}
-	return dtrajs
+	dtrajs := make([][]int, len(c.order))
+	rest := clu.Assignments
+	for i, id := range c.order {
+		n := len(c.trajs[id].frames)
+		dtrajs[i], rest = rest[:n:n], rest[n:]
+	}
+	return clu, dtrajs, nil
 }
 
 // totalNs sums simulated trajectory time.
 func (c *MSMController) totalNs() float64 {
 	t := 0.0
-	for _, tr := range c.trajs {
-		if n := len(tr.times); n > 0 {
-			t += tr.times[n-1]
+	for _, id := range c.order { // not the map: float addition is order-dependent
+		if tr := c.trajs[id]; len(tr.times) > 0 {
+			t += tr.times[len(tr.times)-1]
 		}
 	}
 	return t
@@ -833,7 +846,7 @@ func (c *MSMController) totalNs() float64 {
 
 // finish performs the final analysis (Figs 4 and 5) and completes the
 // project.
-func (c *MSMController) finish(ctx Context, clu *msm.Clustering, rt *msm.TransitionMatrix, mapping []int) error {
+func (c *MSMController) finish(ctx Context, clu *msm.Clustering, dtrajs [][]int, rt *msm.TransitionMatrix, mapping []int) error {
 	res := MSMResult{
 		Params:             c.p,
 		Generations:        c.stats,
@@ -909,7 +922,7 @@ func (c *MSMController) finish(ctx Context, clu *msm.Clustering, rt *msm.Transit
 	}
 
 	// Markovianity checks on the final discretisation.
-	c.markovianity(clu, &res)
+	c.markovianity(clu, dtrajs, &res)
 
 	blob, err := wire.Marshal(&res)
 	if err != nil {
@@ -922,8 +935,7 @@ func (c *MSMController) finish(ctx Context, clu *msm.Clustering, rt *msm.Transit
 // markovianity runs the §3.2 lag sensitivity analysis: implied timescales
 // across probe lags bracketing the working lag, and a k=2 Chapman–
 // Kolmogorov propagation error for the folded population.
-func (c *MSMController) markovianity(clu *msm.Clustering, res *MSMResult) {
-	dtrajs := c.discretise(clu)
+func (c *MSMController) markovianity(clu *msm.Clustering, dtrajs [][]int, res *MSMResult) {
 	maxLen := 0
 	for _, dt := range dtrajs {
 		if len(dt) > maxLen {

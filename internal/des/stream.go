@@ -1,14 +1,15 @@
 // Streaming-analysis scenario: a discrete-event comparison of the two ways
 // the MSM controller can rebuild its model as an adaptive campaign grows.
 // The batch path reclusters every frame ever produced at each analysis
-// round (k-centers seeding + full reassignment + transition recounting), so
-// its cost grows linearly with campaign length; the incremental path feeds
-// only the round's new frames through the mini-batch StreamClusterer, so
-// its cost is flat. Both paths here run the REAL internal/msm code on the
-// same deterministic trajectories — the scenario measures what the
-// controller would actually pay at each generation barrier, in both
-// modelled distance evaluations (deterministic, what the tests assert on)
-// and measured wall time (reported, asserted with generous factors).
+// round (one pruned k-centers pass, which yields the assignment as well, +
+// transition recounting), so its cost grows with campaign length; the
+// incremental path feeds only the round's new frames through the mini-batch
+// StreamClusterer, so its cost is flat. Both paths here run the REAL
+// internal/msm code on the same deterministic trajectories — the scenario
+// measures what the controller would actually pay at each generation
+// barrier, in both distance evaluations (deterministic, what the tests
+// assert on) and measured wall time (reported, asserted with generous
+// factors).
 package des
 
 import (
@@ -61,10 +62,11 @@ type StreamRound struct {
 	NewFrames   int // frames produced this round (all trajectories)
 	TotalFrames int // frames accumulated so far
 
-	// Modelled analysis cost in center-distance evaluations — the unit both
-	// pipelines are built from. Batch pays one k-centers seeding pass plus
-	// one assignment pass over every accumulated frame; incremental pays
-	// one assignment-and-nudge pass over only the new frames.
+	// Analysis cost in center-distance evaluations — the unit both pipelines
+	// are built from. Batch is what k-centers actually evaluated over every
+	// accumulated frame (triangle-inequality pruning leaves a fraction of
+	// frames × centers; the assignment costs nothing more); incremental
+	// pays one assignment-and-nudge pass over only the new frames.
 	BatchUnits       float64
 	IncrementalUnits float64
 
@@ -167,9 +169,9 @@ func SimulateStreamAnalysis(p StreamAnalysisParams) (*StreamAnalysisResult, erro
 		if err != nil {
 			return nil, err
 		}
-		dtrajs := make([][]int, p.Trajectories)
+		dtrajs, rest := make([][]int, p.Trajectories), clu.Assignments
 		for i := range trajs {
-			dtrajs[i] = clu.AssignAll(trajs[i])
+			dtrajs[i], rest = rest[:len(trajs[i])], rest[len(trajs[i]):]
 		}
 		if _, err := msm.CountTransitions(dtrajs, clu.K(), p.Lag); err != nil {
 			return nil, err
@@ -180,9 +182,9 @@ func SimulateStreamAnalysis(p StreamAnalysisParams) (*StreamAnalysisResult, erro
 			Round:       round,
 			NewFrames:   newFrames,
 			TotalFrames: totalFrames,
-			// Seeding pass + assignment pass over every frame vs one
+			// The distances k-centers evaluated over every frame vs one
 			// assignment-and-nudge pass over the new frames.
-			BatchUnits:         2 * float64(totalFrames) * float64(clu.K()),
+			BatchUnits:         float64(clu.DistEvals),
 			IncrementalUnits:   float64(newFrames) * float64(stream.K()),
 			BatchSeconds:       batchSeconds,
 			IncrementalSeconds: incSeconds,

@@ -717,32 +717,43 @@ func (n *Node) sendErrors() *obs.Counter {
 		"Failed envelope sends to peers.", obs.L("node", n.id.ID))
 }
 
-// seenCache deduplicates flooded envelopes with a bounded FIFO set.
+// seenKey identifies one flooded envelope: comparable, so looking it up
+// allocates nothing.
+type seenKey struct {
+	from    string
+	reqID   uint64
+	isReply bool
+}
+
+// seenCache deduplicates flooded envelopes with a bounded FIFO set: a map
+// for membership and a fixed ring, oldest key at head once it is full.
 type seenCache struct {
-	mu    sync.Mutex
-	limit int
-	order []string
-	set   map[string]bool
+	mu   sync.Mutex
+	ring []seenKey // grows to limit, then head wraps over it
+	head int
+	set  map[seenKey]struct{}
 }
 
 func newSeenCache(limit int) *seenCache {
-	return &seenCache{limit: limit, set: make(map[string]bool, limit)}
+	return &seenCache{ring: make([]seenKey, 0, limit), set: make(map[seenKey]struct{}, limit)}
 }
 
 // firstTime records the key and reports whether it was new.
 func (s *seenCache) firstTime(from string, reqID uint64, isReply bool) bool {
-	key := fmt.Sprintf("%s/%d/%t", from, reqID, isReply)
+	key := seenKey{from, reqID, isReply}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.set[key] {
+	if _, ok := s.set[key]; ok {
 		return false
 	}
-	s.set[key] = true
-	s.order = append(s.order, key)
-	if len(s.order) > s.limit {
-		delete(s.set, s.order[0])
-		s.order = s.order[1:]
+	if len(s.ring) < cap(s.ring) {
+		s.ring = append(s.ring, key)
+	} else {
+		delete(s.set, s.ring[s.head])
+		s.ring[s.head] = key
+		s.head = (s.head + 1) % len(s.ring)
 	}
+	s.set[key] = struct{}{}
 	return true
 }
 

@@ -442,6 +442,30 @@ func TestSeenCacheDuplicateRedelivery(t *testing.T) {
 	}
 }
 
+// TestSeenCacheBoundedAndAllocFree pins the two properties the per-envelope
+// path depends on: the set never holds more than limit keys however many
+// pass through, and a repeat key (every redelivery of a flooded envelope)
+// costs no allocation.
+func TestSeenCacheBoundedAndAllocFree(t *testing.T) {
+	const limit = 8
+	s := newSeenCache(limit)
+	for i := 0; i < 10*limit; i++ {
+		s.firstTime("peer", uint64(i), i%3 == 0)
+		if len(s.set) > limit || len(s.ring) > limit {
+			t.Fatalf("after %d keys the cache holds %d (ring %d), limit %d", i+1, len(s.set), len(s.ring), limit)
+		}
+	}
+	// The survivors are exactly the last limit keys.
+	for i := 9 * limit; i < 10*limit; i++ {
+		if s.firstTime("peer", uint64(i), i%3 == 0) {
+			t.Errorf("key %d of the last %d was evicted early", i, limit)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.firstTime("peer", 10*limit-1, (10*limit-1)%3 == 0) }); allocs != 0 {
+		t.Errorf("a repeat key allocated %.0f times per call", allocs)
+	}
+}
+
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(3 * time.Second)

@@ -35,9 +35,10 @@ echo "== wire fuzz (10 s per target) =="
 go test -run '^$' -fuzz=FuzzUnmarshalHot -fuzztime=10s ./internal/wire
 go test -run '^$' -fuzz=FuzzReadEnvelope -fuzztime=10s ./internal/wire
 
-echo "== bench smoke (md, wire) =="
+echo "== bench smoke (md, wire, msm) =="
 go test -run=NONE -bench=. -benchtime=1x ./internal/md
 go test -run=NONE -bench=BenchmarkWireRoundTrip -benchtime=1x ./internal/wire
+go test -run=NONE -bench='BenchmarkKCenters|BenchmarkAssignAll' -benchtime=1x ./internal/msm
 
 echo "== chaos soak (race) =="
 go test -race -run TestChaosSoak -timeout 300s ./internal/core/

@@ -20,7 +20,7 @@ race:
 	$(GO) test -race ./internal/wire/... ./internal/obs/... ./internal/server/... \
 		./internal/worker/... ./internal/queue/... ./internal/overlay/... \
 		./internal/store/... ./internal/store/replica/... ./internal/repex/... \
-		./internal/msm/...
+		./internal/msm/... ./internal/controller/...
 
 # The wire decoders against arbitrary bytes, ten seconds per target: no
 # panic, no allocation out of proportion to the input, and whatever decodes

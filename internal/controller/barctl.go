@@ -6,7 +6,6 @@ import (
 
 	"copernicus/internal/bar"
 	"copernicus/internal/engines"
-	"copernicus/internal/rng"
 	"copernicus/internal/wire"
 )
 
@@ -89,159 +88,120 @@ type BARResult struct {
 
 // barWindow accumulates one window's work values.
 type barWindow struct {
-	lambdaFrom, lambdaTo float64
-	forward, reverse     []float64
+	LambdaFrom, LambdaTo float64
+	Forward, Reverse     []float64
 }
 
-// BARController implements the free-energy plugin.
+// barState is the BAR controller's resumable state, saved as it is.
+type barState struct {
+	P       BARParams
+	Windows []barWindow
+	Round   int
+	Samples int
+}
+
+// BARController implements the free-energy plugin: a campaign whose slots
+// are λ-window indices and whose round is one batch of commands per window.
 type BARController struct {
-	p        BARParams
-	rand     *rng.Source
-	windows  []*barWindow
-	inFlight map[string]int // command ID → window index
-	round    int
-	nextCmd  int
-	samples  int
+	campaign[int]
+	st barState
 }
 
 // NewBARController returns an uninitialised BAR controller.
 func NewBARController() *BARController {
-	return &BARController{inFlight: make(map[string]int)}
+	c := &BARController{}
+	c.campaign = newCampaign[int](BARControllerName, c, &c.st)
+	return c
 }
-
-// Name implements Controller.
-func (c *BARController) Name() string { return BARControllerName }
 
 // Start implements Controller.
 func (c *BARController) Start(ctx Context, params []byte) error {
-	if err := wire.Unmarshal(params, &c.p); err != nil {
+	p := &c.st.P
+	if err := wire.Unmarshal(params, p); err != nil {
 		return fmt.Errorf("bar controller: params: %w", err)
 	}
-	if err := c.p.validate(); err != nil {
+	if err := p.validate(); err != nil {
 		return err
 	}
-	c.rand = rng.New(c.p.Seed ^ ctx.Seed())
-	for w := 0; w < c.p.Windows; w++ {
-		c.windows = append(c.windows, &barWindow{
-			lambdaFrom: float64(w) / float64(c.p.Windows),
-			lambdaTo:   float64(w+1) / float64(c.p.Windows),
+	c.seed(p.Seed ^ ctx.Seed())
+	for w := 0; w < p.Windows; w++ {
+		c.st.Windows = append(c.st.Windows, barWindow{
+			LambdaFrom: float64(w) / float64(p.Windows),
+			LambdaTo:   float64(w+1) / float64(p.Windows),
 		})
 	}
-	c.round = 1
+	c.st.Round = 1
 	if err := c.submitRound(ctx); err != nil {
 		return err
 	}
-	ctx.SetStatus(0, fmt.Sprintf("round 1: sampling %d windows", c.p.Windows))
+	ctx.SetStatus(0, fmt.Sprintf("round 1: sampling %d windows", p.Windows))
 	return nil
 }
 
 // submitRound queues a batch of sampling commands for every window.
 func (c *BARController) submitRound(ctx Context) error {
-	for wi, w := range c.windows {
-		for b := 0; b < c.p.BatchPerWindow; b++ {
+	p := &c.st.P
+	for wi, w := range c.st.Windows {
+		for b := 0; b < p.BatchPerWindow; b++ {
+			cmd := wire.CommandSpec{
+				ID:       fmt.Sprintf("bar-w%02d-c%05d", wi, c.led.NextCmd),
+				Type:     engines.BARName,
+				MinCores: p.MinCores,
+				MaxCores: p.MaxCores,
+			}
 			// The engine's potential carries λ·Offset, so each window's
 			// exact contribution is Δλ·Offset and the chain totals Offset.
-			payload, err := wire.Marshal(&engines.BARPayload{
-				LambdaFrom:   w.lambdaFrom,
-				LambdaTo:     w.lambdaTo,
-				Displacement: c.p.Displacement,
-				Offset:       c.p.Offset,
-				NSamples:     c.p.SamplesPerCommand,
+			err := c.submit(ctx, wi, cmd, &engines.BARPayload{
+				LambdaFrom:   w.LambdaFrom,
+				LambdaTo:     w.LambdaTo,
+				Displacement: p.Displacement,
+				Offset:       p.Offset,
+				NSamples:     p.SamplesPerCommand,
 				Seed:         c.rand.Uint64(),
 			})
 			if err != nil {
 				return err
 			}
-			id := fmt.Sprintf("bar-w%02d-c%05d", wi, c.nextCmd)
-			c.nextCmd++
-			cmd := wire.CommandSpec{
-				ID:       id,
-				Type:     engines.BARName,
-				MinCores: c.p.MinCores,
-				MaxCores: c.p.MaxCores,
-				Payload:  payload,
-			}
-			if err := ctx.Submit(cmd); err != nil {
-				return err
-			}
-			c.inFlight[id] = wi
 		}
 	}
 	return nil
 }
 
-// CommandFinished implements Controller.
-func (c *BARController) CommandFinished(ctx Context, res *wire.CommandResult) error {
-	wi, ok := c.inFlight[res.CommandID]
-	if !ok {
-		return nil
-	}
-	delete(c.inFlight, res.CommandID)
+// fold implements plugin: append the command's work values to its window.
+func (c *BARController) fold(_ Context, wi int, res *wire.CommandResult) error {
 	var out engines.BAROutput
 	if err := wire.Unmarshal(res.Output, &out); err != nil {
 		return fmt.Errorf("bar controller: output: %w", err)
 	}
-	w := c.windows[wi]
-	w.forward = append(w.forward, out.Forward...)
-	w.reverse = append(w.reverse, out.Reverse...)
-	c.samples += len(out.Forward) + len(out.Reverse)
-
-	if len(c.inFlight) > 0 {
-		return nil
-	}
-	// Round complete: estimate, then stop or sample more.
-	total, windows, err := c.estimate()
-	if err != nil {
-		return err
-	}
-	if total.StdErr <= c.p.TargetStdErr || c.round >= c.p.MaxRounds {
-		blob, err := wire.Marshal(&BARResult{
-			Params:      c.p,
-			Windows:     windows,
-			Total:       total,
-			Rounds:      c.round,
-			ExactDeltaF: c.p.Offset,
-			SamplesUsed: c.samples,
-		})
-		if err != nil {
-			return err
-		}
-		ctx.Finish(blob)
-		return nil
-	}
-	c.round++
-	ctx.SetStatus(c.round, fmt.Sprintf("round %d: ΔF=%.3f ± %.3f kT (target ±%.3f)",
-		c.round, total.DeltaF, total.StdErr, c.p.TargetStdErr))
-	return c.submitRound(ctx)
-}
-
-// CommandFailed implements Controller: BAR commands are cheap and
-// independent, so a terminal failure is simply dropped from the round.
-func (c *BARController) CommandFailed(ctx Context, cmd wire.CommandSpec, reason string) error {
-	wi, ok := c.inFlight[cmd.ID]
-	if !ok {
-		return nil
-	}
-	delete(c.inFlight, cmd.ID)
-	ctx.Logf("bar: command %s for window %d lost (%s)", cmd.ID, wi, reason)
-	if len(c.inFlight) == 0 {
-		// Finish the round with whatever arrived.
-		return c.CommandFinishedTail(ctx)
-	}
+	w := &c.st.Windows[wi]
+	w.Forward = append(w.Forward, out.Forward...)
+	w.Reverse = append(w.Reverse, out.Reverse...)
+	c.st.Samples += len(out.Forward) + len(out.Reverse)
 	return nil
 }
 
-// CommandFinishedTail re-runs the round-completion logic after a failure
-// emptied the in-flight set.
-func (c *BARController) CommandFinishedTail(ctx Context) error {
+// lost implements plugin: BAR commands are cheap and independent, so a
+// terminal failure is simply dropped and the round ends with what arrived.
+func (c *BARController) lost(ctx Context, wi int, cmd wire.CommandSpec, reason string) error {
+	ctx.Logf("bar: command %s for window %d lost (%s)", cmd.ID, wi, reason)
+	return nil
+}
+
+// round implements plugin: estimate, then stop or sample more.
+func (c *BARController) round(ctx Context) error {
+	p := &c.st.P
 	total, windows, err := c.estimate()
 	if err != nil {
 		return err
 	}
-	if total.StdErr <= c.p.TargetStdErr || c.round >= c.p.MaxRounds {
+	if total.StdErr <= p.TargetStdErr || c.st.Round >= p.MaxRounds {
 		blob, err := wire.Marshal(&BARResult{
-			Params: c.p, Windows: windows, Total: total,
-			Rounds: c.round, ExactDeltaF: c.p.Offset, SamplesUsed: c.samples,
+			Params:      *p,
+			Windows:     windows,
+			Total:       total,
+			Rounds:      c.st.Round,
+			ExactDeltaF: p.Offset,
+			SamplesUsed: c.st.Samples,
 		})
 		if err != nil {
 			return err
@@ -249,29 +209,25 @@ func (c *BARController) CommandFinishedTail(ctx Context) error {
 		ctx.Finish(blob)
 		return nil
 	}
-	c.round++
+	c.st.Round++
+	ctx.SetStatus(c.st.Round, fmt.Sprintf("round %d: ΔF=%.3f ± %.3f kT (target ±%.3f)",
+		c.st.Round, total.DeltaF, total.StdErr, p.TargetStdErr))
 	return c.submitRound(ctx)
 }
 
 // estimate runs BAR per window and chains the results.
 func (c *BARController) estimate() (bar.Result, []bar.WindowResult, error) {
 	var windows []bar.WindowResult
-	for wi, w := range c.windows {
-		if len(w.forward) == 0 || len(w.reverse) == 0 {
-			// A window with no data yet contributes infinite uncertainty.
-			windows = append(windows, bar.WindowResult{
-				LambdaFrom: w.lambdaFrom, LambdaTo: w.lambdaTo,
-				Result: bar.Result{StdErr: math.Inf(1)},
-			})
-			continue
+	for wi, w := range c.st.Windows {
+		// A window with no data yet contributes infinite uncertainty.
+		res := bar.Result{StdErr: math.Inf(1)}
+		if len(w.Forward) > 0 && len(w.Reverse) > 0 {
+			var err error
+			if res, err = bar.Estimate(w.Forward, w.Reverse, c.st.P.Bootstrap, c.st.P.Seed+uint64(wi)); err != nil {
+				return bar.Result{}, nil, err
+			}
 		}
-		res, err := bar.Estimate(w.forward, w.reverse, c.p.Bootstrap, c.p.Seed+uint64(wi))
-		if err != nil {
-			return bar.Result{}, nil, err
-		}
-		windows = append(windows, bar.WindowResult{
-			LambdaFrom: w.lambdaFrom, LambdaTo: w.lambdaTo, Result: res,
-		})
+		windows = append(windows, bar.WindowResult{LambdaFrom: w.LambdaFrom, LambdaTo: w.LambdaTo, Result: res})
 	}
 	return bar.Chain(windows), windows, nil
 }

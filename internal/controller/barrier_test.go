@@ -113,8 +113,8 @@ func TestRestoredCampaignRebuildsFrameSet(t *testing.T) {
 	if err := ctx.pumpN(ctrl, 2*p.SegmentsPerGen+3); err != nil {
 		t.Fatal(err)
 	}
-	if ctrl.gen != 2 || ctrl.gathered == 0 || ctrl.points.Len() == 0 {
-		t.Fatalf("before the cut: generation %d, %d trajectories gathered, %d frames held", ctrl.gen, ctrl.gathered, ctrl.points.Len())
+	if ctrl.st.Gen != 2 || ctrl.gathered == 0 || ctrl.points.Len() == 0 {
+		t.Fatalf("before the cut: generation %d, %d trajectories gathered, %d frames held", ctrl.st.Gen, ctrl.gathered, ctrl.points.Len())
 	}
 	blob, err := ctrl.SaveState()
 	if err != nil {
@@ -128,19 +128,19 @@ func TestRestoredCampaignRebuildsFrameSet(t *testing.T) {
 		t.Fatalf("a restored controller starts with %d trajectories gathered, %d frames", fresh.gathered, fresh.points.Len())
 	}
 	// Up to the next barrier, then compare that generation.
-	for len(fresh.stats) < 3 {
+	for len(fresh.st.Stats) < 3 {
 		if err := ctx.pumpN(fresh, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got, want := fresh.stats[2], base.Generations[2]
+	got, want := fresh.st.Stats[2], base.Generations[2]
 	got.AnalysisSeconds, want.AnalysisSeconds = 0, 0
 	if got != want {
 		t.Errorf("first barrier after the restore:\n%+v\nuninterrupted:\n%+v", got, want)
 	}
-	if fresh.points.Len() != want.FramesTotal || fresh.gathered != len(fresh.order)-p.NStarts*p.TasksPerStart {
+	if fresh.points.Len() != want.FramesTotal || fresh.gathered != len(fresh.st.Trajs)-p.NStarts*p.TasksPerStart {
 		t.Errorf("rebuilt set holds %d frames of %d trajectories, want %d frames of all but the new cohort (%d)",
-			fresh.points.Len(), fresh.gathered, want.FramesTotal, len(fresh.order)-p.NStarts*p.TasksPerStart)
+			fresh.points.Len(), fresh.gathered, want.FramesTotal, len(fresh.st.Trajs)-p.NStarts*p.TasksPerStart)
 	}
 	rest := runCampaign(t, ctx, fresh)
 	for i := range base.Generations {
@@ -164,8 +164,7 @@ func TestTotalNsIsDeterministic(t *testing.T) {
 		id := fmt.Sprintf("traj-%04d", i)
 		// Non-representable end times of mixed magnitude: any two orders of
 		// summation are likely to round differently.
-		c.trajs[id] = &msmTraj{id: id, times: []float64{0, 0.1 * float64(i+1) * float64(1+i%7*1000) / 3}}
-		c.order = append(c.order, id)
+		c.st.Trajs = append(c.st.Trajs, &msmTraj{ID: id, Times: []float64{0, 0.1 * float64(i+1) * float64(1+i%7*1000) / 3}})
 	}
 	seen := map[float64]bool{}
 	for i := 0; i < 200; i++ {

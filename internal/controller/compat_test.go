@@ -58,15 +58,16 @@ func TestPreStreamMSMParamsDecode(t *testing.T) {
 	}
 }
 
-// msmStatePreStream is msmState's field set from before streaming — no
-// Stream pointer, no per-command watermarks, no convergence latch.
+// msmStatePreStream is the saved MSM state's field set from before
+// streaming — no Stream pointer, no per-command watermarks, no convergence
+// latch.
 type msmStatePreStream struct {
 	P                  MSMParams
 	Rand               []byte
 	Gen                int
 	SegDone            int
 	InFlight           map[string]string
-	Trajs              []msmTrajState
+	Trajs              []msmTraj
 	NextTraj           int
 	NextCmd            int
 	MinRMSD            float64
@@ -92,7 +93,7 @@ func TestPreStreamControllerSnapshotRestores(t *testing.T) {
 	old := msmStatePreStream{
 		P: p, Rand: randState, Gen: 1, SegDone: 2,
 		InFlight: map[string]string{"cmd-1": "t0"},
-		Trajs: []msmTrajState{{
+		Trajs: []msmTraj{{
 			ID: "t0", Times: []float64{0}, Frames: [][]float64{{0, 0}},
 			RMSD: []float64{1}, Current: []float64{0, 0}, Alive: true,
 		}},
@@ -109,11 +110,11 @@ func TestPreStreamControllerSnapshotRestores(t *testing.T) {
 	if c.stream != nil {
 		t.Error("pre-stream snapshot restored with a live stream clusterer")
 	}
-	if c.converged || c.convOK != 0 || c.lastPops != nil {
+	if c.st.Converged || c.st.ConvOK != 0 || c.st.LastPops != nil {
 		t.Error("pre-stream snapshot restored with convergence state")
 	}
-	if c.gen != 1 || c.segDone != 2 || c.nextCmd != 2 || c.minRMSD != 1.5 {
+	if c.st.Gen != 1 || c.st.SegDone != 2 || c.led.NextCmd != 2 || c.st.MinRMSD != 1.5 {
 		t.Errorf("pre-stream fields corrupted: gen=%d segDone=%d nextCmd=%d minRMSD=%g",
-			c.gen, c.segDone, c.nextCmd, c.minRMSD)
+			c.st.Gen, c.st.SegDone, c.led.NextCmd, c.st.MinRMSD)
 	}
 }

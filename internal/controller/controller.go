@@ -5,9 +5,11 @@
 // lives here, keeping the server framework agnostic of the simulation
 // engine, exactly as the paper prescribes.
 //
-// Two controllers ship with the reproduction, matching the paper's bundled
-// plugins: the Markov-State-Model adaptive-sampling controller (msm.go) and
-// the Bennett-Acceptance-Ratio free-energy controller (barctl.go).
+// Three controllers ship with the reproduction: the paper's two bundled
+// plugins — Markov-State-Model adaptive sampling (msmctl.go) and
+// Bennett-Acceptance-Ratio free energies (barctl.go) — and temperature
+// replica exchange (repexctl.go). All three are written on the campaign loop
+// of campaign.go, which also carries their save/restore.
 package controller
 
 import (

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"copernicus/internal/engines"
@@ -289,18 +290,44 @@ func TestMSMCommandFailedShrinksGeneration(t *testing.T) {
 	if err := ctrl.Start(ctx, mustParams(t, &p)); err != nil {
 		t.Fatal(err)
 	}
-	// Kill one of the queued commands terminally.
-	victim := ctx.queue[0]
-	ctx.queue = ctx.queue[1:]
-	if err := ctrl.CommandFailed(ctx, victim, "worker lost"); err != nil {
+	// Kill one of the queued commands terminally, in each generation.
+	fail := func() {
+		t.Helper()
+		victim := ctx.queue[0]
+		ctx.queue = ctx.queue[1:]
+		if err := ctrl.CommandFailed(ctx, victim, "worker lost"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fail()
+	if err := ctx.pumpN(ctrl, p.SegmentsPerGen-1); err != nil {
 		t.Fatal(err)
 	}
+	if ctx.generation != 1 {
+		t.Fatalf("generation %d after %d segments and one loss, want 1", ctx.generation, p.SegmentsPerGen-1)
+	}
+	fail()
 	// The project must still complete with the remaining commands.
 	if err := ctx.pump(ctrl, 1000); err != nil {
 		t.Fatal(err)
 	}
 	if !ctx.finished {
 		t.Fatal("project stalled after a terminal command failure")
+	}
+	var res MSMResult
+	if err := wire.Unmarshal(ctx.result, &res); err != nil {
+		t.Fatal(err)
+	}
+	for i, g := range res.Generations {
+		if g.SegmentsDone != p.SegmentsPerGen-1 {
+			t.Errorf("generation %d ran %d segments, want the target less the one lost (%d)", i, g.SegmentsDone, p.SegmentsPerGen-1)
+		}
+	}
+	// The shrunken target is the generation's business, not the parameters':
+	// a loss in the final generation used to be published as the user's
+	// SegmentsPerGen.
+	if res.Params.SegmentsPerGen != p.SegmentsPerGen {
+		t.Errorf("result reports SegmentsPerGen %d, the project was submitted with %d", res.Params.SegmentsPerGen, p.SegmentsPerGen)
 	}
 }
 
@@ -314,6 +341,24 @@ func TestMSMIgnoresUnknownResults(t *testing.T) {
 	res := &wire.CommandResult{CommandID: "ghost", OK: true}
 	if err := ctrl.CommandFinished(ctx, res); err != nil {
 		t.Errorf("unknown result should be ignored, got %v", err)
+	}
+
+	// A result whose Times or RMSD are shorter than its Frames is rejected
+	// like a ragged chunk is; indexing them used to panic under the project
+	// lock.
+	cmd := ctx.queue[0]
+	raw, err := ctx.engs[cmd.Type].Run(context.Background(), cmd, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out engines.LandscapeOutput
+	if err := wire.Unmarshal(raw, &out); err != nil {
+		t.Fatal(err)
+	}
+	out.RMSD = out.RMSD[:len(out.RMSD)-1]
+	res = &wire.CommandResult{CommandID: cmd.ID, OK: true, Output: mustParams(t, &out)}
+	if err := ctrl.CommandFinished(ctx, res); err == nil || !strings.Contains(err.Error(), "ragged") {
+		t.Errorf("ragged segment output: err = %v, want a ragged-output error", err)
 	}
 }
 
@@ -449,5 +494,46 @@ func TestBARDeterministic(t *testing.T) {
 	}
 	if run() != run() {
 		t.Error("BAR project not deterministic")
+	}
+}
+
+// TestBARRoundEndedByFailureSetsStatus: a round whose last command is lost
+// goes through the same round step as one whose last command reports, so the
+// monitor sees the new round either way (the failure path used to skip
+// SetStatus and leave the previous round's note standing).
+func TestBARRoundEndedByFailureSetsStatus(t *testing.T) {
+	p := tinyBARParams()
+	p.SamplesPerCommand = 50
+	p.TargetStdErr = 0.001 // out of reach: round 1 cannot finish the project
+	status := func(endByFailure bool) (int, string) {
+		ctx := newFakeCtx(t)
+		ctrl := NewBARController()
+		if err := ctrl.Start(ctx, mustParams(t, &p)); err != nil {
+			t.Fatal(err)
+		}
+		if err := ctx.pumpN(ctrl, 1); err != nil {
+			t.Fatal(err)
+		}
+		last := ctx.queue[0]
+		if endByFailure {
+			ctx.queue = ctx.queue[1:]
+			if err := ctrl.CommandFailed(ctx, last, "worker lost"); err != nil {
+				t.Fatal(err)
+			}
+		} else if err := ctx.pumpN(ctrl, 1); err != nil {
+			t.Fatal(err)
+		}
+		if len(ctx.queue) != p.Windows*p.BatchPerWindow {
+			t.Fatalf("round 2 queued %d commands, want %d", len(ctx.queue), p.Windows*p.BatchPerWindow)
+		}
+		return ctx.generation, ctx.note
+	}
+	gen, note := status(false)
+	if gen != 2 || !strings.HasPrefix(note, "round 2: ΔF=") {
+		t.Fatalf("result-ended round: generation %d, note %q", gen, note)
+	}
+	gen, note = status(true)
+	if gen != 2 || !strings.HasPrefix(note, "round 2: ΔF=") {
+		t.Errorf("failure-ended round: generation %d, note %q; a result-ended round sets generation 2 and a round-2 note", gen, note)
 	}
 }

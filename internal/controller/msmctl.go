@@ -11,7 +11,6 @@ import (
 	"copernicus/internal/landscape"
 	"copernicus/internal/msm"
 	"copernicus/internal/obs"
-	"copernicus/internal/rng"
 	"copernicus/internal/stats"
 	"copernicus/internal/wire"
 )
@@ -203,217 +202,262 @@ type MSMResult struct {
 	FirstNearNativeGen int // generation of the first ≤ NearNativeRMSD structure (-1 if never)
 }
 
-// msmTraj is the in-flight state of one trajectory.
+// msmTraj is one trajectory.
 type msmTraj struct {
-	id      string
-	bornGen int
-	times   []float64   // cumulative ns, frame-aligned
-	frames  [][]float64 // conformations at those times
-	rmsd    []float64
-	current []float64 // latest conformation (segment end)
-	alive   bool
-	genMin  []float64 // min RMSD per generation alive
+	ID      string
+	BornGen int
+	Times   []float64   // cumulative ns, frame-aligned
+	Frames  [][]float64 // conformations at those times
+	RMSD    []float64
+	Current []float64 // latest conformation (segment end)
+	Alive   bool
+	GenMin  []float64 // min RMSD per generation alive
 }
 
-// MSMController implements the adaptive-sampling plugin.
+// msmState is the MSM controller's resumable state, saved as it is.
+type msmState struct {
+	P                  MSMParams // as submitted (validate's defaults filled in)
+	Gen                int
+	SegDone            int        // segments finished this generation
+	Trajs              []*msmTraj // in creation order
+	NextTraj           int        // == len(Trajs); numbers the trajectory IDs
+	MinRMSD            float64
+	FirstFoldedGen     int
+	FirstNearNativeGen int
+	Stats              []GenerationStats
+	// SegTarget is how many segments the current generation still expects in
+	// all: P.SegmentsPerGen at its start, one fewer for every command that
+	// fails terminally.
+	SegTarget int
+
+	// Streaming-mode state (all zero when P.Stream is false, and when decoded
+	// from a pre-streaming snapshot).
+	Stream *msm.StreamState // the clusterer's image; set only inside SaveState and RestoreState
+	// CmdStreamed is the per-command frame watermark: index one past the
+	// last frame already folded into the trajectory via chunks. It is what
+	// makes chunk re-delivery and the final result's full frame set
+	// idempotent.
+	CmdStreamed map[string]int
+	// CmdBase is the trajectory's cumulative time at segment submission, so
+	// chunk-local times convert to trajectory times.
+	CmdBase map[string]float64
+	// LastPops is the previous convergence check's normalized state
+	// population vector; ConvOK counts consecutive passing checks;
+	// Converged latches the generation trigger while stragglers drain.
+	LastPops  []float64
+	ConvOK    int
+	Converged bool
+}
+
+// MSMController implements the adaptive-sampling plugin: a campaign whose
+// slots are trajectory IDs and whose round is a generation.
 type MSMController struct {
-	p                  MSMParams
-	model              *landscape.Model
-	rand               *rng.Source
-	gen                int
-	segDone            int               // segments finished this generation
-	inFlight           map[string]string // command ID → trajectory ID
-	trajs              map[string]*msmTraj
-	order              []string // trajectory IDs in creation order
-	nextTraj           int
-	nextCmd            int
-	minRMSD            float64
-	firstFoldedGen     int
-	firstNearNativeGen int
-	stats              []GenerationStats
-	// segTarget is the configured segments-per-generation; the live
-	// c.p.SegmentsPerGen may shrink within a generation when commands fail
-	// terminally, and is restored from segTarget at each generation start.
-	segTarget int
+	campaign[string]
+	st    msmState
+	model *landscape.Model
+	trajs map[string]*msmTraj // st.Trajs by ID
 	// genStart marks when the current generation's cohort was launched, so
-	// clusterAndRespawn can report the generation's wall time.
+	// the generation step can report the generation's wall time.
 	genStart time.Time
 	// points is what the batch barrier clusters: the frames of the first
-	// gathered trajectories of c.order, trajectory after trajectory. Every
+	// gathered trajectories of st.Trajs, trajectory after trajectory. Every
 	// trajectory is terminated at its barrier and never grows again, so the
 	// set is append-only and a barrier adds only its own cohort. Derived
 	// state: it is not saved, and refills from the trajectories' frames at
 	// the first barrier after a restore.
 	points   msm.PointSet
 	gathered int
-
-	// Streaming-mode state (all zero when p.Stream is false).
+	// stream is the live incremental model (nil when P.Stream is false).
 	stream *msm.StreamClusterer
-	// cmdStreamed is the per-command frame watermark: index one past the
-	// last frame already folded into the trajectory via chunks. It is what
-	// makes chunk re-delivery and the final result's full frame set
-	// idempotent.
-	cmdStreamed map[string]int
-	// cmdBase is the trajectory's cumulative time at segment submission, so
-	// chunk-local times convert to trajectory times.
-	cmdBase map[string]float64
-	// lastPops is the previous convergence check's normalized state
-	// population vector; convOK counts consecutive passing checks;
-	// converged latches the generation trigger while stragglers drain.
-	lastPops  []float64
-	convOK    int
-	converged bool
 }
 
 // NewMSMController returns an uninitialised MSM controller; Start must run
 // before any other handler.
 func NewMSMController() *MSMController {
-	return &MSMController{
-		inFlight:           make(map[string]string),
-		trajs:              make(map[string]*msmTraj),
-		minRMSD:            math.Inf(1),
-		firstFoldedGen:     -1,
-		firstNearNativeGen: -1,
-	}
+	c := &MSMController{trajs: make(map[string]*msmTraj)}
+	c.st.MinRMSD = math.Inf(1)
+	c.st.FirstFoldedGen = -1
+	c.st.FirstNearNativeGen = -1
+	c.campaign = newCampaign[string](MSMControllerName, c, &c.st)
+	return c
 }
 
-// Name implements Controller.
-func (c *MSMController) Name() string { return MSMControllerName }
+// lagFrames is the MSM lag time in frames (validate keeps it at least 1).
+func (c *MSMController) lagFrames() int { return int(c.st.P.LagNs/c.st.P.FrameNs + 0.5) }
 
 // Start implements Controller: decode parameters and launch the first
 // generation from the unfolded starting conformations.
 func (c *MSMController) Start(ctx Context, params []byte) error {
-	if err := wire.Unmarshal(params, &c.p); err != nil {
+	p := &c.st.P
+	if err := wire.Unmarshal(params, p); err != nil {
 		return fmt.Errorf("msm controller: params: %w", err)
 	}
-	if err := c.p.validate(); err != nil {
+	if err := p.validate(); err != nil {
 		return err
 	}
 	var err error
-	c.model, err = landscape.New(c.p.Landscape)
+	c.model, err = landscape.New(p.Landscape)
 	if err != nil {
 		return err
 	}
-	c.rand = rng.New(c.p.Seed ^ ctx.Seed())
-	c.segTarget = c.p.SegmentsPerGen
-	if c.p.Stream {
-		lagFrames := int(c.p.LagNs/c.p.FrameNs + 0.5)
-		if lagFrames < 1 {
-			lagFrames = 1
-		}
+	c.seed(p.Seed ^ ctx.Seed())
+	c.st.SegTarget = p.SegmentsPerGen
+	if p.Stream {
 		c.stream, err = msm.NewStreamClusterer(msm.StreamConfig{
-			K:       c.p.Clusters,
-			Lag:     lagFrames,
-			MinDist: c.p.StreamMinDist,
+			K:       p.Clusters,
+			Lag:     c.lagFrames(),
+			MinDist: p.StreamMinDist,
 		})
 		if err != nil {
 			return err
 		}
-		c.cmdStreamed = make(map[string]int)
-		c.cmdBase = make(map[string]float64)
+		c.st.CmdStreamed = make(map[string]int)
+		c.st.CmdBase = make(map[string]float64)
 	}
 
-	for s := 0; s < c.p.NStarts; s++ {
-		start := c.model.UnfoldedStart(s, c.p.Seed)
-		for k := 0; k < c.p.TasksPerStart; k++ {
+	for s := 0; s < p.NStarts; s++ {
+		start := c.model.UnfoldedStart(s, p.Seed)
+		for k := 0; k < p.TasksPerStart; k++ {
 			if err := c.spawnTrajectory(ctx, start); err != nil {
 				return err
 			}
 		}
 	}
 	c.genStart = time.Now()
-	ctx.SetStatus(0, fmt.Sprintf("generation 0: %d trajectories launched", len(c.trajs)))
+	ctx.SetStatus(0, fmt.Sprintf("generation 0: %d trajectories launched", len(c.st.Trajs)))
+	return nil
+}
+
+// SaveState implements Durable: the campaign's codec, after the live stream
+// clusterer's image is taken into the state.
+func (c *MSMController) SaveState() ([]byte, error) {
+	if c.stream != nil {
+		ss := c.stream.State()
+		c.st.Stream = &ss
+		defer func() { c.st.Stream = nil }() // a copy: do not keep it alive between snapshots
+	}
+	return c.campaign.SaveState()
+}
+
+// RestoreState implements Durable: the campaign's codec, then what the state
+// does not carry — the landscape model, the live stream clusterer and the
+// trajectory index — is rebuilt from it. The frame set stays empty and
+// refills at the next barrier.
+func (c *MSMController) RestoreState(data []byte) error {
+	if err := c.campaign.RestoreState(data); err != nil {
+		return err
+	}
+	st := &c.st
+	if st.SegTarget > st.P.SegmentsPerGen {
+		// A snapshot from before the live target moved out of the parameters
+		// holds the two the other way round.
+		st.SegTarget, st.P.SegmentsPerGen = st.P.SegmentsPerGen, st.SegTarget
+	}
+	var err error
+	if c.model, err = landscape.New(st.P.Landscape); err != nil {
+		return fmt.Errorf("msm controller: rebuilding landscape: %w", err)
+	}
+	if st.Stream != nil {
+		if c.stream, err = msm.RestoreStream(*st.Stream); err != nil {
+			return fmt.Errorf("msm controller: stream state: %w", err)
+		}
+		st.Stream = nil
+		if st.CmdStreamed == nil {
+			st.CmdStreamed = make(map[string]int)
+		}
+		if st.CmdBase == nil {
+			st.CmdBase = make(map[string]float64)
+		}
+	}
+	for _, tr := range st.Trajs {
+		c.trajs[tr.ID] = tr
+	}
+	c.genStart = time.Now() // wall-clock restarts; durations exclude downtime
 	return nil
 }
 
 // spawnTrajectory creates a trajectory starting at x and submits its first
 // segment.
 func (c *MSMController) spawnTrajectory(ctx Context, x []float64) error {
-	id := fmt.Sprintf("traj-%04d", c.nextTraj)
-	c.nextTraj++
 	tr := &msmTraj{
-		id:      id,
-		bornGen: c.gen,
-		current: append([]float64(nil), x...),
-		alive:   true,
-		times:   []float64{0},
-		frames:  [][]float64{append([]float64(nil), x...)},
-		rmsd:    []float64{c.model.RMSD(x)},
+		ID:      fmt.Sprintf("traj-%04d", c.st.NextTraj),
+		BornGen: c.st.Gen,
+		Current: append([]float64(nil), x...),
+		Alive:   true,
 	}
-	c.noteRMSD(tr, tr.rmsd[0])
-	c.trajs[id] = tr
-	c.order = append(c.order, id)
-	if c.stream != nil {
-		// The batch pipeline discretises frame 0 with the rest; the
-		// incremental model must see it too.
-		if _, err := c.stream.Observe(id, tr.frames[0]); err != nil {
-			return err
-		}
+	c.st.NextTraj++
+	c.trajs[tr.ID] = tr
+	c.st.Trajs = append(c.st.Trajs, tr)
+	// Frame 0 is the start conformation: the batch pipeline discretises it
+	// with the rest, so the incremental model must see it too.
+	if err := c.addFrame(tr, 0, append([]float64(nil), x...), c.model.RMSD(x)); err != nil {
+		return err
 	}
 	return c.submitSegment(ctx, tr)
 }
 
 // submitSegment queues the next 50-ns command for a trajectory.
 func (c *MSMController) submitSegment(ctx Context, tr *msmTraj) error {
-	payload, err := wire.Marshal(&engines.LandscapePayload{
-		Params:        c.p.Landscape,
-		Start:         tr.current,
-		DurationNs:    c.p.SegmentNs,
-		FrameNs:       c.p.FrameNs,
-		Seed:          c.rand.Uint64(),
-		StreamEveryNs: c.p.StreamEveryNs,
-	})
-	if err != nil {
-		return err
-	}
-	cmdID := fmt.Sprintf("%s-seg%04d", tr.id, c.nextCmd)
-	c.nextCmd++
+	p := &c.st.P
 	cmd := wire.CommandSpec{
-		ID:       cmdID,
+		ID:       fmt.Sprintf("%s-seg%04d", tr.ID, c.led.NextCmd),
 		Type:     engines.LandscapeName,
-		MinCores: c.p.MinCores,
-		MaxCores: c.p.MaxCores,
-		Payload:  payload,
+		MinCores: p.MinCores,
+		MaxCores: p.MaxCores,
 	}
-	if err := ctx.Submit(cmd); err != nil {
-		return err
+	err := c.submit(ctx, tr.ID, cmd, &engines.LandscapePayload{
+		Params:        p.Landscape,
+		Start:         tr.Current,
+		DurationNs:    p.SegmentNs,
+		FrameNs:       p.FrameNs,
+		Seed:          c.rand.Uint64(),
+		StreamEveryNs: p.StreamEveryNs,
+	})
+	if err == nil && c.stream != nil {
+		c.st.CmdBase[cmd.ID] = tr.Times[len(tr.Times)-1]
 	}
-	c.inFlight[cmdID] = tr.id
-	if c.stream != nil {
-		c.cmdBase[cmdID] = tr.times[len(tr.times)-1]
+	return err
+}
+
+// addFrame appends one frame to tr, updating the RMSD minima and the
+// incremental model.
+func (c *MSMController) addFrame(tr *msmTraj, t float64, frame []float64, rmsd float64) error {
+	tr.Times = append(tr.Times, t)
+	tr.Frames = append(tr.Frames, frame)
+	tr.RMSD = append(tr.RMSD, rmsd)
+	c.noteRMSD(tr, rmsd)
+	if c.stream == nil {
+		return nil
 	}
-	return nil
+	_, err := c.stream.Observe(tr.ID, frame)
+	return err
 }
 
 // noteRMSD updates global and per-generation minima.
 func (c *MSMController) noteRMSD(tr *msmTraj, r float64) {
-	if r < c.minRMSD {
-		c.minRMSD = r
+	st := &c.st
+	if r < st.MinRMSD {
+		st.MinRMSD = r
 	}
-	if c.firstFoldedGen < 0 && r <= c.p.Landscape.FoldedRMSD {
-		c.firstFoldedGen = c.gen
+	if st.FirstFoldedGen < 0 && r <= st.P.Landscape.FoldedRMSD {
+		st.FirstFoldedGen = st.Gen
 	}
-	if c.firstNearNativeGen < 0 && r <= c.p.NearNativeRMSD {
-		c.firstNearNativeGen = c.gen
+	if st.FirstNearNativeGen < 0 && r <= st.P.NearNativeRMSD {
+		st.FirstNearNativeGen = st.Gen
 	}
-	for len(tr.genMin) <= c.gen-tr.bornGen {
-		tr.genMin = append(tr.genMin, math.Inf(1))
+	for len(tr.GenMin) <= st.Gen-tr.BornGen {
+		tr.GenMin = append(tr.GenMin, math.Inf(1))
 	}
-	if idx := c.gen - tr.bornGen; idx >= 0 && r < tr.genMin[idx] {
-		tr.genMin[idx] = r
+	if idx := st.Gen - tr.BornGen; idx >= 0 && r < tr.GenMin[idx] {
+		tr.GenMin[idx] = r
 	}
 }
 
-// CommandFinished implements Controller: fold the segment into its
-// trajectory, extend or cluster as the generation protocol dictates.
-func (c *MSMController) CommandFinished(ctx Context, res *wire.CommandResult) error {
-	trajID, ok := c.inFlight[res.CommandID]
-	if !ok {
-		return nil // terminated or duplicate result: ignore
-	}
-	delete(c.inFlight, res.CommandID)
+// fold implements plugin: fold the segment into its trajectory and extend
+// the trajectory if the generation still needs segments.
+func (c *MSMController) fold(ctx Context, trajID string, res *wire.CommandResult) error {
+	st := &c.st
 	tr := c.trajs[trajID]
-
 	var out engines.LandscapeOutput
 	if err := wire.Unmarshal(res.Output, &out); err != nil {
 		return fmt.Errorf("msm controller: segment output: %w", err)
@@ -421,52 +465,41 @@ func (c *MSMController) CommandFinished(ctx Context, res *wire.CommandResult) er
 	if len(out.Frames) < 2 {
 		return fmt.Errorf("msm controller: segment for %s returned %d frames", trajID, len(out.Frames))
 	}
+	if len(out.Times) != len(out.Frames) || len(out.RMSD) != len(out.Frames) {
+		return fmt.Errorf("msm controller: ragged segment output for %s", res.CommandID)
+	}
 	// Frame 0 duplicates the previous segment end; skip it when appending.
 	// In streaming mode the watermark may sit further in: everything below
 	// it already arrived via chunks, and the final blob's copy of those
 	// frames is bitwise identical (deterministic engine), so skipping is
 	// lossless.
 	w := 1
-	base := tr.times[len(tr.times)-1]
+	base := tr.Times[len(tr.Times)-1]
 	if c.stream != nil {
-		base = c.cmdBase[res.CommandID]
-		if s := c.cmdStreamed[res.CommandID]; s > w {
+		base = st.CmdBase[res.CommandID]
+		if s := st.CmdStreamed[res.CommandID]; s > w {
 			w = s
 		}
-		delete(c.cmdStreamed, res.CommandID)
-		delete(c.cmdBase, res.CommandID)
+		delete(st.CmdStreamed, res.CommandID)
+		delete(st.CmdBase, res.CommandID)
 	}
 	for i := w; i < len(out.Frames); i++ {
-		tr.times = append(tr.times, base+out.Times[i])
-		tr.frames = append(tr.frames, out.Frames[i])
-		tr.rmsd = append(tr.rmsd, out.RMSD[i])
-		c.noteRMSD(tr, out.RMSD[i])
-		if c.stream != nil {
-			if _, serr := c.stream.Observe(tr.id, out.Frames[i]); serr != nil {
-				return serr
-			}
+		if err := c.addFrame(tr, base+out.Times[i], out.Frames[i], out.RMSD[i]); err != nil {
+			return err
 		}
 	}
-	tr.current = append(tr.current[:0], out.Frames[len(out.Frames)-1]...)
-	c.segDone++
+	tr.Current = append(tr.Current[:0], out.Frames[len(out.Frames)-1]...)
+	st.SegDone++
 
 	if c.stream != nil {
 		c.checkConvergence(ctx)
 	}
-	if c.segDone >= c.p.SegmentsPerGen || c.converged {
-		if len(c.inFlight) == 0 {
-			return c.generation(ctx)
-		}
-		return nil // wait for stragglers; no further extensions
-	}
 	// Extend this trajectory if the generation still needs segments beyond
 	// what is already running ("as soon as one trajectory finishes, the
-	// controller extends the run by another 50 ns").
-	if tr.alive && c.segDone+len(c.inFlight) < c.p.SegmentsPerGen {
+	// controller extends the run by another 50 ns"). Once the target is met
+	// or the populations converged, only stragglers drain.
+	if !st.Converged && tr.Alive && st.SegDone+len(c.led.InFlight) < st.SegTarget {
 		return c.submitSegment(ctx, tr)
-	}
-	if len(c.inFlight) == 0 && c.segDone >= c.p.SegmentsPerGen {
-		return c.generation(ctx)
 	}
 	return nil
 }
@@ -479,7 +512,7 @@ func (c *MSMController) FrameChunk(ctx Context, chunk *wire.FrameChunk) error {
 	if c.stream == nil {
 		return nil
 	}
-	trajID, ok := c.inFlight[chunk.CommandID]
+	trajID, ok := c.led.InFlight[chunk.CommandID]
 	if !ok {
 		return nil // settled or terminated command
 	}
@@ -487,28 +520,24 @@ func (c *MSMController) FrameChunk(ctx Context, chunk *wire.FrameChunk) error {
 		return fmt.Errorf("msm controller: ragged frame chunk for %s", chunk.CommandID)
 	}
 	tr := c.trajs[trajID]
-	w := c.cmdStreamed[chunk.CommandID]
+	w := c.st.CmdStreamed[chunk.CommandID]
 	if w < 1 {
 		w = 1 // frame 0 is the start conformation the trajectory already holds
 	}
 	if chunk.FirstFrame > w {
 		return nil // gap: the final result blob delivers the range intact
 	}
-	base := c.cmdBase[chunk.CommandID]
+	base := c.st.CmdBase[chunk.CommandID]
 	for i, f := range chunk.Frames {
 		if chunk.FirstFrame+i < w {
 			continue // re-delivered prefix (deterministic resume overlap)
 		}
-		tr.times = append(tr.times, base+chunk.Times[i])
-		tr.frames = append(tr.frames, f)
-		tr.rmsd = append(tr.rmsd, chunk.RMSD[i])
-		c.noteRMSD(tr, chunk.RMSD[i])
-		if _, err := c.stream.Observe(trajID, f); err != nil {
+		if err := c.addFrame(tr, base+chunk.Times[i], f, chunk.RMSD[i]); err != nil {
 			return err
 		}
 	}
 	if end := chunk.FirstFrame + len(chunk.Frames); end > w {
-		c.cmdStreamed[chunk.CommandID] = end
+		c.st.CmdStreamed[chunk.CommandID] = end
 	}
 	return nil
 }
@@ -520,14 +549,15 @@ func (c *MSMController) FrameChunk(ctx Context, chunk *wire.FrameChunk) error {
 // Checks start only after a full cohort round of segments, so a generation
 // can never fire off nearly-empty counts.
 func (c *MSMController) checkConvergence(ctx Context) {
-	if c.converged {
+	st := &c.st
+	if st.Converged {
 		return
 	}
-	minSegs := c.p.NStarts * c.p.TasksPerStart
-	if minSegs > c.p.SegmentsPerGen {
-		minSegs = c.p.SegmentsPerGen
+	minSegs := st.P.NStarts * st.P.TasksPerStart
+	if minSegs > st.SegTarget {
+		minSegs = st.SegTarget
 	}
-	if c.segDone < minSegs {
+	if st.SegDone < minSegs {
 		return
 	}
 	counts := c.stream.Counts()
@@ -539,159 +569,84 @@ func (c *MSMController) checkConvergence(ctx Context) {
 	for i := range pops {
 		pops[i] = counts.RowSum(i) / total
 	}
-	if c.lastPops != nil {
+	if st.LastPops != nil {
 		delta := 0.0
 		for i, p := range pops {
-			delta += math.Abs(p - c.lastPops[i])
+			delta += math.Abs(p - st.LastPops[i])
 		}
 		delta /= 2
-		if delta < c.p.ConvergeTol {
-			c.convOK++
+		if delta < st.P.ConvergeTol {
+			st.ConvOK++
 		} else {
-			c.convOK = 0
+			st.ConvOK = 0
 		}
-		if c.convOK >= c.p.ConvergeChecks {
-			c.converged = true
+		if st.ConvOK >= st.P.ConvergeChecks {
+			st.Converged = true
 			ctx.Logf("msm: state populations converged (TV %.4g < %g for %d checks) after %d segments",
-				delta, c.p.ConvergeTol, c.convOK, c.segDone)
+				delta, st.P.ConvergeTol, st.ConvOK, st.SegDone)
 		}
 	}
-	c.lastPops = pops
+	st.LastPops = pops
 }
 
-// generation runs the round-end step for the current mode. The final
-// generation always takes the batch path, even in streaming mode: finish()
-// builds the publication figures from a full clustering of the retained
-// trajectories, so the end-of-project analysis is identical in both modes.
-func (c *MSMController) generation(ctx Context) error {
-	if c.stream != nil && c.gen < c.p.Generations-1 {
-		return c.generationStream(ctx)
-	}
-	return c.clusterAndRespawn(ctx)
-}
-
-// CommandFailed implements Controller: resubmission is handled by the
-// server's retry/requeue machinery, so a terminal failure here aborts the
-// trajectory but not the project (the generation target shrinks with it).
-func (c *MSMController) CommandFailed(ctx Context, cmd wire.CommandSpec, reason string) error {
-	trajID, ok := c.inFlight[cmd.ID]
-	if !ok {
-		return nil
-	}
-	delete(c.inFlight, cmd.ID)
-	if tr := c.trajs[trajID]; tr != nil {
-		tr.alive = false
-	}
-	delete(c.cmdStreamed, cmd.ID)
-	delete(c.cmdBase, cmd.ID)
+// lost implements plugin: resubmission is handled by the server's
+// retry/requeue machinery, so a terminal failure here aborts the trajectory
+// but not the project (the generation target shrinks with it).
+func (c *MSMController) lost(ctx Context, trajID string, cmd wire.CommandSpec, reason string) error {
+	c.trajs[trajID].Alive = false
+	delete(c.st.CmdStreamed, cmd.ID)
+	delete(c.st.CmdBase, cmd.ID)
 	ctx.Logf("msm: command %s failed terminally (%s); trajectory %s abandoned", cmd.ID, reason, trajID)
-	c.p.SegmentsPerGen-- // one fewer segment can ever arrive this generation
-	if (c.segDone >= c.p.SegmentsPerGen || c.converged) && len(c.inFlight) == 0 {
-		return c.generation(ctx)
-	}
+	c.st.SegTarget-- // one fewer segment can ever arrive this generation
 	return nil
 }
 
-// generationStream is the incremental generation step: the live mini-batch
-// model already folded in every frame as it arrived, so the round-end
-// analysis works on the accumulated counts and centers directly — no
-// reclustering, no rediscretisation — and its cost is O(K²) in the state
-// budget, flat in campaign age, instead of the batch path's O(all frames).
-func (c *MSMController) generationStream(ctx Context) error {
-	analysisStart := time.Now()
-	counts := c.stream.Counts()
-	centers := c.stream.Centers()
-	tm := counts.TransitionMatrix(0)
-	tm.Lag = c.p.LagNs
-	lcs := tm.LargestConnectedSet()
-	rt, mapping := tm.Restrict(lcs)
-	rt.Lag = c.p.LagNs
-
-	topLocal, topPi := rt.EquilibriumTopState()
-	topState := mapping[topLocal]
-	topRMSD := math.Inf(1)
-	if topState < len(centers) {
-		topRMSD = c.model.RMSD(centers[topState])
-	}
-	pi := rt.StationaryDistribution(1e-12, 10000)
-	foldedPi := 0.0
-	for local, orig := range mapping {
-		if orig < len(centers) && c.model.RMSD(centers[orig]) <= c.p.Landscape.FoldedRMSD {
-			foldedPi += pi[local]
-		}
-	}
-	uncertainty := msm.StateUncertainty(counts)
-	total := c.p.NStarts * c.p.TasksPerStart
-	spawn, err := msm.SpawnCounts(c.p.Weighting, lcs, uncertainty, total, c.p.Seed^uint64(c.gen+1)*0x9E37)
-	if err != nil {
-		return fmt.Errorf("msm controller: spawning: %w", err)
-	}
-	gs := GenerationStats{
-		Generation:      c.gen,
-		SegmentsDone:    c.segDone,
-		FramesTotal:     c.stream.Frames(),
-		SimulatedNs:     c.totalNs(),
-		MinRMSD:         c.minRMSD,
-		States:          len(lcs),
-		TopStateRMSD:    topRMSD,
-		TopStatePi:      topPi,
-		FoldedPiFrac:    foldedPi,
-		SpawnedStates:   len(spawn),
-		AnalysisSeconds: time.Since(analysisStart).Seconds(),
-		Streamed:        true,
-	}
-	c.stats = append(c.stats, gs)
-	c.observeGeneration(ctx, gs)
-
-	// Terminate the old cohort (releasing its bounded assignment rings) and
-	// spawn the next one from the live centers.
-	for _, tr := range c.trajs {
-		tr.alive = false
-		c.stream.DropTrajectory(tr.id)
-	}
-	c.gen++
-	c.segDone = 0
-	c.p.SegmentsPerGen = c.segTarget
-	c.converged = false
-	c.convOK = 0
-	c.lastPops = nil
-	states := make([]int, 0, len(spawn))
-	for s := range spawn {
-		states = append(states, s)
-	}
-	sort.Ints(states)
-	for _, s := range states {
-		if s >= len(centers) {
-			continue // unvisited budget state: nothing to restart from
-		}
-		start := centers[s]
-		for k := 0; k < spawn[s]; k++ {
-			if err := c.spawnTrajectory(ctx, start); err != nil {
-				return err
-			}
-		}
-	}
-	ctx.SetStatus(c.gen, fmt.Sprintf("generation %d (streamed): spawned %d trajectories from %d states (min RMSD %.2f Å)",
-		c.gen, total, len(spawn), c.minRMSD))
-	return nil
-}
-
-// clusterAndRespawn is the §3.2 generation step: cluster everything sampled
-// so far, build the transition matrix, record statistics, and either spawn
+// round implements plugin: the §3.2 generation step. Build the transition
+// matrix over everything sampled so far, record statistics, and either spawn
 // the next generation or finish the project.
-func (c *MSMController) clusterAndRespawn(ctx Context) error {
+//
+// In streaming mode the live mini-batch model already folded in every frame
+// as it arrived, so the step works on the accumulated counts and centers
+// directly — no reclustering, no rediscretisation — and its cost is O(K²) in
+// the state budget, flat in campaign age, instead of the batch path's O(all
+// frames). The final generation always clusters, even in streaming mode:
+// finish() builds the publication figures from a full clustering of the
+// retained trajectories, so the end-of-project analysis is identical in both
+// modes.
+func (c *MSMController) round(ctx Context) error {
+	st, p := &c.st, &c.st.P
+	if st.SegDone < st.SegTarget && !st.Converged {
+		return nil // the cohort died short of its target: nothing more can arrive
+	}
 	analysisStart := time.Now()
-	clu, dtrajs, err := c.cluster()
-	if err != nil {
-		return fmt.Errorf("msm controller: clustering: %w", err)
+	lastGen := st.Gen == p.Generations-1
+	streamed := c.stream != nil && !lastGen
+	var (
+		counts  *msm.Counts
+		centers [][]float64
+		frames  int
+		clu     *msm.Clustering
+		dtrajs  [][]int
+		err     error
+	)
+	if streamed {
+		counts, centers, frames = c.stream.Counts(), c.stream.Centers(), c.stream.Frames()
+	} else {
+		if clu, dtrajs, err = c.cluster(); err != nil {
+			return fmt.Errorf("msm controller: clustering: %w", err)
+		}
+		if counts, err = msm.CountTransitions(dtrajs, clu.K(), c.lagFrames()); err != nil {
+			return fmt.Errorf("msm controller: counting: %w", err)
+		}
+		centers, frames = clu.Centers, c.points.Len()
 	}
-	lagFrames := int(c.p.LagNs/c.p.FrameNs + 0.5)
-	if lagFrames < 1 {
-		lagFrames = 1
-	}
-	counts, err := msm.CountTransitions(dtrajs, clu.K(), lagFrames)
-	if err != nil {
-		return fmt.Errorf("msm controller: counting: %w", err)
+	// A streamed state budget may hold states no frame has visited yet: they
+	// have no center, are never folded, and nothing restarts from them.
+	rmsd := func(state int) float64 {
+		if state >= len(centers) {
+			return math.Inf(1)
+		}
+		return c.model.RMSD(centers[state])
 	}
 	// Row-normalised MLE (not symmetrised): each row is estimated
 	// conditional on the state, so the stationary distribution approximates
@@ -699,78 +654,83 @@ func (c *MSMController) clusterAndRespawn(ctx Context) error {
 	// trajectory starts non-Boltzmann. Symmetrising would make the
 	// stationary vector mirror the sampling distribution instead.
 	tm := counts.TransitionMatrix(0)
-	tm.Lag = c.p.LagNs
+	tm.Lag = p.LagNs
 	lcs := tm.LargestConnectedSet()
 	rt, mapping := tm.Restrict(lcs)
-	rt.Lag = c.p.LagNs
+	rt.Lag = p.LagNs
 
 	// Stationary analysis on the ergodic subset.
 	topLocal, topPi := rt.EquilibriumTopState()
-	topState := mapping[topLocal]
-	topRMSD := c.model.RMSD(clu.Centers[topState])
 	pi := rt.StationaryDistribution(1e-12, 10000)
 	foldedPi := 0.0
 	for local, orig := range mapping {
-		if c.model.RMSD(clu.Centers[orig]) <= c.p.Landscape.FoldedRMSD {
+		if rmsd(orig) <= p.Landscape.FoldedRMSD {
 			foldedPi += pi[local]
 		}
 	}
-
 	gs := GenerationStats{
-		Generation:      c.gen,
-		SegmentsDone:    c.segDone,
-		FramesTotal:     c.points.Len(),
+		Generation:      st.Gen,
+		SegmentsDone:    st.SegDone,
+		FramesTotal:     frames,
 		SimulatedNs:     c.totalNs(),
-		MinRMSD:         c.minRMSD,
+		MinRMSD:         st.MinRMSD,
 		States:          len(lcs),
-		TopStateRMSD:    topRMSD,
+		TopStateRMSD:    rmsd(mapping[topLocal]),
 		TopStatePi:      topPi,
 		FoldedPiFrac:    foldedPi,
 		AnalysisSeconds: time.Since(analysisStart).Seconds(),
+		Streamed:        streamed,
 	}
-
-	lastGen := c.gen == c.p.Generations-1
+	// Adaptive (or even) respawn counts for the next generation, if any.
+	total := p.NStarts * p.TasksPerStart
+	var spawn map[int]int
+	if !lastGen {
+		spawn, err = msm.SpawnCounts(p.Weighting, lcs, msm.StateUncertainty(counts), total, p.Seed^uint64(st.Gen+1)*0x9E37)
+		if err != nil {
+			return fmt.Errorf("msm controller: spawning: %w", err)
+		}
+	}
+	gs.SpawnedStates = len(spawn)
+	st.Stats = append(st.Stats, gs)
+	c.observeGeneration(ctx, gs)
 	if lastGen {
-		c.stats = append(c.stats, gs)
-		c.observeGeneration(ctx, gs)
-		ctx.SetStatus(c.gen, "final analysis")
+		ctx.SetStatus(st.Gen, "final analysis")
 		return c.finish(ctx, clu, dtrajs, rt, mapping)
 	}
 
-	// Adaptive (or even) respawn for the next generation.
-	uncertainty := msm.StateUncertainty(counts)
-	total := c.p.NStarts * c.p.TasksPerStart
-	spawn, err := msm.SpawnCounts(c.p.Weighting, lcs, uncertainty, total, c.p.Seed^uint64(c.gen+1)*0x9E37)
-	if err != nil {
-		return fmt.Errorf("msm controller: spawning: %w", err)
-	}
-	gs.SpawnedStates = len(spawn)
-	c.stats = append(c.stats, gs)
-	c.observeGeneration(ctx, gs)
-
 	// Terminate old trajectories ("simulations in well-explored regions
-	// terminated") and start the new cohort from cluster representatives.
-	for _, tr := range c.trajs {
-		tr.alive = false
+	// terminated"), releasing their bounded assignment rings in the stream,
+	// and start the new cohort from cluster representatives.
+	for _, tr := range st.Trajs {
+		tr.Alive = false
+		if c.stream != nil {
+			c.stream.DropTrajectory(tr.ID)
+		}
 	}
-	c.gen++
-	c.segDone = 0
-	c.p.SegmentsPerGen = c.segTarget
+	st.Gen++
+	st.SegDone = 0
+	st.SegTarget = p.SegmentsPerGen
+	st.Converged, st.ConvOK, st.LastPops = false, 0, nil
 	states := make([]int, 0, len(spawn))
 	for s := range spawn {
-		states = append(states, s)
+		if s < len(centers) {
+			states = append(states, s)
+		}
 	}
 	sort.Ints(states)
 	for _, s := range states {
-		start := clu.Centers[s]
 		for k := 0; k < spawn[s]; k++ {
-			if err := c.spawnTrajectory(ctx, start); err != nil {
+			if err := c.spawnTrajectory(ctx, centers[s]); err != nil {
 				return err
 			}
 		}
 	}
-	ctx.SetStatus(c.gen, fmt.Sprintf("generation %d: spawned %d trajectories from %d states (min RMSD %.2f Å)",
-		c.gen, total, len(spawn), c.minRMSD))
+	note := ""
+	if streamed {
+		note = " (streamed)"
+	}
+	ctx.SetStatus(st.Gen, fmt.Sprintf("generation %d%s: spawned %d trajectories from %d states (min RMSD %.2f Å)",
+		st.Gen, note, total, len(spawn), st.MinRMSD))
 	return nil
 }
 
@@ -815,19 +775,20 @@ func (c *MSMController) observeGeneration(ctx Context, gs GenerationStats) {
 // k-centers already holds into one state sequence per trajectory. The
 // sequences alias c.points' work buffer and are good until the next call.
 func (c *MSMController) cluster() (*msm.Clustering, [][]int, error) {
-	for ; c.gathered < len(c.order); c.gathered++ {
-		if err := c.points.Append(c.trajs[c.order[c.gathered]].frames...); err != nil {
+	trajs := c.st.Trajs
+	for ; c.gathered < len(trajs); c.gathered++ {
+		if err := c.points.Append(trajs[c.gathered].Frames...); err != nil {
 			return nil, nil, err
 		}
 	}
-	clu, err := c.points.KCenters(c.p.Clusters, c.p.Seed+uint64(c.gen))
+	clu, err := c.points.KCenters(c.st.P.Clusters, c.st.P.Seed+uint64(c.st.Gen))
 	if err != nil {
 		return nil, nil, err
 	}
-	dtrajs := make([][]int, len(c.order))
+	dtrajs := make([][]int, len(trajs))
 	rest := clu.Assignments
-	for i, id := range c.order {
-		n := len(c.trajs[id].frames)
+	for i, tr := range trajs {
+		n := len(tr.Frames)
 		dtrajs[i], rest = rest[:n:n], rest[n:]
 	}
 	return clu, dtrajs, nil
@@ -836,9 +797,9 @@ func (c *MSMController) cluster() (*msm.Clustering, [][]int, error) {
 // totalNs sums simulated trajectory time.
 func (c *MSMController) totalNs() float64 {
 	t := 0.0
-	for _, id := range c.order { // not the map: float addition is order-dependent
-		if tr := c.trajs[id]; len(tr.times) > 0 {
-			t += tr.times[len(tr.times)-1]
+	for _, tr := range c.st.Trajs { // creation order: float addition is order-dependent
+		if len(tr.Times) > 0 {
+			t += tr.Times[len(tr.Times)-1]
 		}
 	}
 	return t
@@ -847,19 +808,19 @@ func (c *MSMController) totalNs() float64 {
 // finish performs the final analysis (Figs 4 and 5) and completes the
 // project.
 func (c *MSMController) finish(ctx Context, clu *msm.Clustering, dtrajs [][]int, rt *msm.TransitionMatrix, mapping []int) error {
+	st, p := &c.st, &c.st.P
 	res := MSMResult{
-		Params:             c.p,
-		Generations:        c.stats,
-		FinalTopStateRMSD:  c.stats[len(c.stats)-1].TopStateRMSD,
-		FirstFoldedGen:     c.firstFoldedGen,
-		FirstNearNativeGen: c.firstNearNativeGen,
+		Params:             *p,
+		Generations:        st.Stats,
+		FinalTopStateRMSD:  st.Stats[len(st.Stats)-1].TopStateRMSD,
+		FirstFoldedGen:     st.FirstFoldedGen,
+		FirstNearNativeGen: st.FirstNearNativeGen,
 	}
 
 	// Fig 2 per-trajectory traces.
-	for _, id := range c.order {
-		tr := c.trajs[id]
-		rec := TrajRecord{ID: tr.id, BornGen: tr.bornGen}
-		for _, m := range tr.genMin {
+	for _, tr := range st.Trajs {
+		rec := TrajRecord{ID: tr.ID, BornGen: tr.BornGen}
+		for _, m := range tr.GenMin {
 			if !math.IsInf(m, 1) {
 				rec.GenMinRMSD = append(rec.GenMinRMSD, m)
 			}
@@ -874,9 +835,8 @@ func (c *MSMController) finish(ctx Context, clu *msm.Clustering, dtrajs [][]int,
 	}
 	p0 := make([]float64, rt.N())
 	nStart := 0
-	for s := 0; s < c.p.NStarts; s++ {
-		st := clu.Assign(c.model.UnfoldedStart(s, c.p.Seed))
-		if li, ok := local[st]; ok {
+	for s := 0; s < p.NStarts; s++ {
+		if li, ok := local[clu.Assign(c.model.UnfoldedStart(s, p.Seed))]; ok {
 			p0[li]++
 			nStart++
 		}
@@ -887,11 +847,11 @@ func (c *MSMController) finish(ctx Context, clu *msm.Clustering, dtrajs [][]int,
 		}
 		var folded []int
 		for li, orig := range mapping {
-			if c.model.RMSD(clu.Centers[orig]) <= c.p.Landscape.FoldedRMSD {
+			if c.model.RMSD(clu.Centers[orig]) <= p.Landscape.FoldedRMSD {
 				folded = append(folded, li)
 			}
 		}
-		steps := int(c.p.PropagateNs/c.p.LagNs + 0.5)
+		steps := int(p.PropagateNs/p.LagNs + 0.5)
 		res.PopTimesNs, res.PopFolded = rt.PopulationCurve(p0, folded, steps)
 		res.THalfNs, res.THalfOK = stats.HalfLifeTime(res.PopTimesNs, res.PopFolded)
 	}
@@ -899,24 +859,22 @@ func (c *MSMController) finish(ctx Context, clu *msm.Clustering, dtrajs [][]int,
 	// Fig 5: ensemble mean ± std RMSD on the frame grid, over generation-0
 	// trajectories (the ensemble launched from the unfolded states).
 	maxFrames := 0
-	for _, id := range c.order {
-		tr := c.trajs[id]
-		if tr.bornGen == 0 && len(tr.rmsd) > maxFrames {
-			maxFrames = len(tr.rmsd)
+	for _, tr := range st.Trajs {
+		if tr.BornGen == 0 && len(tr.RMSD) > maxFrames {
+			maxFrames = len(tr.RMSD)
 		}
 	}
 	for f := 0; f < maxFrames; f++ {
 		var acc stats.Running
-		for _, id := range c.order {
-			tr := c.trajs[id]
-			if tr.bornGen == 0 && f < len(tr.rmsd) {
-				acc.Add(tr.rmsd[f])
+		for _, tr := range st.Trajs {
+			if tr.BornGen == 0 && f < len(tr.RMSD) {
+				acc.Add(tr.RMSD[f])
 			}
 		}
 		if acc.N() < 2 {
 			break
 		}
-		res.RMSDTimesNs = append(res.RMSDTimesNs, float64(f)*c.p.FrameNs)
+		res.RMSDTimesNs = append(res.RMSDTimesNs, float64(f)*p.FrameNs)
 		res.RMSDMean = append(res.RMSDMean, acc.Mean())
 		res.RMSDStd = append(res.RMSDStd, acc.StdDev())
 	}
@@ -942,7 +900,7 @@ func (c *MSMController) markovianity(clu *msm.Clustering, dtrajs [][]int, res *M
 			maxLen = len(dt)
 		}
 	}
-	workLag := int(c.p.LagNs/c.p.FrameNs + 0.5)
+	workLag := c.lagFrames()
 	var lags []int
 	for _, mult := range []float64{0.25, 0.5, 1, 2} {
 		lf := int(float64(workLag)*mult + 0.5)
@@ -951,10 +909,10 @@ func (c *MSMController) markovianity(clu *msm.Clustering, dtrajs [][]int, res *M
 		}
 	}
 	if len(lags) > 0 {
-		ts, err := msm.ImpliedTimescales(dtrajs, clu.K(), lags, c.p.FrameNs)
+		ts, err := msm.ImpliedTimescales(dtrajs, clu.K(), lags, c.st.P.FrameNs)
 		if err == nil {
 			for i, lf := range lags {
-				res.ProbeLagsNs = append(res.ProbeLagsNs, float64(lf)*c.p.FrameNs)
+				res.ProbeLagsNs = append(res.ProbeLagsNs, float64(lf)*c.st.P.FrameNs)
 				res.ImpliedTimescales = append(res.ImpliedTimescales, ts[i])
 			}
 		}
@@ -964,13 +922,13 @@ func (c *MSMController) markovianity(clu *msm.Clustering, dtrajs [][]int, res *M
 	if workLag >= 1 && workLag*2*2 < maxLen {
 		var folded []int
 		for i, ctr := range clu.Centers {
-			if c.model.RMSD(ctr) <= c.p.Landscape.FoldedRMSD {
+			if c.model.RMSD(ctr) <= c.st.P.Landscape.FoldedRMSD {
 				folded = append(folded, i)
 			}
 		}
 		p0 := make([]float64, clu.K())
-		for s := 0; s < c.p.NStarts; s++ {
-			p0[clu.Assign(c.model.UnfoldedStart(s, c.p.Seed))] += 1 / float64(c.p.NStarts)
+		for s := 0; s < c.st.P.NStarts; s++ {
+			p0[clu.Assign(c.model.UnfoldedStart(s, c.st.P.Seed))] += 1 / float64(c.st.P.NStarts)
 		}
 		if ck, err := msm.ChapmanKolmogorovError(dtrajs, clu.K(), workLag, 2, p0, folded); err == nil {
 			res.CKError = ck

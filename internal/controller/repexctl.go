@@ -8,7 +8,6 @@ import (
 	"copernicus/internal/md"
 	"copernicus/internal/obs"
 	"copernicus/internal/repex"
-	"copernicus/internal/rng"
 	"copernicus/internal/wire"
 )
 
@@ -138,27 +137,26 @@ type RepexDetail struct {
 	Waiting    int // async: rungs parked at a boundary awaiting a partner
 }
 
-// repexRung is one ladder slot's live state.
-type repexRung struct {
-	state     []byte  // boundary md checkpoint ("" before the first segment)
-	potential float64 // potential at the last boundary
-	segs      int     // completed segments
-	waiting   bool    // async: at boundary, awaiting a partner
-	retired   bool    // all epochs done
+// repexState is the REMD controller's resumable state, saved as it is. The
+// exchange ladder — temperatures, acceptance statistics, walker positions,
+// boundary states — must survive failover bitwise so a promoted standby
+// continues the exact exchange stream the primary would have produced.
+type repexState struct {
+	P       RepexParams
+	Temps   []float64
+	Rungs   []repex.Rung
+	Stats   repex.Stats
+	Epoch   int // sync: completed exchange rounds
+	GangSeq int // gang IDs issued (failure restarts bump it)
+	SegsRun int
 }
 
-// RepexController implements the replica-exchange plugin.
+// RepexController implements the replica-exchange plugin: a campaign whose
+// slots are ladder rungs. The exchange patterns themselves are internal/repex
+// schedules; this is their transport.
 type RepexController struct {
-	p        RepexParams
-	rand     *rng.Source
-	temps    []float64
-	rungs    []*repexRung
-	stats    *repex.Stats
-	inFlight map[string]int // command ID → rung
-	epoch    int            // sync: completed exchange rounds
-	gangSeq  int            // gang IDs issued (failure restarts bump it)
-	nextCmd  int
-	segsRun  int
+	campaign[int]
+	st repexState
 
 	// Barrier-wait bookkeeping (sync mode, metrics only — not persisted).
 	epochFirstArrival time.Time
@@ -166,128 +164,99 @@ type RepexController struct {
 
 // NewRepexController returns an uninitialised REMD controller.
 func NewRepexController() *RepexController {
-	return &RepexController{inFlight: make(map[string]int)}
+	c := &RepexController{}
+	c.campaign = newCampaign[int](RepexControllerName, c, &c.st)
+	return c
 }
-
-// Name implements Controller.
-func (c *RepexController) Name() string { return RepexControllerName }
 
 // Start implements Controller.
 func (c *RepexController) Start(ctx Context, params []byte) error {
-	if err := wire.Unmarshal(params, &c.p); err != nil {
+	p := &c.st.P
+	if err := wire.Unmarshal(params, p); err != nil {
 		return fmt.Errorf("repex controller: params: %w", err)
 	}
-	if err := c.p.validate(); err != nil {
+	if err := p.validate(); err != nil {
 		return err
 	}
-	temps, err := repex.Ladder(c.p.TMin, c.p.TMax, c.p.Replicas)
+	temps, err := repex.Ladder(p.TMin, p.TMax, p.Replicas)
 	if err != nil {
 		return err
 	}
-	c.temps = temps
-	c.rand = rng.New(c.p.Seed ^ ctx.Seed())
-	c.stats = repex.NewStats(c.p.Replicas)
-	c.rungs = make([]*repexRung, c.p.Replicas)
-	for r := range c.rungs {
-		c.rungs[r] = &repexRung{}
-	}
+	c.st.Temps = temps
+	c.seed(p.Seed ^ ctx.Seed())
+	c.st.Stats = *repex.NewStats(p.Replicas)
+	c.st.Rungs = make([]repex.Rung, p.Replicas)
 	ctx.SetStatus(0, fmt.Sprintf("%s REMD: %d rungs over [%g, %g] K",
-		c.p.Mode, c.p.Replicas, c.p.TMin, c.p.TMax))
-	if c.p.Mode == "sync" {
+		p.Mode, p.Replicas, p.TMin, p.TMax))
+	if p.Mode == "sync" {
 		return c.submitEpochGang(ctx)
 	}
-	for r := range c.rungs {
-		if err := c.submitSegment(ctx, r, ""); err != nil {
+	for r := range c.st.Rungs {
+		if err := c.submitSegment(ctx, r, "", 0); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// segmentSpec builds the command for rung r's next segment.
-func (c *RepexController) segmentSpec(r int, gangID string, gangSize int) (wire.CommandSpec, error) {
-	rung := c.rungs[r]
-	cfg := c.p.Config
-	cfg.Temperature = c.temps[r]
+// submitSegment dispatches rung r's next segment: solo (async mode), or as
+// one of gangSize members of gang gangID.
+func (c *RepexController) submitSegment(ctx Context, r int, gangID string, gangSize int) error {
+	p := &c.st.P
+	cfg := p.Config
+	cfg.Temperature = c.st.Temps[r]
 	// Fresh starts draw velocities from the rung's own seed; resumed
 	// segments carry their RNG inside the checkpoint.
-	cfg.Seed = c.p.Seed + uint64(r) + 1
+	cfg.Seed = p.Seed + uint64(r) + 1
 	// Sync epochs are ladder-aligned, so the boundary comes from the epoch
 	// counter: after a failed-epoch restart a rung that already reported
 	// re-targets the SAME boundary (and idempotently re-emits its state)
 	// instead of running a segment ahead of its siblings. Async rungs are
 	// independent, so each advances from its own segment count.
-	seg := c.epoch
-	if c.p.Mode == "async" {
-		seg = rung.segs
+	seg := c.st.Epoch
+	if p.Mode == "async" {
+		seg = c.st.Rungs[r].Segs
 	}
-	payload, err := wire.Marshal(&engines.RepexMDPayload{
-		SystemKind:      c.p.SystemKind,
-		SystemN:         c.p.SystemN,
-		Density:         c.p.Density,
-		BuildSeed:       c.p.BuildSeed,
-		Config:          cfg,
-		TargetStep:      int64(seg+1) * int64(c.p.SegmentSteps),
-		CheckpointEvery: c.p.CheckpointEvery,
-		StartState:      rung.state,
-	})
-	if err != nil {
-		return wire.CommandSpec{}, err
-	}
-	id := fmt.Sprintf("rx-c%05d-r%02d", c.nextCmd, r)
-	c.nextCmd++
-	return wire.CommandSpec{
-		ID:       id,
+	cmd := wire.CommandSpec{
+		ID:       fmt.Sprintf("rx-c%05d-r%02d", c.led.NextCmd, r),
 		Type:     engines.RepexMDName,
-		MinCores: c.p.MinCores,
-		MaxCores: c.p.MaxCores,
-		Payload:  payload,
+		MinCores: p.MinCores,
+		MaxCores: p.MaxCores,
 		GangID:   gangID,
 		GangSize: gangSize,
-	}, nil
+	}
+	return c.submit(ctx, r, cmd, &engines.RepexMDPayload{
+		SystemKind:      p.SystemKind,
+		SystemN:         p.SystemN,
+		Density:         p.Density,
+		BuildSeed:       p.BuildSeed,
+		Config:          cfg,
+		TargetStep:      int64(seg+1) * int64(p.SegmentSteps),
+		CheckpointEvery: p.CheckpointEvery,
+		StartState:      c.st.Rungs[r].State,
+	})
 }
 
 // submitEpochGang dispatches every rung's next segment as one
 // all-or-nothing gang (sync mode). A fresh gang ID per attempt keeps
 // restarted epochs distinct in the queue's gang table.
 func (c *RepexController) submitEpochGang(ctx Context) error {
-	gangID := fmt.Sprintf("%s/e%05d", ctx.ProjectName(), c.gangSeq)
-	c.gangSeq++
+	gangID := fmt.Sprintf("%s/e%05d", ctx.ProjectName(), c.st.GangSeq)
+	c.st.GangSeq++
 	c.epochFirstArrival = time.Time{}
-	for r := range c.rungs {
-		cmd, err := c.segmentSpec(r, gangID, len(c.rungs))
-		if err != nil {
+	for r := range c.st.Rungs {
+		if err := c.submitSegment(ctx, r, gangID, len(c.st.Rungs)); err != nil {
 			return err
 		}
-		if err := ctx.Submit(cmd); err != nil {
-			return err
-		}
-		c.inFlight[cmd.ID] = r
 	}
 	return nil
 }
 
-// submitSegment dispatches one rung's next segment solo (async mode).
-func (c *RepexController) submitSegment(ctx Context, r int, _ string) error {
-	cmd, err := c.segmentSpec(r, "", 0)
-	if err != nil {
-		return err
-	}
-	if err := ctx.Submit(cmd); err != nil {
-		return err
-	}
-	c.inFlight[cmd.ID] = r
-	return nil
-}
-
-// attemptExchange runs one Metropolis attempt between rungs i and i+1,
-// swapping boundary states on acceptance, and records statistics and
-// metrics. The temperatures stay with the rungs; the configurations move.
-func (c *RepexController) attemptExchange(ctx Context, i int) bool {
-	lo, hi := c.rungs[i], c.rungs[i+1]
-	before := c.stats.RoundTrips
-	acc := repex.Accept(c.temps[i], lo.potential, c.temps[i+1], hi.potential, c.rand.Float64())
-	c.stats.Record(i, acc)
+// attemptExchange runs one Metropolis attempt between rungs i and i+1 and
+// publishes it to the metrics.
+func (c *RepexController) attemptExchange(ctx Context, i int) {
+	before := c.st.Stats.RoundTrips
+	acc := repex.Exchange(c.st.Temps, c.st.Rungs, &c.st.Stats, i, c.rand.Float64())
 	pair := obs.L("pair", fmt.Sprintf("%d-%d", i, i+1))
 	m := ctx.Obs().Metrics
 	m.Counter("copernicus_repex_exchange_attempts_total",
@@ -295,150 +264,73 @@ func (c *RepexController) attemptExchange(ctx Context, i int) bool {
 	if acc {
 		m.Counter("copernicus_repex_exchange_accepts_total",
 			"Accepted REMD exchanges, by neighbour pair.", pair).Inc()
-		lo.state, hi.state = hi.state, lo.state
-		lo.potential, hi.potential = hi.potential, lo.potential
 	}
-	if trips := c.stats.RoundTrips - before; trips > 0 {
+	if trips := c.st.Stats.RoundTrips - before; trips > 0 {
 		m.Counter("copernicus_repex_round_trips_total",
 			"Completed bottom-top-bottom walker traversals of the ladder.", obs.L()).Add(trips)
 	}
-	return acc
 }
 
-// CommandFinished implements Controller.
-func (c *RepexController) CommandFinished(ctx Context, res *wire.CommandResult) error {
-	r, ok := c.inFlight[res.CommandID]
-	if !ok {
-		return nil
-	}
-	delete(c.inFlight, res.CommandID)
+// fold implements plugin: record rung r's boundary; in async mode, let the
+// exchange pattern react to it at once.
+func (c *RepexController) fold(ctx Context, r int, res *wire.CommandResult) error {
 	var out engines.RepexMDOutput
 	if err := wire.Unmarshal(res.Output, &out); err != nil {
 		return fmt.Errorf("repex controller: output: %w", err)
 	}
-	rung := c.rungs[r]
-	rung.state = out.State
-	rung.potential = out.Potential
-	rung.segs++
-	c.segsRun++
-	if c.p.Mode == "sync" {
-		return c.finishedSync(ctx)
-	}
-	return c.finishedAsync(ctx, r)
-}
-
-// finishedSync advances the barriered epoch once every rung has reported.
-func (c *RepexController) finishedSync(ctx Context) error {
-	if c.epochFirstArrival.IsZero() {
-		c.epochFirstArrival = time.Now()
-	}
-	if len(c.inFlight) > 0 {
-		return nil
-	}
-	// Barrier complete: how long did the ladder wait on its straggler?
-	ctx.Obs().Metrics.Histogram("copernicus_repex_barrier_wait_seconds",
-		"Sync-mode wait between an epoch's first and last replica finishing.",
-		obs.DefBuckets(), obs.L()).Observe(time.Since(c.epochFirstArrival).Seconds())
-	for _, i := range repex.SweepPairs(len(c.rungs), c.epoch%2 == 1) {
-		c.attemptExchange(ctx, i)
-	}
-	c.epoch++
-	if c.epoch >= c.p.Epochs {
-		return c.finishProject(ctx)
-	}
-	ctx.SetStatus(c.epoch, c.statusNote())
-	return c.submitEpochGang(ctx)
-}
-
-// finishedAsync handles one rung reaching its segment boundary: exchange
-// with a waiting neighbour if there is one, wait if one may yet arrive, or
-// run on alone when both neighbours are done.
-func (c *RepexController) finishedAsync(ctx Context, r int) error {
-	rung := c.rungs[r]
-	if rung.segs >= c.p.Epochs {
-		rung.retired = true
-		// Neighbours parked waiting for this rung may now be unpairable.
-		if err := c.kickStranded(ctx); err != nil {
-			return err
+	rung := &c.st.Rungs[r]
+	rung.State = out.State
+	rung.Potential = out.Potential
+	rung.Segs++
+	c.st.SegsRun++
+	if c.st.P.Mode == "sync" {
+		if c.epochFirstArrival.IsZero() {
+			c.epochFirstArrival = time.Now()
 		}
-		return c.maybeFinishAsync(ctx)
+		return nil // exchanges wait for the barrier (round)
 	}
-	partner := -1
-	for _, n := range []int{r - 1, r + 1} {
-		if n < 0 || n >= len(c.rungs) || !c.rungs[n].waiting {
-			continue
-		}
-		// Prefer the neighbour further behind (then the lower rung): the
-		// ladder drains evenly and the choice is deterministic in state,
-		// not arrival timing.
-		if partner == -1 || c.rungs[n].segs < c.rungs[partner].segs ||
-			(c.rungs[n].segs == c.rungs[partner].segs && n < partner) {
-			partner = n
-		}
-	}
-	if partner >= 0 {
-		lo := r
-		if partner < r {
-			lo = partner
-		}
-		c.attemptExchange(ctx, lo)
-		c.rungs[partner].waiting = false
+	pair, run := repex.Arrive(c.st.Rungs, r, c.st.P.Epochs)
+	if pair >= 0 {
+		c.attemptExchange(ctx, pair)
 		ctx.SetStatus(c.minSegs(), c.statusNote())
-		if err := c.submitSegment(ctx, r, ""); err != nil {
+	}
+	for _, n := range run {
+		if err := c.submitSegment(ctx, n, "", 0); err != nil {
 			return err
-		}
-		return c.submitSegment(ctx, partner, "")
-	}
-	if c.hasLiveNeighbor(r) {
-		rung.waiting = true
-		return nil
-	}
-	// Both neighbours retired: no exchange will ever come; run on alone.
-	return c.submitSegment(ctx, r, "")
-}
-
-// hasLiveNeighbor reports whether some neighbour of r can still reach a
-// boundary (is not retired).
-func (c *RepexController) hasLiveNeighbor(r int) bool {
-	for _, n := range []int{r - 1, r + 1} {
-		if n >= 0 && n < len(c.rungs) && !c.rungs[n].retired {
-			return true
-		}
-	}
-	return false
-}
-
-// kickStranded resubmits waiting rungs whose every neighbour has retired —
-// nobody is coming to exchange with them, so parking longer is pure stall.
-func (c *RepexController) kickStranded(ctx Context) error {
-	for r, rung := range c.rungs {
-		if rung.waiting && !rung.retired && !c.hasLiveNeighbor(r) {
-			rung.waiting = false
-			if err := c.submitSegment(ctx, r, ""); err != nil {
-				return err
-			}
 		}
 	}
 	return nil
 }
 
-// maybeFinishAsync completes the project once every rung has retired.
-func (c *RepexController) maybeFinishAsync(ctx Context) error {
-	for _, rung := range c.rungs {
-		if !rung.retired {
-			return nil
-		}
+// round implements plugin. Sync: every rung has reported, so sweep the
+// neighbour pairs and dispatch the next epoch. Async: the ladder only stops
+// submitting once every rung has retired, so the project is done.
+func (c *RepexController) round(ctx Context) error {
+	if c.st.P.Mode == "async" {
+		return c.finishProject(ctx)
 	}
-	return c.finishProject(ctx)
+	// Barrier complete: how long did the ladder wait on its straggler?
+	ctx.Obs().Metrics.Histogram("copernicus_repex_barrier_wait_seconds",
+		"Sync-mode wait between an epoch's first and last replica finishing.",
+		obs.DefBuckets(), obs.L()).Observe(time.Since(c.epochFirstArrival).Seconds())
+	for _, i := range repex.SweepPairs(len(c.st.Rungs), c.st.Epoch%2 == 1) {
+		c.attemptExchange(ctx, i)
+	}
+	c.st.Epoch++
+	if c.st.Epoch >= c.st.P.Epochs {
+		return c.finishProject(ctx)
+	}
+	ctx.SetStatus(c.st.Epoch, c.statusNote())
+	return c.submitEpochGang(ctx)
 }
 
 // minSegs returns the slowest rung's completed-segment count (the async
 // analogue of the epoch counter).
 func (c *RepexController) minSegs() int {
-	min := c.rungs[0].segs
-	for _, rung := range c.rungs[1:] {
-		if rung.segs < min {
-			min = rung.segs
+	min := c.st.Rungs[0].Segs
+	for _, rung := range c.st.Rungs[1:] {
+		if rung.Segs < min {
+			min = rung.Segs
 		}
 	}
 	return min
@@ -446,84 +338,79 @@ func (c *RepexController) minSegs() int {
 
 func (c *RepexController) statusNote() string {
 	var att, acc uint64
-	for i := range c.stats.Attempts {
-		att += c.stats.Attempts[i]
-		acc += c.stats.Accepts[i]
+	for i := range c.st.Stats.Attempts {
+		att += c.st.Stats.Attempts[i]
+		acc += c.st.Stats.Accepts[i]
 	}
 	rate := 0.0
 	if att > 0 {
 		rate = float64(acc) / float64(att)
 	}
 	return fmt.Sprintf("%s REMD: %d segments, %d/%d exchanges accepted (%.0f%%), %d round trips",
-		c.p.Mode, c.segsRun, acc, att, 100*rate, c.stats.RoundTrips)
+		c.st.P.Mode, c.st.SegsRun, acc, att, 100*rate, c.st.Stats.RoundTrips)
 }
 
 func (c *RepexController) finishProject(ctx Context) error {
-	finals := make([]float64, len(c.rungs))
-	for r, rung := range c.rungs {
-		finals[r] = rung.potential
+	finals := make([]float64, len(c.st.Rungs))
+	for r, rung := range c.st.Rungs {
+		finals[r] = rung.Potential
 	}
 	blob, err := wire.Marshal(&RepexResult{
-		Params:          c.p,
-		Temps:           c.temps,
-		Attempts:        c.stats.Attempts,
-		Accepts:         c.stats.Accepts,
-		RoundTrips:      c.stats.RoundTrips,
-		SegmentsRun:     c.segsRun,
+		Params:          c.st.P,
+		Temps:           c.st.Temps,
+		Attempts:        c.st.Stats.Attempts,
+		Accepts:         c.st.Stats.Accepts,
+		RoundTrips:      c.st.Stats.RoundTrips,
+		SegmentsRun:     c.st.SegsRun,
 		FinalPotentials: finals,
 	})
 	if err != nil {
 		return err
 	}
-	ctx.SetStatus(c.p.Epochs, c.statusNote())
+	ctx.SetStatus(c.st.P.Epochs, c.statusNote())
 	ctx.Finish(blob)
 	return nil
 }
 
-// CommandFailed implements Controller. Async mode resubmits the lost
-// rung's segment. Sync mode restarts the whole epoch under a fresh gang
-// ID: the gang contract says siblings never outlive a member, so the
-// controller terminates the stragglers and re-dispatches the barrier.
-// Either way the boundary states are intact — segments are idempotent
-// (absolute TargetStep), so a member that already reported simply re-runs
-// to the same boundary.
-func (c *RepexController) CommandFailed(ctx Context, cmd wire.CommandSpec, reason string) error {
-	r, ok := c.inFlight[cmd.ID]
-	if !ok {
-		return nil
-	}
-	delete(c.inFlight, cmd.ID)
+// lost implements plugin. Async mode resubmits the lost rung's segment.
+// Sync mode restarts the whole epoch under a fresh gang ID: the gang
+// contract says siblings never outlive a member, so the controller
+// terminates the stragglers and re-dispatches the barrier. Either way the
+// boundary states are intact — segments are idempotent (absolute
+// TargetStep), so a member that already reported simply re-runs to the same
+// boundary.
+func (c *RepexController) lost(ctx Context, r int, cmd wire.CommandSpec, reason string) error {
 	ctx.Logf("repex: segment %s for rung %d lost (%s)", cmd.ID, r, reason)
-	if c.p.Mode == "async" {
-		return c.submitSegment(ctx, r, "")
+	if c.st.P.Mode == "async" {
+		return c.submitSegment(ctx, r, "", 0)
 	}
-	for id := range c.inFlight {
+	for id := range c.led.InFlight {
 		ctx.Terminate(id)
-		delete(c.inFlight, id)
 	}
+	clear(c.led.InFlight)
 	return c.submitEpochGang(ctx)
 }
 
 // Inspect implements Inspectable.
 func (c *RepexController) Inspect() ([]byte, error) {
 	waiting := 0
-	for _, rung := range c.rungs {
-		if rung.waiting {
+	for _, rung := range c.st.Rungs {
+		if rung.Waiting {
 			waiting++
 		}
 	}
-	epoch := c.epoch
-	if c.p.Mode == "async" && len(c.rungs) > 0 {
+	epoch := c.st.Epoch
+	if c.st.P.Mode == "async" && len(c.st.Rungs) > 0 {
 		epoch = c.minSegs()
 	}
 	return wire.Marshal(&RepexDetail{
-		Mode:       c.p.Mode,
-		Temps:      c.temps,
-		Attempts:   c.stats.Attempts,
-		Accepts:    c.stats.Accepts,
-		RoundTrips: c.stats.RoundTrips,
+		Mode:       c.st.P.Mode,
+		Temps:      c.st.Temps,
+		Attempts:   c.st.Stats.Attempts,
+		Accepts:    c.st.Stats.Accepts,
+		RoundTrips: c.st.Stats.RoundTrips,
 		Epoch:      epoch,
-		Segments:   c.segsRun,
+		Segments:   c.st.SegsRun,
 		Waiting:    waiting,
 	})
 }

@@ -173,18 +173,18 @@ func TestMSMStreamingChunkRedelivery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	trajID := ctrl.inFlight[cmd.ID]
+	trajID := ctrl.led.InFlight[cmd.ID]
 	tr := ctrl.trajs[trajID]
-	framesAfterOnce := len(tr.frames)
+	framesAfterOnce := len(tr.Frames)
 	observed := ctrl.stream.Frames()
 	for _, ch := range chunks { // full re-delivery
 		if err := ctrl.FrameChunk(ctx, ch); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if len(tr.frames) != framesAfterOnce || ctrl.stream.Frames() != observed {
+	if len(tr.Frames) != framesAfterOnce || ctrl.stream.Frames() != observed {
 		t.Fatalf("re-delivery double-counted: %d → %d frames, %d → %d observed",
-			framesAfterOnce, len(tr.frames), observed, ctrl.stream.Frames())
+			framesAfterOnce, len(tr.Frames), observed, ctrl.stream.Frames())
 	}
 	// The final result must add only the tail the stream didn't carry.
 	res := &wire.CommandResult{CommandID: cmd.ID, Project: "test", WorkerID: "w", OK: true, Output: out}
@@ -192,8 +192,8 @@ func TestMSMStreamingChunkRedelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantFrames := int(p.SegmentNs/p.FrameNs) + 1 // frame 0 + one per FrameNs
-	if len(tr.frames) != wantFrames {
-		t.Fatalf("trajectory has %d frames after final result, want %d", len(tr.frames), wantFrames)
+	if len(tr.Frames) != wantFrames {
+		t.Fatalf("trajectory has %d frames after final result, want %d", len(tr.Frames), wantFrames)
 	}
 }
 
@@ -229,17 +229,17 @@ func TestMSMStreamingLossWindow(t *testing.T) {
 		}
 		lastStreamed = ch.FirstFrame + len(ch.Frames)
 	}
-	trajID := ctrl.inFlight[cmd.ID]
+	trajID := ctrl.led.InFlight[cmd.ID]
 	tr := ctrl.trajs[trajID]
 	if err := ctrl.CommandFailed(ctx, cmd, "worker died"); err != nil {
 		t.Fatal(err)
 	}
-	if tr.alive {
+	if tr.Alive {
 		t.Error("failed trajectory still alive")
 	}
-	if len(tr.frames) != lastStreamed {
+	if len(tr.Frames) != lastStreamed {
 		t.Fatalf("retained %d frames after worker death, want %d (all streamed frames)",
-			len(tr.frames), lastStreamed)
+			len(tr.Frames), lastStreamed)
 	}
 	if ctrl.stream.Frames() != lastStreamed+len(ctrl.trajs)-1 {
 		// Each other trajectory contributed its spawn frame; the dead one

@@ -175,11 +175,7 @@ type rxScenario struct {
 	temps []float64
 	stats *repex.Stats
 
-	// Per-rung controller state (mirrors RepexController's rung model).
-	segs    []int
-	waiting []bool
-	retired []bool
-	pot     []float64
+	rungs []repex.Rung // the controller's own rung model; State stays nil
 
 	rem     map[string]float64 // cmdID -> remaining run time
 	owner   map[string]int     // cmdID -> rung
@@ -282,21 +278,18 @@ func (s *rxScenario) submitEpochGang() {
 
 // attemptExchange runs one Metropolis attempt between rungs i and i+1.
 func (s *rxScenario) attemptExchange(i int) {
-	acc := repex.Accept(s.temps[i], s.pot[i], s.temps[i+1], s.pot[i+1], s.rng.Float64())
-	s.stats.Record(i, acc)
 	s.res.ExchangeAttempts++
-	if acc {
+	if repex.Exchange(s.temps, s.rungs, s.stats, i, s.rng.Float64()) {
 		s.res.ExchangeAccepts++
-		s.pot[i], s.pot[i+1] = s.pot[i+1], s.pot[i]
 	}
 }
 
-// boundary handles rung r finishing a segment — the controller logic of
-// RepexController, re-expressed over virtual time.
+// boundary handles rung r finishing a segment: RepexController's reaction,
+// driven by the same repex schedules, over virtual time.
 func (s *rxScenario) boundary(r int) {
-	s.segs[r]++
+	s.rungs[r].Segs++
 	s.res.SegmentsRun++
-	s.pot[r] = s.samplePotential(r)
+	s.rungs[r].Potential = s.samplePotential(r)
 
 	if s.p.Mode == "sync" {
 		s.pendSync--
@@ -315,66 +308,15 @@ func (s *rxScenario) boundary(r int) {
 		return
 	}
 
-	// Async: retire, pair with a waiting neighbour, wait, or run on alone.
-	if s.segs[r] >= s.p.Epochs {
-		s.retired[r] = true
-		s.kickStranded()
-		s.done = s.allRetired()
-		return
+	pair, run := repex.Arrive(s.rungs, r, s.p.Epochs)
+	if pair >= 0 {
+		s.attemptExchange(pair)
 	}
-	partner := -1
-	for _, n := range []int{r - 1, r + 1} {
-		if n < 0 || n >= s.p.Replicas || !s.waiting[n] {
-			continue
-		}
-		if partner == -1 || s.segs[n] < s.segs[partner] ||
-			(s.segs[n] == s.segs[partner] && n < partner) {
-			partner = n
-		}
+	for _, n := range run {
+		s.submitSegment(n, "", 0)
 	}
-	if partner >= 0 {
-		lo := r
-		if partner < r {
-			lo = partner
-		}
-		s.attemptExchange(lo)
-		s.waiting[partner] = false
-		s.submitSegment(r, "", 0)
-		s.submitSegment(partner, "", 0)
-		return
-	}
-	if s.hasLiveNeighbor(r) {
-		s.waiting[r] = true
-		return
-	}
-	s.submitSegment(r, "", 0)
-}
-
-func (s *rxScenario) hasLiveNeighbor(r int) bool {
-	for _, n := range []int{r - 1, r + 1} {
-		if n >= 0 && n < s.p.Replicas && !s.retired[n] {
-			return true
-		}
-	}
-	return false
-}
-
-func (s *rxScenario) kickStranded() {
-	for r := 0; r < s.p.Replicas; r++ {
-		if s.waiting[r] && !s.retired[r] && !s.hasLiveNeighbor(r) {
-			s.waiting[r] = false
-			s.submitSegment(r, "", 0)
-		}
-	}
-}
-
-func (s *rxScenario) allRetired() bool {
-	for _, ret := range s.retired {
-		if !ret {
-			return false
-		}
-	}
-	return true
+	// Every rung runs exactly Epochs segments, then retires.
+	s.done = s.res.SegmentsRun == s.p.Replicas*s.p.Epochs
 }
 
 // matchRound lets every live worker announce its free cores and start what
@@ -481,10 +423,7 @@ func SimulateRepex(p RepexDESParams) (RepexDESResult, error) {
 		rng:     rand.New(rand.NewSource(int64(p.Seed))),
 		temps:   temps,
 		stats:   repex.NewStats(p.Replicas),
-		segs:    make([]int, p.Replicas),
-		waiting: make([]bool, p.Replicas),
-		retired: make([]bool, p.Replicas),
-		pot:     make([]float64, p.Replicas),
+		rungs:   make([]repex.Rung, p.Replicas),
 		rem:     make(map[string]float64),
 		owner:   make(map[string]int),
 		running: make(map[string]*rxRun),
@@ -501,7 +440,7 @@ func SimulateRepex(p RepexDESParams) (RepexDESResult, error) {
 	}
 
 	for r := 0; r < p.Replicas; r++ {
-		s.pot[r] = s.samplePotential(r)
+		s.rungs[r].Potential = s.samplePotential(r)
 	}
 	for wi := 0; wi < p.Workers; wi++ {
 		s.free = append(s.free, p.CoresPerWorker)

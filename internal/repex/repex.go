@@ -13,9 +13,11 @@
 //
 // which preserves detailed balance in the product ensemble. High-T rungs
 // cross barriers; exchanges percolate those crossings down to the rung of
-// interest. The package is pure state + math: the distributed-systems side
-// (gang-scheduled command groups, durability, sync vs async exchange
-// patterns) lives in the repex controller that drives it.
+// interest. The package is pure state + math, including the two exchange
+// patterns as transport-free schedules (SweepPairs for the barriered sweep,
+// Arrive for the barrier-free one): the distributed-systems side
+// (gang-scheduled command groups, durability) lives in the repex controller,
+// and internal/des drives the same schedules over virtual time.
 package repex
 
 import (
@@ -82,8 +84,8 @@ func SweepPairs(n int, odd bool) []int {
 }
 
 // Stats tracks exchange statistics for an n-rung ladder. All fields are
-// exported and gob-encodable so the controller can mirror them into its
-// durable state and clients can decode them from ProjectStatus.Detail.
+// exported and gob-encodable: the controller saves them as they are and
+// clients decode them from ProjectStatus.Detail.
 //
 // Round trips follow walkers — configurations, identified by the rung they
 // started on — as exchanges move them between rungs. A walker completes a
@@ -173,4 +175,81 @@ func (s *Stats) TotalAccepts() uint64 {
 		n += a
 	}
 	return n
+}
+
+// Rung is one ladder slot's state at its last segment boundary. The fields
+// are exported and gob-encodable: the controller saves its rungs as they are.
+type Rung struct {
+	State     []byte  // boundary configuration, opaque here (nil before the first segment)
+	Potential float64 // potential energy at the last boundary
+	Segs      int     // completed segments
+	Waiting   bool    // async: parked at a boundary, awaiting a partner
+	Retired   bool    // async: all its segments done
+}
+
+// Exchange runs one Metropolis attempt between rungs i and i+1 and records
+// it in stats. On acceptance the configurations (State and Potential) swap;
+// the temperatures stay with the rungs. draw must be uniform in [0,1).
+func Exchange(temps []float64, rungs []Rung, stats *Stats, i int, draw float64) bool {
+	lo, hi := &rungs[i], &rungs[i+1]
+	acc := Accept(temps[i], lo.Potential, temps[i+1], hi.Potential, draw)
+	stats.Record(i, acc)
+	if acc {
+		lo.State, hi.State = hi.State, lo.State
+		lo.Potential, hi.Potential = hi.Potential, lo.Potential
+	}
+	return acc
+}
+
+// Arrive is the asynchronous exchange pattern, free of any transport: rung r
+// has just completed a segment (its Segs already counts it) of the segments
+// each rung runs. It updates the Waiting and Retired marks and returns the
+// lower rung of the neighbour pair that must now attempt an exchange (−1 for
+// none) and the rungs whose next segment is to be dispatched after that
+// attempt, in order. A rung that finds a neighbour waiting pairs with it; one
+// that finds none waits while a neighbour can still arrive, and runs on alone
+// when both have retired. A rung with all its segments done retires, which
+// releases any neighbour left waiting for nobody.
+func Arrive(rungs []Rung, r, segments int) (pair int, run []int) {
+	if rungs[r].Segs >= segments {
+		rungs[r].Retired = true
+		for n := range rungs {
+			if rungs[n].Waiting && !liveNeighbor(rungs, n) {
+				rungs[n].Waiting = false
+				run = append(run, n)
+			}
+		}
+		return -1, run
+	}
+	partner := -1
+	for _, n := range []int{r - 1, r + 1} {
+		if n < 0 || n >= len(rungs) || !rungs[n].Waiting {
+			continue
+		}
+		// Prefer the neighbour further behind (on a tie the lower rung, which
+		// is looked at first): the ladder drains evenly and the choice is
+		// deterministic in state, not arrival timing.
+		if partner == -1 || rungs[n].Segs < rungs[partner].Segs {
+			partner = n
+		}
+	}
+	switch {
+	case partner >= 0:
+		rungs[partner].Waiting = false
+		return min(r, partner), []int{r, partner}
+	case liveNeighbor(rungs, r):
+		rungs[r].Waiting = true
+		return -1, nil
+	}
+	return -1, []int{r}
+}
+
+// liveNeighbor reports whether a neighbour of r can still reach a boundary.
+func liveNeighbor(rungs []Rung, r int) bool {
+	for _, n := range []int{r - 1, r + 1} {
+		if n >= 0 && n < len(rungs) && !rungs[n].Retired {
+			return true
+		}
+	}
+	return false
 }

@@ -19,12 +19,12 @@ if [ "${1:-}" = "quick" ]; then
     exit 0
 fi
 
-echo "== go test -race (wire, obs, server, worker, queue, overlay, retry, chaos, store, store/replica, md, des, repex, msm) =="
+echo "== go test -race (wire, obs, server, worker, queue, overlay, retry, chaos, store, store/replica, md, des, repex, msm, controller) =="
 go test -race ./internal/wire/... ./internal/obs/... ./internal/server/... \
     ./internal/worker/... ./internal/queue/... ./internal/overlay/... \
     ./internal/retry/... ./internal/chaos/... ./internal/store/... \
     ./internal/store/replica/... ./internal/md/... ./internal/des/... \
-    ./internal/repex/... ./internal/msm/...
+    ./internal/repex/... ./internal/msm/... ./internal/controller/...
 
 echo "== benchmarks module (vet, test) =="
 # benchmarks/ is a nested module: ./... above does not reach it.

@@ -36,10 +36,15 @@ chaos:
 	$(GO) test -race -run TestChaosSoak -v -timeout 300s ./internal/core/
 
 # Kill-and-restart: the project server hard-killed mid-ensemble and
-# rebuilt from its -state-dir, with and without WAL write faults — see
-# docs/PERSISTENCE.md.
+# rebuilt from its -state-dir, with and without WAL write faults (the
+# faulted run five times over: it was the flake), then the command
+# lifecycle's transition table and the server-level recovery tests 20 times
+# each under the race detector — see docs/PERSISTENCE.md.
 crash:
 	$(GO) test -race -run TestFabricCrashRestart -v -timeout 600s ./internal/core/
+	$(GO) test -race -count=5 -run TestFabricCrashRestartWithWALFaults -timeout 900s ./internal/core/
+	$(GO) test -race -count=20 -timeout 900s \
+		-run 'TestLifecycle|TestRecovery|TestWorkerReportedFailure|TestAckImpliesDurable|TestRecoversParentWrittenStateDir' ./internal/server/
 
 # Heartbeat-lease failover: the project server hard-killed (and fully
 # partitioned) mid-ensemble, its warm standby promoting and finishing the

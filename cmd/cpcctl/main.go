@@ -23,9 +23,6 @@
 // gang-scheduled command group; `repex stats` prints the ladder's live
 // per-pair exchange acceptance rates from the server's status detail.
 //
-// Flag names are kebab-case (`-state-dir` style). `-deltaf` remains as a
-// deprecated alias for `-delta-f`.
-//
 // `state inspect` is offline: it reads a server's -state-dir directly
 // (snapshot + WAL tail as JSON, CRCs verified) without contacting any
 // server, for operator debugging of durable state.
@@ -146,7 +143,6 @@ func submit(cl *client.Client, args []string) {
 	samples := fs.Int("samples", 500, "bar: samples per command")
 	target := fs.Float64("target-stderr", 0.05, "bar: stop at this total error (kT)")
 	deltaf := fs.Float64("delta-f", 3.0, "bar: exact ΔF of the synthetic system (kT)")
-	fs.Float64Var(deltaf, "deltaf", 3.0, "deprecated alias for -delta-f")
 	// Repex flags.
 	replicas := fs.Int("replicas", 8, "repex: temperature-ladder rungs")
 	tMin := fs.Float64("t-min", 100, "repex: ladder bottom temperature (K)")

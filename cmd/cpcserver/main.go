@@ -48,7 +48,6 @@ func main() {
 	peers := flag.String("peer", "", "comma-separated peer server addresses to connect to")
 	seed := flag.Uint64("seed", 0, "deterministic identity seed (0 = random identity)")
 	heartbeat := flag.Duration("heartbeat-interval", 120*time.Second, "worker heartbeat interval")
-	flag.DurationVar(heartbeat, "heartbeat", 120*time.Second, "deprecated alias for -heartbeat-interval")
 	relayTimeout := flag.Duration("relay-timeout", 0, "longest an idle announce is held waiting for work (0 = default 2s)")
 	maxQueued := flag.Int("max-queued", 0, "global queued-command bound across all tenants; submits beyond it are shed (0 = unlimited)")
 	starvationAge := flag.Duration("starvation-age", 0, "queued-command age that jumps fair-share order (0 = default 30s, negative disables)")
@@ -56,8 +55,7 @@ func main() {
 	walSlowAppend := flag.Duration("wal-slow-append", 0, "WAL append-latency EWMA at which backpressure saturates and matching sheds (0 = default 100ms)")
 	chaosCfg := chaos.RegisterFlags(flag.CommandLine)
 	monitor := flag.String("monitor-addr", "", "HTTP monitoring address (e.g. :8080); empty disables")
-	flag.StringVar(monitor, "monitor", "", "deprecated alias for -monitor-addr")
-	metricsAddr := flag.String("metrics-addr", "", "standalone /metrics+/debug address (e.g. :9090); empty disables (the -monitor handler always includes them)")
+	metricsAddr := flag.String("metrics-addr", "", "standalone /metrics+/debug address (e.g. :9090); empty disables (the -monitor-addr handler always includes them)")
 	logLevel := flag.String("log-level", "", "log level: debug, info, warn, error, off (empty = off; -v = debug)")
 	fsToken := flag.String("fs-token", "", "shared-filesystem token (enables by-path result exchange)")
 	stateDir := flag.String("state-dir", "", "durable state directory (WAL + snapshots); empty keeps all project state in memory")

@@ -11,7 +11,7 @@
 //
 // -server takes a comma-separated list: the worker homes on the first
 // address that answers and re-homes round-robin through the rest when its
-// home stops responding. -result-spool survives full partitions by spooling
+// home stops responding. -result-spool-dir survives full partitions by spooling
 // finished results to disk for later redelivery, and the -retry-* / -chaos-*
 // flags expose the retry policy and fault-injection harness used by the
 // chaos soak tests (see docs/ROBUSTNESS.md).
@@ -47,9 +47,7 @@ func main() {
 	poll := flag.Duration("poll", 2*time.Second, "back-off after an empty or failed announce")
 	fsToken := flag.String("fs-token", "", "shared-filesystem token")
 	spool := flag.String("spool-dir", "", "shared-filesystem spool directory")
-	flag.StringVar(spool, "spool", "", "deprecated alias for -spool-dir")
 	resultSpool := flag.String("result-spool-dir", "", "directory to spool undeliverable results for redelivery; empty disables")
-	flag.StringVar(resultSpool, "result-spool", "", "deprecated alias for -result-spool-dir")
 	ckptDir := flag.String("checkpoint-dir", "", "directory for local engine-checkpoint durability; a restarted worker resumes re-dispatched commands from here (empty disables)")
 	retryAttempts := flag.Int("retry-attempts", 0, "max attempts per overlay request (0 = default)")
 	retryBase := flag.Duration("retry-base-delay", 0, "initial retry backoff (0 = default)")

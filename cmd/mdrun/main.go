@@ -34,7 +34,6 @@ func main() {
 	ranks := flag.Int("ranks", 0, "message-passing ranks; >0 selects the MPI-style driver")
 	seed := flag.Uint64("seed", 1, "RNG seed")
 	logEvery := flag.Int("log-every", 500, "energy log interval, steps")
-	flag.IntVar(logEvery, "log", 500, "deprecated alias for -log-every")
 	metricsAddr := flag.String("metrics-addr", "", "serve copernicus_md_* kernel metrics on this address (e.g. :9092); empty disables")
 	flag.Parse()
 

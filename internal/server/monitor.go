@@ -14,12 +14,7 @@ import (
 // Projects returns status snapshots for every project on this server,
 // sorted by name — the data behind both cpcctl and the web monitor.
 func (s *Server) Projects() []wire.ProjectStatus {
-	s.mu.Lock()
-	ps := make([]*project, 0, len(s.projects))
-	for _, p := range s.projects {
-		ps = append(ps, p)
-	}
-	s.mu.Unlock()
+	ps := s.projectList()
 	out := make([]wire.ProjectStatus, 0, len(ps))
 	for _, p := range ps {
 		out = append(out, s.status(p))

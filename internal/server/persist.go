@@ -1,6 +1,8 @@
 // Durable project state: journaling of lifecycle transitions into the
 // configured store, snapshot capture at WAL rotation, and the startup
-// recovery path that replays snapshot + tail into a fresh server.
+// recovery path that replays snapshot + tail into a fresh server. The
+// transitions themselves — what each record means, live and replayed — are in
+// lifecycle.go.
 //
 // Recovery is event-sourced: the WAL journals the server's *inputs*
 // (project parameters, results in arrival order) and replay re-runs the
@@ -15,6 +17,7 @@ import (
 	"time"
 
 	"copernicus/internal/controller"
+	"copernicus/internal/obs"
 	"copernicus/internal/store"
 	"copernicus/internal/wire"
 )
@@ -80,19 +83,6 @@ func (s *Server) commit() {
 	_ = s.cfg.Store.Commit(s.cfg.Store.LastSeq())
 }
 
-// withProject runs f under the project lock if the project exists.
-func (s *Server) withProject(name string, f func(*project)) {
-	s.mu.Lock()
-	p := s.projects[name]
-	s.mu.Unlock()
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	f(p)
-}
-
 // --- recovery ---
 
 // recoverFromStore replays the store's recovered image (newest snapshot +
@@ -107,8 +97,32 @@ func (s *Server) recoverFromStore() {
 		return
 	}
 	start := time.Now()
+	restored := s.replay(rec)
+	orphans, queued := s.reseedQueue()
+	if rec.Torn != "" {
+		s.log.Warn("write-ahead log ended in a torn record; discarded "+
+			"(it was never acknowledged)", "detail", rec.Torn)
+	}
+	s.log.Info("recovered durable state",
+		"projects", len(s.projectList()), "from_snapshot", restored,
+		"replayed_records", len(rec.Records), "queued", queued,
+		"orphans_requeued", orphans, "elapsed", time.Since(start))
+}
+
+// replay rebuilds project state from a recovered image: the snapshot's
+// projects are restored, then every tail record is applied through the same
+// transitions that wrote it. While it runs nothing is journaled, the matching
+// queue is left for reseedQueue, and transitions are observed by a throwaway
+// registry and tracer and a logger that marks its lines as replayed — what
+// was counted when it happened is not counted again.
+func (s *Server) replay(rec *store.Recovered) (restored int) {
+	log, met, trace, scratch := s.log, s.met, s.trace, obs.New()
+	s.log, s.met, s.trace = log.With("replay", true), newServerMetrics(scratch, ""), scratch.Trace
 	s.replaying.Store(true)
-	restored := 0
+	defer func() {
+		s.replaying.Store(false)
+		s.log, s.met, s.trace = log, met, trace
+	}()
 	if rec.Snapshot != nil {
 		// Tenant accounts first: weights, quotas and the storage already
 		// billed, so replayed/reseeded commands land in configured accounts.
@@ -138,19 +152,7 @@ func (s *Server) recoverFromStore() {
 	for _, r := range rec.Records {
 		s.replayRecord(r)
 	}
-	s.replaying.Store(false)
-	orphans, queued := s.reseedQueue()
-	if rec.Torn != "" {
-		s.log.Warn("write-ahead log ended in a torn record; discarded "+
-			"(it was never acknowledged)", "detail", rec.Torn)
-	}
-	s.mu.Lock()
-	nProjects := len(s.projects)
-	s.mu.Unlock()
-	s.log.Info("recovered durable state",
-		"projects", nProjects, "from_snapshot", restored,
-		"replayed_records", len(rec.Records), "queued", queued,
-		"orphans_requeued", orphans, "elapsed", time.Since(start))
+	return restored
 }
 
 // restoreProject rebuilds one project from its snapshot image, restoring
@@ -160,7 +162,8 @@ func (s *Server) restoreProject(ps store.ProjectSnap) error {
 	if err != nil {
 		return err
 	}
-	if ps.State == "running" {
+	state := projState(ps.State)
+	if state == projRunning {
 		d, ok := ctrl.(controller.Durable)
 		if !ok {
 			return fmt.Errorf("server: controller %q does not implement controller.Durable", ps.Controller)
@@ -174,7 +177,7 @@ func (s *Server) restoreProject(ps store.ProjectSnap) error {
 		ctrl:       ctrl,
 		tenant:     ps.Tenant,
 		priority:   ps.Priority,
-		state:      ps.State,
+		state:      state,
 		generation: ps.Generation,
 		note:       ps.Note,
 		result:     ps.Result,
@@ -185,7 +188,7 @@ func (s *Server) restoreProject(ps store.ProjectSnap) error {
 		commands:   make(map[string]*cmdState, len(ps.Commands)),
 		done:       make(chan struct{}),
 	}
-	if p.state != "running" {
+	if state != projRunning {
 		close(p.done)
 	}
 	now := time.Now()
@@ -206,172 +209,65 @@ func (s *Server) restoreProject(ps store.ProjectSnap) error {
 	return nil
 }
 
-// replayRecord applies one journaled event. Every branch is idempotent
-// against state the snapshot already reflects (the Rotate→capture overlap
-// window), which is what makes the snapshot protocol safe.
+// replayRecord applies one journaled event: decode, look up, and call the
+// transition that journaled it (lifecycle.go; docs/PERSISTENCE.md has the
+// table). Every transition is a no-op from a status it does not move from, so
+// a record the snapshot already reflects (the Rotate→capture overlap window)
+// changes nothing, which is what makes the snapshot protocol safe.
 func (s *Server) replayRecord(r store.Record) {
 	switch r.Type {
 	case store.RecProjectSubmitted:
-		s.mu.Lock()
-		if _, dup := s.projects[r.Project]; dup {
-			s.mu.Unlock()
-			return
-		}
 		ctrl, err := s.reg.New(r.Note)
+		if err == nil {
+			// A project that is already there is one the snapshot reflects; a
+			// Start that fails does so as deterministically as it did live.
+			err = s.startProject(&wire.ProjectSubmit{Name: r.Project, Controller: r.Note,
+				Tenant: r.Tenant, Priority: r.Count, Params: r.Data}, ctrl)
+		}
 		if err != nil {
-			s.mu.Unlock()
-			s.log.Error("replaying project submit failed", "project", r.Project, "err", err)
-			return
+			s.log.Warn("replayed project submit", "project", r.Project, "err", err)
 		}
-		p := &project{
-			name:     r.Project,
-			ctrl:     ctrl,
-			tenant:   r.Tenant,
-			priority: r.Count,
-			state:    "running",
-			commands: make(map[string]*cmdState),
-			done:     make(chan struct{}),
-			seed:     seedFromName(r.Project),
-		}
-		s.projects[r.Project] = p
-		s.mu.Unlock()
-		p.mu.Lock()
-		if err := ctrl.Start(s.contextFor(p), r.Data); err != nil {
-			// Deterministic: the live Start failed the same way.
-			p.state = "failed"
-			p.failErr = err.Error()
-			close(p.done)
-		}
-		p.mu.Unlock()
-
 	case store.RecCommandQueued:
-		var spec wire.CommandSpec
-		if err := wire.Unmarshal(r.Data, &spec); err != nil {
-			return
-		}
-		// Usually a duplicate of what the replayed handler already
-		// submitted; only a crash between journal and apply leaves a gap.
-		s.withProject(r.Project, func(p *project) {
-			if p.commands[spec.ID] == nil {
-				p.commands[spec.ID] = &cmdState{spec: spec, status: cmdQueued, submittedAt: time.Now()}
-			}
-		})
-
-	case store.RecCommandAssigned:
-		s.withProjectCommand(r.Project, r.Command, func(p *project, cs *cmdState) {
-			if cs.status == cmdQueued {
-				cs.status = cmdRunning
-				cs.worker = r.Worker
-				cs.dispatchedAt = time.Now()
-			}
-		})
-
-	case store.RecCheckpoint:
-		s.withProjectCommand(r.Project, r.Command, func(p *project, cs *cmdState) {
-			cs.checkpoint = r.Data
-		})
-
-	case store.RecFrameChunk:
-		var chunk wire.FrameChunk
-		if err := wire.Unmarshal(r.Data, &chunk); err != nil {
-			return
-		}
-		s.mu.Lock()
-		p := s.projects[r.Project]
-		s.mu.Unlock()
-		if p != nil {
-			// Same ingest path as live delivery: the watermark advances and
-			// the controller's frame sink sees the identical stream, so a
-			// recovered or promoted server resumes the analysis exactly
-			// where the WAL left it.
-			_, _ = s.ingestChunk(p, &chunk, r.Data)
-		}
-
-	case store.RecResult:
-		var res wire.CommandResult
-		if err := wire.Unmarshal(r.Data, &res); err != nil {
-			return
-		}
-		s.mu.Lock()
-		p := s.projects[res.Project]
-		s.mu.Unlock()
-		if p == nil {
-			return
-		}
-		// The normal ingest path, with journaling/metrics suppressed by the
-		// replay flag: settled commands are skipped, fresh ones drive the
-		// controller exactly as they did live.
-		if _, _, err := s.ingestResult(p, &res, nil); err != nil {
-			s.log.Warn("replaying result failed", "cmd", res.CommandID, "err", err)
-		}
-
-	case store.RecCommandRequeued:
-		s.withProjectCommand(r.Project, r.Command, func(p *project, cs *cmdState) {
-			if cs.status == cmdRunning {
-				cs.status = cmdQueued
-				cs.worker = ""
-				cs.retries = r.Count
-				cs.submittedAt = time.Now()
-			}
-		})
-
-	case store.RecCommandPreempted:
-		s.withProjectCommand(r.Project, r.Command, func(p *project, cs *cmdState) {
-			if cs.status == cmdRunning {
-				cs.status = cmdQueued
-				cs.worker = ""
-				cs.preempts = r.Count
-				cs.submittedAt = time.Now()
-			}
-		})
-
+		// Written, never read: the replayed handler that submitted the command
+		// submits it again. Creating it from the record would plant commands
+		// whose submitting result the log lost, and the re-run parent's
+		// reaction would then collide with its own children.
 	case store.RecTenantQuota:
 		var upd wire.TenantQuotaUpdate
-		if err := wire.Unmarshal(r.Data, &upd); err != nil {
-			return
+		if err := wire.Unmarshal(r.Data, &upd); err == nil {
+			s.q.SetQuota(upd)
 		}
-		s.q.SetQuota(upd)
-
-	case store.RecCommandFailed:
-		s.withProjectCommand(r.Project, r.Command, func(p *project, cs *cmdState) {
-			if cs.status != cmdRunning && cs.status != cmdQueued {
-				return
+	case store.RecFrameChunk:
+		// The watermark advances and the controller's frame sink sees the
+		// identical stream, so a recovered or promoted server resumes the
+		// analysis exactly where the WAL left it.
+		var chunk wire.FrameChunk
+		if p := s.project(r.Project); p != nil && wire.Unmarshal(r.Data, &chunk) == nil {
+			_, _ = s.ingestChunk(p, &chunk, r.Data)
+		}
+	case store.RecResult:
+		// Settled commands are skipped, fresh ones drive the controller
+		// exactly as they did live.
+		var res wire.CommandResult
+		if p := s.project(r.Project); p != nil && wire.Unmarshal(r.Data, &res) == nil {
+			if _, _, err := s.ingestResult(p, &res, nil); err != nil {
+				s.log.Warn("replaying result failed", "cmd", res.CommandID, "err", err)
 			}
-			cs.status = cmdFailed
-			p.failed++
-			if p.state != "running" {
-				return
-			}
-			if err := p.ctrl.CommandFailed(s.contextFor(p), cs.spec, r.Note); err != nil && p.state == "running" {
-				p.state = "failed"
-				p.failErr = err.Error()
-				close(p.done)
-			}
-		})
-
+		}
 	case store.RecGeneration:
-		s.withProject(r.Project, func(p *project) {
-			p.generation = r.Generation
-			p.note = r.Note
-		})
-
+		s.withProject(r.Project, func(p *project) { s.progress(p, r.Generation, r.Note) })
 	case store.RecProjectFinished:
-		s.withProject(r.Project, func(p *project) {
-			if p.state == "running" {
-				p.state = "finished"
-				p.result = r.Data
-				close(p.done)
-			}
-		})
-
+		s.withProject(r.Project, func(p *project) { s.end(p, projFinished, r.Data, "", false) })
 	case store.RecProjectFailed:
-		s.withProject(r.Project, func(p *project) {
-			if p.state == "running" {
-				p.state = "failed"
-				p.failErr = r.Note
-				close(p.done)
-			}
-		})
+		s.withProject(r.Project, func(p *project) { s.end(p, projFailed, nil, r.Note, false) })
+	case store.RecCommandAssigned:
+		s.withProjectCommand(r.Project, r.Command, func(p *project, cs *cmdState) { s.assigned(p, cs, r.Worker, 0) })
+	case store.RecCheckpoint:
+		s.withProjectCommand(r.Project, r.Command, func(p *project, cs *cmdState) { s.checkpointed(p, cs, r.Data) })
+	case store.RecCommandRequeued, store.RecCommandPreempted:
+		s.withProjectCommand(r.Project, r.Command, func(p *project, cs *cmdState) { s.requeue(p, cs, r) })
+	case store.RecCommandFailed:
+		s.withProjectCommand(r.Project, r.Command, func(p *project, cs *cmdState) { s.failed(p, cs, r) })
 	}
 }
 
@@ -379,81 +275,31 @@ func (s *Server) replayRecord(r store.Record) {
 // matching queue and requeues commands whose assignment was journaled but
 // whose result never arrived (orphans: the worker died with the server, or
 // its result is still in flight — if it lands later, the duplicate-result
-// path settles it and pulls the requeue). Orphan requeues count against
-// cfg.MaxRetries exactly like live worker-loss requeues. Runs after the
-// replay flag is cleared so the requeues are journaled like live ones.
+// path settles it and pulls the requeue). Orphans go through requeueOrFail
+// like a live worker loss — same retry cap, so a command that straddles
+// restart after restart is not retried without bound — and, the replay flag
+// being cleared by now, are journaled like one.
 func (s *Server) reseedQueue() (orphans, queued int) {
-	s.mu.Lock()
-	ps := make([]*project, 0, len(s.projects))
-	for _, p := range s.projects {
-		ps = append(ps, p)
-	}
-	s.mu.Unlock()
-	for _, p := range ps {
+	for _, p := range s.projectList() {
 		p.mu.Lock()
-		if p.state != "running" {
-			p.mu.Unlock()
-			continue
-		}
 		gangs := make(map[string]int) // gang ID → size, checked after re-seeding
 		for id, cs := range p.commands {
-			if p.state != "running" {
-				break // a terminal orphan failure below failed the project
+			if p.state != projRunning {
+				break // ended before the restart, or by a terminal orphan failure below
 			}
 			if cs.spec.GangID != "" {
 				gangs[cs.spec.GangID] = cs.spec.GangSize
 			}
 			switch cs.status {
 			case cmdQueued:
-				spec := cs.spec
-				if len(cs.checkpoint) > 0 {
-					spec.Checkpoint = cs.checkpoint
-				}
-				// Requeue, not Push: these commands were admitted before the
-				// restart; re-running admission could bounce accepted work.
-				if err := s.q.Requeue(spec); err != nil {
+				if err := s.enqueue(cs); err != nil {
 					s.log.Error("re-seeding queued command failed", "cmd", id, "err", err)
 				} else {
 					queued++
 				}
 			case cmdRunning:
-				// Same retry cap as the live recovery path: a command that
-				// straddles restart after restart must not be retried
-				// without bound.
-				if cs.retries >= s.cfg.MaxRetries {
-					s.journal(store.Record{Type: store.RecCommandFailed,
-						Project: p.name, Command: id, Worker: cs.worker,
-						Note: "orphaned by restart; retries exhausted"})
-					cs.status = cmdFailed
-					p.failed++
-					s.met.failed.Inc()
-					s.log.Warn("restart orphan failed terminally",
-						"cmd", id, "project", p.name, "retries", cs.retries)
-					if err := p.ctrl.CommandFailed(s.contextFor(p), cs.spec,
-						"orphaned by restart; retries exhausted"); err != nil && p.state == "running" {
-						p.state = "failed"
-						p.failErr = err.Error()
-						close(p.done)
-					}
-					continue
-				}
-				cs.retries++
-				s.journal(store.Record{Type: store.RecCommandRequeued,
-					Project: p.name, Command: id, Worker: cs.worker,
-					Count: cs.retries, Note: "orphaned by restart"})
-				cs.status = cmdQueued
-				cs.worker = ""
-				cs.submittedAt = time.Now()
-				cs.dispatchedAt = time.Time{}
-				spec := cs.spec
-				if len(cs.checkpoint) > 0 {
-					spec.Checkpoint = cs.checkpoint
-				}
-				if err := s.q.Requeue(spec); err != nil {
-					s.log.Error("requeueing orphaned command failed", "cmd", id, "err", err)
-				} else {
+				if s.requeueOrFail(p, cs, cs.worker, "orphaned by restart"); cs.status == cmdQueued {
 					orphans++
-					s.met.requeued.Inc()
 				}
 			}
 		}
@@ -531,21 +377,15 @@ func (s *Server) SnapshotNow() error {
 // calls hold the same lock, so each project's image is consistent with the
 // WAL ordering; the caller commits before publishing the image.
 func (s *Server) captureSnapshot() (*store.Snapshot, error) {
-	s.mu.Lock()
-	ps := make([]*project, 0, len(s.projects))
-	for _, p := range s.projects {
-		ps = append(ps, p)
-	}
-	s.mu.Unlock()
 	snap := &store.Snapshot{Tenants: s.q.Tenants()}
-	for _, p := range ps {
+	for _, p := range s.projectList() {
 		p.mu.Lock()
 		sp := store.ProjectSnap{
 			Name:       p.name,
 			Controller: p.ctrl.Name(),
 			Tenant:     p.tenant,
 			Priority:   p.priority,
-			State:      p.state,
+			State:      string(p.state),
 			Generation: p.generation,
 			Note:       p.note,
 			FailErr:    p.failErr,
@@ -554,7 +394,7 @@ func (s *Server) captureSnapshot() (*store.Snapshot, error) {
 			Failed:     p.failed,
 			Seed:       p.seed,
 		}
-		if p.state == "running" {
+		if p.state == projRunning {
 			d, ok := p.ctrl.(controller.Durable)
 			if !ok {
 				p.mu.Unlock()

@@ -8,6 +8,9 @@
 // as a relay on a cluster head node is determined purely by which projects
 // it holds and how it is connected — the paper's "fully symmetric"
 // architecture.
+//
+// This file holds the protocol handlers; what they do to a command or a
+// project is in lifecycle.go, and how it is made durable in persist.go.
 package server
 
 import (
@@ -16,7 +19,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -102,38 +104,15 @@ func (c *Config) fill() {
 	c.Retry.Obs = c.Obs
 }
 
-// cmdStatus tracks a command through its lifecycle.
-type cmdStatus int
-
-const (
-	cmdQueued cmdStatus = iota
-	cmdRunning
-	cmdDone
-	cmdFailed
-	cmdTerminated
-)
-
-// cmdState is the project server's record of one command.
-type cmdState struct {
-	spec         wire.CommandSpec
-	status       cmdStatus
-	worker       string
-	retries      int
-	preempts     int    // fair-share preemptions; tracked apart from retries
-	checkpoint   []byte // latest partial checkpoint for failover
-	streamed     int    // frames already ingested via streamed chunks
-	submittedAt  time.Time
-	dispatchedAt time.Time
-}
-
-// project is one controller-driven job.
+// project is one controller-driven job. Its state, and the status of each of
+// its commands, change only through the transitions in lifecycle.go.
 type project struct {
 	mu         sync.Mutex
 	name       string
 	ctrl       controller.Controller
 	tenant     string // fair-share account its commands bill to
 	priority   int    // base priority commands inherit when they set none
-	state      string // "running", "finished", "failed"
+	state      projState
 	generation int
 	note       string
 	result     []byte
@@ -161,8 +140,11 @@ type Server struct {
 	cfg  Config
 	q    *queue.Queue
 	rpol retry.Policy
-	log  *obs.Logger
-	met  serverMetrics
+	// log, met and trace are where transitions are observed; recovery swaps
+	// them while it replays (see replay).
+	log   *obs.Logger
+	met   serverMetrics
+	trace *obs.Tracer
 
 	mu       sync.Mutex
 	projects map[string]*project
@@ -180,9 +162,9 @@ type Server struct {
 	closeMu sync.Mutex
 	closing bool
 
-	// replaying is true while New replays recovered state: journaling,
-	// queue pushes and lifecycle metrics are suppressed so a replayed event
-	// is applied exactly once and never re-journaled.
+	// replaying is true while New replays recovered state: nothing is
+	// journaled and the matching queue is left alone, so a replayed event is
+	// applied exactly once and never re-journaled (see lifecycle.go).
 	replaying atomic.Bool
 	// snapshotting serialises background snapshot captures.
 	snapshotting atomic.Bool
@@ -213,6 +195,7 @@ type serverMetrics struct {
 	streamChunks    *obs.Counter
 	streamFrames    *obs.Counter
 	streamDupes     *obs.Counter
+	reg             *obs.Registry // for the per-worker completion series
 }
 
 // dispatchBuckets cover queue waits from sub-millisecond (in-process
@@ -226,6 +209,7 @@ func newServerMetrics(o *obs.Obs, nodeID string) serverMetrics {
 	m := o.Metrics
 	node := obs.L("node", nodeID)
 	return serverMetrics{
+		reg: m,
 		submitted: m.Counter("copernicus_commands_submitted_total",
 			"Commands submitted by controllers.", node),
 		finished: m.Counter("copernicus_commands_finished_total",
@@ -273,6 +257,7 @@ func New(node *overlay.Node, reg *controller.Registry, cfg Config) *Server {
 		cfg:       cfg,
 		log:       cfg.Obs.Log.Named("server").With("node", node.ID()),
 		met:       newServerMetrics(cfg.Obs, node.ID()),
+		trace:     cfg.Obs.Trace,
 		projects:  make(map[string]*project),
 		workers:   make(map[string]*workerState),
 		preempted: make(map[string]struct{}),
@@ -424,14 +409,15 @@ func (s *Server) handleSubmit(from string, payload []byte) ([]byte, error) {
 
 // startProject publishes an admitted project, runs its controller's Start
 // handler and journals the submission, all under the project's lock. The
-// caller commits before replying.
+// caller commits before replying. Replay applies RecProjectSubmitted by
+// calling it too, where nothing is journaled and no admission can bounce.
 func (s *Server) startProject(sub *wire.ProjectSubmit, ctrl controller.Controller) error {
 	p := &project{
 		name:     sub.Name,
 		ctrl:     ctrl,
 		tenant:   sub.Tenant,
 		priority: sub.Priority,
-		state:    "running",
+		state:    projRunning,
 		commands: make(map[string]*cmdState),
 		done:     make(chan struct{}),
 		seed:     seedFromName(sub.Name),
@@ -480,9 +466,7 @@ func (s *Server) startProject(sub *wire.ProjectSubmit, ctrl controller.Controlle
 	s.journal(store.Record{Type: store.RecProjectSubmitted, Project: sub.Name,
 		Tenant: sub.Tenant, Count: sub.Priority, Note: sub.Controller, Data: sub.Params})
 	if err != nil {
-		p.state = "failed"
-		p.failErr = err.Error()
-		close(p.done)
+		s.reacted(p, err)
 		return fmt.Errorf("server: starting project %q: %w", sub.Name, err)
 	}
 	return nil
@@ -500,9 +484,7 @@ func seedFromName(name string) uint64 {
 
 // Project returns a snapshot of a project's status.
 func (s *Server) Project(name string) (wire.ProjectStatus, bool) {
-	s.mu.Lock()
-	p := s.projects[name]
-	s.mu.Unlock()
+	p := s.project(name)
 	if p == nil {
 		return wire.ProjectStatus{}, false
 	}
@@ -529,9 +511,7 @@ func (s *Server) WaitProject(ctx context.Context, name string) (wire.ProjectStat
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	s.mu.Lock()
-	p := s.projects[name]
-	s.mu.Unlock()
+	p := s.project(name)
 	if p == nil {
 		return wire.ProjectStatus{}, fmt.Errorf("server: unknown project %q", name)
 	}
@@ -550,7 +530,7 @@ func (s *Server) status(p *project) wire.ProjectStatus {
 	p.mu.Lock()
 	st := s.statusLocked(p)
 	p.mu.Unlock()
-	if st.State != "running" {
+	if projState(st.State) != projRunning {
 		s.commit()
 	}
 	return st
@@ -561,7 +541,7 @@ func (s *Server) statusLocked(p *project) wire.ProjectStatus {
 		Name:       p.name,
 		Controller: p.ctrl.Name(),
 		Tenant:     p.tenant,
-		State:      p.state,
+		State:      string(p.state),
 		Generation: p.generation,
 		Note:       p.note,
 		Finished:   p.finished,
@@ -632,79 +612,22 @@ func (c *ctxImpl) Submit(cmd wire.CommandSpec) error {
 	if _, dup := c.p.commands[cmd.ID]; dup {
 		return fmt.Errorf("server: duplicate command %q in project %q", cmd.ID, c.p.name)
 	}
-	if c.s.replaying.Load() {
-		// Replayed handlers re-create command state, but the queue is
-		// re-seeded (and orphans requeued) once at the end of recovery.
-		c.p.commands[cmd.ID] = &cmdState{spec: cmd, status: cmdQueued, submittedAt: time.Now()}
-		return nil
-	}
-	if err := c.s.q.CheckStorage(cmd.Tenant, int64(len(cmd.Payload))); err != nil {
-		return fmt.Errorf("server: submitting command %q: %w", cmd.ID, err)
-	}
-	c.s.journalPayload(store.Record{Type: store.RecCommandQueued,
-		Project: c.p.name, Command: cmd.ID, Tenant: cmd.Tenant}, &cmd)
-	c.s.notePush(c.p)
-	if err := c.s.q.Push(cmd); err != nil {
-		return err
-	}
-	now := time.Now()
-	c.p.commands[cmd.ID] = &cmdState{spec: cmd, status: cmdQueued, submittedAt: now}
-	c.s.met.submitted.Inc()
-	c.s.cfg.Obs.Trace.Record(obs.Span{
-		Stage:   obs.StageSubmit,
-		Command: cmd.ID,
-		Project: c.p.name,
-		Start:   now,
-	})
-	return nil
+	return c.s.queued(c.p, cmd)
 }
 
 func (c *ctxImpl) Terminate(id string) bool {
 	cs, ok := c.p.commands[id]
-	if !ok {
-		return false
+	if ok {
+		c.s.terminated(c.p, cs)
 	}
-	switch cs.status {
-	case cmdQueued:
-		c.s.q.Remove(id)
-	case cmdRunning:
-		// Settle the fair-share in-flight charge now; the worker is told to
-		// abort at its next heartbeat and sends no result.
-		c.s.q.Release(id, 0)
-	}
-	cs.status = cmdTerminated
-	c.s.maybeDemoteGangLocked(c.p, cs.spec.GangID, cs.spec.GangSize)
-	return true
+	return ok
 }
 
-func (c *ctxImpl) SetStatus(generation int, note string) {
-	c.p.generation = generation
-	c.p.note = note
-	c.s.journal(store.Record{Type: store.RecGeneration,
-		Project: c.p.name, Generation: generation, Note: note})
-}
+func (c *ctxImpl) SetStatus(generation int, note string) { c.s.progress(c.p, generation, note) }
 
-func (c *ctxImpl) Finish(result []byte) {
-	if c.p.state != "running" {
-		return
-	}
-	c.s.journal(store.Record{Type: store.RecProjectFinished,
-		Project: c.p.name, Data: result})
-	c.p.state = "finished"
-	c.p.result = result
-	close(c.p.done)
-}
+func (c *ctxImpl) Finish(result []byte) { c.s.end(c.p, projFinished, result, "", false) }
 
-func (c *ctxImpl) Fail(err error) {
-	if c.p.state != "running" {
-		return
-	}
-	c.s.journal(store.Record{Type: store.RecProjectFailed,
-		Project: c.p.name, Note: err.Error()})
-	c.p.state = "failed"
-	c.p.failErr = err.Error()
-	close(c.p.done)
-}
+func (c *ctxImpl) Fail(err error) { c.s.end(c.p, projFailed, nil, err.Error(), false) }
 
 // --- worker traffic ---
 
@@ -766,59 +689,24 @@ func (s *Server) assign(info wire.WorkerInfo, wl wire.Workload, direct bool) ([]
 // markAssigned updates project command states for a local match and, when
 // the worker announced directly to us, records it for heartbeat tracking.
 func (s *Server) markAssigned(info wire.WorkerInfo, wl wire.Workload, direct bool) {
-	now := time.Now()
 	for _, cmd := range wl.Commands {
 		s.withProjectCommand(cmd.Project, cmd.ID, func(p *project, cs *cmdState) {
-			// Journal before the workload reply is sent (assign commits):
-			// recovery must know the command may be running somewhere so it
-			// can requeue it as an orphan if the result never arrives.
-			s.journal(store.Record{Type: store.RecCommandAssigned,
-				Project: cmd.Project, Command: cmd.ID, Worker: info.ID})
-			cs.status = cmdRunning
-			cs.worker = info.ID
-			cs.dispatchedAt = now
-			if !cs.submittedAt.IsZero() {
-				wait := now.Sub(cs.submittedAt)
-				s.met.dispatchLatency.Observe(wait.Seconds())
-				s.cfg.Obs.Trace.Record(obs.Span{
-					Stage:    obs.StageQueueWait,
-					Command:  cmd.ID,
-					Project:  cmd.Project,
-					Start:    cs.submittedAt,
-					Duration: wait,
-				})
-			}
-			s.cfg.Obs.Trace.Record(obs.Span{
-				Stage:   obs.StageDispatch,
-				Command: cmd.ID,
-				Project: cmd.Project,
-				Worker:  info.ID,
-				Start:   now,
-				Attrs:   map[string]string{"cores": strconv.Itoa(wl.Cores[cmd.ID])},
-			})
+			s.assigned(p, cs, info.ID, wl.Cores[cmd.ID])
 		})
 	}
+	// A direct announce refreshes the worker's record. A relayed match is
+	// noted only when the worker is one of our own (it has announced directly
+	// before, so a record exists) — and noted NOW rather than when the relay
+	// reply makes it home: the reply can still be lost, most plainly when the
+	// search raced its deadline and the late answer is discarded, and these
+	// commands would otherwise be tracked by nobody; the worker's next idle
+	// announce then recovers them through the normal orphan path. For another
+	// server's worker there is no record here, and its home server notes the
+	// assignment on the reply instead.
+	var orphans map[string]string
 	if direct {
-		orphans := s.touchWorker(info)
-		s.mu.Lock()
-		if ws := s.workers[info.ID]; ws != nil {
-			for _, cmd := range wl.Commands {
-				ws.commands[cmd.ID] = cmd.Origin
-			}
-		}
-		s.mu.Unlock()
-		s.recoverOrphans(info.ID, orphans)
-		return
+		orphans = s.touchWorker(info)
 	}
-	// Relayed match. When the worker is one of our own (it has announced
-	// directly before, so a liveness record exists), record the assignment
-	// NOW rather than waiting for the relay reply to make it home: the
-	// reply can still be lost — most plainly when the search raced its
-	// deadline and the late answer is discarded — and these commands would
-	// otherwise be tracked by nobody. The worker's next
-	// idle announce then recovers them through the normal orphan path.
-	// For another server's worker the record does not exist here and the
-	// origin server notes the assignment on the reply instead.
 	s.mu.Lock()
 	if ws := s.workers[info.ID]; ws != nil {
 		for _, cmd := range wl.Commands {
@@ -826,6 +714,7 @@ func (s *Server) markAssigned(info wire.WorkerInfo, wl wire.Workload, direct boo
 		}
 	}
 	s.mu.Unlock()
+	s.recoverOrphans(info.ID, orphans)
 }
 
 // recordRelayedWorkload notes which origin server each relayed command
@@ -885,31 +774,66 @@ func (s *Server) recoverOrphans(workerID string, commands map[string]string) {
 	s.goAsync(func() { s.reportFailed(workerID, commands) })
 }
 
-// withProjectCommand runs f under the project lock if both exist.
-func (s *Server) withProjectCommand(projectName, cmdID string, f func(*project, *cmdState)) {
+// project returns the named project, nil if this server does not hold it.
+func (s *Server) project(name string) *project {
 	s.mu.Lock()
-	p := s.projects[projectName]
-	s.mu.Unlock()
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if cs := p.commands[cmdID]; cs != nil {
-		f(p, cs)
+	defer s.mu.Unlock()
+	return s.projects[name]
+}
+
+// withProject runs f under the project lock if the project exists.
+func (s *Server) withProject(name string, f func(*project)) {
+	if p := s.project(name); p != nil {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		f(p)
 	}
 }
 
-// handleResult ingests finished or partial command results at the project
-// server.
+// withProjectCommand runs f under the project lock if both exist.
+func (s *Server) withProjectCommand(projectName, cmdID string, f func(*project, *cmdState)) {
+	s.withProject(projectName, func(p *project) {
+		if cs := p.commands[cmdID]; cs != nil {
+			f(p, cs)
+		}
+	})
+}
+
+// projectList returns the projects held, for callers that visit each under
+// its own lock without holding s.mu across the visit.
+func (s *Server) projectList() []*project {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ps := make([]*project, 0, len(s.projects))
+	for _, p := range s.projects {
+		ps = append(ps, p)
+	}
+	return ps
+}
+
+// forCommand runs f, under the project's lock, on the command called id in
+// each project that has one, until f reports that it was the one meant.
+func (s *Server) forCommand(id string, f func(*project, *cmdState) bool) bool {
+	for _, p := range s.projectList() {
+		p.mu.Lock()
+		cs := p.commands[id]
+		hit := cs != nil && f(p, cs)
+		p.mu.Unlock()
+		if hit {
+			return true
+		}
+	}
+	return false
+}
+
+// handleResult ingests finished, failed or partial command results at the
+// project server.
 func (s *Server) handleResult(from string, payload []byte) ([]byte, error) {
 	var res wire.CommandResult
 	if err := wire.Unmarshal(payload, &res); err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	p := s.projects[res.Project]
-	s.mu.Unlock()
+	p := s.project(res.Project)
 	if p == nil {
 		return nil, overlay.ErrNotHandled // maybe another server's project
 	}
@@ -930,12 +854,11 @@ func (s *Server) handleResult(from string, payload []byte) ([]byte, error) {
 	s.commit()
 	s.maybeSnapshot()
 	if settledWorker != "" {
-		// The command is settled: drop it from the worker's assignment record
-		// so its next idle announce is not mistaken for an orphaned workload,
-		// and from the preemption abort set (a preempted command whose old
-		// worker finished before the abort reached it lands here).
-		// Done outside the project lock (reapDeadWorkers and recoverCommands
-		// nest p.mu inside s.mu, so the reverse order here would deadlock).
+		// That worker's run of the command is over: drop it from the worker's
+		// assignment record, so its next idle announce is not mistaken for an
+		// orphaned workload, and from the preemption abort set (a preempted
+		// command whose old worker finished before the abort reached it lands
+		// here), now that the project's lock is dropped.
 		s.mu.Lock()
 		if ws := s.workers[settledWorker]; ws != nil {
 			delete(ws.commands, res.CommandID)
@@ -946,11 +869,10 @@ func (s *Server) handleResult(from string, payload []byte) ([]byte, error) {
 	return reply, err
 }
 
-// ingestResult applies one result under the project lock and returns the ID
-// of the worker whose assignment it settled ("" if none). encoded is res as
-// it arrived, which is journaled as it is; nil when the caller has altered
-// res since, and the journal encodes it afresh, and nil from replay, which
-// journals nothing.
+// ingestResult applies one result message under the project lock — a
+// checkpoint, a failure the worker reports, or the final result — and returns
+// the ID of the worker whose assignment it settled ("" if none). encoded is as
+// for done. Called live from handleResult and during WAL replay.
 func (s *Server) ingestResult(p *project, res *wire.CommandResult, encoded []byte) (reply []byte, settledWorker string, err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -958,97 +880,26 @@ func (s *Server) ingestResult(p *project, res *wire.CommandResult, encoded []byt
 	if cs == nil {
 		return []byte("ignored"), "", nil
 	}
-	if res.Partial {
-		// Intermediate checkpoint for failover; §2.3's transparent hand-off.
-		s.journal(store.Record{Type: store.RecCheckpoint,
-			Project: res.Project, Command: res.CommandID, Data: res.Checkpoint})
-		cs.checkpoint = res.Checkpoint
+	worker := cs.worker
+	switch {
+	case res.Partial:
+		s.checkpointed(p, cs, res.Checkpoint)
 		return []byte("checkpointed"), "", nil
-	}
-	if cs.status == cmdTerminated || cs.status == cmdDone {
-		// Idempotent redelivery: a retried or spool-redelivered upload of a
-		// result we already counted. Acknowledge success so the sender stops.
-		if !s.replaying.Load() {
-			s.met.duplicates.Inc()
+	case !res.OK && !cs.settled():
+		// The run failed on the worker (engine error, a gang it refused).
+		// That is a lost run like any other, except that the worker is alive
+		// to say so: spend the retry budget, then tell the controller — and
+		// acknowledge, so the worker stops redelivering. A run the command has
+		// been requeued or reassigned away from is nobody's any more.
+		if !cs.runningOn(res.WorkerID) {
+			return []byte("ignored"), "", nil
 		}
-		return []byte("ignored"), cs.worker, nil
+		s.q.Release(res.CommandID, res.WallSeconds) // the measured charge, not requeue's estimate
+		s.requeueOrFail(p, cs, res.WorkerID, "worker reported failure: "+res.Error)
+		return []byte("noted"), worker, nil
 	}
-	if !res.OK {
-		return nil, cs.worker, fmt.Errorf("server: worker-reported failure for %s: %s", res.CommandID, res.Error)
-	}
-	if cs.status == cmdQueued {
-		// A "dead" worker's result arrived after its command was requeued
-		// from checkpoint: accept the work and pull the duplicate dispatch
-		// before another worker wastes cycles on it.
-		s.q.Remove(res.CommandID)
-	}
-	// Journal the full result (output included, so replay is independent of
-	// shared-FS spool files) before the controller reacts; handleResult
-	// commits it, and whatever the controller journals, before the worker is
-	// acked.
-	rec := store.Record{Type: store.RecResult,
-		Project: res.Project, Command: res.CommandID, Worker: res.WorkerID, Data: encoded}
-	if encoded != nil {
-		s.journal(rec)
-	} else {
-		s.journalPayload(rec, res)
-	}
-	cs.status = cmdDone
-	p.finished++
-	// Settle the fair-share charge with the measured wall time and bill the
-	// retained output against the tenant's storage account. Both are no-ops
-	// during replay's queued-state reconstruction (nothing is in flight) —
-	// except ChargeStorage, which deliberately runs so tail results
-	// re-accrue usage on top of the snapshot's tenant image.
-	s.q.Release(res.CommandID, res.WallSeconds)
-	if len(res.Output) > 0 {
-		s.q.ChargeStorage(cs.spec.Tenant, int64(len(res.Output)))
-	}
-	// A finished member never rejoins its gang; free any queued stragglers.
-	s.maybeDemoteGangLocked(p, cs.spec.GangID, cs.spec.GangSize)
-	if !s.replaying.Load() {
-		s.met.finished.Inc()
-		s.met.resultBytes.Observe(float64(len(res.Output)))
-		s.cfg.Obs.Metrics.Counter("copernicus_worker_commands_total",
-			"Commands finished, by reporting worker.", obs.L("worker", res.WorkerID)).Inc()
-		s.cfg.Obs.Trace.Record(obs.Span{
-			Stage:   obs.StageResult,
-			Command: res.CommandID,
-			Project: res.Project,
-			Worker:  res.WorkerID,
-			Attrs: map[string]string{
-				"bytes":        strconv.Itoa(len(res.Output)),
-				"wall_seconds": strconv.FormatFloat(res.WallSeconds, 'g', 4, 64),
-			},
-		})
-	}
-	if p.state != "running" {
-		return []byte("ok"), cs.worker, nil
-	}
-	reactStart := time.Now()
-	rerr := p.ctrl.CommandFinished(s.contextFor(p), res)
-	reaction := time.Since(reactStart)
-	if !s.replaying.Load() {
-		s.met.controllerTime.Observe(reaction.Seconds())
-	}
-	span := obs.Span{
-		Stage:    obs.StageController,
-		Command:  res.CommandID,
-		Project:  res.Project,
-		Start:    reactStart,
-		Duration: reaction,
-	}
-	if rerr != nil {
-		span.Err = rerr.Error()
-		s.cfg.Obs.Trace.Record(span)
-		p.state = "failed"
-		p.failErr = rerr.Error()
-		close(p.done)
-		s.log.Error("controller reaction failed", "project", p.name, "cmd", res.CommandID, "err", rerr)
-		return nil, cs.worker, rerr
-	}
-	s.cfg.Obs.Trace.Record(span)
-	return []byte("ok"), cs.worker, nil
+	reply, err = s.done(p, cs, res, encoded)
+	return reply, worker, err
 }
 
 // handleFrameChunk ingests a streamed frame chunk at the project server.
@@ -1061,9 +912,7 @@ func (s *Server) handleFrameChunk(from string, payload []byte) ([]byte, error) {
 	if err := wire.Unmarshal(payload, &chunk); err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	p := s.projects[chunk.Project]
-	s.mu.Unlock()
+	p := s.project(chunk.Project)
 	if p == nil {
 		return nil, overlay.ErrNotHandled // maybe another server's project
 	}
@@ -1079,8 +928,7 @@ func (s *Server) ingestChunk(p *project, chunk *wire.FrameChunk, payload []byte)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	cs := p.commands[chunk.CommandID]
-	if cs == nil || cs.status == cmdDone || cs.status == cmdTerminated ||
-		cs.status == cmdFailed || p.state != "running" {
+	if cs == nil || cs.settled() || p.state != projRunning {
 		return []byte("ignored"), nil
 	}
 	// Frame 0 is the segment's start conformation, which the controller
@@ -1093,18 +941,14 @@ func (s *Server) ingestChunk(p *project, chunk *wire.FrameChunk, payload []byte)
 	if end <= start {
 		// Re-delivery of frames already ingested (e.g. a checkpoint-resumed
 		// run deterministically re-producing its prefix on a new worker).
-		if !s.replaying.Load() {
-			s.met.streamDupes.Inc()
-		}
+		s.met.streamDupes.Inc()
 		return []byte("ignored"), nil
 	}
 	if chunk.FirstFrame > start {
 		// A gap: an earlier chunk never arrived. Ingesting out-of-order
 		// frames would corrupt transition counting, so drop the chunk and
 		// let the final result blob deliver the range intact.
-		if !s.replaying.Load() {
-			s.met.streamDupes.Inc()
-		}
+		s.met.streamDupes.Inc()
 		return []byte("gap"), nil
 	}
 	// Journal before the controller reacts so recovery and standby replay
@@ -1113,10 +957,8 @@ func (s *Server) ingestChunk(p *project, chunk *wire.FrameChunk, payload []byte)
 		Project: chunk.Project, Command: chunk.CommandID, Worker: chunk.WorkerID,
 		Data: payload})
 	cs.streamed = end
-	if !s.replaying.Load() {
-		s.met.streamChunks.Inc()
-		s.met.streamFrames.Add(uint64(end - start))
-	}
+	s.met.streamChunks.Inc()
+	s.met.streamFrames.Add(uint64(end - start))
 	if sink, ok := p.ctrl.(controller.FrameSink); ok {
 		if err := sink.FrameChunk(s.contextFor(p), chunk); err != nil {
 			// Non-fatal by contract: the batch path still covers the command.
@@ -1147,30 +989,17 @@ func (s *Server) handleHeartbeat(from string, payload []byte) ([]byte, error) {
 	var ack wire.HeartbeatAck
 	for _, id := range hb.CommandIDs {
 		s.mu.Lock()
-		if _, evicted := s.preempted[id]; evicted {
+		_, evicted := s.preempted[id]
+		if evicted {
 			// Preempted for a starved tenant: the command was requeued from
 			// its checkpoint, so the old worker must stop burning cores on it.
 			delete(s.preempted, id)
-			if ws := s.workers[hb.WorkerID]; ws != nil {
+			if ws != nil {
 				delete(ws.commands, id)
-			}
-			s.mu.Unlock()
-			ack.AbortCommandIDs = append(ack.AbortCommandIDs, id)
-			continue
-		}
-		var owner *project
-		for _, p := range s.projects {
-			p.mu.Lock()
-			cs := p.commands[id]
-			terminated := cs != nil && cs.status == cmdTerminated
-			p.mu.Unlock()
-			if terminated {
-				owner = p
-				break
 			}
 		}
 		s.mu.Unlock()
-		if owner != nil {
+		if evicted || s.forCommand(id, func(_ *project, cs *cmdState) bool { return cs.status == cmdTerminated }) {
 			ack.AbortCommandIDs = append(ack.AbortCommandIDs, id)
 		}
 	}
@@ -1244,15 +1073,9 @@ func (s *Server) preemptForStarved() {
 	if !ok {
 		return
 	}
-	s.mu.Lock()
-	candidates := make([]*project, 0, len(s.projects))
-	for _, p := range s.projects {
-		candidates = append(candidates, p)
-	}
-	s.mu.Unlock()
-	for _, p := range candidates {
+	for _, p := range s.projectList() {
 		p.mu.Lock()
-		if p.tenant != victim || p.state != "running" {
+		if p.tenant != victim || p.state != projRunning {
 			p.mu.Unlock()
 			continue
 		}
@@ -1287,37 +1110,13 @@ func (s *Server) preemptForStarved() {
 			}
 			for _, vid := range evict {
 				vc := p.commands[vid]
-				worker := vc.worker
-				vc.preempts++
-				// Release before Requeue, member by member: the queue's gang
-				// bookkeeping reassembles the gang only while the remaining
-				// members are still accounted as in flight.
-				s.q.Release(vid, 0)
-				spec := vc.spec
-				spec.Checkpoint = vc.checkpoint
-				vc.status = cmdQueued
-				vc.worker = ""
-				s.journal(store.Record{Type: store.RecCommandPreempted,
-					Project: p.name, Command: vid, Worker: worker,
-					Tenant: p.tenant, Count: vc.preempts})
-				if err := s.q.Requeue(spec); err != nil {
-					s.log.Error("requeueing preempted command failed", "cmd", vid, "err", err)
-					p.mu.Unlock()
-					return
-				}
-				vc.submittedAt = time.Now()
-				vc.dispatchedAt = time.Time{}
-				s.met.preempted.Inc()
-				s.log.Info("preempted command at checkpoint boundary for starved tenant",
-					"cmd", vid, "gang", vc.spec.GangID,
-					"victim_tenant", victim, "victim_cores", cores,
-					"starved_tenant", starved, "worker", worker,
-					"checkpoint_bytes", len(vc.checkpoint))
+				s.requeue(p, vc, store.Record{Type: store.RecCommandPreempted, Project: p.name,
+					Command: vid, Worker: vc.worker, Tenant: p.tenant, Count: vc.preempts + 1})
 			}
-			// If some gang members had already finished, the requeued rest
-			// can never refill the gang; let them re-run solo.
-			s.maybeDemoteGangLocked(p, cs.spec.GangID, cs.spec.GangSize)
 			p.mu.Unlock()
+			s.log.Info("preempted at checkpoint boundary for starved tenant", "cmds", len(evict),
+				"gang", cs.spec.GangID, "victim_tenant", victim, "victim_cores", cores, "starved_tenant", starved)
+			// The old worker is told to abort at its next heartbeat.
 			s.mu.Lock()
 			for _, vid := range evict {
 				s.preempted[vid] = struct{}{}
@@ -1455,78 +1254,10 @@ func (s *Server) handleWorkerFailed(from string, payload []byte) ([]byte, error)
 // the commands a dead worker was running.
 func (s *Server) recoverCommands(wf wire.WorkerFailed) {
 	for _, cmdID := range wf.CommandIDs {
-		s.mu.Lock()
-		var owner *project
-		for _, p := range s.projects {
-			p.mu.Lock()
-			cs, ok := p.commands[cmdID]
-			p.mu.Unlock()
-			if ok && cs != nil {
-				owner = p
-				break
-			}
-		}
-		s.mu.Unlock()
-		if owner == nil {
-			continue
-		}
-		owner.mu.Lock()
-		cs := owner.commands[cmdID]
-		if cs == nil || cs.status != cmdRunning ||
-			(wf.WorkerID != "" && cs.worker != "" && cs.worker != wf.WorkerID) {
-			// Finished, terminated, or already reassigned elsewhere.
-			owner.mu.Unlock()
-			continue
-		}
-		// The dead worker's partial run still billed the tenant's fair share.
-		s.q.Release(cmdID, 0)
-		if cs.retries < s.cfg.MaxRetries {
-			cs.retries++
-			spec := cs.spec
-			spec.Checkpoint = cs.checkpoint // resume where the dead worker left off
-			cs.status = cmdQueued
-			cs.worker = ""
-			s.journal(store.Record{Type: store.RecCommandRequeued,
-				Project: owner.name, Command: cmdID, Worker: wf.WorkerID, Count: cs.retries})
-			if err := s.q.Requeue(spec); err != nil {
-				s.log.Error("requeueing recovered command failed", "cmd", cmdID, "err", err)
-			} else {
-				cs.submittedAt = time.Now()
-				cs.dispatchedAt = time.Time{}
-				s.met.requeued.Inc()
-				s.cfg.Obs.Trace.Record(obs.Span{
-					Stage:   obs.StageSubmit,
-					Command: cmdID,
-					Project: owner.name,
-					Attrs: map[string]string{
-						"requeue":          strconv.Itoa(cs.retries),
-						"checkpoint_bytes": strconv.Itoa(len(cs.checkpoint)),
-					},
-				})
-				s.log.Info("requeued command from checkpoint",
-					"cmd", cmdID, "retry", cs.retries, "checkpoint_bytes", len(cs.checkpoint))
-				// If a gang sibling already failed terminally earlier in this
-				// batch, the gang can never refill; check once the last
-				// running member has left the running state.
-				s.maybeDemoteGangLocked(owner, cs.spec.GangID, cs.spec.GangSize)
-				owner.mu.Unlock()
-				continue
-			}
-		}
-		// Terminal failure.
-		s.journal(store.Record{Type: store.RecCommandFailed,
-			Project: owner.name, Command: cmdID, Worker: wf.WorkerID, Note: "worker lost"})
-		cs.status = cmdFailed
-		owner.failed++
-		s.met.failed.Inc()
-		s.maybeDemoteGangLocked(owner, cs.spec.GangID, cs.spec.GangSize)
-		s.log.Warn("command failed terminally", "cmd", cmdID, "project", owner.name, "worker", wf.WorkerID)
-		err := owner.ctrl.CommandFailed(s.contextFor(owner), cs.spec, "worker lost")
-		if err != nil && owner.state == "running" {
-			owner.state = "failed"
-			owner.failErr = err.Error()
-			close(owner.done)
-		}
-		owner.mu.Unlock()
+		s.forCommand(cmdID, func(p *project, cs *cmdState) bool {
+			hit := cs.runningOn(wf.WorkerID) // else finished, terminated, or reassigned elsewhere
+			s.requeueOrFail(p, cs, wf.WorkerID, "")
+			return hit
+		})
 	}
 }

@@ -25,7 +25,9 @@ func ctxTimeout(t *testing.T, d time.Duration) context.Context {
 // testController is a scriptable plugin that records events.
 type testController struct {
 	mu             sync.Mutex
-	submit         []wire.CommandSpec // submitted at Start
+	submit         []wire.CommandSpec            // submitted at Start
+	submitFor      map[string][]wire.CommandSpec // per-project Start script; a project listed here ignores submit
+	children       map[string][]wire.CommandSpec // submitted by the reaction to the keyed command's result
 	finished       []*wire.CommandResult
 	failed         []string
 	finishOn       int // Finish the project after this many completions (0 = never)
@@ -37,7 +39,11 @@ type testController struct {
 func (c *testController) Name() string { return "test" }
 
 func (c *testController) Start(ctx controller.Context, params []byte) error {
-	for _, cmd := range c.submit {
+	cmds := c.submit
+	if script, ok := c.submitFor[ctx.ProjectName()]; ok {
+		cmds = script
+	}
+	for _, cmd := range cmds {
 		if err := ctx.Submit(cmd); err != nil {
 			return err
 		}
@@ -51,6 +57,11 @@ func (c *testController) CommandFinished(ctx controller.Context, res *wire.Comma
 	c.finished = append(c.finished, res)
 	n := len(c.finished)
 	c.mu.Unlock()
+	for _, child := range c.children[res.CommandID] {
+		if err := ctx.Submit(child); err != nil {
+			return err
+		}
+	}
 	if c.finishOn > 0 && n >= c.finishOn {
 		ctx.Finish([]byte("done"))
 	}

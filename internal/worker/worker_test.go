@@ -34,7 +34,8 @@ type fakeEngine struct {
 	name     string
 	delay    time.Duration
 	fail     bool
-	block    bool // run until context cancelled
+	failRuns int32 // fail the first failRuns runs, then succeed
+	block    bool  // run until context cancelled
 	ckpts    [][]byte
 	ran      atomic.Int32
 	canceled atomic.Int32
@@ -43,7 +44,7 @@ type fakeEngine struct {
 func (e *fakeEngine) Name() string { return e.name }
 
 func (e *fakeEngine) Run(ctx context.Context, spec wire.CommandSpec, cores int, progress func([]byte)) ([]byte, error) {
-	e.ran.Add(1)
+	run := e.ran.Add(1)
 	for _, ck := range e.ckpts {
 		if progress != nil {
 			progress(ck)
@@ -62,7 +63,7 @@ func (e *fakeEngine) Run(ctx context.Context, spec wire.CommandSpec, cores int, 
 			return nil, ctx.Err()
 		}
 	}
-	if e.fail {
+	if e.fail || run <= e.failRuns {
 		return nil, errors.New("engine exploded")
 	}
 	return []byte("output-" + spec.ID + fmt.Sprintf("-%dcores", cores)), nil
@@ -75,6 +76,7 @@ type recController struct {
 	results  []*wire.CommandResult
 	failures []string
 	finishOn int
+	giveUp   bool // fail the project on the first terminal command failure
 }
 
 func (c *recController) Name() string { return "rec" }
@@ -100,6 +102,9 @@ func (c *recController) CommandFailed(ctx controller.Context, cmd wire.CommandSp
 	c.mu.Lock()
 	c.failures = append(c.failures, cmd.ID)
 	c.mu.Unlock()
+	if c.giveUp {
+		ctx.Fail(fmt.Errorf("%s: %s", cmd.ID, reason))
+	}
 	return nil
 }
 func (c *recController) snapshot() (res []*wire.CommandResult, fails []string) {
@@ -222,18 +227,48 @@ func TestWorkerNoEngineReportsFailure(t *testing.T) {
 	})
 }
 
+// TestWorkerEngineErrorPropagates: an engine that always fails costs the
+// command its retry budget — the server requeues it MaxRetries (2) times, the
+// worker being alive to take it again — and then reaches the controller as a
+// terminal failure, which here ends the project. The failure reports are
+// acknowledged, so nothing is left for the worker to redeliver.
 func TestWorkerEngineErrorPropagates(t *testing.T) {
 	eng := &fakeEngine{name: "sim", fail: true}
-	ctrl := &recController{submit: []wire.CommandSpec{mkCmd("c1", "sim")}}
+	ctrl := &recController{submit: []wire.CommandSpec{mkCmd("c1", "sim")}, giveUp: true}
 	r := newRig(t, ctrl, []engines.Engine{eng}, Config{})
 	r.submitProject(t)
-	// The server rejects worker-reported failures with an error reply; the
-	// command stays "running" until heartbeats lapse. What we verify here
-	// is that the engine ran and no success was recorded.
-	waitCond(t, 5*time.Second, func() bool { return eng.ran.Load() >= 1 })
-	res, _ := ctrl.snapshot()
-	if len(res) != 0 {
-		t.Errorf("failed command produced a success result")
+	st, err := r.srv.WaitProject(ctxTimeout(t, 10*time.Second), "p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != "failed" || st.Failed != 1 || !strings.Contains(st.Note, "engine exploded") {
+		t.Errorf("status = %+v, want the project failed by c1's engine error", st)
+	}
+	res, fails := ctrl.snapshot()
+	if len(res) != 0 || len(fails) != 1 {
+		t.Errorf("controller saw %d results and %d failures, want 0 and 1", len(res), len(fails))
+	}
+	if ran := eng.ran.Load(); ran != 3 {
+		t.Errorf("engine ran %d times, want 1 + MaxRetries = 3", ran)
+	}
+}
+
+// TestWorkerEngineErrorRetried: an engine that fails once is simply run
+// again, and the project finishes.
+func TestWorkerEngineErrorRetried(t *testing.T) {
+	eng := &fakeEngine{name: "sim", failRuns: 1}
+	ctrl := &recController{submit: []wire.CommandSpec{mkCmd("c1", "sim")}, finishOn: 1, giveUp: true}
+	r := newRig(t, ctrl, []engines.Engine{eng}, Config{})
+	r.submitProject(t)
+	st, err := r.srv.WaitProject(ctxTimeout(t, 10*time.Second), "p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != "finished" || st.Finished != 1 || st.Failed != 0 {
+		t.Errorf("status = %+v, want finished on the second run", st)
+	}
+	if ran := eng.ran.Load(); ran != 2 {
+		t.Errorf("engine ran %d times, want 2", ran)
 	}
 }
 

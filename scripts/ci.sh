@@ -43,8 +43,11 @@ go test -run=NONE -bench='BenchmarkKCenters|BenchmarkAssignAll' -benchtime=1x ./
 echo "== chaos soak (race) =="
 go test -race -run TestChaosSoak -timeout 300s ./internal/core/
 
-echo "== crash-restart recovery (race) =="
+echo "== crash-restart recovery (race; lifecycle table x20, WAL faults x5) =="
 go test -race -run TestFabricCrashRestart -timeout 600s ./internal/core/
+go test -race -count=5 -run TestFabricCrashRestartWithWALFaults -timeout 900s ./internal/core/
+go test -race -count=20 -timeout 900s \
+    -run 'TestLifecycle|TestRecovery|TestWorkerReportedFailure|TestAckImpliesDurable|TestRecoversParentWrittenStateDir' ./internal/server/
 
 echo "== standby failover (race) =="
 go test -race -run TestFailover -timeout 600s ./internal/core/

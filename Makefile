@@ -49,9 +49,14 @@ crash:
 # Heartbeat-lease failover: the project server hard-killed (and fully
 # partitioned) mid-ensemble, its warm standby promoting and finishing the
 # campaign, the fenced ex-primary rejoining as standby — see
-# docs/PERSISTENCE.md ("Replication & failover").
+# docs/PERSISTENCE.md ("Replication & failover") — then the same Host
+# assembly cpcserver starts, driven directly: restart-after-fence with
+# each side's original configuration, and failover over real TLS, five
+# times each.
 failover:
 	$(GO) test -race -run TestFailover -v -timeout 600s ./internal/core/
+	$(GO) test -race -count=5 -timeout 900s \
+		-run 'TestHost|TestFailoverOverTLS|TestTLSDeploymentEndToEnd' ./internal/core/
 
 # Event-driven dispatch under stress: relay-homed workers picking up a
 # campaign submitted after they parked, the park/wake/expire/supersede/close

@@ -38,10 +38,12 @@ import (
 	"os"
 	"time"
 
+	"copernicus/internal/chaos"
 	"copernicus/internal/client"
 	"copernicus/internal/controller"
+	"copernicus/internal/core"
 	"copernicus/internal/msm"
-	"copernicus/internal/overlay"
+	"copernicus/internal/obs"
 	"copernicus/internal/store"
 	"copernicus/internal/wire"
 )
@@ -61,16 +63,10 @@ func main() {
 		return
 	}
 
-	id, err := overlay.NewIdentity()
+	node, err := core.NewTLSNode(0, chaos.Config{}, obs.New())
 	if err != nil {
-		log.Fatalf("identity: %v", err)
+		log.Fatal(err)
 	}
-	trust := overlay.NewTrustStore()
-	tr, err := overlay.NewTLSTransport(id, trust)
-	if err != nil {
-		log.Fatalf("tls: %v", err)
-	}
-	node := overlay.NewNode(id, trust, tr)
 	defer node.Close()
 	serverID, err := node.ConnectPeer(*serverAddr)
 	if err != nil {

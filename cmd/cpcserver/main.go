@@ -18,8 +18,14 @@
 // -standby-of <addr> runs as that primary's standby, holding a replayable
 // copy and promoting itself when the heartbeat lease lapses (see
 // docs/PERSISTENCE.md, "Replication & failover"). Either node resumes
-// whatever role its durable replica metadata last recorded, so a fenced
-// ex-primary restarts as a standby without operator intervention.
+// whatever role and peer its durable replica metadata last recorded, so a
+// fenced ex-primary restarted with its old -replicate flags comes back as a
+// standby of the node that fenced it, without operator intervention.
+//
+// This file is flags and process plumbing only. The serving node itself —
+// store, server, replication peer, role resolution, promote/demote — is
+// core.Host, the same assembly the in-process Fabric and every failover test
+// start.
 package main
 
 import (
@@ -30,239 +36,124 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
 	"copernicus/internal/chaos"
 	"copernicus/internal/controller"
+	"copernicus/internal/core"
 	"copernicus/internal/obs"
-	"copernicus/internal/overlay"
-	"copernicus/internal/server"
 	"copernicus/internal/store"
-	"copernicus/internal/store/replica"
 )
 
-func main() {
-	listen := flag.String("listen", ":7770", "address to listen on")
-	peers := flag.String("peer", "", "comma-separated peer server addresses to connect to")
-	seed := flag.Uint64("seed", 0, "deterministic identity seed (0 = random identity)")
-	heartbeat := flag.Duration("heartbeat-interval", 120*time.Second, "worker heartbeat interval")
-	relayTimeout := flag.Duration("relay-timeout", 0, "longest an idle announce is held waiting for work (0 = default 2s)")
-	maxQueued := flag.Int("max-queued", 0, "global queued-command bound across all tenants; submits beyond it are shed (0 = unlimited)")
-	starvationAge := flag.Duration("starvation-age", 0, "queued-command age that jumps fair-share order (0 = default 30s, negative disables)")
-	preemptAge := flag.Duration("preempt-age", 0, "tenant starvation age that triggers checkpoint-boundary preemption of the dominant tenant (0 = disabled)")
-	walSlowAppend := flag.Duration("wal-slow-append", 0, "WAL append-latency EWMA at which backpressure saturates and matching sheds (0 = default 100ms)")
-	chaosCfg := chaos.RegisterFlags(flag.CommandLine)
-	monitor := flag.String("monitor-addr", "", "HTTP monitoring address (e.g. :8080); empty disables")
-	metricsAddr := flag.String("metrics-addr", "", "standalone /metrics+/debug address (e.g. :9090); empty disables (the -monitor-addr handler always includes them)")
-	logLevel := flag.String("log-level", "", "log level: debug, info, warn, error, off (empty = off; -v = debug)")
-	fsToken := flag.String("fs-token", "", "shared-filesystem token (enables by-path result exchange)")
-	stateDir := flag.String("state-dir", "", "durable state directory (WAL + snapshots); empty keeps all project state in memory")
-	fsyncInterval := flag.Duration("fsync-interval", 2*time.Millisecond, "group-commit window: how long the WAL syncer waits for more appends before one shared fsync (0 = fsync each batch immediately)")
-	snapshotEvery := flag.Int("snapshot-every", 512, "WAL records between snapshots (snapshots truncate the log; 0 disables automatic snapshots)")
-	standbyOf := flag.String("standby-of", "", "primary server address to replicate from: run as its warm standby and promote on lease lapse (requires -state-dir)")
-	replicate := flag.Bool("replicate", false, "accept a standby and ship it the WAL (requires -state-dir)")
-	leaseInterval := flag.Duration("lease-interval", time.Second, "replication ship/heartbeat cadence")
-	leaseTimeout := flag.Duration("lease-timeout", 0, "failover lease: contactless time before a standby promotes itself (0 = 5×lease-interval)")
-	verbose := flag.Bool("v", false, "verbose logging (shorthand for -log-level debug)")
-	flag.Parse()
+// options is the command line, bound straight onto the HostConfig it
+// describes wherever a flag is one of its fields.
+type options struct {
+	listen, peers, monitor, metricsAddr string
+	seed                                uint64
+	replicate                           bool
+	chaos                               *chaos.Config
+	obs                                 func() (*obs.Obs, error)
+	host                                core.HostConfig
+	repl                                core.ReplicationConfig
+}
 
-	level := obs.LevelOff
-	if *verbose {
-		level = obs.LevelDebug
-	}
-	if *logLevel != "" {
-		var err error
-		if level, err = obs.ParseLevel(*logLevel); err != nil {
-			log.Fatalf("-log-level: %v", err)
-		}
-	}
-	o := obs.NewWith(obs.Options{LogWriter: os.Stderr, LogLevel: level})
+// registerFlags defines cpcserver's flag surface on fs. testdata/flags.golden
+// pins it: no knob is added, removed, renamed or re-defaulted unnoticed.
+func registerFlags(fs *flag.FlagSet) *options {
+	o := &options{chaos: chaos.RegisterFlags(fs), obs: obs.RegisterFlags(fs)}
+	srv, st := &o.host.Server, &o.host.Store
+	fs.StringVar(&o.listen, "listen", ":7770", "address to listen on")
+	fs.StringVar(&o.peers, "peer", "", "comma-separated peer server addresses to connect to")
+	fs.Uint64Var(&o.seed, "seed", 0, "deterministic identity seed (0 = random identity)")
+	fs.DurationVar(&srv.HeartbeatInterval, "heartbeat-interval", 120*time.Second, "worker heartbeat interval")
+	fs.DurationVar(&srv.RelayTimeout, "relay-timeout", 0, "longest an idle announce is held waiting for work (0 = default 2s)")
+	fs.IntVar(&srv.MaxQueuedTotal, "max-queued", 0, "global queued-command bound across all tenants; submits beyond it are shed (0 = unlimited)")
+	fs.DurationVar(&srv.StarvationAge, "starvation-age", 0, "queued-command age that jumps fair-share order (0 = default 30s, negative disables)")
+	fs.DurationVar(&srv.PreemptAge, "preempt-age", 0, "tenant starvation age that triggers checkpoint-boundary preemption of the dominant tenant (0 = disabled)")
+	fs.DurationVar(&srv.WALSlowAppend, "wal-slow-append", 0, "WAL append-latency EWMA at which backpressure saturates and matching sheds (0 = default 100ms)")
+	fs.StringVar(&o.monitor, "monitor-addr", "", "HTTP monitoring address (e.g. :8080); empty disables")
+	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "standalone /metrics+/debug address (e.g. :9090); empty disables (the -monitor-addr handler always includes them)")
+	fs.StringVar(&srv.FSToken, "fs-token", "", "shared-filesystem token (enables by-path result exchange)")
+	fs.StringVar(&st.Dir, "state-dir", "", "durable state directory (WAL + snapshots); empty keeps all project state in memory")
+	fs.DurationVar(&st.FsyncInterval, "fsync-interval", 2*time.Millisecond, "group-commit window: how long the WAL syncer waits for more appends before one shared fsync (0 = fsync each batch immediately)")
+	fs.IntVar(&st.SnapshotEvery, "snapshot-every", 512, "WAL records between snapshots (snapshots truncate the log; 0 disables automatic snapshots)")
+	fs.StringVar(&o.repl.PeerAddr, "standby-of", "", "primary server address to replicate from: run as its warm standby and promote on lease lapse (requires -state-dir)")
+	fs.BoolVar(&o.replicate, "replicate", false, "accept a standby and ship it the WAL (requires -state-dir)")
+	fs.DurationVar(&o.repl.Interval, "lease-interval", time.Second, "replication ship/heartbeat cadence")
+	fs.DurationVar(&o.repl.LeaseTimeout, "lease-timeout", 0, "failover lease: contactless time before a standby promotes itself (0 = 5×lease-interval)")
+	return o
+}
 
-	var id *overlay.Identity
-	if *seed != 0 {
-		id = overlay.NewIdentityFromSeed(*seed)
-	} else {
-		var err error
-		id, err = overlay.NewIdentity()
-		if err != nil {
-			log.Fatalf("generating identity: %v", err)
-		}
+// hostConfig completes the HostConfig once the flags are parsed. The flags
+// only say which role the operator configured; Host resolves the one the
+// node actually resumes.
+func (o *options) hostConfig() core.HostConfig {
+	o.host.Registry = controller.DefaultRegistry()
+	o.repl.SelfAddr = o.listen
+	if o.repl.PeerAddr != "" {
+		o.repl.Role = store.RoleStandby
+	} else if o.replicate {
+		o.repl.Role = store.RolePrimary
 	}
-	trust := overlay.NewTrustStore()
-	var tr overlay.Transport
-	tr, err := overlay.NewTLSTransport(id, trust)
-	if err != nil {
-		log.Fatalf("tls transport: %v", err)
+	if o.repl.Role != "" {
+		o.host.Replication = &o.repl
 	}
-	tr = chaos.Wrap(tr, *chaosCfg, o)
-	node := overlay.NewNode(id, trust, tr)
-	node.Obs = o
-	if err := node.Listen(*listen); err != nil {
-		log.Fatalf("listen %s: %v", *listen, err)
-	}
+	return o.host
+}
 
-	// Replication role. Flags pick the configured role; durable replica
-	// metadata in the state directory overrides it, so a node that was
-	// promoted or fenced while its operator's scripts still said otherwise
-	// comes back in the role the protocol left it in.
-	role := ""
-	if *standbyOf != "" {
-		role = store.RoleStandby
-	} else if *replicate {
-		role = store.RolePrimary
+// serveHTTP serves h on addr in the background; what names it in the logs.
+func serveHTTP(what, addr string, h http.Handler) {
+	if addr == "" {
+		return
 	}
-	if role != "" {
-		if *stateDir == "" {
-			log.Fatalf("-standby-of/-replicate require -state-dir")
-		}
-		meta, err := store.LoadReplicaMeta(*stateDir)
-		if err != nil {
-			log.Fatalf("reading replica metadata in %s: %v", *stateDir, err)
-		}
-		if meta != nil && meta.Role != "" {
-			role = meta.Role
-		}
-	}
-
-	storeOptions := func() store.Options {
-		return store.Options{
-			Dir:           *stateDir,
-			FsyncInterval: *fsyncInterval,
-			SnapshotEvery: *snapshotEvery,
-			Obs:           o,
-		}
-	}
-	serverConfig := func(st *store.Store) server.Config {
-		return server.Config{
-			HeartbeatInterval: *heartbeat,
-			RelayTimeout:      *relayTimeout,
-			FSToken:           *fsToken,
-			MaxQueuedTotal:    *maxQueued,
-			StarvationAge:     *starvationAge,
-			PreemptAge:        *preemptAge,
-			WALSlowAppend:     *walSlowAppend,
-			Store:             st,
-			Obs:               o,
-		}
-	}
-
-	// A standby serves as a storeless relay until promoted — its replica
-	// peer owns the state directory and feeds it through recovery at
-	// promotion time.
-	var st *store.Store
-	if *stateDir != "" && role != store.RoleStandby {
-		st, err = store.Open(storeOptions())
-		if err != nil {
-			log.Fatalf("opening state dir %s: %v", *stateDir, err)
-		}
-		rec := st.Recovered()
-		if rec.Snapshot != nil || len(rec.Records) > 0 {
-			fmt.Printf("cpcserver: recovering state from %s (%d WAL records)\n", *stateDir, len(rec.Records))
-		}
-	}
-	registry := controller.DefaultRegistry()
-	var smu sync.Mutex
-	srv := server.New(node, registry, serverConfig(st))
-	currentServer := func() *server.Server {
-		smu.Lock()
-		defer smu.Unlock()
-		return srv
-	}
-	defer node.Close()
-	defer func() {
-		smu.Lock()
-		defer smu.Unlock()
-		srv.Close()
-		if st != nil {
-			st.Close()
+	fmt.Printf("cpcserver: %s on http://%s/\n", what, addr)
+	go func() {
+		if err := http.ListenAndServe(addr, h); err != nil {
+			log.Printf("cpcserver: %s: %v", what, err)
 		}
 	}()
+}
 
-	var peer *replica.Peer
-	if role != "" {
-		cfg := replica.Config{
-			Dir:          *stateDir,
-			Role:         role,
-			SelfAddr:     *listen,
-			Interval:     *leaseInterval,
-			LeaseTimeout: *leaseTimeout,
-			StoreOptions: storeOptions(),
-			Obs:          o,
-			Hooks: replica.Hooks{
-				Promote: func(recovered *store.Store, epoch uint64) ([]string, error) {
-					smu.Lock()
-					defer smu.Unlock()
-					srv.Close()
-					st = recovered
-					srv = server.New(node, registry, serverConfig(st))
-					fmt.Printf("cpcserver: promoted to primary (epoch %d), serving %d projects\n",
-						epoch, len(srv.ProjectNames()))
-					return srv.ProjectNames(), nil
-				},
-				Demote: func(epoch uint64, newPrimaryID string) error {
-					smu.Lock()
-					defer smu.Unlock()
-					srv.Close()
-					if st != nil {
-						st.Close()
-						st = nil
-					}
-					srv = server.New(node, registry, serverConfig(nil))
-					fmt.Printf("cpcserver: fenced at epoch %d; demoted to standby of %s\n",
-						epoch, newPrimaryID)
-					return nil
-				},
-			},
-		}
-		if role == store.RoleStandby {
-			if *standbyOf == "" {
-				log.Fatalf("replica metadata says standby but no -standby-of address given")
-			}
-			primaryID, err := node.ConnectPeer(*standbyOf)
-			if err != nil {
-				log.Fatalf("connecting to primary %s: %v", *standbyOf, err)
-			}
-			cfg.PeerID = primaryID
-			cfg.PeerAddr = *standbyOf
-			fmt.Printf("cpcserver: standby of %s (%s)\n", *standbyOf, primaryID)
-		}
-		// A primary learns its standby's ID from the standby's join.
-		if peer, err = replica.NewPeer(node, st, cfg); err != nil {
-			log.Fatalf("starting replication peer: %v", err)
-		}
-		defer peer.Close()
+func main() {
+	opts := registerFlags(flag.CommandLine)
+	flag.Parse()
+	o, err := opts.obs()
+	if err != nil {
+		log.Fatal(err)
 	}
+	node, err := core.NewTLSNode(opts.seed, *opts.chaos, o)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer node.Close()
+	if err := node.Listen(opts.listen); err != nil {
+		log.Fatalf("listen %s: %v", opts.listen, err)
+	}
+	host, err := core.StartHost(node, opts.hostConfig())
+	if err != nil {
+		log.Fatalf("cpcserver: %v", err)
+	}
+	defer host.Close()
 
-	fmt.Printf("cpcserver: node %s listening on %s\n", node.ID(), *listen)
-	if *monitor != "" {
-		go func() {
-			fmt.Printf("cpcserver: monitoring interface on http://%s/\n", *monitor)
-			handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				currentServer().MonitorHandler().ServeHTTP(w, r)
-			})
-			if err := http.ListenAndServe(*monitor, handler); err != nil {
-				log.Printf("cpcserver: monitor: %v", err)
-			}
-		}()
+	fmt.Printf("cpcserver: node %s listening on %s\n", node.ID(), opts.listen)
+	if p := host.Peer(); p != nil {
+		fmt.Printf("cpcserver: replication %s, epoch %d\n", p.Role(), p.Epoch())
 	}
-	if *metricsAddr != "" {
-		go func() {
-			fmt.Printf("cpcserver: metrics on http://%s/metrics\n", *metricsAddr)
-			if err := http.ListenAndServe(*metricsAddr, o.Handler()); err != nil {
-				log.Printf("cpcserver: metrics: %v", err)
-			}
-		}()
-	}
-	if *peers != "" {
-		for _, addr := range strings.Split(*peers, ",") {
-			peerID, err := node.ConnectPeer(strings.TrimSpace(addr))
-			if err != nil {
-				log.Fatalf("connecting to peer %s: %v", addr, err)
-			}
-			fmt.Printf("cpcserver: connected to peer %s (%s)\n", addr, peerID)
+	// The serving instance changes on promote/demote: resolve it per request.
+	serveHTTP("monitoring interface", opts.monitor, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		host.Server().MonitorHandler().ServeHTTP(w, r)
+	}))
+	serveHTTP("metrics", opts.metricsAddr, o.Handler())
+	for _, addr := range strings.Split(opts.peers, ",") {
+		if addr = strings.TrimSpace(addr); addr == "" {
+			continue
 		}
+		peerID, err := node.ConnectPeer(addr)
+		if err != nil {
+			log.Fatalf("connecting to peer %s: %v", addr, err)
+		}
+		fmt.Printf("cpcserver: connected to peer %s (%s)\n", addr, peerID)
 	}
 
 	sig := make(chan os.Signal, 1)

@@ -32,10 +32,10 @@ import (
 	"time"
 
 	"copernicus/internal/chaos"
+	"copernicus/internal/core"
 	"copernicus/internal/engines"
 	"copernicus/internal/md"
 	"copernicus/internal/obs"
-	"copernicus/internal/overlay"
 	"copernicus/internal/retry"
 	"copernicus/internal/worker"
 )
@@ -55,39 +55,22 @@ func main() {
 	retryPerAttempt := flag.Duration("retry-per-attempt", 0, "per-attempt request deadline (0 = default)")
 	chaosCfg := chaos.RegisterFlags(flag.CommandLine)
 	metricsAddr := flag.String("metrics-addr", "", "standalone /metrics+/debug address (e.g. :9091); empty disables")
-	logLevel := flag.String("log-level", "", "log level: debug, info, warn, error, off (empty = off; -v = debug)")
-	verbose := flag.Bool("v", false, "verbose logging (shorthand for -log-level debug)")
+	newObs := obs.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
-	level := obs.LevelOff
-	if *verbose {
-		level = obs.LevelDebug
+	o, err := newObs()
+	if err != nil {
+		log.Fatal(err)
 	}
-	if *logLevel != "" {
-		var perr error
-		if level, perr = obs.ParseLevel(*logLevel); perr != nil {
-			log.Fatalf("-log-level: %v", perr)
-		}
-	}
-	o := obs.NewWith(obs.Options{LogWriter: os.Stderr, LogLevel: level})
 	// Kernel observability: the MD engine records copernicus_md_* (pair
 	// throughput, rebuild cadence, force-loop time, ns/day) into the same
 	// bundle served on -metrics-addr.
 	md.EnableMetrics(o)
 
-	id, err := overlay.NewIdentity()
+	node, err := core.NewTLSNode(0, *chaosCfg, o)
 	if err != nil {
-		log.Fatalf("generating identity: %v", err)
+		log.Fatal(err)
 	}
-	trust := overlay.NewTrustStore()
-	var tr overlay.Transport
-	tr, err = overlay.NewTLSTransport(id, trust)
-	if err != nil {
-		log.Fatalf("tls transport: %v", err)
-	}
-	tr = chaos.Wrap(tr, *chaosCfg, o)
-	node := overlay.NewNode(id, trust, tr)
-	node.Obs = o
 	defer node.Close()
 
 	servers := splitAddrs(*serverList)

@@ -2,10 +2,12 @@
 // an overlay of servers, a fleet of workers with the standard engines, and
 // client-side helpers to submit projects and wait for their results.
 //
-// The Fabric type is the in-process deployment used by tests, examples and
-// benchmarks — functionally the Fig 1 topology (project server, relay
-// servers, workers) over the in-memory transport. Real deployments use the
-// same server/worker packages over TLS via cmd/cpcserver and cmd/cpcworker.
+// The Host type is the one assembly of a serving node (server, durable
+// store, replication peer) on whatever overlay node its caller built:
+// cmd/cpcserver starts one on a TLS node, and the Fabric — the in-process
+// deployment used by tests, examples and benchmarks, functionally the Fig 1
+// topology (project server, relay servers, workers) — starts one per server
+// on the in-memory transport.
 package core
 
 import (
@@ -140,19 +142,13 @@ func (c *FabricConfig) fill() {
 // Fabric is a running in-process Copernicus deployment.
 type Fabric struct {
 	Net     *overlay.MemNetwork
-	Servers []*server.Server
 	Workers []*worker.Worker
-	// Stores holds each server's durable store, index-aligned with Servers;
-	// entries are nil when FabricConfig.StateDir is unset. The fabric owns
-	// them: they are (re)opened by NewFabric/RestartServer and closed by
-	// CrashServer/Close.
-	Stores []*store.Store
 	// Chaos holds each worker's fault-injection transport (index-aligned
 	// with Workers) when FabricConfig.Chaos is enabled; empty otherwise.
 	// Tests drive partitions through these.
 	Chaos []*chaos.Transport
 	// ServerChaos holds each server node's fault-injection transport
-	// (index-aligned with Servers) when FabricConfig.ServerChaos is set;
+	// (indexed like the servers) when FabricConfig.ServerChaos is set;
 	// empty otherwise. Partitioning the standby's entry against the
 	// primary's address severs the replication link.
 	ServerChaos []*chaos.Transport
@@ -164,11 +160,6 @@ type Fabric struct {
 	// relaying replication traffic around it — which is exactly the lease
 	// protocol behaving well, not a partition.
 	ClientChaos *chaos.Transport
-	// Peers holds each server's replication peer, index-aligned with
-	// Servers; nil where the server has no replication role. Promote/demote
-	// hooks swap Servers[i] and Stores[i] at runtime, so concurrent readers
-	// must go through Fabric.Server/Store/Peer.
-	Peers []*replica.Peer
 	// Obs is the bundle shared by every node, server and worker; serve
 	// Obs.Handler() (or any server's MonitorHandler) to expose /metrics and
 	// /debug/trace for the whole fabric.
@@ -176,37 +167,18 @@ type Fabric struct {
 
 	cfg         FabricConfig
 	tr          overlay.Transport
-	serverSeeds []uint64 // identity seeds, so restarts keep node IDs
-	serverIDs   []string // node IDs, index-aligned with Servers
-	smu         sync.Mutex
-	nodes       []*overlay.Node
+	serverSeeds []uint64   // identity seeds, so restarts keep node IDs
+	smu         sync.Mutex // guards hosts[i] and nodes[i] against RestartServer
+	hosts       []*Host
+	nodes       []*overlay.Node // servers first: server i's node is nodes[i]
 	clientNode  *overlay.Node
 	cl          *client.Client
 	cancel      context.CancelFunc
 	wg          sync.WaitGroup
 }
 
-// openStore opens (or re-opens) server i's durable store; nil when the
-// fabric runs without a state directory or i is a replication standby
-// (standbys run storeless until promoted; their replica.Peer owns the warm
-// copy).
-func (f *Fabric) openStore(i int) (*store.Store, error) {
-	if f.cfg.StateDir == "" || f.isStandbyIdx(i) {
-		return nil, nil
-	}
-	return f.openStoreDir(filepath.Join(f.cfg.StateDir, fmt.Sprintf("server-%d", i)))
-}
-
-func (f *Fabric) openStoreDir(dir string) (*store.Store, error) {
-	return store.Open(store.Options{
-		Dir:           dir,
-		FsyncInterval: f.cfg.FsyncInterval,
-		SnapshotEvery: f.cfg.SnapshotEvery,
-		NoSync:        f.cfg.StoreNoSync,
-		WriteHook:     f.cfg.StoreWriteHook,
-		Obs:           f.cfg.Obs,
-	})
-}
+// serverAddr is the in-memory listen address of server i.
+func serverAddr(i int) string { return fmt.Sprintf("server-%d", i) }
 
 // NewFabric builds and starts the deployment: a chain of servers
 // (server-0 — server-1 — …), workers attached round-robin, and a client
@@ -232,8 +204,8 @@ func NewFabric(cfg FabricConfig) (*Fabric, error) {
 		return n
 	}
 
-	// Server chain. Server i's node is f.nodes[i] (servers are created
-	// first), which CrashServer relies on.
+	// Server chain: every node listening and linked before any host starts,
+	// so a standby finds its primary's address up whichever index it has.
 	serverAddrs := make([]string, cfg.Servers)
 	for i := 0; i < cfg.Servers; i++ {
 		serverTr := tr
@@ -246,34 +218,26 @@ func NewFabric(cfg FabricConfig) (*Fabric, error) {
 		}
 		node := newNode(serverTr)
 		f.serverSeeds = append(f.serverSeeds, seed)
-		f.serverIDs = append(f.serverIDs, node.ID())
-		addr := fmt.Sprintf("server-%d", i)
+		addr := serverAddr(i)
 		serverAddrs[i] = addr
 		if err := node.Listen(addr); err != nil {
 			f.Close()
 			return nil, err
 		}
 		if i > 0 {
-			if _, err := node.ConnectPeer(fmt.Sprintf("server-%d", i-1)); err != nil {
+			if _, err := node.ConnectPeer(serverAddr(i - 1)); err != nil {
 				f.Close()
 				return nil, err
 			}
 		}
-		st, err := f.openStore(i)
+	}
+	for i := 0; i < cfg.Servers; i++ {
+		h, err := StartHost(f.nodes[i], f.hostConfig(i))
 		if err != nil {
 			f.Close()
-			return nil, err
+			return nil, fmt.Errorf("core: starting server %d: %w", i, err)
 		}
-		f.Stores = append(f.Stores, st)
-		f.Servers = append(f.Servers, server.New(node, cfg.Registry, f.serverConfig(st)))
-		f.Peers = append(f.Peers, nil)
-	}
-
-	// Replication peers need every server node built first (each side
-	// addresses the other by node ID).
-	if err := f.setupReplication(); err != nil {
-		f.Close()
-		return nil, err
+		f.hosts = append(f.hosts, h)
 	}
 
 	// Workers, attached round-robin across servers. Each worker gets its own
@@ -289,10 +253,10 @@ func NewFabric(cfg FabricConfig) (*Fabric, error) {
 			workerTr = ct
 		}
 		node := newNode(workerTr)
-		home := f.Servers[i%cfg.Servers]
+		home := f.nodes[i%cfg.Servers]
 		var connErr error
 		for attempt := 0; attempt < 5; attempt++ {
-			if _, connErr = node.ConnectPeer(fmt.Sprintf("server-%d", i%cfg.Servers)); connErr == nil {
+			if _, connErr = node.ConnectPeer(serverAddr(i % cfg.Servers)); connErr == nil {
 				break
 			}
 		}
@@ -312,7 +276,7 @@ func NewFabric(cfg FabricConfig) (*Fabric, error) {
 		}
 		wretry := cfg.WorkerRetry
 		wretry.Seed = cfg.WorkerRetry.Seed + uint64(i)
-		wk, err := worker.New(node, home.Node().ID(), cfg.Engines, worker.Config{
+		wk, err := worker.New(node, home.ID(), cfg.Engines, worker.Config{
 			Cores:          cfg.WorkerCores,
 			PollInterval:   cfg.Poll,
 			Retry:          wretry,
@@ -348,47 +312,41 @@ func NewFabric(cfg FabricConfig) (*Fabric, error) {
 		return nil, err
 	}
 	for _, s := range cfg.Standbys {
-		if _, err := f.clientNode.ConnectPeer(fmt.Sprintf("server-%d", s)); err != nil {
+		if _, err := f.clientNode.ConnectPeer(serverAddr(s)); err != nil {
 			f.Close()
 			return nil, err
 		}
 	}
 	f.cl = client.New(f.clientNode, client.Config{
-		Server: f.Servers[0].Node().ID(),
+		Server: f.nodes[0].ID(),
 		Poll:   cfg.Poll,
 	})
 	return f, nil
 }
 
-// Server returns server i's current serving instance under the fabric lock.
-// During a failover the instance at an index changes (a promoted standby
-// swaps its relay for a project server; a fenced primary swaps back), so
-// tests racing a failover must read through these accessors rather than
-// indexing the exported slices.
-func (f *Fabric) Server(i int) *server.Server {
+// host returns server i's current Host; RestartServer replaces it.
+func (f *Fabric) host(i int) *Host {
 	f.smu.Lock()
 	defer f.smu.Unlock()
-	return f.Servers[i]
+	return f.hosts[i]
 }
 
-// Store returns server i's current durable store (nil for storeless relays
-// and standbys) under the fabric lock.
-func (f *Fabric) Store(i int) *store.Store {
-	f.smu.Lock()
-	defer f.smu.Unlock()
-	return f.Stores[i]
-}
+// Server returns server i's current serving instance. During a failover the
+// instance at an index changes (a promoted standby swaps its relay for a
+// project server; a fenced primary swaps back), so tests racing a failover
+// must not cache it.
+func (f *Fabric) Server(i int) *server.Server { return f.host(i).Server() }
+
+// Store returns server i's current durable store (nil for storeless relays,
+// standbys and crashed servers).
+func (f *Fabric) Store(i int) *store.Store { return f.host(i).Store() }
 
 // Peer returns server i's replication peer (nil when i has no replication
-// role) under the fabric lock.
-func (f *Fabric) Peer(i int) *replica.Peer {
-	f.smu.Lock()
-	defer f.smu.Unlock()
-	return f.Peers[i]
-}
+// role, or is crashed).
+func (f *Fabric) Peer(i int) *replica.Peer { return f.host(i).Peer() }
 
 // ProjectServer returns the server holding submitted projects.
-func (f *Fabric) ProjectServer() *server.Server { return f.Servers[0] }
+func (f *Fabric) ProjectServer() *server.Server { return f.Server(0) }
 
 // Client returns the fabric's project client — the same client.Client type
 // cpcctl uses over TLS, here bound to the in-memory overlay.
@@ -422,32 +380,16 @@ func (f *Fabric) Wait(ctx context.Context, name string) (wire.ProjectStatus, err
 	return f.cl.Wait(ctx, name)
 }
 
-// CrashServer simulates a hard failure of server i: its overlay node is
-// torn out (links to workers, peers and the client all die mid-flight) and
-// its store is closed without writing a snapshot — leaving exactly the disk
-// image a kill -9 leaves behind: the snapshots and fsynced WAL tail, and
-// nothing that lived only in memory. RestartServer rebuilds the server from
-// that image. Requires FabricConfig.StateDir (otherwise the crashed
-// server's projects are simply gone, which is the pre-store behaviour).
+// CrashServer simulates a hard failure of server i: the host stops without
+// writing a snapshot and its overlay node is torn out (links to workers,
+// peers and the client all die mid-flight) — leaving exactly the disk image
+// a kill -9 leaves behind: the snapshots and fsynced WAL tail, and nothing
+// that lived only in memory. RestartServer rebuilds the server from that
+// image. Requires FabricConfig.StateDir (otherwise the crashed server's
+// projects are simply gone, which is the pre-store behaviour).
 func (f *Fabric) CrashServer(i int) {
-	// The replication peer closes outside the fabric lock: its run loop may
-	// be inside a promote/demote hook that needs smu, and Close waits for
-	// that loop to finish.
-	f.smu.Lock()
-	p := f.Peers[i]
-	f.Peers[i] = nil
-	f.smu.Unlock()
-	if p != nil {
-		p.Close()
-	}
-	f.smu.Lock()
-	defer f.smu.Unlock()
-	f.Servers[i].Close()
+	f.host(i).Close()
 	f.nodes[i].Close()
-	if f.Stores[i] != nil {
-		f.Stores[i].Close()
-		f.Stores[i] = nil
-	}
 }
 
 // relistenServer rebuilds server i's overlay node: the same identity seed
@@ -464,15 +406,15 @@ func (f *Fabric) relistenServer(i int) (*overlay.Node, error) {
 	}
 	node := overlay.NewNode(overlay.NewIdentityFromSeed(f.serverSeeds[i]), overlay.NewTrustStore(), tr)
 	node.Obs = f.cfg.Obs
-	if err := node.Listen(fmt.Sprintf("server-%d", i)); err != nil {
+	if err := node.Listen(serverAddr(i)); err != nil {
 		node.Close()
 		return nil, fmt.Errorf("core: restarting server %d: %w", i, err)
 	}
 	for _, j := range []int{i - 1, i + 1} {
-		if j < 0 || j >= len(f.Servers) {
+		if j < 0 || j >= f.cfg.Servers {
 			continue
 		}
-		if _, err := node.ConnectPeer(fmt.Sprintf("server-%d", j)); err != nil {
+		if _, err := node.ConnectPeer(serverAddr(j)); err != nil {
 			f.cfg.Obs.Log.Named("core").Warn("restart could not reach chain neighbour",
 				"server", i, "peer", j, "err", err)
 		}
@@ -480,45 +422,31 @@ func (f *Fabric) relistenServer(i int) (*overlay.Node, error) {
 	return node, nil
 }
 
-// reconnectClient re-dials the fabric's client link after server i came
-// back, for the servers the client peers with (the project server and any
-// standby).
-func (f *Fabric) reconnectClient(i int) error {
-	if f.clientNode == nil || (i != 0 && !f.isStandbyIdx(i)) {
-		return nil
-	}
-	if _, err := f.clientNode.ConnectPeer(fmt.Sprintf("server-%d", i)); err != nil {
-		return fmt.Errorf("core: reconnecting client after restart: %w", err)
-	}
-	return nil
-}
-
-// RestartServer rebuilds a crashed server from its state directory: a fresh
-// store whose recovery the new server replays, the same node identity and
-// listen address, and healed links. A server with a replication role comes
-// back in whatever role its durable replica metadata last recorded — see
-// restartReplicated.
+// RestartServer rebuilds a crashed server from its state directory: the
+// same node identity and listen address, healed links, and the same
+// HostConfig it first started with — so a server with a replication role
+// comes back in whatever role its durable replica metadata last recorded,
+// by the rule every serving node follows (see StartHost).
 func (f *Fabric) RestartServer(i int) error {
-	if _, _, _, replicated := f.replRole(i); replicated {
-		return f.restartReplicated(i)
-	}
-	st, err := f.openStore(i)
-	if err != nil {
-		return err
-	}
 	node, err := f.relistenServer(i)
 	if err != nil {
-		if st != nil {
-			st.Close()
-		}
 		return err
 	}
+	h, err := StartHost(node, f.hostConfig(i))
+	if err != nil {
+		node.Close()
+		return fmt.Errorf("core: restarting server %d: %w", i, err)
+	}
 	f.smu.Lock()
-	f.nodes[i] = node
-	f.Stores[i] = st
-	f.Servers[i] = server.New(node, f.cfg.Registry, f.serverConfig(st))
+	f.nodes[i], f.hosts[i] = node, h
 	f.smu.Unlock()
-	return f.reconnectClient(i)
+	// The client peers with the project server and every standby.
+	if role, _ := f.cfg.replRole(i); i == 0 || role == store.RoleStandby {
+		if _, err := f.clientNode.ConnectPeer(serverAddr(i)); err != nil {
+			return fmt.Errorf("core: reconnecting client after restart: %w", err)
+		}
+	}
+	return nil
 }
 
 // Close tears the deployment down.
@@ -526,20 +454,15 @@ func (f *Fabric) Close() {
 	if f.cancel != nil {
 		f.cancel()
 	}
-	// Replication peers stop first (their hooks swap servers and stores;
-	// nothing may churn underneath the teardown), outside the fabric lock
-	// for the same reason CrashServer closes them outside it.
-	for i := range f.Peers {
-		f.smu.Lock()
-		p := f.Peers[i]
-		f.Peers[i] = nil
-		f.smu.Unlock()
-		if p != nil {
+	// Every replication peer stops before any host does, so no standby sees
+	// its primary go quiet and promotes underneath the teardown.
+	for _, h := range f.hosts {
+		if p := h.Peer(); p != nil {
 			p.Close()
 		}
 	}
-	for _, s := range f.Servers {
-		s.Close()
+	for _, h := range f.hosts {
+		h.Close()
 	}
 	f.wg.Wait()
 	for _, ct := range f.Chaos {
@@ -553,12 +476,6 @@ func (f *Fabric) Close() {
 	}
 	for _, n := range f.nodes {
 		n.Close()
-	}
-	// Stores close after the servers that journal to them.
-	for _, st := range f.Stores {
-		if st != nil {
-			st.Close()
-		}
 	}
 }
 

@@ -67,7 +67,7 @@ func crashRestartMSM(t *testing.T, cfg FabricConfig) {
 	// below deterministic (a crash right after a snapshot that covered the
 	// whole journal would legitimately replay nothing).
 	tailDeadline := time.Now().Add(10 * time.Second)
-	for f.Stores[0].AppendedSinceRotation() == 0 {
+	for f.Store(0).AppendedSinceRotation() == 0 {
 		if time.Now().After(tailDeadline) {
 			t.Fatal("journal never accumulated a post-rotation record")
 		}

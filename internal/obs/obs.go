@@ -1,9 +1,12 @@
 package obs
 
 import (
+	"flag"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/pprof"
+	"os"
 )
 
 // Obs bundles the three observability primitives every component records
@@ -38,6 +41,27 @@ func NewWith(opts Options) *Obs {
 		Metrics: NewRegistry(),
 		Trace:   NewTracer(opts.TraceCapacity),
 		Log:     NewLogger(opts.LogWriter, opts.LogLevel),
+	}
+}
+
+// RegisterFlags adds the daemons' -log-level and -v flags to fs and returns
+// the constructor, to call once fs is parsed, of the bundle they select:
+// logging to stderr at that level, silent by default.
+func RegisterFlags(fs *flag.FlagSet) func() (*Obs, error) {
+	logLevel := fs.String("log-level", "", "log level: debug, info, warn, error, off (empty = off; -v = debug)")
+	verbose := fs.Bool("v", false, "verbose logging (shorthand for -log-level debug)")
+	return func() (*Obs, error) {
+		level := LevelOff
+		if *verbose {
+			level = LevelDebug
+		}
+		if *logLevel != "" {
+			var err error
+			if level, err = ParseLevel(*logLevel); err != nil {
+				return nil, fmt.Errorf("-log-level: %w", err)
+			}
+		}
+		return NewWith(Options{LogWriter: os.Stderr, LogLevel: level}), nil
 	}
 }
 

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"flag"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -66,5 +67,42 @@ func TestNilObsNamed(t *testing.T) {
 	var o *Obs
 	if o.Named("x") != nil {
 		t.Fatal("nil Obs should stay nil through Named")
+	}
+}
+
+// TestRegisterFlags: -v means debug, -log-level overrides it, the default is
+// silent, and an unknown level is an error rather than a silent default.
+func TestRegisterFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args    []string
+		enabled Level // lowest level that must be emitted; LevelOff = none
+	}{
+		{nil, LevelOff},
+		{[]string{"-v"}, LevelDebug},
+		{[]string{"-log-level", "warn"}, LevelWarn},
+		{[]string{"-v", "-log-level", "error"}, LevelError},
+	} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		newObs := RegisterFlags(fs)
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		o, err := newObs()
+		if err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
+		}
+		for l := LevelDebug; l < LevelOff; l++ {
+			if got, want := o.Log.Enabled(l), l >= tc.enabled; got != want {
+				t.Errorf("%v: level %v enabled = %v, want %v", tc.args, l, got, want)
+			}
+		}
+	}
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	newObs := RegisterFlags(fs)
+	if err := fs.Parse([]string{"-log-level", "loud"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := newObs(); err == nil {
+		t.Error("unknown -log-level accepted")
 	}
 }

@@ -49,8 +49,10 @@ go test -race -count=5 -run TestFabricCrashRestartWithWALFaults -timeout 900s ./
 go test -race -count=20 -timeout 900s \
     -run 'TestLifecycle|TestRecovery|TestWorkerReportedFailure|TestAckImpliesDurable|TestRecoversParentWrittenStateDir' ./internal/server/
 
-echo "== standby failover (race) =="
+echo "== standby failover (race; Host restart-after-fence and TLS failover x5) =="
 go test -race -run TestFailover -timeout 600s ./internal/core/
+go test -race -count=5 -timeout 900s \
+    -run 'TestHost|TestFailoverOverTLS|TestTLSDeploymentEndToEnd' ./internal/core/
 
 echo "== event-driven dispatch stress (race, x20) =="
 go test -race -count=20 -timeout 600s \

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	mdrun -system ljfluid -n 256 -steps 5000 -thermostat nose-hoover -temp 120
-//	mdrun -system water -n 216 -steps 2000 -ranks 4    # message-passing mode
+//	mdrun -system water -n 300 -steps 2000 -shards 2
 package main
 
 import (
@@ -31,7 +31,6 @@ func main() {
 	temp := flag.Float64("temp", 120, "target temperature, K")
 	cutoff := flag.Float64("cutoff", 0.9, "non-bonded cutoff, nm")
 	shards := flag.Int("shards", 0, "force-loop shards (thread level); 0 auto-sizes to all cores (runtime.NumCPU)")
-	ranks := flag.Int("ranks", 0, "message-passing ranks; >0 selects the MPI-style driver")
 	seed := flag.Uint64("seed", 1, "RNG seed")
 	logEvery := flag.Int("log-every", 500, "energy log interval, steps")
 	metricsAddr := flag.String("metrics-addr", "", "serve copernicus_md_* kernel metrics on this address (e.g. :9092); empty disables")
@@ -90,19 +89,6 @@ func main() {
 
 	fmt.Printf("mdrun: %s, %d atoms, %d steps, dt=%g ps, thermostat=%s\n",
 		*system, sys.Top.NAtoms(), *steps, *dt, cfg.Thermostat)
-
-	if *ranks > 0 {
-		sim, stats, err := md.RunRanks(sys, cfg, *ranks, *steps)
-		if err != nil {
-			log.Fatalf("mdrun: %v", err)
-		}
-		e := sim.Energies()
-		fmt.Printf("ranks=%d  messages=%d  bytes=%d  bytes/step=%.0f\n",
-			stats.Ranks, stats.MessagesSent, stats.BytesSent, stats.BytesPerStep)
-		fmt.Printf("final: T=%.1f K  Epot=%.2f  Etot=%.2f kJ/mol\n",
-			sim.Temperature(), e.Potential(), e.Total())
-		return
-	}
 
 	sim, err := md.New(sys, cfg)
 	if err != nil {

@@ -170,7 +170,6 @@ type (
 	MDConfig   = md.Config
 	MDSim      = md.Sim
 	MDEnergies = md.Energies
-	RankStats  = md.RankStats
 )
 
 // Thermostat selections for MDConfig.
@@ -182,12 +181,11 @@ const (
 )
 
 // MD constructors: NewMD starts a simulation, ResumeMD continues from a
-// checkpoint, RunRanks executes the message-passing rank decomposition.
+// checkpoint.
 var (
 	DefaultMDConfig = md.DefaultConfig
 	NewMD           = md.New
 	ResumeMD        = md.Resume
-	RunRanks        = md.RunRanks
 )
 
 // System builders for MD workloads.

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -128,21 +127,6 @@ func StartHost(node *overlay.Node, cfg HostConfig) (*Host, error) {
 		return h, nil
 	}
 
-	if repl.Role == store.RoleStandby && !slices.Contains(node.Peers(), repl.PeerID) {
-		id, err := node.ConnectPeer(repl.PeerAddr)
-		switch {
-		case err == nil:
-			repl.PeerID = cmp.Or(repl.PeerID, id)
-		case repl.PeerID == "":
-			h.Close()
-			return nil, fmt.Errorf("core: standby cannot identify its primary: %w", err)
-		default:
-			// The primary may simply be down: it re-dials its recorded
-			// standby when it returns, and this side's lease only arms on
-			// first contact.
-			h.log.Warn("standby could not reach its primary", "addr", repl.PeerAddr, "err", err)
-		}
-	}
 	h.log.Info("replication role resolved", "role", repl.Role, "configured", cfg.Replication.Role,
 		"peer", repl.PeerID, "peer_addr", repl.PeerAddr)
 	peer, err := replica.NewPeer(node, st, replica.Config{

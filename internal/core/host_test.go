@@ -57,50 +57,61 @@ func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool)
 	}
 }
 
+// hostNode is a Host with the overlay node it serves on.
+type hostNode struct {
+	*Host
+	node *overlay.Node
+}
+
+// crash is what kill -9 leaves behind: the Host closed without a snapshot,
+// then its node.
+func (h hostNode) crash() { h.Close(); h.node.Close() }
+
+// startHostNode starts a Host on a fresh node listening at addr on net.
+func startHostNode(t *testing.T, net *overlay.MemNetwork, o *obs.Obs, seed uint64, addr string, cfg HostConfig) hostNode {
+	t.Helper()
+	node := overlay.NewNode(overlay.NewIdentityFromSeed(seed), overlay.NewTrustStore(), net.Transport())
+	node.Obs = o
+	if err := node.Listen(addr); err != nil {
+		t.Fatal(err)
+	}
+	h, err := StartHost(node, cfg)
+	if err != nil {
+		node.Close()
+		t.Fatalf("starting host %s: %v", addr, err)
+	}
+	return hostNode{h, node}
+}
+
+// memClient is a cpcctl-style client dialled to addr on net.
+func memClient(t *testing.T, net *overlay.MemNetwork, seed uint64, addr string) *client.Client {
+	t.Helper()
+	node := overlay.NewNode(overlay.NewIdentityFromSeed(seed), overlay.NewTrustStore(), net.Transport())
+	t.Cleanup(node.Close)
+	id, err := node.ConnectPeer(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return client.New(node, client.Config{Server: id})
+}
+
 // TestHostResumesDurableRole holds the restart-after-fence guarantee of
 // docs/PERSISTENCE.md on the assembly cpcserver runs: role, epoch and peer
 // live in replica-meta.json and override the configuration, so a node
 // restarted "by its old scripts" comes back in the role the protocol left it
 // in, reaching its counterpart at the address the metadata recorded.
 func TestHostResumesDurableRole(t *testing.T) {
-	net := overlay.NewMemNetwork()
-	o := obs.New()
-	dir := t.TempDir()
-	type hostNode struct {
-		*Host
-		node *overlay.Node
-	}
+	net, o, dir := overlay.NewMemNetwork(), obs.New(), t.TempDir()
 	start := func(seed uint64, addr string, cfg HostConfig) hostNode {
-		t.Helper()
-		node := overlay.NewNode(overlay.NewIdentityFromSeed(seed), overlay.NewTrustStore(), net.Transport())
-		node.Obs = o
-		if err := node.Listen(addr); err != nil {
-			t.Fatal(err)
-		}
-		h, err := StartHost(node, cfg)
-		if err != nil {
-			node.Close()
-			t.Fatalf("starting host %s: %v", addr, err)
-		}
-		return hostNode{h, node}
+		return startHostNode(t, net, o, seed, addr, cfg)
 	}
-	crash := func(h hostNode) { h.Close(); h.node.Close() }
-	clientOf := func(seed uint64, addr string) *client.Client {
-		t.Helper()
-		node := overlay.NewNode(overlay.NewIdentityFromSeed(seed), overlay.NewTrustStore(), net.Transport())
-		t.Cleanup(node.Close)
-		id, err := node.ConnectPeer(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return client.New(node, client.Config{Server: id})
-	}
+	clientOf := func(seed uint64, addr string) *client.Client { return memClient(t, net, seed, addr) }
 
 	cfgA := testHostConfig(filepath.Join(dir, "a"), store.RolePrimary, "a", "")
 	cfgB := testHostConfig(filepath.Join(dir, "b"), store.RoleStandby, "b", "a")
 	a := start(1, "a", cfgA)
 	b := start(2, "b", cfgB)
-	defer func() { crash(a); crash(b) }()
+	defer func() { a.crash(); b.crash() }()
 
 	// No worker is attached: the projects only have to exist in the journal.
 	bar, msm := controller.DefaultBARParams(), smallMSMParams()
@@ -110,7 +121,7 @@ func TestHostResumesDurableRole(t *testing.T) {
 		return last > 0 && a.Peer().AckedSeq() == last
 	})
 
-	crash(a)
+	a.crash()
 	waitClosed(t, b.Peer().Promoted(), 30*time.Second, "standby promotion")
 	if e := b.Peer().Epoch(); e != 2 {
 		t.Fatalf("promoted standby epoch = %d, want 2", e)
@@ -123,7 +134,7 @@ func TestHostResumesDurableRole(t *testing.T) {
 	if archives, _ := filepath.Glob(filepath.Join(dir, "a.fenced-e2")); len(archives) != 1 {
 		t.Fatalf("fenced ex-primary's state directory was not archived as a.fenced-e2: %v", archives)
 	}
-	crash(a)
+	a.crash()
 
 	// Second restart, same configuration: now the metadata says standby of
 	// b. The new primary moved on in the meantime; the rejoin must catch up.
@@ -145,8 +156,8 @@ func TestHostResumesDurableRole(t *testing.T) {
 	// Symmetrically, the promoted standby restarted with its original
 	// standby configuration resumes as primary, serving the projects out of
 	// its replica directory. (a is down so no lease can lapse meanwhile.)
-	crash(a)
-	crash(b)
+	a.crash()
+	b.crash()
 	b = start(2, "b", cfgB)
 	if role, epoch := b.Peer().Role(), b.Peer().Epoch(); role != store.RolePrimary || epoch != 2 {
 		t.Fatalf("promoted standby restarted as %s at epoch %d, want primary at epoch 2", role, epoch)
@@ -155,5 +166,45 @@ func TestHostResumesDurableRole(t *testing.T) {
 	slices.Sort(names)
 	if !slices.Equal(names, []string{"first", "second"}) {
 		t.Fatalf("restarted primary serves %v, want [first second]", names)
+	}
+}
+
+// TestStandbyStartsBeforeItsPrimary: a fresh standby configured with only its
+// primary's address starts while nothing listens there, waits without
+// promoting (its lease arms on first contact), and joins and catches up once
+// the primary comes up — the standby, not the Host, keeps dialling.
+func TestStandbyStartsBeforeItsPrimary(t *testing.T) {
+	net, o, dir := overlay.NewMemNetwork(), obs.New(), t.TempDir()
+	cfgA := testHostConfig(filepath.Join(dir, "a"), store.RolePrimary, "a", "")
+	cfgB := testHostConfig(filepath.Join(dir, "b"), store.RoleStandby, "b", "a")
+
+	b := startHostNode(t, net, o, 2, "b", cfgB)
+	defer b.crash()
+	// Several lease timeouts with no primary: no contact, so no promotion.
+	time.Sleep(4 * cfgB.Replication.LeaseTimeout)
+	select {
+	case <-b.Peer().Promoted():
+		t.Fatal("standby promoted before it ever reached its primary")
+	default:
+	}
+	if role, epoch := b.Peer().Role(), b.Peer().Epoch(); role != store.RoleStandby || epoch != 1 {
+		t.Fatalf("primaryless standby is %s at epoch %d, want standby at epoch 1", role, epoch)
+	}
+
+	a := startHostNode(t, net, o, 1, "a", cfgA)
+	defer a.crash()
+	bar := controller.DefaultBARParams()
+	submitProject(t, memClient(t, net, 8, "a"), "first", controller.BARControllerName, &bar)
+	waitFor(t, 30*time.Second, "late-started primary's journal to reach the standby", func() bool {
+		last := a.Store().LastSeq()
+		return last > 0 && b.Peer().AckedSeq() == last
+	})
+	select {
+	case <-b.Peer().Promoted():
+		t.Fatal("standby promoted while its primary was serving")
+	default:
+	}
+	if got := a.Peer().Role(); got != store.RolePrimary {
+		t.Fatalf("primary role = %q after the standby joined", got)
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"copernicus/internal/controller"
 	"copernicus/internal/core"
 	"copernicus/internal/des"
-	"copernicus/internal/md"
 	"copernicus/internal/msm"
 	"copernicus/internal/topology"
 	"copernicus/internal/wire"
@@ -192,11 +191,11 @@ func Fig5(res *controller.MSMResult) string {
 	return b.String()
 }
 
-// Fig6Result carries the measured bandwidth of each level of the parallel
-// hierarchy.
+// Fig6Result carries the bandwidth of each level of the parallel hierarchy.
 type Fig6Result struct {
-	// RankBytesPerStep is the per-step message-passing traffic of a
-	// water-box simulation decomposed over 4 ranks (the "MPI" level).
+	// RankBytesPerStep is the per-step message-passing traffic of the
+	// 192-atom water box force-decomposed over 4 ranks (the "MPI" level),
+	// computed by rankTraffic.
 	RankBytesPerStep float64
 	// EnsembleBytes and EnsembleSeconds measure the overlay traffic of a
 	// small adaptive project (the "SSL" level).
@@ -206,26 +205,25 @@ type Fig6Result struct {
 	HeartbeatBytes int
 }
 
-// Fig6 measures the communication hierarchy on the real substrates.
-func Fig6() (*Fig6Result, error) {
-	out := &Fig6Result{}
+// rankTraffic is the per-step traffic of force-decomposed MD over r ranks of
+// n atoms: an all-gather of positions and a reduce of partial forces, each
+// moving (r−1)·n vectors of 24 bytes (three float64) in r·(r−1) messages.
+// r is clamped to n. The engine's own parallel level is the shard pool;
+// this closed form is the MPI level of the paper's hierarchy.
+func rankTraffic(n, r int) (bytes, msgs int) {
+	r = min(r, n)
+	return 2 * 24 * n * (r - 1), 2 * r * (r - 1)
+}
 
-	// MPI level: rank-decomposed MD, counting every payload byte.
+// Fig6 measures the ensemble level on the real substrates and computes the
+// message-passing level.
+func Fig6() (*Fig6Result, error) {
 	sys, err := topology.WaterBox(64, 1)
 	if err != nil {
 		return nil, err
 	}
-	cfg := md.DefaultConfig()
-	cfg.Cutoff = 0.45
-	cfg.Skin = 0.05
-	cfg.Thermostat = md.Berendsen
-	cfg.Temperature = 300
-	cfg.TauT = 0.5
-	_, stats, err := md.RunRanks(sys, cfg, 4, 100)
-	if err != nil {
-		return nil, err
-	}
-	out.RankBytesPerStep = stats.BytesPerStep
+	bytes, _ := rankTraffic(sys.Top.NAtoms(), 4)
+	out := &Fig6Result{RankBytesPerStep: float64(bytes)}
 
 	// Ensemble level: a metered fabric running a small adaptive project.
 	p := VillinParams(ScaleSmall)
@@ -335,8 +333,8 @@ func T1Heartbeat() (string, error) {
 }
 
 // T2SingleSimScaling reports the single-simulation strong-scaling curve:
-// the calibrated DES speed model alongside engine-measured shard and rank
-// communication growth.
+// the calibrated DES speed model alongside the message-passing traffic a
+// force decomposition of a 125-atom LJ fluid would move per step.
 func T2SingleSimScaling() (string, error) {
 	var b strings.Builder
 	m := des.PaperParams().Speed
@@ -346,23 +344,14 @@ func T2SingleSimScaling() (string, error) {
 	for _, c := range []int{1, 12, 24, 48, 96, 192} {
 		fmt.Fprintf(&b, "%-8d %-12.0f %-12.2f\n", c, m.NsPerDay(c), m.Efficiency(c))
 	}
-	// Engine-measured communication growth with ranks.
 	sys, err := topology.LJFluid(125, 8, 1)
 	if err != nil {
 		return "", err
 	}
-	cfg := md.DefaultConfig()
-	cfg.Thermostat = md.NoThermostat
-	cfg.Temperature = 120
-	cfg.Cutoff = 0.7
-	cfg.Skin = 0.1
 	fmt.Fprintf(&b, "%-8s %-16s\n", "ranks", "bytes/step")
 	for _, r := range []int{2, 4, 8} {
-		_, stats, err := md.RunRanks(sys, cfg, r, 20)
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(&b, "%-8d %-16.0f\n", r, stats.BytesPerStep)
+		bytes, _ := rankTraffic(sys.Top.NAtoms(), r)
+		fmt.Fprintf(&b, "%-8d %-16.0f\n", r, float64(bytes))
 	}
 	return b.String(), nil
 }
@@ -393,33 +382,5 @@ func T3AdaptiveVsEven() (string, error) {
 	e := even.Generations[len(even.Generations)-1]
 	fmt.Fprintf(&b, "%-10s %-14d %-14.3f %-12.2f\n", "adaptive", a.States, a.FoldedPiFrac, a.MinRMSD)
 	fmt.Fprintf(&b, "%-10s %-14d %-14.3f %-12.2f\n", "even", e.States, e.FoldedPiFrac, e.MinRMSD)
-	return b.String(), nil
-}
-
-// Overlay returns a tiny live-overlay demonstration summary (Fig 1 shape):
-// three servers in a chain relaying work — used by the quickstart output.
-func OverlayDemo() (string, error) {
-	p := VillinParams(ScaleSmall)
-	p.NStarts = 2
-	p.TasksPerStart = 2
-	p.SegmentsPerGen = 8
-	p.Generations = 1
-	f, err := core.NewFabric(core.FabricConfig{Servers: 3, WorkersPerServer: 1})
-	if err != nil {
-		return "", err
-	}
-	defer f.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
-	defer cancel()
-	if err := f.Submit(ctx, "demo", controller.MSMControllerName, &p); err != nil {
-		return "", err
-	}
-	st, err := f.Wait(ctx, "demo")
-	if err != nil {
-		return "", err
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "3-server chain, 3 workers: project %s (%s), %d commands finished, %d bytes moved\n",
-		st.Name, st.State, st.Finished, f.Net.BytesSent())
 	return b.String(), nil
 }

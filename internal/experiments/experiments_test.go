@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"copernicus/internal/controller"
+	"copernicus/internal/topology"
 )
 
 func TestVillinParamsScales(t *testing.T) {
@@ -125,15 +126,41 @@ func TestT1T2Reports(t *testing.T) {
 	}
 }
 
-func TestOverlayDemo(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping fabric run in -short mode")
-	}
-	s, err := OverlayDemo()
+// TestRankTrafficMatchesParentCapture pins rankTraffic against per-step
+// bytes and messages captured by running the deleted md.RunRanks driver at
+// commit 2d61cbb (Fig 6's and T2's configurations, 20 steps each). These are
+// captured values: never regenerate them from rankTraffic itself.
+func TestRankTrafficMatchesParentCapture(t *testing.T) {
+	water64, err := topology.WaterBox(64, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(s, "finished") {
-		t.Errorf("demo did not finish: %s", s)
+	lj125, err := topology.LJFluid(125, 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lj6, err := topology.LJFluid(6, 0.1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name        string
+		sys         *topology.System
+		ranks       int
+		bytes, msgs int
+	}{
+		{"WaterBox(64)", water64, 1, 0, 0},
+		{"WaterBox(64)", water64, 2, 9216, 4},
+		{"WaterBox(64)", water64, 4, 27648, 24},
+		{"LJFluid(125)", lj125, 2, 6000, 4},
+		{"LJFluid(125)", lj125, 4, 18000, 24},
+		{"LJFluid(125)", lj125, 8, 42000, 112},
+		{"LJFluid(6) clamped to 6 ranks", lj6, 8, 1440, 60},
+	} {
+		bytes, msgs := rankTraffic(c.sys.Top.NAtoms(), c.ranks)
+		if bytes != c.bytes || msgs != c.msgs {
+			t.Errorf("%s over %d ranks: %d B, %d msgs per step; parent RunRanks moved %d B in %d msgs",
+				c.name, c.ranks, bytes, msgs, c.bytes, c.msgs)
+		}
 	}
 }

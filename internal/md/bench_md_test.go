@@ -47,7 +47,7 @@ func BenchmarkNonbondedKernel(b *testing.B) {
 
 // BenchmarkNeighborRebuild times a full cell-grid rebuild (binning, slab
 // traversal, parameter packing, merge sort) at fixed positions, serial vs
-// slab-parallel.
+// two and four slab workers.
 func BenchmarkNeighborRebuild(b *testing.B) {
 	sys, err := topology.LJFluid(2048, 8, 1)
 	if err != nil {
@@ -57,7 +57,7 @@ func BenchmarkNeighborRebuild(b *testing.B) {
 	cfg.Thermostat = NoThermostat
 	cfg.Temperature = 120
 	s := benchSim(b, sys, cfg)
-	for _, workers := range []int{1, 4} {
+	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
 			for n := 0; n < b.N; n++ {
 				s.nbl.rebuildWith(s.pos, s.top, workers)
@@ -68,13 +68,14 @@ func BenchmarkNeighborRebuild(b *testing.B) {
 
 // BenchmarkStepVillinBox times full MD steps on a villin-scale solvated box
 // (1000 flexible waters ≈ 3000 atoms, the size regime of the paper's §3.1
-// system), serial vs four force-loop shards. The shards4/serial ns-per-op
-// ratio is the kernel-level speedup recorded in BENCH_md.json.
+// system), serial vs two and four force-loop shards. The serial/shardsN
+// ns-per-op ratios are the kernel-level speedups recorded in BENCH_md.json;
+// shards2 is the row a 2-vCPU host can answer without oversubscribing.
 func BenchmarkStepVillinBox(b *testing.B) {
 	for _, bc := range []struct {
 		name   string
 		shards int
-	}{{"serial", 1}, {"shards4", 4}} {
+	}{{"serial", 1}, {"shards2", 2}, {"shards4", 4}} {
 		b.Run(bc.name, func(b *testing.B) {
 			sys, err := topology.WaterBox(1000, 1)
 			if err != nil {

@@ -8,11 +8,10 @@
 // binary checkpointing so an interrupted command can be resumed by a
 // different worker — the failure-recovery path of the paper's §2.3.
 //
-// Parallelism mirrors the paper's hierarchy at two of its three levels:
-// within a process the force loop is sharded across goroutines ("threads"),
-// and decomp.go provides an explicit message-passing rank decomposition
-// ("MPI") whose traffic is instrumented for the Fig 6 bandwidth analysis.
-// The SIMD level is out of scope for pure Go (see DESIGN.md).
+// Parallelism inside one simulation is the shard pool: the force loop and
+// the cell rebuild are split across goroutines (the paper's thread level).
+// Above it sit commands and the overlay fleet; the MPI level's Fig 6 traffic
+// is a closed form in internal/experiments, and SIMD is out of scope.
 //
 // Units: nm, ps, u, e, kJ/mol (the Gromacs unit system).
 package md

@@ -460,75 +460,6 @@ func TestCheckpointErrors(t *testing.T) {
 	}
 }
 
-func TestRunRanksMatchesSerial(t *testing.T) {
-	sys := smallFluid(t, 64)
-	cfg := nveConfig()
-	cfg.Temperature = 120
-
-	serial, err := New(sys, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := serial.Step(50); err != nil {
-		t.Fatal(err)
-	}
-
-	parallel, stats, err := RunRanks(sys, cfg, 4, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := serial.Positions(), parallel.Positions()
-	for i := range a {
-		if a[i].Sub(b[i]).Norm() > 1e-6 {
-			t.Fatalf("rank run diverged at atom %d: %v vs %v", i, a[i], b[i])
-		}
-	}
-	if stats.BytesSent == 0 || stats.MessagesSent == 0 {
-		t.Error("rank run reported no communication")
-	}
-	if stats.Ranks != 4 || stats.Steps != 50 {
-		t.Errorf("stats = %+v", stats)
-	}
-}
-
-func TestRunRanksCommunicationScales(t *testing.T) {
-	sys := smallFluid(t, 64)
-	cfg := nveConfig()
-	_, s2, err := RunRanks(sys, cfg, 2, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, s8, err := RunRanks(sys, cfg, 8, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s8.BytesPerStep <= s2.BytesPerStep {
-		t.Errorf("more ranks should move more bytes/step: 2 ranks %v, 8 ranks %v",
-			s2.BytesPerStep, s8.BytesPerStep)
-	}
-}
-
-func TestRunRanksRejectsLangevin(t *testing.T) {
-	sys := smallFluid(t, 64)
-	cfg := DefaultConfig()
-	cfg.Thermostat = Langevin
-	if _, _, err := RunRanks(sys, cfg, 2, 1); err == nil {
-		t.Error("langevin under rank decomposition should be rejected")
-	}
-}
-
-func TestRunRanksSingleRank(t *testing.T) {
-	sys := smallFluid(t, 64)
-	cfg := nveConfig()
-	_, stats, err := RunRanks(sys, cfg, 1, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.BytesSent != 0 {
-		t.Errorf("single rank should not communicate, sent %d bytes", stats.BytesSent)
-	}
-}
-
 func TestThermostatString(t *testing.T) {
 	names := map[ThermostatKind]string{
 		NoThermostat: "none", Berendsen: "berendsen",

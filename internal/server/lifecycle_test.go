@@ -22,6 +22,7 @@ type cmdImage struct {
 	Status     cmdStatus
 	Worker     string
 	Retries    int
+	Preempts   int
 	Checkpoint string
 	Streamed   int
 }
@@ -41,7 +42,7 @@ func imageOf(s *Server) map[string]projImage {
 			Note: p.note, FailErr: p.failErr, Result: string(p.result), Commands: make(map[string]cmdImage)}
 		for id, cs := range p.commands {
 			pi.Commands[id] = cmdImage{Status: cs.status, Worker: cs.worker, Retries: cs.retries,
-				Checkpoint: string(cs.checkpoint), Streamed: cs.streamed}
+				Preempts: cs.preempts, Checkpoint: string(cs.checkpoint), Streamed: cs.streamed}
 		}
 		p.mu.Unlock()
 		img[p.name] = pi

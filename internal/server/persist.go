@@ -198,6 +198,7 @@ func (s *Server) restoreProject(ps store.ProjectSnap) error {
 			status:      cmdStatus(cs.Status),
 			worker:      cs.Worker,
 			retries:     cs.Retries,
+			preempts:    cs.Preempts,
 			checkpoint:  cs.Checkpoint,
 			streamed:    cs.Streamed,
 			submittedAt: now,
@@ -415,6 +416,7 @@ func (s *Server) captureSnapshot() (*store.Snapshot, error) {
 				Retries:    cs.retries,
 				Checkpoint: cs.checkpoint,
 				Streamed:   cs.streamed,
+				Preempts:   cs.preempts,
 			})
 		}
 		p.mu.Unlock()

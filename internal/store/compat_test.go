@@ -42,6 +42,41 @@ func TestPreStreamCommandSnapDecodes(t *testing.T) {
 	}
 }
 
+// TestPrePreemptsCommandSnapDecodes: a CommandSnap written before the
+// preemption tally was captured decodes with Preempts == 0 and every older
+// field intact, so a restarted server counts that command's next eviction
+// as its first, as the parent's snapshots implied.
+func TestPrePreemptsCommandSnapDecodes(t *testing.T) {
+	type commandSnapPrePreempts struct {
+		Spec       wire.CommandSpec
+		Status     int
+		Worker     string
+		Retries    int
+		Checkpoint []byte
+		Streamed   int
+	}
+	raw, err := wire.Marshal(&commandSnapPrePreempts{
+		Spec:     wire.CommandSpec{ID: "c3", Project: "villin", Type: "mdrun", MinCores: 1, MaxCores: 1},
+		Status:   1,
+		Worker:   "w2",
+		Retries:  2,
+		Streamed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got CommandSnap
+	if err := wire.Unmarshal(raw, &got); err != nil {
+		t.Fatalf("pre-preempts CommandSnap failed to decode: %v", err)
+	}
+	if got.Spec.ID != "c3" || got.Status != 1 || got.Worker != "w2" || got.Retries != 2 || got.Streamed != 5 {
+		t.Errorf("pre-preempts fields corrupted: %+v", got)
+	}
+	if got.Preempts != 0 {
+		t.Errorf("Preempts must decode as 0 from older snapshots, got %d", got.Preempts)
+	}
+}
+
 // TestStreamCommandSnapDecodesByPreStreamShape covers the reverse: a
 // snapshot with watermarks decodes under the pre-stream field set (gob
 // drops unknown fields), so a rolled-back server recovers cleanly — it

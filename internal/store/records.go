@@ -128,6 +128,9 @@ type CommandSnap struct {
 	// output frames the controller has already ingested via frame chunks.
 	// Decodes as 0 from pre-streaming snapshots.
 	Streamed int
+	// Preempts is the fair-share preemption tally, kept apart from Retries.
+	// Decodes as 0 from snapshots written before it was captured.
+	Preempts int
 }
 
 // ProjectSnap is one project's durable state inside a snapshot, including

@@ -28,9 +28,11 @@
 package replica
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -81,11 +83,11 @@ type Config struct {
 	Dir string
 	// Role is store.RolePrimary or store.RoleStandby.
 	Role string
-	// PeerID is the overlay node ID of the counterpart (required for a
-	// standby; a primary learns it from the ReplJoin).
+	// PeerID is the overlay node ID of the counterpart (a standby without
+	// one learns it by dialling PeerAddr; a primary from the ReplJoin).
 	PeerID string
-	// PeerAddr is the counterpart's transport address, used by a standby to
-	// re-dial a flapping replication link.
+	// PeerAddr is the counterpart's transport address, which a standby dials
+	// until first contact and re-dials when the replication link goes quiet.
 	PeerAddr string
 	// SelfAddr is this node's listen address, carried in ReplJoin so the
 	// primary can find us again after a restart.
@@ -260,6 +262,9 @@ func NewPeer(node *overlay.Node, st *store.Store, cfg Config) (*Peer, error) {
 		if st != nil {
 			return nil, errors.New("replica: standby role opens its own store; pass nil")
 		}
+		if p.peerID == "" && p.peerAddr == "" {
+			return nil, errors.New("replica: a standby needs its primary's PeerID or PeerAddr")
+		}
 		rs, err := p.openReplicaStore()
 		if err != nil {
 			return nil, err
@@ -348,7 +353,7 @@ func (p *Peer) run() {
 	defer ticker.Stop()
 	// A standby introduces itself immediately rather than waiting a tick.
 	if p.Role() == store.RoleStandby {
-		p.join()
+		p.standbyTick()
 	}
 	for {
 		select {
@@ -604,7 +609,9 @@ func (p *Peer) standbyTick() {
 
 	switch {
 	case last.IsZero():
-		// Never been in contact: keep introducing ourselves.
+		// Never been in contact: dial the primary until it answers — it may
+		// not be up yet — and keep introducing ourselves.
+		p.dialPrimary()
 		p.join()
 	case time.Since(last) > timeout:
 		p.met.leaseState.Set(LeaseLapsed)
@@ -619,6 +626,27 @@ func (p *Peer) standbyTick() {
 			}
 		}
 	}
+}
+
+// dialPrimary links this standby to its primary's address unless a link is
+// already up, learning the primary's ID from the handshake when neither the
+// configuration nor the metadata named it.
+func (p *Peer) dialPrimary() {
+	p.mu.Lock()
+	peerID := p.peerID
+	p.mu.Unlock()
+	addr := p.currentPeerAddr()
+	if addr == "" || (peerID != "" && slices.Contains(p.node.Peers(), peerID)) {
+		return
+	}
+	id, err := p.node.ConnectPeer(addr)
+	if err != nil {
+		p.log.Debug("dialling primary failed", "addr", addr, "err", err)
+		return
+	}
+	p.mu.Lock()
+	p.peerID = cmp.Or(p.peerID, id)
+	p.mu.Unlock()
 }
 
 func (p *Peer) currentPeerAddr() string {

@@ -1,74 +1,142 @@
 #!/bin/sh
-# ci.sh — the checks a change must pass before merging:
-# vet, build, full test suite, and race-enabled tests for the
-# concurrency-heavy packages. Usage: scripts/ci.sh [quick]
+# ci.sh — the checks a change must pass before merging, and the one place
+# each check is spelled out: the Makefile's scenario targets (make race,
+# make crash, ...) call the stanzas below by name.
+#
+# Usage: scripts/ci.sh            every stanza, in order
+#        scripts/ci.sh quick      vet, build and the full test suite only
+#        scripts/ci.sh STANZA...  the named stanzas (race, fuzz, chaos, ...)
 set -eu
 cd "$(dirname "$0")/.."
+GO=${GO:-go}
 
-echo "== go vet =="
-go vet ./...
+basic() {
+    echo "== go vet =="
+    $GO vet ./...
+    echo "== go build =="
+    $GO build ./...
+    echo "== go test =="
+    $GO test ./...
+}
 
-echo "== go build =="
-go build ./...
+# Race-enabled tests for the concurrency-heavy packages
+# (./internal/store/... includes internal/store/replica).
+race() {
+    echo "== go test -race (wire, obs, server, worker, queue, overlay, retry, chaos, store, store/replica, md, des, repex, msm, controller) =="
+    $GO test -race ./internal/wire/... ./internal/obs/... ./internal/server/... \
+        ./internal/worker/... ./internal/queue/... ./internal/overlay/... \
+        ./internal/retry/... ./internal/chaos/... ./internal/store/... \
+        ./internal/store/replica/... ./internal/md/... ./internal/des/... \
+        ./internal/repex/... ./internal/msm/... ./internal/controller/...
+}
 
-echo "== go test =="
-go test ./...
+# benchmarks/ is a nested module: ./... does not reach it.
+benchmod() {
+    echo "== benchmarks module (vet, test) =="
+    $GO vet -C benchmarks ./...
+    $GO test -C benchmarks ./...
+}
 
-if [ "${1:-}" = "quick" ]; then
-    echo "ci: quick mode, skipping race tests"
-    exit 0
-fi
+# The wire decoders against arbitrary bytes, ten seconds per target: no
+# panic, no allocation out of proportion to the input, and whatever decodes
+# survives a round trip (go test -fuzz takes one target per run).
+fuzz() {
+    echo "== wire fuzz (10 s per target) =="
+    $GO test -run '^$' -fuzz=FuzzUnmarshalHot -fuzztime=10s ./internal/wire
+    $GO test -run '^$' -fuzz=FuzzReadEnvelope -fuzztime=10s ./internal/wire
+}
 
-echo "== go test -race (wire, obs, server, worker, queue, overlay, retry, chaos, store, store/replica, md, des, repex, msm, controller) =="
-go test -race ./internal/wire/... ./internal/obs/... ./internal/server/... \
-    ./internal/worker/... ./internal/queue/... ./internal/overlay/... \
-    ./internal/retry/... ./internal/chaos/... ./internal/store/... \
-    ./internal/store/replica/... ./internal/md/... ./internal/des/... \
-    ./internal/repex/... ./internal/msm/... ./internal/controller/...
+smoke() {
+    echo "== bench smoke (md, wire, msm) =="
+    $GO test -run=NONE -bench=. -benchtime=1x ./internal/md
+    $GO test -run=NONE -bench=BenchmarkWireRoundTrip -benchtime=1x ./internal/wire
+    $GO test -run=NONE -bench='BenchmarkKCenters|BenchmarkAssignAll' -benchtime=1x ./internal/msm
+}
 
-echo "== benchmarks module (vet, test) =="
-# benchmarks/ is a nested module: ./... above does not reach it.
-go vet -C benchmarks ./...
-go test -C benchmarks ./...
+# Chaos soak: the MSM pipeline completing under seeded fault injection
+# (25% dropped writes, partial frames, a forced full partition) — see
+# docs/ROBUSTNESS.md.
+chaos() {
+    echo "== chaos soak (race) =="
+    $GO test -race -run TestChaosSoak -timeout 300s ./internal/core/
+}
 
-echo "== wire fuzz (10 s per target) =="
-go test -run '^$' -fuzz=FuzzUnmarshalHot -fuzztime=10s ./internal/wire
-go test -run '^$' -fuzz=FuzzReadEnvelope -fuzztime=10s ./internal/wire
+# Kill-and-restart: the project server hard-killed mid-ensemble and rebuilt
+# from its -state-dir, with and without WAL write faults (the faulted run
+# five times over: it was the flake), then the command lifecycle's
+# transition table and the server-level recovery tests 20 times each — see
+# docs/PERSISTENCE.md.
+crash() {
+    echo "== crash-restart recovery (race; lifecycle table x20, WAL faults x5) =="
+    $GO test -race -run TestFabricCrashRestart -timeout 600s ./internal/core/
+    $GO test -race -count=5 -run TestFabricCrashRestartWithWALFaults -timeout 900s ./internal/core/
+    $GO test -race -count=20 -timeout 900s \
+        -run 'TestLifecycle|TestRecovery|TestWorkerReportedFailure|TestAckImpliesDurable|TestRecoversParentWrittenStateDir' ./internal/server/
+}
 
-echo "== bench smoke (md, wire, msm) =="
-go test -run=NONE -bench=. -benchtime=1x ./internal/md
-go test -run=NONE -bench=BenchmarkWireRoundTrip -benchtime=1x ./internal/wire
-go test -run=NONE -bench='BenchmarkKCenters|BenchmarkAssignAll' -benchtime=1x ./internal/msm
+# Heartbeat-lease failover: the project server hard-killed (and fully
+# partitioned) mid-ensemble, its warm standby promoting and finishing the
+# campaign, the fenced ex-primary rejoining as standby — see
+# docs/PERSISTENCE.md ("Replication & failover") — then the Host assembly
+# cpcserver starts, driven directly: restart-after-fence with each side's
+# original configuration, a standby started before its primary, and
+# failover over real TLS, five times each.
+failover() {
+    echo "== standby failover (race; Host restart-after-fence, standby-first start and TLS failover x5) =="
+    $GO test -race -run TestFailover -timeout 600s ./internal/core/
+    $GO test -race -count=5 -timeout 900s \
+        -run 'TestHost|TestStandbyStartsBeforeItsPrimary|TestFailoverOverTLS|TestTLSDeploymentEndToEnd' ./internal/core/
+}
 
-echo "== chaos soak (race) =="
-go test -race -run TestChaosSoak -timeout 300s ./internal/core/
+# Event-driven dispatch under stress: relay-homed workers picking up a
+# campaign submitted after they parked, the park/wake/expire/supersede/close
+# interleavings, and the overlay's concurrent request handlers, 20 times
+# each — see docs/SCHEDULING.md ("Dispatch").
+dispatch() {
+    echo "== event-driven dispatch stress (race, x20) =="
+    $GO test -race -count=20 -timeout 600s \
+        -run 'TestFabricMSMDistributedAcrossRelays|TestIdleFleetPicksUpAtOnce|TestFabricCloseWithIdleWorkers' ./internal/core/
+    $GO test -race -count=20 -timeout 600s \
+        -run 'TestParked|TestWakeCostsOnePerPush|TestLateRelayedWorkloadHandedBack|TestRelayedAssignmentLostReplyRecovered' ./internal/server/
+    $GO test -race -count=20 -timeout 600s \
+        -run 'TestBlockedHandler|TestCloseWithBlockedHandler|TestLinkHandlerCap|TestFloodPasses' ./internal/overlay/
+}
 
-echo "== crash-restart recovery (race; lifecycle table x20, WAL faults x5) =="
-go test -race -run TestFabricCrashRestart -timeout 600s ./internal/core/
-go test -race -count=5 -run TestFabricCrashRestartWithWALFaults -timeout 900s ./internal/core/
-go test -race -count=20 -timeout 900s \
-    -run 'TestLifecycle|TestRecovery|TestWorkerReportedFailure|TestAckImpliesDurable|TestRecoversParentWrittenStateDir' ./internal/server/
+# The multi-tenant scheduling acceptance scenario: 2000 tenants with
+# heavy-tailed traffic against the real fair-share queue, with a slow-fsync
+# WAL fault window, and its seed determinism — see docs/SCHEDULING.md.
+tenants() {
+    echo "== multi-tenant scheduling scenario (race) =="
+    $GO test -race -run 'TestMultiTenantScenario|TestTenantScenario' -timeout 300s ./internal/des/
+}
 
-echo "== standby failover (race; Host restart-after-fence and TLS failover x5) =="
-go test -race -run TestFailover -timeout 600s ./internal/core/
-go test -race -count=5 -timeout 900s \
-    -run 'TestHost|TestFailoverOverTLS|TestTLSDeploymentEndToEnd' ./internal/core/
+# The replica-exchange scheduling scenario: sync vs async REMD ladders
+# against the real gang-scheduling queue, with a worker-churn fault window —
+# see docs/SCHEDULING.md ("Gang scheduling").
+repex() {
+    echo "== replica-exchange scheduling scenario (race) =="
+    $GO test -race -run TestRepexDES -timeout 300s ./internal/des/
+}
 
-echo "== event-driven dispatch stress (race, x20) =="
-go test -race -count=20 -timeout 600s \
-    -run 'TestFabricMSMDistributedAcrossRelays|TestIdleFleetPicksUpAtOnce|TestFabricCloseWithIdleWorkers' ./internal/core/
-go test -race -count=20 -timeout 600s \
-    -run 'TestParked|TestWakeCostsOnePerPush|TestLateRelayedWorkloadHandedBack|TestRelayedAssignmentLostReplyRecovered' ./internal/server/
-go test -race -count=20 -timeout 600s \
-    -run 'TestBlockedHandler|TestCloseWithBlockedHandler|TestLinkHandlerCap|TestFloodPasses' ./internal/overlay/
+# The streaming-analysis scenario: incremental mini-batch clustering vs full
+# batch reclustering over a 20-round adaptive campaign, on the real
+# internal/msm code — see docs/PERFORMANCE.md ("Streaming analysis").
+stream() {
+    echo "== streaming-analysis scenario (race) =="
+    $GO test -race -run TestStreamAnalysisDES -timeout 300s ./internal/des/
+}
 
-echo "== multi-tenant scheduling scenario (race) =="
-go test -race -run TestMultiTenantScenario -timeout 300s ./internal/des/
-
-echo "== replica-exchange scheduling scenario (race) =="
-go test -race -run TestRepexDES -timeout 300s ./internal/des/
-
-echo "== streaming-analysis scenario (race) =="
-go test -race -run TestStreamAnalysisDES -timeout 300s ./internal/des/
-
-echo "ci: all checks passed"
+case "${1:-all}" in
+all) set -- basic race benchmod fuzz smoke chaos crash failover dispatch tenants repex stream ;;
+quick) set -- basic ;;
+esac
+for stanza in "$@"; do
+    case "$stanza" in
+    basic | race | benchmod | fuzz | smoke | chaos | crash | failover | dispatch | tenants | repex | stream) "$stanza" ;;
+    *)
+        echo "ci: unknown stanza $stanza" >&2
+        exit 2
+        ;;
+    esac
+done
+echo "ci: passed: $*"

@@ -151,7 +151,7 @@ func (c *BARController) submitRound(ctx Context) error {
 			}
 			// The engine's potential carries λ·Offset, so each window's
 			// exact contribution is Δλ·Offset and the chain totals Offset.
-			err := c.submit(ctx, wi, cmd, &engines.BARPayload{
+			err := c.submit(ctx, wi, &cmd, &engines.BARPayload{
 				LambdaFrom:   w.LambdaFrom,
 				LambdaTo:     w.LambdaTo,
 				Displacement: p.Displacement,

@@ -71,15 +71,18 @@ func (c *campaign[S]) Name() string { return c.name }
 // seed starts the campaign's RNG; Start calls it once.
 func (c *campaign[S]) seed(seed uint64) { c.rand = rng.New(seed) }
 
-// submit encodes payload into cmd, queues it, and enters it in the ledger
-// under slot.
-func (c *campaign[S]) submit(ctx Context, slot S, cmd wire.CommandSpec, payload any) error {
+// submit qualifies cmd's ID with the project name — command IDs are unique
+// per server, and two projects of one kind mint the same ones — encodes
+// payload into cmd, queues it, and enters it in the ledger under slot. cmd
+// is updated in place, so the caller sees the ID the command runs under.
+func (c *campaign[S]) submit(ctx Context, slot S, cmd *wire.CommandSpec, payload any) error {
 	var err error
 	if cmd.Payload, err = wire.Marshal(payload); err != nil {
 		return err
 	}
+	cmd.ID = ctx.ProjectName() + "/" + cmd.ID
 	c.led.NextCmd++
-	if err := ctx.Submit(cmd); err != nil {
+	if err := ctx.Submit(*cmd); err != nil {
 		return err
 	}
 	c.led.InFlight[cmd.ID] = slot

@@ -61,7 +61,7 @@ func (c *toyController) submitRound(ctx Context) error {
 	ctx.SetStatus(c.st.Round, fmt.Sprintf("round %d", c.st.Round))
 	for i := 0; i < c.st.P.PerRound; i++ {
 		cmd := wire.CommandSpec{ID: fmt.Sprintf("toy-%04d", c.led.NextCmd), Type: engines.BARName, MinCores: 1, MaxCores: 1}
-		err := c.submit(ctx, i, cmd, &engines.BARPayload{LambdaTo: 1, Displacement: 1, NSamples: 20, Seed: c.rand.Uint64()})
+		err := c.submit(ctx, i, &cmd, &engines.BARPayload{LambdaTo: 1, Displacement: 1, NSamples: 20, Seed: c.rand.Uint64()})
 		if err != nil {
 			return err
 		}

@@ -405,7 +405,7 @@ func (c *MSMController) submitSegment(ctx Context, tr *msmTraj) error {
 		MinCores: p.MinCores,
 		MaxCores: p.MaxCores,
 	}
-	err := c.submit(ctx, tr.ID, cmd, &engines.LandscapePayload{
+	err := c.submit(ctx, tr.ID, &cmd, &engines.LandscapePayload{
 		Params:        p.Landscape,
 		Start:         tr.Current,
 		DurationNs:    p.SegmentNs,
@@ -414,6 +414,7 @@ func (c *MSMController) submitSegment(ctx Context, tr *msmTraj) error {
 		StreamEveryNs: p.StreamEveryNs,
 	})
 	if err == nil && c.stream != nil {
+		// Keyed by the ID submit qualified, the one results and chunks carry.
 		c.st.CmdBase[cmd.ID] = tr.Times[len(tr.Times)-1]
 	}
 	return err

@@ -225,7 +225,7 @@ func (c *RepexController) submitSegment(ctx Context, r int, gangID string, gangS
 		GangID:   gangID,
 		GangSize: gangSize,
 	}
-	return c.submit(ctx, r, cmd, &engines.RepexMDPayload{
+	return c.submit(ctx, r, &cmd, &engines.RepexMDPayload{
 		SystemKind:      p.SystemKind,
 		SystemN:         p.SystemN,
 		Density:         p.Density,

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -217,6 +218,15 @@ func TestFabricSharedFS(t *testing.T) {
 	}
 	if st.State != "finished" {
 		t.Fatalf("state = %q (%s)", st.State, st.Note)
+	}
+	// Every result travelled by path: one spooled output per finished
+	// command, none inline — a worker falls back to inline output silently.
+	outs, err := filepath.Glob(filepath.Join(dir, "*.out"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Finished == 0 || len(outs) != st.Finished {
+		t.Fatalf("%d outputs spooled for %d finished commands", len(outs), st.Finished)
 	}
 }
 

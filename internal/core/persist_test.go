@@ -1,11 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"net/http/httptest"
 	"testing"
 	"time"
 
 	"copernicus/internal/chaos"
+	"copernicus/internal/client"
 	"copernicus/internal/controller"
 	"copernicus/internal/obs"
 	"copernicus/internal/wire"
@@ -145,5 +147,118 @@ func TestFabricCrashRestartWithWALFaults(t *testing.T) {
 	body := httpGetBody(t, ms.URL+"/metrics")
 	if v := promValue(t, body, "copernicus_chaos_faults_total"); v < 1 {
 		t.Errorf("no WAL faults fired (copernicus_chaos_faults_total = %v); the chaos run proved nothing", v)
+	}
+}
+
+// commandCounts renders what a finished project counted, command by command:
+// results and failures at the server and, from the controller's result, the
+// segments and frames each MSM generation folded in or the rounds and
+// samples a BAR estimate used. A result or frame counted twice, or lost,
+// changes it.
+func commandCounts(t *testing.T, st wire.ProjectStatus) string {
+	t.Helper()
+	if st.State != "finished" {
+		t.Fatalf("%s: state = %q (%s)", st.Name, st.State, st.Note)
+	}
+	out := fmt.Sprintf("finished=%d failed=%d", st.Finished, st.Failed)
+	switch st.Controller {
+	case controller.MSMControllerName:
+		var res controller.MSMResult
+		if err := wire.Unmarshal(st.Result, &res); err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range res.Generations {
+			out += fmt.Sprintf(" gen%d=%d/%d", g.Generation, g.SegmentsDone, g.FramesTotal)
+		}
+	case controller.BARControllerName:
+		var res controller.BARResult
+		if err := wire.Unmarshal(st.Result, &res); err != nil {
+			t.Fatal(err)
+		}
+		out += fmt.Sprintf(" rounds=%d samples=%d", res.Rounds, res.SamplesUsed)
+	}
+	return out
+}
+
+// TestFabricTwoProjectsOfAKindCrashRestart: two MSM and two BAR projects,
+// from two tenants, share one durable server across a crash and restart.
+// The bundled controllers mint the same command IDs in every project of a
+// kind, so this only runs because the campaign qualifies each ID with its
+// project. Every project finishes, and counts exactly what it counts when it
+// runs alone.
+func TestFabricTwoProjectsOfAKindCrashRestart(t *testing.T) {
+	msm := smallMSMParams()
+	msm.Generations = 2
+	bar := controller.DefaultBARParams()
+	bar.Windows = 2
+	bar.SamplesPerCommand = 100
+	bar.BatchPerWindow = 2
+	bar.TargetStdErr = 1e-9 // unreachable: every project runs MaxRounds
+	bar.MaxRounds = 3
+	projects := []struct {
+		name, ctrl, tenant string
+		params             any
+	}{
+		{"msm-a", controller.MSMControllerName, "alice", &msm},
+		{"bar-a", controller.BARControllerName, "alice", &bar},
+		{"msm-b", controller.MSMControllerName, "bob", &msm},
+		{"bar-b", controller.BARControllerName, "bob", &bar},
+	}
+
+	alone := make(map[string]string)
+	for _, p := range projects {
+		f, err := NewFabric(FabricConfig{Servers: 1, WorkersPerServer: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Submit(ctxTimeout(t, 30*time.Second), p.name, p.ctrl, p.params); err != nil {
+			t.Fatal(err)
+		}
+		st, err := f.Wait(ctxTimeout(t, 2*time.Minute), p.name)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		alone[p.name] = commandCounts(t, st)
+	}
+
+	f, err := NewFabric(FabricConfig{
+		Servers: 1, WorkersPerServer: 3,
+		StateDir: t.TempDir(), ResultSpoolDir: t.TempDir(),
+		FsyncInterval: 200 * time.Microsecond, SnapshotEvery: 48,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for _, p := range projects {
+		if err := f.Submit(ctxTimeout(t, 30*time.Second), p.name, p.ctrl, p.params, client.WithTenant(p.tenant)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitForProgress(t, f, "msm-b", 6)
+	tailDeadline := time.Now().Add(10 * time.Second)
+	for f.Store(0).AppendedSinceRotation() == 0 {
+		if time.Now().After(tailDeadline) {
+			t.Fatal("journal never accumulated a post-rotation record")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	f.CrashServer(0)
+	time.Sleep(300 * time.Millisecond) // workers finish against a dead server and spool
+	if err := f.RestartServer(0); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range projects {
+		st, err := f.Wait(ctxTimeout(t, 4*time.Minute), p.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Tenant != p.tenant {
+			t.Errorf("%s: tenant %q, want %q", p.name, st.Tenant, p.tenant)
+		}
+		if got := commandCounts(t, st); got != alone[p.name] {
+			t.Errorf("%s beside three other projects across a restart counted\n  %s\nalone it counts\n  %s", p.name, got, alone[p.name])
+		}
 	}
 }

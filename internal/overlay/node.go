@@ -726,16 +726,18 @@ type seenKey struct {
 }
 
 // seenCache deduplicates flooded envelopes with a bounded FIFO set: a map
-// for membership and a fixed ring, oldest key at head once it is full.
+// for membership and a ring, oldest key at head once it is full. Both start
+// empty and grow with the traffic, so a node that floods little pays little.
 type seenCache struct {
-	mu   sync.Mutex
-	ring []seenKey // grows to limit, then head wraps over it
-	head int
-	set  map[seenKey]struct{}
+	mu    sync.Mutex
+	limit int
+	ring  []seenKey // appended to up to limit keys, then head wraps over it
+	head  int
+	set   map[seenKey]struct{}
 }
 
 func newSeenCache(limit int) *seenCache {
-	return &seenCache{ring: make([]seenKey, 0, limit), set: make(map[seenKey]struct{}, limit)}
+	return &seenCache{limit: limit, set: make(map[seenKey]struct{})}
 }
 
 // firstTime records the key and reports whether it was new.
@@ -746,7 +748,7 @@ func (s *seenCache) firstTime(from string, reqID uint64, isReply bool) bool {
 	if _, ok := s.set[key]; ok {
 		return false
 	}
-	if len(s.ring) < cap(s.ring) {
+	if len(s.ring) < s.limit {
 		s.ring = append(s.ring, key)
 	} else {
 		delete(s.set, s.ring[s.head])

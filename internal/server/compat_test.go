@@ -3,9 +3,14 @@ package server
 import (
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
+	"copernicus/internal/controller"
+	"copernicus/internal/overlay"
+	"copernicus/internal/store"
 	"copernicus/internal/wire"
 )
 
@@ -76,5 +81,105 @@ func TestRecoversParentWrittenStateDir(t *testing.T) {
 	fst, err := r2.srv.WaitProject(ctxTimeout(t, 2*time.Second), "proj")
 	if err != nil || fst.State != "finished" {
 		t.Fatalf("state = %q (%s), err %v", fst.State, fst.Note, err)
+	}
+}
+
+// TestRecoversParentWrittenStateDirFinished: testdata/finished_project.wal is
+// the WAL segment a build that still journaled command-queued, generation and
+// project-finished records wrote for project "proj" under threeCmdCtl — c1
+// and c2 assigned to w1, a checkpoint for c2, c1's result, c3 assigned to w2
+// and its result, then c2's, which finished the project. Captured; do not
+// regenerate from current code. Replay skips the derived records and must
+// still end the project, from the results alone, with the result it had.
+func TestRecoversParentWrittenStateDirFinished(t *testing.T) {
+	raw, err := os.ReadFile("testdata/finished_project.wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "wal-0000000000000001.log"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st := openTestStore(t, dir)
+	t.Cleanup(func() { st.Close() }) // after the rig's server
+	var types []string
+	for _, rec := range st.Recovered().Records {
+		types = append(types, rec.Type.String())
+	}
+	if !slices.Contains(types, store.RecProjectFinished.String()) || st.Recovered().Torn != "" {
+		t.Fatalf("fixture reads as %v (torn %q), want an intact log that ends the project", types, st.Recovered().Torn)
+	}
+	ctrl := threeCmdCtl()
+	r := newRig(t, Config{HeartbeatInterval: time.Hour, Store: st}, ctrl)
+	pst, ok := r.srv.Project("proj")
+	if !ok || pst.State != "finished" || string(pst.Result) != "done" ||
+		pst.Finished != 3 || pst.Queued+pst.Running != 0 || pst.Note != "started" {
+		t.Fatalf("recovered project: %+v ok=%v, want finished with result \"done\"", pst, ok)
+	}
+	if fin, _ := ctrl.counts(); fin != 3 {
+		t.Fatalf("replay drove %d completions, want 3", fin)
+	}
+	var wl wire.Workload
+	if err := r.request(t, wire.MsgAnnounce, announce("w3", 4), &wl); err != nil {
+		t.Fatal(err)
+	}
+	if len(wl.Commands) != 0 {
+		t.Fatalf("finished project's commands handed out again: %+v", wl.Commands)
+	}
+}
+
+// TestRecoversParentWrittenStateDirBAR: testdata/bar_finished_state is the
+// state directory a build that minted bare command IDs (bar-w00-c00008, not
+// bar/bar-w00-c00008) and journaled project-finished wrote for a three-round
+// BAR project "bar": a snapshot taken in round 2, then a WAL tail with the
+// last round-2 result, round 3's commands and results, and the record that
+// finished the project. Captured; do not regenerate from current code.
+// Replay re-submits round 3 under qualified IDs, so the tail names those
+// commands bare; their results must still count, and the project must come
+// back finished with the result it finished with.
+func TestRecoversParentWrittenStateDirBAR(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"snap-0000000000000002.snap", "wal-0000000000000002.log"} {
+		raw, err := os.ReadFile(filepath.Join("testdata", "bar_finished_state", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := openTestStore(t, dir)
+	t.Cleanup(func() { st.Close() }) // after the server
+	var want []byte
+	for _, rec := range st.Recovered().Records {
+		if rec.Type == store.RecProjectFinished {
+			want = rec.Data
+		}
+	}
+	if len(want) == 0 || st.Recovered().Snapshot == nil || st.Recovered().Torn != "" {
+		t.Fatalf("fixture reads without a snapshot, a finished record or intact (torn %q)", st.Recovered().Torn)
+	}
+	node := overlay.NewNode(overlay.NewIdentityFromSeed(1), overlay.NewTrustStore(), overlay.NewMemNetwork().Transport())
+	srv := New(node, controller.DefaultRegistry(), Config{HeartbeatInterval: time.Hour, Store: st})
+	t.Cleanup(func() {
+		srv.Close()
+		node.Close()
+	})
+	pst, ok := srv.Project("bar")
+	if !ok || pst.State != "finished" || pst.Finished != 12 || pst.Queued+pst.Running != 0 {
+		t.Fatalf("recovered project: state %q (%s), finished %d, queued %d, running %d; want finished 12",
+			pst.State, pst.Note, pst.Finished, pst.Queued, pst.Running)
+	}
+	// Compared decoded: gob numbers types in the order a process first meets
+	// them, so equal results need not be equal bytes across processes.
+	var got, was controller.BARResult
+	if err := wire.Unmarshal(pst.Result, &got); err != nil {
+		t.Fatal(err)
+	}
+	if err := wire.Unmarshal(want, &was); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, was) || got.Rounds != 3 {
+		t.Fatalf("recovered result\n  %+v\nthe project finished with\n  %+v", got, was)
 	}
 }

@@ -8,10 +8,12 @@
 // other is a no-op, which is what absorbs a redelivered message, a race lost
 // to another handler and a record replayed over a snapshot that already
 // reflects it), then journals, mutates and has its effects, in that order.
-// What replay must not do again is decided in three places and nowhere else:
-// journaling() writes nothing, queued and enqueue leave the matching queue
-// alone (reseedQueue fills it once, from the statuses replay ends on), and
-// replay swaps the metric and span sinks for throwaway ones.
+// Only inputs and the server's own decisions are journaled (persist.go): what
+// a controller does in reply, replaying the input makes it do again.
+// What replay must not do again is decided in three places and
+// nowhere else: journaling() writes nothing, queued and enqueue leave the
+// matching queue alone (reseedQueue fills it once, from the statuses replay
+// ends on), and replay swaps the metric and span sinks for throwaway ones.
 package server
 
 import (
@@ -69,20 +71,13 @@ func (c *cmdState) runningOn(worker string) bool {
 
 // --- project transitions ---
 
-// end stops a running project; besides restoreProject it is the only place
-// p.done is closed. The controller's own Finish and Fail are journaled. A
-// handler that returned an error is not (derived): replaying the record that
-// drove the handler fails it again.
-func (s *Server) end(p *project, to projState, result []byte, reason string, derived bool) {
+// end stops a running project — the controller's Finish or Fail, or a
+// controller handler that returned an error; besides restoreProject it is the
+// only place p.done is closed. Not journaled: replaying the record that drove
+// the controller ends the project again.
+func (s *Server) end(p *project, to projState, result []byte, reason string) {
 	if p.state != projRunning {
 		return
-	}
-	if !derived {
-		rec := store.Record{Type: store.RecProjectFinished, Project: p.name, Data: result}
-		if to == projFailed {
-			rec = store.Record{Type: store.RecProjectFailed, Project: p.name, Note: reason}
-		}
-		s.journal(rec)
 	}
 	p.state, p.result, p.failErr = to, result, reason
 	close(p.done)
@@ -91,29 +86,20 @@ func (s *Server) end(p *project, to projState, result []byte, reason string, der
 // reacted ends the project if the controller handler that just ran failed.
 func (s *Server) reacted(p *project, err error) {
 	if err != nil {
-		s.end(p, projFailed, nil, err.Error(), true)
+		s.end(p, projFailed, nil, err.Error())
 	}
-}
-
-// progress notes the controller's generation and status line.
-func (s *Server) progress(p *project, generation int, note string) {
-	s.journal(store.Record{Type: store.RecGeneration,
-		Project: p.name, Generation: generation, Note: note})
-	p.generation, p.note = generation, note
 }
 
 // --- command transitions ---
 
 // queued admits a command its controller submitted (filled in, valid and
-// new to the project). Replay has no record to apply here: it re-runs the
-// handler that submitted, and RecCommandQueued is written but never read.
+// new to the project). Not journaled: replay re-runs the handler that
+// submitted it.
 func (s *Server) queued(p *project, cmd wire.CommandSpec) error {
 	if !s.replaying.Load() {
 		if err := s.q.CheckStorage(cmd.Tenant, int64(len(cmd.Payload))); err != nil {
 			return fmt.Errorf("server: submitting command %q: %w", cmd.ID, err)
 		}
-		s.journalPayload(store.Record{Type: store.RecCommandQueued,
-			Project: p.name, Command: cmd.ID, Tenant: cmd.Tenant}, &cmd)
 		s.notePush(p)
 		if err := s.q.Push(cmd); err != nil {
 			return err
@@ -258,11 +244,11 @@ func (s *Server) requeueOrFail(p *project, cs *cmdState, worker, note string) {
 
 // done applies a command's final result: the output is journaled in full (so
 // replay needs no shared-FS spool file) before the controller reacts, and the
-// caller commits it, and whatever the controller journals, before the worker
-// is acked. encoded is res as it arrived, journaled as it is; nil when the
-// caller has altered res since, and from replay, which journals nothing. A
-// result for a settled command is a redelivery: acknowledged, so the sender
-// stops, and ignored.
+// caller commits it before the worker is acked; whatever the controller does
+// in reply, replaying this record does again. encoded is res as it arrived,
+// journaled as it is; nil when the caller has altered res's content since,
+// and from replay, which journals nothing. A result for a settled command is
+// a redelivery: acknowledged, so the sender stops, and ignored.
 func (s *Server) done(p *project, cs *cmdState, res *wire.CommandResult, encoded []byte) ([]byte, error) {
 	if cs.settled() {
 		s.met.duplicates.Inc()

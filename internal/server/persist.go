@@ -4,12 +4,14 @@
 // transitions themselves — what each record means, live and replayed — are in
 // lifecycle.go.
 //
-// Recovery is event-sourced: the WAL journals the server's *inputs*
-// (project parameters, results in arrival order) and replay re-runs the
-// deterministic controllers through the normal handlers, re-deriving
-// everything they had computed. Snapshots bound replay time by capturing
-// full project state — including serialized controller state
-// (controller.Durable) — so compaction can delete old segments.
+// Recovery is event-sourced: the WAL journals the server's *inputs* (project
+// parameters; results, checkpoints and frame chunks in arrival order; quota
+// updates) and its own nondeterministic decisions (assignments, requeues,
+// preemptions, terminal failures), nothing else. Replay re-runs the
+// deterministic controllers through the normal handlers, re-deriving what
+// they did — submits, status lines, the end of the project. Snapshots bound
+// replay time by capturing full project state, including serialized
+// controller state (controller.Durable), so compaction can delete old segments.
 package server
 
 import (
@@ -72,8 +74,8 @@ func (s *Server) journalPayload(rec store.Record, v any) {
 // before it) staged, and concurrent handlers share the fsync. A crash before
 // the barrier returns means the peer was never acked, and redelivery, orphan
 // requeue and duplicate absorption heal it exactly as for a torn tail.
-// Transitions with no reply (reap, requeue, preempt, progress notes) only
-// journal; the next barrier or the syncer's own pace makes them durable.
+// Transitions with no reply (reap, requeue, preempt) only journal; the next
+// barrier or the syncer's own pace makes them durable.
 func (s *Server) commit() {
 	if !s.journaling() {
 		return
@@ -214,7 +216,9 @@ func (s *Server) restoreProject(ps store.ProjectSnap) error {
 // transition that journaled it (lifecycle.go; docs/PERSISTENCE.md has the
 // table). Every transition is a no-op from a status it does not move from, so
 // a record the snapshot already reflects (the Rotate→capture overlap window)
-// changes nothing, which is what makes the snapshot protocol safe.
+// changes nothing, which is what makes the snapshot protocol safe. The types
+// older builds also wrote — command queued, generation, project finished and
+// failed — are skipped: replaying the input that caused them re-derives them.
 func (s *Server) replayRecord(r store.Record) {
 	switch r.Type {
 	case store.RecProjectSubmitted:
@@ -228,11 +232,6 @@ func (s *Server) replayRecord(r store.Record) {
 		if err != nil {
 			s.log.Warn("replayed project submit", "project", r.Project, "err", err)
 		}
-	case store.RecCommandQueued:
-		// Written, never read: the replayed handler that submitted the command
-		// submits it again. Creating it from the record would plant commands
-		// whose submitting result the log lost, and the re-run parent's
-		// reaction would then collide with its own children.
 	case store.RecTenantQuota:
 		var upd wire.TenantQuotaUpdate
 		if err := wire.Unmarshal(r.Data, &upd); err == nil {
@@ -255,12 +254,6 @@ func (s *Server) replayRecord(r store.Record) {
 				s.log.Warn("replaying result failed", "cmd", res.CommandID, "err", err)
 			}
 		}
-	case store.RecGeneration:
-		s.withProject(r.Project, func(p *project) { s.progress(p, r.Generation, r.Note) })
-	case store.RecProjectFinished:
-		s.withProject(r.Project, func(p *project) { s.end(p, projFinished, r.Data, "", false) })
-	case store.RecProjectFailed:
-		s.withProject(r.Project, func(p *project) { s.end(p, projFailed, nil, r.Note, false) })
 	case store.RecCommandAssigned:
 		s.withProjectCommand(r.Project, r.Command, func(p *project, cs *cmdState) { s.assigned(p, cs, r.Worker, 0) })
 	case store.RecCheckpoint:

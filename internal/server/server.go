@@ -70,8 +70,8 @@ type Config struct {
 	// reaches the queue's shed threshold. Only meaningful with Store set.
 	// Default 100 ms.
 	WALSlowAppend time.Duration
-	// Store, when set, makes project state durable: every lifecycle
-	// transition is journaled to its write-ahead log before being
+	// Store, when set, makes project state durable: every input and
+	// dispatch decision is journaled to its write-ahead log before being
 	// acknowledged, and New replays whatever the store recovered (snapshot +
 	// WAL tail) before serving traffic, so projects resume across restarts.
 	// The server does not own the store; the caller closes it after Close.
@@ -444,10 +444,6 @@ func (s *Server) startProject(sub *wire.ProjectSubmit, ctrl controller.Controlle
 	// Start before journaling the submission: if the controller's first
 	// submits are bounced by admission control, the project is withdrawn
 	// entirely — nothing durable, the name reusable by the client's retry.
-	// Records the controller journals during Start (command queued,
-	// generation) land before RecProjectSubmitted in the WAL; replay drops
-	// them (no project yet) and re-derives them by re-running the
-	// deterministic Start.
 	err := ctrl.Start(s.contextFor(p), sub.Params)
 	if errors.Is(err, wire.ErrQuotaExceeded) || errors.Is(err, wire.ErrAdmissionShed) {
 		for id := range p.commands {
@@ -525,7 +521,7 @@ func (s *Server) WaitProject(ctx context.Context, name string) (wire.ProjectStat
 
 // status reads a project's status under its lock. A terminal state is a
 // promise the project will not run again, so it is only reported once the
-// record that ended the project is durable.
+// record whose replay ends the project again is durable.
 func (s *Server) status(p *project) wire.ProjectStatus {
 	p.mu.Lock()
 	st := s.statusLocked(p)
@@ -623,11 +619,11 @@ func (c *ctxImpl) Terminate(id string) bool {
 	return ok
 }
 
-func (c *ctxImpl) SetStatus(generation int, note string) { c.s.progress(c.p, generation, note) }
+func (c *ctxImpl) SetStatus(generation int, note string) { c.p.generation, c.p.note = generation, note }
 
-func (c *ctxImpl) Finish(result []byte) { c.s.end(c.p, projFinished, result, "", false) }
+func (c *ctxImpl) Finish(result []byte) { c.s.end(c.p, projFinished, result, "") }
 
-func (c *ctxImpl) Fail(err error) { c.s.end(c.p, projFailed, nil, err.Error(), false) }
+func (c *ctxImpl) Fail(err error) { c.s.end(c.p, projFailed, nil, err.Error()) }
 
 // --- worker traffic ---
 
@@ -679,10 +675,7 @@ func (s *Server) assign(info wire.WorkerInfo, wl wire.Workload, direct bool) ([]
 	wl.HeartbeatSeconds = s.cfg.HeartbeatInterval.Seconds()
 	wl.SharedFS = s.cfg.FSToken != "" && s.cfg.FSToken == info.FSToken
 	s.markAssigned(info, wl, direct)
-	// One barrier for the whole workload: it covers every assignment above
-	// and, the WAL being prefix-durable, the RecCommandQueued of every
-	// command in it.
-	s.commit()
+	s.commit() // one barrier for every assignment in the workload
 	return wire.Marshal(&wl)
 }
 
@@ -781,22 +774,25 @@ func (s *Server) project(name string) *project {
 	return s.projects[name]
 }
 
-// withProject runs f under the project lock if the project exists.
-func (s *Server) withProject(name string, f func(*project)) {
-	if p := s.project(name); p != nil {
+// withProjectCommand runs f under the project lock if both exist.
+func (s *Server) withProjectCommand(projectName, cmdID string, f func(*project, *cmdState)) {
+	if p := s.project(projectName); p != nil {
 		p.mu.Lock()
 		defer p.mu.Unlock()
-		f(p)
+		if cs := p.command(cmdID); cs != nil {
+			f(p, cs)
+		}
 	}
 }
 
-// withProjectCommand runs f under the project lock if both exist.
-func (s *Server) withProjectCommand(projectName, cmdID string, f func(*project, *cmdState)) {
-	s.withProject(projectName, func(p *project) {
-		if cs := p.commands[cmdID]; cs != nil {
-			f(p, cs)
-		}
-	})
+// command finds the command a record or message names (p.mu held). An older
+// build's log, spool or worker names a bundled controller's command bare; it
+// is re-submitted on replay, and runs now, as <project>/<id>.
+func (p *project) command(id string) *cmdState {
+	if cs := p.commands[id]; cs != nil {
+		return cs
+	}
+	return p.commands[p.name+"/"+id]
 }
 
 // projectList returns the projects held, for callers that visit each under
@@ -816,7 +812,7 @@ func (s *Server) projectList() []*project {
 func (s *Server) forCommand(id string, f func(*project, *cmdState) bool) bool {
 	for _, p := range s.projectList() {
 		p.mu.Lock()
-		cs := p.commands[id]
+		cs := p.command(id)
 		hit := cs != nil && f(p, cs)
 		p.mu.Unlock()
 		if hit {
@@ -876,10 +872,11 @@ func (s *Server) handleResult(from string, payload []byte) ([]byte, error) {
 func (s *Server) ingestResult(p *project, res *wire.CommandResult, encoded []byte) (reply []byte, settledWorker string, err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	cs := p.commands[res.CommandID]
+	cs := p.command(res.CommandID)
 	if cs == nil {
 		return []byte("ignored"), "", nil
 	}
+	res.CommandID = cs.spec.ID // if it was bare; encoded keeps it as it arrived
 	worker := cs.worker
 	switch {
 	case res.Partial:
@@ -927,10 +924,11 @@ func (s *Server) handleFrameChunk(from string, payload []byte) ([]byte, error) {
 func (s *Server) ingestChunk(p *project, chunk *wire.FrameChunk, payload []byte) ([]byte, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	cs := p.commands[chunk.CommandID]
+	cs := p.command(chunk.CommandID)
 	if cs == nil || cs.settled() || p.state != projRunning {
 		return []byte("ignored"), nil
 	}
+	chunk.CommandID = cs.spec.ID // if it was bare; payload keeps it as it arrived
 	// Frame 0 is the segment's start conformation, which the controller
 	// already holds; the stream begins at frame 1.
 	start := cs.streamed

@@ -7,15 +7,16 @@ import (
 )
 
 // RecordType enumerates the project-lifecycle events the WAL journals.
-// Values are part of the on-disk format; never renumber, only append.
+// Values are part of the on-disk format; never renumber, only append. Types
+// no longer written keep their value and name, so older logs still decode.
 type RecordType uint8
 
 const (
 	// RecProjectSubmitted creates a project; Data holds the controller
 	// parameter blob.
 	RecProjectSubmitted RecordType = iota + 1
-	// RecCommandQueued registers a command with its project; Data holds the
-	// wire.CommandSpec.
+	// RecCommandQueued registered a command with its project (Data: the
+	// wire.CommandSpec). No longer written; replay ignores it.
 	RecCommandQueued
 	// RecCommandAssigned marks a command dispatched to a worker.
 	RecCommandAssigned
@@ -29,11 +30,14 @@ const (
 	RecCommandRequeued
 	// RecCommandFailed fails a command terminally; Note carries the reason.
 	RecCommandFailed
-	// RecGeneration advances the adaptive controller's generation counter.
+	// RecGeneration advanced the controller's generation counter and status
+	// note. No longer written; replay ignores it.
 	RecGeneration
-	// RecProjectFinished completes a project; Data holds the result blob.
+	// RecProjectFinished completed a project (Data: the result blob). No
+	// longer written; replay ignores it.
 	RecProjectFinished
-	// RecProjectFailed aborts a project; Note carries the error.
+	// RecProjectFailed aborted a project (Note: the error). No longer
+	// written; replay ignores it.
 	RecProjectFailed
 	// RecTenantQuota records a tenant's weight/quota configuration; Data
 	// holds the wire.TenantQuotaUpdate. Replayed so quota changes survive
@@ -104,7 +108,7 @@ type Record struct {
 	// Tenant is the owning tenant for tenant-scoped events (project
 	// submission, quota updates). Decodes as "" from pre-tenant WALs.
 	Tenant string
-	// Generation is the new generation for RecGeneration records.
+	// Generation is the new generation in RecGeneration records (older logs).
 	Generation int
 	// Count carries the retry tally for RecCommandRequeued, the preemption
 	// tally for RecCommandPreempted, and the project base priority for

@@ -711,9 +711,11 @@ func encodeFrame(rec *Record) ([]byte, error) {
 
 // readRecords decodes every intact frame from r. A short or corrupt final
 // frame sets torn and stops; it is not an error (an unacknowledged append
-// interrupted by a crash looks exactly like this).
+// interrupted by a crash looks exactly like this). A body grows with the
+// bytes actually read, never to what a torn length word claims.
 func readRecords(r io.Reader) (recs []Record, torn string) {
 	var hdr [8]byte
+	var body bytes.Buffer // reused: gob copies what it keeps out of payload
 	offset := int64(len(segMagic))
 	for {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -727,10 +729,11 @@ func readRecords(r io.Reader) (recs []Record, torn string) {
 		if n > maxRecordBytes {
 			return recs, fmt.Sprintf("implausible frame length %d at offset %d", n, offset)
 		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
+		body.Reset()
+		if _, err := io.CopyN(&body, r, int64(n)); err != nil {
 			return recs, fmt.Sprintf("torn frame body at offset %d: %v", offset, err)
 		}
+		payload := body.Bytes()
 		if got := crc32.Checksum(payload, castagnoli); got != want {
 			return recs, fmt.Sprintf("CRC mismatch at offset %d: got %08x want %08x", offset, got, want)
 		}

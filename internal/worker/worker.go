@@ -670,7 +670,7 @@ func (w *Worker) spoolOutput(cmdID string, output []byte) (string, error) {
 	if err := os.MkdirAll(w.cfg.SpoolDir, 0o755); err != nil {
 		return "", err
 	}
-	path := filepath.Join(w.cfg.SpoolDir, cmdID+".out")
+	path := commandFile(w.cfg.SpoolDir, cmdID, ".out")
 	if err := atomicfile.WriteFile(path, output, 0o644); err != nil {
 		return "", err
 	}
@@ -748,10 +748,17 @@ func (w *Worker) sendChunk(ctx context.Context, origin string, chunk *wire.Frame
 	w.met.streamFrames.Add(uint64(len(chunk.Frames)))
 }
 
+// commandFile names the file in dir that holds cmdID's ext. Command IDs are
+// chosen by controllers and the bundled ones contain a '/', so every path
+// separator becomes '_': the name is always one entry of dir, never a
+// subdirectory or a path out of it.
+func commandFile(dir, cmdID, ext string) string {
+	return filepath.Join(dir, strings.ReplaceAll(filepath.ToSlash(cmdID), "/", "_")+ext)
+}
+
 // checkpointPath maps a command ID to its local checkpoint file.
 func (w *Worker) checkpointPath(cmdID string) string {
-	name := strings.ReplaceAll(cmdID, string(filepath.Separator), "_")
-	return filepath.Join(w.cfg.CheckpointDir, name+".ckpt")
+	return commandFile(w.cfg.CheckpointDir, cmdID, ".ckpt")
 }
 
 // saveLocalCheckpoint persists an engine checkpoint atomically; failures
@@ -798,7 +805,5 @@ func (w *Worker) spoolResult(cmdID string, payload []byte) error {
 	if err := os.MkdirAll(w.cfg.ResultSpoolDir, 0o755); err != nil {
 		return err
 	}
-	name := strings.ReplaceAll(cmdID, string(filepath.Separator), "_")
-	path := filepath.Join(w.cfg.ResultSpoolDir, name+".result")
-	return atomicfile.WriteFile(path, payload, 0o644)
+	return atomicfile.WriteFile(commandFile(w.cfg.ResultSpoolDir, cmdID, ".result"), payload, 0o644)
 }

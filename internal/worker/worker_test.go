@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -412,6 +413,63 @@ func TestWorkerSharedFSSpool(t *testing.T) {
 	}
 	if res[0].OutputPath == "" {
 		t.Error("result did not travel by path reference")
+	}
+}
+
+// TestCommandFilesStayInTheirDirectory: a command ID is its controller's
+// choice. "p/x" (every bundled ID has its project in front) and "../../x"
+// must each become one file directly inside the shared-FS spool, the local
+// checkpoint directory and the result spool — not a fallback to inline
+// output, and nothing outside those directories.
+func TestCommandFilesStayInTheirDirectory(t *testing.T) {
+	root := t.TempDir()
+	cfg := Config{
+		SpoolDir:       filepath.Join(root, "shared", "spool"),
+		CheckpointDir:  filepath.Join(root, "shared", "ckpt"),
+		ResultSpoolDir: filepath.Join(root, "shared", "results"),
+	}
+	n := overlay.NewNode(overlay.NewIdentityFromSeed(9), overlay.NewTrustStore(), overlay.NewMemNetwork().Transport())
+	defer n.Close()
+	w, err := New(n, "home", []engines.Engine{&fakeEngine{name: "sim"}}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []string{"p/x", "../../x"}
+	for _, id := range ids {
+		path, err := w.spoolOutput(id, []byte("out-"+id))
+		if err != nil {
+			t.Fatalf("spooling %q: %v", id, err)
+		}
+		if filepath.Dir(path) != cfg.SpoolDir {
+			t.Errorf("output of %q spooled to %s, outside %s", id, path, cfg.SpoolDir)
+		}
+		if got, err := os.ReadFile(path); err != nil || string(got) != "out-"+id {
+			t.Errorf("spooled output of %q reads back as %q, %v", id, got, err)
+		}
+		w.saveLocalCheckpoint(id, []byte("ck-"+id))
+		if got := w.loadLocalCheckpoint(id); string(got) != "ck-"+id {
+			t.Errorf("checkpoint of %q reads back as %q", id, got)
+		}
+		if err := w.spoolResult(id, []byte("res-"+id)); err != nil {
+			t.Errorf("spooling the result of %q: %v", id, err)
+		}
+	}
+	for _, dir := range []string{cfg.SpoolDir, cfg.CheckpointDir, cfg.ResultSpoolDir} {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != len(ids) {
+			t.Errorf("%s holds %d entries, want one file per command", dir, len(entries))
+		}
+		for _, e := range entries {
+			if e.IsDir() {
+				t.Errorf("%s grew a subdirectory %s", dir, e.Name())
+			}
+		}
+	}
+	if entries, _ := os.ReadDir(root); len(entries) != 1 {
+		t.Errorf("files written outside the worker's directories: %v", entries)
 	}
 }
 

@@ -37,13 +37,15 @@ benchmod() {
     $GO test -C benchmarks ./...
 }
 
-# The wire decoders against arbitrary bytes, ten seconds per target: no
-# panic, no allocation out of proportion to the input, and whatever decodes
-# survives a round trip (go test -fuzz takes one target per run).
+# The wire decoders and the WAL reader against arbitrary bytes, ten seconds
+# per target: no panic, no allocation out of proportion to the input, and
+# whatever decodes survives a round trip or, for the WAL, the intact prefix
+# comes back (go test -fuzz takes one target per run).
 fuzz() {
-    echo "== wire fuzz (10 s per target) =="
+    echo "== wire and WAL fuzz (10 s per target) =="
     $GO test -run '^$' -fuzz=FuzzUnmarshalHot -fuzztime=10s ./internal/wire
     $GO test -run '^$' -fuzz=FuzzReadEnvelope -fuzztime=10s ./internal/wire
+    $GO test -run '^$' -fuzz=FuzzReadWAL -fuzztime=10s ./internal/store
 }
 
 smoke() {
@@ -63,13 +65,16 @@ chaos() {
 
 # Kill-and-restart: the project server hard-killed mid-ensemble and rebuilt
 # from its -state-dir, with and without WAL write faults (the faulted run
-# five times over: it was the flake), then the command lifecycle's
-# transition table and the server-level recovery tests 20 times each — see
+# five times over: it was the flake), two projects of each bundled kind from
+# two tenants sharing the restarted server five times over, then the command
+# lifecycle's transition table and the server-level recovery tests (the
+# state directories older builds wrote among them) 20 times each — see
 # docs/PERSISTENCE.md.
 crash() {
-    echo "== crash-restart recovery (race; lifecycle table x20, WAL faults x5) =="
+    echo "== crash-restart recovery (race; lifecycle table x20, WAL faults x5, two of a kind x5) =="
     $GO test -race -run TestFabricCrashRestart -timeout 600s ./internal/core/
     $GO test -race -count=5 -run TestFabricCrashRestartWithWALFaults -timeout 900s ./internal/core/
+    $GO test -race -count=5 -run TestFabricTwoProjectsOfAKindCrashRestart -timeout 900s ./internal/core/
     $GO test -race -count=20 -timeout 900s \
         -run 'TestLifecycle|TestRecovery|TestWorkerReportedFailure|TestAckImpliesDurable|TestRecoversParentWrittenStateDir' ./internal/server/
 }

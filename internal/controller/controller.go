@@ -29,7 +29,13 @@ import (
 type Context interface {
 	// ProjectName returns the project's name.
 	ProjectName() string
-	// Submit queues a command. The server fills in Project and Origin.
+	// Submit queues a command. The server fills in Project and Origin, and
+	// returns only validation and duplicate-ID errors here: admission (tenant
+	// quotas, the queue bound, WAL shed) is decided when the handler returns,
+	// for all its commands at once. They are queued together, or none is
+	// when the handler returns an error or admission refuses any of them. A
+	// refusal fails the project; from Start, a quota or shed refusal
+	// withdraws it instead.
 	Submit(cmd wire.CommandSpec) error
 	// Terminate removes a queued command, or marks a running one so its
 	// eventual result is discarded. Reports whether the command was known.

@@ -462,24 +462,16 @@ func TestConcurrentSubmitMatchQuota(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	// Drain everything and release any stragglers: accounting must net out.
-	for _, cmd := range q.Match(fsWorker(1 << 20)).Commands {
-		q.Release(cmd.ID, 0.01)
-	}
-	drained := q.Drain()
+	// The per-tenant accounts must agree with the queue-wide count.
+	queued := 0
 	for _, st := range q.Tenants() {
-		if st.InflightCores != 0 {
-			// Some commands may still be in-flight from the final match loop;
-			// release by scanning is impossible without IDs, so only check
-			// queued consistency here.
-			t.Logf("tenant %s ends with %d inflight cores (released below)", st.ID, st.InflightCores)
+		if st.InflightCores < 0 {
+			t.Errorf("tenant %s ends with %d inflight cores", st.ID, st.InflightCores)
 		}
-		if st.Queued != 0 {
-			t.Errorf("tenant %s still has %d queued after drain", st.ID, st.Queued)
-		}
+		queued += st.Queued
 	}
-	if q.Len() != 0 {
-		t.Errorf("Len after drain = %d, want 0", q.Len())
+	if n := q.Len(); queued != n {
+		t.Errorf("tenants hold %d queued commands, Len = %d", queued, n)
 	}
-	t.Logf("pushed=%d quotaHits=%d drained=%d", pushed.Load(), quotaHits.Load(), len(drained))
+	t.Logf("pushed=%d quotaHits=%d queued=%d", pushed.Load(), quotaHits.Load(), queued)
 }

@@ -42,7 +42,7 @@
 // construction), and gangs cannot deadlock against each other holding
 // partial core sets. Admission control stays per member; a submitter whose
 // gang is cut short by a quota bounce must withdraw the queued members (the
-// server withdraws whole projects on submit-time bounces). Terminating or
+// server removes a refused controller handler's whole batch). Terminating or
 // preempting a gang is likewise a whole-gang operation at the server layer;
 // requeued members re-assemble here and the gang becomes dispatchable again
 // once the last one is back.
@@ -76,11 +76,9 @@ type Config struct {
 	StarvationAge time.Duration
 	// Pressure, when set, returns the WAL backpressure signal in [0,1]
 	// (servers derive it from the store's append-latency EWMA). Match
-	// scales the announced core budget by (1-pressure).
+	// scales the announced core budget by (1-pressure); at shedAt and above,
+	// admission and matching shed entirely.
 	Pressure func() float64
-	// ShedAt is the pressure at or above which admission and matching shed
-	// entirely (0 = default 0.95).
-	ShedAt float64
 	// MaxQueuedTotal bounds the whole queue across tenants; Push beyond it
 	// sheds with wire.ErrAdmissionShed. 0 = unlimited.
 	MaxQueuedTotal int
@@ -95,7 +93,9 @@ type Config struct {
 
 const (
 	defaultStarvationAge = 30 * time.Second
-	defaultShedAt        = 0.95
+	// shedAt is the pressure at or above which admission and matching shed
+	// entirely.
+	shedAt = 0.95
 	// defaultEstSeconds seeds the dispatch-time cost estimate before any
 	// command of a tenant has completed.
 	defaultEstSeconds = 1.0
@@ -109,9 +109,6 @@ func (c *Config) fill() {
 	}
 	if c.StarvationAge == 0 {
 		c.StarvationAge = defaultStarvationAge
-	}
-	if c.ShedAt == 0 {
-		c.ShedAt = defaultShedAt
 	}
 }
 
@@ -417,11 +414,11 @@ func (q *Queue) push(cmd wire.CommandSpec, admit bool) error {
 	}
 	t := q.tenantLocked(cmd.Tenant)
 	if admit {
-		if p := q.pressureLocked(); p >= q.cfg.ShedAt {
+		if p := q.pressureLocked(); p >= shedAt {
 			q.shedTotal.Inc()
 			t.metShed.Inc()
 			return fmt.Errorf("queue: WAL pressure %.2f at shed threshold %.2f: %w",
-				p, q.cfg.ShedAt, wire.ErrAdmissionShed)
+				p, shedAt, wire.ErrAdmissionShed)
 		}
 		if q.cfg.MaxQueuedTotal > 0 && q.total >= q.cfg.MaxQueuedTotal {
 			q.shedTotal.Inc()
@@ -532,7 +529,7 @@ func quotaAllowsLocked(t *tenantQ, extra int) bool {
 // two overrides: the globally oldest command jumps the order once it has
 // waited past StarvationAge, and per-tenant MaxCores quotas veto dispatch.
 // WAL pressure scales the worker's usable core budget by (1-pressure) and
-// sheds entirely at ShedAt. Matched commands are removed from the queue and
+// sheds entirely at shedAt. Matched commands are removed from the queue and
 // tracked as in-flight until Release. An empty workload means the queue
 // holds nothing this worker may run right now.
 func (q *Queue) Match(info wire.WorkerInfo) wire.Workload {
@@ -552,7 +549,7 @@ func (q *Queue) Match(info wire.WorkerInfo) wire.Workload {
 
 	pressure := q.pressureLocked()
 	q.lastPressure = pressure
-	if pressure >= q.cfg.ShedAt {
+	if pressure >= shedAt {
 		q.shedTotal.Inc()
 		return wl
 	}
@@ -1029,40 +1026,6 @@ func (q *Queue) DemoteGang(id string) int {
 	}
 	q.maybeDropGangLocked(g)
 	return n
-}
-
-// Drain removes and returns all queued commands in global (priority desc,
-// seq asc) order (used at project teardown).
-func (q *Queue) Drain() []wire.CommandSpec {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	var all []*item
-	for _, t := range q.tenants {
-		for _, it := range t.items {
-			all = append(all, it)
-		}
-		t.items = nil
-		t.ages = nil
-	}
-	q.byID = make(map[string]*item)
-	q.total = 0
-	for id, g := range q.gangs {
-		g.members = make(map[string]*item)
-		if g.inflight == 0 {
-			delete(q.gangs, id)
-		}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].cmd.Priority != all[j].cmd.Priority {
-			return all[i].cmd.Priority > all[j].cmd.Priority
-		}
-		return all[i].seq < all[j].seq
-	})
-	out := make([]wire.CommandSpec, len(all))
-	for i, it := range all {
-		out[i] = it.cmd
-	}
-	return out
 }
 
 // prioHeap orders a tenant's queue by (priority desc, seq asc).

@@ -174,23 +174,6 @@ func TestRemove(t *testing.T) {
 	}
 }
 
-func TestDrain(t *testing.T) {
-	q := New()
-	for i := 0; i < 4; i++ {
-		mustPush(t, q, cmd(fmt.Sprintf("c%d", i), i, 1, 1))
-	}
-	out := q.Drain()
-	if len(out) != 4 || q.Len() != 0 {
-		t.Fatalf("drained %d, remaining %d", len(out), q.Len())
-	}
-	// Highest priority first.
-	if out[0].ID != "c3" {
-		t.Errorf("first drained = %s", out[0].ID)
-	}
-	// IDs reusable after drain.
-	mustPush(t, q, cmd("c0", 0, 1, 1))
-}
-
 func TestHeapOrderingManyPriorities(t *testing.T) {
 	q := New()
 	for i := 0; i < 100; i++ {

@@ -11,16 +11,16 @@
 // Only inputs and the server's own decisions are journaled (persist.go): what
 // a controller does in reply, replaying the input makes it do again.
 // What replay must not do again is decided in three places and
-// nowhere else: journaling() writes nothing, queued and enqueue leave the
+// nowhere else: journaling() writes nothing, admit and enqueue leave the
 // matching queue alone (reseedQueue fills it once, from the statuses replay
 // ends on), and replay swaps the metric and span sinks for throwaway ones.
 package server
 
 import (
-	"fmt"
 	"strconv"
 	"time"
 
+	"copernicus/internal/controller"
 	"copernicus/internal/obs"
 	"copernicus/internal/store"
 	"copernicus/internal/wire"
@@ -83,6 +83,29 @@ func (s *Server) end(p *project, to projState, result []byte, reason string) {
 	close(p.done)
 }
 
+// react runs one controller handler (Start, CommandFinished, CommandFailed,
+// FrameChunk) under p.mu, then admits what it submitted (p.staged) as a batch.
+// It returns the handler's error or else the batch's refusal, and then none
+// of the batch is left on the project; the caller decides what the error
+// means for the project.
+func (s *Server) react(p *project, handler func(controller.Context) error) error {
+	err := handler(s.contextFor(p))
+	if err == nil {
+		err = s.admit(p.staged)
+	}
+	for _, cs := range p.staged {
+		if err != nil {
+			delete(p.commands, cs.spec.ID)
+		} else if cs.status == cmdQueued {
+			s.met.submitted.Inc()
+			s.trace.Record(obs.Span{Stage: obs.StageSubmit, Command: cs.spec.ID, Project: p.name, Start: cs.submittedAt})
+		}
+	}
+	clear(p.staged)
+	p.staged = p.staged[:0]
+	return err
+}
+
 // reacted ends the project if the controller handler that just ran failed.
 func (s *Server) reacted(p *project, err error) {
 	if err != nil {
@@ -92,24 +115,13 @@ func (s *Server) reacted(p *project, err error) {
 
 // --- command transitions ---
 
-// queued admits a command its controller submitted (filled in, valid and
-// new to the project). Not journaled: replay re-runs the handler that
-// submitted it.
-func (s *Server) queued(p *project, cmd wire.CommandSpec) error {
-	if !s.replaying.Load() {
-		if err := s.q.CheckStorage(cmd.Tenant, int64(len(cmd.Payload))); err != nil {
-			return fmt.Errorf("server: submitting command %q: %w", cmd.ID, err)
-		}
-		s.notePush(p)
-		if err := s.q.Push(cmd); err != nil {
-			return err
-		}
-	}
-	now := time.Now()
-	p.commands[cmd.ID] = &cmdState{spec: cmd, status: cmdQueued, submittedAt: now}
-	s.met.submitted.Inc()
-	s.trace.Record(obs.Span{Stage: obs.StageSubmit, Command: cmd.ID, Project: p.name, Start: now})
-	return nil
+// queued records a command its controller submitted (filled in, valid and
+// new to the project); admit pushes it when the handler returns. Not
+// journaled: replay re-runs the handler that submitted it.
+func (s *Server) queued(p *project, cmd wire.CommandSpec) *cmdState {
+	cs := &cmdState{spec: cmd, status: cmdQueued, submittedAt: time.Now()}
+	p.commands[cmd.ID] = cs
+	return cs
 }
 
 // enqueue puts an open command (back) into the matching queue, to resume from
@@ -216,7 +228,7 @@ func (s *Server) failed(p *project, cs *cmdState, rec store.Record) {
 		"worker", rec.Worker, "reason", rec.Note)
 	s.maybeDemoteGangLocked(p, cs.spec.GangID, cs.spec.GangSize)
 	if p.state == projRunning {
-		s.reacted(p, p.ctrl.CommandFailed(s.contextFor(p), cs.spec, rec.Note))
+		s.reacted(p, s.react(p, func(c controller.Context) error { return p.ctrl.CommandFailed(c, cs.spec, rec.Note) }))
 	}
 }
 
@@ -292,7 +304,7 @@ func (s *Server) done(p *project, cs *cmdState, res *wire.CommandResult, encoded
 		return []byte("ok"), nil
 	}
 	span := obs.Span{Stage: obs.StageController, Command: res.CommandID, Project: res.Project, Start: time.Now()}
-	err := p.ctrl.CommandFinished(s.contextFor(p), res)
+	err := s.react(p, func(c controller.Context) error { return p.ctrl.CommandFinished(c, res) })
 	span.Duration = time.Since(span.Start)
 	s.met.controllerTime.Observe(span.Duration.Seconds())
 	reply := []byte("ok")

@@ -4,7 +4,8 @@ import (
 	"container/list"
 	"context"
 	"errors"
-	"math"
+	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,13 +25,15 @@ import (
 //	relayed     the overlay search started on its behalf brought a workload
 //	expired     the hold ran out: empty workload, the worker announces again
 //	superseded  the same worker announced again: empty workload, never matched
-//	closed      the server is shutting down: empty workload
+//	closed      the server is shutting down, or the worker's link closed
+//	            while it waited: empty workload
 //
 // Every transition happens under parking.mu, so "exactly one" is the lock's
-// doing. All announce matching runs under the same lock, which closes the
-// gap between a match that misses and the park that follows it: a command
-// pushed in that gap finds the waiter in line, or the match finds the
-// command.
+// doing. All announce matching runs under the same lock, and so does the push
+// of a controller handler's commands once it has returned (admit): a match
+// sees all of a handler's commands or none, a command pushed after a miss
+// finds the waiter in line, and no match ever waits for a handler. Lock
+// order: p.mu → parking.mu → q.mu; nothing takes p.mu under parking.mu.
 
 type parkOutcome int
 
@@ -39,7 +42,7 @@ const (
 	parkRelayed
 	parkExpired
 	parkSuperseded
-	parkClosed // a shutdown, not a dispatch outcome: not in the histogram
+	parkClosed // nobody left to serve, not a dispatch outcome: not in the histogram
 )
 
 // outcomeLabels are the hold histogram's outcome label values.
@@ -51,6 +54,7 @@ type waiter struct {
 	parkedAt time.Time
 	deadline time.Time
 	elem     *list.Element // position in parking.line; nil once resolved
+	link     string        // the worker's node, if it announced over a direct link
 	done     chan struct{} // closed by resolveLocked
 
 	// Set under parking.mu before done is closed, read after it.
@@ -76,11 +80,6 @@ type parking struct {
 	ready chan struct{}
 	edge  atomic.Bool
 
-	// pushing holds the projects whose controllers have queued commands
-	// and may still be queueing more; see awaitPushers.
-	pushMu  sync.Mutex
-	pushing map[*project]struct{}
-
 	hold [parkClosed]*obs.Histogram // by outcome
 }
 
@@ -92,7 +91,6 @@ func (s *Server) initParking() {
 	p.line = list.New()
 	p.byWorker = make(map[string]*waiter)
 	p.ready = make(chan struct{}, 1)
-	p.pushing = make(map[*project]struct{})
 	m, node := s.cfg.Obs.Metrics, s.node.ID()
 	m.GaugeFunc("copernicus_server_parked_announces",
 		"Idle workers' announces held open until work turns up.", obs.L("node", node),
@@ -109,7 +107,7 @@ func (s *Server) initParking() {
 }
 
 // queueReady is the queue's readiness hook: it only nudges the dispatcher,
-// because the caller may hold a project lock.
+// because the caller may hold a project lock and parking.mu.
 func (s *Server) queueReady(first bool) {
 	if first {
 		s.park.edge.Store(true)
@@ -120,42 +118,37 @@ func (s *Server) queueReady(first bool) {
 	}
 }
 
-// notePush records, before the push, that project p's controller is queueing
-// a command (ctxImpl.Submit, under p.mu).
-func (s *Server) notePush(p *project) {
-	s.park.pushMu.Lock()
-	s.park.pushing[p] = struct{}{}
-	s.park.pushMu.Unlock()
-}
-
-// awaitPushers waits until the controller handlers that have been queueing
-// commands return. A controller queues a generation's commands one by one
-// under its project's lock, the first push already wakes the dispatcher, and
-// a fresh announce can arrive between two pushes; a worker takes one
-// workload and does not announce again until it has run it, so it must be
-// offered the whole batch, not its first command. Taking each pushing
-// project's lock once is that wait — for those handlers only, and for no
-// timer. The note is dropped under the project's lock, where no handler of
-// the project can be adding it back. With cores commands queued already the
-// worker can be filled whatever else is coming, and nothing is waited for.
-func (s *Server) awaitPushers(cores int) {
-	if s.q.Len() >= cores {
-		return
+// admit pushes the commands a controller handler submitted, once it has
+// returned, in one hold of parking.mu: a worker takes one workload and does
+// not announce again until it has run it, so it must be offered the whole
+// batch. Each command passes admission in submit order; on a refusal those
+// already pushed are removed before the lock is released. A command the
+// handler terminated is not pushed, and replay pushes nothing (reseedQueue
+// fills the queue from the statuses replay ends on).
+func (s *Server) admit(batch []*cmdState) error {
+	if len(batch) == 0 || s.replaying.Load() {
+		return nil
 	}
-	pk := &s.park
-	pk.pushMu.Lock()
-	pushing := make([]*project, 0, len(pk.pushing))
-	for p := range pk.pushing {
-		pushing = append(pushing, p)
+	s.park.mu.Lock()
+	defer s.park.mu.Unlock()
+	for i, cs := range batch {
+		if cs.status != cmdQueued {
+			continue
+		}
+		err := s.q.CheckStorage(cs.spec.Tenant, int64(len(cs.spec.Payload)))
+		if err != nil {
+			err = fmt.Errorf("server: submitting command %q: %w", cs.spec.ID, err)
+		} else if err = s.q.Push(cs.spec); err == nil {
+			continue
+		}
+		for _, prev := range batch[:i] {
+			if prev.status == cmdQueued {
+				s.q.Remove(prev.spec.ID)
+			}
+		}
+		return err
 	}
-	pk.pushMu.Unlock()
-	for _, p := range pushing {
-		p.mu.Lock()
-		pk.pushMu.Lock()
-		delete(pk.pushing, p)
-		pk.pushMu.Unlock()
-		p.mu.Unlock()
-	}
+	return nil
 }
 
 // runDispatcher serves the line whenever the queue reports an event.
@@ -178,21 +171,19 @@ func (s *Server) runDispatcher() {
 // has passed — so k pushed commands cost about k matches, not one per parked
 // worker. If commands are still left, this was the event that put the first
 // of them into an empty queue, and another server has been looking, the
-// overlay is told once.
+// overlay is told once. A waiter whose worker's link has closed since it
+// parked is answered empty instead: nobody would read its workload.
 func (s *Server) wakeParked() {
 	p := &s.park
 	edge := p.edge.Swap(false)
 	p.mu.Lock()
-	idle := p.line.Len() == 0 && !(edge && p.wanted)
-	p.mu.Unlock()
-	if idle {
-		return // nobody to wake and nobody to tell: the common case under load
-	}
-	s.awaitPushers(math.MaxInt)
-	p.mu.Lock()
 	defer p.mu.Unlock()
 	for passed := 0; p.line.Len() > 0 && passed < p.line.Len() && s.q.Len() > 0; {
 		w := p.line.Front().Value.(*waiter)
+		if w.link != "" && !slices.Contains(s.node.Peers(), w.link) {
+			s.resolveLocked(w, parkClosed)
+			continue
+		}
 		wl := s.q.Match(w.req.Info)
 		if len(wl.Commands) == 0 {
 			p.line.MoveToBack(w.elem)
@@ -213,9 +204,9 @@ func (s *Server) wakeParked() {
 // is answered first (the worker has given up on it), then the queue is
 // tried, and on a miss the announce joins the line for hold — the server's
 // RelayTimeout or the worker's stated budget, whichever is shorter. The
-// waiter is nil when the match hit, and when the server is closing.
-func (s *Server) matchOrPark(req *wire.AnnounceRequest) (wire.Workload, *waiter) {
-	s.awaitPushers(req.Info.Cores)
+// waiter is nil when the match hit, and when the server is closing. from is
+// the announcing node; if it is linked to this one, a wake checks the link.
+func (s *Server) matchOrPark(from string, req *wire.AnnounceRequest) (wire.Workload, *waiter) {
 	p := &s.park
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -232,6 +223,9 @@ func (s *Server) matchOrPark(req *wire.AnnounceRequest) (wire.Workload, *waiter)
 	}
 	now := time.Now()
 	w := &waiter{req: *req, parkedAt: now, deadline: now.Add(hold), done: make(chan struct{})}
+	if slices.Contains(s.node.Peers(), from) {
+		w.link = from
+	}
 	w.elem = p.line.PushBack(w)
 	p.byWorker[req.Info.ID] = w
 	return wl, w
@@ -242,7 +236,6 @@ func (s *Server) matchOrPark(req *wire.AnnounceRequest) (wire.Workload, *waiter)
 // second workload would be lost — so a miss is only remembered: the searcher
 // has a worker waiting, which is what makes a later notice worth sending.
 func (s *Server) matchRelayed(info wire.WorkerInfo) wire.Workload {
-	s.awaitPushers(info.Cores)
 	p := &s.park
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -509,5 +510,157 @@ func TestLateRelayedWorkloadHandedBack(t *testing.T) {
 	}
 	if got := metricValue(t, o1, `copernicus_server_announce_hold_seconds_count{node="`+home.Node().ID()+`",outcome="relayed"}`); got != 1 {
 		t.Errorf("hold histogram counted %g relayed outcomes, want 1 (the re-dispatch)", got)
+	}
+}
+
+// TestParkedWorkerGoneGetsNoWork: a worker whose link closes while its
+// announce is parked is not handed the next command — nobody would read the
+// reply, and the command would sit assigned to it until the reaper ran — and
+// a live worker announcing after it gets the command instead.
+func TestParkedWorkerGoneGetsNoWork(t *testing.T) {
+	net := overlay.NewMemNetwork()
+	srv := parkNode(t, net, 1, "srv", Config{HeartbeatInterval: time.Hour, RelayTimeout: 30 * time.Second})
+	dead := newParkClient(t, net, 2, "srv", srv)
+	live := newParkClient(t, net, 3, "srv", srv)
+
+	go func() { _, _ = dead.announce("dead", "sim", 20*time.Second) }()
+	waitParked(t, srv, 1)
+	dead.node.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for slices.Contains(srv.Node().Peers(), dead.node.ID()) {
+		if time.Now().After(deadline) {
+			t.Fatal("the server never saw the worker's link close")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	live.push(t, "p", 1)
+	waitParked(t, srv, 0) // the push's wake has dealt with the dead worker's announce
+	wl, err := live.announce("live", "sim", 2*time.Second)
+	if err != nil || len(wl.Commands) != 1 || wl.Commands[0].ID != "p-c0" {
+		t.Fatalf("the live worker got %+v err=%v, want p-c0", wl.Commands, err)
+	}
+	srv.withProjectCommand("p", "p-c0", func(_ *project, cs *cmdState) {
+		if cs.status != cmdRunning || cs.worker != "live" {
+			t.Errorf("p-c0 status %d on %q, want running on the live worker", cs.status, cs.worker)
+		}
+	})
+}
+
+// gatedStart returns a controller whose Start, for the project named gated,
+// signals entered after submitting the command called after and then waits
+// for gate to close.
+func gatedStart(cmds map[string][]wire.CommandSpec, gated, after string) (ctrl *testController, entered, gate chan struct{}) {
+	entered, gate = make(chan struct{}), make(chan struct{})
+	ctrl = &testController{submitFor: cmds, afterSubmit: func(project, cmd string) {
+		if project == gated && cmd == after {
+			close(entered)
+			<-gate
+		}
+	}}
+	return ctrl, entered, gate
+}
+
+// TestAnnounceNeverWaitsOnAHandler: while one project's Start handler is
+// blocked with a command submitted, an announce the other project's queued
+// command can serve is answered at once. It does not wait for the handler,
+// whatever the handler might still submit.
+func TestAnnounceNeverWaitsOnAHandler(t *testing.T) {
+	ctrl, entered, gate := gatedStart(map[string][]wire.CommandSpec{
+		"a": {typedCmd("a1", "other")},
+		"b": {cmdSpec("b1")},
+	}, "a", "a1")
+	r := newRig(t, Config{HeartbeatInterval: time.Hour}, ctrl)
+	r.submit(t, "b")
+	started := make(chan error, 1)
+	go func() {
+		started <- r.request(t, wire.MsgSubmit, &wire.ProjectSubmit{Name: "a", Controller: "test"}, nil)
+	}()
+	<-entered
+	released := false
+	release := func() {
+		if !released {
+			released = true
+			close(gate)
+		}
+	}
+	defer release()
+
+	got := make(chan wire.Workload, 1)
+	go func() {
+		req := announce("w1", 4)
+		req.WaitSeconds = 1
+		var wl wire.Workload
+		if err := r.request(t, wire.MsgAnnounce, req, &wl); err != nil {
+			t.Errorf("announce: %v", err)
+		}
+		got <- wl
+	}()
+	select {
+	case wl := <-got:
+		if len(wl.Commands) != 1 || wl.Commands[0].ID != "b1" {
+			t.Errorf("announce got %+v, want b1", wl.Commands)
+		}
+	case <-time.After(3 * time.Second):
+		t.Error("the announce waited for project a's Start handler")
+	}
+	release()
+	if err := <-started; err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := r.srv.Project("a"); st.Queued != 1 || r.srv.QueueLen() != 1 {
+		t.Errorf("after a's Start: %+v, queue %d; want a1 queued", st, r.srv.QueueLen())
+	}
+}
+
+// TestHandlerBatchArrivesWhole: an announce that arrives while a Start
+// handler is between its two submits is answered with both commands once the
+// handler returns. A worker takes one workload and does not announce again
+// until it has run it, so a match must never see half a batch.
+func TestHandlerBatchArrivesWhole(t *testing.T) {
+	ctrl, entered, gate := gatedStart(map[string][]wire.CommandSpec{
+		"p": {cmdSpec("c1"), cmdSpec("c2")},
+	}, "p", "c1")
+	r := newRig(t, Config{HeartbeatInterval: time.Hour}, ctrl)
+	started := make(chan error, 1)
+	go func() {
+		started <- r.request(t, wire.MsgSubmit, &wire.ProjectSubmit{Name: "p", Controller: "test"}, nil)
+	}()
+	<-entered
+
+	got := make(chan wire.Workload, 1)
+	go func() {
+		req := announce("w1", 2)
+		req.WaitSeconds = 4
+		var wl wire.Workload
+		if err := r.request(t, wire.MsgAnnounce, req, &wl); err != nil {
+			t.Errorf("announce: %v", err)
+		}
+		got <- wl
+	}()
+	// Let the announce arrive during the block: it parks, or waits on its way.
+	for deadline := time.Now().Add(200 * time.Millisecond); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		r.srv.park.mu.Lock()
+		parked := r.srv.park.line.Len()
+		r.srv.park.mu.Unlock()
+		if parked == 1 {
+			break
+		}
+	}
+	close(gate)
+	if err := <-started; err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case wl := <-got:
+		var ids []string
+		for _, c := range wl.Commands {
+			ids = append(ids, c.ID)
+		}
+		if slices.Sort(ids); fmt.Sprint(ids) != "[c1 c2]" {
+			t.Errorf("the 2-core announce got %v, want both of the handler's commands", ids)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the announce was never answered")
 	}
 }

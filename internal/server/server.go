@@ -118,6 +118,7 @@ type project struct {
 	result     []byte
 	failErr    string
 	commands   map[string]*cmdState
+	staged     []*cmdState // submitted by the running handler; see react
 	finished   int
 	failed     int
 	done       chan struct{}
@@ -443,16 +444,10 @@ func (s *Server) startProject(sub *wire.ProjectSubmit, ctrl controller.Controlle
 
 	// Start before journaling the submission: if the controller's first
 	// submits are bounced by admission control, the project is withdrawn
-	// entirely — nothing durable, the name reusable by the client's retry.
-	err := ctrl.Start(s.contextFor(p), sub.Params)
+	// entirely — nothing durable, nothing ever matchable, the name reusable
+	// by the client's retry.
+	err := s.react(p, func(c controller.Context) error { return ctrl.Start(c, sub.Params) })
 	if errors.Is(err, wire.ErrQuotaExceeded) || errors.Is(err, wire.ErrAdmissionShed) {
-		for id := range p.commands {
-			if !s.q.Remove(id) {
-				// A concurrent announce already dispatched it; settle the
-				// in-flight charge — the result will find no project.
-				s.q.Release(id, 0)
-			}
-		}
 		s.mu.Lock()
 		delete(s.projects, sub.Name)
 		s.mu.Unlock()
@@ -608,7 +603,8 @@ func (c *ctxImpl) Submit(cmd wire.CommandSpec) error {
 	if _, dup := c.p.commands[cmd.ID]; dup {
 		return fmt.Errorf("server: duplicate command %q in project %q", cmd.ID, c.p.name)
 	}
-	return c.s.queued(c.p, cmd)
+	c.p.staged = append(c.p.staged, c.s.queued(c.p, cmd))
+	return nil
 }
 
 func (c *ctxImpl) Terminate(id string) bool {
@@ -651,7 +647,7 @@ func (s *Server) handleAnnounce(from string, payload []byte) ([]byte, error) {
 		}
 		return s.assign(req.Info, wl, false)
 	}
-	wl, w := s.matchOrPark(&req)
+	wl, w := s.matchOrPark(from, &req)
 	if w != nil {
 		s.recoverOrphans(req.Info.ID, s.touchWorker(req.Info))
 		s.search(w)
@@ -958,11 +954,14 @@ func (s *Server) ingestChunk(p *project, chunk *wire.FrameChunk, payload []byte)
 	s.met.streamChunks.Inc()
 	s.met.streamFrames.Add(uint64(end - start))
 	if sink, ok := p.ctrl.(controller.FrameSink); ok {
-		if err := sink.FrameChunk(s.contextFor(p), chunk); err != nil {
-			// Non-fatal by contract: the batch path still covers the command.
-			s.log.Warn("frame sink rejected chunk",
-				"project", p.name, "cmd", chunk.CommandID, "err", err)
-		}
+		// The sink's error is non-fatal by contract (the batch path still
+		// covers the command) and leaves what it submitted standing.
+		s.reacted(p, s.react(p, func(c controller.Context) error {
+			if err := sink.FrameChunk(c, chunk); err != nil {
+				s.log.Warn("frame sink rejected chunk", "project", p.name, "cmd", chunk.CommandID, "err", err)
+			}
+			return nil
+		}))
 	}
 	return []byte("ok"), nil
 }
@@ -1023,11 +1022,7 @@ func (s *Server) monitorHeartbeats() {
 
 func (s *Server) reapDeadWorkers() {
 	cutoff := time.Now().Add(-2 * s.cfg.HeartbeatInterval)
-	type victim struct {
-		id       string
-		commands map[string]string
-	}
-	var victims []victim
+	victims := make(map[string]map[string]string) // worker ID → its commands
 	s.mu.Lock()
 	for id, ws := range s.workers {
 		if !ws.lastSeen.Before(cutoff) {
@@ -1038,16 +1033,15 @@ func (s *Server) reapDeadWorkers() {
 		// it either left or will re-announce. Only report workers that held
 		// commands.
 		if len(ws.commands) > 0 {
-			victims = append(victims, victim{id: id, commands: ws.commands})
+			victims[id] = ws.commands
 		}
 	}
 	s.mu.Unlock()
 
-	for _, v := range victims {
+	for id, commands := range victims {
 		s.met.heartbeatMisses.Inc()
-		s.log.Warn("worker missed heartbeats, recovering commands",
-			"worker", v.id, "commands", len(v.commands))
-		s.reportFailed(v.id, v.commands)
+		s.log.Warn("worker missed heartbeats, recovering commands", "worker", id, "commands", len(commands))
+		s.reportFailed(id, commands)
 	}
 }
 

@@ -34,6 +34,8 @@ type testController struct {
 	resubmitFailed bool
 	chunks         int // frame chunks the server fed to the FrameSink
 	chunkFrames    int // frames carried by those chunks
+	// afterSubmit, when set, runs in Start after each command it submits.
+	afterSubmit func(project, cmd string)
 }
 
 func (c *testController) Name() string { return "test" }
@@ -46,6 +48,9 @@ func (c *testController) Start(ctx controller.Context, params []byte) error {
 	for _, cmd := range cmds {
 		if err := ctx.Submit(cmd); err != nil {
 			return err
+		}
+		if c.afterSubmit != nil {
+			c.afterSubmit(ctx.ProjectName(), cmd.ID)
 		}
 	}
 	ctx.SetStatus(0, "started")

@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -442,4 +443,42 @@ func TestGangStragglerDemotedWhenSiblingFinishes(t *testing.T) {
 	if wl2.Commands[0].GangID != "" || wl2.Commands[0].GangSize != 0 {
 		t.Errorf("straggler still carries gang fields: %+v", wl2.Commands[0])
 	}
+}
+
+// TestRefusedBatchQueuesNothing: a CommandFinished handler submits two
+// commands and the tenant's queued-command quota admits only one. The batch
+// is refused whole: the project fails with the quota error, and neither
+// command is queued, dispatched or billed.
+func TestRefusedBatchQueuesNothing(t *testing.T) {
+	ctrl := &testController{
+		submit:   []wire.CommandSpec{cmdSpec("c1")},
+		children: map[string][]wire.CommandSpec{"c1": {cmdSpec("k1"), cmdSpec("k2")}},
+	}
+	r := newRig(t, Config{HeartbeatInterval: time.Hour, RelayTimeout: 50 * time.Millisecond}, ctrl)
+	upd := wire.TenantQuotaUpdate{Tenant: "capped", MaxQueued: 1, MaxCores: -1, MaxStorageBytes: -1}
+	if err := r.request(t, wire.MsgTenantQuotaSet, &upd, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.request(t, wire.MsgSubmit, &wire.ProjectSubmit{Name: "proj", Controller: "test", Tenant: "capped"}, nil); err != nil {
+		t.Fatal(err)
+	}
+	takeWork(t, r, "w1", []string{"sim"}, "c1")
+	res := wire.CommandResult{CommandID: "c1", Project: "proj", WorkerID: "w1", OK: true}
+	if err := r.request(t, wire.MsgResult, &res, nil); !errors.Is(err, wire.ErrQuotaExceeded) {
+		t.Errorf("result ack err = %v, want the controller's quota refusal", err)
+	}
+	st, _ := r.srv.Project("proj")
+	if st.State != "failed" || !strings.Contains(st.Note, wire.ErrQuotaExceeded.Error()) {
+		t.Errorf("project %s (%q), want failed with the quota error", st.State, st.Note)
+	}
+	if st.Queued != 0 || st.Running != 0 {
+		t.Errorf("project holds %d queued and %d running commands after the refusal", st.Queued, st.Running)
+	}
+	if n := r.srv.QueueLen(); n != 0 {
+		t.Errorf("queue holds %d commands after the refusal", n)
+	}
+	if n := r.srv.q.InflightCores("capped"); n != 0 {
+		t.Errorf("tenant still charged %d in-flight cores", n)
+	}
+	takeWork(t, r, "w2", []string{"sim"}) // nothing to hand out
 }

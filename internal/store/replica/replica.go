@@ -99,8 +99,6 @@ type Config struct {
 	// is authoritative: it is piggybacked on every batch and adopted by the
 	// standby.
 	LeaseTimeout time.Duration
-	// BatchMax caps records per shipment. Default 256.
-	BatchMax int
 	// StoreOptions configure replica-store opens (standby role and
 	// promotion). Dir is overridden with Config.Dir.
 	StoreOptions store.Options
@@ -117,13 +115,13 @@ func (c *Config) fill() {
 	if c.LeaseTimeout <= 0 {
 		c.LeaseTimeout = 5 * c.Interval
 	}
-	if c.BatchMax <= 0 {
-		c.BatchMax = 256
-	}
 	if c.Obs == nil {
 		c.Obs = obs.New()
 	}
 }
+
+// batchMax caps records per shipment.
+const batchMax = 256
 
 type replicaMetrics struct {
 	lag        *obs.Gauge
@@ -413,7 +411,7 @@ func (p *Peer) shipOnce() {
 	}
 	var snapLast uint64
 	if synced {
-		recs, gap, err := st.ReadSince(acked, p.cfg.BatchMax)
+		recs, gap, err := st.ReadSince(acked, batchMax)
 		if err != nil {
 			p.log.Warn("reading WAL tail for shipping", "err", err)
 			return
@@ -429,7 +427,7 @@ func (p *Peer) shipOnce() {
 			}
 			batch.Snapshot = blob
 			batch.SnapLastSeq = snapLast
-			recs, _, err = st.ReadSince(snapLast, p.cfg.BatchMax)
+			recs, _, err = st.ReadSince(snapLast, batchMax)
 			if err != nil {
 				p.log.Warn("reading post-snapshot tail", "err", err)
 				return

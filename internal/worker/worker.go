@@ -44,14 +44,11 @@ type Config struct {
 	// the retry package defaults; PerAttempt defaults to RequestTimeout.
 	Retry retry.Policy
 	// ServerAddrs lists transport addresses of known servers. When the home
-	// peer stays unreachable for RehomeAfter consecutive announce rounds,
+	// peer stays unreachable for rehomeAfter consecutive announce rounds,
 	// the worker dials the next address round-robin and adopts whichever
 	// server answers as its new home — the paper's "connect to the nearest
 	// available server" under churn.
 	ServerAddrs []string
-	// RehomeAfter is the number of consecutive failed announce rounds
-	// (post-retry) before the worker tries another server (default 2).
-	RehomeAfter int
 	// ResultSpoolDir, when set, lets the worker persist results it cannot
 	// deliver to any server and redeliver them after the next successful
 	// announcement, so finished CPU-hours survive a full partition.
@@ -87,9 +84,6 @@ func (c *Config) fill() {
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 10 * time.Second
 	}
-	if c.RehomeAfter <= 0 {
-		c.RehomeAfter = 2
-	}
 	if c.Obs == nil {
 		c.Obs = obs.New()
 	}
@@ -98,6 +92,10 @@ func (c *Config) fill() {
 	}
 	c.Retry.Obs = c.Obs
 }
+
+// rehomeAfter is the number of consecutive failed announce rounds
+// (post-retry) before the worker tries another server.
+const rehomeAfter = 2
 
 // Worker executes commands against a home server.
 type Worker struct {
@@ -309,7 +307,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			w.met.announceErrors.Inc()
 			w.log.Warn("announce failed", "err", err)
 			w.announceFails++
-			if w.announceFails >= w.cfg.RehomeAfter {
+			if w.announceFails >= rehomeAfter {
 				w.rehome()
 			}
 		} else {
@@ -371,7 +369,7 @@ func (w *Worker) announce(ctx context.Context) (*wire.Workload, error) {
 
 // rehome dials the next known server address round-robin and adopts the
 // responding server as the new home peer. Called from the Run loop after
-// RehomeAfter consecutive announce failures; a worker with no configured
+// rehomeAfter consecutive announce failures; a worker with no configured
 // addresses keeps hammering its original home.
 func (w *Worker) rehome() {
 	if len(w.cfg.ServerAddrs) == 0 {

@@ -95,14 +95,16 @@ failover() {
 
 # Event-driven dispatch under stress: relay-homed workers picking up a
 # campaign submitted after they parked, the park/wake/expire/supersede/close
-# interleavings, and the overlay's concurrent request handlers, 20 times
-# each — see docs/SCHEDULING.md ("Dispatch").
+# interleavings, a handler's commands reaching a match whole (and no match
+# waiting on a handler), and the overlay's concurrent request handlers, 20
+# times each — see docs/SCHEDULING.md ("Dispatch").
 dispatch() {
     echo "== event-driven dispatch stress (race, x20) =="
     $GO test -race -count=20 -timeout 600s \
         -run 'TestFabricMSMDistributedAcrossRelays|TestIdleFleetPicksUpAtOnce|TestFabricCloseWithIdleWorkers' ./internal/core/
     $GO test -race -count=20 -timeout 600s \
-        -run 'TestParked|TestWakeCostsOnePerPush|TestLateRelayedWorkloadHandedBack|TestRelayedAssignmentLostReplyRecovered' ./internal/server/
+        -run 'TestParked|TestWakeCostsOnePerPush|TestLateRelayedWorkloadHandedBack|TestRelayedAssignmentLostReplyRecovered|TestAnnounceNeverWaitsOnAHandler|TestHandlerBatchArrivesWhole|TestRefusedBatchQueuesNothing' ./internal/server/
+    $GO test -race -count=20 -timeout 600s -run 'TestWorkerAbortsTerminatedCommand' ./internal/worker/
     $GO test -race -count=20 -timeout 600s \
         -run 'TestBlockedHandler|TestCloseWithBlockedHandler|TestLinkHandlerCap|TestFloodPasses' ./internal/overlay/
 }

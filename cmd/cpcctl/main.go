@@ -19,9 +19,10 @@
 //	bar: -windows -samples -target-stderr -delta-f
 //	repex: -replicas -t-min -t-max -mode -segment-steps -epochs
 //
-// A sync-mode repex project submits each exchange epoch as one
-// gang-scheduled command group; `repex stats` prints the ladder's live
-// per-pair exchange acceptance rates from the server's status detail.
+// A sync-mode repex project submits one command per rung each epoch and
+// exchanges once every rung has reported, so a ladder may be wider than any
+// one worker; `repex stats` prints the ladder's live per-pair exchange
+// acceptance rates from the server's status detail.
 //
 // `state inspect` is offline: it reads a server's -state-dir directly
 // (snapshot + WAL tail as JSON, CRCs verified) without contacting any
@@ -143,7 +144,7 @@ func submit(cl *client.Client, args []string) {
 	replicas := fs.Int("replicas", 8, "repex: temperature-ladder rungs")
 	tMin := fs.Float64("t-min", 100, "repex: ladder bottom temperature (K)")
 	tMax := fs.Float64("t-max", 200, "repex: ladder top temperature (K)")
-	mode := fs.String("mode", "sync", "repex: exchange pattern, sync (gang-scheduled epochs) or async")
+	mode := fs.String("mode", "sync", "repex: exchange pattern, sync (barrier after every epoch) or async (neighbours pair as they arrive)")
 	segSteps := fs.Int("segment-steps", 40, "repex: MD steps between exchange attempts")
 	epochs := fs.Int("epochs", 4, "repex: segments per rung")
 	seed := fs.Uint64("seed", 1, "project RNG seed")

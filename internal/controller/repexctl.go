@@ -21,10 +21,11 @@ const RepexControllerName = "repex"
 //
 // Mode selects the exchange pattern (the design axis of Treikalis et al.):
 //
-//   - "sync": all rungs are dispatched each epoch as one gang-scheduled
-//     command group, barrier at the boundary, and exchange in even/odd
-//     neighbour sweeps. Simple and deterministic, but the barrier stalls
-//     the whole ladder on the slowest replica.
+//   - "sync": every rung's segment is submitted each epoch, and once the
+//     last of them has reported (the campaign's round step is the barrier)
+//     the ladder exchanges in even/odd neighbour sweeps. Simple and
+//     deterministic, but the barrier stalls the whole ladder on the slowest
+//     replica.
 //   - "async": each rung runs independently; a replica reaching its
 //     boundary exchanges with any neighbour already waiting there, or
 //     waits for the first to arrive. No global barrier, so stragglers
@@ -141,13 +142,14 @@ type RepexDetail struct {
 // exchange ladder — temperatures, acceptance statistics, walker positions,
 // boundary states — must survive failover bitwise so a promoted standby
 // continues the exact exchange stream the primary would have produced.
+// Older builds' snapshots carry one more counter, of the epoch groups they
+// dispatched; decoding skips it, and its name stays retired.
 type repexState struct {
 	P       RepexParams
 	Temps   []float64
 	Rungs   []repex.Rung
 	Stats   repex.Stats
 	Epoch   int // sync: completed exchange rounds
-	GangSeq int // gang IDs issued (failure restarts bump it)
 	SegsRun int
 }
 
@@ -188,20 +190,23 @@ func (c *RepexController) Start(ctx Context, params []byte) error {
 	c.st.Rungs = make([]repex.Rung, p.Replicas)
 	ctx.SetStatus(0, fmt.Sprintf("%s REMD: %d rungs over [%g, %g] K",
 		p.Mode, p.Replicas, p.TMin, p.TMax))
-	if p.Mode == "sync" {
-		return c.submitEpochGang(ctx)
-	}
+	return c.submitEpoch(ctx)
+}
+
+// submitEpoch dispatches every rung's next segment: the whole ladder's
+// first segments, and in sync mode each later epoch.
+func (c *RepexController) submitEpoch(ctx Context) error {
+	c.epochFirstArrival = time.Time{}
 	for r := range c.st.Rungs {
-		if err := c.submitSegment(ctx, r, "", 0); err != nil {
+		if err := c.submitSegment(ctx, r); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// submitSegment dispatches rung r's next segment: solo (async mode), or as
-// one of gangSize members of gang gangID.
-func (c *RepexController) submitSegment(ctx Context, r int, gangID string, gangSize int) error {
+// submitSegment dispatches rung r's next segment.
+func (c *RepexController) submitSegment(ctx Context, r int) error {
 	p := &c.st.P
 	cfg := p.Config
 	cfg.Temperature = c.st.Temps[r]
@@ -209,10 +214,9 @@ func (c *RepexController) submitSegment(ctx Context, r int, gangID string, gangS
 	// segments carry their RNG inside the checkpoint.
 	cfg.Seed = p.Seed + uint64(r) + 1
 	// Sync epochs are ladder-aligned, so the boundary comes from the epoch
-	// counter: after a failed-epoch restart a rung that already reported
-	// re-targets the SAME boundary (and idempotently re-emits its state)
-	// instead of running a segment ahead of its siblings. Async rungs are
-	// independent, so each advances from its own segment count.
+	// counter; async rungs are independent, so each advances from its own
+	// segment count. Either way a lost segment resubmitted before its rung
+	// reports targets the same boundary from the same start state.
 	seg := c.st.Epoch
 	if p.Mode == "async" {
 		seg = c.st.Rungs[r].Segs
@@ -222,8 +226,6 @@ func (c *RepexController) submitSegment(ctx Context, r int, gangID string, gangS
 		Type:     engines.RepexMDName,
 		MinCores: p.MinCores,
 		MaxCores: p.MaxCores,
-		GangID:   gangID,
-		GangSize: gangSize,
 	}
 	return c.submit(ctx, r, &cmd, &engines.RepexMDPayload{
 		SystemKind:      p.SystemKind,
@@ -235,21 +237,6 @@ func (c *RepexController) submitSegment(ctx Context, r int, gangID string, gangS
 		CheckpointEvery: p.CheckpointEvery,
 		StartState:      c.st.Rungs[r].State,
 	})
-}
-
-// submitEpochGang dispatches every rung's next segment as one
-// all-or-nothing gang (sync mode). A fresh gang ID per attempt keeps
-// restarted epochs distinct in the queue's gang table.
-func (c *RepexController) submitEpochGang(ctx Context) error {
-	gangID := fmt.Sprintf("%s/e%05d", ctx.ProjectName(), c.st.GangSeq)
-	c.st.GangSeq++
-	c.epochFirstArrival = time.Time{}
-	for r := range c.st.Rungs {
-		if err := c.submitSegment(ctx, r, gangID, len(c.st.Rungs)); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // attemptExchange runs one Metropolis attempt between rungs i and i+1 and
@@ -295,7 +282,7 @@ func (c *RepexController) fold(ctx Context, r int, res *wire.CommandResult) erro
 		ctx.SetStatus(c.minSegs(), c.statusNote())
 	}
 	for _, n := range run {
-		if err := c.submitSegment(ctx, n, "", 0); err != nil {
+		if err := c.submitSegment(ctx, n); err != nil {
 			return err
 		}
 	}
@@ -321,7 +308,7 @@ func (c *RepexController) round(ctx Context) error {
 		return c.finishProject(ctx)
 	}
 	ctx.SetStatus(c.st.Epoch, c.statusNote())
-	return c.submitEpochGang(ctx)
+	return c.submitEpoch(ctx)
 }
 
 // minSegs returns the slowest rung's completed-segment count (the async
@@ -372,23 +359,13 @@ func (c *RepexController) finishProject(ctx Context) error {
 	return nil
 }
 
-// lost implements plugin. Async mode resubmits the lost rung's segment.
-// Sync mode restarts the whole epoch under a fresh gang ID: the gang
-// contract says siblings never outlive a member, so the controller
-// terminates the stragglers and re-dispatches the barrier. Either way the
-// boundary states are intact — segments are idempotent (absolute
-// TargetStep), so a member that already reported simply re-runs to the same
-// boundary.
+// lost implements plugin: resubmit the lost rung's segment, in either mode.
+// Segments are idempotent — the target step is absolute, and the rung's
+// State is still the one the segment started from — so the rerun ends at the
+// same boundary, and its siblings keep running.
 func (c *RepexController) lost(ctx Context, r int, cmd wire.CommandSpec, reason string) error {
 	ctx.Logf("repex: segment %s for rung %d lost (%s)", cmd.ID, r, reason)
-	if c.st.P.Mode == "async" {
-		return c.submitSegment(ctx, r, "", 0)
-	}
-	for id := range c.led.InFlight {
-		ctx.Terminate(id)
-	}
-	clear(c.led.InFlight)
-	return c.submitEpochGang(ctx)
+	return c.submitSegment(ctx, r)
 }
 
 // Inspect implements Inspectable.

@@ -40,8 +40,9 @@ func TestRepexParamValidation(t *testing.T) {
 }
 
 // TestRepexSyncCompletes drives a barriered ladder to completion: every
-// epoch is one gang, exchange attempts follow the even/odd sweep
-// schedule, and the result carries the acceptance statistics.
+// epoch submits one solo segment per rung, exchange attempts follow the
+// even/odd sweep schedule once all have reported, and the result carries
+// the acceptance statistics.
 func TestRepexSyncCompletes(t *testing.T) {
 	ctx := newFakeCtx(t)
 	ctrl := NewRepexController()
@@ -49,17 +50,15 @@ func TestRepexSyncCompletes(t *testing.T) {
 	if err := ctrl.Start(ctx, mustParams(t, &p)); err != nil {
 		t.Fatal(err)
 	}
-	// The first epoch is queued as one complete gang.
 	if len(ctx.queue) != p.Replicas {
 		t.Fatalf("initial queue = %d commands, want %d", len(ctx.queue), p.Replicas)
 	}
-	gang := ctx.queue[0].GangID
-	if gang == "" || !strings.HasPrefix(gang, "test/") {
-		t.Errorf("gang ID = %q, want project-prefixed", gang)
-	}
-	for _, cmd := range ctx.queue {
-		if cmd.GangID != gang || cmd.GangSize != p.Replicas {
-			t.Errorf("member %s gang = %q/%d", cmd.ID, cmd.GangID, cmd.GangSize)
+	for r, cmd := range ctx.queue {
+		if cmd.GangID != "" || cmd.GangSize != 0 {
+			t.Errorf("sync segment %s carries gang fields %q/%d", cmd.ID, cmd.GangID, cmd.GangSize)
+		}
+		if !strings.HasSuffix(cmd.ID, fmt.Sprintf("-r%02d", r)) {
+			t.Errorf("segment %d is %s", r, cmd.ID)
 		}
 	}
 	if err := ctx.pump(ctrl, 100); err != nil {
@@ -156,42 +155,45 @@ func TestRepexSyncDeterministic(t *testing.T) {
 	}
 }
 
-// TestRepexSyncFailureRestartsEpoch: losing one gang member terminates the
-// surviving siblings and resubmits the whole epoch under a fresh gang ID;
-// the ladder still finishes with aligned boundaries.
-func TestRepexSyncFailureRestartsEpoch(t *testing.T) {
+// TestRepexSyncLossRerunsOnlyThatRung: rung 0 reports, then rung 1's
+// segment fails terminally. Only that segment is resubmitted — to the same
+// boundary from the same start state — and no sibling is terminated, so rung
+// 0's result is folded once and the ladder runs exactly Replicas·Epochs
+// segments.
+func TestRepexSyncLossRerunsOnlyThatRung(t *testing.T) {
 	ctx := newFakeCtx(t)
 	ctrl := NewRepexController()
 	p := tinyRepexParams()
 	if err := ctrl.Start(ctx, mustParams(t, &p)); err != nil {
 		t.Fatal(err)
 	}
-	firstGang := ctx.queue[0].GangID
-	victim := ctx.queue[0]
-	survivors := make([]string, 0, len(ctx.queue)-1)
-	for _, cmd := range ctx.queue[1:] {
-		survivors = append(survivors, cmd.ID)
+	if err := ctx.pumpN(ctrl, 1); err != nil { // rung 0 reports
+		t.Fatal(err)
 	}
-	ctx.queue = nil // the gang was dispatched, then its worker died
+	victim, sibling := ctx.queue[0], ctx.queue[1]
+	ctx.queue = ctx.queue[1:] // rung 1's worker died
 	if err := ctrl.CommandFailed(ctx, victim, "worker lost"); err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range survivors {
-		if !ctx.terminated[id] {
-			t.Errorf("surviving sibling %s not terminated on gang restart", id)
-		}
+	if len(ctx.terminated) != 0 {
+		t.Errorf("siblings terminated on a single rung's loss: %v", ctx.terminated)
 	}
-	if len(ctx.queue) != p.Replicas {
-		t.Fatalf("restarted epoch queued %d commands, want %d", len(ctx.queue), p.Replicas)
+	var queued []string
+	for _, cmd := range ctx.queue {
+		queued = append(queued, cmd.ID)
 	}
-	if g := ctx.queue[0].GangID; g == firstGang || g == "" {
-		t.Errorf("restarted gang reused ID %q", g)
+	if len(queued) != 2 || queued[0] != sibling.ID {
+		t.Errorf("queue after the loss = %v, want rung 2's %s then rung 1's rerun", queued, sibling.ID)
+	} else if rerun := ctx.queue[1]; !strings.HasSuffix(rerun.ID, "-r01") || rerun.ID == victim.ID {
+		t.Errorf("rerun = %s, want a fresh command for rung 1", rerun.ID)
+	} else if !bytes.Equal(rerun.Payload, victim.Payload) {
+		t.Error("rerun does not repeat the lost segment (target step or start state moved)")
 	}
 	if err := ctx.pump(ctrl, 100); err != nil {
 		t.Fatal(err)
 	}
 	if !ctx.finished {
-		t.Fatal("project did not finish after epoch restart")
+		t.Fatal("project did not finish after the loss")
 	}
 	var res RepexResult
 	if err := wire.Unmarshal(ctx.result, &res); err != nil {
@@ -311,39 +313,5 @@ func TestRepexSaveRestoreMidRunMatchesUninterrupted(t *testing.T) {
 func TestRepexDurableRejectsGarbage(t *testing.T) {
 	if err := NewRepexController().RestoreState([]byte("nonsense")); err == nil {
 		t.Error("repex accepted garbage state")
-	}
-}
-
-// TestRepexGangIDsUnique: every sync epoch (including restarts) gets a
-// distinct gang ID, so the queue's gang table never aliases two barriers.
-func TestRepexGangIDsUnique(t *testing.T) {
-	ctx := newFakeCtx(t)
-	ctrl := NewRepexController()
-	p := tinyRepexParams()
-	if err := ctrl.Start(ctx, mustParams(t, &p)); err != nil {
-		t.Fatal(err)
-	}
-	seen := map[string]bool{}
-	record := func() {
-		for _, cmd := range ctx.queue {
-			if cmd.GangID != "" {
-				seen[cmd.GangID] = true
-			}
-		}
-	}
-	record()
-	for e := 0; e < p.Epochs; e++ {
-		if err := ctx.pumpN(ctrl, p.Replicas); err != nil && !ctx.finished {
-			t.Fatal(err)
-		}
-		record()
-	}
-	if len(seen) != p.Epochs {
-		t.Errorf("distinct gang IDs = %d, want %d: %v", len(seen), p.Epochs, seen)
-	}
-	for g := range seen {
-		if !strings.HasPrefix(g, fmt.Sprintf("%s/", ctx.ProjectName())) {
-			t.Errorf("gang ID %q not project-prefixed", g)
-		}
 	}
 }

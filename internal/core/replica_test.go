@@ -248,9 +248,8 @@ func TestFailoverUnderPartitionChaos(t *testing.T) {
 	}
 }
 
-// smallRepexParams is a three-rung sync REMD ladder sized so the whole
-// epoch gang fits one worker and a run lasts a few seconds — long enough
-// to kill the primary mid-ladder.
+// smallRepexParams is a three-rung sync REMD ladder sized so a run lasts
+// long enough to kill the primary mid-ladder.
 func smallRepexParams() controller.RepexParams {
 	p := controller.DefaultRepexParams()
 	p.Replicas = 3
@@ -262,7 +261,7 @@ func smallRepexParams() controller.RepexParams {
 }
 
 // waitRepexProgress gates the crash on the primary's in-process project
-// state rather than a wire status poll: the 3-replica MD gang saturates a
+// state rather than a wire status poll: the 3-replica MD ladder saturates a
 // small host (worse under the race detector), so anycast polls can starve
 // past the overlay timeout — or miss the whole run — without the server
 // being gone. Peeking keeps the kill inside the ladder deterministically.
@@ -286,11 +285,11 @@ func waitRepexProgress(t *testing.T, f *Fabric, si int, name string, minFinished
 }
 
 // TestFailoverPreservesRepexLadder kills the primary in the middle of a
-// gang-scheduled sync REMD ladder. The promoted standby must resume the
+// sync REMD ladder. The promoted standby must resume the
 // exchange ladder — RNG, acceptance statistics, walker positions, boundary
 // states — exactly where the primary's journal left it: the final result
 // blob must be byte-identical to an uninterrupted run of the same project,
-// and no half-running gang may be stranded across the failover.
+// and no segment may be stranded across the failover.
 func TestFailoverPreservesRepexLadder(t *testing.T) {
 	p := smallRepexParams()
 
@@ -332,9 +331,9 @@ func TestFailoverPreservesRepexLadder(t *testing.T) {
 	if st.State != "finished" {
 		t.Fatalf("state = %q (%s)", st.State, st.Note)
 	}
-	// No stranded half-gang: the ladder drained completely.
+	// Nothing stranded: the ladder drained completely.
 	if st.Queued != 0 || st.Running != 0 {
-		t.Errorf("gang members stranded across failover: %d queued, %d running", st.Queued, st.Running)
+		t.Errorf("segments stranded across failover: %d queued, %d running", st.Queued, st.Running)
 	}
 
 	var res, refRes controller.RepexResult

@@ -1,25 +1,21 @@
 // Replica-exchange scheduling scenario: a discrete-event simulation that
-// drives the REAL fair-share queue (internal/queue) with its gang
-// scheduler under a virtual clock, comparing the two REMD exchange
-// patterns (Treikalis et al.) at scales the unit tests cannot reach:
+// drives the REAL fair-share queue (internal/queue) under a virtual clock,
+// comparing the two REMD exchange patterns (Treikalis et al.) at scales the
+// unit tests cannot reach. Every segment is one command in both:
 //
-//   - "sync": every epoch the whole temperature ladder is submitted as one
-//     gang-scheduled command group — all-or-nothing dispatch to a single
-//     partition-sized worker, global barrier at the segment boundary, then
-//     even/odd neighbour exchange sweeps.
-//   - "async": replicas run as independent solo commands; a replica
-//     reaching its boundary exchanges with a neighbour already waiting
-//     there, or parks until one arrives. No global barrier.
+//   - "sync": every epoch each rung's segment is submitted; the exchange
+//     sweep (even/odd neighbour pairs) waits for the last of them, a global
+//     barrier at the segment boundary.
+//   - "async": a replica reaching its boundary exchanges with a neighbour
+//     already waiting there, or parks until one arrives. No global barrier.
 //
 // With uniform segment durations the barrier is free and both patterns
 // keep the ladder busy; under heavy-tailed durations the sync barrier
 // stalls every replica on the epoch's slowest straggler, while async pays
 // only nearest-neighbour waits — the scenario quantifies that gap as
-// exchange throughput. A worker-churn fault window additionally exercises
-// the gang contract: kills preempt whole gangs at checkpoint boundaries
-// (per-member release-then-requeue, exactly the server's ordering) and
-// the run must finish with no partial-gang dispatch and no leaked core
-// grant.
+// exchange throughput. A worker-churn fault window preempts running
+// segments at checkpoint boundaries (release-then-requeue, exactly the
+// server's ordering), and the run must finish with no leaked core grant.
 package des
 
 import (
@@ -43,7 +39,7 @@ type RepexDESParams struct {
 	Mode     string // "sync" or "async"
 
 	Workers        int
-	CoresPerWorker int // sync mode needs >= Replicas (the gang is indivisible)
+	CoresPerWorker int
 
 	// MeanSegSeconds is the mean segment duration. ParetoAlpha selects the
 	// duration law: 0 means every segment takes exactly the mean (uniform
@@ -66,9 +62,8 @@ type RepexDESParams struct {
 
 	// Worker churn: every ChurnEvery seconds inside [ChurnStart, ChurnEnd)
 	// a worker is killed — its running commands are checkpoint-preempted
-	// (progress floored to CheckpointSeconds) and requeued member by
-	// member — and rejoins ReviveAfter seconds later. ChurnEvery = 0
-	// disables churn.
+	// (progress floored to CheckpointSeconds) and requeued — and rejoins
+	// ReviveAfter seconds later. ChurnEvery = 0 disables churn.
 	ChurnStart, ChurnEnd, ChurnEvery, ReviveAfter float64
 	CheckpointSeconds                             float64
 
@@ -78,7 +73,7 @@ type RepexDESParams struct {
 }
 
 // DefaultRepexDESParams is a CI-sized ladder: 64 replicas, uniform
-// ten-minute segments, one partition-sized worker plus a spare.
+// ten-minute segments, two workers that can each hold the whole ladder.
 func DefaultRepexDESParams() RepexDESParams {
 	return RepexDESParams{
 		Replicas:          64,
@@ -107,10 +102,6 @@ func (p *RepexDESParams) validate() error {
 	}
 	if p.Workers < 1 || p.CoresPerWorker < 1 {
 		return fmt.Errorf("des: need at least one worker with one core")
-	}
-	if p.Mode == "sync" && p.CoresPerWorker < p.Replicas {
-		return fmt.Errorf("des: sync gang of %d replicas cannot fit a %d-core worker",
-			p.Replicas, p.CoresPerWorker)
 	}
 	if p.MeanSegSeconds <= 0 {
 		return fmt.Errorf("des: segment duration must be positive")
@@ -146,12 +137,10 @@ type RepexDESResult struct {
 	// Fault-window accounting.
 	WorkerKills      int
 	RequeuedSegments int
-	DemotedSegments  int // gang stragglers demoted to solo (broken-gang rule)
 
 	// Invariant violations — all must be zero.
-	PartialGangDispatches int // a Match returned a strict subset of a gang
-	GrantImbalance        int // cores granted minus cores returned at the end
-	QueueLeft             int // commands still queued after completion
+	GrantImbalance int // cores granted minus cores returned at the end
+	QueueLeft      int // commands still queued after completion
 }
 
 // rxRun tracks one dispatched segment.
@@ -187,8 +176,7 @@ type rxScenario struct {
 	granted int
 
 	epoch     int // sync: completed exchange rounds
-	pendSync  int // sync: members not yet reported this epoch
-	gangSeq   int
+	pendSync  int // sync: rungs not yet reported this epoch
 	nextCmd   int
 	busy      float64
 	done      bool
@@ -247,15 +235,13 @@ func (s *rxScenario) samplePotential(r int) float64 {
 	return 3*t + 12*math.Sqrt(t)*s.rng.NormFloat64()
 }
 
-// submitSegment queues rung r's next segment. Sync epochs travel as a
-// gang; async segments go solo.
-func (s *rxScenario) submitSegment(r int, gangID string, gangSize int) {
+// submitSegment queues rung r's next segment.
+func (s *rxScenario) submitSegment(r int) {
 	s.nextCmd++
 	id := fmt.Sprintf("seg%06d", s.nextCmd)
 	spec := wire.CommandSpec{
 		ID: id, Project: "remd", Tenant: "remd",
 		Type: "sim", MinCores: 1, MaxCores: 1,
-		GangID: gangID, GangSize: gangSize,
 	}
 	if err := s.q.Push(spec); err != nil {
 		panic(fmt.Sprintf("des: repex push: %v", err)) // single tenant, no quotas: must admit
@@ -266,13 +252,11 @@ func (s *rxScenario) submitSegment(r int, gangID string, gangSize int) {
 	s.wake()
 }
 
-// submitEpochGang queues the whole ladder as one gang (sync mode).
-func (s *rxScenario) submitEpochGang() {
-	gangID := fmt.Sprintf("remd/e%05d", s.gangSeq)
-	s.gangSeq++
+// submitEpoch queues every rung's next segment (sync mode).
+func (s *rxScenario) submitEpoch() {
 	s.pendSync = s.p.Replicas
 	for r := 0; r < s.p.Replicas; r++ {
-		s.submitSegment(r, gangID, s.p.Replicas)
+		s.submitSegment(r)
 	}
 }
 
@@ -304,7 +288,7 @@ func (s *rxScenario) boundary(r int) {
 			s.done = true
 			return
 		}
-		s.submitEpochGang()
+		s.submitEpoch()
 		return
 	}
 
@@ -313,14 +297,14 @@ func (s *rxScenario) boundary(r int) {
 		s.attemptExchange(pair)
 	}
 	for _, n := range run {
-		s.submitSegment(n, "", 0)
+		s.submitSegment(n)
 	}
 	// Every rung runs exactly Epochs segments, then retires.
 	s.done = s.res.SegmentsRun == s.p.Replicas*s.p.Epochs
 }
 
 // matchRound lets every live worker announce its free cores and start what
-// the scheduler hands back, checking the gang contract on each workload.
+// the scheduler hands back.
 func (s *rxScenario) matchRound() {
 	for wi := range s.free {
 		if !s.alive[wi] || s.free[wi] < 1 {
@@ -332,19 +316,6 @@ func (s *rxScenario) matchRound() {
 			Cores:       s.free[wi],
 			Executables: []string{"sim"},
 		})
-		// The gang contract: a workload never contains a strict subset of
-		// a gang.
-		gangHere := make(map[string]int)
-		for _, c := range wl.Commands {
-			if c.GangID != "" {
-				gangHere[c.GangID]++
-			}
-		}
-		for _, c := range wl.Commands {
-			if c.GangID != "" && gangHere[c.GangID] != c.GangSize {
-				s.res.PartialGangDispatches++
-			}
-		}
 		for _, c := range wl.Commands {
 			cores := wl.Cores[c.ID]
 			s.free[wi] -= cores
@@ -360,8 +331,7 @@ func (s *rxScenario) matchRound() {
 }
 
 // kill takes worker wi down: every running command is checkpoint-preempted
-// and requeued with the server's per-member release-then-requeue ordering
-// (the gang's inflight count keeps it alive across the interleave).
+// and requeued with the server's release-then-requeue ordering.
 func (s *rxScenario) kill(wi int) {
 	if !s.alive[wi] {
 		return
@@ -369,13 +339,9 @@ func (s *rxScenario) kill(wi int) {
 	s.alive[wi] = false
 	s.free[wi] = 0
 	s.res.WorkerKills++
-	touched := make(map[string]bool)
 	for id, run := range s.running {
 		if run.wi != wi {
 			continue
-		}
-		if g := s.specs[id].GangID; g != "" {
-			touched[g] = true
 		}
 		elapsed := s.now - run.started
 		banked := elapsed
@@ -394,15 +360,6 @@ func (s *rxScenario) kill(wi int) {
 			panic(fmt.Sprintf("des: repex requeue: %v", err))
 		}
 		s.res.RequeuedSegments++
-	}
-	// The server's broken-gang rule: members that finished before the kill
-	// are gone for good, so a requeued remnant smaller than the gang can
-	// never reassemble — demote its stragglers to solo commands.
-	for gid := range touched {
-		queued, size, inflight, ok := s.q.Gang(gid)
-		if ok && inflight == 0 && queued > 0 && queued < size {
-			s.res.DemotedSegments += s.q.DemoteGang(gid)
-		}
 	}
 	s.schedule(s.now+s.p.ReviveAfter, tEvent{kind: rxRevive, who: wi})
 	s.wake()
@@ -447,10 +404,10 @@ func SimulateRepex(p RepexDESParams) (RepexDESResult, error) {
 		s.alive = append(s.alive, true)
 	}
 	if p.Mode == "sync" {
-		s.submitEpochGang()
+		s.submitEpoch()
 	} else {
 		for r := 0; r < p.Replicas; r++ {
-			s.submitSegment(r, "", 0)
+			s.submitSegment(r)
 		}
 	}
 	if p.ChurnEvery > 0 {

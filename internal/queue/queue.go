@@ -30,22 +30,9 @@
 // dispatched ahead of fair-share order once it has waited too long, so a
 // weight-1 tenant makes progress even against a weight-100 flood.
 //
-// Gang scheduling: commands carrying a CommandSpec.GangID are coupled — the
-// replica-exchange controller submits one command per replica and the whole
-// epoch must run concurrently. The queue assembles members as they arrive
-// and treats a complete gang as a single schedulable unit: eligibility
-// (executables, core budget, MaxCores quota) is evaluated for the *sum* of
-// the members before any member is taken, and all members are dispatched to
-// one worker in one workload. There is deliberately no partial-hold state —
-// either every member gets cores or none hold any — so a dispatch-time veto
-// on one member cannot strand siblings with grants (release-on-veto by
-// construction), and gangs cannot deadlock against each other holding
-// partial core sets. Admission control stays per member; a submitter whose
-// gang is cut short by a quota bounce must withdraw the queued members (the
-// server removes a refused controller handler's whole batch). Terminating or
-// preempting a gang is likewise a whole-gang operation at the server layer;
-// requeued members re-assemble here and the gang becomes dispatchable again
-// once the last one is back.
+// The unit of dispatch is one command: eligibility (executable, core budget,
+// MaxCores quota) is decided per command, and commands are never held back
+// for one another.
 package queue
 
 import (
@@ -84,8 +71,8 @@ type Config struct {
 	MaxQueuedTotal int
 	// Ready, when set, is called — outside the queue's lock — after every
 	// event that can make a Match succeed that would have failed before it:
-	// a Push or Requeue, and a Release, SetQuota or DemoteGang while commands
-	// are queued. first reports that the event put a command into an empty
+	// a Push or Requeue, and a Release or SetQuota while commands are
+	// queued. first reports that the event put a command into an empty
 	// queue. Servers hang their parked announces on it. What clears with
 	// time alone (WAL pressure, starvation age) fires nothing.
 	Ready func(first bool)
@@ -119,10 +106,6 @@ type Queue struct {
 	mu      sync.Mutex
 	tenants map[string]*tenantQ
 	byID    map[string]*item
-	// gangs tracks gang assembly state by GangID, spanning queued and
-	// in-flight members; entries are dropped once a gang has no queued and
-	// no in-flight members left.
-	gangs map[string]*gangQ
 	// inflight tracks dispatched-but-unreleased commands for quota and
 	// fair-share charge accounting.
 	inflight map[string]*inflightCmd
@@ -138,15 +121,14 @@ type Queue struct {
 	lastPressure float64
 
 	// Optional instrumentation, wired by SetObs; nil-safe to use unset.
-	o               *obs.Obs
-	baseLabels      obs.Labels
-	pushes          *obs.Counter
-	matched         *obs.Counter
-	emptyMatches    *obs.Counter
-	shedTotal       *obs.Counter
-	quotaRejects    *obs.Counter
-	gangsDispatched *obs.Counter
-	matchSeconds    *obs.Histogram
+	o            *obs.Obs
+	baseLabels   obs.Labels
+	pushes       *obs.Counter
+	matched      *obs.Counter
+	emptyMatches *obs.Counter
+	shedTotal    *obs.Counter
+	quotaRejects *obs.Counter
+	matchSeconds *obs.Histogram
 }
 
 // tenantQ is one tenant's scheduling account.
@@ -180,31 +162,15 @@ type tenantQ struct {
 type item struct {
 	cmd  wire.CommandSpec
 	t    *tenantQ
-	gang *gangQ // nil for solo commands
 	seq  uint64
 	enq  time.Time
 	pidx int // priority-heap position, -1 once removed
 	aidx int // age-heap position, -1 once removed
 }
 
-// gangQ is the assembly state of one gang: members are held back from
-// dispatch until all GangSize of them are queued, then taken together.
-type gangQ struct {
-	id      string
-	size    int
-	tenant  string
-	members map[string]*item // queued members by command ID
-	// inflight counts dispatched-but-unreleased members. A gang is
-	// dispatchable only when len(members) == size and inflight == 0, so a
-	// gang being requeued piecewise after a preemption or worker death
-	// cannot be re-dispatched until the last member is back.
-	inflight int
-}
-
 // inflightCmd is the accounting record of a dispatched command.
 type inflightCmd struct {
 	t       *tenantQ
-	gang    *gangQ // nil for solo commands
 	cores   int
 	est     float64 // per-core-second estimate used at dispatch
 	charged float64 // vtime already charged for this command
@@ -222,7 +188,6 @@ func NewWithConfig(cfg Config) *Queue {
 		cfg:      cfg,
 		tenants:  make(map[string]*tenantQ),
 		byID:     make(map[string]*item),
-		gangs:    make(map[string]*gangQ),
 		inflight: make(map[string]*inflightCmd),
 	}
 }
@@ -282,8 +247,6 @@ func (q *Queue) SetObs(o *obs.Obs, labels obs.Labels) {
 		"Submissions and matches shed by admission control or backpressure.", labels)
 	q.quotaRejects = o.Metrics.Counter("copernicus_queue_quota_rejects_total",
 		"Submissions rejected by a tenant quota.", labels)
-	q.gangsDispatched = o.Metrics.Counter("copernicus_queue_gangs_dispatched_total",
-		"Complete gangs handed to workers all-or-nothing.", labels)
 	q.matchSeconds = o.Metrics.Histogram("copernicus_queue_match_seconds",
 		"Latency of the workload-assembly matcher.",
 		[]float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1}, labels)
@@ -392,26 +355,6 @@ func (q *Queue) push(cmd wire.CommandSpec, admit bool) error {
 	if _, dup := q.byID[cmd.ID]; dup {
 		return fmt.Errorf("queue: duplicate command ID %q", cmd.ID)
 	}
-	// Gang membership checks precede admission so a malformed gang never
-	// consumes quota headroom.
-	var g *gangQ
-	if cmd.GangID != "" {
-		g = q.gangs[cmd.GangID]
-		if g != nil {
-			if g.size != cmd.GangSize {
-				return fmt.Errorf("queue: command %s declares gang %q size %d, gang has size %d",
-					cmd.ID, cmd.GangID, cmd.GangSize, g.size)
-			}
-			if g.tenant != cmd.Tenant {
-				return fmt.Errorf("queue: command %s (tenant %q) joins gang %q owned by tenant %q",
-					cmd.ID, cmd.Tenant, cmd.GangID, g.tenant)
-			}
-			if len(g.members) >= g.size {
-				return fmt.Errorf("queue: gang %q already has %d of %d members queued",
-					cmd.GangID, len(g.members), g.size)
-			}
-		}
-	}
 	t := q.tenantLocked(cmd.Tenant)
 	if admit {
 		if p := q.pressureLocked(); p >= shedAt {
@@ -440,15 +383,6 @@ func (q *Queue) push(cmd wire.CommandSpec, admit bool) error {
 	}
 	it := &item{cmd: cmd, t: t, seq: q.seq, enq: q.now()}
 	q.seq++
-	if cmd.GangID != "" {
-		if g == nil {
-			g = &gangQ{id: cmd.GangID, size: cmd.GangSize, tenant: cmd.Tenant,
-				members: make(map[string]*item)}
-			q.gangs[cmd.GangID] = g
-		}
-		it.gang = g
-		g.members[cmd.ID] = it
-	}
 	q.byID[cmd.ID] = it
 	heap.Push(&t.items, it)
 	heap.Push(&t.ages, it)
@@ -484,20 +418,6 @@ func (q *Queue) removeItemLocked(it *item) {
 	heap.Remove(&it.t.items, it.pidx)
 	heap.Remove(&it.t.ages, it.aidx)
 	q.total--
-	if g := it.gang; g != nil {
-		delete(g.members, it.cmd.ID)
-		q.maybeDropGangLocked(g)
-	}
-}
-
-// maybeDropGangLocked garbage-collects a gang with no queued and no
-// in-flight members. The identity check guards against a stale gangQ (a
-// requeue after the gang was fully drained creates a fresh one under the
-// same ID) deleting its successor.
-func (q *Queue) maybeDropGangLocked(g *gangQ) {
-	if len(g.members) == 0 && g.inflight == 0 && q.gangs[g.id] == g {
-		delete(q.gangs, g.id)
-	}
 }
 
 // Contains reports whether a command is queued.
@@ -561,38 +481,27 @@ func (q *Queue) Match(info wire.WorkerInfo) wire.Workload {
 	remaining := budget
 	var chosen []*item
 	for remaining > 0 && q.total > 0 {
-		picks := q.selectLocked(canRun, remaining, start)
-		if len(picks) == 0 {
+		it := q.selectLocked(canRun, remaining, start)
+		if it == nil {
 			break
 		}
-		// A pick is a solo command or a complete gang; its eligibility —
-		// including the summed MinCores against both the budget and the
-		// tenant core quota — was established atomically before any member
-		// was taken, so no partial gang ever holds cores (release-on-veto
-		// by construction).
-		t := picks[0].t
+		t := it.t
 		est := q.estimateLocked(t)
 		if t.vtime > q.vclock {
 			q.vclock = t.vtime
 		}
 		t.lastServed = start
-		for _, it := range picks {
-			// Provisional fair-share charge at MinCores; growth below adds
-			// the difference. Charging per pick (not after the loop) keeps
-			// multiple picks within one Match fair too.
-			charge := est * float64(it.cmd.MinCores) / t.weight
-			t.vtime += charge
-			t.inflightCores += it.cmd.MinCores
-			q.inflight[it.cmd.ID] = &inflightCmd{
-				t: t, gang: it.gang, cores: it.cmd.MinCores, est: est,
-				charged: charge, start: start,
-			}
-			remaining -= it.cmd.MinCores
-			chosen = append(chosen, it)
+		// Provisional fair-share charge at MinCores; growth below adds the
+		// difference. Charging per pick (not after the loop) keeps multiple
+		// picks within one Match fair too.
+		charge := est * float64(it.cmd.MinCores) / t.weight
+		t.vtime += charge
+		t.inflightCores += it.cmd.MinCores
+		q.inflight[it.cmd.ID] = &inflightCmd{
+			t: t, cores: it.cmd.MinCores, est: est, charged: charge, start: start,
 		}
-		if g := picks[0].gang; g != nil {
-			q.gangsDispatched.Inc()
-		}
+		remaining -= it.cmd.MinCores
+		chosen = append(chosen, it)
 	}
 
 	// Grow assignments toward MaxCores while spare budget remains,
@@ -640,12 +549,11 @@ func (q *Queue) Match(info wire.WorkerInfo) wire.Workload {
 	return wl
 }
 
-// selectLocked picks the next dispatch unit — a solo command or a complete
-// gang: the starvation override first, then the smallest-vtime tenant with
-// a runnable unit. Returns nil when nothing fits (wrong executables,
-// MinCores over budget, core quotas exhausted, or only incomplete gangs).
-// The returned items are already removed from their queues.
-func (q *Queue) selectLocked(canRun map[string]bool, remaining int, now time.Time) []*item {
+// selectLocked picks the next command to dispatch: the starvation override
+// first, then the smallest-vtime tenant with a runnable command. Returns nil
+// when nothing fits (wrong executables, MinCores over budget, core quotas
+// exhausted). The returned item is already removed from its queues.
+func (q *Queue) selectLocked(canRun map[string]bool, remaining int, now time.Time) *item {
 	// Starvation guard: a tenant the scheduler has not served within
 	// StarvationAge, holding a command queued at least that long, jumps
 	// fair-share order — even ahead of better-weighted tenants. The
@@ -666,8 +574,9 @@ func (q *Queue) selectLocked(canRun map[string]bool, remaining int, now time.Tim
 				oldest = head
 			}
 		}
-		if oldest != nil && q.pickEligibleLocked(oldest, canRun, remaining) {
-			return q.takePickLocked(oldest)
+		if oldest != nil && eligibleLocked(oldest, canRun, remaining) {
+			q.removeItemLocked(oldest)
+			return oldest
 		}
 	}
 
@@ -686,76 +595,34 @@ func (q *Queue) selectLocked(canRun map[string]bool, remaining int, now time.Tim
 		return cands[i].id < cands[j].id // deterministic tie-break
 	})
 	for _, t := range cands {
-		if picks := q.takeEligibleLocked(t, canRun, remaining); picks != nil {
-			return picks
+		if it := q.takeEligibleLocked(t, canRun, remaining); it != nil {
+			return it
 		}
 	}
 	return nil
 }
 
-// pickEligibleLocked reports whether it can be dispatched right now. For a
-// gang member the whole gang is the unit under test: every member must be
-// queued (assembly complete, none in flight), every member's executable
-// runnable on this worker, and the *sum* of member MinCores must fit both
-// the remaining budget and the tenant's core quota. Checking the aggregate
-// before taking anything is what makes gang dispatch all-or-nothing: a veto
-// on any member vetoes the gang while no member holds cores yet.
-func (q *Queue) pickEligibleLocked(it *item, canRun map[string]bool, remaining int) bool {
-	g := it.gang
-	if g == nil {
-		return canRun[it.cmd.Type] && it.cmd.MinCores <= remaining &&
-			quotaAllowsLocked(it.t, it.cmd.MinCores)
-	}
-	if len(g.members) < g.size || g.inflight > 0 {
-		return false
-	}
-	need := 0
-	for _, m := range g.members {
-		if !canRun[m.cmd.Type] {
-			return false
-		}
-		need += m.cmd.MinCores
-	}
-	return need <= remaining && quotaAllowsLocked(it.t, need)
+// eligibleLocked reports whether it can be dispatched right now: its
+// executable runs on this worker and its MinCores fit both the remaining
+// budget and the tenant's core quota.
+func eligibleLocked(it *item, canRun map[string]bool, remaining int) bool {
+	return canRun[it.cmd.Type] && it.cmd.MinCores <= remaining &&
+		quotaAllowsLocked(it.t, it.cmd.MinCores)
 }
 
-// takePickLocked removes it — and, for a gang member, all its siblings —
-// from the queues and returns the dispatch unit in deterministic (seq)
-// order. Eligibility must have been established by pickEligibleLocked under
-// the same lock hold.
-func (q *Queue) takePickLocked(it *item) []*item {
-	g := it.gang
-	if g == nil {
-		q.removeItemLocked(it)
-		return []*item{it}
-	}
-	members := make([]*item, 0, len(g.members))
-	for _, m := range g.members {
-		members = append(members, m)
-	}
-	sort.Slice(members, func(i, j int) bool { return members[i].seq < members[j].seq })
-	// Mark the members in flight before removal so the transiently empty
-	// member map cannot garbage-collect the gang record mid-take.
-	g.inflight += len(members)
-	for _, m := range members {
-		q.removeItemLocked(m)
-	}
-	return members
-}
-
-// takeEligibleLocked pops t's best runnable dispatch unit (priority desc,
-// seq asc within the tenant), skipping commands the worker cannot run and
-// gangs that are incomplete or over quota. Returns nil if none fits.
+// takeEligibleLocked pops t's best runnable command (priority desc, seq asc
+// within the tenant), skipping commands the worker cannot run or that are
+// over budget or quota. Returns nil if none fits.
 //
 // Within-tenant starvation guard: when the tenant's own oldest command has
 // waited past StarvationAge, it is preferred over the priority head, so a
 // tenant's low-priority commands cannot starve behind its endless stream of
 // high-priority ones.
-func (q *Queue) takeEligibleLocked(t *tenantQ, canRun map[string]bool, remaining int) []*item {
+func (q *Queue) takeEligibleLocked(t *tenantQ, canRun map[string]bool, remaining int) *item {
 	if age := q.cfg.StarvationAge; age > 0 && t.ages.Len() > 0 {
-		if head := t.ages[0]; q.now().Sub(head.enq) > age &&
-			q.pickEligibleLocked(head, canRun, remaining) {
-			return q.takePickLocked(head)
+		if head := t.ages[0]; q.now().Sub(head.enq) > age && eligibleLocked(head, canRun, remaining) {
+			q.removeItemLocked(head)
+			return head
 		}
 	}
 	var skipped []*item
@@ -763,20 +630,20 @@ func (q *Queue) takeEligibleLocked(t *tenantQ, canRun map[string]bool, remaining
 	for t.items.Len() > 0 {
 		it := heap.Pop(&t.items).(*item)
 		skipped = append(skipped, it)
-		if q.pickEligibleLocked(it, canRun, remaining) {
+		if eligibleLocked(it, canRun, remaining) {
 			found = it
 			break
 		}
 	}
-	// Reinsert everything popped (including the found item — takePickLocked
-	// removes it and any gang siblings through the normal path).
+	// Reinsert everything popped (including the found item, which
+	// removeItemLocked then takes out of both heaps the normal way).
 	for _, s := range skipped {
 		heap.Push(&t.items, s)
 	}
-	if found == nil {
-		return nil
+	if found != nil {
+		q.removeItemLocked(found)
 	}
-	return q.takePickLocked(found)
+	return found
 }
 
 // Release settles a dispatched command's account: frees its in-flight
@@ -793,20 +660,13 @@ func (q *Queue) Release(cmdID string, wallSeconds float64) bool {
 	if !ok {
 		return false
 	}
-	// Freed cores can lift a tenant's core-quota veto, and a gang's last
-	// in-flight member its dispatch barrier.
+	// Freed cores can lift a tenant's core-quota veto.
 	ready.fire = q.total > 0
 	delete(q.inflight, cmdID)
 	t := fl.t
 	t.inflightCores -= fl.cores
 	if t.inflightCores < 0 {
 		t.inflightCores = 0
-	}
-	if g := fl.gang; g != nil {
-		if g.inflight--; g.inflight < 0 {
-			g.inflight = 0
-		}
-		q.maybeDropGangLocked(g)
 	}
 	if wallSeconds <= 0 {
 		wallSeconds = q.now().Sub(fl.start).Seconds()
@@ -984,48 +844,6 @@ func (q *Queue) Pressure() float64 {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.lastPressure
-}
-
-// Gang reports a gang's assembly state: queued members, declared size and
-// dispatched-but-unreleased members. ok is false once the gang has fully
-// drained (or never existed). Tests and the DES harness use it to assert
-// the no-partial-dispatch invariant.
-func (q *Queue) Gang(id string) (queued, size, inflight int, ok bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	g, ok := q.gangs[id]
-	if !ok {
-		return 0, 0, 0, false
-	}
-	return len(g.members), g.size, g.inflight, true
-}
-
-// DemoteGang strips gang membership from a gang's queued members, making
-// them individually dispatchable, and returns how many were demoted. The
-// server calls this when a gang can no longer reassemble — a member
-// finished, failed terminally, or was terminated while siblings wait
-// queued — so the stragglers are never stranded behind an impossible
-// all-or-nothing barrier. In-flight members are unaffected; their eventual
-// Release still settles against the old gang record.
-func (q *Queue) DemoteGang(id string) int {
-	var ready readiness
-	q.mu.Lock()
-	defer q.unlock(&ready)
-	g, ok := q.gangs[id]
-	if !ok {
-		return 0
-	}
-	ready.fire = len(g.members) > 0
-	n := 0
-	for cid, it := range g.members {
-		it.gang = nil
-		it.cmd.GangID = ""
-		it.cmd.GangSize = 0
-		delete(g.members, cid)
-		n++
-	}
-	q.maybeDropGangLocked(g)
-	return n
 }
 
 // prioHeap orders a tenant's queue by (priority desc, seq asc).

@@ -2,6 +2,7 @@ package queue
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -327,15 +328,110 @@ func TestReadyHook(t *testing.T) {
 	q.Release("b", 0.1)
 	q.SetQuota(wire.TenantQuotaUpdate{Tenant: "", Weight: 1, MaxQueued: -1, MaxCores: -1, MaxStorageBytes: -1})
 	expect("release and quota change with nothing queued")
+}
 
-	g := cmd("g0", 0, 1, 1)
-	g.GangID, g.GangSize = "gang", 2
-	mustPush(t, q, g)
-	expect("gang member into an empty queue", true)
-	if n := q.DemoteGang("gang"); n != 1 {
-		t.Fatalf("demoted %d", n)
+// TestPropertyNoLeakedCoreGrant is the randomized grant-accounting property:
+// across thousands of interleaved pushes, matches with random budgets, quota
+// changes, releases and requeues, each tenant's in-flight cores equal the
+// grants handed out and not yet released after every operation, and drop to
+// zero once everything is released.
+func TestPropertyNoLeakedCoreGrant(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	clk := newSimClock()
+	q := NewWithConfig(Config{Clock: clk.Now})
+
+	type flight struct {
+		spec  wire.CommandSpec
+		cores int
 	}
-	expect("gang demotion", false)
-	q.DemoteGang("gang")
-	expect("demotion of a gang that is gone")
+	inflight := map[string]flight{} // dispatched and unreleased
+	granted := map[string]int{}     // tenant → outstanding granted cores
+	tenants := []string{"a", "b", "c"}
+	nextID := 0
+
+	push := func(tenant string) {
+		spec := wire.CommandSpec{ID: fmt.Sprintf("s%06d", nextID), Project: "p", Type: "sim", Tenant: tenant,
+			MinCores: 1 + rng.Intn(3), MaxCores: 1 + rng.Intn(4)}
+		nextID++
+		if spec.MaxCores < spec.MinCores {
+			spec.MaxCores = spec.MinCores
+		}
+		_ = q.Push(spec) // may bounce off quotas; fine
+	}
+	match := func() {
+		wl := q.Match(wire.WorkerInfo{ID: "w", Cores: 1 + rng.Intn(24), Executables: []string{"sim"}})
+		for _, c := range wl.Commands {
+			cores := wl.Cores[c.ID]
+			if cores < c.MinCores {
+				t.Fatalf("command %s granted %d < MinCores %d", c.ID, cores, c.MinCores)
+			}
+			inflight[c.ID] = flight{spec: c, cores: cores}
+			granted[c.Tenant] += cores
+		}
+	}
+	releaseSome := func(requeue bool) {
+		for id, fl := range inflight {
+			if rng.Float64() > 0.5 {
+				continue
+			}
+			q.Release(id, rng.Float64()*3)
+			granted[fl.spec.Tenant] -= fl.cores
+			delete(inflight, id)
+			if requeue {
+				if err := q.Requeue(fl.spec); err != nil {
+					t.Fatalf("requeue %s: %v", id, err)
+				}
+			}
+		}
+	}
+
+	for step := 0; step < 4000; step++ {
+		tenant := tenants[rng.Intn(len(tenants))]
+		switch rng.Intn(10) {
+		case 0, 1, 2, 3:
+			push(tenant)
+		case 4, 5, 6:
+			match()
+		case 7:
+			releaseSome(false)
+		case 8:
+			releaseSome(rng.Intn(2) == 0)
+		case 9:
+			// Random quota churn: the dispatch-time veto source.
+			mc := -1
+			if rng.Intn(2) == 0 {
+				mc = rng.Intn(12)
+			}
+			q.SetQuota(wire.TenantQuotaUpdate{Tenant: tenant, Weight: -1,
+				MaxQueued: -1, MaxCores: mc, MaxStorageBytes: -1})
+		}
+		clk.Advance(time.Duration(rng.Intn(500)) * time.Millisecond)
+		for _, tn := range tenants {
+			if got := q.InflightCores(tn); got != granted[tn] {
+				t.Fatalf("step %d: tenant %s holds %d granted cores, queue says %d (leak)", step, tn, granted[tn], got)
+			}
+		}
+	}
+
+	// Drain: lift quotas, release everything, run matches until empty.
+	for _, tn := range tenants {
+		q.SetQuota(wire.TenantQuotaUpdate{Tenant: tn, Weight: -1, MaxQueued: -1, MaxCores: 0, MaxStorageBytes: -1})
+	}
+	for id := range inflight {
+		q.Release(id, 1)
+	}
+	for q.Len() > 0 {
+		wl := q.Match(wire.WorkerInfo{ID: "w", Cores: 64, Executables: []string{"sim"}})
+		if len(wl.Commands) == 0 {
+			t.Fatalf("%d commands queued that no 64-core worker is handed", q.Len())
+		}
+		for _, c := range wl.Commands {
+			q.Release(c.ID, 1)
+		}
+	}
+	for _, tn := range tenants {
+		if got := q.InflightCores(tn); got != 0 {
+			t.Fatalf("tenant %s leaked %d inflight cores after drain", tn, got)
+		}
+	}
 }

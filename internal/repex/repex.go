@@ -15,9 +15,9 @@
 // cross barriers; exchanges percolate those crossings down to the rung of
 // interest. The package is pure state + math, including the two exchange
 // patterns as transport-free schedules (SweepPairs for the barriered sweep,
-// Arrive for the barrier-free one): the distributed-systems side
-// (gang-scheduled command groups, durability) lives in the repex controller,
-// and internal/des drives the same schedules over virtual time.
+// Arrive for the barrier-free one): the distributed-systems side (one
+// command per segment, the sync barrier, durability) lives in the repex
+// controller, and internal/des drives the same schedules over virtual time.
 package repex
 
 import (

@@ -190,9 +190,7 @@ func (s *Server) requeue(p *project, cs *cmdState, rec store.Record) {
 	}
 	cs.status, cs.worker = cmdQueued, ""
 	cs.submittedAt, cs.dispatchedAt = time.Now(), time.Time{}
-	// The lost run still billed the tenant's fair share. Released before the
-	// push: the queue reassembles a gang only while its other members are
-	// still accounted as in flight.
+	// The lost run still billed the tenant's fair share.
 	s.q.Release(rec.Command, 0)
 	if err := s.enqueue(cs); err != nil {
 		s.failed(p, cs, store.Record{Type: store.RecCommandFailed, Project: p.name,
@@ -207,9 +205,6 @@ func (s *Server) requeue(p *project, cs *cmdState, rec store.Record) {
 		}})
 	s.log.Info("requeued command from checkpoint", "cmd", rec.Command, "why", rec.Type.String(),
 		"count", rec.Count, "worker", rec.Worker, "note", rec.Note, "checkpoint_bytes", len(cs.checkpoint))
-	// If a gang sibling already settled, the gang can never refill; checked
-	// once its last running member has left the running state.
-	s.maybeDemoteGangLocked(p, cs.spec.GangID, cs.spec.GangSize)
 }
 
 // failed fails an open command terminally and tells the controller, which
@@ -226,7 +221,6 @@ func (s *Server) failed(p *project, cs *cmdState, rec store.Record) {
 	s.met.failed.Inc()
 	s.log.Warn("command failed terminally", "cmd", rec.Command, "project", p.name,
 		"worker", rec.Worker, "reason", rec.Note)
-	s.maybeDemoteGangLocked(p, cs.spec.GangID, cs.spec.GangSize)
 	if p.state == projRunning {
 		s.reacted(p, s.react(p, func(c controller.Context) error { return p.ctrl.CommandFailed(c, cs.spec, rec.Note) }))
 	}
@@ -289,8 +283,6 @@ func (s *Server) done(p *project, cs *cmdState, res *wire.CommandResult, encoded
 	if len(res.Output) > 0 {
 		s.q.ChargeStorage(cs.spec.Tenant, int64(len(res.Output)))
 	}
-	// A finished member never rejoins its gang; free any queued stragglers.
-	s.maybeDemoteGangLocked(p, cs.spec.GangID, cs.spec.GangSize)
 	s.met.finished.Inc()
 	s.met.resultBytes.Observe(float64(len(res.Output)))
 	s.met.reg.Counter("copernicus_worker_commands_total",
@@ -331,5 +323,4 @@ func (s *Server) terminated(p *project, cs *cmdState) {
 		return
 	}
 	cs.status = cmdTerminated
-	s.maybeDemoteGangLocked(p, cs.spec.GangID, cs.spec.GangSize)
 }

@@ -276,13 +276,9 @@ func (s *Server) replayRecord(r store.Record) {
 func (s *Server) reseedQueue() (orphans, queued int) {
 	for _, p := range s.projectList() {
 		p.mu.Lock()
-		gangs := make(map[string]int) // gang ID → size, checked after re-seeding
 		for id, cs := range p.commands {
 			if p.state != projRunning {
 				break // ended before the restart, or by a terminal orphan failure below
-			}
-			if cs.spec.GangID != "" {
-				gangs[cs.spec.GangID] = cs.spec.GangSize
 			}
 			switch cs.status {
 			case cmdQueued:
@@ -296,12 +292,6 @@ func (s *Server) reseedQueue() (orphans, queued int) {
 					orphans++
 				}
 			}
-		}
-		// Gangs whose members partly finished or failed before the restart
-		// can never refill; demote the re-seeded stragglers to solo. Checked
-		// after the loop so every surviving member is back in the queue.
-		for gid, size := range gangs {
-			s.maybeDemoteGangLocked(p, gid, size)
 		}
 		p.mu.Unlock()
 	}

@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -879,11 +878,11 @@ func (s *Server) ingestResult(p *project, res *wire.CommandResult, encoded []byt
 		s.checkpointed(p, cs, res.Checkpoint)
 		return []byte("checkpointed"), "", nil
 	case !res.OK && !cs.settled():
-		// The run failed on the worker (engine error, a gang it refused).
-		// That is a lost run like any other, except that the worker is alive
-		// to say so: spend the retry budget, then tell the controller — and
-		// acknowledge, so the worker stops redelivering. A run the command has
-		// been requeued or reassigned away from is nobody's any more.
+		// The run failed on the worker (an engine error). That is a lost run
+		// like any other, except that the worker is alive to say so: spend the
+		// retry budget, then tell the controller — and acknowledge, so the
+		// worker stops redelivering. A run the command has been requeued or
+		// reassigned away from is nobody's any more.
 		if !cs.runningOn(res.WorkerID) {
 			return []byte("ignored"), "", nil
 		}
@@ -1078,79 +1077,19 @@ func (s *Server) preemptForStarved() {
 			if cs.status != cmdRunning || len(cs.checkpoint) == 0 {
 				continue
 			}
-			// Gang members are evicted together or not at all: leaving
-			// siblings running while one member requeues would both strand a
-			// half-running gang and free too few cores to matter. The whole
-			// gang counts as this tick's single eviction.
-			evict := []string{id}
-			if gid := cs.spec.GangID; gid != "" {
-				whole := true
-				for sid, sc := range p.commands {
-					if sid == id || sc.spec.GangID != gid || sc.status != cmdRunning {
-						continue
-					}
-					if len(sc.checkpoint) == 0 {
-						whole = false // a sibling would lose its whole run
-						break
-					}
-					evict = append(evict, sid)
-				}
-				if !whole {
-					continue
-				}
-				sort.Strings(evict)
-			}
-			for _, vid := range evict {
-				vc := p.commands[vid]
-				s.requeue(p, vc, store.Record{Type: store.RecCommandPreempted, Project: p.name,
-					Command: vid, Worker: vc.worker, Tenant: p.tenant, Count: vc.preempts + 1})
-			}
+			worker := cs.worker
+			s.requeue(p, cs, store.Record{Type: store.RecCommandPreempted, Project: p.name,
+				Command: id, Worker: worker, Tenant: p.tenant, Count: cs.preempts + 1})
 			p.mu.Unlock()
-			s.log.Info("preempted at checkpoint boundary for starved tenant", "cmds", len(evict),
-				"gang", cs.spec.GangID, "victim_tenant", victim, "victim_cores", cores, "starved_tenant", starved)
+			s.log.Info("preempted at checkpoint boundary for starved tenant", "cmd", id,
+				"worker", worker, "victim_tenant", victim, "victim_cores", cores, "starved_tenant", starved)
 			// The old worker is told to abort at its next heartbeat.
 			s.mu.Lock()
-			for _, vid := range evict {
-				s.preempted[vid] = struct{}{}
-			}
+			s.preempted[id] = struct{}{}
 			s.mu.Unlock()
 			return
 		}
 		p.mu.Unlock()
-	}
-}
-
-// maybeDemoteGangLocked releases a gang's queued members from the
-// all-or-nothing dispatch barrier once the gang can no longer reassemble.
-// A gang member that finished, failed terminally, or was terminated will
-// never be requeued, so if no member is still running (a running member may
-// yet checkpoint-requeue and complete the set) and fewer than GangSize
-// members sit queued, the stragglers would wait forever behind an
-// impossible barrier; they are demoted to solo commands instead and re-run
-// individually. Called with p.mu held after any member leaves the
-// running/queued cycle.
-func (s *Server) maybeDemoteGangLocked(p *project, gangID string, size int) {
-	if gangID == "" || size <= 0 {
-		return
-	}
-	queued := 0
-	for _, cs := range p.commands {
-		if cs.spec.GangID != gangID {
-			continue
-		}
-		switch cs.status {
-		case cmdRunning:
-			return
-		case cmdQueued:
-			queued++
-		}
-	}
-	if queued == 0 || queued >= size {
-		return
-	}
-	if n := s.q.DemoteGang(gangID); n > 0 {
-		s.log.Info("demoted broken gang's queued members to solo",
-			"gang", gangID, "demoted", n, "size", size)
 	}
 }
 

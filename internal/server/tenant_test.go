@@ -275,176 +275,6 @@ func TestCheckpointPreemptionForStarvedTenant(t *testing.T) {
 	}
 }
 
-// TestGangPreemptionEvictsWholeGang: when the starvation monitor picks a
-// victim that belongs to a gang, every running member is evicted at its own
-// checkpoint boundary in the same tick — the old worker is told to abort
-// all of them, and the gang later redispatches as a unit with each member's
-// checkpoint intact. A half-evicted gang would strand the survivors (the
-// requeued members could never refill the all-or-nothing barrier).
-func TestGangPreemptionEvictsWholeGang(t *testing.T) {
-	gang := func(id string) wire.CommandSpec {
-		c := cmdSpec(id)
-		c.GangID = "pa/g1"
-		c.GangSize = 2
-		return c
-	}
-	ctrl := &testController{submit: []wire.CommandSpec{gang("a1"), gang("a2")}}
-	r := newRig(t, Config{
-		HeartbeatInterval: 40 * time.Millisecond,
-		PreemptAge:        50 * time.Millisecond,
-	}, ctrl)
-
-	if err := r.request(t, wire.MsgSubmit,
-		&wire.ProjectSubmit{Name: "pa", Controller: "test", Tenant: "whale"}, nil); err != nil {
-		t.Fatal(err)
-	}
-	var wl wire.Workload
-	if err := r.request(t, wire.MsgAnnounce, announce("w1", 2), &wl); err != nil {
-		t.Fatal(err)
-	}
-	if len(wl.Commands) != 2 {
-		t.Fatalf("gang dispatch = %v, want both members", wl.Commands)
-	}
-	// Both members checkpoint — the gang is only evictable once every
-	// member can resume.
-	for _, id := range []string{"a1", "a2"} {
-		partial := wire.CommandResult{CommandID: id, Project: "pa", WorkerID: "w1",
-			OK: true, Partial: true, Checkpoint: []byte("ck-" + id)}
-		if err := r.request(t, wire.MsgResult, &partial, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	ctrl.mu.Lock()
-	ctrl.submit = []wire.CommandSpec{cmdSpec("b1")}
-	ctrl.mu.Unlock()
-	if err := r.request(t, wire.MsgSubmit,
-		&wire.ProjectSubmit{Name: "pb", Controller: "test", Tenant: "minnow"}, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	// Heartbeat w1 until the ack aborts BOTH gang members — the monitor must
-	// never evict one and leave its sibling running.
-	aborted := map[string]bool{}
-	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) && len(aborted) < 2 {
-		hb := wire.Heartbeat{WorkerID: "w1", CommandIDs: []string{"a1", "a2"}}
-		var ack wire.HeartbeatAck
-		if err := r.request(t, wire.MsgHeartbeat, &hb, &ack); err != nil {
-			t.Fatal(err)
-		}
-		if len(ack.AbortCommandIDs) == 1 {
-			t.Fatalf("partial gang abort: %v", ack.AbortCommandIDs)
-		}
-		for _, id := range ack.AbortCommandIDs {
-			aborted[id] = true
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if !aborted["a1"] || !aborted["a2"] {
-		t.Fatalf("gang not fully aborted: %v", aborted)
-	}
-
-	// The requeued gang needs 2 cores on one worker; a 1-core announce must
-	// get only the minnow's command, never half the gang.
-	var small wire.Workload
-	gotB1 := false
-	deadline = time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) && !gotB1 {
-		if err := r.request(t, wire.MsgAnnounce, announce("w2", 1), &small); err != nil {
-			t.Fatal(err)
-		}
-		for _, c := range small.Commands {
-			if c.ID != "b1" {
-				t.Fatalf("1-core worker received gang member %s", c.ID)
-			}
-			gotB1 = true
-		}
-		hb := wire.Heartbeat{WorkerID: "w1"}
-		if err := r.request(t, wire.MsgHeartbeat, &hb, nil); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if !gotB1 {
-		t.Fatal("starved tenant's command never dispatched after gang preemption")
-	}
-
-	// A 2-core worker receives the whole gang in one workload, checkpoints
-	// intact.
-	var big wire.Workload
-	deadline = time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) && len(big.Commands) == 0 {
-		if err := r.request(t, wire.MsgAnnounce, announce("w3", 2), &big); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if len(big.Commands) != 2 {
-		t.Fatalf("gang redispatch = %v, want both members together", big.Commands)
-	}
-	for _, c := range big.Commands {
-		if want := "ck-" + c.ID; string(c.Checkpoint) != want {
-			t.Errorf("member %s redispatched with checkpoint %q, want %q", c.ID, c.Checkpoint, want)
-		}
-	}
-}
-
-// TestGangStragglerDemotedWhenSiblingFinishes: a gang member requeued after
-// worker loss cannot wait for a sibling that already finished — the server
-// demotes it to a solo command so it re-runs instead of deadlocking behind
-// an unfillable all-or-nothing barrier.
-func TestGangStragglerDemotedWhenSiblingFinishes(t *testing.T) {
-	gang := func(id string) wire.CommandSpec {
-		c := cmdSpec(id)
-		c.GangID = "pg/g1"
-		c.GangSize = 2
-		return c
-	}
-	ctrl := &testController{submit: []wire.CommandSpec{gang("a1"), gang("a2")}}
-	r := newRig(t, Config{HeartbeatInterval: time.Hour}, ctrl)
-
-	if err := r.request(t, wire.MsgSubmit,
-		&wire.ProjectSubmit{Name: "pg", Controller: "test", Tenant: "acme"}, nil); err != nil {
-		t.Fatal(err)
-	}
-	var wl wire.Workload
-	if err := r.request(t, wire.MsgAnnounce, announce("w1", 2), &wl); err != nil {
-		t.Fatal(err)
-	}
-	if len(wl.Commands) != 2 {
-		t.Fatalf("gang dispatch = %v", wl.Commands)
-	}
-	// a1 finishes; a2 checkpoints and then its worker is reported lost.
-	done := wire.CommandResult{CommandID: "a1", Project: "pg", WorkerID: "w1", OK: true}
-	if err := r.request(t, wire.MsgResult, &done, nil); err != nil {
-		t.Fatal(err)
-	}
-	partial := wire.CommandResult{CommandID: "a2", Project: "pg", WorkerID: "w1",
-		OK: true, Partial: true, Checkpoint: []byte("ck-a2")}
-	if err := r.request(t, wire.MsgResult, &partial, nil); err != nil {
-		t.Fatal(err)
-	}
-	wf := wire.WorkerFailed{WorkerID: "w1", CommandIDs: []string{"a2"}}
-	if err := r.request(t, wire.MsgWorkerFailed, &wf, nil); err != nil {
-		t.Fatal(err)
-	}
-	// The straggler must dispatch solo — a 1-core worker can take it.
-	var wl2 wire.Workload
-	if err := r.request(t, wire.MsgAnnounce, announce("w2", 1), &wl2); err != nil {
-		t.Fatal(err)
-	}
-	if len(wl2.Commands) != 1 || wl2.Commands[0].ID != "a2" {
-		t.Fatalf("straggler dispatch = %v, want solo a2", wl2.Commands)
-	}
-	if string(wl2.Commands[0].Checkpoint) != "ck-a2" {
-		t.Errorf("straggler checkpoint = %q, want ck-a2", wl2.Commands[0].Checkpoint)
-	}
-	if wl2.Commands[0].GangID != "" || wl2.Commands[0].GangSize != 0 {
-		t.Errorf("straggler still carries gang fields: %+v", wl2.Commands[0])
-	}
-}
-
 // TestRefusedBatchQueuesNothing: a CommandFinished handler submits two
 // commands and the tenant's queued-command quota admits only one. The batch
 // is refused whole: the project fails with the quota error, and neither

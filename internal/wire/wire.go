@@ -43,15 +43,14 @@ import (
 // both versions; a v2 node cannot parse a v3 hello at all and fails with a
 // decode error. Payload blobs of either era still decode (old WAL records).
 //
-// Additions ride within a version as appended fields: the gang-scheduling
-// fields (CommandSpec.GangID/GangSize), ProjectStatus.Detail, the
-// frame-streaming messages and AnnounceRequest.WaitSeconds all arrived that
-// way, and frames captured before each existed decode with the new fields at
-// their zero values. Workers independently verify gang completeness of a
-// workload, and a node that has never heard of MsgFrameChunk declines it via
-// the overlay's unknown-handler path while the final result blob still
-// carries every frame, so a fleet of mixed minor builds degrades instead of
-// mis-scheduling.
+// Additions ride within a version as appended fields: CommandSpec.GangID/
+// GangSize, ProjectStatus.Detail, the frame-streaming messages and
+// AnnounceRequest.WaitSeconds all arrived that way, and frames captured
+// before each existed decode with the new fields at their zero values. A
+// field is never removed, only left unread (GangID/GangSize are), and a node
+// that has never heard of MsgFrameChunk declines it via the overlay's
+// unknown-handler path while the final result blob still carries every
+// frame, so a fleet of mixed minor builds degrades instead of mis-scheduling.
 const ProtocolVersion = 3
 
 // ErrProtoVersion is the sentinel for cross-version handshake and envelope
@@ -226,17 +225,13 @@ type CommandSpec struct {
 	Priority   int
 	Payload    []byte
 	Checkpoint []byte
-	// GangID groups coupled commands that must be admitted, quota-charged
-	// and dispatched all-or-nothing (replica-exchange epochs are the
-	// canonical producer). Members of a gang share a tenant and are handed
-	// to a single worker in one workload — either every member gets cores or
-	// none hold any. Empty = not gang-scheduled. Gang IDs must be globally
-	// unique; producers prefix them with the project name. Decodes as ""
-	// from pre-gang frames.
-	GangID string
-	// GangSize is the declared member count of the gang; the scheduler
-	// holds members back until all of them are queued. Decodes as 0 from
-	// pre-gang frames, and 0 with an empty GangID means not gang-scheduled.
+	// GangID and GangSize are decoded and not read. Builds that
+	// co-scheduled replica-exchange epochs set them to group an epoch's
+	// segments; the fields stay, under the codec's append-only rule, so
+	// that those builds' frames, WALs and snapshots still decode, and
+	// Validate still checks them. Both decode as zero from frames older
+	// than the fields.
+	GangID   string
 	GangSize int
 }
 
@@ -431,7 +426,7 @@ type ProjectStatus struct {
 	// Detail is an optional controller-specific status blob (gob), filled
 	// when the project's controller exposes live structured state — the
 	// repex controller publishes its exchange-acceptance statistics here.
-	// Decodes as nil from pre-gang frames.
+	// Decodes as nil from frames older than the field.
 	Detail []byte
 }
 

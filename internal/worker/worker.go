@@ -133,7 +133,6 @@ type workerMetrics struct {
 	resultsSpooled  *obs.Counter
 	redelivered     *obs.Counter
 	rehomes         *obs.Counter
-	gangRejects     *obs.Counter
 	checkpointBytes *obs.Histogram
 	streamChunks    *obs.Counter
 	streamFrames    *obs.Counter
@@ -160,8 +159,6 @@ func newWorkerMetrics(o *obs.Obs, workerID string) workerMetrics {
 			"Spooled results successfully delivered after connectivity returned.", l),
 		rehomes: o.Metrics.Counter("copernicus_worker_rehomes_total",
 			"Times this worker adopted a different home server after its peer became unreachable.", l),
-		gangRejects: o.Metrics.Counter("copernicus_worker_gang_rejects_total",
-			"Gang members refused because the workload carried only part of their gang.", l),
 		checkpointBytes: o.Metrics.Histogram("copernicus_worker_checkpoint_bytes",
 			"Size of partial-result checkpoints reported for failover.",
 			obs.SizeBuckets(), l),
@@ -424,44 +421,10 @@ func (w *Worker) drainSpool(ctx context.Context) {
 	}
 }
 
-// vetGangs enforces the worker's side of the all-or-nothing gang contract:
-// a workload must carry either every member of a gang or none of them. A
-// mixed-version or misbehaving server that dispatches a partial gang (for
-// example after the gang fields were dropped on an old-frame relay hop)
-// gets each stray member refused with a failure result instead of a
-// silently half-running gang; the server's orphan recovery then requeues
-// the members for a correct dispatch. Returns the commands cleared to run.
-func (w *Worker) vetGangs(ctx context.Context, cmds []wire.CommandSpec) []wire.CommandSpec {
-	present := make(map[string]int)
-	for _, c := range cmds {
-		if c.GangID != "" {
-			present[c.GangID]++
-		}
-	}
-	cleared := make([]wire.CommandSpec, 0, len(cmds))
-	for _, c := range cmds {
-		if c.GangID == "" || (c.GangSize >= 2 && present[c.GangID] == c.GangSize) {
-			cleared = append(cleared, c)
-			continue
-		}
-		w.met.gangRejects.Inc()
-		w.log.Warn("refusing partial gang dispatch",
-			"command", c.ID, "gang", c.GangID,
-			"present", present[c.GangID], "size", c.GangSize)
-		res := wire.CommandResult{
-			CommandID: c.ID, Project: c.Project, WorkerID: w.ID(),
-			Error: fmt.Sprintf("worker: partial gang dispatch: %d of %d members of gang %q present",
-				present[c.GangID], c.GangSize, c.GangID),
-		}
-		w.sendResult(ctx, c.Origin, &res)
-	}
-	return cleared
-}
-
 // execute runs a workload: one goroutine per command plus a heartbeat
 // ticker, blocking until every command has completed or aborted.
 func (w *Worker) execute(ctx context.Context, wl *wire.Workload) {
-	cmds := w.vetGangs(ctx, wl.Commands)
+	cmds := wl.Commands
 	if len(cmds) == 0 {
 		return
 	}

@@ -273,83 +273,6 @@ func TestWorkerEngineErrorRetried(t *testing.T) {
 	}
 }
 
-// TestWorkerRefusesPartialGang: a workload carrying only part of a gang —
-// as a mixed-version server whose relay hop dropped the gang fields could
-// produce — has the stray members refused with a failure result; complete
-// gangs and solo commands still run. The real queue never splits a gang,
-// so the workload is forged directly against vetGangs.
-func TestWorkerRefusesPartialGang(t *testing.T) {
-	net := overlay.NewMemNetwork()
-	sNode := overlay.NewNode(overlay.NewIdentityFromSeed(11), overlay.NewTrustStore(), net.Transport())
-	if err := sNode.Listen("srv"); err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	var failed []*wire.CommandResult
-	sNode.Handle(wire.MsgResult, func(from string, payload []byte) ([]byte, error) {
-		var res wire.CommandResult
-		if err := wire.Unmarshal(payload, &res); err != nil {
-			return nil, err
-		}
-		mu.Lock()
-		failed = append(failed, &res)
-		mu.Unlock()
-		return []byte("ok"), nil
-	})
-	wNode := overlay.NewNode(overlay.NewIdentityFromSeed(12), overlay.NewTrustStore(), net.Transport())
-	if _, err := wNode.ConnectPeer("srv"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { wNode.Close(); sNode.Close() })
-	wk, err := New(wNode, sNode.ID(), []engines.Engine{&fakeEngine{name: "sim"}}, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	gangCmd := func(id, gang string, size int) wire.CommandSpec {
-		c := mkCmd(id, "sim")
-		c.Project = "p"
-		c.Origin = sNode.ID()
-		c.GangID = gang
-		c.GangSize = size
-		return c
-	}
-	cmds := []wire.CommandSpec{
-		gangCmd("s1", "", 0),       // solo: always cleared
-		gangCmd("h1", "p/half", 3), // partial gang: 2 of 3 present
-		gangCmd("h2", "p/half", 3), //
-		gangCmd("f1", "p/full", 2), // complete gang: cleared
-		gangCmd("f2", "p/full", 2), //
-		gangCmd("z1", "p/zero", 0), // gang ID with bogus size: refused
-	}
-	cleared := wk.vetGangs(ctxTimeout(t, 5*time.Second), cmds)
-
-	want := map[string]bool{"s1": true, "f1": true, "f2": true}
-	if len(cleared) != len(want) {
-		t.Fatalf("cleared = %v", cleared)
-	}
-	for _, c := range cleared {
-		if !want[c.ID] {
-			t.Errorf("partial gang member %s cleared to run", c.ID)
-		}
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	refused := map[string]bool{}
-	for _, res := range failed {
-		if res.OK {
-			t.Errorf("refusal for %s reported OK", res.CommandID)
-		}
-		if !strings.Contains(res.Error, "partial gang dispatch") {
-			t.Errorf("refusal error = %q", res.Error)
-		}
-		refused[res.CommandID] = true
-	}
-	if !refused["h1"] || !refused["h2"] || !refused["z1"] || len(refused) != 3 {
-		t.Errorf("refused = %v, want h1 h2 z1", refused)
-	}
-}
-
 func TestWorkerPartialCheckpointsReachServer(t *testing.T) {
 	eng := &fakeEngine{name: "sim", ckpts: [][]byte{[]byte("ck1"), []byte("ck2")}, delay: 50 * time.Millisecond}
 	ctrl := &recController{submit: []wire.CommandSpec{mkCmd("c1", "sim")}, finishOn: 1}

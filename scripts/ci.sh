@@ -65,8 +65,10 @@ chaos() {
 
 # Kill-and-restart: the project server hard-killed mid-ensemble and rebuilt
 # from its -state-dir, with and without WAL write faults (the faulted run
-# five times over: it was the flake), two projects of each bundled kind from
-# two tenants sharing the restarted server five times over, then the command
+# five times over: it was the flake), an older build's crashed sync REMD
+# ladder restarted on workers smaller than its epoch, two projects of each
+# bundled kind from two tenants sharing the restarted server five times
+# over, then the command
 # lifecycle's transition table and the server-level recovery tests (the
 # state directories older builds wrote among them) 20 times each — see
 # docs/PERSISTENCE.md.
@@ -118,11 +120,13 @@ tenants() {
 }
 
 # The replica-exchange scheduling scenario: sync vs async REMD ladders
-# against the real gang-scheduling queue, with a worker-churn fault window —
-# see docs/SCHEDULING.md ("Gang scheduling").
+# against the real fair-share queue, with a worker-churn fault window, then
+# a sync ladder wider than any one worker on a real fabric five times over —
+# see docs/SCHEDULING.md ("Replica-exchange dispatch").
 repex() {
-    echo "== replica-exchange scheduling scenario (race) =="
+    echo "== replica-exchange scheduling scenario (race; wide sync ladder x5) =="
     $GO test -race -run TestRepexDES -timeout 300s ./internal/des/
+    $GO test -race -count=5 -run TestRepexSyncLadderWiderThanWorker -timeout 300s ./internal/core/
 }
 
 # The streaming-analysis scenario: incremental mini-batch clustering vs full

@@ -122,11 +122,6 @@ func WithTenant(tenant string) SubmitOption {
 	return func(r *SubmitRequest) { r.Tenant = tenant }
 }
 
-// WithPriority sets the base priority the project's commands inherit.
-func WithPriority(priority int) SubmitOption {
-	return func(r *SubmitRequest) { r.Priority = priority }
-}
-
 // WithDeadline bounds how stale the submission may be when admitted.
 func WithDeadline(d time.Time) SubmitOption {
 	return func(r *SubmitRequest) { r.Deadline = d }

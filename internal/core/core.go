@@ -76,12 +76,10 @@ type FabricConfig struct {
 	// resumes its projects. Empty keeps all project state in memory.
 	StateDir string
 	// FsyncInterval and SnapshotEvery tune each server's store; see
-	// store.Options. StoreNoSync skips fsyncs (unit tests on throwaway
-	// dirs); StoreWriteHook intercepts WAL frames before they hit disk —
-	// chaos.WALFaults plugs in here.
+	// store.Options. StoreWriteHook intercepts WAL frames before they hit
+	// disk — chaos.WALFaults plugs in here.
 	FsyncInterval  time.Duration
 	SnapshotEvery  int
-	StoreNoSync    bool
 	StoreWriteHook func(frame []byte) ([]byte, error)
 	// Standbys maps a primary server index to a standby server index. The
 	// standby runs as a storeless relay while mirroring the primary's WAL

@@ -151,7 +151,7 @@ func TestFabricObservabilityEndToEnd(t *testing.T) {
 	for _, name := range []string{
 		"copernicus_queue_depth",
 		"copernicus_dispatch_latency_seconds_count",
-		"copernicus_worker_commands_total",
+		"copernicus_worker_commands_ok_total",
 		"copernicus_worker_command_seconds_count",
 		"copernicus_generations_total",
 		"copernicus_overlay_messages_total",

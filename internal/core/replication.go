@@ -64,7 +64,6 @@ func (f *Fabric) hostConfig(i int) HostConfig {
 		Store: store.Options{
 			FsyncInterval: f.cfg.FsyncInterval,
 			SnapshotEvery: f.cfg.SnapshotEvery,
-			NoSync:        f.cfg.StoreNoSync,
 		},
 	}
 	if f.cfg.StateDir == "" {

@@ -12,6 +12,12 @@
 // single-simulation speedup curve. The simulator reports time-to-solution,
 // scaling efficiency tres(1)/(N·tres(N)) and ensemble-level bandwidth —
 // the exact quantities plotted in Figs 7, 8 and 9.
+//
+// The package's other scenarios run shipped code instead of a model of it:
+// the multi-tenant (tenants.go) and replica-exchange (repex.go) scenarios
+// drive the real queue, and the latter the real RepexController, on one
+// virtual-clock fleet that dispatches like the server (fleet.go); the
+// streaming-analysis scenario (stream.go) runs the real internal/msm code.
 package des
 
 import (

@@ -21,7 +21,6 @@
 package des
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -173,66 +172,7 @@ type TenantResult struct {
 	Utilization float64 // completed core-seconds / capacity core-seconds
 }
 
-// simWAL mirrors the store's append-latency EWMA (internal/store uses the
-// same alpha) so queue pressure is derived exactly as servers derive it.
-type simWAL struct {
-	ewma float64
-	slow float64
-}
-
-func (w *simWAL) append(lat float64) {
-	const alpha = 0.2
-	w.ewma = (1-alpha)*w.ewma + alpha*lat
-}
-
-func (w *simWAL) pressure() float64 { return w.ewma / w.slow }
-
-// Event kinds for the scenario's virtual-time loop.
-const (
-	evArrival  = iota // background tenant submits a burst
-	evRefill          // heavy hitter tops its backlog up
-	evAnnounce        // worker announces free cores
-	evComplete        // a dispatched command finishes
-	evWALTick         // periodic control-plane journal append
-)
-
-type tEvent struct {
-	at   float64
-	seq  uint64
-	kind int
-	who  int // tenant index (arrival/refill) or worker index (announce/complete)
-	// completion payload
-	cmdID string
-	cores int
-	dur   float64
-	// gen is the dispatch generation the completion belongs to (repex
-	// scenario): a segment preempted and re-dispatched invalidates the
-	// completion scheduled by its earlier run.
-	gen uint64
-}
-
-type tEventHeap []tEvent
-
-func (h tEventHeap) Len() int { return len(h) }
-func (h tEventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h tEventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *tEventHeap) Push(x any)   { *h = append(*h, x.(tEvent)) }
-func (h *tEventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
 type tenantStat struct {
-	id     string
-	weight float64
 	TenantSLO
 	backlog      int
 	backlogSince float64
@@ -240,56 +180,59 @@ type tenantStat struct {
 	everServed   bool
 }
 
-// scenario is the engine state for one SimulateTenants run.
-type scenario struct {
+// noteGap folds how long st has gone unserved while backlogged, as of now,
+// into its longest gap.
+func (st *tenantStat) noteGap(now float64) {
+	ref := st.backlogSince
+	if st.everServed && st.lastServed > ref {
+		ref = st.lastServed
+	}
+	st.MaxGapSeconds = math.Max(st.MaxGapSeconds, now-ref)
+}
+
+// tenantScenario is the engine state for one SimulateTenants run.
+type tenantScenario struct {
 	p        TenantParams
-	now      float64
-	seq      uint64
-	events   tEventHeap
+	f        *fleet
 	rng      *rand.Rand
-	q        *queue.Queue
-	wal      *simWAL
+	walEWMA  float64       // the WAL's append-latency EWMA
 	stats    []*tenantStat // heavy hitters first, then background
 	heavyN   int
-	free     []int  // per-worker free cores
-	polled   []bool // per-worker: an announce event is already queued
+	meanGap  float64 // background tenants' mean gap between bursts
 	enqAt    map[string]float64
 	cmdOwner map[string]int // cmdID -> stats index
 	nextCmd  int
 	res      TenantResult
-	inflight int
 }
 
-func (s *scenario) schedule(at float64, ev tEvent) {
-	ev.at = at
-	ev.seq = s.seq
-	s.seq++
-	heap.Push(&s.events, ev)
-}
-
-func (s *scenario) inFault() bool {
+func (s *tenantScenario) inFault() bool {
 	h := s.p.HorizonSeconds
-	return s.now >= s.p.FaultStartFrac*h && s.now < s.p.FaultEndFrac*h
+	return s.f.now >= s.p.FaultStartFrac*h && s.f.now < s.p.FaultEndFrac*h
 }
 
-func (s *scenario) walAppend() {
+// walAppend journals one record. The latency EWMA uses internal/store's
+// alpha, so pressure derives exactly as servers derive it.
+func (s *tenantScenario) walAppend() {
+	const alpha = 0.2
 	lat := s.p.WALBaseSeconds
 	if s.inFault() {
 		lat = s.p.WALFaultSeconds
 	}
-	s.wal.append(lat)
-	if p := s.wal.pressure(); p > s.res.PeakPressure {
-		s.res.PeakPressure = p
-	}
+	s.walEWMA = (1-alpha)*s.walEWMA + alpha*lat
+	s.res.PeakPressure = math.Max(s.res.PeakPressure, s.pressure())
 }
 
+// pressure is the queue's backpressure signal: the EWMA over the slow-append
+// threshold.
+func (s *tenantScenario) pressure() float64 { return s.walEWMA / s.p.WALSlowSeconds }
+
 // submit pushes one command for tenant ti, with full admission accounting.
-func (s *scenario) submit(ti int) {
+func (s *tenantScenario) submit(ti int) {
 	st := s.stats[ti]
 	s.nextCmd++
 	id := fmt.Sprintf("c%07d", s.nextCmd)
-	err := s.q.Push(wire.CommandSpec{
-		ID: id, Project: st.id, Tenant: st.id,
+	err := s.f.q.Push(wire.CommandSpec{
+		ID: id, Project: st.ID, Tenant: st.ID,
 		Type: "sim", MinCores: 1, MaxCores: 1,
 	})
 	switch {
@@ -297,10 +240,10 @@ func (s *scenario) submit(ti int) {
 		st.Submitted++
 		s.res.Submitted++
 		if st.backlog == 0 {
-			st.backlogSince = s.now
+			st.backlogSince = s.f.now
 		}
 		st.backlog++
-		s.enqAt[id] = s.now
+		s.enqAt[id] = s.f.now
 		s.cmdOwner[id] = ti
 		s.walAppend() // servers journal every admitted command
 	case errors.Is(err, wire.ErrQuotaExceeded):
@@ -315,62 +258,85 @@ func (s *scenario) submit(ti int) {
 	}
 }
 
-// dispatchFrom lets worker wi announce its free cores and start whatever the
-// scheduler hands back.
-func (s *scenario) dispatchFrom(wi int) {
-	if s.free[wi] < 1 {
-		return
+// arrive submits background tenant ti's heavy-tailed burst (a truncated
+// discrete Pareto) and schedules its next one.
+func (s *tenantScenario) arrive(ti int) {
+	u := s.rng.Float64()
+	if u < 1e-12 {
+		u = 1e-12 // keep the power law finite
 	}
-	wl := s.q.Match(wire.WorkerInfo{
-		ID:          fmt.Sprintf("w%03d", wi),
-		Platform:    "smp",
-		Cores:       s.free[wi],
-		Executables: []string{"sim"},
-	})
-	faultEnd := s.p.FaultEndFrac * s.p.HorizonSeconds
-	for _, c := range wl.Commands {
-		cores := wl.Cores[c.ID]
-		s.free[wi] -= cores
-		s.inflight += cores
-		if s.inflight > s.res.PeakInflightCores {
-			s.res.PeakInflightCores = s.inflight
-		}
-		ti := s.cmdOwner[c.ID]
-		st := s.stats[ti]
-		st.Dispatched++
-		s.res.Dispatched++
-		if s.now >= faultEnd {
-			s.res.DispatchesAfterFault++
-		}
-		// Starvation bookkeeping: how long since this tenant was last
-		// served while backlogged?
-		ref := st.backlogSince
-		if st.everServed && st.lastServed > ref {
-			ref = st.lastServed
-		}
-		if gap := s.now - ref; gap > st.MaxGapSeconds {
-			st.MaxGapSeconds = gap
-		}
-		st.lastServed = s.now
-		st.everServed = true
-		st.backlog--
-		if st.backlog > 0 {
-			st.backlogSince = s.now
-		}
-		if wait := s.now - s.enqAt[c.ID]; wait > st.MaxWaitSeconds {
-			st.MaxWaitSeconds = wait
-		}
-		delete(s.enqAt, c.ID)
-		dur := s.rng.ExpFloat64() * s.p.MeanCmdSeconds
-		s.schedule(s.now+dur, tEvent{kind: evComplete, who: wi,
-			cmdID: c.ID, cores: cores, dur: dur})
+	burst := int(1 / math.Pow(u, 1/s.p.ParetoAlpha))
+	if burst < 1 {
+		burst = 1
 	}
-	if len(wl.Commands) == 0 && !s.polled[wi] {
-		// Nothing runnable (empty queue or shed): poll again shortly, the
-		// way idle workers re-announce.
-		s.polled[wi] = true
-		s.schedule(s.now+2, tEvent{kind: evAnnounce, who: wi})
+	if burst > s.p.MaxBatch {
+		burst = s.p.MaxBatch
 	}
+	for k := 0; k < burst; k++ {
+		s.submit(ti)
+	}
+	s.f.at(s.f.now+s.rng.ExpFloat64()*s.meanGap, func() { s.arrive(ti) })
+}
+
+// refill tops heavy hitter ti's backlog up, every 30 s.
+func (s *tenantScenario) refill(ti int) {
+	st := s.stats[ti]
+	for st.backlog < s.p.HeavyBacklog {
+		before := st.Submitted
+		s.submit(ti)
+		if st.Submitted == before {
+			break // admission shed; retry at the next refill
+		}
+	}
+	s.f.at(s.f.now+30, func() { s.refill(ti) })
+}
+
+// walTick is the periodic control-plane journal traffic (snapshots, worker
+// lifecycle): it keeps the latency EWMA current even when admission is
+// shedding, so pressure can decay once fsync recovers.
+func (s *tenantScenario) walTick() {
+	s.walAppend()
+	s.f.at(s.f.now+15, s.walTick)
+}
+
+func (s *tenantScenario) runTime(wire.CommandSpec) float64 {
+	return s.rng.ExpFloat64() * s.p.MeanCmdSeconds
+}
+
+// started does the dispatch bookkeeping: fault-window counts and how long
+// the tenant went without service while backlogged.
+func (s *tenantScenario) started(c wire.CommandSpec) {
+	now := s.f.now
+	if s.f.granted > s.res.PeakInflightCores {
+		s.res.PeakInflightCores = s.f.granted
+	}
+	st := s.stats[s.cmdOwner[c.ID]]
+	st.Dispatched++
+	s.res.Dispatched++
+	if now >= s.p.FaultEndFrac*s.p.HorizonSeconds {
+		s.res.DispatchesAfterFault++
+	}
+	st.noteGap(now)
+	st.lastServed = now
+	st.everServed = true
+	st.backlog--
+	if st.backlog > 0 {
+		st.backlogSince = now
+	}
+	if wait := now - s.enqAt[c.ID]; wait > st.MaxWaitSeconds {
+		st.MaxWaitSeconds = wait
+	}
+	delete(s.enqAt, c.ID)
+}
+
+func (s *tenantScenario) finished(c wire.CommandSpec, _ float64) {
+	if s.inFault() && s.f.granted < s.res.MinInflightDuringFault {
+		s.res.MinInflightDuringFault = s.f.granted
+	}
+	s.stats[s.cmdOwner[c.ID]].Completed++
+	s.res.Completed++
+	delete(s.cmdOwner, c.ID)
+	s.walAppend() // servers journal every result
 }
 
 // SimulateTenants runs the multi-tenant control-plane scenario and returns
@@ -389,36 +355,31 @@ func SimulateTenants(p TenantParams) (TenantResult, error) {
 		return TenantResult{}, fmt.Errorf("des: ParetoAlpha must exceed 1")
 	}
 
-	s := &scenario{
+	s := &tenantScenario{
 		p:        p,
 		rng:      rand.New(rand.NewSource(int64(p.Seed))),
-		wal:      &simWAL{slow: p.WALSlowSeconds},
 		enqAt:    make(map[string]float64),
 		cmdOwner: make(map[string]int),
 	}
 	s.res.Params = p
 	s.res.Capacity = p.Workers * p.CoresPerWorker
-	s.res.MinInflightDuringFault = s.res.Capacity + 1
 
-	epoch := time.Unix(1_700_000_000, 0)
-	s.q = queue.NewWithConfig(queue.Config{
-		Clock:          func() time.Time { return epoch.Add(time.Duration(s.now * float64(time.Second))) },
+	s.f = newFleet(queue.Config{
 		StarvationAge:  p.StarvationAge,
-		Pressure:       s.wal.pressure,
+		Pressure:       s.pressure,
 		MaxQueuedTotal: p.MaxQueuedTotal,
-	})
+	}, p.Workers, p.CoresPerWorker, "sim", s)
+	q := s.f.q
 	if p.Obs != nil {
-		s.q.SetObs(p.Obs, obs.L("node", "des"))
+		q.SetObs(p.Obs, obs.L("node", "des"))
 	}
 
 	// Heavy hitters: HeavyPerClass saturated tenants per weight class.
 	for ci, w := range p.WeightClasses {
 		for j := 0; j < p.HeavyPerClass; j++ {
-			st := &tenantStat{id: fmt.Sprintf("heavy-%d-%d", ci, j), weight: w}
-			st.TenantSLO.ID = st.id
-			st.TenantSLO.Weight = w
+			st := &tenantStat{TenantSLO: TenantSLO{ID: fmt.Sprintf("heavy-%d-%d", ci, j), Weight: w}}
 			s.stats = append(s.stats, st)
-			s.q.SetQuota(wire.TenantQuotaUpdate{Tenant: st.id, Weight: w})
+			q.SetQuota(wire.TenantQuotaUpdate{Tenant: st.ID, Weight: w})
 		}
 	}
 	s.heavyN = len(s.stats)
@@ -426,13 +387,11 @@ func SimulateTenants(p TenantParams) (TenantResult, error) {
 	// Background population, weight 1; the first CappedTenants carry a
 	// tight queued-command quota.
 	for i := 0; i < p.Tenants; i++ {
-		st := &tenantStat{id: fmt.Sprintf("bg-%04d", i), weight: 1}
-		st.TenantSLO.ID = st.id
-		st.TenantSLO.Weight = 1
+		st := &tenantStat{TenantSLO: TenantSLO{ID: fmt.Sprintf("bg-%04d", i), Weight: 1}}
 		s.stats = append(s.stats, st)
 		if i < p.CappedTenants && p.CappedMaxQueued > 0 {
-			s.q.SetQuota(wire.TenantQuotaUpdate{
-				Tenant: st.id, MaxQueued: p.CappedMaxQueued,
+			q.SetQuota(wire.TenantQuotaUpdate{
+				Tenant: st.ID, MaxQueued: p.CappedMaxQueued,
 				MaxCores: -1, MaxStorageBytes: -1,
 			})
 		}
@@ -444,103 +403,25 @@ func SimulateTenants(p TenantParams) (TenantResult, error) {
 	meanBurst := p.ParetoAlpha / (p.ParetoAlpha - 1)
 	bgCommands := p.BackgroundLoad * float64(s.res.Capacity) * p.HorizonSeconds / p.MeanCmdSeconds
 	arrivalsTotal := bgCommands / meanBurst
-	meanGap := float64(p.Tenants) * p.HorizonSeconds / arrivalsTotal
+	s.meanGap = float64(p.Tenants) * p.HorizonSeconds / arrivalsTotal
 
+	h := p.HorizonSeconds
+	s.f.at(p.FaultStartFrac*h, func() {
+		s.res.InflightAtFaultStart = s.f.granted
+		s.res.MinInflightDuringFault = s.f.granted
+	})
+	s.f.at(p.FaultEndFrac*h, func() { s.res.InflightAtFaultEnd = s.f.granted })
 	for i := 0; i < p.Tenants; i++ {
-		s.schedule(s.rng.ExpFloat64()*meanGap, tEvent{kind: evArrival, who: s.heavyN + i})
+		s.f.at(s.rng.ExpFloat64()*s.meanGap, func() { s.arrive(s.heavyN + i) })
 	}
 	for i := 0; i < s.heavyN; i++ {
-		s.schedule(0, tEvent{kind: evRefill, who: i})
+		s.f.at(0, func() { s.refill(i) })
 	}
-	for w := 0; w < p.Workers; w++ {
-		s.free = append(s.free, p.CoresPerWorker)
-		s.polled = append(s.polled, true)
-		s.schedule(0, tEvent{kind: evAnnounce, who: w})
-	}
-	s.schedule(0, tEvent{kind: evWALTick})
+	s.f.at(0, s.walTick)
+	s.f.run(h, func() bool { return false })
 
-	faultStart := p.FaultStartFrac * p.HorizonSeconds
-	faultEnd := p.FaultEndFrac * p.HorizonSeconds
-	sawFaultStart, sawFaultEnd := false, false
-	var completedCoreSeconds float64
-
-	for s.events.Len() > 0 {
-		ev := heap.Pop(&s.events).(tEvent)
-		if ev.at > p.HorizonSeconds {
-			break
-		}
-		s.now = ev.at
-		if !sawFaultStart && s.now >= faultStart {
-			sawFaultStart = true
-			s.res.InflightAtFaultStart = s.inflight
-		}
-		if !sawFaultEnd && s.now >= faultEnd {
-			sawFaultEnd = true
-			s.res.InflightAtFaultEnd = s.inflight
-		}
-		switch ev.kind {
-		case evArrival:
-			// Heavy-tailed burst: discrete Pareto, truncated.
-			u := s.rng.Float64()
-			if u < 1e-12 {
-				u = 1e-12 // keep the power law finite
-			}
-			burst := int(1 / math.Pow(u, 1/p.ParetoAlpha))
-			if burst < 1 {
-				burst = 1
-			}
-			if burst > p.MaxBatch {
-				burst = p.MaxBatch
-			}
-			for k := 0; k < burst; k++ {
-				s.submit(ev.who)
-			}
-			s.schedule(s.now+s.rng.ExpFloat64()*meanGap, tEvent{kind: evArrival, who: ev.who})
-		case evRefill:
-			st := s.stats[ev.who]
-			for st.backlog < p.HeavyBacklog {
-				before := st.Submitted
-				s.submit(ev.who)
-				if st.Submitted == before {
-					break // admission shed; retry at the next refill
-				}
-			}
-			s.schedule(s.now+30, tEvent{kind: evRefill, who: ev.who})
-		case evAnnounce:
-			s.polled[ev.who] = false
-			s.dispatchFrom(ev.who)
-		case evComplete:
-			s.q.Release(ev.cmdID, ev.dur)
-			s.inflight -= ev.cores
-			if s.inFault() && s.inflight < s.res.MinInflightDuringFault {
-				s.res.MinInflightDuringFault = s.inflight
-			}
-			s.free[ev.who] += ev.cores
-			st := s.stats[s.cmdOwner[ev.cmdID]]
-			st.Completed++
-			s.res.Completed++
-			completedCoreSeconds += ev.dur * float64(ev.cores)
-			delete(s.cmdOwner, ev.cmdID)
-			s.walAppend() // servers journal every result
-			s.dispatchFrom(ev.who)
-			if s.free[ev.who] > 0 && !s.polled[ev.who] {
-				s.polled[ev.who] = true
-				s.schedule(s.now+2, tEvent{kind: evAnnounce, who: ev.who})
-			}
-		case evWALTick:
-			// Periodic control-plane journal traffic (snapshots, worker
-			// lifecycle) keeps the latency EWMA current even when admission
-			// is shedding, so pressure can decay once fsync recovers.
-			s.walAppend()
-			s.schedule(s.now+15, tEvent{kind: evWALTick})
-		}
-	}
-	s.now = p.HorizonSeconds
-	if s.res.MinInflightDuringFault > s.res.Capacity {
-		s.res.MinInflightDuringFault = 0
-	}
-	s.res.FinalPressure = s.wal.pressure()
-	s.res.Utilization = completedCoreSeconds / (float64(s.res.Capacity) * p.HorizonSeconds)
+	s.res.FinalPressure = s.pressure()
+	s.res.Utilization = s.f.busy / (float64(s.res.Capacity) * p.HorizonSeconds)
 
 	// Fold still-backlogged tenants into the gap accounting and collect
 	// the global SLOs.
@@ -550,15 +431,9 @@ func SimulateTenants(p TenantParams) (TenantResult, error) {
 	}
 	for _, st := range s.stats {
 		if st.backlog > 0 {
-			ref := st.backlogSince
-			if st.everServed && st.lastServed > ref {
-				ref = st.lastServed
-			}
-			if gap := s.now - ref; gap > st.MaxGapSeconds {
-				st.MaxGapSeconds = gap
-			}
+			st.noteGap(p.HorizonSeconds)
 		}
-		if ts, ok := s.q.Tenant(st.id); ok {
+		if ts, ok := q.Tenant(st.ID); ok {
 			st.CoreSeconds = ts.CoreSeconds
 		}
 		if st.MaxWaitSeconds > s.res.MaxWaitSeconds {
@@ -568,7 +443,7 @@ func SimulateTenants(p TenantParams) (TenantResult, error) {
 			s.res.MaxGapSeconds = st.MaxGapSeconds
 		}
 		if st.MaxGapSeconds > gapSLO {
-			s.res.Starved = append(s.res.Starved, st.id)
+			s.res.Starved = append(s.res.Starved, st.ID)
 		}
 	}
 	sort.Strings(s.res.Starved)
@@ -580,7 +455,7 @@ func SimulateTenants(p TenantParams) (TenantResult, error) {
 	for i := 0; i < s.heavyN; i++ {
 		st := s.stats[i]
 		s.res.Heavy = append(s.res.Heavy, st.TenantSLO)
-		shares[i] = st.CoreSeconds / st.weight
+		shares[i] = st.CoreSeconds / st.Weight
 		shareSum += shares[i]
 	}
 	mean := shareSum / float64(s.heavyN)
@@ -589,16 +464,7 @@ func SimulateTenants(p TenantParams) (TenantResult, error) {
 			s.res.MaxShareError = 1
 			break
 		}
-		if err := absF(sh/mean - 1); err > s.res.MaxShareError {
-			s.res.MaxShareError = err
-		}
+		s.res.MaxShareError = math.Max(s.res.MaxShareError, math.Abs(sh/mean-1))
 	}
 	return s.res, nil
-}
-
-func absF(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

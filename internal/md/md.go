@@ -501,9 +501,6 @@ func (s *Sim) Time() float64 { return s.time }
 // Positions returns a copy of the current coordinates.
 func (s *Sim) Positions() []vec.V3 { return append([]vec.V3(nil), s.pos...) }
 
-// Velocities returns a copy of the current velocities.
-func (s *Sim) Velocities() []vec.V3 { return append([]vec.V3(nil), s.vel...) }
-
 // Box returns the simulation box.
 func (s *Sim) Box() vec.Box { return s.box }
 

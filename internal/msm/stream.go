@@ -136,15 +136,6 @@ func (s *StreamClusterer) Centers() [][]float64 {
 	return out
 }
 
-// Freeze stops center creation and mini-batch drift: subsequent Observe
-// calls assign against the fixed center set exactly as Clustering.Assign
-// would, which is what makes the incremental counts provably equal to the
-// batch discretise + CountTransitions pipeline on the same frames.
-func (s *StreamClusterer) Freeze() { s.frozen = true }
-
-// Frozen reports whether the center set is frozen.
-func (s *StreamClusterer) Frozen() bool { return s.frozen }
-
 // Observe ingests one frame of the named trajectory, in trajectory frame
 // order, and returns its state assignment. Frames of different trajectories
 // may interleave arbitrarily — transition counting is per trajectory.

@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -91,12 +90,6 @@ func NewLogger(w io.Writer, min Level) *Logger {
 	return &Logger{s: s}
 }
 
-// NewStderrLogger is shorthand for NewLogger(os.Stderr, min).
-func NewStderrLogger(min Level) *Logger { return NewLogger(os.Stderr, min) }
-
-// NopLogger discards everything.
-func NopLogger() *Logger { return NewLogger(io.Discard, LevelOff) }
-
 // Named returns a child logger tagged with the component name.
 func (l *Logger) Named(component string) *Logger {
 	if l == nil {
@@ -167,15 +160,6 @@ func (l *Logger) Warn(msg string, kvs ...any) { l.Log(LevelWarn, msg, kvs...) }
 
 // Error emits an error line.
 func (l *Logger) Error(msg string, kvs ...any) { l.Log(LevelError, msg, kvs...) }
-
-// Infof emits a printf-formatted info line — the migration shim for former
-// Logf call sites that have no structure to preserve.
-func (l *Logger) Infof(format string, args ...any) {
-	if !l.Enabled(LevelInfo) {
-		return
-	}
-	l.Log(LevelInfo, fmt.Sprintf(format, args...))
-}
 
 // appendKVs renders alternating key/value pairs; an odd trailing key is
 // emitted with the value "(MISSING)".

@@ -475,3 +475,53 @@ func TestConcurrentSubmitMatchQuota(t *testing.T) {
 	}
 	t.Logf("pushed=%d quotaHits=%d queued=%d", pushed.Load(), quotaHits.Load(), queued)
 }
+
+// TestColdStartTenantGetsItsShare: tenant a keeps 16 commands in flight on
+// 16 one-core slots, each released 0.5 ms after dispatch, and tenant b starts
+// 4 ms in. The 1 s default estimate charged to a's first dispatches is only
+// provisional until Release refunds it, so it must not raise the clock b
+// adopts when it goes active: over the next 200 dispatches b gets half.
+func TestColdStartTenantGetsItsShare(t *testing.T) {
+	const tick = 500 * time.Microsecond
+	clk := newSimClock()
+	q := NewWithConfig(Config{Clock: clk.Now})
+	next := 0
+	push := func(tenant string) {
+		next++
+		if err := q.Push(fsSpec(fmt.Sprintf("%s-%d", tenant, next), tenant, 0, 1, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 16; i++ {
+		push("a")
+	}
+	var running []wire.CommandSpec
+	served := map[string]int{}
+	for round := 0; served["a"]+served["b"] < 200; round++ {
+		// Last round's commands have run their 0.5 ms; each tenant replaces
+		// what it got back, keeping 16 outstanding.
+		for _, c := range running {
+			q.Release(c.ID, tick.Seconds())
+			push(c.Tenant)
+		}
+		running = running[:0]
+		if round == 8 { // 4 ms in
+			for i := 0; i < 16; i++ {
+				push("b")
+			}
+		}
+		for slot := 0; slot < 16; slot++ {
+			for _, c := range q.Match(fsWorker(1)).Commands {
+				running = append(running, c)
+				if round >= 8 && served["a"]+served["b"] < 200 {
+					served[c.Tenant]++
+				}
+			}
+		}
+		clk.Advance(tick)
+	}
+	if share := float64(served["b"]) / 200; math.Abs(share-0.5) > 0.1 {
+		t.Errorf("b's share of the 200 dispatches after it started = %.2f (a %d, b %d), want 0.5 ± 0.1",
+			share, served["a"], served["b"])
+	}
+}

@@ -111,9 +111,10 @@ type Queue struct {
 	inflight map[string]*inflightCmd
 	seq      uint64
 	total    int // queued commands across all tenants
-	// vclock is the scheduler's virtual time: the vtime of the most
-	// recently served tenant. Newly active tenants start at the clock, so
-	// an idle tenant cannot bank credit and later monopolise the workers.
+	// vclock is the scheduler's virtual time: the highest settled vtime
+	// (vtime less its provisional charges) of a tenant at service. Newly
+	// active tenants start at the clock, so an idle tenant cannot bank
+	// credit and later monopolise the workers.
 	vclock float64
 	// estSeconds is the queue-wide command-duration EWMA, the fallback
 	// estimate for tenants with no completed commands yet.
@@ -140,7 +141,10 @@ type tenantQ struct {
 	maxCores   int
 	maxStorage int64
 	// vtime is the tenant's virtual clock (core-seconds / weight served).
-	vtime float64
+	// provisional is the part of it charged at dispatch to commands still
+	// in flight, which Release replaces with the measured charge.
+	vtime       float64
+	provisional float64
 	// lastServed is when the scheduler last dispatched for this tenant;
 	// the starvation guard fires only for tenants not served within
 	// StarvationAge, so a backlogged-but-served tenant cannot use its old
@@ -487,8 +491,11 @@ func (q *Queue) Match(info wire.WorkerInfo) wire.Workload {
 		}
 		t := it.t
 		est := q.estimateLocked(t)
-		if t.vtime > q.vclock {
-			q.vclock = t.vtime
+		// The clock follows settled vtime only: a cold tenant's first
+		// dispatches are charged the default estimate until Release refunds
+		// it, and a tenant going active meanwhile must not adopt that.
+		if settled := t.vtime - t.provisional; settled > q.vclock {
+			q.vclock = settled
 		}
 		t.lastServed = start
 		// Provisional fair-share charge at MinCores; growth below adds the
@@ -496,6 +503,7 @@ func (q *Queue) Match(info wire.WorkerInfo) wire.Workload {
 		// picks within one Match fair too.
 		charge := est * float64(it.cmd.MinCores) / t.weight
 		t.vtime += charge
+		t.provisional += charge
 		t.inflightCores += it.cmd.MinCores
 		q.inflight[it.cmd.ID] = &inflightCmd{
 			t: t, cores: it.cmd.MinCores, est: est, charged: charge, start: start,
@@ -533,6 +541,7 @@ func (q *Queue) Match(info wire.WorkerInfo) wire.Workload {
 		if final := wl.Cores[it.cmd.ID]; final > fl.cores {
 			extra := fl.est * float64(final-fl.cores) / fl.t.weight
 			fl.t.vtime += extra
+			fl.t.provisional += extra
 			fl.charged += extra
 			fl.cores = final
 		}
@@ -673,6 +682,7 @@ func (q *Queue) Release(cmdID string, wallSeconds float64) bool {
 	}
 	actual := wallSeconds * float64(fl.cores) / t.weight
 	t.vtime += actual - fl.charged
+	t.provisional -= fl.charged
 	if t.vtime < 0 {
 		t.vtime = 0
 	}

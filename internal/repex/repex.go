@@ -17,7 +17,7 @@
 // patterns as transport-free schedules (SweepPairs for the barriered sweep,
 // Arrive for the barrier-free one): the distributed-systems side (one
 // command per segment, the sync barrier, durability) lives in the repex
-// controller, and internal/des drives the same schedules over virtual time.
+// controller, which internal/des runs over virtual time.
 package repex
 
 import (

@@ -285,8 +285,6 @@ func (s *Server) done(p *project, cs *cmdState, res *wire.CommandResult, encoded
 	}
 	s.met.finished.Inc()
 	s.met.resultBytes.Observe(float64(len(res.Output)))
-	s.met.reg.Counter("copernicus_worker_commands_total",
-		"Commands finished, by reporting worker.", obs.L("worker", res.WorkerID)).Inc()
 	s.trace.Record(obs.Span{Stage: obs.StageResult, Command: res.CommandID, Project: res.Project,
 		Worker: res.WorkerID, Attrs: map[string]string{
 			"bytes":        strconv.Itoa(len(res.Output)),

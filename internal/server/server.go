@@ -195,7 +195,6 @@ type serverMetrics struct {
 	streamChunks    *obs.Counter
 	streamFrames    *obs.Counter
 	streamDupes     *obs.Counter
-	reg             *obs.Registry // for the per-worker completion series
 }
 
 // dispatchBuckets cover queue waits from sub-millisecond (in-process
@@ -209,7 +208,6 @@ func newServerMetrics(o *obs.Obs, nodeID string) serverMetrics {
 	m := o.Metrics
 	node := obs.L("node", nodeID)
 	return serverMetrics{
-		reg: m,
 		submitted: m.Counter("copernicus_commands_submitted_total",
 			"Commands submitted by controllers.", node),
 		finished: m.Counter("copernicus_commands_finished_total",

@@ -1,6 +1,6 @@
 #!/bin/sh
-# bench.sh — runs the MD kernel micro-benchmarks plus the Fig-level
-# throughput benches and records the numbers in BENCH_md.json.
+# bench.sh — runs the MD kernel micro-benchmarks and records the numbers in
+# BENCH_md.json.
 #
 # Usage: scripts/bench.sh [benchtime]
 #   benchtime   go -benchtime value for the micro-benches (default 2s;
@@ -41,10 +41,6 @@ trap 'rm -f "$TMP"' EXIT
 echo "== kernel micro-benches (internal/md, -benchtime $BENCHTIME) =="
 go test -run=NONE -bench='BenchmarkNonbondedKernel|BenchmarkNeighborRebuild|BenchmarkStepVillinBox' \
     -benchtime "$BENCHTIME" ./internal/md | tee "$TMP"
-
-echo "== Fig-level benches (repo root, -benchtime 1x) =="
-go test -run=NONE -bench='BenchmarkMDEngineThroughput' \
-    -benchtime 1x . | tee -a "$TMP"
 
 awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v nproc="$NPROC" -v single="$SINGLE_CORE" '
 /^Benchmark/ {

@@ -113,19 +113,25 @@ dispatch() {
 
 # The multi-tenant scheduling acceptance scenario: 2000 tenants with
 # heavy-tailed traffic against the real fair-share queue, with a slow-fsync
-# WAL fault window, and its seed determinism — see docs/SCHEDULING.md.
+# WAL fault window, and its seed determinism, on the DES fleet that
+# dispatches like the server (parked announces woken by the queue's Ready
+# hook, re-announced when the 2 s hold runs out), then that fleet's own
+# tests three times over — see docs/SCHEDULING.md ("Scenario dispatch").
 tenants() {
-    echo "== multi-tenant scheduling scenario (race) =="
+    echo "== multi-tenant scheduling scenario (race; fleet x3) =="
     $GO test -race -run 'TestMultiTenantScenario|TestTenantScenario' -timeout 300s ./internal/des/
+    $GO test -race -count=3 -run TestFleet -timeout 300s ./internal/des/
 }
 
-# The replica-exchange scheduling scenario: sync vs async REMD ladders
-# against the real fair-share queue, with a worker-churn fault window, then
-# a sync ladder wider than any one worker on a real fabric five times over —
-# see docs/SCHEDULING.md ("Replica-exchange dispatch").
+# The replica-exchange scheduling scenario: the shipped RepexController's
+# sync vs async ladders on the same DES fleet against the real fair-share
+# queue, with a worker-churn fault window, and the fleet's tests three times
+# over, then a sync ladder wider than any one worker on a real fabric five
+# times over — see docs/SCHEDULING.md ("Replica-exchange dispatch").
 repex() {
-    echo "== replica-exchange scheduling scenario (race; wide sync ladder x5) =="
+    echo "== replica-exchange scheduling scenario (race; fleet x3, wide sync ladder x5) =="
     $GO test -race -run TestRepexDES -timeout 300s ./internal/des/
+    $GO test -race -count=3 -run TestFleet -timeout 300s ./internal/des/
     $GO test -race -count=5 -run TestRepexSyncLadderWiderThanWorker -timeout 300s ./internal/core/
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"sync"
@@ -98,25 +97,31 @@ func StartHost(node *overlay.Node, cfg HostConfig) (*Host, error) {
 	cfg.Server.Obs, cfg.Store.Obs = node.Obs, node.Obs
 	h := &Host{node: node, cfg: cfg, log: node.Obs.Log.Named("host").With("node", node.ID())}
 
-	var repl ReplicationConfig
-	if cfg.Replication != nil {
-		repl = *cfg.Replication
+	var rcfg replica.Config
+	var meta *store.ReplicaMeta
+	if r := cfg.Replication; r != nil {
 		if cfg.Store.Dir == "" {
 			return nil, errors.New("core: replication requires a state directory")
 		}
-		meta, err := store.LoadReplicaMeta(cfg.Store.Dir)
-		if err != nil {
+		var err error
+		if meta, err = store.LoadReplicaMeta(cfg.Store.Dir); err != nil {
 			return nil, fmt.Errorf("core: reading replica metadata in %s: %w", cfg.Store.Dir, err)
 		}
-		if meta != nil {
-			repl.Role = cmp.Or(meta.Role, repl.Role)
-			repl.PeerID = cmp.Or(meta.PeerID, repl.PeerID)
-			repl.PeerAddr = cmp.Or(meta.PeerAddr, repl.PeerAddr)
-		}
+		rcfg = replica.Resume(replica.Config{
+			Dir:          cfg.Store.Dir,
+			Role:         r.Role,
+			PeerID:       r.PeerID,
+			PeerAddr:     r.PeerAddr,
+			SelfAddr:     r.SelfAddr,
+			Interval:     r.Interval,
+			LeaseTimeout: r.LeaseTimeout,
+			StoreOptions: cfg.Store,
+			Obs:          node.Obs,
+		}, meta)
 	}
 
 	var st *store.Store
-	if cfg.Store.Dir != "" && repl.Role != store.RoleStandby {
+	if cfg.Store.Dir != "" && rcfg.Role != store.RoleStandby {
 		var err error
 		if st, err = store.Open(cfg.Store); err != nil {
 			return nil, fmt.Errorf("core: opening state dir %s: %w", cfg.Store.Dir, err)
@@ -127,38 +132,28 @@ func StartHost(node *overlay.Node, cfg HostConfig) (*Host, error) {
 		return h, nil
 	}
 
-	h.log.Info("replication role resolved", "role", repl.Role, "configured", cfg.Replication.Role,
-		"peer", repl.PeerID, "peer_addr", repl.PeerAddr)
-	peer, err := replica.NewPeer(node, st, replica.Config{
-		Dir:          cfg.Store.Dir,
-		Role:         repl.Role,
-		PeerID:       repl.PeerID,
-		PeerAddr:     repl.PeerAddr,
-		SelfAddr:     repl.SelfAddr,
-		Interval:     repl.Interval,
-		LeaseTimeout: repl.LeaseTimeout,
-		StoreOptions: cfg.Store,
-		Obs:          node.Obs,
-		Hooks: replica.Hooks{
-			// Promote: the Peer has re-opened the replica directory through
-			// the normal recovery path; serving it replays that image —
-			// projects resume, the queue re-seeds, orphans requeue — exactly
-			// as if the primary had restarted, just on this node.
-			Promote: func(recovered *store.Store, epoch uint64) ([]string, error) {
-				names := h.serve(recovered).ProjectNames()
-				h.log.Info("promoted to project server", "epoch", epoch, "projects", len(names))
-				return names, nil
-			},
-			// Demote: a fenced ex-primary drops its serving side (the Peer
-			// then archives the divergent directory and rejoins as standby)
-			// but keeps relaying for its attached workers.
-			Demote: func(epoch uint64, newPrimaryID string) error {
-				h.serve(nil)
-				h.log.Info("fenced; demoted to relay", "epoch", epoch, "new_primary", newPrimaryID)
-				return nil
-			},
+	h.log.Info("replication role resolved", "role", rcfg.Role, "configured", cfg.Replication.Role,
+		"peer", rcfg.PeerID, "peer_addr", rcfg.PeerAddr)
+	rcfg.Hooks = replica.Hooks{
+		// Promote: the Peer has re-opened the replica directory through
+		// the normal recovery path; serving it replays that image —
+		// projects resume, the queue re-seeds, orphans requeue — exactly
+		// as if the primary had restarted, just on this node.
+		Promote: func(recovered *store.Store, epoch uint64) ([]string, error) {
+			names := h.serve(recovered).ProjectNames()
+			h.log.Info("promoted to project server", "epoch", epoch, "projects", len(names))
+			return names, nil
 		},
-	})
+		// Demote: a fenced ex-primary drops its serving side (the Peer
+		// then archives the divergent directory and rejoins as standby)
+		// but keeps relaying for its attached workers.
+		Demote: func(epoch uint64, newPrimaryID string) error {
+			h.serve(nil)
+			h.log.Info("fenced; demoted to relay", "epoch", epoch, "new_primary", newPrimaryID)
+			return nil
+		},
+	}
+	peer, err := replica.NewPeer(node, st, rcfg, meta)
 	if err != nil {
 		h.Close()
 		return nil, fmt.Errorf("core: starting replication peer: %w", err)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -165,6 +166,42 @@ func TestRecoversParentWrittenStateDirBAR(t *testing.T) {
 		srv.Close()
 		node.Close()
 	})
+	checkBARFinished(t, srv, want)
+
+	// Upgrade: a snapshot cut now is written in the binary format, replaces
+	// the gob one, and a restart from it alone recovers the same project.
+	if err := srv.SnapshotNow(); err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+	node.Close()
+	st.Close()
+	snaps, err := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
+	if err != nil || len(snaps) != 1 || filepath.Base(snaps[0]) == "snap-0000000000000002.snap" {
+		t.Fatalf("snapshots after the upgrade: %v (%v), want one new one", snaps, err)
+	}
+	if raw, err := os.ReadFile(snaps[0]); err != nil || !bytes.HasPrefix(raw, []byte("CPCSNAP2")) {
+		t.Fatalf("new snapshot opens with %.8q (%v), want CPCSNAP2", raw, err)
+	}
+	st2 := openTestStore(t, dir)
+	t.Cleanup(func() { st2.Close() })
+	if rec := st2.Recovered(); rec.Snapshot == nil || len(rec.Records) != 0 || rec.Torn != "" || rec.Gap != "" {
+		t.Fatalf("reopened from the new snapshot: snapshot %v, %d tail records, torn %q, gap %q",
+			rec.Snapshot != nil, len(rec.Records), rec.Torn, rec.Gap)
+	}
+	node2 := overlay.NewNode(overlay.NewIdentityFromSeed(1), overlay.NewTrustStore(), overlay.NewMemNetwork().Transport())
+	srv2 := New(node2, controller.DefaultRegistry(), Config{HeartbeatInterval: time.Hour, Store: st2})
+	t.Cleanup(func() {
+		srv2.Close()
+		node2.Close()
+	})
+	checkBARFinished(t, srv2, want)
+}
+
+// checkBARFinished requires srv to hold project "bar" finished after its
+// twelve commands, with the BARResult the captured log finished it with.
+func checkBARFinished(t *testing.T, srv *Server, want []byte) {
+	t.Helper()
 	pst, ok := srv.Project("bar")
 	if !ok || pst.State != "finished" || pst.Finished != 12 || pst.Queued+pst.Running != 0 {
 		t.Fatalf("recovered project: state %q (%s), finished %d, queued %d, running %d; want finished 12",

@@ -89,9 +89,10 @@ func (t RecordType) String() string {
 }
 
 // Record is one journaled lifecycle event. The flat shape (typed fields
-// plus an opaque Data payload) keeps the gob encoding small, lets the
-// inspector render every record without knowing controller internals, and
-// gives recovery a single switch to replay.
+// plus an opaque Data payload) lets the inspector render every record
+// without knowing controller internals and gives recovery a single switch to
+// replay. Its fields are part of the on-disk format (format.go): only ever
+// append one, as for RecordType values.
 type Record struct {
 	// Seq is the store-assigned monotone sequence number (set by Append).
 	Seq uint64

@@ -78,8 +78,9 @@ type Hooks struct {
 // state directory or the standby's replica directory, depending on Role.
 type Config struct {
 	// Dir is the state directory this peer replicates from (primary) or
-	// into (standby). A durable replica-meta.json inside it overrides Role,
-	// PeerID and PeerAddr, so a restarted process resumes its last role.
+	// into (standby). The replica-meta.json inside it, handed to NewPeer,
+	// overrides Role, PeerID and PeerAddr, so a restarted process resumes
+	// its last role.
 	Dir string
 	// Role is store.RolePrimary or store.RoleStandby.
 	Role string
@@ -207,11 +208,28 @@ type demotion struct {
 	newPrimary string
 }
 
-// NewPeer builds a Peer on node. For the primary role, st is the serving
+// Resume applies a node's durable replica metadata over its configuration:
+// the metadata's Role, PeerID and PeerAddr win where set, so a restarted
+// ex-primary resumes with its old standby and can discover it was fenced,
+// and a demoted node comes back as standby even if its flags still say
+// primary. meta is nil for a directory without metadata.
+func Resume(cfg Config, meta *store.ReplicaMeta) Config {
+	if meta != nil {
+		cfg.Role = cmp.Or(meta.Role, cfg.Role)
+		cfg.PeerID = cmp.Or(meta.PeerID, cfg.PeerID)
+		cfg.PeerAddr = cmp.Or(meta.PeerAddr, cfg.PeerAddr)
+	}
+	return cfg
+}
+
+// NewPeer builds a Peer on node. meta is what cfg.Dir's replica-meta.json
+// holds (store.LoadReplicaMeta; nil for none): the Peer resumes at its epoch
+// and applies it over cfg (Resume). For the primary role, st is the serving
 // store (owned by the caller); for the standby role st must be nil — the
 // Peer opens its own replica store inside cfg.Dir. The Peer registers the
 // replication handlers on node and starts its protocol loop immediately.
-func NewPeer(node *overlay.Node, st *store.Store, cfg Config) (*Peer, error) {
+func NewPeer(node *overlay.Node, st *store.Store, cfg Config, meta *store.ReplicaMeta) (*Peer, error) {
+	cfg = Resume(cfg, meta)
 	cfg.fill()
 	if cfg.Dir == "" {
 		return nil, errors.New("replica: Config.Dir is required")
@@ -230,25 +248,8 @@ func NewPeer(node *overlay.Node, st *store.Store, cfg Config) (*Peer, error) {
 		demoted:      make(chan struct{}),
 		stop:         make(chan struct{}),
 	}
-	// Durable metadata wins over configuration: a restarted ex-primary must
-	// resume with its old epoch and standby so it can discover it was
-	// fenced; a demoted node must come back as standby even if its flags
-	// still say primary.
-	meta, err := store.LoadReplicaMeta(cfg.Dir)
-	if err != nil {
-		return nil, err
-	}
 	if meta != nil {
 		p.epoch = meta.Epoch
-		if meta.Role != "" {
-			p.role = meta.Role
-		}
-		if meta.PeerID != "" {
-			p.peerID = meta.PeerID
-		}
-		if meta.PeerAddr != "" {
-			p.peerAddr = meta.PeerAddr
-		}
 	}
 	switch p.role {
 	case store.RolePrimary:

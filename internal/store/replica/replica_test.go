@@ -62,7 +62,7 @@ func newTestPair(t *testing.T, hooks bool) *testPair {
 		LeaseTimeout: tp.leaseTimeout,
 		StoreOptions: store.Options{NoSync: true},
 		Obs:          obs.New(),
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func newTestPair(t *testing.T, hooks bool) *testPair {
 			return []string{"proj"}, nil
 		}
 	}
-	tp.standby, err = NewPeer(tp.standbyNode, nil, scfg)
+	tp.standby, err = NewPeer(tp.standbyNode, nil, scfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestLateJoinResyncsThroughSnapshot(t *testing.T) {
 		Dir: pDir, Role: store.RolePrimary,
 		Interval: 10 * time.Millisecond, LeaseTimeout: 120 * time.Millisecond,
 		Obs: obs.New(),
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestLateJoinResyncsThroughSnapshot(t *testing.T) {
 		Interval: 10 * time.Millisecond, LeaseTimeout: 120 * time.Millisecond,
 		StoreOptions: store.Options{NoSync: true},
 		Obs:          obs.New(),
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,6 +309,10 @@ func TestStalePrimaryIsFencedAndDemotes(t *testing.T) {
 		t.Fatal(err)
 	}
 	demoteCh := make(chan uint64, 1)
+	meta, err := store.LoadReplicaMeta(tp.primaryDir)
+	if err != nil || meta == nil {
+		t.Fatalf("ex-primary's replica metadata: %+v, %v", meta, err)
+	}
 	p2, err := NewPeer(reborn, tp.primaryStore, Config{
 		Dir:          tp.primaryDir,
 		Role:         store.RolePrimary,
@@ -320,7 +324,7 @@ func TestStalePrimaryIsFencedAndDemotes(t *testing.T) {
 			return tp.primaryStore.Close()
 		}},
 		Obs: obs.New(),
-	})
+	}, meta)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,20 +16,18 @@
 //	wal-%016d.log    append-only segments of framed records
 //	snap-%016d.snap  snapshot covering all segments with a lower index
 //
-// Each WAL record is framed as [4-byte length][4-byte CRC32C][gob payload];
-// each segment opens with an 8-byte magic. A crash mid-append leaves a torn
-// final frame, which recovery detects by CRC and discards — the write was
-// never acknowledged, so discarding it is correct. Snapshots are written
-// through atomicfile, so a torn snapshot cannot exist.
+// Each WAL record is framed as [4-byte length][4-byte CRC32C][body], the
+// body in internal/wire's binary codec; each segment opens with an 8-byte
+// magic (format.go has the layout, and the gob format older builds wrote). A
+// crash mid-append leaves a torn final frame, which recovery detects by CRC
+// and discards — the write was never acknowledged, so discarding it is
+// correct. Snapshots are written through atomicfile, so a torn snapshot
+// cannot exist.
 package store
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -40,21 +38,6 @@ import (
 	"copernicus/internal/obs"
 	"copernicus/internal/store/atomicfile"
 )
-
-// segMagic opens every WAL segment; snapMagic opens every snapshot file.
-// The trailing digit is the format version.
-var (
-	segMagic  = []byte("CPCWAL01")
-	snapMagic = []byte("CPCSNAP1")
-)
-
-// castagnoli is the CRC32C polynomial table (hardware-accelerated on
-// amd64/arm64), the checksum used by every frame.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// maxRecordBytes bounds a single WAL frame; larger lengths are treated as
-// corruption rather than allocated blindly (mirrors wire.MaxFrameBytes).
-const maxRecordBytes = 1 << 30
 
 // Options configures a Store. Dir is required.
 type Options struct {
@@ -624,11 +607,7 @@ func (s *Store) WriteSnapshot(idx, lastSeq uint64, snap *Snapshot) error {
 	start := time.Now()
 	snap.LastSeq = lastSeq
 	snap.TakenAt = time.Now().UnixNano()
-	blob, err := encodeSnapshot(snap)
-	if err != nil {
-		return err
-	}
-	if err := atomicfile.WriteFile(snapshotPath(s.opts.Dir, idx), blob, 0o644); err != nil {
+	if err := atomicfile.WriteFile(snapshotPath(s.opts.Dir, idx), encodeSnapshot(snap), 0o644); err != nil {
 		return err
 	}
 	s.met.snapshots.Inc()
@@ -693,95 +672,6 @@ func (s *Store) Close() error {
 	return err
 }
 
-// --- framing ---
-
-// encodeFrame renders one record as [len][crc32c][gob payload].
-func encodeFrame(rec *Record) ([]byte, error) {
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(rec); err != nil {
-		return nil, fmt.Errorf("store: encoding record: %w", err)
-	}
-	payload := body.Bytes()
-	frame := make([]byte, 8+len(payload))
-	binary.BigEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
-	copy(frame[8:], payload)
-	return frame, nil
-}
-
-// readRecords decodes every intact frame from r. A short or corrupt final
-// frame sets torn and stops; it is not an error (an unacknowledged append
-// interrupted by a crash looks exactly like this). A body grows with the
-// bytes actually read, never to what a torn length word claims.
-func readRecords(r io.Reader) (recs []Record, torn string) {
-	var hdr [8]byte
-	var body bytes.Buffer // reused: gob copies what it keeps out of payload
-	offset := int64(len(segMagic))
-	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			if err == io.EOF {
-				return recs, ""
-			}
-			return recs, fmt.Sprintf("torn frame header at offset %d: %v", offset, err)
-		}
-		n := binary.BigEndian.Uint32(hdr[0:4])
-		want := binary.BigEndian.Uint32(hdr[4:8])
-		if n > maxRecordBytes {
-			return recs, fmt.Sprintf("implausible frame length %d at offset %d", n, offset)
-		}
-		body.Reset()
-		if _, err := io.CopyN(&body, r, int64(n)); err != nil {
-			return recs, fmt.Sprintf("torn frame body at offset %d: %v", offset, err)
-		}
-		payload := body.Bytes()
-		if got := crc32.Checksum(payload, castagnoli); got != want {
-			return recs, fmt.Sprintf("CRC mismatch at offset %d: got %08x want %08x", offset, got, want)
-		}
-		var rec Record
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
-			return recs, fmt.Sprintf("undecodable record at offset %d: %v", offset, err)
-		}
-		recs = append(recs, rec)
-		offset += int64(8 + n)
-	}
-}
-
-// encodeSnapshot renders a snapshot file: magic + [len][crc32c][gob].
-func encodeSnapshot(snap *Snapshot) ([]byte, error) {
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(snap); err != nil {
-		return nil, fmt.Errorf("store: encoding snapshot: %w", err)
-	}
-	payload := body.Bytes()
-	out := make([]byte, len(snapMagic)+8+len(payload))
-	copy(out, snapMagic)
-	binary.BigEndian.PutUint32(out[len(snapMagic):], uint32(len(payload)))
-	binary.BigEndian.PutUint32(out[len(snapMagic)+4:], crc32.Checksum(payload, castagnoli))
-	copy(out[len(snapMagic)+8:], payload)
-	return out, nil
-}
-
-// decodeSnapshot parses and CRC-verifies a snapshot file.
-func decodeSnapshot(data []byte) (*Snapshot, error) {
-	if len(data) < len(snapMagic)+8 || !bytes.Equal(data[:len(snapMagic)], snapMagic) {
-		return nil, errors.New("store: not a snapshot file")
-	}
-	n := binary.BigEndian.Uint32(data[len(snapMagic):])
-	want := binary.BigEndian.Uint32(data[len(snapMagic)+4:])
-	payload := data[len(snapMagic)+8:]
-	if uint32(len(payload)) != n {
-		return nil, fmt.Errorf("store: snapshot length %d, header says %d", len(payload), n)
-	}
-	if got := crc32.Checksum(payload, castagnoli); got != want {
-		return nil, fmt.Errorf("store: snapshot CRC mismatch: got %08x want %08x", got, want)
-	}
-	var snap Snapshot
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("store: decoding snapshot: %w", err)
-	}
-	return &snap, nil
-}
-
 // --- directory scanning and recovery ---
 
 type dirFile struct {
@@ -825,25 +715,6 @@ func scanDir(dir string) (segs, snaps []dirFile, err error) {
 	sort.Slice(segs, byIndex(segs))
 	sort.Slice(snaps, byIndex(snaps))
 	return segs, snaps, nil
-}
-
-// readSegmentFile opens and validates one segment, returning its records
-// and a torn-tail description.
-func readSegmentFile(path string) ([]Record, string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, "", err
-	}
-	defer f.Close()
-	magic := make([]byte, len(segMagic))
-	if _, err := io.ReadFull(f, magic); err != nil {
-		return nil, fmt.Sprintf("segment shorter than its magic: %v", err), nil
-	}
-	if !bytes.Equal(magic, segMagic) {
-		return nil, "", fmt.Errorf("store: %s is not a WAL segment", path)
-	}
-	recs, torn := readRecords(f)
-	return recs, torn, nil
 }
 
 // loadDir builds the Recovered image: newest valid snapshot, then every

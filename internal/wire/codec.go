@@ -5,6 +5,8 @@ package wire
 // Workload/CommandSpec, CommandResult, Heartbeat/HeartbeatAck, FrameChunk and
 // WorkerFailed — are written by hand, append-style, into one exact-size
 // buffer and decoded in place; every other type stays on gob (wire.go).
+// internal/store writes its WAL records and snapshots in the same struct
+// format, through the exported Message, Reader and Size/Append helpers.
 //
 // Layout. A Marshal result is the tag byte 0x00 followed by one struct. No
 // gob stream starts with 0x00 (a gob message opens with its non-zero
@@ -55,22 +57,25 @@ import (
 // codecTag opens every binary-coded message.
 const codecTag = 0x00
 
-// message is implemented by (pointers to) the types the binary codec knows.
-type message interface {
-	// bodyLen is the encoded size of the fields, without the length prefix.
-	bodyLen() int
-	// appendTo appends uvarint bodyLen | fields.
-	appendTo(b []byte) []byte
-	// decode fills the receiver from body, the bytes after the length
+// Message is implemented by (pointers to) the types the binary codec knows:
+// this package's hot messages, and the types another package persists in the
+// same format (internal/store's WAL records and snapshots). Marshal writes
+// any Message in the binary codec.
+type Message interface {
+	// BodyLen is the encoded size of the fields, without the length prefix.
+	BodyLen() int
+	// AppendTo appends uvarint BodyLen | fields.
+	AppendTo(b []byte) []byte
+	// Decode fills the receiver from body, the bytes after the length
 	// prefix. Byte-slice fields alias body.
-	decode(body []byte) error
+	Decode(body []byte) error
 }
 
 // hotMessage returns v as a message when the binary codec owns its type,
 // given by pointer or by value; nil for the types that stay on gob.
-func hotMessage(v any) message {
+func hotMessage(v any) Message {
 	switch x := v.(type) {
-	case message:
+	case Message:
 		return x
 	case Envelope:
 		return &x
@@ -98,7 +103,7 @@ func hotMessage(v any) message {
 
 // marshalMessage encodes m into one buffer of exactly the encoded size, with
 // room for a frame header of headroom bytes in front.
-func marshalMessage(m message, headroom int) ([]byte, error) {
+func marshalMessage(m Message, headroom int) ([]byte, error) {
 	if reflect.ValueOf(m).IsNil() {
 		return nil, fmt.Errorf("wire: encoding %T: nil pointer", m)
 	}
@@ -107,58 +112,65 @@ func marshalMessage(m message, headroom int) ([]byte, error) {
 			return nil, err
 		}
 	}
-	n := m.bodyLen()
-	b := make([]byte, headroom, headroom+1+uvarintLen(uint64(n))+n)
-	return m.appendTo(append(b, codecTag)), nil
+	n := m.BodyLen()
+	b := make([]byte, headroom, headroom+1+SizeUvarint(uint64(n))+n)
+	return m.AppendTo(append(b, codecTag)), nil
 }
 
-// unmarshalMessage decodes data, the bytes after the tag, into m. data must
-// hold exactly one struct.
-func unmarshalMessage(data []byte, m message) error {
+// DecodeMessage decodes data, one struct as AppendTo wrote it (for Unmarshal,
+// the bytes after the tag), into m. Bytes after the struct are an error.
+func DecodeMessage(data []byte, m Message) error {
 	if len(data) == 0 {
 		return errTruncated
 	}
-	r := reader{b: data}
-	body := r.bytes()
+	r := Reader{b: data}
+	body := r.Bytes()
 	if r.err != nil {
 		return r.err
 	}
 	if len(r.b) != 0 {
 		return fmt.Errorf("wire: %d bytes after the end of the message", len(r.b))
 	}
-	return m.decode(body)
+	return m.Decode(body)
 }
 
 // --- encoding ---
 
-func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+// SizeUvarint is the encoded size of a uvarint (a uint64 field, a count, a
+// length prefix).
+func SizeUvarint(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
-func sizeInt(v int) int {
-	x := int64(v)
-	return uvarintLen(uint64(x<<1) ^ uint64(x>>63))
-}
+// SizeVarint is the encoded size of a zigzag varint (an int64 field).
+func SizeVarint(x int64) int { return SizeUvarint(uint64(x<<1) ^ uint64(x>>63)) }
 
-// sizeBytes is the encoded size of a string or []byte of n bytes, and of a
+// SizeInt is the encoded size of an int field.
+func SizeInt(v int) int { return SizeVarint(int64(v)) }
+
+// SizeBytes is the encoded size of a string or []byte of n bytes, and of a
 // nested struct whose body is n bytes.
-func sizeBytes(n int) int { return uvarintLen(uint64(n)) + n }
+func SizeBytes(n int) int { return SizeUvarint(uint64(n)) + n }
 
 func sizeStrings(ss []string) int {
-	n := uvarintLen(uint64(len(ss)))
+	n := SizeUvarint(uint64(len(ss)))
 	for _, s := range ss {
-		n += sizeBytes(len(s))
+		n += SizeBytes(len(s))
 	}
 	return n
 }
 
-func sizeFloats(n int) int { return uvarintLen(uint64(n)) + 8*n }
+func sizeFloats(n int) int { return SizeUvarint(uint64(n)) + 8*n }
 
-func appendInt(b []byte, v int) []byte { return binary.AppendVarint(b, int64(v)) }
+// AppendInt appends an int field; an int64 is binary.AppendVarint and a
+// uint64 binary.AppendUvarint.
+func AppendInt(b []byte, v int) []byte { return binary.AppendVarint(b, int64(v)) }
 
-func appendString(b []byte, s string) []byte {
+// AppendString appends a string field.
+func AppendString(b []byte, s string) []byte {
 	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
-func appendBytes(b, p []byte) []byte {
+// AppendBytes appends a []byte field.
+func AppendBytes(b, p []byte) []byte {
 	return append(binary.AppendUvarint(b, uint64(len(p))), p...)
 }
 
@@ -169,14 +181,15 @@ func appendBool(b []byte, v bool) []byte {
 	return append(b, 0)
 }
 
-func appendFloat(b []byte, f float64) []byte {
+// AppendFloat appends a float64 field.
+func AppendFloat(b []byte, f float64) []byte {
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
 }
 
 func appendStrings(b []byte, ss []string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(ss)))
 	for _, s := range ss {
-		b = appendString(b, s)
+		b = AppendString(b, s)
 	}
 	return b
 }
@@ -184,7 +197,7 @@ func appendStrings(b []byte, ss []string) []byte {
 func appendFloats(b []byte, fs []float64) []byte {
 	b = binary.AppendUvarint(b, uint64(len(fs)))
 	for _, f := range fs {
-		b = appendFloat(b, f)
+		b = AppendFloat(b, f)
 	}
 	return b
 }
@@ -193,23 +206,30 @@ func appendFloats(b []byte, fs []float64) []byte {
 
 var errTruncated = errors.New("wire: message truncated")
 
-// reader consumes one struct body. At the end of the body every field read
+// Reader consumes one struct body. At the end of the body every field read
 // returns the zero value — the evolution rule — while a field that starts
 // and cannot finish is an error. The first error sticks and empties the
-// reader, so a decode function reads all its fields and checks err once.
-type reader struct {
+// reader, so a Decode method reads all its fields and checks Err once.
+type Reader struct {
 	b   []byte
 	err error
 }
 
-func (r *reader) fail(err error) {
+// NewReader reads body, the bytes after a struct's length prefix.
+func NewReader(body []byte) Reader { return Reader{b: body} }
+
+// Err is the first error the reader met, nil if none.
+func (r *Reader) Err() error { return r.err }
+
+func (r *Reader) fail(err error) {
 	if r.err == nil {
 		r.err = err
 	}
 	r.b = nil
 }
 
-func (r *reader) uvarint() uint64 {
+// Uvarint reads a uint64 field, a count or a length.
+func (r *Reader) Uvarint() uint64 {
 	if len(r.b) == 0 {
 		return 0
 	}
@@ -222,7 +242,8 @@ func (r *reader) uvarint() uint64 {
 	return v
 }
 
-func (r *reader) int() int {
+// Varint reads an int64 field.
+func (r *Reader) Varint() int64 {
 	if len(r.b) == 0 {
 		return 0
 	}
@@ -232,13 +253,16 @@ func (r *reader) int() int {
 		return 0
 	}
 	r.b = r.b[n:]
-	return int(v)
+	return v
 }
 
-// bytes reads a length-prefixed run and returns it as a sub-slice of the
-// input (nil when empty), capped so that an append cannot reach what follows.
-func (r *reader) bytes() []byte {
-	n := r.uvarint()
+// Int reads an int field.
+func (r *Reader) Int() int { return int(r.Varint()) }
+
+// Bytes reads a []byte field and returns it as a sub-slice of the input (nil
+// when empty), capped so that an append cannot reach what follows.
+func (r *Reader) Bytes() []byte {
+	n := r.Uvarint()
 	if n > uint64(len(r.b)) {
 		r.fail(fmt.Errorf("wire: length %d exceeds the %d bytes that remain", n, len(r.b)))
 		return nil
@@ -251,9 +275,11 @@ func (r *reader) bytes() []byte {
 	return out
 }
 
-func (r *reader) string() string { return string(r.bytes()) }
+// Text reads a string field.
+func (r *Reader) Text() string { return string(r.Bytes()) }
 
-func (r *reader) bool() bool {
+// Bool reads a bool field.
+func (r *Reader) Bool() bool {
 	if len(r.b) == 0 {
 		return false
 	}
@@ -266,7 +292,7 @@ func (r *reader) bool() bool {
 	return v == 1
 }
 
-func (r *reader) fixed64() uint64 {
+func (r *Reader) fixed64() uint64 {
 	if len(r.b) == 0 {
 		return 0
 	}
@@ -279,12 +305,13 @@ func (r *reader) fixed64() uint64 {
 	return v
 }
 
-func (r *reader) float() float64 { return math.Float64frombits(r.fixed64()) }
+// Float reads a float64 field.
+func (r *Reader) Float() float64 { return math.Float64frombits(r.fixed64()) }
 
 // count reads a list's element count and refuses one the remaining bytes
 // cannot hold at minSize bytes per element.
-func (r *reader) count(minSize int) int {
-	n := r.uvarint()
+func (r *Reader) count(minSize int) int {
+	n := r.Uvarint()
 	if n > uint64(len(r.b)/minSize) {
 		r.fail(fmt.Errorf("wire: count %d exceeds the %d bytes that remain", n, len(r.b)))
 		return 0
@@ -292,11 +319,11 @@ func (r *reader) count(minSize int) int {
 	return int(n)
 }
 
-// list reads the count of a list of length-prefixed elements (strings,
+// List reads the count of a list of length-prefixed elements (strings,
 // structs) and finds every one of them in the body, so that the caller
 // allocates for elements that are there and not for a number. The end of the
 // body inside a list is a truncation, not an absent field.
-func (r *reader) list(minSize int) int {
+func (r *Reader) List(minSize int) int {
 	n := r.count(minSize)
 	rest := r.b
 	for i := 0; i < n; i++ {
@@ -310,19 +337,19 @@ func (r *reader) list(minSize int) int {
 	return n
 }
 
-func (r *reader) strings() []string {
-	n := r.list(1)
+func (r *Reader) strings() []string {
+	n := r.List(1)
 	if n == 0 {
 		return nil
 	}
 	out := make([]string, n)
 	for i := range out {
-		out[i] = r.string()
+		out[i] = r.Text()
 	}
 	return out
 }
 
-func (r *reader) floats() []float64 {
+func (r *Reader) floats() []float64 {
 	n := r.count(8)
 	if n == 0 {
 		return nil
@@ -335,133 +362,133 @@ func (r *reader) floats() []float64 {
 	return out
 }
 
-// nested decodes a struct field.
-func (r *reader) nested(m message) {
-	if err := m.decode(r.bytes()); err != nil {
+// Nested decodes a struct field into m.
+func (r *Reader) Nested(m Message) {
+	if err := m.Decode(r.Bytes()); err != nil {
 		r.fail(err)
 	}
 }
 
 // --- Envelope ---
 
-func (e *Envelope) bodyLen() int {
-	return sizeInt(e.Version) + sizeBytes(len(e.Type)) + sizeBytes(len(e.From)) + sizeBytes(len(e.To)) +
-		8 + 1 + sizeInt(e.TTL) + sizeBytes(len(e.Payload)) + sizeBytes(len(e.Err)) + sizeBytes(len(e.ErrCode))
+func (e *Envelope) BodyLen() int {
+	return SizeInt(e.Version) + SizeBytes(len(e.Type)) + SizeBytes(len(e.From)) + SizeBytes(len(e.To)) +
+		8 + 1 + SizeInt(e.TTL) + SizeBytes(len(e.Payload)) + SizeBytes(len(e.Err)) + SizeBytes(len(e.ErrCode))
 }
 
-func (e *Envelope) appendTo(b []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(e.bodyLen()))
-	b = appendInt(b, e.Version)
-	b = appendString(b, string(e.Type))
-	b = appendString(b, e.From)
-	b = appendString(b, e.To)
+func (e *Envelope) AppendTo(b []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(e.BodyLen()))
+	b = AppendInt(b, e.Version)
+	b = AppendString(b, string(e.Type))
+	b = AppendString(b, e.From)
+	b = AppendString(b, e.To)
 	b = binary.LittleEndian.AppendUint64(b, e.RequestID)
 	b = appendBool(b, e.IsReply)
-	b = appendInt(b, e.TTL)
-	b = appendBytes(b, e.Payload)
-	b = appendString(b, e.Err)
-	return appendString(b, e.ErrCode)
+	b = AppendInt(b, e.TTL)
+	b = AppendBytes(b, e.Payload)
+	b = AppendString(b, e.Err)
+	return AppendString(b, e.ErrCode)
 }
 
-func (e *Envelope) decode(body []byte) error {
-	r := reader{b: body}
+func (e *Envelope) Decode(body []byte) error {
+	r := Reader{b: body}
 	*e = Envelope{
-		Version:   r.int(),
-		Type:      MsgType(r.string()),
-		From:      r.string(),
-		To:        r.string(),
+		Version:   r.Int(),
+		Type:      MsgType(r.Text()),
+		From:      r.Text(),
+		To:        r.Text(),
 		RequestID: r.fixed64(),
-		IsReply:   r.bool(),
-		TTL:       r.int(),
-		Payload:   r.bytes(),
-		Err:       r.string(),
-		ErrCode:   r.string(),
+		IsReply:   r.Bool(),
+		TTL:       r.Int(),
+		Payload:   r.Bytes(),
+		Err:       r.Text(),
+		ErrCode:   r.Text(),
 	}
 	return r.err
 }
 
 // --- CommandSpec ---
 
-func (c *CommandSpec) bodyLen() int {
-	return sizeBytes(len(c.ID)) + sizeBytes(len(c.Project)) + sizeBytes(len(c.Tenant)) +
-		sizeBytes(len(c.Origin)) + sizeBytes(len(c.Type)) +
-		sizeInt(c.MinCores) + sizeInt(c.MaxCores) + sizeInt(c.Priority) +
-		sizeBytes(len(c.Payload)) + sizeBytes(len(c.Checkpoint)) +
-		sizeBytes(len(c.GangID)) + sizeInt(c.GangSize)
+func (c *CommandSpec) BodyLen() int {
+	return SizeBytes(len(c.ID)) + SizeBytes(len(c.Project)) + SizeBytes(len(c.Tenant)) +
+		SizeBytes(len(c.Origin)) + SizeBytes(len(c.Type)) +
+		SizeInt(c.MinCores) + SizeInt(c.MaxCores) + SizeInt(c.Priority) +
+		SizeBytes(len(c.Payload)) + SizeBytes(len(c.Checkpoint)) +
+		SizeBytes(len(c.GangID)) + SizeInt(c.GangSize)
 }
 
-func (c *CommandSpec) appendTo(b []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(c.bodyLen()))
-	b = appendString(b, c.ID)
-	b = appendString(b, c.Project)
-	b = appendString(b, c.Tenant)
-	b = appendString(b, c.Origin)
-	b = appendString(b, c.Type)
-	b = appendInt(b, c.MinCores)
-	b = appendInt(b, c.MaxCores)
-	b = appendInt(b, c.Priority)
-	b = appendBytes(b, c.Payload)
-	b = appendBytes(b, c.Checkpoint)
-	b = appendString(b, c.GangID)
-	return appendInt(b, c.GangSize)
+func (c *CommandSpec) AppendTo(b []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(c.BodyLen()))
+	b = AppendString(b, c.ID)
+	b = AppendString(b, c.Project)
+	b = AppendString(b, c.Tenant)
+	b = AppendString(b, c.Origin)
+	b = AppendString(b, c.Type)
+	b = AppendInt(b, c.MinCores)
+	b = AppendInt(b, c.MaxCores)
+	b = AppendInt(b, c.Priority)
+	b = AppendBytes(b, c.Payload)
+	b = AppendBytes(b, c.Checkpoint)
+	b = AppendString(b, c.GangID)
+	return AppendInt(b, c.GangSize)
 }
 
-func (c *CommandSpec) decode(body []byte) error {
-	r := reader{b: body}
+func (c *CommandSpec) Decode(body []byte) error {
+	r := Reader{b: body}
 	*c = CommandSpec{
-		ID:         r.string(),
-		Project:    r.string(),
-		Tenant:     r.string(),
-		Origin:     r.string(),
-		Type:       r.string(),
-		MinCores:   r.int(),
-		MaxCores:   r.int(),
-		Priority:   r.int(),
-		Payload:    r.bytes(),
-		Checkpoint: r.bytes(),
-		GangID:     r.string(),
-		GangSize:   r.int(),
+		ID:         r.Text(),
+		Project:    r.Text(),
+		Tenant:     r.Text(),
+		Origin:     r.Text(),
+		Type:       r.Text(),
+		MinCores:   r.Int(),
+		MaxCores:   r.Int(),
+		Priority:   r.Int(),
+		Payload:    r.Bytes(),
+		Checkpoint: r.Bytes(),
+		GangID:     r.Text(),
+		GangSize:   r.Int(),
 	}
 	return r.err
 }
 
 // --- CommandResult ---
 
-func (c *CommandResult) bodyLen() int {
-	return sizeBytes(len(c.CommandID)) + sizeBytes(len(c.Project)) + sizeBytes(len(c.WorkerID)) +
-		1 + 1 + sizeBytes(len(c.Error)) + sizeBytes(len(c.Output)) + sizeBytes(len(c.OutputPath)) +
-		sizeBytes(len(c.Checkpoint)) + sizeInt(c.CoresUsed) + 8
+func (c *CommandResult) BodyLen() int {
+	return SizeBytes(len(c.CommandID)) + SizeBytes(len(c.Project)) + SizeBytes(len(c.WorkerID)) +
+		1 + 1 + SizeBytes(len(c.Error)) + SizeBytes(len(c.Output)) + SizeBytes(len(c.OutputPath)) +
+		SizeBytes(len(c.Checkpoint)) + SizeInt(c.CoresUsed) + 8
 }
 
-func (c *CommandResult) appendTo(b []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(c.bodyLen()))
-	b = appendString(b, c.CommandID)
-	b = appendString(b, c.Project)
-	b = appendString(b, c.WorkerID)
+func (c *CommandResult) AppendTo(b []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(c.BodyLen()))
+	b = AppendString(b, c.CommandID)
+	b = AppendString(b, c.Project)
+	b = AppendString(b, c.WorkerID)
 	b = appendBool(b, c.OK)
 	b = appendBool(b, c.Partial)
-	b = appendString(b, c.Error)
-	b = appendBytes(b, c.Output)
-	b = appendString(b, c.OutputPath)
-	b = appendBytes(b, c.Checkpoint)
-	b = appendInt(b, c.CoresUsed)
-	return appendFloat(b, c.WallSeconds)
+	b = AppendString(b, c.Error)
+	b = AppendBytes(b, c.Output)
+	b = AppendString(b, c.OutputPath)
+	b = AppendBytes(b, c.Checkpoint)
+	b = AppendInt(b, c.CoresUsed)
+	return AppendFloat(b, c.WallSeconds)
 }
 
-func (c *CommandResult) decode(body []byte) error {
-	r := reader{b: body}
+func (c *CommandResult) Decode(body []byte) error {
+	r := Reader{b: body}
 	*c = CommandResult{
-		CommandID:   r.string(),
-		Project:     r.string(),
-		WorkerID:    r.string(),
-		OK:          r.bool(),
-		Partial:     r.bool(),
-		Error:       r.string(),
-		Output:      r.bytes(),
-		OutputPath:  r.string(),
-		Checkpoint:  r.bytes(),
-		CoresUsed:   r.int(),
-		WallSeconds: r.float(),
+		CommandID:   r.Text(),
+		Project:     r.Text(),
+		WorkerID:    r.Text(),
+		OK:          r.Bool(),
+		Partial:     r.Bool(),
+		Error:       r.Text(),
+		Output:      r.Bytes(),
+		OutputPath:  r.Text(),
+		Checkpoint:  r.Bytes(),
+		CoresUsed:   r.Int(),
+		WallSeconds: r.Float(),
 	}
 	return r.err
 }
@@ -487,53 +514,53 @@ func (c *FrameChunk) frameDim() int {
 	return len(c.Frames[0])
 }
 
-func (c *FrameChunk) bodyLen() int {
+func (c *FrameChunk) BodyLen() int {
 	n, dim := len(c.Frames), c.frameDim()
-	return sizeBytes(len(c.Project)) + sizeBytes(len(c.CommandID)) + sizeBytes(len(c.WorkerID)) +
-		sizeInt(c.Seq) + sizeInt(c.FirstFrame) + sizeFloats(len(c.Times)) +
-		uvarintLen(uint64(n)) + uvarintLen(uint64(dim)) + 8*n*dim +
+	return SizeBytes(len(c.Project)) + SizeBytes(len(c.CommandID)) + SizeBytes(len(c.WorkerID)) +
+		SizeInt(c.Seq) + SizeInt(c.FirstFrame) + sizeFloats(len(c.Times)) +
+		SizeUvarint(uint64(n)) + SizeUvarint(uint64(dim)) + 8*n*dim +
 		sizeFloats(len(c.RMSD)) + 1
 }
 
-func (c *FrameChunk) appendTo(b []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(c.bodyLen()))
-	b = appendString(b, c.Project)
-	b = appendString(b, c.CommandID)
-	b = appendString(b, c.WorkerID)
-	b = appendInt(b, c.Seq)
-	b = appendInt(b, c.FirstFrame)
+func (c *FrameChunk) AppendTo(b []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(c.BodyLen()))
+	b = AppendString(b, c.Project)
+	b = AppendString(b, c.CommandID)
+	b = AppendString(b, c.WorkerID)
+	b = AppendInt(b, c.Seq)
+	b = AppendInt(b, c.FirstFrame)
 	b = appendFloats(b, c.Times)
 	b = binary.AppendUvarint(b, uint64(len(c.Frames)))
 	b = binary.AppendUvarint(b, uint64(c.frameDim()))
 	for _, frame := range c.Frames {
 		for _, x := range frame {
-			b = appendFloat(b, x)
+			b = AppendFloat(b, x)
 		}
 	}
 	b = appendFloats(b, c.RMSD)
 	return appendBool(b, c.Final)
 }
 
-func (c *FrameChunk) decode(body []byte) error {
-	r := reader{b: body}
+func (c *FrameChunk) Decode(body []byte) error {
+	r := Reader{b: body}
 	*c = FrameChunk{
-		Project:    r.string(),
-		CommandID:  r.string(),
-		WorkerID:   r.string(),
-		Seq:        r.int(),
-		FirstFrame: r.int(),
+		Project:    r.Text(),
+		CommandID:  r.Text(),
+		WorkerID:   r.Text(),
+		Seq:        r.Int(),
+		FirstFrame: r.Int(),
 		Times:      r.floats(),
 		Frames:     r.frames(),
 		RMSD:       r.floats(),
-		Final:      r.bool(),
+		Final:      r.Bool(),
 	}
 	return r.err
 }
 
 // frames reads count | dim | raw. The frames share one backing array, each
 // capped at its own width.
-func (r *reader) frames() [][]float64 {
-	n, dim := r.uvarint(), r.uvarint()
+func (r *Reader) frames() [][]float64 {
+	n, dim := r.Uvarint(), r.Uvarint()
 	if n == 0 {
 		return nil
 	}
@@ -557,69 +584,69 @@ func (r *reader) frames() [][]float64 {
 
 // --- WorkerInfo, AnnounceRequest ---
 
-func (w *WorkerInfo) bodyLen() int {
-	return sizeBytes(len(w.ID)) + sizeBytes(len(w.Platform)) + sizeInt(w.Cores) +
-		sizeStrings(w.Executables) + sizeBytes(len(w.FSToken))
+func (w *WorkerInfo) BodyLen() int {
+	return SizeBytes(len(w.ID)) + SizeBytes(len(w.Platform)) + SizeInt(w.Cores) +
+		sizeStrings(w.Executables) + SizeBytes(len(w.FSToken))
 }
 
-func (w *WorkerInfo) appendTo(b []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(w.bodyLen()))
-	b = appendString(b, w.ID)
-	b = appendString(b, w.Platform)
-	b = appendInt(b, w.Cores)
+func (w *WorkerInfo) AppendTo(b []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(w.BodyLen()))
+	b = AppendString(b, w.ID)
+	b = AppendString(b, w.Platform)
+	b = AppendInt(b, w.Cores)
 	b = appendStrings(b, w.Executables)
-	return appendString(b, w.FSToken)
+	return AppendString(b, w.FSToken)
 }
 
-func (w *WorkerInfo) decode(body []byte) error {
-	r := reader{b: body}
+func (w *WorkerInfo) Decode(body []byte) error {
+	r := Reader{b: body}
 	*w = WorkerInfo{
-		ID:          r.string(),
-		Platform:    r.string(),
-		Cores:       r.int(),
+		ID:          r.Text(),
+		Platform:    r.Text(),
+		Cores:       r.Int(),
 		Executables: r.strings(),
-		FSToken:     r.string(),
+		FSToken:     r.Text(),
 	}
 	return r.err
 }
 
-func (a *AnnounceRequest) bodyLen() int { return sizeBytes(a.Info.bodyLen()) + 1 + 8 }
+func (a *AnnounceRequest) BodyLen() int { return SizeBytes(a.Info.BodyLen()) + 1 + 8 }
 
-func (a *AnnounceRequest) appendTo(b []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(a.bodyLen()))
-	b = a.Info.appendTo(b)
+func (a *AnnounceRequest) AppendTo(b []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(a.BodyLen()))
+	b = a.Info.AppendTo(b)
 	b = appendBool(b, a.Relayed)
-	return appendFloat(b, a.WaitSeconds)
+	return AppendFloat(b, a.WaitSeconds)
 }
 
-func (a *AnnounceRequest) decode(body []byte) error {
-	r := reader{b: body}
+func (a *AnnounceRequest) Decode(body []byte) error {
+	r := Reader{b: body}
 	*a = AnnounceRequest{}
-	r.nested(&a.Info)
-	a.Relayed = r.bool()
-	a.WaitSeconds = r.float()
+	r.Nested(&a.Info)
+	a.Relayed = r.Bool()
+	a.WaitSeconds = r.Float()
 	return r.err
 }
 
 // --- Workload ---
 
-func (w *Workload) bodyLen() int {
-	n := uvarintLen(uint64(len(w.Commands)))
+func (w *Workload) BodyLen() int {
+	n := SizeUvarint(uint64(len(w.Commands)))
 	for i := range w.Commands {
-		n += sizeBytes(w.Commands[i].bodyLen())
+		n += SizeBytes(w.Commands[i].BodyLen())
 	}
-	n += uvarintLen(uint64(len(w.Cores)))
+	n += SizeUvarint(uint64(len(w.Cores)))
 	for id, cores := range w.Cores {
-		n += sizeBytes(len(id)) + sizeInt(cores)
+		n += SizeBytes(len(id)) + SizeInt(cores)
 	}
 	return n + 8 + 1
 }
 
-func (w *Workload) appendTo(b []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(w.bodyLen()))
+func (w *Workload) AppendTo(b []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(w.BodyLen()))
 	b = binary.AppendUvarint(b, uint64(len(w.Commands)))
 	for i := range w.Commands {
-		b = w.Commands[i].appendTo(b)
+		b = w.Commands[i].AppendTo(b)
 	}
 	b = binary.AppendUvarint(b, uint64(len(w.Cores)))
 	var buf [8]string // on the stack; a workload seldom holds more commands
@@ -629,10 +656,10 @@ func (w *Workload) appendTo(b []byte) []byte {
 	}
 	slices.Sort(ids)
 	for _, id := range ids {
-		b = appendString(b, id)
-		b = appendInt(b, w.Cores[id])
+		b = AppendString(b, id)
+		b = AppendInt(b, w.Cores[id])
 	}
-	b = appendFloat(b, w.HeartbeatSeconds)
+	b = AppendFloat(b, w.HeartbeatSeconds)
 	return appendBool(b, w.SharedFS)
 }
 
@@ -640,13 +667,13 @@ func (w *Workload) appendTo(b []byte) []byte {
 // a length byte and its twelve fields (appending fields only raises it).
 const specMinBytes = 13
 
-func (w *Workload) decode(body []byte) error {
-	r := reader{b: body}
+func (w *Workload) Decode(body []byte) error {
+	r := Reader{b: body}
 	*w = Workload{}
-	if n := r.list(specMinBytes); n > 0 {
+	if n := r.List(specMinBytes); n > 0 {
 		w.Commands = make([]CommandSpec, n)
 		for i := range w.Commands {
-			r.nested(&w.Commands[i])
+			r.Nested(&w.Commands[i])
 		}
 	}
 	if n := r.count(2); n > 0 {
@@ -654,58 +681,58 @@ func (w *Workload) decode(body []byte) error {
 		// grows as they arrive.
 		w.Cores = make(map[string]int, min(n, len(w.Commands)))
 		for i := 0; i < n; i++ {
-			id := r.string()
+			id := r.Text()
 			if len(r.b) == 0 {
 				r.fail(errTruncated) // a key without its value, or a pair short
 				break
 			}
-			w.Cores[id] = r.int()
+			w.Cores[id] = r.Int()
 		}
 	}
-	w.HeartbeatSeconds = r.float()
-	w.SharedFS = r.bool()
+	w.HeartbeatSeconds = r.Float()
+	w.SharedFS = r.Bool()
 	return r.err
 }
 
 // --- Heartbeat, HeartbeatAck, WorkerFailed ---
 
-func (h *Heartbeat) bodyLen() int { return sizeBytes(len(h.WorkerID)) + sizeStrings(h.CommandIDs) }
+func (h *Heartbeat) BodyLen() int { return SizeBytes(len(h.WorkerID)) + sizeStrings(h.CommandIDs) }
 
-func (h *Heartbeat) appendTo(b []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(h.bodyLen()))
-	b = appendString(b, h.WorkerID)
+func (h *Heartbeat) AppendTo(b []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(h.BodyLen()))
+	b = AppendString(b, h.WorkerID)
 	return appendStrings(b, h.CommandIDs)
 }
 
-func (h *Heartbeat) decode(body []byte) error {
-	r := reader{b: body}
-	*h = Heartbeat{WorkerID: r.string(), CommandIDs: r.strings()}
+func (h *Heartbeat) Decode(body []byte) error {
+	r := Reader{b: body}
+	*h = Heartbeat{WorkerID: r.Text(), CommandIDs: r.strings()}
 	return r.err
 }
 
-func (h *HeartbeatAck) bodyLen() int { return sizeStrings(h.AbortCommandIDs) }
+func (h *HeartbeatAck) BodyLen() int { return sizeStrings(h.AbortCommandIDs) }
 
-func (h *HeartbeatAck) appendTo(b []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(h.bodyLen()))
+func (h *HeartbeatAck) AppendTo(b []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(h.BodyLen()))
 	return appendStrings(b, h.AbortCommandIDs)
 }
 
-func (h *HeartbeatAck) decode(body []byte) error {
-	r := reader{b: body}
+func (h *HeartbeatAck) Decode(body []byte) error {
+	r := Reader{b: body}
 	*h = HeartbeatAck{AbortCommandIDs: r.strings()}
 	return r.err
 }
 
-func (w *WorkerFailed) bodyLen() int { return sizeBytes(len(w.WorkerID)) + sizeStrings(w.CommandIDs) }
+func (w *WorkerFailed) BodyLen() int { return SizeBytes(len(w.WorkerID)) + sizeStrings(w.CommandIDs) }
 
-func (w *WorkerFailed) appendTo(b []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(w.bodyLen()))
-	b = appendString(b, w.WorkerID)
+func (w *WorkerFailed) AppendTo(b []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(w.BodyLen()))
+	b = AppendString(b, w.WorkerID)
 	return appendStrings(b, w.CommandIDs)
 }
 
-func (w *WorkerFailed) decode(body []byte) error {
-	r := reader{b: body}
-	*w = WorkerFailed{WorkerID: r.string(), CommandIDs: r.strings()}
+func (w *WorkerFailed) Decode(body []byte) error {
+	r := Reader{b: body}
+	*w = WorkerFailed{WorkerID: r.Text(), CommandIDs: r.strings()}
 	return r.err
 }

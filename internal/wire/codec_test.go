@@ -118,7 +118,7 @@ func specFields() []byte { return specV3Fixture[2:] }
 // has appended a field decodes here with the known fields intact — at the top
 // level and nested inside a list, where the skip must land on the next element.
 func TestEvolutionExtraTrailingFieldSkipped(t *testing.T) {
-	longer := appendString(append([]byte(nil), specFields()...), "a-field-from-the-future")
+	longer := AppendString(append([]byte(nil), specFields()...), "a-field-from-the-future")
 	var got CommandSpec
 	if err := Unmarshal(rebody(longer), &got); err != nil {
 		t.Fatalf("spec with a trailing field: %v", err)
@@ -129,10 +129,10 @@ func TestEvolutionExtraTrailingFieldSkipped(t *testing.T) {
 
 	// Workload{Commands: [longer spec, fixture spec], no cores, 30 s}.
 	wl := binary.AppendUvarint(nil, 2)
-	wl = appendBytes(wl, longer)
-	wl = appendBytes(wl, specFields())
+	wl = AppendBytes(wl, longer)
+	wl = AppendBytes(wl, specFields())
 	wl = binary.AppendUvarint(wl, 0)
-	wl = appendFloat(wl, 30)
+	wl = AppendFloat(wl, 30)
 	wl = appendBool(wl, false)
 	wl = append(wl, "and more"...)
 	var gotWL Workload
@@ -317,9 +317,9 @@ func TestDecodeAllocatesWhatTheInputHolds(t *testing.T) {
 	var pairs []byte // every two-letter key: no map of that many costs fewer bytes
 	npairs := 0
 	for ; npairs < 1<<16; npairs++ {
-		pairs = appendInt(appendString(pairs, string([]byte{byte(npairs), byte(npairs >> 8)})), 1)
+		pairs = AppendInt(AppendString(pairs, string([]byte{byte(npairs), byte(npairs >> 8)})), 1)
 	}
-	oneBigString := appendBytes(nil, make([]byte, size))
+	oneBigString := AppendBytes(nil, make([]byte, size))
 	cases := []struct {
 		name  string
 		body  []byte
@@ -359,7 +359,7 @@ func TestHostileInputIsAnErrorNotAnAllocation(t *testing.T) {
 		{"length past the end", []byte{codecTag, 9, 1, 'w'}, new(Heartbeat)},
 		{"bytes after the message", append(append([]byte(nil), specV3Fixture...), 0), new(CommandSpec)},
 		{"unterminated varint", rebody([]byte{0xff, 0xff}), new(HeartbeatAck)},
-		{"string count", rebody(append(appendString(nil, "w"), append(huge, "abc"...)...)), new(Heartbeat)},
+		{"string count", rebody(append(AppendString(nil, "w"), append(huge, "abc"...)...)), new(Heartbeat)},
 		{"string list ends early", rebody([]byte{1, 'w', 3, 1, 'a'}), new(Heartbeat)},
 		{"command count", rebody(append(huge, 0, 0, 0)), new(Workload)},
 		{"cores count", rebody(append([]byte{0}, append(huge, 1, 'a', 2)...)), new(Workload)},

@@ -130,22 +130,22 @@ type commandSpecPreGang struct {
 	Checkpoint []byte
 }
 
-func (c *commandSpecPreGang) bodyLen() int             { panic("decode only") }
-func (c *commandSpecPreGang) appendTo(b []byte) []byte { panic("decode only") }
+func (c *commandSpecPreGang) BodyLen() int             { panic("decode only") }
+func (c *commandSpecPreGang) AppendTo(b []byte) []byte { panic("decode only") }
 
-func (c *commandSpecPreGang) decode(body []byte) error {
-	r := reader{b: body}
+func (c *commandSpecPreGang) Decode(body []byte) error {
+	r := Reader{b: body}
 	*c = commandSpecPreGang{
-		ID:         r.string(),
-		Project:    r.string(),
-		Tenant:     r.string(),
-		Origin:     r.string(),
-		Type:       r.string(),
-		MinCores:   r.int(),
-		MaxCores:   r.int(),
-		Priority:   r.int(),
-		Payload:    r.bytes(),
-		Checkpoint: r.bytes(),
+		ID:         r.Text(),
+		Project:    r.Text(),
+		Tenant:     r.Text(),
+		Origin:     r.Text(),
+		Type:       r.Text(),
+		MinCores:   r.Int(),
+		MaxCores:   r.Int(),
+		Priority:   r.Int(),
+		Payload:    r.Bytes(),
+		Checkpoint: r.Bytes(),
 	}
 	return r.err
 }

@@ -555,11 +555,11 @@ func Marshal(v any) ([]byte, error) {
 // Marshal result, a WAL record) and never reuses it, so nothing is pooled.
 func Unmarshal(data []byte, v any) error {
 	if len(data) > 0 && data[0] == codecTag {
-		m, ok := v.(message)
+		m, ok := v.(Message)
 		if !ok {
 			return fmt.Errorf("wire: decoding %T: data is binary-coded, which this type is not", v)
 		}
-		if err := unmarshalMessage(data[1:], m); err != nil {
+		if err := DecodeMessage(data[1:], m); err != nil {
 			return fmt.Errorf("wire: decoding %T: %w", v, err)
 		}
 		return nil

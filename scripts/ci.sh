@@ -37,15 +37,16 @@ benchmod() {
     $GO test -C benchmarks ./...
 }
 
-# The wire decoders and the WAL reader against arbitrary bytes, ten seconds
-# per target: no panic, no allocation out of proportion to the input, and
-# whatever decodes survives a round trip or, for the WAL, the intact prefix
-# comes back (go test -fuzz takes one target per run).
+# The wire decoders and the WAL and snapshot readers against arbitrary bytes,
+# ten seconds per target: no panic, no allocation out of proportion to the
+# input, and whatever decodes survives a round trip or, for the WAL, the
+# intact prefix comes back (go test -fuzz takes one target per run).
 fuzz() {
-    echo "== wire and WAL fuzz (10 s per target) =="
+    echo "== wire, WAL and snapshot fuzz (10 s per target) =="
     $GO test -run '^$' -fuzz=FuzzUnmarshalHot -fuzztime=10s ./internal/wire
     $GO test -run '^$' -fuzz=FuzzReadEnvelope -fuzztime=10s ./internal/wire
     $GO test -run '^$' -fuzz=FuzzReadWAL -fuzztime=10s ./internal/store
+    $GO test -run '^$' -fuzz=FuzzDecodeSnapshot -fuzztime=10s ./internal/store
 }
 
 smoke() {

@@ -577,30 +577,45 @@ func TestHandshakeOldPeerRefusedCleanly(t *testing.T) {
 // that build with NewIdentityFromSeed(7); do not regenerate.
 const parentHelloFixture = "\x00\x00\x00\xff|\x7f\x03\x01\x01\bEnvelope\x01\xff\x80\x00\x01\n\x01\aVersion\x01\x04\x00\x01\x04Type\x01\f\x00\x01\x04From\x01\f\x00\x01\x02To\x01\f\x00\x01\tRequestID\x01\x06\x00\x01\aIsReply\x01\x02\x00\x01\x03TTL\x01\x04\x00\x01\aPayload\x01\n\x00\x01\x03Err\x01\f\x00\x01\aErrCode\x01\f\x00\x00\x00\xff\x80\xff\x80\x01\x04\x01\x05hello\x01\x10e9d160cc37e4f235\x05`\xbc\xf8\xbd&\x905\x19\x04\u0397\xcf\xee\xc1\xd7\xef\xfd+\x997\xf2e\x8d\xbd\xa4\xb8\x8a\xe55--\x06\xb0^\u00ec\xc4\x15\xd0\n\x11\x8b\x90\x1b\af3\xf7\x98\x99Z\ue3f7\xc9^;\x91\x9a\xfa\x15~\x9b\x92\xd2\x02\x7f\xf1FW\x8bw\x14,`\xe9g8\xc4\"\x90r,>E\xff\xe7.H\xfc\x88qz!\xde:\n\x00"
 
-// TestMixedFleetFailsAtHello joins a node of this build to a peer of the
-// previous one, in both roles. Dialed by the old node, this side reads the
-// old hello and refuses it with both versions named. Dialing the old node,
-// this side speaks first; the old node cannot parse a v3 hello, says nothing
-// and hangs up, and the error here says which version this node speaks.
-// Neither leaves a link behind.
+// v3HelloFixture is the framed hello a protocol version 3 build (binary
+// envelope, gob engine payloads) puts on a fresh connection. Captured from
+// that build with NewIdentityFromSeed(7); do not regenerate.
+const v3HelloFixture = "\x00\x00\x00\x89\x00\x86\x01\x06\x05hello\x10e9d160cc37e4f235\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00`\xbc\xf8\xbd&\x905\x19\x04Η\xcf\xee\xc1\xd7\xef\xfd+\x997\xf2e\x8d\xbd\xa4\xb8\x8a\xe55--\x06\xb0^ì\xc4\x15\xd0\n\x11\x8b\x90\x1b\af3\xf7\x98\x99Z\ue3f7\xc9^;\x91\x9a\xfa\x15~\x9b\x92\xd2\x02\x7f\xf1FW\x8bw\x14,`\xe9g8\xc4\"\x90r,>E\xff\xe7.H\xfc\x88qz!\xde:\n\x00\x00"
+
+// TestMixedFleetFailsAtHello joins a node of this build to a peer of an
+// older one, in both roles. Dialed by an old node — the gob-envelope v2 build
+// or the v3 build whose engines still spoke gob — this side reads the old
+// hello and refuses it with both versions named. Dialing an old node, this
+// side speaks first; the old node refuses the hello (a v2 node cannot parse
+// it, a v3 node reads version 4), says nothing and hangs up, and the error
+// here says which version this node speaks. Neither leaves a link behind.
 func TestMixedFleetFailsAtHello(t *testing.T) {
-	t.Run("dialed by an old node", func(t *testing.T) {
-		a := NewNode(NewIdentityFromSeed(5), NewTrustStore(), NewMemNetwork().Transport())
-		defer a.Close()
-		conn, old := net.Pipe()
-		defer old.Close()
-		go func() { _, _ = old.Write([]byte(parentHelloFixture)) }()
-		err := a.handleInbound(conn)
-		want := fmt.Sprintf("protocol version 2, want %d", wire.ProtocolVersion)
-		var ve *wire.VersionError
-		if !errors.Is(err, ErrProtoVersion) || !errors.As(err, &ve) || ve.Got != 2 ||
-			!strings.Contains(err.Error(), want) {
-			t.Errorf("handshake error = %v, want one saying %q", err, want)
-		}
-		if n := len(a.Peers()); n != 0 {
-			t.Errorf("%d peer links after a refused hello", n)
-		}
-	})
+	for _, old := range []struct {
+		name    string
+		hello   string
+		version int
+	}{
+		{"dialed by an old node", parentHelloFixture, 2},
+		{"dialed by a v3 node", v3HelloFixture, 3},
+	} {
+		t.Run(old.name, func(t *testing.T) {
+			a := NewNode(NewIdentityFromSeed(5), NewTrustStore(), NewMemNetwork().Transport())
+			defer a.Close()
+			conn, peer := net.Pipe()
+			defer peer.Close()
+			go func() { _, _ = peer.Write([]byte(old.hello)) }()
+			err := a.handleInbound(conn)
+			want := fmt.Sprintf("protocol version %d, want %d", old.version, wire.ProtocolVersion)
+			var ve *wire.VersionError
+			if !errors.Is(err, ErrProtoVersion) || !errors.As(err, &ve) || ve.Got != old.version ||
+				ve.Want != wire.ProtocolVersion || !strings.Contains(err.Error(), want) {
+				t.Errorf("handshake error = %v, want one saying %q", err, want)
+			}
+			if n := len(a.Peers()); n != 0 {
+				t.Errorf("%d peer links after a refused hello", n)
+			}
+		})
+	}
 
 	t.Run("dialing an old node", func(t *testing.T) {
 		tr := NewMemNetwork().Transport()

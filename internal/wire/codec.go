@@ -4,9 +4,11 @@ package wire
 // system once or more per command — Envelope, AnnounceRequest/WorkerInfo,
 // Workload/CommandSpec, CommandResult, Heartbeat/HeartbeatAck, FrameChunk and
 // WorkerFailed — are written by hand, append-style, into one exact-size
-// buffer and decoded in place; every other type stays on gob (wire.go).
-// internal/store writes its WAL records and snapshots in the same struct
-// format, through the exported Message, Reader and Size/Append helpers.
+// buffer and decoded in place; the types that do not implement Message stay
+// on gob (wire.go). Other packages write their types in the same struct
+// format through the exported Message, Reader and Size/Append helpers:
+// internal/store its WAL records and snapshots, internal/engines the
+// payloads, outputs and checkpoints inside CommandSpec and CommandResult.
 //
 // Layout. A Marshal result is the tag byte 0x00 followed by one struct. No
 // gob stream starts with 0x00 (a gob message opens with its non-zero
@@ -29,8 +31,9 @@ package wire
 // are 8 bytes little-endian; a list is uvarint count | elements, and an empty
 // list, map or byte run decodes as nil; a nested struct is a struct as above.
 // Workload.Cores is count | (key, int) pairs in sorted key order, so equal
-// workloads make equal frames. FrameChunk.Frames is count | dim | count×dim
-// raw float64, which is why Marshal refuses frames of unequal or zero width.
+// workloads make equal frames. A frames field (FrameChunk.Frames, the
+// landscape engine's trajectories) is count | dim | count×dim raw float64,
+// which is why Marshal refuses frames of unequal or zero width.
 //
 // Hostile input: nothing is allocated on a length's or a count's word. Every
 // length is checked against the bytes that remain; a list's count is checked
@@ -71,34 +74,29 @@ type Message interface {
 	Decode(body []byte) error
 }
 
-// hotMessage returns v as a message when the binary codec owns its type,
-// given by pointer or by value; nil for the types that stay on gob.
-func hotMessage(v any) Message {
-	switch x := v.(type) {
-	case Message:
-		return x
-	case Envelope:
-		return &x
-	case AnnounceRequest:
-		return &x
-	case WorkerInfo:
-		return &x
-	case Workload:
-		return &x
-	case CommandSpec:
-		return &x
-	case CommandResult:
-		return &x
-	case Heartbeat:
-		return &x
-	case HeartbeatAck:
-		return &x
-	case FrameChunk:
-		return &x
-	case WorkerFailed:
-		return &x
+var messageType = reflect.TypeFor[Message]()
+
+// asMessage returns v as a Message when its type implements one, given by
+// pointer or by value (a value is copied behind a new pointer); nil for the
+// types that stay on gob.
+func asMessage(v any) Message {
+	if m, ok := v.(Message); ok {
+		return m
 	}
-	return nil
+	t := reflect.TypeOf(v)
+	if t == nil || t.Kind() == reflect.Pointer || !reflect.PointerTo(t).Implements(messageType) {
+		return nil
+	}
+	p := reflect.New(t)
+	p.Elem().Set(reflect.ValueOf(v))
+	return p.Interface().(Message)
+}
+
+// Checker is implemented by the messages that can hold a value the layout
+// cannot carry — frames of unequal width. Marshal refuses such a message with
+// Check's error.
+type Checker interface {
+	Check() error
 }
 
 // marshalMessage encodes m into one buffer of exactly the encoded size, with
@@ -107,15 +105,25 @@ func marshalMessage(m Message, headroom int) ([]byte, error) {
 	if reflect.ValueOf(m).IsNil() {
 		return nil, fmt.Errorf("wire: encoding %T: nil pointer", m)
 	}
-	if c, ok := m.(*FrameChunk); ok {
-		if err := c.checkFrames(); err != nil {
-			return nil, err
+	if c, ok := m.(Checker); ok {
+		if err := c.Check(); err != nil {
+			return nil, fmt.Errorf("wire: encoding %T: %w", m, err)
 		}
 	}
 	n := m.BodyLen()
 	b := make([]byte, headroom, headroom+1+SizeUvarint(uint64(n))+n)
 	return m.AppendTo(append(b, codecTag)), nil
 }
+
+// DecodeAllocLimit bounds what decoding n bytes of binary-coded input may
+// allocate: the in-memory size of the costliest thing n bytes can spell, plus
+// room for the error value and a test process's own noise. A list of empty
+// strings costs 16 bytes of header per input byte, a list of the smallest
+// CommandSpecs 176 bytes per 13, and Workload.Cores under two-letter keys
+// some 27 per byte (35 under the 256 one-letter keys): map slots, and the
+// smaller maps it outgrew. The decoders' tests and fuzz targets, here and in
+// the packages with Messages of their own, hold every decode to it.
+func DecodeAllocLimit(n int) uint64 { return uint64(40*n) + 16<<10 }
 
 // DecodeMessage decodes data, one struct as AppendTo wrote it (for Unmarshal,
 // the bytes after the tag), into m. Bytes after the struct are an error.
@@ -158,7 +166,14 @@ func sizeStrings(ss []string) int {
 	return n
 }
 
-func sizeFloats(n int) int { return SizeUvarint(uint64(n)) + 8*n }
+// SizeFloats is the encoded size of a []float64 field of n elements.
+func SizeFloats(n int) int { return SizeUvarint(uint64(n)) + 8*n }
+
+// SizeFrames is the encoded size of a frames field, count | dim | raw.
+func SizeFrames(frames [][]float64) int {
+	n, dim := len(frames), frameDim(frames)
+	return SizeUvarint(uint64(n)) + SizeUvarint(uint64(dim)) + 8*n*dim
+}
 
 // AppendInt appends an int field; an int64 is binary.AppendVarint and a
 // uint64 binary.AppendUvarint.
@@ -174,7 +189,8 @@ func AppendBytes(b, p []byte) []byte {
 	return append(binary.AppendUvarint(b, uint64(len(p))), p...)
 }
 
-func appendBool(b []byte, v bool) []byte {
+// AppendBool appends a bool field.
+func AppendBool(b []byte, v bool) []byte {
 	if v {
 		return append(b, 1)
 	}
@@ -194,12 +210,47 @@ func appendStrings(b []byte, ss []string) []byte {
 	return b
 }
 
-func appendFloats(b []byte, fs []float64) []byte {
+// AppendFloats appends a []float64 field: uvarint count | count raw float64.
+func AppendFloats(b []byte, fs []float64) []byte {
 	b = binary.AppendUvarint(b, uint64(len(fs)))
 	for _, f := range fs {
 		b = AppendFloat(b, f)
 	}
 	return b
+}
+
+// AppendFrames appends a [][]float64 field of frames sharing one width:
+// uvarint count | uvarint dim | count×dim raw float64. A message with such a
+// field implements Checker with CheckFrames, so Marshal never gets here with
+// frames of unequal width.
+func AppendFrames(b []byte, frames [][]float64) []byte {
+	b = binary.AppendUvarint(b, uint64(len(frames)))
+	b = binary.AppendUvarint(b, uint64(frameDim(frames)))
+	for _, frame := range frames {
+		for _, x := range frame {
+			b = AppendFloat(b, x)
+		}
+	}
+	return b
+}
+
+// CheckFrames reports frames the count | dim | raw layout cannot carry.
+func CheckFrames(frames [][]float64) error {
+	for i, f := range frames {
+		if len(f) == 0 || len(f) != len(frames[0]) {
+			return fmt.Errorf("frame %d has %d coordinates, frame 0 has %d; frames must share one non-zero width",
+				i, len(f), len(frames[0]))
+		}
+	}
+	return nil
+}
+
+// frameDim is the shared width of frames (0 with no frames).
+func frameDim(frames [][]float64) int {
+	if len(frames) == 0 {
+		return 0
+	}
+	return len(frames[0])
 }
 
 // --- decoding ---
@@ -349,7 +400,8 @@ func (r *Reader) strings() []string {
 	return out
 }
 
-func (r *Reader) floats() []float64 {
+// Floats reads a []float64 field.
+func (r *Reader) Floats() []float64 {
 	n := r.count(8)
 	if n == 0 {
 		return nil
@@ -359,6 +411,31 @@ func (r *Reader) floats() []float64 {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(r.b[8*i:]))
 	}
 	r.b = r.b[8*n:]
+	return out
+}
+
+// Frames reads a frames field, count | dim | raw. The frames share one
+// backing array, each capped at its own width.
+func (r *Reader) Frames() [][]float64 {
+	n, dim := r.Uvarint(), r.Uvarint()
+	if n == 0 {
+		return nil
+	}
+	words := uint64(len(r.b) / 8)
+	if dim == 0 || dim > words || n > words/dim {
+		r.fail(fmt.Errorf("wire: %d frames of width %d exceed the %d bytes that remain", n, dim, len(r.b)))
+		return nil
+	}
+	flat := make([]float64, n*dim)
+	for i := range flat {
+		flat[i] = math.Float64frombits(binary.LittleEndian.Uint64(r.b[8*i:]))
+	}
+	r.b = r.b[8*len(flat):]
+	out := make([][]float64, n)
+	for i := range out {
+		lo, hi := i*int(dim), (i+1)*int(dim)
+		out[i] = flat[lo:hi:hi]
+	}
 	return out
 }
 
@@ -383,7 +460,7 @@ func (e *Envelope) AppendTo(b []byte) []byte {
 	b = AppendString(b, e.From)
 	b = AppendString(b, e.To)
 	b = binary.LittleEndian.AppendUint64(b, e.RequestID)
-	b = appendBool(b, e.IsReply)
+	b = AppendBool(b, e.IsReply)
 	b = AppendInt(b, e.TTL)
 	b = AppendBytes(b, e.Payload)
 	b = AppendString(b, e.Err)
@@ -465,8 +542,8 @@ func (c *CommandResult) AppendTo(b []byte) []byte {
 	b = AppendString(b, c.CommandID)
 	b = AppendString(b, c.Project)
 	b = AppendString(b, c.WorkerID)
-	b = appendBool(b, c.OK)
-	b = appendBool(b, c.Partial)
+	b = AppendBool(b, c.OK)
+	b = AppendBool(b, c.Partial)
 	b = AppendString(b, c.Error)
 	b = AppendBytes(b, c.Output)
 	b = AppendString(b, c.OutputPath)
@@ -495,31 +572,13 @@ func (c *CommandResult) Decode(body []byte) error {
 
 // --- FrameChunk ---
 
-// checkFrames reports frames the count | dim | raw layout cannot carry.
-func (c *FrameChunk) checkFrames() error {
-	for i, f := range c.Frames {
-		if len(f) == 0 || len(f) != len(c.Frames[0]) {
-			return fmt.Errorf("wire: encoding *wire.FrameChunk: frame %d has %d coordinates, frame 0 has %d; frames must share one non-zero width",
-				i, len(f), len(c.Frames[0]))
-		}
-	}
-	return nil
-}
-
-// frameDim is the shared width of the chunk's frames (0 with no frames).
-func (c *FrameChunk) frameDim() int {
-	if len(c.Frames) == 0 {
-		return 0
-	}
-	return len(c.Frames[0])
-}
+// Check implements Checker.
+func (c *FrameChunk) Check() error { return CheckFrames(c.Frames) }
 
 func (c *FrameChunk) BodyLen() int {
-	n, dim := len(c.Frames), c.frameDim()
 	return SizeBytes(len(c.Project)) + SizeBytes(len(c.CommandID)) + SizeBytes(len(c.WorkerID)) +
-		SizeInt(c.Seq) + SizeInt(c.FirstFrame) + sizeFloats(len(c.Times)) +
-		SizeUvarint(uint64(n)) + SizeUvarint(uint64(dim)) + 8*n*dim +
-		sizeFloats(len(c.RMSD)) + 1
+		SizeInt(c.Seq) + SizeInt(c.FirstFrame) + SizeFloats(len(c.Times)) + SizeFrames(c.Frames) +
+		SizeFloats(len(c.RMSD)) + 1
 }
 
 func (c *FrameChunk) AppendTo(b []byte) []byte {
@@ -529,16 +588,10 @@ func (c *FrameChunk) AppendTo(b []byte) []byte {
 	b = AppendString(b, c.WorkerID)
 	b = AppendInt(b, c.Seq)
 	b = AppendInt(b, c.FirstFrame)
-	b = appendFloats(b, c.Times)
-	b = binary.AppendUvarint(b, uint64(len(c.Frames)))
-	b = binary.AppendUvarint(b, uint64(c.frameDim()))
-	for _, frame := range c.Frames {
-		for _, x := range frame {
-			b = AppendFloat(b, x)
-		}
-	}
-	b = appendFloats(b, c.RMSD)
-	return appendBool(b, c.Final)
+	b = AppendFloats(b, c.Times)
+	b = AppendFrames(b, c.Frames)
+	b = AppendFloats(b, c.RMSD)
+	return AppendBool(b, c.Final)
 }
 
 func (c *FrameChunk) Decode(body []byte) error {
@@ -549,37 +602,12 @@ func (c *FrameChunk) Decode(body []byte) error {
 		WorkerID:   r.Text(),
 		Seq:        r.Int(),
 		FirstFrame: r.Int(),
-		Times:      r.floats(),
-		Frames:     r.frames(),
-		RMSD:       r.floats(),
+		Times:      r.Floats(),
+		Frames:     r.Frames(),
+		RMSD:       r.Floats(),
 		Final:      r.Bool(),
 	}
 	return r.err
-}
-
-// frames reads count | dim | raw. The frames share one backing array, each
-// capped at its own width.
-func (r *Reader) frames() [][]float64 {
-	n, dim := r.Uvarint(), r.Uvarint()
-	if n == 0 {
-		return nil
-	}
-	words := uint64(len(r.b) / 8)
-	if dim == 0 || dim > words || n > words/dim {
-		r.fail(fmt.Errorf("wire: %d frames of width %d exceed the %d bytes that remain", n, dim, len(r.b)))
-		return nil
-	}
-	flat := make([]float64, n*dim)
-	for i := range flat {
-		flat[i] = math.Float64frombits(binary.LittleEndian.Uint64(r.b[8*i:]))
-	}
-	r.b = r.b[8*len(flat):]
-	out := make([][]float64, n)
-	for i := range out {
-		lo, hi := i*int(dim), (i+1)*int(dim)
-		out[i] = flat[lo:hi:hi]
-	}
-	return out
 }
 
 // --- WorkerInfo, AnnounceRequest ---
@@ -615,7 +643,7 @@ func (a *AnnounceRequest) BodyLen() int { return SizeBytes(a.Info.BodyLen()) + 1
 func (a *AnnounceRequest) AppendTo(b []byte) []byte {
 	b = binary.AppendUvarint(b, uint64(a.BodyLen()))
 	b = a.Info.AppendTo(b)
-	b = appendBool(b, a.Relayed)
+	b = AppendBool(b, a.Relayed)
 	return AppendFloat(b, a.WaitSeconds)
 }
 
@@ -660,7 +688,7 @@ func (w *Workload) AppendTo(b []byte) []byte {
 		b = AppendInt(b, w.Cores[id])
 	}
 	b = AppendFloat(b, w.HeartbeatSeconds)
-	return appendBool(b, w.SharedFS)
+	return AppendBool(b, w.SharedFS)
 }
 
 // specMinBytes is the smallest CommandSpec an encoder can write into a list:

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -90,11 +91,17 @@ func TestV3FixturesDecodeAndReencode(t *testing.T) {
 			t.Errorf("%s encodes as %+q, captured %+q", f.name, raw, f.bytes)
 		}
 	}
-	env, err := ReadEnvelope(bytes.NewReader(frameV3Fixture))
-	if err != nil {
+	// Version 4 left the envelope's layout as it was, so the v3 frame's body
+	// still decodes; a v4 reader refuses the frame for its version alone.
+	var ve *VersionError
+	if _, err := ReadEnvelope(bytes.NewReader(frameV3Fixture)); !errors.As(err, &ve) || ve.Got != 3 || ve.Want != ProtocolVersion {
+		t.Errorf("v3 frame read as err %v, want a VersionError naming 3 and %d", err, ProtocolVersion)
+	}
+	var env Envelope
+	if err := Unmarshal(frameV3Fixture[frameHeaderLen:], &env); err != nil {
 		t.Fatalf("v3 frame fixture: %v", err)
 	}
-	if !reflect.DeepEqual(env, fixtureEnvelope()) {
+	if !reflect.DeepEqual(&env, fixtureEnvelope()) {
 		t.Errorf("v3 frame decoded as %+v", env)
 	}
 	var buf bytes.Buffer
@@ -133,7 +140,7 @@ func TestEvolutionExtraTrailingFieldSkipped(t *testing.T) {
 	wl = AppendBytes(wl, specFields())
 	wl = binary.AppendUvarint(wl, 0)
 	wl = AppendFloat(wl, 30)
-	wl = appendBool(wl, false)
+	wl = AppendBool(wl, false)
 	wl = append(wl, "and more"...)
 	var gotWL Workload
 	if err := Unmarshal(rebody(wl), &gotWL); err != nil {
@@ -299,18 +306,10 @@ func allocated(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// decodeAllocLimit bounds what decoding n bytes may allocate: the in-memory
-// size of the costliest thing n bytes can spell, plus room for the error value
-// and the test process's own noise. A list of empty strings costs 16 bytes of
-// header per input byte, a list of the smallest CommandSpecs 176 bytes per
-// 13, and Workload.Cores under two-letter keys some 27 per byte (35 under the
-// 256 one-letter keys): map slots, and the smaller maps it outgrew.
-func decodeAllocLimit(n int) uint64 { return uint64(40*n) + 16<<10 }
-
 // TestDecodeAllocatesWhatTheInputHolds feeds the decoders inputs of a
 // megabyte built to cost the most memory per byte — lists of the smallest
 // elements there are, counts that promise more than follows — and holds each
-// to decodeAllocLimit: nothing is allocated for an element that is not there.
+// to DecodeAllocLimit: nothing is allocated for an element that is not there.
 func TestDecodeAllocatesWhatTheInputHolds(t *testing.T) {
 	const size = 1 << 20
 	counted := func(n int, rest []byte) []byte { return append(binary.AppendUvarint(nil, uint64(n)), rest...) }
@@ -342,7 +341,7 @@ func TestDecodeAllocatesWhatTheInputHolds(t *testing.T) {
 			t.Errorf("%s: err = %v, want valid = %v", tc.name, err, tc.valid)
 		}
 		t.Logf("%s: %d bytes allocated for %d of input (%.1fx)", tc.name, got, len(data), float64(got)/float64(len(data)))
-		if got > decodeAllocLimit(len(data)) {
+		if got > DecodeAllocLimit(len(data)) {
 			t.Errorf("%s: %d bytes allocated for %d bytes of input", tc.name, got, len(data))
 		}
 	}
@@ -379,7 +378,7 @@ func TestHostileInputIsAnErrorNotAnAllocation(t *testing.T) {
 		if err == nil {
 			t.Errorf("%s: decoded as %+v", tc.name, tc.into)
 		}
-		if got > decodeAllocLimit(len(tc.data)) {
+		if got > DecodeAllocLimit(len(tc.data)) {
 			t.Errorf("%s: %d bytes allocated for %d bytes of input", tc.name, got, len(tc.data))
 		}
 	}
@@ -529,16 +528,20 @@ func FuzzUnmarshalHot(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, into := range []any{new(Envelope), new(AnnounceRequest), new(WorkerInfo), new(Workload),
 			new(CommandSpec), new(CommandResult), new(Heartbeat), new(HeartbeatAck), new(FrameChunk), new(WorkerFailed)} {
+			// Only binary input is held to the bound, so only it is measured:
+			// ReadMemStats stops the world, and an exec that calls it for
+			// every type stalls the fuzzer's minimization of new inputs.
 			var err error
-			got := allocated(func() { err = Unmarshal(data, into) })
 			binaryCoded := len(data) > 0 && data[0] == codecTag
-			if binaryCoded && got > decodeAllocLimit(len(data)) {
+			if !binaryCoded {
+				err = Unmarshal(data, into)
+			} else if got := allocated(func() { err = Unmarshal(data, into) }); got > DecodeAllocLimit(len(data)) {
 				t.Fatalf("%T: %d bytes allocated for %d bytes of input", into, got, len(data))
 			}
 			if err != nil {
 				continue
 			}
-			if c, ok := into.(*FrameChunk); ok && !binaryCoded && c.checkFrames() != nil {
+			if c, ok := into.(*FrameChunk); ok && !binaryCoded && c.Check() != nil {
 				continue // gob carries uneven frames; the codec refuses them
 			}
 			checkRoundTrip(t, into)
@@ -565,7 +568,7 @@ func FuzzReadEnvelope(f *testing.F) {
 		// A body without the tag goes to gob, whose reader trusts a declared
 		// message length up to 10 MiB; that one is not ours to bound.
 		binaryCoded := len(stream) > frameHeaderLen && stream[frameHeaderLen] == codecTag
-		if limit := decodeAllocLimit(len(stream)) + trustedBodyBytes; binaryCoded && got > limit {
+		if limit := DecodeAllocLimit(len(stream)) + trustedBodyBytes; binaryCoded && got > limit {
 			t.Fatalf("%d bytes allocated for a stream of %d", got, len(stream))
 		}
 		if err != nil {

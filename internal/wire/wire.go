@@ -8,21 +8,22 @@
 // package, carried inside an Envelope that supports TTL-limited
 // store-and-forward routing across the server overlay.
 //
-// Two encodings sit behind Marshal and Unmarshal, one per type. The messages
-// of the command round trip — Envelope, AnnounceRequest, Workload and its
-// CommandSpecs, CommandResult, Heartbeat and its ack, FrameChunk,
-// WorkerFailed — use the hand-written binary codec in codec.go: tag byte 0x00,
-// then every struct as
+// Two encodings sit behind Marshal and Unmarshal, one per type. Every type
+// that implements Message — the messages of the command round trip
+// (Envelope, AnnounceRequest, Workload and its CommandSpecs, CommandResult,
+// Heartbeat and its ack, FrameChunk, WorkerFailed) and the engines' payloads,
+// outputs and checkpoints (internal/engines) — uses the hand-written binary
+// codec in codec.go: tag byte 0x00, then every struct as
 //
 //	uvarint bodyLen | fields in declaration order
 //
 // with fields only ever appended, a short body leaving the missing fields
 // zero and a long one skipped past the last known field (the evolution rule;
 // codec.go has the field encodings). Everything else — controller parameters,
-// engine outputs, the admin and replication payloads — is gob, which gives the
-// same append-only contract by field name. Unmarshal reads either: a gob
-// stream never starts with 0x00, so blobs written before the binary codec
-// existed (WAL records, snapshots) still decode.
+// the admin and replication payloads — is gob, which gives the same
+// append-only contract by field name. Unmarshal reads either: a gob stream
+// never starts with 0x00, so blobs written before the binary codec reached a
+// type (WAL records, checkpoints, queued payloads in snapshots) still decode.
 package wire
 
 import (
@@ -37,11 +38,15 @@ import (
 // ProtocolVersion guards against mixed-version overlays. Version 2 added
 // tenant identity, admission-control error codes and the tenant admin
 // messages; version 3 replaced the gob envelope and the gob encoding of the
-// command round trip's messages with the binary codec (codec.go). The
-// hello/join handshake refuses a version-skewed peer: a v3 node reads a v1 or
-// v2 hello through the gob fallback and fails with ErrProtoVersion naming
-// both versions; a v2 node cannot parse a v3 hello at all and fails with a
-// decode error. Payload blobs of either era still decode (old WAL records).
+// command round trip's messages with the binary codec (codec.go); version 4
+// moved the engines' payloads, outputs and checkpoints inside those messages
+// to the same codec, which a v3 worker cannot decode (it would fail every
+// command with "data is binary-coded, which this type is not"). The
+// hello/join handshake refuses a version-skewed peer: a v4 node reads a v3
+// hello and fails with ErrProtoVersion naming both versions, as it does a v1
+// or v2 hello through the gob fallback; a v3 node refuses a v4 hello the
+// same way, and a v2 node cannot parse it at all and fails with a decode
+// error. Payload blobs of every era still decode (old WAL records).
 //
 // Additions ride within a version as appended fields: CommandSpec.GangID/
 // GangSize, ProjectStatus.Detail, the frame-streaming messages and
@@ -51,7 +56,7 @@ import (
 // that has never heard of MsgFrameChunk declines it via the overlay's
 // unknown-handler path while the final result blob still carries every
 // frame, so a fleet of mixed minor builds degrades instead of mis-scheduling.
-const ProtocolVersion = 3
+const ProtocolVersion = 4
 
 // ErrProtoVersion is the sentinel for cross-version handshake and envelope
 // rejection; match it with errors.Is. The concrete error is a *VersionError
@@ -535,7 +540,7 @@ type TenantQuotaUpdate struct {
 // (into one buffer of exactly the encoded size), gob for the rest. A nil
 // pointer is an error under either.
 func Marshal(v any) ([]byte, error) {
-	if m := hotMessage(v); m != nil {
+	if m := asMessage(v); m != nil {
 		return marshalMessage(m, 0)
 	}
 	var buf bytes.Buffer
@@ -549,7 +554,8 @@ func Marshal(v any) ([]byte, error) {
 //
 // The binary codec decodes in place: the []byte fields of the result
 // (Envelope.Payload, CommandSpec.Payload and Checkpoint, CommandResult.Output
-// and Checkpoint) are sub-slices of data, not copies. Callers therefore hand
+// and Checkpoint, and the engines' checkpoint and state bytes) are sub-slices
+// of data, not copies. Callers therefore hand
 // over data for good — it must not be written to or reused while v is alive.
 // Every producer in the tree allocates data per message (a frame body, a
 // Marshal result, a WAL record) and never reuses it, so nothing is pooled.

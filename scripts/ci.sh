@@ -22,12 +22,13 @@ basic() {
 # Race-enabled tests for the concurrency-heavy packages
 # (./internal/store/... includes internal/store/replica).
 race() {
-    echo "== go test -race (wire, obs, server, worker, queue, overlay, retry, chaos, store, store/replica, md, des, repex, msm, controller) =="
+    echo "== go test -race (wire, obs, server, worker, queue, overlay, retry, chaos, store, store/replica, md, des, repex, msm, controller, engines) =="
     $GO test -race ./internal/wire/... ./internal/obs/... ./internal/server/... \
         ./internal/worker/... ./internal/queue/... ./internal/overlay/... \
         ./internal/retry/... ./internal/chaos/... ./internal/store/... \
         ./internal/store/replica/... ./internal/md/... ./internal/des/... \
-        ./internal/repex/... ./internal/msm/... ./internal/controller/...
+        ./internal/repex/... ./internal/msm/... ./internal/controller/... \
+        ./internal/engines/...
 }
 
 # benchmarks/ is a nested module: ./... does not reach it.
@@ -37,16 +38,21 @@ benchmod() {
     $GO test -C benchmarks ./...
 }
 
-# The wire decoders and the WAL and snapshot readers against arbitrary bytes,
-# ten seconds per target: no panic, no allocation out of proportion to the
-# input, and whatever decodes survives a round trip or, for the WAL, the
-# intact prefix comes back (go test -fuzz takes one target per run).
+# The wire and engine decoders and the WAL and snapshot readers against
+# arbitrary bytes, ten seconds per target: no panic, no allocation out of
+# proportion to the input, and whatever decodes survives a round trip or, for
+# the WAL, the intact prefix comes back (go test -fuzz takes one target per
+# run). Minimizing a new interesting input gets 1 s, not the default 60 s: a
+# worker's execs are only reported when its minimization ends, and with both
+# workers minimizing a ten-second run used to sit at 0 execs/s for the rest
+# of its time. A failing input is still reported, whole if not minimized.
 fuzz() {
-    echo "== wire, WAL and snapshot fuzz (10 s per target) =="
-    $GO test -run '^$' -fuzz=FuzzUnmarshalHot -fuzztime=10s ./internal/wire
-    $GO test -run '^$' -fuzz=FuzzReadEnvelope -fuzztime=10s ./internal/wire
-    $GO test -run '^$' -fuzz=FuzzReadWAL -fuzztime=10s ./internal/store
-    $GO test -run '^$' -fuzz=FuzzDecodeSnapshot -fuzztime=10s ./internal/store
+    echo "== wire, engine, WAL and snapshot fuzz (10 s per target) =="
+    $GO test -run '^$' -fuzz=FuzzUnmarshalHot -fuzztime=10s -fuzzminimizetime=1s ./internal/wire
+    $GO test -run '^$' -fuzz=FuzzReadEnvelope -fuzztime=10s -fuzzminimizetime=1s ./internal/wire
+    $GO test -run '^$' -fuzz=FuzzDecodeEngine -fuzztime=10s -fuzzminimizetime=1s ./internal/engines
+    $GO test -run '^$' -fuzz=FuzzReadWAL -fuzztime=10s -fuzzminimizetime=1s ./internal/store
+    $GO test -run '^$' -fuzz=FuzzDecodeSnapshot -fuzztime=10s -fuzzminimizetime=1s ./internal/store
 }
 
 smoke() {

@@ -32,4 +32,4 @@ bench-e2e:
 	$(GO) run -C benchmarks ./cpcbench --workload all --seconds 15
 
 fmt:
-	gofmt -w ./cmd ./internal ./examples *.go
+	gofmt -w ./cmd ./internal ./examples ./benchmarks *.go

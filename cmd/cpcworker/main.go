@@ -36,29 +36,46 @@ import (
 	"copernicus/internal/engines"
 	"copernicus/internal/md"
 	"copernicus/internal/obs"
-	"copernicus/internal/retry"
 	"copernicus/internal/worker"
 )
 
+// options is the command line, bound straight onto the worker.Config it
+// describes wherever a flag is one of its fields.
+type options struct {
+	servers, metricsAddr string
+	chaos                *chaos.Config
+	obs                  func() (*obs.Obs, error)
+	worker               worker.Config
+}
+
+// registerFlags defines cpcworker's flag surface on fs. testdata/flags.golden
+// pins it: no knob is added, removed, renamed or re-defaulted unnoticed.
+func registerFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	w, r := &o.worker, &o.worker.Retry
+	fs.StringVar(&o.servers, "server", "127.0.0.1:7770", "comma-separated server addresses; first responder becomes home, the rest are re-home candidates")
+	fs.IntVar(&w.Cores, "cores", runtime.NumCPU(), "cores to announce; MD commands clamp their force-loop shards to this grant (payload Shards<=0 auto-sizes to it)")
+	fs.StringVar(&w.Platform, "platform", "smp", "platform plugin name")
+	fs.DurationVar(&w.PollInterval, "poll", 2*time.Second, "back-off after an empty or failed announce")
+	fs.StringVar(&w.FSToken, "fs-token", "", "shared-filesystem token")
+	fs.StringVar(&w.SpoolDir, "spool-dir", "", "shared-filesystem spool directory")
+	fs.StringVar(&w.ResultSpoolDir, "result-spool-dir", "", "directory to spool undeliverable results for redelivery; empty disables")
+	fs.StringVar(&w.CheckpointDir, "checkpoint-dir", "", "directory for local engine-checkpoint durability; a restarted worker resumes re-dispatched commands from here (empty disables)")
+	fs.IntVar(&r.MaxAttempts, "retry-attempts", 0, "max attempts per overlay request (0 = default)")
+	fs.DurationVar(&r.BaseDelay, "retry-base-delay", 0, "initial retry backoff (0 = default)")
+	fs.DurationVar(&r.MaxDelay, "retry-max-delay", 0, "backoff cap (0 = default)")
+	fs.DurationVar(&r.PerAttempt, "retry-per-attempt", 0, "per-attempt request deadline (0 = default)")
+	o.chaos = chaos.RegisterFlags(fs)
+	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "standalone /metrics+/debug address (e.g. :9091); empty disables")
+	o.obs = obs.RegisterFlags(fs)
+	return o
+}
+
 func main() {
-	serverList := flag.String("server", "127.0.0.1:7770", "comma-separated server addresses; first responder becomes home, the rest are re-home candidates")
-	cores := flag.Int("cores", runtime.NumCPU(), "cores to announce; MD commands clamp their force-loop shards to this grant (payload Shards<=0 auto-sizes to it)")
-	platform := flag.String("platform", "smp", "platform plugin name")
-	poll := flag.Duration("poll", 2*time.Second, "back-off after an empty or failed announce")
-	fsToken := flag.String("fs-token", "", "shared-filesystem token")
-	spool := flag.String("spool-dir", "", "shared-filesystem spool directory")
-	resultSpool := flag.String("result-spool-dir", "", "directory to spool undeliverable results for redelivery; empty disables")
-	ckptDir := flag.String("checkpoint-dir", "", "directory for local engine-checkpoint durability; a restarted worker resumes re-dispatched commands from here (empty disables)")
-	retryAttempts := flag.Int("retry-attempts", 0, "max attempts per overlay request (0 = default)")
-	retryBase := flag.Duration("retry-base-delay", 0, "initial retry backoff (0 = default)")
-	retryMax := flag.Duration("retry-max-delay", 0, "backoff cap (0 = default)")
-	retryPerAttempt := flag.Duration("retry-per-attempt", 0, "per-attempt request deadline (0 = default)")
-	chaosCfg := chaos.RegisterFlags(flag.CommandLine)
-	metricsAddr := flag.String("metrics-addr", "", "standalone /metrics+/debug address (e.g. :9091); empty disables")
-	newObs := obs.RegisterFlags(flag.CommandLine)
+	opts := registerFlags(flag.CommandLine)
 	flag.Parse()
 
-	o, err := newObs()
+	o, err := opts.obs()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -67,13 +84,13 @@ func main() {
 	// bundle served on -metrics-addr.
 	md.EnableMetrics(o)
 
-	node, err := core.NewTLSNode(0, *chaosCfg, o)
+	node, err := core.NewTLSNode(0, *opts.chaos, o)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer node.Close()
 
-	servers := splitAddrs(*serverList)
+	servers := splitAddrs(opts.servers)
 	if len(servers) == 0 {
 		log.Fatal("-server: no addresses given")
 	}
@@ -96,32 +113,19 @@ func main() {
 	if home == "" {
 		log.Fatalf("no server reachable from %v: %v", servers, connErr)
 	}
-	wk, err := worker.New(node, home, engines.Default(), worker.Config{
-		Platform:     *platform,
-		Cores:        *cores,
-		PollInterval: *poll,
-		Retry: retry.Policy{
-			MaxAttempts: *retryAttempts,
-			BaseDelay:   *retryBase,
-			MaxDelay:    *retryMax,
-			PerAttempt:  *retryPerAttempt,
-		},
-		ServerAddrs:    servers,
-		ResultSpoolDir: *resultSpool,
-		CheckpointDir:  *ckptDir,
-		FSToken:        *fsToken,
-		SpoolDir:       *spool,
-		Obs:            o,
-	})
+	cfg := opts.worker
+	cfg.ServerAddrs = servers
+	cfg.Obs = o
+	wk, err := worker.New(node, home, engines.Default(), cfg)
 	if err != nil {
 		log.Fatalf("creating worker: %v", err)
 	}
 	fmt.Printf("cpcworker: %s attached to server %s (%d cores, platform %s)\n",
-		wk.ID(), home, *cores, *platform)
-	if *metricsAddr != "" {
+		wk.ID(), home, cfg.Cores, cfg.Platform)
+	if opts.metricsAddr != "" {
 		go func() {
-			fmt.Printf("cpcworker: metrics on http://%s/metrics\n", *metricsAddr)
-			if err := http.ListenAndServe(*metricsAddr, o.Handler()); err != nil {
+			fmt.Printf("cpcworker: metrics on http://%s/metrics\n", opts.metricsAddr)
+			if err := http.ListenAndServe(opts.metricsAddr, o.Handler()); err != nil {
 				log.Printf("cpcworker: metrics: %v", err)
 			}
 		}()

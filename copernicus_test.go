@@ -1,7 +1,13 @@
 package copernicus
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math"
+	"os"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -40,5 +46,46 @@ func TestPublicAPISurface(t *testing.T) {
 	reg := DefaultControllerRegistry()
 	if got := len(reg.Names()); got != 3 {
 		t.Errorf("bundled controllers = %d", got)
+	}
+}
+
+// TestPublicAPINamesMatchGolden pins the facade's exported names to
+// testdata/api.golden, one per line, sorted: the names copernicus.go
+// declared when the golden was captured. A name added, removed or renamed
+// fails here; the golden is then updated by hand as a reviewed change, never
+// regenerated from the code it checks.
+func TestPublicAPINamesMatchGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/api.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := parser.ParseFile(token.NewFileSet(), "copernicus.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				names = append(names, d.Name.Name)
+			}
+		case *ast.GenDecl:
+			for _, s := range d.Specs {
+				switch s := s.(type) {
+				case *ast.TypeSpec:
+					names = append(names, s.Name.Name)
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						names = append(names, n.Name)
+					}
+				}
+			}
+		}
+	}
+	names = slices.DeleteFunc(names, func(n string) bool { return !ast.IsExported(n) })
+	slices.Sort(names)
+	if got := strings.Join(names, "\n") + "\n"; got != string(want) {
+		t.Errorf("public API drifted from testdata/api.golden\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 }

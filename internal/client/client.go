@@ -23,9 +23,6 @@ type Config struct {
 	// Server is the node ID submissions are addressed to; status queries go
 	// anycast so any server in the overlay can answer for the holder.
 	Server string
-	// Retry is the backoff policy for every request; zero fields take the
-	// retry package defaults. PerAttempt defaults to 5 s.
-	Retry retry.Policy
 	// Poll is the Wait status-poll interval (default 50 ms — in-process
 	// fabrics finish projects in seconds; remote callers may want more).
 	Poll time.Duration
@@ -35,6 +32,7 @@ type Config struct {
 type Client struct {
 	node *overlay.Node
 	cfg  Config
+	rpol retry.Policy // every request: package-default backoff, 5 s per attempt
 
 	mu     sync.Mutex
 	server string // current submission target; follows failover promotions
@@ -46,14 +44,8 @@ func New(node *overlay.Node, cfg Config) *Client {
 	if cfg.Poll <= 0 {
 		cfg.Poll = 50 * time.Millisecond
 	}
-	if cfg.Retry.PerAttempt <= 0 {
-		cfg.Retry.PerAttempt = 5 * time.Second
-	}
-	if cfg.Retry.Obs == nil {
-		cfg.Retry.Obs = node.Obs
-	}
-	cfg.Retry.Scope = node.ID()
-	c := &Client{node: node, cfg: cfg, server: cfg.Server}
+	c := &Client{node: node, cfg: cfg, server: cfg.Server,
+		rpol: retry.Policy{PerAttempt: 5 * time.Second, Obs: node.Obs, Scope: node.ID()}}
 	// Status and Wait already find a promoted standby through anycast; the
 	// promotion announcement additionally retargets submissions, so a client
 	// peered with the new primary keeps working without operator action.
@@ -71,9 +63,6 @@ func New(node *overlay.Node, cfg Config) *Client {
 	})
 	return c
 }
-
-// Node returns the client's overlay node.
-func (c *Client) Node() *overlay.Node { return c.node }
 
 // Server returns the node ID submissions are currently addressed to. It
 // starts as Config.Server and follows failover promotion announcements.
@@ -122,11 +111,6 @@ func WithTenant(tenant string) SubmitOption {
 	return func(r *SubmitRequest) { r.Tenant = tenant }
 }
 
-// WithDeadline bounds how stale the submission may be when admitted.
-func WithDeadline(d time.Time) SubmitOption {
-	return func(r *SubmitRequest) { r.Deadline = d }
-}
-
 // Submit creates a project and returns the server's admission receipt.
 // Admission rejections carry typed retry classes: errors.Is(err,
 // ErrQuotaExceeded) is terminal, errors.Is(err, ErrAdmissionShed) means the
@@ -157,7 +141,7 @@ func (c *Client) Submit(ctx context.Context, req SubmitRequest, opts ...SubmitOp
 	}
 	var receipt wire.SubmitReceipt
 	attempt := 0
-	err = c.cfg.Retry.Do(ctx, "submit", func(ctx context.Context) error {
+	err = c.rpol.Do(ctx, "submit", func(ctx context.Context) error {
 		attempt++
 		reply, err := c.node.Request(ctx, c.Server(), wire.MsgSubmit, payload)
 		var remote *overlay.RemoteError
@@ -222,7 +206,7 @@ func (c *Client) SetTenantQuota(ctx context.Context, upd wire.TenantQuotaUpdate)
 // and decodes the reply. Remote handler errors are permanent (the server
 // answered; asking again changes nothing).
 func (c *Client) request(ctx context.Context, op string, t wire.MsgType, payload []byte, out any) error {
-	return c.cfg.Retry.Do(ctx, op, func(ctx context.Context) error {
+	return c.rpol.Do(ctx, op, func(ctx context.Context) error {
 		reply, err := c.node.Request(ctx, c.Server(), t, payload)
 		if err != nil {
 			var remote *overlay.RemoteError
@@ -243,7 +227,7 @@ func (c *Client) Status(ctx context.Context, name string) (wire.ProjectStatus, e
 		return wire.ProjectStatus{}, err
 	}
 	var st wire.ProjectStatus
-	err = c.cfg.Retry.Do(ctx, "status", func(ctx context.Context) error {
+	err = c.rpol.Do(ctx, "status", func(ctx context.Context) error {
 		reply, err := c.node.Request(ctx, "", wire.MsgStatus, payload)
 		if err != nil {
 			var remote *overlay.RemoteError

@@ -272,12 +272,10 @@ func NewFabric(cfg FabricConfig) (*Fabric, error) {
 		if cfg.ResultSpoolDir != "" {
 			spool = filepath.Join(cfg.ResultSpoolDir, fmt.Sprintf("worker-%d", i))
 		}
-		wretry := cfg.WorkerRetry
-		wretry.Seed = cfg.WorkerRetry.Seed + uint64(i)
 		wk, err := worker.New(node, home.ID(), cfg.Engines, worker.Config{
 			Cores:          cfg.WorkerCores,
 			PollInterval:   cfg.Poll,
-			Retry:          wretry,
+			Retry:          cfg.WorkerRetry,
 			ServerAddrs:    serverAddrs,
 			ResultSpoolDir: spool,
 			FSToken:        cfg.FSToken,

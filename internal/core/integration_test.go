@@ -12,6 +12,7 @@ import (
 	"copernicus/internal/engines"
 	"copernicus/internal/obs"
 	"copernicus/internal/overlay"
+	"copernicus/internal/retry"
 	"copernicus/internal/server"
 	"copernicus/internal/store"
 	"copernicus/internal/wire"
@@ -143,9 +144,9 @@ func TestFailoverOverTLS(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer standby.Close()
-	// The request timeout only has to outlast an idle announce's 2 s hold; the
+	// The per-attempt deadline only has to outlast an idle announce's 2 s hold; the
 	// 10 s default would just make the worker slow to notice its home died.
-	wk := runWorker(t, wNode, worker.Config{ResultSpoolDir: t.TempDir(), RequestTimeout: 3 * time.Second}, pAddr, sAddr)
+	wk := runWorker(t, wNode, worker.Config{ResultSpoolDir: t.TempDir(), Retry: retry.Policy{PerAttempt: 3 * time.Second}}, pAddr, sAddr)
 	for _, addr := range []string{pAddr, sAddr} {
 		if _, err := cNode.ConnectPeer(addr); err != nil {
 			t.Fatal(err)

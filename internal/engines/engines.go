@@ -18,7 +18,6 @@ import (
 	"context"
 	"fmt"
 
-	"copernicus/internal/bar"
 	"copernicus/internal/landscape"
 	"copernicus/internal/md"
 	"copernicus/internal/rng"
@@ -399,11 +398,6 @@ func (e *BAREngine) Run(ctx context.Context, spec wire.CommandSpec, cores int, p
 		out.Reverse = append(out.Reverse, u(p.LambdaFrom, xb)-u(p.LambdaTo, xb))
 	}
 	return wire.Marshal(&out)
-}
-
-// EstimateWindow runs BAR on a window's accumulated work values.
-func EstimateWindow(fw, rv []float64, nBoot int, seed uint64) (bar.Result, error) {
-	return bar.Estimate(fw, rv, nBoot, seed)
 }
 
 // Default returns the standard engine set a stock worker installs.

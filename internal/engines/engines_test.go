@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"copernicus/internal/bar"
 	"copernicus/internal/landscape"
 	"copernicus/internal/md"
 	"copernicus/internal/stats"
@@ -286,7 +287,7 @@ func TestBAREngineStatistics(t *testing.T) {
 		t.Errorf("⟨W_R⟩ = %v, want %v", got, wantR)
 	}
 	// The BAR estimate over these samples recovers the offset.
-	est, err := EstimateWindow(res.Forward, res.Reverse, 0, 0)
+	est, err := bar.Estimate(res.Forward, res.Reverse, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -125,9 +125,6 @@ func (s *PointSet) Append(points ...[]float64) error {
 	return nil
 }
 
-// Reset empties the set, keeping its buffers.
-func (s *PointSet) Reset() { s.n, s.data = 0, s.data[:0] }
-
 // pruneFactor is Elkan's bound with a margin: a point at squared distance d
 // from its center a cannot be nearer to a new center c than to a when
 // d²(a, c) ≥ 4·d, because then |pc| ≥ |ac| − |pa| ≥ |pa|. The margin (1e-9

@@ -169,10 +169,6 @@ func TestPointSetGrowsAcrossCalls(t *testing.T) {
 	if set.Len() != len(points) {
 		t.Errorf("a rejected Append changed the set: %d points, want %d", set.Len(), len(points))
 	}
-	set.Reset()
-	if _, err := set.KCenters(3, 1); err == nil {
-		t.Error("clustering an emptied set succeeded")
-	}
 }
 
 // walkEnsemble is a deterministic ensemble of random walks in a soft box:

@@ -253,19 +253,3 @@ func (t *TransitionMatrix) LumpByCommittor(reactant, product []int, nBins int) (
 	}
 	return macro, nil
 }
-
-// MacroPopulations sums a microstate distribution into macrostate masses
-// given a lumping vector (values in [0, nMacro)).
-func MacroPopulations(p []float64, macro []int, nMacro int) ([]float64, error) {
-	if len(p) != len(macro) {
-		return nil, fmt.Errorf("msm: %d probabilities for %d lumped states", len(p), len(macro))
-	}
-	out := make([]float64, nMacro)
-	for i, m := range macro {
-		if m < 0 || m >= nMacro {
-			return nil, fmt.Errorf("msm: macrostate %d outside [0,%d)", m, nMacro)
-		}
-		out[m] += p[i]
-	}
-	return out, nil
-}

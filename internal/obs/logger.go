@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -63,7 +62,7 @@ func ParseLevel(s string) (Level, error) {
 type sink struct {
 	mu  sync.Mutex
 	w   io.Writer
-	min atomic.Int32
+	min Level
 	now func() time.Time // overridable for deterministic tests
 }
 
@@ -85,9 +84,7 @@ func NewLogger(w io.Writer, min Level) *Logger {
 	if w == nil {
 		w = io.Discard
 	}
-	s := &sink{w: w, now: time.Now}
-	s.min.Store(int32(min))
-	return &Logger{s: s}
+	return &Logger{s: &sink{w: w, min: min, now: time.Now}}
 }
 
 // Named returns a child logger tagged with the component name.
@@ -110,18 +107,9 @@ func (l *Logger) With(kvs ...any) *Logger {
 	return &Logger{s: l.s, component: l.component, bound: b.String()}
 }
 
-// SetLevel changes the minimum emitted level for this logger and everything
-// sharing its sink.
-func (l *Logger) SetLevel(min Level) {
-	if l == nil {
-		return
-	}
-	l.s.min.Store(int32(min))
-}
-
 // Enabled reports whether lines at level would be emitted.
 func (l *Logger) Enabled(level Level) bool {
-	return l != nil && level >= Level(l.s.min.Load()) && level < LevelOff
+	return l != nil && level >= l.s.min && level < LevelOff
 }
 
 // Log emits one line at the given level with alternating key/value pairs.

@@ -48,11 +48,6 @@ func TestLoggerLevelFiltering(t *testing.T) {
 	if !strings.Contains(lines[0], "level=warn") || !strings.Contains(lines[1], "level=error") {
 		t.Errorf("wrong lines passed the filter: %q", lines)
 	}
-	l.SetLevel(LevelDebug)
-	l.Debug("now visible")
-	if !strings.Contains(b.String(), "now visible") {
-		t.Error("SetLevel(debug) should re-enable debug lines")
-	}
 }
 
 func TestLoggerOddKVs(t *testing.T) {
@@ -67,7 +62,6 @@ func TestNilLoggerSafe(t *testing.T) {
 	var l *Logger
 	l.Info("dropped")
 	l.Named("x").With("k", "v").Error("dropped")
-	l.SetLevel(LevelDebug)
 	if l.Enabled(LevelError) {
 		t.Error("nil logger should report disabled")
 	}

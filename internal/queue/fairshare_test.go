@@ -312,9 +312,6 @@ func TestBackpressureScalesAndSheds(t *testing.T) {
 	if len(wl.Commands) != 4 {
 		t.Errorf("pressure-0.5 match gave %d commands, want 4", len(wl.Commands))
 	}
-	if q.Pressure() != 0.5 {
-		t.Errorf("Pressure() = %v, want 0.5", q.Pressure())
-	}
 	// At the shed threshold: nothing assigned, and pushes shed too.
 	pressure.Store(0.97)
 	wl = q.Match(fsWorker(8))

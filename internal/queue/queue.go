@@ -47,10 +47,6 @@ import (
 	"copernicus/internal/wire"
 )
 
-// DefaultTenant is the account commands bill to when CommandSpec.Tenant is
-// empty (all pre-tenant traffic lands here).
-const DefaultTenant = ""
-
 // Config tunes the scheduler. The zero value is a working single-tenant
 // queue with no quotas and no backpressure.
 type Config struct {
@@ -182,7 +178,7 @@ type inflightCmd struct {
 }
 
 // New returns an empty queue with default Config (single-tenant compatible:
-// everything bills to DefaultTenant with weight 1 and no quotas).
+// everything bills to the default tenant "" with weight 1 and no quotas).
 func New() *Queue { return NewWithConfig(Config{}) }
 
 // NewWithConfig returns an empty queue tuned by cfg.
@@ -847,13 +843,6 @@ func (q *Queue) ChargeStorage(tenant string, delta int64) {
 	if t.storageBytes < 0 {
 		t.storageBytes = 0
 	}
-}
-
-// Pressure returns the backpressure value applied at the most recent match.
-func (q *Queue) Pressure() float64 {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.lastPressure
 }
 
 // prioHeap orders a tenant's queue by (priority desc, seq asc).

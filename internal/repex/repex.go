@@ -128,9 +128,6 @@ func NewStats(n int) *Stats {
 	return s
 }
 
-// Rungs returns the ladder size the statistics were created for.
-func (s *Stats) Rungs() int { return len(s.WalkerAt) }
-
 // Record counts one exchange attempt between rungs (i, i+1) and, when it
 // was accepted, swaps the walkers and updates round-trip tracking.
 func (s *Stats) Record(i int, accepted bool) {

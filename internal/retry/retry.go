@@ -3,11 +3,11 @@
 // uploads, server relay and recovery reports, and client submissions all
 // run through Policy.Do instead of ad-hoc single-shot requests.
 //
-// The policy is capped exponential backoff with deterministic-from-seed
-// jitter (the same seed always produces the same delay sequence, so chaos
-// runs replay bit-for-bit) plus an optional wall-clock budget. Every retry
-// and give-up is counted into the shared obs registry, which is how the
-// chaos harness proves the fault paths were actually exercised.
+// The policy is capped exponential backoff: the delay doubles from BaseDelay
+// up to MaxDelay, with no jitter, so a retry schedule is the same on every
+// run. Every retry and give-up is counted into the shared obs registry,
+// which is how the chaos harness proves the fault paths were actually
+// exercised.
 package retry
 
 import (
@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"copernicus/internal/obs"
-	"copernicus/internal/rng"
 )
 
 // Default policy knobs, chosen so that a transient link flap (the common
@@ -28,12 +27,11 @@ const (
 	DefaultMaxAttempts = 4
 	DefaultBaseDelay   = 50 * time.Millisecond
 	DefaultMaxDelay    = 2 * time.Second
-	DefaultMultiplier  = 2.0
-	DefaultJitter      = 0.2
 )
 
-// Policy is a capped exponential backoff policy. The zero value selects the
-// defaults above; MaxAttempts 1 disables retries entirely.
+// Policy is a capped exponential backoff policy: each delay is twice the
+// last, up to MaxDelay. The zero value selects the defaults above;
+// MaxAttempts 1 disables retries entirely.
 type Policy struct {
 	// MaxAttempts is the total number of tries, first attempt included
 	// (default 4; 1 = single shot, negative values are treated as 1).
@@ -42,20 +40,9 @@ type Policy struct {
 	BaseDelay time.Duration
 	// MaxDelay caps the backoff growth (default 2 s).
 	MaxDelay time.Duration
-	// Multiplier is the backoff growth factor (default 2).
-	Multiplier float64
-	// Jitter spreads each delay by ±Jitter fraction (default 0.2). The
-	// jitter stream is derived from Seed, so it is reproducible.
-	Jitter float64
 	// PerAttempt bounds each individual attempt with a context deadline;
 	// zero leaves the caller's context in charge.
 	PerAttempt time.Duration
-	// Budget is the total wall-clock allowance across all attempts; zero
-	// means unlimited (the context still governs).
-	Budget time.Duration
-	// Seed drives the deterministic jitter stream (mixed with the op name
-	// so different operations draw independent sequences).
-	Seed uint64
 	// Obs receives retry_attempts/giveups counters; nil records silently.
 	Obs *obs.Obs
 	// Scope labels this policy's metric series (typically the node ID).
@@ -75,12 +62,6 @@ func (p Policy) withDefaults() Policy {
 	}
 	if p.MaxDelay <= 0 {
 		p.MaxDelay = DefaultMaxDelay
-	}
-	if p.Multiplier < 1 {
-		p.Multiplier = DefaultMultiplier
-	}
-	if p.Jitter < 0 || p.Jitter >= 1 {
-		p.Jitter = DefaultJitter
 	}
 	if p.Obs == nil {
 		p.Obs = obs.New()
@@ -105,9 +86,9 @@ func Permanent(err error) error {
 }
 
 // Do runs fn until it succeeds, returns a Permanent error, exhausts the
-// attempt count or wall-clock budget, or ctx is cancelled. Each attempt
-// receives a child context bounded by PerAttempt (when set). The returned
-// error is the last attempt's error, wrapped with the give-up reason.
+// attempt count, or ctx is cancelled. Each attempt receives a child context
+// bounded by PerAttempt (when set). The returned error is the last
+// attempt's error, wrapped with the give-up reason.
 func (p Policy) Do(ctx context.Context, op string, fn func(ctx context.Context) error) error {
 	p = p.withDefaults()
 	if ctx == nil {
@@ -119,11 +100,6 @@ func (p Policy) Do(ctx context.Context, op string, fn func(ctx context.Context) 
 	giveups := p.Obs.Metrics.Counter("copernicus_retry_giveups_total",
 		"Requests abandoned after exhausting the retry policy, by operation.", labels)
 
-	jit := rng.New(p.Seed ^ hashOp(op))
-	var stop time.Time
-	if p.Budget > 0 {
-		stop = time.Now().Add(p.Budget)
-	}
 	delay := p.BaseDelay
 	for attempt := 1; ; attempt++ {
 		actx, cancel := ctx, context.CancelFunc(nil)
@@ -148,35 +124,12 @@ func (p Policy) Do(ctx context.Context, op string, fn func(ctx context.Context) 
 			giveups.Inc()
 			return fmt.Errorf("retry: %s gave up after %d attempt(s): %w", op, attempt, err)
 		}
-		if !stop.IsZero() && !time.Now().Before(stop) {
-			giveups.Inc()
-			return fmt.Errorf("retry: %s exhausted its %v budget after %d attempt(s): %w", op, p.Budget, attempt, err)
-		}
-		// Jittered sleep: delay ± Jitter fraction, deterministic from Seed.
-		d := delay
-		if p.Jitter > 0 {
-			spread := 1 + p.Jitter*(2*jit.Float64()-1)
-			d = time.Duration(float64(delay) * spread)
-		}
 		select {
 		case <-ctx.Done():
 			return fmt.Errorf("retry: %s cancelled during backoff after %d attempt(s): %w", op, attempt, err)
-		case <-time.After(d):
+		case <-time.After(delay):
 		}
 		retries.Inc()
-		delay = time.Duration(float64(delay) * p.Multiplier)
-		if delay > p.MaxDelay {
-			delay = p.MaxDelay
-		}
+		delay = min(2*delay, p.MaxDelay)
 	}
-}
-
-// hashOp mixes the op name into the jitter seed (FNV-1a).
-func hashOp(op string) uint64 {
-	var h uint64 = 1469598103934665603
-	for i := 0; i < len(op); i++ {
-		h ^= uint64(op[i])
-		h *= 1099511628211
-	}
-	return h
 }

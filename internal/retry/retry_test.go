@@ -16,7 +16,6 @@ func fastPolicy() Policy {
 		MaxAttempts: 4,
 		BaseDelay:   time.Millisecond,
 		MaxDelay:    5 * time.Millisecond,
-		Seed:        7,
 	}
 }
 
@@ -135,53 +134,10 @@ func TestPerAttemptDeadline(t *testing.T) {
 	}
 }
 
-func TestBudgetExhaustion(t *testing.T) {
-	o := obs.New()
-	p := fastPolicy()
-	p.MaxAttempts = 1000
-	p.Budget = 10 * time.Millisecond
-	p.Obs = o
-	start := time.Now()
-	err := p.Do(context.Background(), "announce", func(ctx context.Context) error {
-		time.Sleep(3 * time.Millisecond)
-		return errors.New("flap")
-	})
-	if err == nil {
-		t.Fatal("Do: want budget error")
-	}
-	if !strings.Contains(err.Error(), "budget") {
-		t.Fatalf("error = %v, want budget wrap", err)
-	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("budget did not bound wall clock: %v", elapsed)
-	}
-}
-
-func TestJitterDeterministicFromSeed(t *testing.T) {
-	// Two policies with the same seed draw the same delay sequence; a
-	// different seed draws a different one. We observe delays indirectly by
-	// timing a fixed number of retries with a large jitter fraction.
-	run := func(seed uint64) time.Duration {
-		p := Policy{MaxAttempts: 5, BaseDelay: 4 * time.Millisecond, MaxDelay: 8 * time.Millisecond, Jitter: 0.9, Seed: seed}
-		start := time.Now()
-		_ = p.Do(context.Background(), "jitter", func(ctx context.Context) error { return errors.New("x") })
-		return time.Since(start)
-	}
-	a, b := run(1), run(1)
-	diff := a - b
-	if diff < 0 {
-		diff = -diff
-	}
-	// Same seed → same schedule; allow generous scheduler slop.
-	if diff > 15*time.Millisecond {
-		t.Fatalf("same-seed runs diverged: %v vs %v", a, b)
-	}
-}
-
 func TestZeroValueDefaults(t *testing.T) {
 	p := Policy{}.withDefaults()
 	if p.MaxAttempts != DefaultMaxAttempts || p.BaseDelay != DefaultBaseDelay ||
-		p.MaxDelay != DefaultMaxDelay || p.Multiplier != DefaultMultiplier {
+		p.MaxDelay != DefaultMaxDelay {
 		t.Fatalf("withDefaults = %+v", p)
 	}
 	if p.Obs == nil {

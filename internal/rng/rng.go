@@ -125,12 +125,6 @@ func (r *Source) Norm() float64 {
 	}
 }
 
-// NormScaled returns a Gaussian deviate with the given mean and standard
-// deviation.
-func (r *Source) NormScaled(mean, stddev float64) float64 {
-	return mean + stddev*r.Norm()
-}
-
 // Exp returns an exponential deviate with the given rate (mean 1/rate).
 // It panics if rate <= 0.
 func (r *Source) Exp(rate float64) float64 {

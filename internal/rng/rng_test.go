@@ -109,18 +109,6 @@ func TestNormMoments(t *testing.T) {
 	}
 }
 
-func TestNormScaled(t *testing.T) {
-	r := New(9)
-	var acc float64
-	const n = 100000
-	for i := 0; i < n; i++ {
-		acc += r.NormScaled(10, 2)
-	}
-	if math.Abs(acc/n-10) > 0.05 {
-		t.Errorf("NormScaled mean = %v, want ~10", acc/n)
-	}
-}
-
 func TestExpMean(t *testing.T) {
 	r := New(13)
 	var acc float64

@@ -44,11 +44,6 @@ type Config struct {
 	// MaxRetries is how many times a command is requeued after worker
 	// failures before the controller sees a terminal failure. Default 2.
 	MaxRetries int
-	// Retry is the backoff policy for overlay requests the server makes on
-	// its own behalf (work searches, upstream worker-failure reports).
-	// Zero fields take the retry package defaults; PerAttempt defaults to
-	// RelayTimeout.
-	Retry retry.Policy
 	// FSToken identifies the server's filesystem for the shared-FS
 	// optimisation; empty disables it.
 	FSToken string
@@ -97,10 +92,6 @@ func (c *Config) fill() {
 	if c.Obs == nil {
 		c.Obs = obs.New()
 	}
-	if c.Retry.PerAttempt <= 0 {
-		c.Retry.PerAttempt = c.RelayTimeout
-	}
-	c.Retry.Obs = c.Obs
 }
 
 // project is one controller-driven job. Its state, and the status of each of
@@ -275,8 +266,10 @@ func New(node *overlay.Node, reg *controller.Registry, cfg Config) *Server {
 		qcfg.Pressure = func() float64 { return st.AppendLatency() / slow }
 	}
 	s.q = queue.NewWithConfig(qcfg)
-	s.rpol = cfg.Retry
-	s.rpol.Scope = node.ID()
+	// Overlay requests the server makes on its own behalf (work searches,
+	// upstream worker-failure reports): package-default backoff, each
+	// attempt bounded by RelayTimeout.
+	s.rpol = retry.Policy{PerAttempt: cfg.RelayTimeout, Obs: cfg.Obs, Scope: node.ID()}
 	nodeLabel := obs.L("node", node.ID())
 	s.q.SetObs(cfg.Obs, nodeLabel)
 	cfg.Obs.Metrics.GaugeFunc("copernicus_workers",

@@ -1,12 +1,13 @@
-// Package stats provides the statistical estimators used by the analysis
-// pipeline: moments, standard errors, bootstrap resampling, histograms and
-// block averaging for correlated time series. Everything operates on plain
-// []float64 and is allocation-conscious; nothing here is concurrent.
+// Package stats provides the statistical estimators the analysis pipeline
+// runs: the mean and bootstrap standard error behind BAR's error bars, the
+// running (Welford) mean ± std of Fig 5's ensemble RMSD, and the t½
+// half-life of Fig 4's folded population. Variance and StdErr are the batch
+// references Running and Bootstrap are tested against. Everything operates
+// on plain []float64; nothing here is concurrent.
 package stats
 
 import (
 	"math"
-	"sort"
 
 	"copernicus/internal/rng"
 )
@@ -51,50 +52,6 @@ func StdErr(xs []float64) float64 {
 	return StdDev(xs) / math.Sqrt(float64(len(xs)))
 }
 
-// MinMax returns the extrema of xs. It panics on an empty slice.
-func MinMax(xs []float64) (lo, hi float64) {
-	if len(xs) == 0 {
-		panic("stats: MinMax of empty slice")
-	}
-	lo, hi = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
-// interpolation between order statistics. It panics if xs is empty or q is
-// outside [0, 1]. xs is not modified.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Quantile of empty slice")
-	}
-	if q < 0 || q > 1 || math.IsNaN(q) {
-		panic("stats: Quantile fraction outside [0,1]")
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	pos := q * float64(len(sorted)-1)
-	i := int(math.Floor(pos))
-	frac := pos - float64(i)
-	if i+1 >= len(sorted) {
-		return sorted[len(sorted)-1]
-	}
-	return sorted[i]*(1-frac) + sorted[i+1]*frac
-}
-
-// Median returns the 0.5 quantile.
-func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
-
 // Running accumulates mean and variance incrementally (Welford's algorithm).
 // The zero value is ready to use.
 type Running struct {
@@ -128,31 +85,6 @@ func (r *Running) Variance() float64 {
 // StdDev returns the running standard deviation.
 func (r *Running) StdDev() float64 { return math.Sqrt(r.Variance()) }
 
-// StdErr returns the running standard error of the mean.
-func (r *Running) StdErr() float64 {
-	if r.n == 0 {
-		return 0
-	}
-	return r.StdDev() / math.Sqrt(float64(r.n))
-}
-
-// Merge folds another accumulator into r (parallel Welford merge), so shards
-// can accumulate independently and combine.
-func (r *Running) Merge(o Running) {
-	if o.n == 0 {
-		return
-	}
-	if r.n == 0 {
-		*r = o
-		return
-	}
-	n := r.n + o.n
-	d := o.mean - r.mean
-	r.m2 += o.m2 + d*d*float64(r.n)*float64(o.n)/float64(n)
-	r.mean += d * float64(o.n) / float64(n)
-	r.n = n
-}
-
 // Bootstrap resamples xs nResamples times with replacement, applies f to
 // each resample, and returns the standard deviation of the f values — the
 // bootstrap standard error of the statistic. A deterministic seed makes the
@@ -171,92 +103,6 @@ func Bootstrap(xs []float64, nResamples int, seed uint64, f func([]float64) floa
 		acc.Add(f(buf))
 	}
 	return acc.StdDev()
-}
-
-// BlockStdErr estimates the standard error of the mean of a *correlated*
-// time series by block averaging: the series is cut into nBlocks contiguous
-// blocks, and the block means are treated as independent samples. This is
-// the estimator behind the error bars of Fig 5.
-func BlockStdErr(xs []float64, nBlocks int) float64 {
-	if nBlocks < 2 || len(xs) < nBlocks {
-		return StdErr(xs)
-	}
-	blockLen := len(xs) / nBlocks
-	means := make([]float64, nBlocks)
-	for b := 0; b < nBlocks; b++ {
-		means[b] = Mean(xs[b*blockLen : (b+1)*blockLen])
-	}
-	return StdErr(means)
-}
-
-// Histogram is a fixed-width binned histogram over [Lo, Hi). Values outside
-// the range are counted in the Under/Over fields rather than dropped, so
-// totals always reconcile.
-type Histogram struct {
-	Lo, Hi      float64
-	Counts      []int
-	Under, Over int
-}
-
-// NewHistogram returns a histogram with n bins spanning [lo, hi). It panics
-// if n <= 0 or hi <= lo.
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 {
-		panic("stats: histogram with no bins")
-	}
-	if hi <= lo {
-		panic("stats: histogram with empty range")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, n)}
-}
-
-// Add bins the value x.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-		if i == len(h.Counts) { // rounding at the upper edge
-			i--
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of values added, including out-of-range ones.
-func (h *Histogram) Total() int {
-	t := h.Under + h.Over
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*w
-}
-
-// Normalized returns the probability density per bin (counts divided by
-// total in-range count and bin width). An empty histogram returns all zeros.
-func (h *Histogram) Normalized() []float64 {
-	inRange := 0
-	for _, c := range h.Counts {
-		inRange += c
-	}
-	out := make([]float64, len(h.Counts))
-	if inRange == 0 {
-		return out
-	}
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	for i, c := range h.Counts {
-		out[i] = float64(c) / (float64(inRange) * w)
-	}
-	return out
 }
 
 // HalfLifeTime returns the interpolated time at which the series ys (sampled
@@ -284,72 +130,4 @@ func HalfLifeTime(ts, ys []float64) (float64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// Autocorrelation returns the normalised autocorrelation function of xs up
-// to maxLag (inclusive): acf[k] = C(k)/C(0) with C(k) the lag-k
-// autocovariance. acf[0] is 1 for any non-constant series; a constant
-// series returns all zeros beyond lag 0 by convention.
-func Autocorrelation(xs []float64, maxLag int) []float64 {
-	n := len(xs)
-	if maxLag >= n {
-		maxLag = n - 1
-	}
-	if maxLag < 0 {
-		return nil
-	}
-	m := Mean(xs)
-	c0 := 0.0
-	for _, x := range xs {
-		d := x - m
-		c0 += d * d
-	}
-	acf := make([]float64, maxLag+1)
-	if c0 == 0 {
-		if len(acf) > 0 {
-			acf[0] = 1
-		}
-		return acf
-	}
-	for k := 0; k <= maxLag; k++ {
-		s := 0.0
-		for i := 0; i+k < n; i++ {
-			s += (xs[i] - m) * (xs[i+k] - m)
-		}
-		acf[k] = s / c0
-	}
-	return acf
-}
-
-// IntegratedAutocorrelationTime estimates τ_int = 1 + 2 Σ acf(k) with the
-// standard self-consistent window (sum until k > 5 τ_int), in units of the
-// sampling interval. It is the factor by which correlated samples inflate
-// the variance of a mean — the quantity behind the paper's standard-error
-// stop criterion on correlated simulation output.
-func IntegratedAutocorrelationTime(xs []float64) float64 {
-	maxLag := len(xs) / 4
-	if maxLag < 1 {
-		return 1
-	}
-	acf := Autocorrelation(xs, maxLag)
-	tau := 1.0
-	for k := 1; k < len(acf); k++ {
-		tau += 2 * acf[k]
-		if float64(k) > 5*tau {
-			break
-		}
-	}
-	if tau < 1 {
-		return 1
-	}
-	return tau
-}
-
-// EffectiveSampleSize returns n/τ_int, the number of effectively
-// independent samples in a correlated series.
-func EffectiveSampleSize(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	return float64(len(xs)) / IntegratedAutocorrelationTime(xs)
 }

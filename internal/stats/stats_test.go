@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"copernicus/internal/rng"
 )
@@ -33,57 +32,6 @@ func TestEmptyAndSingleton(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	lo, hi := MinMax([]float64{3, -1, 4, 1, 5})
-	if lo != -1 || hi != 5 {
-		t.Errorf("MinMax = %v, %v", lo, hi)
-	}
-}
-
-func TestMinMaxPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MinMax(nil) should panic")
-		}
-	}()
-	MinMax(nil)
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{4, 1, 3, 2} // sorted: 1 2 3 4
-	if Quantile(xs, 0) != 1 {
-		t.Errorf("q0 = %v", Quantile(xs, 0))
-	}
-	if Quantile(xs, 1) != 4 {
-		t.Errorf("q1 = %v", Quantile(xs, 1))
-	}
-	if Median(xs) != 2.5 {
-		t.Errorf("median = %v", Median(xs))
-	}
-	// Input must not be mutated.
-	if xs[0] != 4 {
-		t.Error("Quantile mutated its input")
-	}
-}
-
-func TestQuantilePanics(t *testing.T) {
-	for name, f := range map[string]func(){
-		"empty": func() { Quantile(nil, 0.5) },
-		"q<0":   func() { Quantile([]float64{1}, -0.1) },
-		"q>1":   func() { Quantile([]float64{1}, 1.1) },
-		"q NaN": func() { Quantile([]float64{1}, math.NaN()) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Quantile %s should panic", name)
-				}
-			}()
-			f()
-		}()
-	}
-}
-
 func TestRunningMatchesBatch(t *testing.T) {
 	r := rng.New(1)
 	xs := make([]float64, 1000)
@@ -100,75 +48,6 @@ func TestRunningMatchesBatch(t *testing.T) {
 	}
 	if run.N() != 1000 {
 		t.Errorf("N = %d", run.N())
-	}
-}
-
-func TestRunningMerge(t *testing.T) {
-	r := rng.New(2)
-	xs := make([]float64, 500)
-	for i := range xs {
-		xs[i] = r.Float64() * 10
-	}
-	var whole, a, b Running
-	for i, x := range xs {
-		whole.Add(x)
-		if i < 123 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.Merge(b)
-	if math.Abs(a.Mean()-whole.Mean()) > 1e-10 {
-		t.Errorf("merged mean %v != whole %v", a.Mean(), whole.Mean())
-	}
-	if math.Abs(a.Variance()-whole.Variance()) > 1e-9 {
-		t.Errorf("merged variance %v != whole %v", a.Variance(), whole.Variance())
-	}
-	// Merging into empty yields the other accumulator.
-	var empty Running
-	empty.Merge(whole)
-	if empty.N() != whole.N() || empty.Mean() != whole.Mean() {
-		t.Error("merge into empty accumulator failed")
-	}
-	// Merging empty is a no-op.
-	before := whole
-	whole.Merge(Running{})
-	if whole != before {
-		t.Error("merging empty changed accumulator")
-	}
-}
-
-func TestPropertyRunningMergeAssociative(t *testing.T) {
-	f := func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, x := range raw {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) {
-				xs = append(xs, math.Mod(x, 1e6))
-			}
-		}
-		if len(xs) < 3 {
-			return true
-		}
-		var whole Running
-		for _, x := range xs {
-			whole.Add(x)
-		}
-		var a, b Running
-		cut := len(xs) / 2
-		for _, x := range xs[:cut] {
-			a.Add(x)
-		}
-		for _, x := range xs[cut:] {
-			b.Add(x)
-		}
-		a.Merge(b)
-		scale := 1 + math.Abs(whole.Mean())
-		return math.Abs(a.Mean()-whole.Mean()) < 1e-9*scale &&
-			math.Abs(a.Variance()-whole.Variance()) < 1e-6*(1+whole.Variance())
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -189,87 +68,6 @@ func TestBootstrap(t *testing.T) {
 	// Deterministic under same seed.
 	if Bootstrap(xs, 100, 5, Mean) != Bootstrap(xs, 100, 5, Mean) {
 		t.Error("bootstrap not deterministic for fixed seed")
-	}
-}
-
-func TestBlockStdErr(t *testing.T) {
-	// Strongly correlated series: naive SE underestimates; block SE larger.
-	r := rng.New(4)
-	n := 4000
-	xs := make([]float64, n)
-	x := 0.0
-	for i := range xs {
-		x = 0.99*x + r.Norm()
-		xs[i] = x
-	}
-	naive := StdErr(xs)
-	block := BlockStdErr(xs, 20)
-	if block <= naive {
-		t.Errorf("block SE %v should exceed naive SE %v for correlated data", block, naive)
-	}
-	// Degenerate block counts fall back to naive.
-	if BlockStdErr(xs, 1) != naive {
-		t.Error("nBlocks=1 should fall back to naive SE")
-	}
-	if BlockStdErr(xs[:5], 10) != StdErr(xs[:5]) {
-		t.Error("too-short series should fall back to naive SE")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 5, 9.999, 10, 11} {
-		h.Add(x)
-	}
-	if h.Under != 1 || h.Over != 2 {
-		t.Errorf("Under=%d Over=%d", h.Under, h.Over)
-	}
-	if h.Total() != 8 {
-		t.Errorf("Total = %d", h.Total())
-	}
-	if h.Counts[0] != 2 { // 0 and 1.9
-		t.Errorf("bin0 = %d", h.Counts[0])
-	}
-	if h.Counts[4] != 1 { // 9.999
-		t.Errorf("bin4 = %d", h.Counts[4])
-	}
-	if h.BinCenter(0) != 1 {
-		t.Errorf("BinCenter(0) = %v", h.BinCenter(0))
-	}
-}
-
-func TestHistogramNormalized(t *testing.T) {
-	h := NewHistogram(0, 1, 2)
-	h.Add(0.1)
-	h.Add(0.2)
-	h.Add(0.7)
-	dens := h.Normalized()
-	// Integral = sum(density)*binwidth must be 1.
-	integral := (dens[0] + dens[1]) * 0.5
-	if math.Abs(integral-1) > 1e-12 {
-		t.Errorf("normalized integral = %v", integral)
-	}
-	empty := NewHistogram(0, 1, 4).Normalized()
-	for _, d := range empty {
-		if d != 0 {
-			t.Error("empty histogram density should be zero")
-		}
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for name, f := range map[string]func(){
-		"no bins":     func() { NewHistogram(0, 1, 0) },
-		"empty range": func() { NewHistogram(1, 1, 3) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewHistogram %s should panic", name)
-				}
-			}()
-			f()
-		}()
 	}
 }
 
@@ -307,72 +105,5 @@ func TestHalfLifeTimeEdge(t *testing.T) {
 	half, ok := HalfLifeTime([]float64{5, 6}, []float64{0.9, 1.0})
 	if !ok || half != 5 {
 		t.Errorf("pre-crossed series: got %v, %v", half, ok)
-	}
-}
-
-func TestAutocorrelationWhiteNoise(t *testing.T) {
-	r := rng.New(8)
-	xs := make([]float64, 20000)
-	for i := range xs {
-		xs[i] = r.Norm()
-	}
-	acf := Autocorrelation(xs, 10)
-	if acf[0] != 1 {
-		t.Errorf("acf[0] = %v", acf[0])
-	}
-	for k := 1; k <= 10; k++ {
-		if math.Abs(acf[k]) > 0.03 {
-			t.Errorf("white-noise acf[%d] = %v, want ~0", k, acf[k])
-		}
-	}
-}
-
-func TestAutocorrelationAR1(t *testing.T) {
-	// AR(1) with coefficient φ has acf(k) = φ^k and
-	// τ_int = 1 + 2 Σ φ^k = (1+φ)/(1−φ).
-	const phi = 0.8
-	r := rng.New(9)
-	xs := make([]float64, 200000)
-	x := 0.0
-	for i := range xs {
-		x = phi*x + r.Norm()
-		xs[i] = x
-	}
-	acf := Autocorrelation(xs, 5)
-	for k := 1; k <= 5; k++ {
-		want := math.Pow(phi, float64(k))
-		if math.Abs(acf[k]-want) > 0.05 {
-			t.Errorf("AR(1) acf[%d] = %v, want %v", k, acf[k], want)
-		}
-	}
-	tau := IntegratedAutocorrelationTime(xs)
-	want := (1 + phi) / (1 - phi) // = 9
-	if tau < want*0.7 || tau > want*1.3 {
-		t.Errorf("τ_int = %v, want ~%v", tau, want)
-	}
-	ess := EffectiveSampleSize(xs)
-	if ess < float64(len(xs))/want*0.7 || ess > float64(len(xs))/want*1.3 {
-		t.Errorf("ESS = %v", ess)
-	}
-}
-
-func TestAutocorrelationEdgeCases(t *testing.T) {
-	if acf := Autocorrelation(nil, 5); acf != nil {
-		t.Errorf("acf of empty series = %v", acf)
-	}
-	// Constant series: no variance.
-	acf := Autocorrelation([]float64{3, 3, 3, 3}, 2)
-	if acf[0] != 1 || acf[1] != 0 {
-		t.Errorf("constant series acf = %v", acf)
-	}
-	// maxLag clamped to n-1.
-	if got := Autocorrelation([]float64{1, 2}, 99); len(got) != 2 {
-		t.Errorf("clamped acf length = %d", len(got))
-	}
-	if EffectiveSampleSize(nil) != 0 {
-		t.Error("ESS of empty series should be 0")
-	}
-	if IntegratedAutocorrelationTime([]float64{1, 2, 3}) < 1 {
-		t.Error("τ_int must be at least 1")
 	}
 }

@@ -300,7 +300,11 @@ func TestStalePrimaryIsFencedAndDemotes(t *testing.T) {
 
 	// The ex-primary comes back: new node, same identity, same state dir.
 	// Its meta says "primary, epoch 1, standby = <peer>", so it resumes
-	// shipping, is refused with epoch 2, and demotes.
+	// shipping, is refused with epoch 2, and demotes. A restart means the
+	// old process is gone: its Peer must stop first, or its ticks keep
+	// redialling the standby under the same identity from a closed node,
+	// and each such handshake evicts the reborn node's link.
+	tp.primary.Close()
 	reborn := overlay.NewNode(overlay.NewIdentityFromSeed(1), overlay.NewTrustStore(), tp.net.Transport())
 	if err := reborn.Listen("primary"); err != nil {
 		t.Fatal(err)

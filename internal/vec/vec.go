@@ -1,7 +1,6 @@
 // Package vec provides small fixed-dimension vector math used throughout the
-// molecular dynamics substrate: 3-vectors, periodic boundary conditions with
-// minimum-image convention, and structural comparison helpers (RMSD and
-// optimal superposition).
+// molecular dynamics substrate: 3-vectors and periodic boundary conditions
+// with the minimum-image convention.
 //
 // All types are plain values; none of the operations allocate, which keeps
 // the force kernels in internal/md free of garbage-collector pressure.
@@ -138,20 +137,6 @@ func minImage1(d, l float64) float64 {
 // Dist returns the minimum-image distance between p and q.
 func (b Box) Dist(p, q V3) float64 { return b.MinImage(p, q).Norm() }
 
-// Centroid returns the arithmetic mean of the points. It panics on an empty
-// slice because a centroid of nothing is a programming error, not a runtime
-// condition.
-func Centroid(ps []V3) V3 {
-	if len(ps) == 0 {
-		panic("vec: centroid of empty point set")
-	}
-	var c V3
-	for _, p := range ps {
-		c = c.Add(p)
-	}
-	return c.Scale(1 / float64(len(ps)))
-}
-
 // RMSD returns the root-mean-square deviation between two conformations of
 // equal length, without superposition. It panics if the lengths differ.
 func RMSD(a, b []V3) float64 {
@@ -166,121 +151,4 @@ func RMSD(a, b []V3) float64 {
 		s += a[i].Sub(b[i]).Norm2()
 	}
 	return math.Sqrt(s / float64(len(a)))
-}
-
-// CenteredRMSD translates both conformations to their centroids before
-// computing the RMSD. This removes rigid translation but not rotation; it is
-// the metric used by the coarse-grained folding surrogate where rotational
-// alignment is already implicit in the internal-coordinate representation.
-func CenteredRMSD(a, b []V3) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("vec: CenteredRMSD length mismatch %d != %d", len(a), len(b)))
-	}
-	if len(a) == 0 {
-		return 0
-	}
-	ca, cb := Centroid(a), Centroid(b)
-	var s float64
-	for i := range a {
-		d := a[i].Sub(ca).Sub(b[i].Sub(cb))
-		s += d.Norm2()
-	}
-	return math.Sqrt(s / float64(len(a)))
-}
-
-// KabschRMSD returns the minimum RMSD between conformations a and b over all
-// rigid-body translations and rotations (the Kabsch superposition). It is
-// the Cα-RMSD metric of the paper's Figs 2–5.
-//
-// The optimal rotation is found by diagonalising the 4x4 quaternion form of
-// the covariance matrix (Horn's method), which is robust against reflections.
-func KabschRMSD(a, b []V3) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("vec: KabschRMSD length mismatch %d != %d", len(a), len(b)))
-	}
-	n := len(a)
-	if n == 0 {
-		return 0
-	}
-	ca, cb := Centroid(a), Centroid(b)
-
-	// Covariance matrix R = sum (a_i - ca) (b_i - cb)^T and the invariant
-	// G = sum |a|^2 + |b|^2 after centering.
-	var r [3][3]float64
-	var g float64
-	for i := 0; i < n; i++ {
-		p := a[i].Sub(ca)
-		q := b[i].Sub(cb)
-		g += p.Norm2() + q.Norm2()
-		r[0][0] += p.X * q.X
-		r[0][1] += p.X * q.Y
-		r[0][2] += p.X * q.Z
-		r[1][0] += p.Y * q.X
-		r[1][1] += p.Y * q.Y
-		r[1][2] += p.Y * q.Z
-		r[2][0] += p.Z * q.X
-		r[2][1] += p.Z * q.Y
-		r[2][2] += p.Z * q.Z
-	}
-
-	// Horn's quaternion matrix.
-	k := [4][4]float64{
-		{r[0][0] + r[1][1] + r[2][2], r[1][2] - r[2][1], r[2][0] - r[0][2], r[0][1] - r[1][0]},
-		{r[1][2] - r[2][1], r[0][0] - r[1][1] - r[2][2], r[0][1] + r[1][0], r[2][0] + r[0][2]},
-		{r[2][0] - r[0][2], r[0][1] + r[1][0], -r[0][0] + r[1][1] - r[2][2], r[1][2] + r[2][1]},
-		{r[0][1] - r[1][0], r[2][0] + r[0][2], r[1][2] + r[2][1], -r[0][0] - r[1][1] + r[2][2]},
-	}
-	lmax := largestEigenvalueSym4(k)
-	msd := (g - 2*lmax) / float64(n)
-	if msd < 0 {
-		msd = 0 // rounding guard
-	}
-	return math.Sqrt(msd)
-}
-
-// largestEigenvalueSym4 returns the largest eigenvalue of a symmetric 4x4
-// matrix by shifted power iteration. The shift by the Gershgorin bound makes
-// the dominant eigenvalue of (K + sI) the one with the largest algebraic
-// value of K, which is what superposition needs.
-func largestEigenvalueSym4(k [4][4]float64) float64 {
-	// Gershgorin shift so all eigenvalues of k+shift*I are positive.
-	shift := 0.0
-	for i := 0; i < 4; i++ {
-		row := 0.0
-		for j := 0; j < 4; j++ {
-			if i != j {
-				row += math.Abs(k[i][j])
-			}
-		}
-		if s := row - k[i][i]; s > shift {
-			shift = s
-		}
-	}
-	shift += 1
-	v := [4]float64{1, 0.5, 0.25, 0.125}
-	lam := 0.0
-	for iter := 0; iter < 200; iter++ {
-		var w [4]float64
-		for i := 0; i < 4; i++ {
-			s := shift * v[i]
-			for j := 0; j < 4; j++ {
-				s += k[i][j] * v[j]
-			}
-			w[i] = s
-		}
-		n := math.Sqrt(w[0]*w[0] + w[1]*w[1] + w[2]*w[2] + w[3]*w[3])
-		if n == 0 {
-			return 0
-		}
-		for i := range w {
-			w[i] /= n
-		}
-		newLam := n - shift
-		if math.Abs(newLam-lam) < 1e-13*(1+math.Abs(newLam)) && iter > 3 {
-			return newLam
-		}
-		lam = newLam
-		v = w
-	}
-	return lam
 }

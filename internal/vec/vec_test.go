@@ -162,33 +162,10 @@ func TestPropertyMinImageShortest(t *testing.T) {
 	}
 }
 
-func TestCentroid(t *testing.T) {
-	ps := []V3{New(0, 0, 0), New(2, 0, 0), New(1, 3, 0)}
-	c := Centroid(ps)
-	if c.Sub(New(1, 1, 0)).Norm() > 1e-14 {
-		t.Errorf("Centroid = %v", c)
-	}
-}
-
-func TestCentroidPanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Centroid of empty slice should panic")
-		}
-	}()
-	Centroid(nil)
-}
-
 func TestRMSDIdentical(t *testing.T) {
 	a := []V3{New(1, 2, 3), New(4, 5, 6)}
 	if RMSD(a, a) != 0 {
 		t.Error("RMSD of identical conformations should be 0")
-	}
-	if CenteredRMSD(a, a) != 0 {
-		t.Error("CenteredRMSD of identical conformations should be 0")
-	}
-	if KabschRMSD(a, a) > 1e-6 {
-		t.Errorf("KabschRMSD of identical conformations = %v", KabschRMSD(a, a))
 	}
 }
 
@@ -201,50 +178,9 @@ func TestRMSDKnown(t *testing.T) {
 	}
 }
 
-func TestCenteredRMSDTranslationInvariant(t *testing.T) {
-	a := []V3{New(0, 0, 0), New(1, 0, 0), New(0, 2, 0)}
-	shift := New(5, -3, 7)
-	b := make([]V3, len(a))
-	for i := range a {
-		b[i] = a[i].Add(shift)
-	}
-	if got := CenteredRMSD(a, b); got > 1e-12 {
-		t.Errorf("CenteredRMSD after pure translation = %v, want 0", got)
-	}
-}
-
-func TestKabschRotationInvariant(t *testing.T) {
-	a := []V3{New(0, 0, 0), New(1, 0, 0), New(0, 2, 0), New(0, 0, 3), New(1, 1, 1)}
-	// Rotate by 90 degrees about z and translate.
-	b := make([]V3, len(a))
-	for i, p := range a {
-		b[i] = New(-p.Y, p.X, p.Z).Add(New(10, -4, 2))
-	}
-	if got := KabschRMSD(a, b); got > 1e-6 {
-		t.Errorf("KabschRMSD after rigid motion = %v, want ~0", got)
-	}
-	// Plain RMSD must be large in comparison.
-	if RMSD(a, b) < 1 {
-		t.Error("sanity: plain RMSD should be large for translated conformation")
-	}
-}
-
-func TestKabschLessOrEqualPlain(t *testing.T) {
-	a := []V3{New(0, 0, 0), New(1.2, 0.1, 0), New(0.3, 2.1, 0.2), New(-1, 0.5, 3)}
-	b := []V3{New(0.1, 0, 0.2), New(1, 0.3, -0.1), New(0.5, 1.9, 0.4), New(-0.9, 0.4, 2.7)}
-	if KabschRMSD(a, b) > CenteredRMSD(a, b)+1e-9 {
-		t.Errorf("Kabsch %v exceeds centered %v", KabschRMSD(a, b), CenteredRMSD(a, b))
-	}
-	if CenteredRMSD(a, b) > RMSD(a, b)+1e-9 {
-		t.Errorf("Centered %v exceeds plain %v", CenteredRMSD(a, b), RMSD(a, b))
-	}
-}
-
 func TestRMSDLengthMismatchPanics(t *testing.T) {
 	for name, f := range map[string]func(){
-		"RMSD":         func() { RMSD([]V3{Zero}, nil) },
-		"CenteredRMSD": func() { CenteredRMSD([]V3{Zero}, nil) },
-		"KabschRMSD":   func() { KabschRMSD([]V3{Zero}, nil) },
+		"RMSD": func() { RMSD([]V3{Zero}, nil) },
 	} {
 		func() {
 			defer func() {

@@ -37,11 +37,9 @@ type Config struct {
 	// holds an idle worker's announce open until work turns up, so an
 	// announce held at least this long is followed by the next at once.
 	PollInterval time.Duration
-	// RequestTimeout bounds each overlay request attempt (default 10 s).
-	RequestTimeout time.Duration
 	// Retry is the backoff policy applied to every overlay request the
 	// worker makes (announce, heartbeat, result upload). Zero fields take
-	// the retry package defaults; PerAttempt defaults to RequestTimeout.
+	// the retry package defaults; PerAttempt defaults to 10 s.
 	Retry retry.Policy
 	// ServerAddrs lists transport addresses of known servers. When the home
 	// peer stays unreachable for rehomeAfter consecutive announce rounds,
@@ -81,14 +79,11 @@ func (c *Config) fill() {
 	if c.PollInterval <= 0 {
 		c.PollInterval = 500 * time.Millisecond
 	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 10 * time.Second
-	}
 	if c.Obs == nil {
 		c.Obs = obs.New()
 	}
 	if c.Retry.PerAttempt <= 0 {
-		c.Retry.PerAttempt = c.RequestTimeout
+		c.Retry.PerAttempt = 10 * time.Second
 	}
 	c.Retry.Obs = c.Obs
 }

@@ -4,13 +4,20 @@
 # make crash, ...) call the stanzas below by name.
 #
 # Usage: scripts/ci.sh            every stanza, in order
-#        scripts/ci.sh quick      vet, build and the full test suite only
+#        scripts/ci.sh quick      gofmt, vet, build and the full test suite only
 #        scripts/ci.sh STANZA...  the named stanzas (race, fuzz, chaos, ...)
 set -eu
 cd "$(dirname "$0")/.."
 GO=${GO:-go}
 
 basic() {
+    echo "== gofmt =="
+    unformatted=$(gofmt -l ./cmd ./internal ./examples ./benchmarks *.go)
+    if [ -n "$unformatted" ]; then
+        echo "gofmt: these files need formatting (make fmt):" >&2
+        echo "$unformatted" >&2
+        exit 1
+    fi
     echo "== go vet =="
     $GO vet ./...
     echo "== go build =="

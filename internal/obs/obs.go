@@ -65,15 +65,6 @@ func RegisterFlags(fs *flag.FlagSet) func() (*Obs, error) {
 	}
 }
 
-// Named returns a shallow copy whose logger is tagged with the component
-// name; metrics and traces are shared with the parent.
-func (o *Obs) Named(component string) *Obs {
-	if o == nil {
-		return nil
-	}
-	return &Obs{Metrics: o.Metrics, Trace: o.Trace, Log: o.Log.Named(component)}
-}
-
 // Register mounts the observability endpoints on mux:
 //
 //	GET /metrics              Prometheus text exposition

@@ -55,21 +55,6 @@ func TestObsHandlerEndpoints(t *testing.T) {
 	}
 }
 
-func TestNamedSharesMetricsAndTrace(t *testing.T) {
-	o := New()
-	child := o.Named("server")
-	if child.Metrics != o.Metrics || child.Trace != o.Trace {
-		t.Fatal("Named must share the registry and tracer")
-	}
-}
-
-func TestNilObsNamed(t *testing.T) {
-	var o *Obs
-	if o.Named("x") != nil {
-		t.Fatal("nil Obs should stay nil through Named")
-	}
-}
-
 // TestRegisterFlags: -v means debug, -log-level overrides it, the default is
 // silent, and an unknown level is an error rather than a silent default.
 func TestRegisterFlags(t *testing.T) {

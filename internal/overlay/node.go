@@ -315,8 +315,16 @@ func (n *Node) handleInbound(conn net.Conn) error {
 
 // ConnectPeer dials addr, performs the handshake, and adds the peer link.
 // It returns the peer's node ID. The link is usable as soon as ConnectPeer
-// returns.
+// returns. A closed node does not dial: its handshake would still complete,
+// and the remote would replace any live link under the same node ID (a
+// restarted process's) with one that dies at once.
 func (n *Node) ConnectPeer(addr string) (string, error) {
+	n.mu.RLock()
+	closed := n.closed
+	n.mu.RUnlock()
+	if closed {
+		return "", fmt.Errorf("overlay: dialing %s: %w", addr, net.ErrClosed)
+	}
 	conn, err := n.tr.Dial(addr)
 	if err != nil {
 		return "", fmt.Errorf("overlay: dialing %s: %w", addr, err)

@@ -292,6 +292,27 @@ func TestPeersAndClose(t *testing.T) {
 	b.Close()
 }
 
+// TestClosedNodeDoesNotDial: a closed node that still holds its identity
+// (an old process's leftover) must not reach the remote, whose peer table
+// would then replace the live link of the restarted node under that ID.
+func TestClosedNodeDoesNotDial(t *testing.T) {
+	a, reborn, mem := twoNodes(t)
+	a.Handle(wire.MsgPing, func(string, []byte) ([]byte, error) { return []byte("pong"), nil })
+	old := NewNode(NewIdentityFromSeed(2), NewTrustStore(), mem.Transport())
+	old.Close()
+	if _, err := old.ConnectPeer("a"); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("closed node's ConnectPeer: err = %v, want net.ErrClosed", err)
+	}
+	for deadline := time.Now().Add(200 * time.Millisecond); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		if len(reborn.Peers()) == 0 {
+			t.Fatal("the closed node's dial evicted the live link with the same ID")
+		}
+	}
+	if _, err := reborn.RequestTimeout(a.ID(), wire.MsgPing, nil, time.Second); err != nil {
+		t.Fatalf("live link after a closed node's dial: %v", err)
+	}
+}
+
 func TestMemNetworkMetering(t *testing.T) {
 	a, b, net := twoNodes(t)
 	before := net.BytesSent()

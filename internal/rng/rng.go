@@ -125,20 +125,6 @@ func (r *Source) Norm() float64 {
 	}
 }
 
-// Exp returns an exponential deviate with the given rate (mean 1/rate).
-// It panics if rate <= 0.
-func (r *Source) Exp(rate float64) float64 {
-	if rate <= 0 {
-		panic("rng: Exp with non-positive rate")
-	}
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u) / rate
-		}
-	}
-}
-
 // Perm returns a random permutation of [0, n).
 func (r *Source) Perm(n int) []int {
 	p := make([]int, n)

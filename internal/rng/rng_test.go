@@ -109,31 +109,6 @@ func TestNormMoments(t *testing.T) {
 	}
 }
 
-func TestExpMean(t *testing.T) {
-	r := New(13)
-	var acc float64
-	const n = 100000
-	for i := 0; i < n; i++ {
-		x := r.Exp(2)
-		if x < 0 {
-			t.Fatalf("Exp returned negative %v", x)
-		}
-		acc += x
-	}
-	if math.Abs(acc/n-0.5) > 0.01 {
-		t.Errorf("Exp(2) mean = %v, want ~0.5", acc/n)
-	}
-}
-
-func TestExpPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Exp(0) should panic")
-		}
-	}()
-	New(1).Exp(0)
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	r := New(17)
 	p := r.Perm(50)

@@ -24,7 +24,15 @@
 // and the node rejoins the new primary as a fresh standby — instead of
 // split-braining. The divergent tail it may have accumulated while fenced
 // is the same loss class as a crash before replication shipped: records
-// acknowledged by exactly one node.
+// acknowledged by exactly one node. A standby promotes only if, since it
+// last (re)joined, it applied everything its primary had journaled as of
+// some batch, so a lagging standby never fences the node with the history.
+//
+// Every decision — role, epoch, lease, fencing — is made by step, a pure
+// function of a peer's state and one event that returns the actions to
+// run. Peer is the shell around it: one goroutine owns the state and the
+// store, feeds step and runs the actions; overlay handlers hand it their
+// message and wait for its reply.
 package replica
 
 import (
@@ -34,6 +42,7 @@ import (
 	"os"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"copernicus/internal/obs"
@@ -65,7 +74,8 @@ type Hooks struct {
 	// on top — replaying the image re-seeds the queue and requeues orphans —
 	// and returns the names of the projects now owned, for the ownership
 	// announcement. Ownership of st transfers to the hook's caller side:
-	// the Peer keeps using it for shipping but never closes it.
+	// the Peer keeps using it for shipping but never closes it. A hook that
+	// fails must leave st as it found it: the Peer stays a standby on it.
 	Promote func(st *store.Store, epoch uint64) (projects []string, err error)
 	// Demote is called when this node, acting as primary, discovers a
 	// higher epoch. It must tear down the serving side: close the server
@@ -119,6 +129,8 @@ func (c *Config) fill() {
 	if c.Obs == nil {
 		c.Obs = obs.New()
 	}
+	c.StoreOptions.Dir = c.Dir
+	c.StoreOptions.Obs = cmp.Or(c.StoreOptions.Obs, c.Obs)
 }
 
 // batchMax caps records per shipment.
@@ -169,43 +181,28 @@ func newReplicaMetrics(o *obs.Obs, node string) replicaMetrics {
 
 // Peer is one node's half of a replication pair. It is created in either
 // role and switches roles over its lifetime: a standby promotes when its
-// lease on the primary lapses; a primary demotes when it is fenced by a
-// higher epoch.
+// lease on the primary lapses and it has caught up; a primary demotes when
+// it is fenced by a higher epoch. Its network round trips run on goroutines
+// of their own that touch no state and report back through run's inbox.
 type Peer struct {
 	node *overlay.Node
 	cfg  Config
 	log  *obs.Logger
 	met  replicaMetrics
 
-	mu       sync.Mutex
-	role     string
-	epoch    uint64
-	peerID   string
-	peerAddr string
-	st       *store.Store
-	ownStore bool // standby role: the Peer opened (and closes) st itself
+	inbox chan func()           // work for run: feeding a message or a result
+	view  atomic.Pointer[state] // a copy of s, for Role, Epoch and AckedSeq
 
-	acked          uint64 // primary: standby's applied frontier
-	synced         bool   // primary: acked is known (join or probe seen)
-	shippedSnapSeq uint64 // primary: LastSeq of the newest shipped baseline
-	lastContact    time.Time
-	leaseTimeout   time.Duration // standby: adopted from batches
-	leaseLogged    bool
+	// Owned by run.
+	s        state
+	st       *store.Store // a standby's own replica store, a primary's serving store
+	deadline time.Time    // the lease timer; zero when stopped
 
-	// pendingDemote is set by overlay handlers (which must not run role
-	// transitions) and consumed by the run loop.
-	pendingDemote *demotion
-
-	promoted chan struct{}
-	demoted  chan struct{}
-	stop     chan struct{}
-	closed   bool
-	wg       sync.WaitGroup
-}
-
-type demotion struct {
-	epoch      uint64
-	newPrimary string
+	promoted  chan struct{}
+	demoted   chan struct{}
+	stop      chan struct{}
+	closeOnce sync.Once
+	wg        sync.WaitGroup
 }
 
 // Resume applies a node's durable replica metadata over its configuration:
@@ -235,23 +232,20 @@ func NewPeer(node *overlay.Node, st *store.Store, cfg Config, meta *store.Replic
 		return nil, errors.New("replica: Config.Dir is required")
 	}
 	p := &Peer{
-		node:         node,
-		cfg:          cfg,
-		log:          cfg.Obs.Log.Named("replica").With("node", node.ID()),
-		met:          newReplicaMetrics(cfg.Obs, node.ID()),
-		role:         cfg.Role,
-		epoch:        1,
-		peerID:       cfg.PeerID,
-		peerAddr:     cfg.PeerAddr,
-		leaseTimeout: cfg.LeaseTimeout,
-		promoted:     make(chan struct{}),
-		demoted:      make(chan struct{}),
-		stop:         make(chan struct{}),
+		node:     node,
+		cfg:      cfg,
+		log:      cfg.Obs.Log.Named("replica").With("node", node.ID()),
+		met:      newReplicaMetrics(cfg.Obs, node.ID()),
+		inbox:    make(chan func()),
+		promoted: make(chan struct{}),
+		demoted:  make(chan struct{}),
+		stop:     make(chan struct{}),
 	}
+	epoch := uint64(1)
 	if meta != nil {
-		p.epoch = meta.Epoch
+		epoch = meta.Epoch
 	}
-	switch p.role {
+	switch cfg.Role {
 	case store.RolePrimary:
 		if st == nil {
 			return nil, errors.New("replica: primary role requires the serving store")
@@ -261,61 +255,45 @@ func NewPeer(node *overlay.Node, st *store.Store, cfg Config, meta *store.Replic
 		if st != nil {
 			return nil, errors.New("replica: standby role opens its own store; pass nil")
 		}
-		if p.peerID == "" && p.peerAddr == "" {
+		if cfg.PeerID == "" && cfg.PeerAddr == "" {
 			return nil, errors.New("replica: a standby needs its primary's PeerID or PeerAddr")
 		}
-		rs, err := p.openReplicaStore()
-		if err != nil {
+		var err error
+		if p.st, err = store.Open(p.cfg.StoreOptions); err != nil {
 			return nil, err
 		}
-		p.st = rs
-		p.ownStore = true
 	default:
-		return nil, fmt.Errorf("replica: unknown role %q", p.role)
+		return nil, fmt.Errorf("replica: unknown role %q", cfg.Role)
 	}
-	p.met.leaseState.Set(LeaseUnknown)
+	p.s = boot(cfg.Role, epoch, cfg.PeerID, cfg.PeerAddr, p.st.LastSeq(), cfg.LeaseTimeout)
+	p.publish()
 
-	node.Handle(wire.MsgReplicate, p.handleReplicate)
-	node.Handle(wire.MsgReplJoin, p.handleJoin)
-	node.Handle(wire.MsgPromoted, p.handlePromoted)
+	node.Handle(wire.MsgReplicate, handler(p, func(b *wire.ReplBatch) event {
+		p.met.batchesRx.Inc()
+		return evBatch{b}
+	}))
+	node.Handle(wire.MsgReplJoin, handler(p, func(j *wire.ReplJoin) event { return evJoin{*j} }))
+	node.Handle(wire.MsgPromoted, handler(p, func(a *wire.Promoted) event { return evAnnounce{*a} }))
 
 	p.wg.Add(1)
 	go p.run()
 	return p, nil
 }
 
-func (p *Peer) openReplicaStore() (*store.Store, error) {
-	opts := p.cfg.StoreOptions
-	opts.Dir = p.cfg.Dir
-	if opts.Obs == nil {
-		opts.Obs = p.cfg.Obs
-	}
-	return store.Open(opts)
-}
-
 // Role returns the current role (store.RolePrimary or store.RoleStandby).
-func (p *Peer) Role() string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.role
-}
+func (p *Peer) Role() string { return p.view.Load().role }
 
 // Epoch returns the current fencing epoch.
-func (p *Peer) Epoch() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.epoch
-}
+func (p *Peer) Epoch() uint64 { return p.view.Load().epoch }
 
 // AckedSeq returns the peer's last acknowledged applied sequence (primary
 // view); on a standby it is the local applied frontier.
 func (p *Peer) AckedSeq() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.role == store.RoleStandby && p.st != nil {
-		return p.st.LastSeq()
+	s := p.view.Load()
+	if s.role == store.RoleStandby {
+		return s.applied
 	}
-	return p.acked
+	return s.acked
 }
 
 // Promoted is closed when this peer promotes itself to primary.
@@ -327,475 +305,319 @@ func (p *Peer) Demoted() <-chan struct{} { return p.demoted }
 // Close stops the protocol loop and closes the replica store if this peer
 // owns one. It does not touch a serving store handed in by the owner.
 func (p *Peer) Close() error {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return nil
-	}
-	p.closed = true
-	p.mu.Unlock()
-	close(p.stop)
-	p.wg.Wait()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.ownStore && p.st != nil {
-		return p.st.Close()
-	}
-	return nil
+	var err error
+	p.closeOnce.Do(func() {
+		close(p.stop)
+		p.wg.Wait()
+		if p.s.role == store.RoleStandby {
+			err = p.st.Close()
+		}
+	})
+	return err
 }
 
-// --- protocol loop ---
+// --- the run loop ---
 
 func (p *Peer) run() {
 	defer p.wg.Done()
 	ticker := time.NewTicker(p.cfg.Interval)
 	defer ticker.Stop()
-	// A standby introduces itself immediately rather than waiting a tick.
-	if p.Role() == store.RoleStandby {
-		p.standbyTick()
-	}
+	p.feed(evTick{}, nil) // introduce ourselves now rather than a tick from now
 	for {
 		select {
 		case <-p.stop:
 			return
-		case <-ticker.C:
-		}
-		p.mu.Lock()
-		pd := p.pendingDemote
-		p.pendingDemote = nil
-		role := p.role
-		p.mu.Unlock()
-		if pd != nil && role == store.RolePrimary {
-			p.demote(pd.epoch, pd.newPrimary)
-			continue
-		}
-		switch role {
-		case store.RolePrimary:
-			p.shipOnce()
-		case store.RoleStandby:
-			p.standbyTick()
+		case f := <-p.inbox:
+			f()
+		case now := <-ticker.C:
+			if !p.deadline.IsZero() && now.After(p.deadline) {
+				p.deadline = time.Time{}
+				p.feed(evLapse{}, nil)
+			}
+			p.feed(evTick{}, nil)
 		}
 	}
+}
+
+// feed steps the state through ev and runs the actions, stepping again on
+// each event an action reports back, until nothing is left. reply, for a
+// message, always gets the ack step answered with, nil if it answered none.
+func (p *Peer) feed(ev event, reply chan *wire.ReplAck) {
+	for queue := []event{ev}; len(queue) > 0; queue = queue[1:] {
+		var acts []action
+		p.s, acts = step(p.s, queue[0])
+		p.publish()
+		for _, a := range acts {
+			if r, ok := a.(actReply); ok && reply != nil {
+				reply <- &r.ack
+				reply = nil
+			} else if next := p.do(a); next != nil {
+				queue = append(queue, next)
+			}
+		}
+	}
+	if reply != nil {
+		reply <- nil
+	}
+}
+
+func (p *Peer) publish() {
+	s := p.s
+	p.view.Store(&s)
+	p.met.leaseState.Set(s.lease)
+}
+
+// do runs one action and returns the event it reports, if it reports one
+// now; a network round trip reports later, through the inbox.
+func (p *Peer) do(a action) event {
+	switch a := a.(type) {
+	case actApply:
+		return p.apply(a.b)
+	case actShip:
+		st := p.st
+		p.async(func() event { return p.ship(a, st) })
+	case actJoin:
+		a.msg.StandbyID, a.msg.Addr = p.node.ID(), p.cfg.SelfAddr
+		p.async(func() event {
+			var ev evJoined
+			if ev.id, ev.err = p.dial(a.addr, a.to); ev.err == nil {
+				ev.err = p.request(ev.id, wire.MsgReplJoin, a.msg, &ev.ack)
+			}
+			if ev.err != nil {
+				p.log.Debug("join attempt failed", "primary", ev.id, "addr", a.addr, "err", ev.err)
+			}
+			return ev
+		})
+	case actPersist:
+		if err := store.SaveReplicaMeta(p.cfg.Dir, &a.meta); err != nil {
+			p.log.Error("persisting replica metadata", "err", err)
+		}
+	case actArm:
+		p.deadline = time.Time{}
+		if a.d > 0 {
+			p.deadline = time.Now().Add(a.d)
+		}
+	case actPromote:
+		return p.promote(a.epoch)
+	case actDemote:
+		p.demote(a)
+	case actResync:
+		p.met.resyncs.Inc()
+		p.log.Info("standby refused batch; resyncing", "reason", a.ack.Reason, "frontier", a.ack.AppliedSeq)
+	case actLog:
+		p.log.Log(a.level, a.msg, a.kv...)
+	}
+	return nil
+}
+
+// async runs f on its own goroutine and hands the event it returns to the
+// run loop. f must touch no Peer state.
+func (p *Peer) async(f func() event) {
+	p.wg.Add(1)
+	go func() {
+		defer p.wg.Done()
+		if ev := f(); ev != nil {
+			select {
+			case p.inbox <- func() { p.feed(ev, nil) }:
+			case <-p.stop:
+			}
+		}
+	}()
+}
+
+// dial links this node to addr unless a link to id is up, and returns the
+// ID the handshake named (id when no dial was needed).
+func (p *Peer) dial(addr, id string) (string, error) {
+	if addr == "" || (id != "" && slices.Contains(p.node.Peers(), id)) {
+		return id, nil
+	}
+	return p.node.ConnectPeer(addr)
+}
+
+// request is one replication round trip to the counterpart.
+func (p *Peer) request(to string, t wire.MsgType, msg any, ack *wire.ReplAck) error {
+	payload, err := wire.Marshal(msg)
+	if err != nil {
+		return err
+	}
+	raw, err := p.node.RequestTimeout(to, t, payload, p.requestTimeout())
+	if err != nil {
+		return err
+	}
+	return wire.Unmarshal(raw, ack)
 }
 
 // requestTimeout bounds one replication round trip: long enough for a fat
 // batch, short enough that a dead link cannot eat the whole lease.
 func (p *Peer) requestTimeout() time.Duration {
-	t := p.cfg.LeaseTimeout / 2
-	if t < p.cfg.Interval {
-		t = p.cfg.Interval
-	}
-	return t
+	return max(p.cfg.LeaseTimeout/2, p.cfg.Interval)
 }
 
 // --- primary side ---
 
-// shipOnce ships one batch (possibly a pure heartbeat) to the standby and
-// processes the acknowledgement.
-func (p *Peer) shipOnce() {
-	p.mu.Lock()
-	peerID := p.peerID
-	acked := p.acked
-	synced := p.synced
-	epoch := p.epoch
-	st := p.st
-	shippedSnap := p.shippedSnapSeq
-	p.mu.Unlock()
-	if peerID == "" || st == nil {
-		return // no standby registered yet; nothing to lease against
-	}
-
-	batch := wire.ReplBatch{
-		PrimaryID:          p.node.ID(),
-		Epoch:              epoch,
-		LeaseTimeoutMillis: p.cfg.LeaseTimeout.Milliseconds(),
-	}
-	var snapLast uint64
-	if synced {
-		recs, gap, err := st.ReadSince(acked, batchMax)
-		if err != nil {
-			p.log.Warn("reading WAL tail for shipping", "err", err)
-			return
-		}
-		if gap {
-			// The records right after the standby's frontier were compacted
-			// into a snapshot; ship the baseline plus the tail above it.
-			var blob []byte
-			snapLast, blob, err = st.NewestSnapshot()
-			if err != nil || blob == nil {
-				p.log.Error("WAL gap but no usable snapshot to ship", "err", err)
-				return
-			}
-			batch.Snapshot = blob
-			batch.SnapLastSeq = snapLast
-			recs, _, err = st.ReadSince(snapLast, batchMax)
-			if err != nil {
-				p.log.Warn("reading post-snapshot tail", "err", err)
-				return
-			}
-		} else if last, blob, serr := st.NewestSnapshot(); serr == nil && blob != nil &&
-			last > shippedSnap && last <= acked {
-			// Compaction aid: the standby already has every record this
-			// baseline covers, so installing it lets the replica WAL shrink.
-			batch.Snapshot = blob
-			batch.SnapLastSeq = last
-			snapLast = last
-		}
-		if len(recs) > 0 {
-			encoded, err := wire.Marshal(recs)
-			if err != nil {
-				p.log.Error("encoding replication batch", "err", err)
-				return
-			}
-			batch.Records = encoded
-			batch.Count = len(recs)
-			batch.FirstSeq = recs[0].Seq
-			batch.LastSeq = recs[len(recs)-1].Seq
-		}
-	}
-	payload, err := wire.Marshal(batch)
+// ship reads the batch a.from calls for (possibly a pure heartbeat) from
+// the serving store and sends it to the standby, off the loop. When the
+// round trip fails the link itself may be gone: the standby dialled us, and
+// if that connection died in a partition nobody else re-dials. Do it from
+// this side, or a promoted standby and its fenced ex-primary stay split
+// forever.
+func (p *Peer) ship(a actShip, st *store.Store) event {
+	batch, snapLast, err := p.batch(a, st)
+	ev := evShipped{epoch: a.epoch, snapLast: snapLast, err: err}
 	if err != nil {
-		p.log.Error("encoding replication envelope", "err", err)
-		return
+		p.log.Warn("building replication batch", "err", err)
+		return ev
 	}
-
+	if a.synced {
+		p.met.lag.Set(float64(batch.TailSeq - min(a.from, batch.TailSeq)))
+	}
 	start := time.Now()
-	raw, err := p.node.RequestTimeout(peerID, wire.MsgReplicate, payload, p.requestTimeout())
-	if err != nil {
-		p.noteNoContact("shipping to standby", err)
-		// The link itself may be gone: the standby dialled us originally, and
-		// if that connection died in a partition nobody else re-establishes
-		// it. Re-dial from this side so a healed partition lets shipping (and
-		// with it, fencing of whichever side lost) resume — otherwise a
-		// promoted standby and its fenced ex-primary stay split forever.
-		if addr := p.currentPeerAddr(); addr != "" {
-			_, _ = p.node.ConnectPeer(addr)
-		}
-		return
+	if ev.err = p.request(a.to, wire.MsgReplicate, batch, &ev.ack); ev.err != nil {
+		_, _ = p.dial(a.addr, a.to) // best effort: the next tick ships again either way
+		return ev
 	}
 	p.met.shipSec.Observe(time.Since(start).Seconds())
 	p.met.batchesTx.Inc()
-	var ack wire.ReplAck
-	if err := wire.Unmarshal(raw, &ack); err != nil {
-		p.log.Warn("undecodable replication ack", "err", err)
-		return
-	}
-	p.handleAck(&ack, &batch, snapLast)
-}
-
-func (p *Peer) handleAck(ack *wire.ReplAck, batch *wire.ReplBatch, snapLast uint64) {
-	p.mu.Lock()
-	if ack.Refused && ack.Epoch > p.epoch {
-		// A newer primary exists: we were fenced while unreachable.
-		epoch := ack.Epoch
-		newPrimary := ack.ResponderID
-		p.mu.Unlock()
-		p.demote(epoch, newPrimary)
-		return
-	}
-	if ack.Refused {
-		// Sequence mismatch (standby restarted, batch raced a resync, ...):
-		// restart shipping from the standby's reported frontier.
-		p.acked = ack.AppliedSeq
-		p.synced = true
-		p.met.resyncs.Inc()
-		p.log.Info("standby refused batch; resyncing",
-			"reason", ack.Reason, "frontier", ack.AppliedSeq)
-		p.mu.Unlock()
-		return
-	}
-	p.acked = ack.AppliedSeq
-	p.synced = true
-	p.lastContact = time.Now()
-	p.leaseLogged = false
-	if batch.Count > 0 {
+	if !ev.ack.Refused {
 		p.met.shippedRec.Add(uint64(batch.Count))
-	}
-	if batch.Snapshot != nil {
-		p.met.snapsTx.Inc()
-		if snapLast > p.shippedSnapSeq {
-			p.shippedSnapSeq = snapLast
+		if batch.Snapshot != nil {
+			p.met.snapsTx.Inc()
 		}
 	}
-	lag := float64(0)
-	if last := p.st.LastSeq(); last > p.acked {
-		lag = float64(last - p.acked)
-	}
-	p.mu.Unlock()
-	p.met.lag.Set(lag)
-	p.met.leaseState.Set(LeaseHeld)
+	return ev
 }
 
-// noteNoContact records a failed exchange with the peer and flips the lease
-// gauge once the timeout passes. A primary does NOT step down on a lapsed
-// lease — it keeps serving (availability over consistency during a
-// partition) and accepts being fenced when the standby's promotion becomes
-// visible.
-func (p *Peer) noteNoContact(what string, err error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	since := time.Since(p.lastContact)
-	if !p.lastContact.IsZero() && since > p.leaseTimeoutLocked() {
-		p.met.leaseState.Set(LeaseLapsed)
-		if !p.leaseLogged {
-			p.leaseLogged = true
-			p.log.Warn("replication lease lapsed", "what", what,
-				"since_contact", since.Round(time.Millisecond), "err", err)
+// batch builds the shipment for a: the records above a.from, led by a
+// snapshot baseline when compaction has removed the ones right above it.
+func (p *Peer) batch(a actShip, st *store.Store) (b wire.ReplBatch, snapLast uint64, err error) {
+	b = wire.ReplBatch{PrimaryID: p.node.ID(), Epoch: a.epoch, LeaseTimeoutMillis: a.leaseFor.Milliseconds(),
+		TailSeq: st.LastSeq()}
+	if !a.synced {
+		return b, 0, nil
+	}
+	recs, gap, err := st.ReadSince(a.from, batchMax)
+	if err != nil {
+		return b, 0, fmt.Errorf("reading WAL tail: %w", err)
+	}
+	if gap {
+		// The records right after the standby's frontier were compacted
+		// into a snapshot; ship the baseline plus the tail above it.
+		var blob []byte
+		if snapLast, blob, err = st.NewestSnapshot(); err != nil || blob == nil {
+			return b, 0, fmt.Errorf("WAL gap but no usable snapshot to ship: %v", err)
 		}
+		b.Snapshot, b.SnapLastSeq = blob, snapLast
+		if recs, _, err = st.ReadSince(snapLast, batchMax); err != nil {
+			return b, 0, fmt.Errorf("reading post-snapshot tail: %w", err)
+		}
+	} else if last, blob, serr := st.NewestSnapshot(); serr == nil && blob != nil &&
+		last > a.snapSeq && last <= a.from {
+		// Compaction aid: the standby already has every record this
+		// baseline covers, so installing it lets the replica WAL shrink.
+		b.Snapshot, b.SnapLastSeq, snapLast = blob, last, last
 	}
-}
-
-func (p *Peer) leaseTimeoutLocked() time.Duration {
-	if p.role == store.RoleStandby && p.leaseTimeout > 0 {
-		return p.leaseTimeout
+	if len(recs) > 0 {
+		if b.Records, err = wire.Marshal(recs); err != nil {
+			return b, 0, fmt.Errorf("encoding records: %w", err)
+		}
+		b.Count, b.FirstSeq, b.LastSeq = len(recs), recs[0].Seq, recs[len(recs)-1].Seq
 	}
-	return p.cfg.LeaseTimeout
+	b.TailSeq = st.LastSeq() // read last: appends since ReadSince only raise it
+	return b, snapLast, nil
 }
 
 // --- standby side ---
 
-// join introduces this standby to its primary so shipping (re)starts at the
-// right frontier. A successful join counts as lease contact.
-func (p *Peer) join() {
-	p.mu.Lock()
-	if p.role != store.RoleStandby || p.peerID == "" {
-		p.mu.Unlock()
-		return
+// apply installs a batch's baseline and appends its records to the replica
+// store.
+func (p *Peer) apply(b *wire.ReplBatch) event {
+	ev := evApplied{tail: b.TailSeq}
+	if b.Snapshot != nil {
+		if _, err := p.st.InstallSnapshot(b.Snapshot); err != nil {
+			ev.reason = fmt.Sprintf("snapshot install: %v", err)
+		}
 	}
-	peerID := p.peerID
-	join := wire.ReplJoin{
-		StandbyID:  p.node.ID(),
-		Addr:       p.cfg.SelfAddr,
-		Epoch:      p.epoch,
-		AppliedSeq: p.st.LastSeq(),
-	}
-	p.mu.Unlock()
-	payload, err := wire.Marshal(join)
-	if err != nil {
-		return
-	}
-	raw, err := p.node.RequestTimeout(peerID, wire.MsgReplJoin, payload, p.requestTimeout())
-	if err != nil {
-		p.log.Debug("join attempt failed", "primary", peerID, "err", err)
-		return
-	}
-	var ack wire.ReplAck
-	if err := wire.Unmarshal(raw, &ack); err != nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if ack.Refused {
-		p.log.Warn("primary refused join", "reason", ack.Reason, "epoch", ack.Epoch)
-		return
-	}
-	if ack.Epoch > p.epoch {
-		p.epoch = ack.Epoch
-		p.persistMetaLocked()
-	}
-	p.lastContact = time.Now()
-	p.met.leaseState.Set(LeaseHeld)
-}
-
-// standbyTick monitors the lease and heals the replication link. The lease
-// only arms after first contact: a standby that has never reached its
-// primary has nothing to promote.
-func (p *Peer) standbyTick() {
-	p.mu.Lock()
-	last := p.lastContact
-	timeout := p.leaseTimeoutLocked()
-	p.mu.Unlock()
-
-	switch {
-	case last.IsZero():
-		// Never been in contact: dial the primary until it answers — it may
-		// not be up yet — and keep introducing ourselves.
-		p.dialPrimary()
-		p.join()
-	case time.Since(last) > timeout:
-		p.met.leaseState.Set(LeaseLapsed)
-		p.log.Warn("lease on primary lapsed; promoting",
-			"since_contact", time.Since(last).Round(time.Millisecond))
-		p.promote()
-	case time.Since(last) > 2*p.cfg.Interval:
-		// Quiet link: try to re-dial and re-join before the lease runs out.
-		if addr := p.currentPeerAddr(); addr != "" {
-			if _, err := p.node.ConnectPeer(addr); err == nil {
-				p.join()
+	if ev.reason == "" && b.Count > 0 {
+		var recs []store.Record
+		if err := wire.Unmarshal(b.Records, &recs); err != nil {
+			ev.reason = fmt.Sprintf("undecodable records: %v", err)
+		} else {
+			n, err := p.st.AppendReplicatedBatch(recs)
+			p.met.appliedRec.Add(uint64(n))
+			if err != nil {
+				ev.reason = err.Error()
 			}
 		}
 	}
+	ev.applied = p.st.LastSeq()
+	return ev
 }
 
-// dialPrimary links this standby to its primary's address unless a link is
-// already up, learning the primary's ID from the handshake when neither the
-// configuration nor the metadata named it.
-func (p *Peer) dialPrimary() {
-	p.mu.Lock()
-	peerID := p.peerID
-	p.mu.Unlock()
-	addr := p.currentPeerAddr()
-	if addr == "" || (peerID != "" && slices.Contains(p.node.Peers(), peerID)) {
-		return
-	}
-	id, err := p.node.ConnectPeer(addr)
-	if err != nil {
-		p.log.Debug("dialling primary failed", "addr", addr, "err", err)
-		return
-	}
-	p.mu.Lock()
-	p.peerID = cmp.Or(p.peerID, id)
-	p.mu.Unlock()
-}
-
-func (p *Peer) currentPeerAddr() string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.peerAddr != "" {
-		return p.peerAddr
-	}
-	return p.cfg.PeerAddr
-}
-
-// promote turns this standby into the primary: bump and persist the epoch,
-// re-open the replica store through the normal recovery path, hand it to
-// the serving layer, and announce ownership on the overlay.
-func (p *Peer) promote() {
-	p.mu.Lock()
-	if p.role != store.RoleStandby {
-		p.mu.Unlock()
-		return
-	}
-	oldStore := p.st
-	exPrimaryID := p.peerID
-	exPrimaryAddr := p.peerAddr
-	p.epoch++
-	epoch := p.epoch
-	p.role = store.RolePrimary
-	p.persistMetaLocked()
-	p.mu.Unlock()
-
+// promote re-opens the replica store through the normal recovery path and
+// hands it to the serving layer.
+func (p *Peer) promote(epoch uint64) event {
+	p.log.Warn("lease on primary lapsed; promoting", "epoch", epoch)
 	// Seal the replica store so every applied record is on disk, then
 	// re-open the directory exactly like a restarted server would: snapshot
 	// + tail replay, torn-tail tolerance, orphan requeue — promotion IS a
 	// recovery, just on a different machine.
-	if oldStore != nil {
-		if err := oldStore.Close(); err != nil {
-			p.log.Warn("closing replica store before promotion", "err", err)
-		}
+	if err := p.st.Close(); err != nil {
+		p.log.Warn("closing replica store before promotion", "err", err)
 	}
-	st, err := p.openReplicaStore()
+	st, err := store.Open(p.cfg.StoreOptions)
 	if err != nil {
 		p.log.Error("promotion failed: cannot re-open replica store", "err", err)
-		p.fail()
-		return
+		return evPromoteDone{err: err}
 	}
 	var projects []string
 	if p.cfg.Hooks.Promote != nil {
-		projects, err = p.cfg.Hooks.Promote(st, epoch)
-		if err != nil {
+		if projects, err = p.cfg.Hooks.Promote(st, epoch); err != nil {
 			p.log.Error("promotion hook failed", "err", err)
-			st.Close()
-			p.fail()
-			return
+			p.st = st // still the standby's
+			return evPromoteDone{err: err}
 		}
 	}
-
-	p.mu.Lock()
-	p.st = st
-	p.ownStore = false // the serving layer owns it now
-	p.peerID = exPrimaryID
-	p.peerAddr = exPrimaryAddr
-	p.acked = 0
-	p.synced = false
-	p.shippedSnapSeq = 0
-	p.lastContact = time.Time{}
-	p.leaseLogged = false
-	select {
-	case <-p.promoted:
-	default:
-		close(p.promoted)
-	}
-	p.mu.Unlock()
-
+	p.st = st // the serving layer owns it now
 	p.met.promotions.Inc()
-	p.met.leaseState.Set(LeaseHeld)
-	p.log.Info("promoted to primary", "epoch", epoch, "projects", len(projects),
-		"fenced_primary", exPrimaryID)
-
+	p.log.Info("promoted to primary", "epoch", epoch, "projects", len(projects), "fenced_primary", p.s.peerID)
 	// Claim ownership loudly: the fenced ex-primary (if back) demotes,
 	// workers re-home, clients retarget.
-	ann, err := wire.Marshal(wire.Promoted{NodeID: p.node.ID(), Epoch: epoch, Projects: projects})
-	if err == nil {
-		p.node.NotifyPeers(wire.MsgPromoted, ann, p.requestTimeout())
+	if ann, err := wire.Marshal(wire.Promoted{NodeID: p.node.ID(), Epoch: epoch, Projects: projects}); err == nil {
+		p.async(func() event {
+			p.node.NotifyPeers(wire.MsgPromoted, ann, p.requestTimeout())
+			return nil
+		})
 	}
+	close(p.promoted)
+	return evPromoteDone{}
 }
 
-// fail parks the peer after an unrecoverable promotion error. State on disk
-// is intact; an operator restart retries the whole sequence.
-func (p *Peer) fail() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.role = store.RoleStandby
-	p.epoch--
-	p.persistMetaLocked()
-	p.lastContact = time.Now() // full lease of grace before the next attempt
-}
-
-// demote turns a fenced ex-primary into a standby of the node that fenced
-// it: tear down the serving side, archive the divergent state directory,
-// start a fresh replica directory, and rejoin.
-func (p *Peer) demote(newEpoch uint64, newPrimaryID string) {
-	p.mu.Lock()
-	if p.role != store.RolePrimary {
-		p.mu.Unlock()
-		return
-	}
-	p.role = store.RoleStandby
-	p.epoch = newEpoch
-	oldPeerAddr := p.peerAddr
-	p.mu.Unlock()
+// demote tears down the serving side, archives the divergent state
+// directory and starts a fresh replica directory.
+func (p *Peer) demote(a actDemote) {
 	p.met.fencings.Inc()
-	p.met.leaseState.Set(LeaseFenced)
-	p.log.Warn("fenced by a newer primary; demoting to standby",
-		"epoch", newEpoch, "new_primary", newPrimaryID)
-
+	epoch, newPrimary := a.meta.Epoch, a.meta.PeerID
+	p.log.Warn("fenced by a newer primary; demoting to standby", "epoch", epoch, "new_primary", newPrimary)
 	if p.cfg.Hooks.Demote != nil {
-		if err := p.cfg.Hooks.Demote(newEpoch, newPrimaryID); err != nil {
+		if err := p.cfg.Hooks.Demote(epoch, newPrimary); err != nil {
 			p.log.Error("demotion hook failed", "err", err)
 		}
 	}
-
 	// Our WAL may hold a divergent tail (records acknowledged here but
 	// never replicated before the standby promoted). Replaying it on top of
 	// the new primary's history would resurrect conflicting state, so the
 	// directory is archived for operators and replication restarts from a
 	// clean slate + full resync.
-	if err := archiveDir(p.cfg.Dir, newEpoch); err != nil {
+	if err := archiveDir(p.cfg.Dir, epoch); err != nil {
 		p.log.Error("archiving fenced state directory", "err", err)
 	}
-	st, err := p.openReplicaStore()
-	if err != nil {
+	if st, err := store.Open(p.cfg.StoreOptions); err != nil {
 		p.log.Error("demotion failed: cannot open fresh replica store", "err", err)
-		return
+	} else {
+		p.st = st
 	}
-
-	p.mu.Lock()
-	p.st = st
-	p.ownStore = true
-	p.peerID = newPrimaryID
-	p.peerAddr = oldPeerAddr // the fencer is our old standby: same transport address
-	p.acked = 0
-	p.synced = false
-	p.lastContact = time.Time{} // lease re-arms on first contact
-	p.persistMetaLocked()
-	select {
-	case <-p.demoted:
-	default:
-		close(p.demoted)
-	}
-	p.mu.Unlock()
-	p.join()
+	p.do(actPersist{a.meta}) // into the fresh directory, before anyone sees Demoted
+	close(p.demoted)
 }
 
 // archiveDir renames a fenced primary's state directory out of the way so
@@ -815,167 +637,25 @@ func archiveDir(dir string, epoch uint64) error {
 	return os.Rename(dir, target)
 }
 
-func (p *Peer) persistMetaLocked() {
-	meta := &store.ReplicaMeta{
-		Epoch:    p.epoch,
-		Role:     p.role,
-		PeerID:   p.peerID,
-		PeerAddr: p.peerAddr,
-	}
-	if err := store.SaveReplicaMeta(p.cfg.Dir, meta); err != nil {
-		p.log.Error("persisting replica metadata", "err", err)
-	}
-}
-
-// --- overlay handlers ---
-
-// handleJoin registers (or re-registers) a standby. Only a primary accepts.
-func (p *Peer) handleJoin(from string, payload []byte) ([]byte, error) {
-	var join wire.ReplJoin
-	if err := wire.Unmarshal(payload, &join); err != nil {
-		return nil, err
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	ack := wire.ReplAck{ResponderID: p.node.ID(), Epoch: p.epoch}
-	switch {
-	case p.role != store.RolePrimary:
-		ack.Refused = true
-		ack.Reason = "not a primary"
-	case join.Epoch > p.epoch:
-		ack.Refused = true
-		ack.Reason = "joining standby has a newer epoch"
-	default:
-		p.peerID = join.StandbyID
-		if join.Addr != "" {
-			p.peerAddr = join.Addr
+// handler decodes a message of type M, hands the event toEvent makes of it
+// to the run loop and returns the encoded reply.
+func handler[M any](p *Peer, toEvent func(*M) event) overlay.Handler {
+	return func(_ string, payload []byte) ([]byte, error) {
+		var m M
+		if err := wire.Unmarshal(payload, &m); err != nil {
+			return nil, err
 		}
-		p.acked = join.AppliedSeq
-		p.synced = true
-		p.lastContact = time.Now()
-		p.leaseLogged = false
-		p.shippedSnapSeq = 0
-		p.persistMetaLocked()
-		ack.AppliedSeq = join.AppliedSeq
-		p.met.leaseState.Set(LeaseHeld)
-		p.log.Info("standby joined", "standby", join.StandbyID, "frontier", join.AppliedSeq)
-	}
-	return wire.Marshal(ack)
-}
-
-// handleReplicate applies a batch (standby) or detects a fencing conflict
-// (primary receiving another primary's batches).
-func (p *Peer) handleReplicate(from string, payload []byte) ([]byte, error) {
-	var batch wire.ReplBatch
-	if err := wire.Unmarshal(payload, &batch); err != nil {
-		return nil, err
-	}
-	p.met.batchesRx.Inc()
-
-	p.mu.Lock()
-	if p.role == store.RolePrimary {
-		ack := wire.ReplAck{ResponderID: p.node.ID(), Epoch: p.epoch, Refused: true}
-		if batch.Epoch > p.epoch {
-			// The peer promoted while we were away: we are fenced. The run
-			// loop performs the demotion; refuse batches until it has.
-			ack.Reason = "fenced; demoting"
-			if p.pendingDemote == nil || batch.Epoch > p.pendingDemote.epoch {
-				p.pendingDemote = &demotion{epoch: batch.Epoch, newPrimary: batch.PrimaryID}
-			}
-		} else {
-			// A stale primary is still shipping: fence it.
-			ack.Reason = "fenced: stale epoch"
+		reply := make(chan *wire.ReplAck, 1)
+		select {
+		case p.inbox <- func() { p.feed(toEvent(&m), reply) }:
+		case <-p.stop:
+			return nil, errors.New("replica: peer closed")
 		}
-		p.mu.Unlock()
+		ack := <-reply
+		if ack == nil {
+			return []byte{}, nil
+		}
+		ack.ResponderID = p.node.ID()
 		return wire.Marshal(ack)
 	}
-
-	// Standby path.
-	ack := wire.ReplAck{ResponderID: p.node.ID(), Epoch: p.epoch}
-	if batch.Epoch < p.epoch {
-		ack.Refused = true
-		ack.Reason = "fenced: stale epoch"
-		ack.AppliedSeq = p.st.LastSeq()
-		p.mu.Unlock()
-		return wire.Marshal(ack)
-	}
-	if batch.Epoch > p.epoch {
-		p.epoch = batch.Epoch
-		ack.Epoch = p.epoch
-		p.persistMetaLocked()
-	}
-	if batch.PrimaryID != "" && batch.PrimaryID != p.peerID {
-		// Follow the current epoch's primary (e.g. roles swapped around us).
-		p.peerID = batch.PrimaryID
-		p.persistMetaLocked()
-	}
-	if ms := batch.LeaseTimeoutMillis; ms > 0 {
-		p.leaseTimeout = time.Duration(ms) * time.Millisecond
-	}
-	st := p.st
-
-	if batch.Snapshot != nil {
-		if _, err := st.InstallSnapshot(batch.Snapshot); err != nil {
-			ack.Refused = true
-			ack.Reason = fmt.Sprintf("snapshot install: %v", err)
-			ack.AppliedSeq = st.LastSeq()
-			p.mu.Unlock()
-			return wire.Marshal(ack)
-		}
-	}
-	if batch.Count > 0 {
-		var recs []store.Record
-		if err := wire.Unmarshal(batch.Records, &recs); err != nil {
-			ack.Refused = true
-			ack.Reason = fmt.Sprintf("undecodable records: %v", err)
-			ack.AppliedSeq = st.LastSeq()
-			p.mu.Unlock()
-			return wire.Marshal(ack)
-		}
-		n, err := st.AppendReplicatedBatch(recs)
-		if n > 0 {
-			p.met.appliedRec.Add(uint64(n))
-		}
-		if err != nil {
-			ack.Refused = true
-			if errors.Is(err, store.ErrReplicaGap) {
-				ack.Reason = "gap"
-			} else {
-				ack.Reason = err.Error()
-			}
-			ack.AppliedSeq = st.LastSeq()
-			p.mu.Unlock()
-			return wire.Marshal(ack)
-		}
-	}
-	p.lastContact = time.Now()
-	ack.AppliedSeq = st.LastSeq()
-	p.mu.Unlock()
-	p.met.leaseState.Set(LeaseHeld)
-	return wire.Marshal(ack)
-}
-
-// handlePromoted reacts to an ownership announcement: a primary with a
-// lower epoch schedules its own demotion; a standby adopts the new primary.
-func (p *Peer) handlePromoted(from string, payload []byte) ([]byte, error) {
-	var ann wire.Promoted
-	if err := wire.Unmarshal(payload, &ann); err != nil {
-		return nil, err
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if ann.Epoch <= p.epoch {
-		return []byte{}, nil // stale or our own echo
-	}
-	switch p.role {
-	case store.RolePrimary:
-		if p.pendingDemote == nil || ann.Epoch > p.pendingDemote.epoch {
-			p.pendingDemote = &demotion{epoch: ann.Epoch, newPrimary: ann.NodeID}
-		}
-	case store.RoleStandby:
-		p.epoch = ann.Epoch
-		p.peerID = ann.NodeID
-		p.persistMetaLocked()
-	}
-	return []byte{}, nil
 }

@@ -136,19 +136,3 @@ func minImage1(d, l float64) float64 {
 
 // Dist returns the minimum-image distance between p and q.
 func (b Box) Dist(p, q V3) float64 { return b.MinImage(p, q).Norm() }
-
-// RMSD returns the root-mean-square deviation between two conformations of
-// equal length, without superposition. It panics if the lengths differ.
-func RMSD(a, b []V3) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("vec: RMSD length mismatch %d != %d", len(a), len(b)))
-	}
-	if len(a) == 0 {
-		return 0
-	}
-	var s float64
-	for i := range a {
-		s += a[i].Sub(b[i]).Norm2()
-	}
-	return math.Sqrt(s / float64(len(a)))
-}

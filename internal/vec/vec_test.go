@@ -162,37 +162,6 @@ func TestPropertyMinImageShortest(t *testing.T) {
 	}
 }
 
-func TestRMSDIdentical(t *testing.T) {
-	a := []V3{New(1, 2, 3), New(4, 5, 6)}
-	if RMSD(a, a) != 0 {
-		t.Error("RMSD of identical conformations should be 0")
-	}
-}
-
-func TestRMSDKnown(t *testing.T) {
-	a := []V3{New(0, 0, 0), New(1, 0, 0)}
-	b := []V3{New(0, 0, 0), New(1, 0, 2)}
-	// Displacements are (0,0,0) and (0,0,2): RMSD = sqrt(4/2) = sqrt2.
-	if !almostEq(RMSD(a, b), math.Sqrt2, 1e-12) {
-		t.Errorf("RMSD = %v", RMSD(a, b))
-	}
-}
-
-func TestRMSDLengthMismatchPanics(t *testing.T) {
-	for name, f := range map[string]func(){
-		"RMSD": func() { RMSD([]V3{Zero}, nil) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s with mismatched lengths should panic", name)
-				}
-			}()
-			f()
-		}()
-	}
-}
-
 func TestVolume(t *testing.T) {
 	if got := NewCubicBox(2).Volume(); got != 8 {
 		t.Errorf("Volume = %v", got)

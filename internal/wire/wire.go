@@ -438,8 +438,6 @@ type ProjectStatus struct {
 // ReplJoin is a standby's registration with its primary. AppliedSeq lets the
 // primary resume shipping exactly where the standby left off (or decide a
 // snapshot baseline is needed because older records were compacted away).
-// The store packages on either side exchange records as opaque gob blobs, so
-// the wire layer stays ignorant of the WAL record schema.
 type ReplJoin struct {
 	StandbyID string
 	// Addr is the standby's transport address, persisted by the primary so a
@@ -460,8 +458,10 @@ type ReplBatch struct {
 	// sequence number it is guaranteed to reflect.
 	Snapshot    []byte
 	SnapLastSeq uint64
-	// Records is a gob-encoded []store.Record slice (opaque here), in
-	// ascending, contiguous sequence order; FirstSeq/LastSeq frame it.
+	// Records is a gob-encoded []store.Record slice, in ascending,
+	// contiguous sequence order; FirstSeq/LastSeq frame it. The store
+	// packages on either side exchange records as opaque gob blobs, so the
+	// wire layer stays ignorant of the WAL record schema.
 	Records  []byte
 	Count    int
 	FirstSeq uint64
@@ -469,6 +469,13 @@ type ReplBatch struct {
 	// LeaseTimeoutMillis tells the standby how long to wait after the last
 	// accepted batch before concluding the primary is dead and promoting.
 	LeaseTimeoutMillis int64
+	// TailSeq is the last sequence in the primary's journal when it shipped
+	// the batch. A standby whose applied frontier has reached it held every
+	// record the primary had; since it last (re)joined, a standby promotes
+	// only after that has happened. A batch from a primary older than the
+	// field decodes with TailSeq 0, which every standby has reached, so
+	// against such a primary the lease alone decides, as it used to.
+	TailSeq uint64
 }
 
 // ReplAck acknowledges a ReplJoin or ReplBatch. Receiving a non-refused ack

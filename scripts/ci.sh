@@ -101,12 +101,19 @@ crash() {
 # docs/PERSISTENCE.md ("Replication & failover") — then the Host assembly
 # cpcserver starts, driven directly: restart-after-fence with each side's
 # original configuration, a standby started before its primary, and
-# failover over real TLS, five times each.
+# failover over real TLS, five times each. Then the replication protocol
+# itself: the explicit-state checker over every interleaving to depth 16
+# (tier-1 runs depth 12), and the real Peer under a flapping link and a
+# failing Promote hook, 100 times.
 failover() {
     echo "== standby failover (race; Host restart-after-fence, standby-first start and TLS failover x5) =="
     $GO test -race -run TestFailover -timeout 600s ./internal/core/
     $GO test -race -count=5 -timeout 900s \
         -run 'TestHost|TestStandbyStartsBeforeItsPrimary|TestFailoverOverTLS|TestTLSDeploymentEndToEnd' ./internal/core/
+    echo "== replication protocol (checker to depth 16; flapping link and failed promotion, race x100) =="
+    CPC_CHECK_DEPTH=16 $GO test -count=1 -run 'TestChecker' ./internal/store/replica/
+    $GO test -race -count=100 -timeout 900s \
+        -run 'TestLinkFlapping|TestFailedPromotionKeepsPrimaryServing|TestLeaseLapsePromotesStandby|TestStalePrimaryIsFencedAndDemotes' ./internal/store/replica/
 }
 
 # Event-driven dispatch under stress: relay-homed workers picking up a

@@ -12,6 +12,12 @@
 //
 // An engine checkpoints through the progress callback so the control plane
 // can hand a half-finished command to another worker after a failure.
+//
+// Every payload, output and checkpoint type is registered with the binary
+// codec of internal/wire, so wire.Marshal writes it from its declaration:
+// fields are only ever appended (wire's codec.go has the rule). Bytes written
+// before the codec reached these types are gob, which wire.Unmarshal still
+// reads.
 package engines
 
 import (
@@ -24,6 +30,11 @@ import (
 	"copernicus/internal/topology"
 	"copernicus/internal/wire"
 )
+
+func init() {
+	wire.Register(LandscapePayload{}, LandscapeOutput{}, LandscapeCheckpoint{}, MDPayload{}, MDOutput{},
+		BARPayload{}, BAROutput{}, RepexMDPayload{}, RepexMDOutput{})
+}
 
 // Engine executes commands of one type. Implementations must be safe for
 // concurrent Run calls (workers run several commands at once).

@@ -514,3 +514,49 @@ func TestAckImpliesDurable(t *testing.T) {
 		t.Fatal("held result ack never left")
 	}
 }
+
+// TestByPathResultRefusedWithoutSharedFS: a server without an FSToken shares
+// no filesystem with any worker, so a result that names an output path
+// instead of carrying the output is refused — an error reply, nothing
+// journaled, the command still running — rather than read from whatever file
+// the path names on the server's host.
+func TestByPathResultRefusedWithoutSharedFS(t *testing.T) {
+	st := openTestStore(t, t.TempDir())
+	ctrl := &testController{submit: []wire.CommandSpec{cmdSpec("c1")}}
+	r := newRig(t, Config{HeartbeatInterval: time.Hour, Store: st}, ctrl)
+	r.submit(t, "proj")
+	var wl wire.Workload
+	if err := r.request(t, wire.MsgAnnounce, announce("w1", 1), &wl); err != nil {
+		t.Fatal(err)
+	}
+	if len(wl.Commands) != 1 || wl.SharedFS {
+		t.Fatalf("workload %+v, want c1 without shared FS", wl)
+	}
+	path := filepath.Join(t.TempDir(), "server-side-file")
+	if err := os.WriteFile(path, []byte("not the worker's output"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	res := wire.CommandResult{CommandID: "c1", Project: "proj", WorkerID: "w1", OK: true, OutputPath: path}
+	if err := r.request(t, wire.MsgResult, &res, nil); err == nil {
+		t.Error("a by-path result was accepted by a server without shared FS")
+	}
+	if fin, _ := ctrl.counts(); fin != 0 {
+		t.Errorf("controller saw %d completions", fin)
+	}
+	recs, _, err := st.ReadSince(0, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if rec.Type == store.RecResult {
+			t.Errorf("result journaled: %q", rec.Data)
+		}
+	}
+	p := r.srv.project("proj")
+	p.mu.Lock()
+	status := p.command("c1").status
+	p.mu.Unlock()
+	if status != cmdRunning {
+		t.Errorf("c1 in status %d, want still running", status)
+	}
+}

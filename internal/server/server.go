@@ -820,8 +820,14 @@ func (s *Server) handleResult(from string, payload []byte) ([]byte, error) {
 		return nil, overlay.ErrNotHandled // maybe another server's project
 	}
 
-	// Shared-filesystem path: load the output by reference.
+	// Shared-filesystem path: load the output by reference. A server without
+	// an FSToken shares no filesystem with any worker, so a path it is sent
+	// names no output of theirs.
 	if res.OutputPath != "" && len(res.Output) == 0 {
+		if s.cfg.FSToken == "" {
+			return nil, fmt.Errorf("server: result for %s names output %s, but this server has no shared filesystem",
+				res.CommandID, res.OutputPath)
+		}
 		data, err := os.ReadFile(res.OutputPath)
 		if err != nil {
 			return nil, fmt.Errorf("server: reading shared-FS output %s: %w", res.OutputPath, err)

@@ -35,19 +35,37 @@ func sealedSnapshot(magic, body []byte) []byte {
 	return append(out, body...)
 }
 
-// oneCommandSnapshot is a binary snapshot file whose one project, "villin",
-// holds one command whose body is cmdFields: the fields as some build wrote
-// them, without the length prefix.
-func oneCommandSnapshot(cmdFields []byte) []byte {
-	proj := wire.AppendString(nil, "villin")
-	proj = append(proj, make([]byte, 12)...) // Controller through CtrlState, all zero
-	proj = binary.AppendUvarint(proj, 1)     // one command
-	proj = wire.AppendBytes(proj, cmdFields)
-	var snap []byte
-	snap = append(snap, 0, 0)            // TakenAt, LastSeq
-	snap = binary.AppendUvarint(snap, 1) // one project
-	snap = wire.AppendBytes(snap, proj)
-	return sealedSnapshot(snapMagic, wire.AppendBytes(nil, snap))
+// projectSnapOf is ProjectSnap with commands of an older shape C, and
+// snapshotOf a Snapshot of them: what a build before one of CommandSnap's
+// fields wrote, in either format.
+type projectSnapOf[C any] struct {
+	Name, Controller, Tenant string
+	Priority                 int
+	State                    string
+	Generation               int
+	Note, FailErr            string
+	Result                   []byte
+	Finished, Failed         int
+	Seed                     uint64
+	CtrlState                []byte
+	Commands                 []C
+}
+
+type snapshotOf[C any] struct {
+	TakenAt  int64
+	LastSeq  uint64
+	Projects []projectSnapOf[C]
+}
+
+// binarySnapshotFile frames snap, any value of a Snapshot's shape, the way
+// this build does.
+func binarySnapshotFile(t *testing.T, snap any) []byte {
+	t.Helper()
+	body, err := wire.EncodeStruct(snap, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sealedSnapshot(snapMagic, body)
 }
 
 // decodeOneCommand decodes a snapshot file and returns its only command.
@@ -63,14 +81,10 @@ func decodeOneCommand(t *testing.T, file []byte) CommandSnap {
 	return snap.Projects[0].Commands[0]
 }
 
-// preStreamFields are a command's fields as a build before the Streamed
-// watermark wrote them: Spec, Status, Worker, Retries, Checkpoint.
-func preStreamFields(spec wire.CommandSpec, status int, worker string, retries int, checkpoint []byte) []byte {
-	b := spec.AppendTo(nil)
-	b = wire.AppendInt(b, status)
-	b = wire.AppendString(b, worker)
-	b = wire.AppendInt(b, retries)
-	return wire.AppendBytes(b, checkpoint)
+// oneCommand is a snapshot, in both formats, whose one project holds cmd.
+func oneCommand[C any](t *testing.T, cmd C) map[string][]byte {
+	snap := &snapshotOf[C]{Projects: []projectSnapOf[C]{{Name: "villin", Commands: []C{cmd}}}}
+	return map[string][]byte{"gob": gobSnapshotFile(t, snap), "binary": binarySnapshotFile(t, snap)}
 }
 
 // TestPreStreamCommandSnapDecodes: a CommandSnap written before the Streamed
@@ -85,17 +99,8 @@ func TestPreStreamCommandSnapDecodes(t *testing.T) {
 		Retries    int
 		Checkpoint []byte
 	}
-	type projectSnapPreStream struct {
-		Name     string
-		Commands []commandSnapPreStream
-	}
 	spec := wire.CommandSpec{ID: "c1", Project: "villin", Type: "mdrun", MinCores: 1, MaxCores: 1}
-	for name, file := range map[string][]byte{
-		"gob": gobSnapshotFile(t, &struct{ Projects []projectSnapPreStream }{[]projectSnapPreStream{{
-			Name: "villin", Commands: []commandSnapPreStream{{Spec: spec, Status: 2, Worker: "w1", Retries: 1, Checkpoint: []byte("ck")}},
-		}}}),
-		"binary": oneCommandSnapshot(preStreamFields(spec, 2, "w1", 1, []byte("ck"))),
-	} {
+	for name, file := range oneCommand(t, commandSnapPreStream{Spec: spec, Status: 2, Worker: "w1", Retries: 1, Checkpoint: []byte("ck")}) {
 		got := decodeOneCommand(t, file)
 		if got.Spec.ID != "c1" || got.Status != 2 || got.Worker != "w1" ||
 			got.Retries != 1 || string(got.Checkpoint) != "ck" {
@@ -121,17 +126,8 @@ func TestPrePreemptsCommandSnapDecodes(t *testing.T) {
 		Checkpoint []byte
 		Streamed   int
 	}
-	type projectSnapPrePreempts struct {
-		Name     string
-		Commands []commandSnapPrePreempts
-	}
 	spec := wire.CommandSpec{ID: "c3", Project: "villin", Type: "mdrun", MinCores: 1, MaxCores: 1}
-	for name, file := range map[string][]byte{
-		"gob": gobSnapshotFile(t, &struct{ Projects []projectSnapPrePreempts }{[]projectSnapPrePreempts{{
-			Name: "villin", Commands: []commandSnapPrePreempts{{Spec: spec, Status: 1, Worker: "w2", Retries: 2, Streamed: 5}},
-		}}}),
-		"binary": oneCommandSnapshot(wire.AppendInt(preStreamFields(spec, 1, "w2", 2, nil), 5)),
-	} {
+	for name, file := range oneCommand(t, commandSnapPrePreempts{Spec: spec, Status: 1, Worker: "w2", Retries: 2, Streamed: 5}) {
 		got := decodeOneCommand(t, file)
 		if got.Spec.ID != "c3" || got.Status != 1 || got.Worker != "w2" || got.Retries != 2 || got.Streamed != 5 {
 			t.Errorf("%s: pre-preempts fields corrupted: %+v", name, got)
@@ -148,13 +144,23 @@ func TestPrePreemptsCommandSnapDecodes(t *testing.T) {
 // skipped, as gob dropped unknown fields), so a rolled-back server recovers
 // cleanly — as a pre-stream server did from a snapshot with watermarks.
 func TestStreamCommandSnapDecodesByPreStreamShape(t *testing.T) {
+	type commandSnapFuture struct {
+		Spec       wire.CommandSpec
+		Status     int
+		Worker     string
+		Retries    int
+		Checkpoint []byte
+		Streamed   int
+		Preempts   int
+		Future     string
+	}
 	want := CommandSnap{
 		Spec:   wire.CommandSpec{ID: "c2", Project: "villin", Type: "mdrun", MinCores: 1, MaxCores: 1},
 		Status: 1, Worker: "w1", Retries: 1, Checkpoint: []byte("ck"), Streamed: 17, Preempts: 3,
 	}
-	r := wire.NewReader(want.AppendTo(nil))
-	fields := r.Bytes() // today's fields, without the length prefix
-	got := decodeOneCommand(t, oneCommandSnapshot(wire.AppendString(bytes.Clone(fields), "a-field-from-the-future")))
+	got := decodeOneCommand(t, oneCommand(t, commandSnapFuture{Spec: want.Spec, Status: want.Status,
+		Worker: want.Worker, Retries: want.Retries, Checkpoint: want.Checkpoint, Streamed: want.Streamed,
+		Preempts: want.Preempts, Future: "a-field-from-the-future"})["binary"])
 	if got.Spec.ID != want.Spec.ID || got.Status != want.Status || got.Worker != want.Worker ||
 		got.Retries != want.Retries || string(got.Checkpoint) != "ck" ||
 		got.Streamed != want.Streamed || got.Preempts != want.Preempts {

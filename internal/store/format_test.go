@@ -162,8 +162,9 @@ func TestBinaryRecordsOwnTheirData(t *testing.T) {
 
 // snapAllocLimit bounds what decoding an n-byte snapshot file may allocate:
 // the image of what it holds, a ProjectSnap, a CommandSnap or a TenantStatus
-// costing at most some 14 bytes of memory per byte of input (format.go's
-// minimum sizes), plus room for the process's own noise.
+// costing at most some 14 bytes of memory per byte of input (the smallest
+// encodings the codec derives for them), plus room for the process's own
+// noise.
 func snapAllocLimit(n int) uint64 { return uint64(32*n) + 64<<10 }
 
 // testSnapshot has every field set, a project with two commands and a

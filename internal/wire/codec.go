@@ -1,51 +1,60 @@
 package wire
 
-// The binary codec of the command round trip. The messages that cross the
-// system once or more per command — Envelope, AnnounceRequest/WorkerInfo,
-// Workload/CommandSpec, CommandResult, Heartbeat/HeartbeatAck, FrameChunk and
-// WorkerFailed — are written by hand, append-style, into one exact-size
-// buffer and decoded in place; the types that do not implement Message stay
-// on gob (wire.go). Other packages write their types in the same struct
-// format through the exported Message, Reader and Size/Append helpers:
-// internal/store its WAL records and snapshots, internal/engines the
-// payloads, outputs and checkpoints inside CommandSpec and CommandResult.
+// The binary codec. It writes every struct the same way, from the struct's
+// declaration: no type carries an encoder of its own. For each struct type a
+// plan is built once by reflection — its exported fields in declaration
+// order, each with the encoding its Go type picks — and one interpreter
+// sizes, appends and decodes every plan. The types Marshal writes in this
+// codec are the registered ones (Register): this package's messages of the
+// command round trip, the engines' payloads, outputs and checkpoints
+// (internal/engines), and the store's WAL records and snapshots
+// (internal/store, through EncodeStruct and DecodeStruct). Every other type
+// stays on gob (wire.go).
 //
 // Layout. A Marshal result is the tag byte 0x00 followed by one struct. No
 // gob stream starts with 0x00 (a gob message opens with its non-zero
 // length), which is how Unmarshal tells the two apart, and how bytes written
-// before this codec existed are still read.
-//
-// Evolution rule (the append-only contract gob used to give, now pinned by
-// the captured v3 fixtures in codec_test.go): every struct is
+// before this codec existed are still read. Every struct is
 //
 //	uvarint bodyLen | fields in declaration order
 //
-// Fields are only ever appended to a struct. A decoder that finds the body
+// Declaration order is the format. A field is only ever appended to a struct,
+// never moved, removed or retyped; testdata/shapes.golden holds every coded
+// type's fields and refuses any other change. A decoder that finds the body
 // ended before a field leaves that field and all later ones zero; a decoder
 // that has filled the last field it knows skips what is left of the body.
 // Inside a list nothing is optional: a count that promises more elements
 // than the body holds is an error.
 //
-// Field encodings: int is a zigzag varint; a string or []byte is uvarint
-// length | bytes; bool is one byte, 0 or 1; float64 and Envelope.RequestID
-// are 8 bytes little-endian; a list is uvarint count | elements, and an empty
-// list, map or byte run decodes as nil; a nested struct is a struct as above.
-// Workload.Cores is count | (key, int) pairs in sorted key order, so equal
-// workloads make equal frames. A frames field (FrameChunk.Frames, the
-// landscape engine's trajectories) is count | dim | count×dim raw float64,
-// which is why Marshal refuses frames of unequal or zero width.
+// Field encodings, by Go type (named types by their underlying kind):
+//
+//	int, int64          zigzag varint
+//	uint64              uvarint; with the tag `wire:"fixed64"`, 8 bytes
+//	                    little-endian (Envelope.RequestID, the one such field)
+//	uint8               uvarint, refused above 255 when decoded
+//	float64             8 bytes little-endian
+//	bool                one byte, 0 or 1
+//	string, []byte      uvarint length | bytes
+//	[]string, []float64 uvarint count | elements
+//	[][]float64         frames: uvarint count | uvarint dim | count×dim
+//	                    float64s, so frames must share one non-zero width
+//	map[string]int      uvarint count | (key, int) pairs in sorted key order,
+//	                    so equal values make equal bytes
+//	struct, []struct    a struct as above; a list of them after its count
+//
+// An empty list, map or byte run decodes as nil. Any other field type is a
+// programming error that Register reports when the program starts.
 //
 // Hostile input: nothing is allocated on a length's or a count's word. Every
 // length is checked against the bytes that remain; a list's count is checked
 // against them too (count ≤ remaining / smallest element an encoder can
-// write) and its elements are then found in the body, one by one, before the
-// list is allocated; Workload.Cores grows as its pairs decode. What decoding
-// allocates is therefore the in-memory size of what the input really holds —
-// a small multiple of the input, not its size, because a 16-byte string
-// header, a 176-byte CommandSpec or a map slot can each be spelled in a few
-// bytes (codec_test.go measures the worst of each: 16, 13.5 and some 30 bytes
-// per input byte). Truncated, over-long and trailing bytes are errors, never
-// panics.
+// write, which the plan derives from the element's fields) and its elements
+// are then found in the body, one by one, before the list or map is
+// allocated. What decoding allocates is therefore the in-memory size of what
+// the input really holds — a small multiple of the input, not its size,
+// because a 16-byte string header, a 176-byte CommandSpec or a map slot can
+// each be spelled in a few bytes. Truncated, over-long and trailing bytes are
+// errors, never panics.
 
 import (
 	"encoding/binary"
@@ -60,189 +69,353 @@ import (
 // codecTag opens every binary-coded message.
 const codecTag = 0x00
 
-// Message is implemented by (pointers to) the types the binary codec knows:
-// this package's hot messages, and the types another package persists in the
-// same format (internal/store's WAL records and snapshots). Marshal writes
-// any Message in the binary codec.
-type Message interface {
-	// BodyLen is the encoded size of the fields, without the length prefix.
-	BodyLen() int
-	// AppendTo appends uvarint BodyLen | fields.
-	AppendTo(b []byte) []byte
-	// Decode fills the receiver from body, the bytes after the length
-	// prefix. Byte-slice fields alias body.
-	Decode(body []byte) error
-}
-
-var messageType = reflect.TypeFor[Message]()
-
-// asMessage returns v as a Message when its type implements one, given by
-// pointer or by value (a value is copied behind a new pointer); nil for the
-// types that stay on gob.
-func asMessage(v any) Message {
-	if m, ok := v.(Message); ok {
-		return m
-	}
-	t := reflect.TypeOf(v)
-	if t == nil || t.Kind() == reflect.Pointer || !reflect.PointerTo(t).Implements(messageType) {
-		return nil
-	}
-	p := reflect.New(t)
-	p.Elem().Set(reflect.ValueOf(v))
-	return p.Interface().(Message)
-}
-
-// Checker is implemented by the messages that can hold a value the layout
-// cannot carry — frames of unequal width. Marshal refuses such a message with
-// Check's error.
-type Checker interface {
-	Check() error
-}
-
-// marshalMessage encodes m into one buffer of exactly the encoded size, with
-// room for a frame header of headroom bytes in front.
-func marshalMessage(m Message, headroom int) ([]byte, error) {
-	if reflect.ValueOf(m).IsNil() {
-		return nil, fmt.Errorf("wire: encoding %T: nil pointer", m)
-	}
-	if c, ok := m.(Checker); ok {
-		if err := c.Check(); err != nil {
-			return nil, fmt.Errorf("wire: encoding %T: %w", m, err)
-		}
-	}
-	n := m.BodyLen()
-	b := make([]byte, headroom, headroom+1+SizeUvarint(uint64(n))+n)
-	return m.AppendTo(append(b, codecTag)), nil
-}
-
 // DecodeAllocLimit bounds what decoding n bytes of binary-coded input may
 // allocate: the in-memory size of the costliest thing n bytes can spell, plus
 // room for the error value and a test process's own noise. A list of empty
 // strings costs 16 bytes of header per input byte, a list of the smallest
 // CommandSpecs 176 bytes per 13, and Workload.Cores under two-letter keys
-// some 27 per byte (35 under the 256 one-letter keys): map slots, and the
-// smaller maps it outgrew. The decoders' tests and fuzz targets, here and in
-// the packages with Messages of their own, hold every decode to it.
+// some 14 per byte (map slots). The decoders' tests and fuzz targets hold
+// every decode to it.
 func DecodeAllocLimit(n int) uint64 { return uint64(40*n) + 16<<10 }
 
-// DecodeMessage decodes data, one struct as AppendTo wrote it (for Unmarshal,
-// the bytes after the tag), into m. Bytes after the struct are an error.
-func DecodeMessage(data []byte, m Message) error {
-	if len(data) == 0 {
-		return errTruncated
+// --- plans ---
+
+// op is a field's encoding.
+type op uint8
+
+const (
+	opInt     op = iota // int, int64
+	opUint              // uint64
+	opByte              // uint8
+	opFixed64           // uint64 tagged fixed64
+	opFloat             // float64
+	opBool              // bool
+	opString            // string
+	opBytes             // []byte
+	opStrings           // []string
+	opFloats            // []float64
+	opFrames            // [][]float64
+	opCounts            // map[string]int
+	opStruct            // struct
+	opStructs           // []struct
+)
+
+type field struct {
+	name  string
+	op    op
+	index int
+	elem  *plan // the nested struct's plan, for opStruct and opStructs
+}
+
+// plan is how one struct type is coded.
+type plan struct {
+	typ    reflect.Type
+	fields []field
+	// min is the smallest encoding of the struct, its length prefix
+	// included: a list's count is checked against it.
+	min int
+	// frames is set when the struct holds a frames field, itself or nested.
+	frames bool
+}
+
+var (
+	typeStrings = reflect.TypeFor[[]string]()
+	typeFloats  = reflect.TypeFor[[]float64]()
+	typeFrames  = reflect.TypeFor[[][]float64]()
+	typeCounts  = reflect.TypeFor[map[string]int]()
+)
+
+// buildPlan makes t's plan. Nested types reuse their registered plan.
+func buildPlan(t reflect.Type) (*plan, error) {
+	if t.Kind() != reflect.Struct {
+		return nil, fmt.Errorf("wire: %v is not a struct", t)
 	}
-	r := Reader{b: data}
-	body := r.Bytes()
-	if r.err != nil {
-		return r.err
+	p := &plan{typ: t, min: 1}
+	for i := 0; i < t.NumField(); i++ {
+		sf := t.Field(i)
+		if !sf.IsExported() {
+			continue // as gob
+		}
+		f := field{name: sf.Name, index: i}
+		switch ft := sf.Type; {
+		case sf.Tag.Get("wire") == "fixed64" && ft.Kind() == reflect.Uint64:
+			f.op = opFixed64
+		case sf.Tag.Get("wire") != "":
+			return nil, fmt.Errorf("wire: %v.%s: unknown tag %q", t, sf.Name, sf.Tag.Get("wire"))
+		case ft.Kind() == reflect.Int || ft.Kind() == reflect.Int64:
+			f.op = opInt
+		case ft.Kind() == reflect.Uint64:
+			f.op = opUint
+		case ft.Kind() == reflect.Uint8:
+			f.op = opByte
+		case ft.Kind() == reflect.Float64:
+			f.op = opFloat
+		case ft.Kind() == reflect.Bool:
+			f.op = opBool
+		case ft.Kind() == reflect.String:
+			f.op = opString
+		case ft.Kind() == reflect.Slice && ft.Elem().Kind() == reflect.Uint8:
+			f.op = opBytes
+		case ft == typeStrings:
+			f.op = opStrings
+		case ft == typeFloats:
+			f.op = opFloats
+		case ft == typeFrames:
+			f.op, p.frames = opFrames, true
+		case ft == typeCounts:
+			f.op = opCounts
+		case ft.Kind() == reflect.Struct || ft.Kind() == reflect.Slice && ft.Elem().Kind() == reflect.Struct:
+			f.op = opStruct
+			if ft.Kind() == reflect.Slice {
+				f.op, ft = opStructs, ft.Elem()
+			}
+			var err error
+			if f.elem, err = planOf(ft); err != nil {
+				return nil, err
+			}
+			p.frames = p.frames || f.elem.frames
+		default:
+			return nil, fmt.Errorf("wire: %v.%s: no encoding for %v", t, sf.Name, ft)
+		}
+		switch f.op {
+		case opFixed64, opFloat:
+			p.min += 8
+		case opFrames:
+			p.min += 2
+		case opStruct:
+			p.min += f.elem.min
+		default:
+			p.min++
+		}
+		p.fields = append(p.fields, f)
 	}
-	if len(r.b) != 0 {
-		return fmt.Errorf("wire: %d bytes after the end of the message", len(r.b))
+	return p, nil
+}
+
+// registry maps every registered type to its plan. Register fills it while
+// the program's packages initialise; it is only read after.
+var registry = map[reflect.Type]*plan{}
+
+// Register adds the struct types of vs, given as values, to the types
+// Marshal writes in the binary codec. A package registers its types once, in
+// an init function; a type the codec cannot carry panics there.
+func Register(vs ...any) {
+	for _, v := range vs {
+		t := reflect.TypeOf(v)
+		p, err := buildPlan(t)
+		if err != nil {
+			panic(err)
+		}
+		registry[t] = p
 	}
-	return m.Decode(body)
+}
+
+func init() {
+	Register(Envelope{}, CommandSpec{}, CommandResult{}, FrameChunk{}, WorkerInfo{}, AnnounceRequest{},
+		Workload{}, Heartbeat{}, HeartbeatAck{}, WorkerFailed{})
+}
+
+// registered returns the plan of t, or of the type t points to, if that type
+// is registered; nil if not.
+func registered(t reflect.Type) *plan {
+	if t != nil && t.Kind() == reflect.Pointer {
+		t = t.Elem()
+	}
+	return registry[t]
+}
+
+// planOf returns t's plan: the registered one, or one built for the call.
+func planOf(t reflect.Type) (*plan, error) {
+	if p := registry[t]; p != nil {
+		return p, nil
+	}
+	return buildPlan(t)
 }
 
 // --- encoding ---
 
-// SizeUvarint is the encoded size of a uvarint (a uint64 field, a count, a
-// length prefix).
-func SizeUvarint(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+// EncodeStruct encodes *v, a struct, as one struct — uvarint bodyLen |
+// fields, without the tag — after headroom zero bytes, into one buffer of
+// exactly that size. Any struct type the encodings cover will do; only a
+// registered type's plan is kept.
+func EncodeStruct(v any, headroom int) ([]byte, error) {
+	rv := reflect.ValueOf(v)
+	if rv.Kind() != reflect.Pointer || rv.IsNil() {
+		// reflect.TypeOf, not %T: handing v to fmt would move every value
+		// encoded to the heap.
+		return nil, fmt.Errorf("wire: encoding %v: not a pointer to a struct", reflect.TypeOf(v))
+	}
+	return encode(rv.Elem(), headroom)
+}
 
-// SizeVarint is the encoded size of a zigzag varint (an int64 field).
-func SizeVarint(x int64) int { return SizeUvarint(uint64(x<<1) ^ uint64(x>>63)) }
+// encodeTagged is encode with the tag byte after headroom: a Marshal result,
+// or an envelope's frame.
+func encodeTagged(v reflect.Value, headroom int) ([]byte, error) {
+	b, err := encode(v, headroom+1)
+	if err != nil {
+		return nil, err
+	}
+	b[headroom] = codecTag
+	return b, nil
+}
 
-// SizeInt is the encoded size of an int field.
-func SizeInt(v int) int { return SizeVarint(int64(v)) }
+// encode is EncodeStruct for v, an addressable struct.
+func encode(v reflect.Value, headroom int) ([]byte, error) {
+	p, err := planOf(v.Type())
+	if err != nil {
+		return nil, err
+	}
+	if p.frames {
+		if err := p.checkFrames(v); err != nil {
+			return nil, fmt.Errorf("wire: encoding %v: %w", v.Type(), err)
+		}
+	}
+	n := p.size(v)
+	b := make([]byte, headroom, headroom+sizeUvarint(uint64(n))+n)
+	return p.appendFields(binary.AppendUvarint(b, uint64(n)), v), nil
+}
 
-// SizeBytes is the encoded size of a string or []byte of n bytes, and of a
-// nested struct whose body is n bytes.
-func SizeBytes(n int) int { return SizeUvarint(uint64(n)) + n }
+// fieldPtr returns the address of fv, an addressable field of type T.
+// fv.Addr().Interface().(*T) says the same, but handing the value to
+// Interface moves every struct the codec touches to the heap.
+func fieldPtr[T any](fv reflect.Value) *T { return (*T)(fv.Addr().UnsafePointer()) }
 
-func sizeStrings(ss []string) int {
-	n := SizeUvarint(uint64(len(ss)))
-	for _, s := range ss {
-		n += SizeBytes(len(s))
+func sizeUvarint(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+func sizeVarint(x int64) int { return sizeUvarint(uint64(x<<1) ^ uint64(x>>63)) }
+
+func sizeBytes(n int) int { return sizeUvarint(uint64(n)) + n }
+
+// size is the encoded size of v's fields, without the length prefix.
+func (p *plan) size(v reflect.Value) int {
+	n := 0
+	for i := range p.fields {
+		f := &p.fields[i]
+		fv := v.Field(f.index)
+		switch f.op {
+		case opInt:
+			n += sizeVarint(fv.Int())
+		case opUint, opByte:
+			n += sizeUvarint(fv.Uint())
+		case opFixed64, opFloat:
+			n += 8
+		case opBool:
+			n++
+		case opString, opBytes:
+			n += sizeBytes(fv.Len())
+		case opStrings:
+			n += sizeUvarint(uint64(fv.Len()))
+			for _, s := range *fieldPtr[[]string](fv) {
+				n += sizeBytes(len(s))
+			}
+		case opFloats:
+			n += sizeUvarint(uint64(fv.Len())) + 8*fv.Len()
+		case opFrames:
+			frames := *fieldPtr[[][]float64](fv)
+			dim := frameDim(frames)
+			n += sizeUvarint(uint64(len(frames))) + sizeUvarint(uint64(dim)) + 8*len(frames)*dim
+		case opCounts:
+			m := *fieldPtr[map[string]int](fv)
+			n += sizeUvarint(uint64(len(m)))
+			for k, c := range m {
+				n += sizeBytes(len(k)) + sizeVarint(int64(c))
+			}
+		case opStruct:
+			n += sizeBytes(f.elem.size(fv))
+		case opStructs:
+			n += sizeUvarint(uint64(fv.Len()))
+			for j := 0; j < fv.Len(); j++ {
+				n += sizeBytes(f.elem.size(fv.Index(j)))
+			}
+		}
 	}
 	return n
 }
 
-// SizeFloats is the encoded size of a []float64 field of n elements.
-func SizeFloats(n int) int { return SizeUvarint(uint64(n)) + 8*n }
-
-// SizeFrames is the encoded size of a frames field, count | dim | raw.
-func SizeFrames(frames [][]float64) int {
-	n, dim := len(frames), frameDim(frames)
-	return SizeUvarint(uint64(n)) + SizeUvarint(uint64(dim)) + 8*n*dim
+// appendFields appends v's fields, p.size(v) bytes.
+func (p *plan) appendFields(b []byte, v reflect.Value) []byte {
+	for i := range p.fields {
+		f := &p.fields[i]
+		fv := v.Field(f.index)
+		switch f.op {
+		case opInt:
+			b = binary.AppendVarint(b, fv.Int())
+		case opUint, opByte:
+			b = binary.AppendUvarint(b, fv.Uint())
+		case opFixed64:
+			b = binary.LittleEndian.AppendUint64(b, fv.Uint())
+		case opFloat:
+			b = appendFloat(b, fv.Float())
+		case opBool:
+			b = appendBool(b, fv.Bool())
+		case opString:
+			b = appendString(b, fv.String())
+		case opBytes:
+			b = appendBytes(b, fv.Bytes())
+		case opStrings:
+			ss := *fieldPtr[[]string](fv)
+			b = binary.AppendUvarint(b, uint64(len(ss)))
+			for _, s := range ss {
+				b = appendString(b, s)
+			}
+		case opFloats:
+			b = appendFloats(binary.AppendUvarint(b, uint64(fv.Len())), *fieldPtr[[]float64](fv))
+		case opFrames:
+			frames := *fieldPtr[[][]float64](fv)
+			b = binary.AppendUvarint(b, uint64(len(frames)))
+			b = binary.AppendUvarint(b, uint64(frameDim(frames)))
+			for _, frame := range frames {
+				b = appendFloats(b, frame)
+			}
+		case opCounts:
+			m := *fieldPtr[map[string]int](fv)
+			b = binary.AppendUvarint(b, uint64(len(m)))
+			var buf [8]string // on the stack; a map seldom holds more keys
+			keys := buf[:0]
+			for k := range m {
+				keys = append(keys, k)
+			}
+			slices.Sort(keys)
+			for _, k := range keys {
+				b = binary.AppendVarint(appendString(b, k), int64(m[k]))
+			}
+		case opStruct:
+			b = f.elem.appendFields(binary.AppendUvarint(b, uint64(f.elem.size(fv))), fv)
+		case opStructs:
+			b = binary.AppendUvarint(b, uint64(fv.Len()))
+			for j := 0; j < fv.Len(); j++ {
+				ev := fv.Index(j)
+				b = f.elem.appendFields(binary.AppendUvarint(b, uint64(f.elem.size(ev))), ev)
+			}
+		}
+	}
+	return b
 }
 
-// AppendInt appends an int field; an int64 is binary.AppendVarint and a
-// uint64 binary.AppendUvarint.
-func AppendInt(b []byte, v int) []byte { return binary.AppendVarint(b, int64(v)) }
-
-// AppendString appends a string field.
-func AppendString(b []byte, s string) []byte {
+func appendString(b []byte, s string) []byte {
 	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
-// AppendBytes appends a []byte field.
-func AppendBytes(b, p []byte) []byte {
+func appendBytes(b, p []byte) []byte {
 	return append(binary.AppendUvarint(b, uint64(len(p))), p...)
 }
 
-// AppendBool appends a bool field.
-func AppendBool(b []byte, v bool) []byte {
+func appendBool(b []byte, v bool) []byte {
 	if v {
 		return append(b, 1)
 	}
 	return append(b, 0)
 }
 
-// AppendFloat appends a float64 field.
-func AppendFloat(b []byte, f float64) []byte {
+func appendFloat(b []byte, f float64) []byte {
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
 }
 
-func appendStrings(b []byte, ss []string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(ss)))
-	for _, s := range ss {
-		b = AppendString(b, s)
-	}
-	return b
-}
-
-// AppendFloats appends a []float64 field: uvarint count | count raw float64.
-func AppendFloats(b []byte, fs []float64) []byte {
-	b = binary.AppendUvarint(b, uint64(len(fs)))
+func appendFloats(b []byte, fs []float64) []byte {
 	for _, f := range fs {
-		b = AppendFloat(b, f)
+		b = appendFloat(b, f)
 	}
 	return b
-}
-
-// AppendFrames appends a [][]float64 field of frames sharing one width:
-// uvarint count | uvarint dim | count×dim raw float64. A message with such a
-// field implements Checker with CheckFrames, so Marshal never gets here with
-// frames of unequal width.
-func AppendFrames(b []byte, frames [][]float64) []byte {
-	b = binary.AppendUvarint(b, uint64(len(frames)))
-	b = binary.AppendUvarint(b, uint64(frameDim(frames)))
-	for _, frame := range frames {
-		for _, x := range frame {
-			b = AppendFloat(b, x)
-		}
-	}
-	return b
-}
-
-// CheckFrames reports frames the count | dim | raw layout cannot carry.
-func CheckFrames(frames [][]float64) error {
-	for i, f := range frames {
-		if len(f) == 0 || len(f) != len(frames[0]) {
-			return fmt.Errorf("frame %d has %d coordinates, frame 0 has %d; frames must share one non-zero width",
-				i, len(f), len(frames[0]))
-		}
-	}
-	return nil
 }
 
 // frameDim is the shared width of frames (0 with no frames).
@@ -253,34 +426,147 @@ func frameDim(frames [][]float64) int {
 	return len(frames[0])
 }
 
+// checkFrames reports frames the count | dim | raw layout cannot carry.
+func (p *plan) checkFrames(v reflect.Value) error {
+	for i := range p.fields {
+		f := &p.fields[i]
+		fv := v.Field(f.index)
+		switch {
+		case f.op == opFrames:
+			frames := *fieldPtr[[][]float64](fv)
+			for j, fr := range frames {
+				if len(fr) == 0 || len(fr) != len(frames[0]) {
+					return fmt.Errorf("%s: frame %d has %d coordinates, frame 0 has %d; frames must share one non-zero width",
+						f.name, j, len(fr), len(frames[0]))
+				}
+			}
+		case f.op == opStruct && f.elem.frames:
+			if err := f.elem.checkFrames(fv); err != nil {
+				return err
+			}
+		case f.op == opStructs && f.elem.frames:
+			for j := 0; j < fv.Len(); j++ {
+				if err := f.elem.checkFrames(fv.Index(j)); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // --- decoding ---
 
 var errTruncated = errors.New("wire: message truncated")
 
-// Reader consumes one struct body. At the end of the body every field read
+// DecodeStruct decodes data, one struct as EncodeStruct wrote it, into v, a
+// pointer to a struct. Bytes after the struct are an error. Byte-slice fields
+// alias data, as under Unmarshal.
+func DecodeStruct(data []byte, v any) error {
+	rv := reflect.ValueOf(v)
+	if rv.Kind() != reflect.Pointer || rv.IsNil() {
+		return fmt.Errorf("wire: decoding into %v, not a pointer to a struct", reflect.TypeOf(v))
+	}
+	p, err := planOf(rv.Type().Elem())
+	if err != nil {
+		return err
+	}
+	return decode(data, p, rv.Elem())
+}
+
+// decode is DecodeStruct with the plan found, and Unmarshal after the tag.
+func decode(data []byte, p *plan, v reflect.Value) error {
+	if len(data) == 0 {
+		return errTruncated
+	}
+	r := reader{b: data}
+	body := r.bytes()
+	if r.err != nil {
+		return r.err
+	}
+	if len(r.b) != 0 {
+		return fmt.Errorf("wire: %d bytes after the end of the message", len(r.b))
+	}
+	v.SetZero()
+	r = reader{b: body}
+	r.decode(p, v)
+	return r.err
+}
+
+// reader consumes one struct body. At the end of the body every field read
 // returns the zero value — the evolution rule — while a field that starts
 // and cannot finish is an error. The first error sticks and empties the
-// reader, so a Decode method reads all its fields and checks Err once.
-type Reader struct {
+// reader.
+type reader struct {
 	b   []byte
 	err error
 }
 
-// NewReader reads body, the bytes after a struct's length prefix.
-func NewReader(body []byte) Reader { return Reader{b: body} }
+// decode fills v, a zero struct of p's type, from the body.
+func (r *reader) decode(p *plan, v reflect.Value) {
+	for i := range p.fields {
+		f := &p.fields[i]
+		fv := v.Field(f.index)
+		switch f.op {
+		case opInt:
+			fv.SetInt(r.varint())
+		case opUint:
+			fv.SetUint(r.uvarint())
+		case opByte:
+			if x := r.uvarint(); x <= math.MaxUint8 {
+				fv.SetUint(x)
+			} else {
+				r.fail(fmt.Errorf("wire: %v.%s is %d, more than a byte holds", p.typ, f.name, x))
+			}
+		case opFixed64:
+			fv.SetUint(r.fixed64())
+		case opFloat:
+			fv.SetFloat(math.Float64frombits(r.fixed64()))
+		case opBool:
+			fv.SetBool(r.bool())
+		case opString:
+			fv.SetString(string(r.bytes()))
+		case opBytes:
+			fv.SetBytes(r.bytes())
+		case opStrings:
+			*fieldPtr[[]string](fv) = r.strings()
+		case opFloats:
+			*fieldPtr[[]float64](fv) = r.floats()
+		case opFrames:
+			*fieldPtr[[][]float64](fv) = r.frames()
+		case opCounts:
+			*fieldPtr[map[string]int](fv) = r.counts()
+		case opStruct:
+			r.nested(f.elem, fv)
+		case opStructs:
+			if n := r.list(f.elem.min); n > 0 {
+				fv.Grow(n)
+				fv.SetLen(n)
+				for j := 0; j < n; j++ {
+					r.nested(f.elem, fv.Index(j))
+				}
+			}
+		}
+	}
+}
 
-// Err is the first error the reader met, nil if none.
-func (r *Reader) Err() error { return r.err }
-
-func (r *Reader) fail(err error) {
+func (r *reader) fail(err error) {
 	if r.err == nil {
 		r.err = err
 	}
 	r.b = nil
 }
 
-// Uvarint reads a uint64 field, a count or a length.
-func (r *Reader) Uvarint() uint64 {
+// nested decodes a struct field into v.
+func (r *reader) nested(p *plan, v reflect.Value) {
+	sub := reader{b: r.bytes()}
+	sub.decode(p, v)
+	if sub.err != nil {
+		r.fail(sub.err)
+	}
+}
+
+func (r *reader) uvarint() uint64 {
 	if len(r.b) == 0 {
 		return 0
 	}
@@ -293,8 +579,7 @@ func (r *Reader) Uvarint() uint64 {
 	return v
 }
 
-// Varint reads an int64 field.
-func (r *Reader) Varint() int64 {
+func (r *reader) varint() int64 {
 	if len(r.b) == 0 {
 		return 0
 	}
@@ -307,13 +592,10 @@ func (r *Reader) Varint() int64 {
 	return v
 }
 
-// Int reads an int field.
-func (r *Reader) Int() int { return int(r.Varint()) }
-
-// Bytes reads a []byte field and returns it as a sub-slice of the input (nil
-// when empty), capped so that an append cannot reach what follows.
-func (r *Reader) Bytes() []byte {
-	n := r.Uvarint()
+// bytes reads a length-prefixed field and returns it as a sub-slice of the
+// input (nil when empty), capped so that an append cannot reach what follows.
+func (r *reader) bytes() []byte {
+	n := r.uvarint()
 	if n > uint64(len(r.b)) {
 		r.fail(fmt.Errorf("wire: length %d exceeds the %d bytes that remain", n, len(r.b)))
 		return nil
@@ -326,11 +608,7 @@ func (r *Reader) Bytes() []byte {
 	return out
 }
 
-// Text reads a string field.
-func (r *Reader) Text() string { return string(r.Bytes()) }
-
-// Bool reads a bool field.
-func (r *Reader) Bool() bool {
+func (r *reader) bool() bool {
 	if len(r.b) == 0 {
 		return false
 	}
@@ -343,7 +621,7 @@ func (r *Reader) Bool() bool {
 	return v == 1
 }
 
-func (r *Reader) fixed64() uint64 {
+func (r *reader) fixed64() uint64 {
 	if len(r.b) == 0 {
 		return 0
 	}
@@ -356,13 +634,10 @@ func (r *Reader) fixed64() uint64 {
 	return v
 }
 
-// Float reads a float64 field.
-func (r *Reader) Float() float64 { return math.Float64frombits(r.fixed64()) }
-
 // count reads a list's element count and refuses one the remaining bytes
 // cannot hold at minSize bytes per element.
-func (r *Reader) count(minSize int) int {
-	n := r.Uvarint()
+func (r *reader) count(minSize int) int {
+	n := r.uvarint()
 	if n > uint64(len(r.b)/minSize) {
 		r.fail(fmt.Errorf("wire: count %d exceeds the %d bytes that remain", n, len(r.b)))
 		return 0
@@ -370,11 +645,11 @@ func (r *Reader) count(minSize int) int {
 	return int(n)
 }
 
-// List reads the count of a list of length-prefixed elements (strings,
+// list reads the count of a list of length-prefixed elements (strings,
 // structs) and finds every one of them in the body, so that the caller
 // allocates for elements that are there and not for a number. The end of the
 // body inside a list is a truncation, not an absent field.
-func (r *Reader) List(minSize int) int {
+func (r *reader) list(minSize int) int {
 	n := r.count(minSize)
 	rest := r.b
 	for i := 0; i < n; i++ {
@@ -388,20 +663,19 @@ func (r *Reader) List(minSize int) int {
 	return n
 }
 
-func (r *Reader) strings() []string {
-	n := r.List(1)
+func (r *reader) strings() []string {
+	n := r.list(1)
 	if n == 0 {
 		return nil
 	}
 	out := make([]string, n)
 	for i := range out {
-		out[i] = r.Text()
+		out[i] = string(r.bytes())
 	}
 	return out
 }
 
-// Floats reads a []float64 field.
-func (r *Reader) Floats() []float64 {
+func (r *reader) floats() []float64 {
 	n := r.count(8)
 	if n == 0 {
 		return nil
@@ -414,10 +688,10 @@ func (r *Reader) Floats() []float64 {
 	return out
 }
 
-// Frames reads a frames field, count | dim | raw. The frames share one
+// frames reads a frames field, count | dim | raw. The frames share one
 // backing array, each capped at its own width.
-func (r *Reader) Frames() [][]float64 {
-	n, dim := r.Uvarint(), r.Uvarint()
+func (r *reader) frames() [][]float64 {
+	n, dim := r.uvarint(), r.uvarint()
 	if n == 0 {
 		return nil
 	}
@@ -439,328 +713,31 @@ func (r *Reader) Frames() [][]float64 {
 	return out
 }
 
-// Nested decodes a struct field into m.
-func (r *Reader) Nested(m Message) {
-	if err := m.Decode(r.Bytes()); err != nil {
-		r.fail(err)
-	}
-}
-
-// --- Envelope ---
-
-func (e *Envelope) BodyLen() int {
-	return SizeInt(e.Version) + SizeBytes(len(e.Type)) + SizeBytes(len(e.From)) + SizeBytes(len(e.To)) +
-		8 + 1 + SizeInt(e.TTL) + SizeBytes(len(e.Payload)) + SizeBytes(len(e.Err)) + SizeBytes(len(e.ErrCode))
-}
-
-func (e *Envelope) AppendTo(b []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(e.BodyLen()))
-	b = AppendInt(b, e.Version)
-	b = AppendString(b, string(e.Type))
-	b = AppendString(b, e.From)
-	b = AppendString(b, e.To)
-	b = binary.LittleEndian.AppendUint64(b, e.RequestID)
-	b = AppendBool(b, e.IsReply)
-	b = AppendInt(b, e.TTL)
-	b = AppendBytes(b, e.Payload)
-	b = AppendString(b, e.Err)
-	return AppendString(b, e.ErrCode)
-}
-
-func (e *Envelope) Decode(body []byte) error {
-	r := Reader{b: body}
-	*e = Envelope{
-		Version:   r.Int(),
-		Type:      MsgType(r.Text()),
-		From:      r.Text(),
-		To:        r.Text(),
-		RequestID: r.fixed64(),
-		IsReply:   r.Bool(),
-		TTL:       r.Int(),
-		Payload:   r.Bytes(),
-		Err:       r.Text(),
-		ErrCode:   r.Text(),
-	}
-	return r.err
-}
-
-// --- CommandSpec ---
-
-func (c *CommandSpec) BodyLen() int {
-	return SizeBytes(len(c.ID)) + SizeBytes(len(c.Project)) + SizeBytes(len(c.Tenant)) +
-		SizeBytes(len(c.Origin)) + SizeBytes(len(c.Type)) +
-		SizeInt(c.MinCores) + SizeInt(c.MaxCores) + SizeInt(c.Priority) +
-		SizeBytes(len(c.Payload)) + SizeBytes(len(c.Checkpoint)) +
-		SizeBytes(len(c.GangID)) + SizeInt(c.GangSize)
-}
-
-func (c *CommandSpec) AppendTo(b []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(c.BodyLen()))
-	b = AppendString(b, c.ID)
-	b = AppendString(b, c.Project)
-	b = AppendString(b, c.Tenant)
-	b = AppendString(b, c.Origin)
-	b = AppendString(b, c.Type)
-	b = AppendInt(b, c.MinCores)
-	b = AppendInt(b, c.MaxCores)
-	b = AppendInt(b, c.Priority)
-	b = AppendBytes(b, c.Payload)
-	b = AppendBytes(b, c.Checkpoint)
-	b = AppendString(b, c.GangID)
-	return AppendInt(b, c.GangSize)
-}
-
-func (c *CommandSpec) Decode(body []byte) error {
-	r := Reader{b: body}
-	*c = CommandSpec{
-		ID:         r.Text(),
-		Project:    r.Text(),
-		Tenant:     r.Text(),
-		Origin:     r.Text(),
-		Type:       r.Text(),
-		MinCores:   r.Int(),
-		MaxCores:   r.Int(),
-		Priority:   r.Int(),
-		Payload:    r.Bytes(),
-		Checkpoint: r.Bytes(),
-		GangID:     r.Text(),
-		GangSize:   r.Int(),
-	}
-	return r.err
-}
-
-// --- CommandResult ---
-
-func (c *CommandResult) BodyLen() int {
-	return SizeBytes(len(c.CommandID)) + SizeBytes(len(c.Project)) + SizeBytes(len(c.WorkerID)) +
-		1 + 1 + SizeBytes(len(c.Error)) + SizeBytes(len(c.Output)) + SizeBytes(len(c.OutputPath)) +
-		SizeBytes(len(c.Checkpoint)) + SizeInt(c.CoresUsed) + 8
-}
-
-func (c *CommandResult) AppendTo(b []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(c.BodyLen()))
-	b = AppendString(b, c.CommandID)
-	b = AppendString(b, c.Project)
-	b = AppendString(b, c.WorkerID)
-	b = AppendBool(b, c.OK)
-	b = AppendBool(b, c.Partial)
-	b = AppendString(b, c.Error)
-	b = AppendBytes(b, c.Output)
-	b = AppendString(b, c.OutputPath)
-	b = AppendBytes(b, c.Checkpoint)
-	b = AppendInt(b, c.CoresUsed)
-	return AppendFloat(b, c.WallSeconds)
-}
-
-func (c *CommandResult) Decode(body []byte) error {
-	r := Reader{b: body}
-	*c = CommandResult{
-		CommandID:   r.Text(),
-		Project:     r.Text(),
-		WorkerID:    r.Text(),
-		OK:          r.Bool(),
-		Partial:     r.Bool(),
-		Error:       r.Text(),
-		Output:      r.Bytes(),
-		OutputPath:  r.Text(),
-		Checkpoint:  r.Bytes(),
-		CoresUsed:   r.Int(),
-		WallSeconds: r.Float(),
-	}
-	return r.err
-}
-
-// --- FrameChunk ---
-
-// Check implements Checker.
-func (c *FrameChunk) Check() error { return CheckFrames(c.Frames) }
-
-func (c *FrameChunk) BodyLen() int {
-	return SizeBytes(len(c.Project)) + SizeBytes(len(c.CommandID)) + SizeBytes(len(c.WorkerID)) +
-		SizeInt(c.Seq) + SizeInt(c.FirstFrame) + SizeFloats(len(c.Times)) + SizeFrames(c.Frames) +
-		SizeFloats(len(c.RMSD)) + 1
-}
-
-func (c *FrameChunk) AppendTo(b []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(c.BodyLen()))
-	b = AppendString(b, c.Project)
-	b = AppendString(b, c.CommandID)
-	b = AppendString(b, c.WorkerID)
-	b = AppendInt(b, c.Seq)
-	b = AppendInt(b, c.FirstFrame)
-	b = AppendFloats(b, c.Times)
-	b = AppendFrames(b, c.Frames)
-	b = AppendFloats(b, c.RMSD)
-	return AppendBool(b, c.Final)
-}
-
-func (c *FrameChunk) Decode(body []byte) error {
-	r := Reader{b: body}
-	*c = FrameChunk{
-		Project:    r.Text(),
-		CommandID:  r.Text(),
-		WorkerID:   r.Text(),
-		Seq:        r.Int(),
-		FirstFrame: r.Int(),
-		Times:      r.Floats(),
-		Frames:     r.Frames(),
-		RMSD:       r.Floats(),
-		Final:      r.Bool(),
-	}
-	return r.err
-}
-
-// --- WorkerInfo, AnnounceRequest ---
-
-func (w *WorkerInfo) BodyLen() int {
-	return SizeBytes(len(w.ID)) + SizeBytes(len(w.Platform)) + SizeInt(w.Cores) +
-		sizeStrings(w.Executables) + SizeBytes(len(w.FSToken))
-}
-
-func (w *WorkerInfo) AppendTo(b []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(w.BodyLen()))
-	b = AppendString(b, w.ID)
-	b = AppendString(b, w.Platform)
-	b = AppendInt(b, w.Cores)
-	b = appendStrings(b, w.Executables)
-	return AppendString(b, w.FSToken)
-}
-
-func (w *WorkerInfo) Decode(body []byte) error {
-	r := Reader{b: body}
-	*w = WorkerInfo{
-		ID:          r.Text(),
-		Platform:    r.Text(),
-		Cores:       r.Int(),
-		Executables: r.strings(),
-		FSToken:     r.Text(),
-	}
-	return r.err
-}
-
-func (a *AnnounceRequest) BodyLen() int { return SizeBytes(a.Info.BodyLen()) + 1 + 8 }
-
-func (a *AnnounceRequest) AppendTo(b []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(a.BodyLen()))
-	b = a.Info.AppendTo(b)
-	b = AppendBool(b, a.Relayed)
-	return AppendFloat(b, a.WaitSeconds)
-}
-
-func (a *AnnounceRequest) Decode(body []byte) error {
-	r := Reader{b: body}
-	*a = AnnounceRequest{}
-	r.Nested(&a.Info)
-	a.Relayed = r.Bool()
-	a.WaitSeconds = r.Float()
-	return r.err
-}
-
-// --- Workload ---
-
-func (w *Workload) BodyLen() int {
-	n := SizeUvarint(uint64(len(w.Commands)))
-	for i := range w.Commands {
-		n += SizeBytes(w.Commands[i].BodyLen())
-	}
-	n += SizeUvarint(uint64(len(w.Cores)))
-	for id, cores := range w.Cores {
-		n += SizeBytes(len(id)) + SizeInt(cores)
-	}
-	return n + 8 + 1
-}
-
-func (w *Workload) AppendTo(b []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(w.BodyLen()))
-	b = binary.AppendUvarint(b, uint64(len(w.Commands)))
-	for i := range w.Commands {
-		b = w.Commands[i].AppendTo(b)
-	}
-	b = binary.AppendUvarint(b, uint64(len(w.Cores)))
-	var buf [8]string // on the stack; a workload seldom holds more commands
-	ids := buf[:0]
-	for id := range w.Cores {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		b = AppendString(b, id)
-		b = AppendInt(b, w.Cores[id])
-	}
-	b = AppendFloat(b, w.HeartbeatSeconds)
-	return AppendBool(b, w.SharedFS)
-}
-
-// specMinBytes is the smallest CommandSpec an encoder can write into a list:
-// a length byte and its twelve fields (appending fields only raises it).
-const specMinBytes = 13
-
-func (w *Workload) Decode(body []byte) error {
-	r := Reader{b: body}
-	*w = Workload{}
-	if n := r.List(specMinBytes); n > 0 {
-		w.Commands = make([]CommandSpec, n)
-		for i := range w.Commands {
-			r.Nested(&w.Commands[i])
+// counts reads a map[string]int field. Like a list's elements, its pairs are
+// found in the body before the map is made.
+func (r *reader) counts() map[string]int {
+	n := r.count(2)
+	rest := r.b
+	for i := 0; i < n; i++ {
+		size, k := binary.Uvarint(rest)
+		if k <= 0 || size >= uint64(len(rest)-k) { // a key needs a value after it
+			r.fail(errTruncated)
+			return nil
 		}
-	}
-	if n := r.count(2); n > 0 {
-		// One entry per command is what a server writes; a map with more
-		// grows as they arrive.
-		w.Cores = make(map[string]int, min(n, len(w.Commands)))
-		for i := 0; i < n; i++ {
-			id := r.Text()
-			if len(r.b) == 0 {
-				r.fail(errTruncated) // a key without its value, or a pair short
-				break
-			}
-			w.Cores[id] = r.Int()
+		rest = rest[k+int(size):]
+		if _, k = binary.Varint(rest); k <= 0 {
+			r.fail(errTruncated)
+			return nil
 		}
+		rest = rest[k:]
 	}
-	w.HeartbeatSeconds = r.Float()
-	w.SharedFS = r.Bool()
-	return r.err
-}
-
-// --- Heartbeat, HeartbeatAck, WorkerFailed ---
-
-func (h *Heartbeat) BodyLen() int { return SizeBytes(len(h.WorkerID)) + sizeStrings(h.CommandIDs) }
-
-func (h *Heartbeat) AppendTo(b []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(h.BodyLen()))
-	b = AppendString(b, h.WorkerID)
-	return appendStrings(b, h.CommandIDs)
-}
-
-func (h *Heartbeat) Decode(body []byte) error {
-	r := Reader{b: body}
-	*h = Heartbeat{WorkerID: r.Text(), CommandIDs: r.strings()}
-	return r.err
-}
-
-func (h *HeartbeatAck) BodyLen() int { return sizeStrings(h.AbortCommandIDs) }
-
-func (h *HeartbeatAck) AppendTo(b []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(h.BodyLen()))
-	return appendStrings(b, h.AbortCommandIDs)
-}
-
-func (h *HeartbeatAck) Decode(body []byte) error {
-	r := Reader{b: body}
-	*h = HeartbeatAck{AbortCommandIDs: r.strings()}
-	return r.err
-}
-
-func (w *WorkerFailed) BodyLen() int { return SizeBytes(len(w.WorkerID)) + sizeStrings(w.CommandIDs) }
-
-func (w *WorkerFailed) AppendTo(b []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(w.BodyLen()))
-	b = AppendString(b, w.WorkerID)
-	return appendStrings(b, w.CommandIDs)
-}
-
-func (w *WorkerFailed) Decode(body []byte) error {
-	r := Reader{b: body}
-	*w = WorkerFailed{WorkerID: r.Text(), CommandIDs: r.strings()}
-	return r.err
+	if n == 0 {
+		return nil
+	}
+	m := make(map[string]int, n)
+	for i := 0; i < n; i++ {
+		k := string(r.bytes())
+		m[k] = int(r.varint())
+	}
+	return m
 }

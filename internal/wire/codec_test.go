@@ -3,9 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
-	"fmt"
 	"io"
 	"math/rand"
 	"reflect"
@@ -13,7 +11,6 @@ import (
 	"strings"
 	"testing"
 	"testing/iotest"
-	"testing/quick"
 )
 
 // Captured ProtocolVersion=3 fixtures: what the binary codec wrote when it
@@ -125,7 +122,7 @@ func specFields() []byte { return specV3Fixture[2:] }
 // has appended a field decodes here with the known fields intact — at the top
 // level and nested inside a list, where the skip must land on the next element.
 func TestEvolutionExtraTrailingFieldSkipped(t *testing.T) {
-	longer := AppendString(append([]byte(nil), specFields()...), "a-field-from-the-future")
+	longer := appendString(append([]byte(nil), specFields()...), "a-field-from-the-future")
 	var got CommandSpec
 	if err := Unmarshal(rebody(longer), &got); err != nil {
 		t.Fatalf("spec with a trailing field: %v", err)
@@ -136,11 +133,11 @@ func TestEvolutionExtraTrailingFieldSkipped(t *testing.T) {
 
 	// Workload{Commands: [longer spec, fixture spec], no cores, 30 s}.
 	wl := binary.AppendUvarint(nil, 2)
-	wl = AppendBytes(wl, longer)
-	wl = AppendBytes(wl, specFields())
+	wl = appendBytes(wl, longer)
+	wl = appendBytes(wl, specFields())
 	wl = binary.AppendUvarint(wl, 0)
-	wl = AppendFloat(wl, 30)
-	wl = AppendBool(wl, false)
+	wl = appendFloat(wl, 30)
+	wl = appendBool(wl, false)
 	wl = append(wl, "and more"...)
 	var gotWL Workload
 	if err := Unmarshal(rebody(wl), &gotWL); err != nil {
@@ -186,113 +183,17 @@ func TestEvolutionShortBodyLeavesZero(t *testing.T) {
 	}
 }
 
-// randomHot returns a random value of every type the codec owns.
-func randomHot(t testing.TB, rng *rand.Rand) []any {
-	t.Helper()
-	var out []any
-	for _, zero := range []any{Envelope{}, AnnounceRequest{}, WorkerInfo{}, Workload{}, CommandSpec{},
-		CommandResult{}, Heartbeat{}, HeartbeatAck{}, FrameChunk{}, WorkerFailed{}} {
-		v, ok := quick.Value(reflect.TypeOf(zero), rng)
-		if !ok {
-			t.Fatalf("cannot generate a %T", zero)
-		}
-		p := reflect.New(v.Type())
-		p.Elem().Set(v)
-		if c, isChunk := p.Interface().(*FrameChunk); isChunk {
-			// The layout carries frames of one non-zero width.
-			dim := 1 + rng.Intn(4)
-			for i := range c.Frames {
-				c.Frames[i] = make([]float64, dim)
-				for d := range c.Frames[i] {
-					c.Frames[i][d] = rng.NormFloat64()
-				}
-			}
-		}
-		if w, isWorkload := p.Interface().(*Workload); isWorkload && len(w.Cores) == 0 {
-			// The one place the codec and gob part ways: an empty list or map
-			// decodes as nil here, where gob keeps an empty non-nil map.
-			w.Cores = nil
-		}
-		out = append(out, p.Interface())
-	}
-	return out
-}
-
-// TestHotTypesNeverReachGob: Marshal of every codec type, by pointer and by
-// value, opens with the tag byte and fills its buffer exactly.
-func TestHotTypesNeverReachGob(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for round := 0; round < 20; round++ {
-		for _, p := range randomHot(t, rng) {
-			for _, v := range []any{p, reflect.ValueOf(p).Elem().Interface()} {
-				raw, err := Marshal(v)
-				if err != nil {
-					t.Fatalf("Marshal(%T): %v", v, err)
-				}
-				if raw[0] != codecTag {
-					t.Fatalf("Marshal(%T) starts with %#x, want the codec tag", v, raw[0])
-				}
-				if len(raw) != cap(raw) {
-					t.Errorf("Marshal(%T): %d bytes in a buffer of %d; the size pass and the encoder disagree", v, len(raw), cap(raw))
-				}
-			}
-		}
-	}
-	// And a type the codec does not own still does.
-	raw, err := Marshal(&ProjectSubmit{Name: "p"})
-	if err != nil || raw[0] == codecTag {
-		t.Errorf("Marshal(*ProjectSubmit) = %+q, %v; want gob", raw, err)
-	}
-}
-
-// TestBinaryDecodeEqualsGobDecode: for every codec type, a value sent
-// through the binary codec comes out exactly as it does through gob, the
-// encoding it replaces (and still reads from old WAL records).
-func TestBinaryDecodeEqualsGobDecode(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for round := 0; round < 100; round++ {
-		for _, v := range randomHot(t, rng) {
-			var old bytes.Buffer
-			if err := gob.NewEncoder(&old).Encode(v); err != nil {
-				t.Fatal(err)
-			}
-			viaGob, viaBinary := fresh(v), fresh(v)
-			if err := Unmarshal(old.Bytes(), viaGob); err != nil {
-				t.Fatalf("gob %T: %v", v, err)
-			}
-			raw, err := Marshal(v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := Unmarshal(raw, viaBinary); err != nil {
-				t.Fatalf("binary %T: %v\n%+v", v, err, v)
-			}
-			if !reflect.DeepEqual(viaGob, viaBinary) {
-				t.Fatalf("%T differs by encoding:\n gob    %.300q\n binary %.300q", v, fmt.Sprint(viaGob), fmt.Sprint(viaBinary))
-			}
-		}
-	}
-}
-
 // TestMarshalNilPointerIsAnError: a nil pointer to a codec type is refused
 // with an error, as gob refused it, not dereferenced.
 func TestMarshalNilPointerIsAnError(t *testing.T) {
-	for _, p := range randomHot(t, rand.New(rand.NewSource(5))) {
-		null := reflect.Zero(reflect.TypeOf(p)).Interface()
+	for typ := range registry {
+		null := reflect.Zero(reflect.PointerTo(typ)).Interface()
 		if _, err := Marshal(null); err == nil {
 			t.Errorf("Marshal(%T(nil)) succeeded", null)
 		}
 	}
 	if err := WriteEnvelope(io.Discard, nil); err == nil {
 		t.Error("WriteEnvelope(nil) succeeded")
-	}
-}
-
-func TestMarshalRefusesUnevenFrames(t *testing.T) {
-	for _, frames := range [][][]float64{{{1, 2}, {3}}, {{}, {}}, {{1}, nil}} {
-		if _, err := Marshal(&FrameChunk{Frames: frames}); err == nil {
-			t.Errorf("Marshal accepted frames %v", frames)
-		}
 	}
 }
 
@@ -316,9 +217,10 @@ func TestDecodeAllocatesWhatTheInputHolds(t *testing.T) {
 	var pairs []byte // every two-letter key: no map of that many costs fewer bytes
 	npairs := 0
 	for ; npairs < 1<<16; npairs++ {
-		pairs = AppendInt(AppendString(pairs, string([]byte{byte(npairs), byte(npairs >> 8)})), 1)
+		pairs = binary.AppendVarint(appendString(pairs, string([]byte{byte(npairs), byte(npairs >> 8)})), 1)
 	}
-	oneBigString := AppendBytes(nil, make([]byte, size))
+	oneBigString := appendBytes(nil, make([]byte, size))
+	specMinBytes := registry[reflect.TypeFor[CommandSpec]()].min
 	cases := []struct {
 		name  string
 		body  []byte
@@ -358,7 +260,7 @@ func TestHostileInputIsAnErrorNotAnAllocation(t *testing.T) {
 		{"length past the end", []byte{codecTag, 9, 1, 'w'}, new(Heartbeat)},
 		{"bytes after the message", append(append([]byte(nil), specV3Fixture...), 0), new(CommandSpec)},
 		{"unterminated varint", rebody([]byte{0xff, 0xff}), new(HeartbeatAck)},
-		{"string count", rebody(append(AppendString(nil, "w"), append(huge, "abc"...)...)), new(Heartbeat)},
+		{"string count", rebody(append(appendString(nil, "w"), append(huge, "abc"...)...)), new(Heartbeat)},
 		{"string list ends early", rebody([]byte{1, 'w', 3, 1, 'a'}), new(Heartbeat)},
 		{"command count", rebody(append(huge, 0, 0, 0)), new(Workload)},
 		{"cores count", rebody(append([]byte{0}, append(huge, 1, 'a', 2)...)), new(Workload)},
@@ -380,30 +282,6 @@ func TestHostileInputIsAnErrorNotAnAllocation(t *testing.T) {
 		}
 		if got > DecodeAllocLimit(len(tc.data)) {
 			t.Errorf("%s: %d bytes allocated for %d bytes of input", tc.name, got, len(tc.data))
-		}
-	}
-}
-
-// TestTruncatedBodiesNeverPanic cuts every fixture's body at every offset,
-// keeping the length prefix honest so the cut reaches the field decoders: the
-// result is an error or, at a field boundary, a shorter message.
-func TestTruncatedBodiesNeverPanic(t *testing.T) {
-	for _, f := range fixtureValues() {
-		fields := f.bytes[2:]
-		for cut := 0; cut < len(fields); cut++ {
-			got := fresh(f.value)
-			if err := Unmarshal(rebody(fields[:cut]), got); err != nil {
-				continue
-			}
-			if _, err := Marshal(got); err != nil {
-				t.Errorf("%s cut at %d decoded as %+v, which does not encode: %v", f.name, cut, got, err)
-			}
-		}
-		// Without the honest prefix, every strict prefix is an error.
-		for cut := 0; cut < len(f.bytes); cut++ {
-			if err := Unmarshal(f.bytes[:cut], fresh(f.value)); err == nil {
-				t.Errorf("%s prefix of %d bytes decoded", f.name, cut)
-			}
 		}
 	}
 }
@@ -481,72 +359,6 @@ func TestLargeFrameRoundTrip(t *testing.T) {
 	if !bytes.Equal(env.Payload, payload) {
 		t.Error("large payload corrupted")
 	}
-}
-
-// checkRoundTrip asserts decode(appendTo(x)) == x on a decoded x, comparing
-// canonical encodings (which, unlike DeepEqual, treats a NaN as itself).
-func checkRoundTrip(t *testing.T, x any) {
-	t.Helper()
-	once, err := Marshal(x)
-	if err != nil {
-		t.Fatalf("decoded %T does not encode: %v", x, err)
-	}
-	again := fresh(x)
-	if err := Unmarshal(once, again); err != nil {
-		t.Fatalf("re-encoded %T does not decode: %v", x, err)
-	}
-	twice, err := Marshal(again)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(once, twice) {
-		t.Fatalf("%T changed in a round trip:\n %+q\n %+q", x, once, twice)
-	}
-}
-
-// FuzzUnmarshalHot decodes arbitrary bytes into every codec type: no panic;
-// what decodes survives a round trip; and binary-coded input never makes the
-// decoder allocate out of proportion to its size.
-func FuzzUnmarshalHot(f *testing.F) {
-	for _, fx := range fixtureValues() {
-		f.Add(fx.bytes)
-		f.Add(rebody(fx.bytes[2 : len(fx.bytes)/2]))
-	}
-	f.Add(frameV3Fixture[4:])
-	f.Add(specV1Fixture)
-	f.Add(specV2PreGangFixture)
-	f.Add(announcePreWaitFixture)
-	f.Add(rebody(append(binary.AppendUvarint(nil, 1<<40), "abc"...)))
-	rng := rand.New(rand.NewSource(4))
-	for _, v := range randomHot(f, rng) {
-		raw, err := Marshal(v)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(raw)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, into := range []any{new(Envelope), new(AnnounceRequest), new(WorkerInfo), new(Workload),
-			new(CommandSpec), new(CommandResult), new(Heartbeat), new(HeartbeatAck), new(FrameChunk), new(WorkerFailed)} {
-			// Only binary input is held to the bound, so only it is measured:
-			// ReadMemStats stops the world, and an exec that calls it for
-			// every type stalls the fuzzer's minimization of new inputs.
-			var err error
-			binaryCoded := len(data) > 0 && data[0] == codecTag
-			if !binaryCoded {
-				err = Unmarshal(data, into)
-			} else if got := allocated(func() { err = Unmarshal(data, into) }); got > DecodeAllocLimit(len(data)) {
-				t.Fatalf("%T: %d bytes allocated for %d bytes of input", into, got, len(data))
-			}
-			if err != nil {
-				continue
-			}
-			if c, ok := into.(*FrameChunk); ok && !binaryCoded && c.Check() != nil {
-				continue // gob carries uneven frames; the codec refuses them
-			}
-			checkRoundTrip(t, into)
-		}
-	})
 }
 
 // FuzzReadEnvelope feeds arbitrary streams to the frame reader: torn tails,

@@ -115,8 +115,7 @@ func TestPreGangProjectStatusDecodesWithNilDetail(t *testing.T) {
 }
 
 // commandSpecPreGang is CommandSpec as a build from before gang scheduling
-// knows it, with the decoder such a build would have: it reads the ten fields
-// it knows and nothing else.
+// knows it: the ten fields it decodes, and nothing else.
 type commandSpecPreGang struct {
 	ID         string
 	Project    string
@@ -128,26 +127,6 @@ type commandSpecPreGang struct {
 	Priority   int
 	Payload    []byte
 	Checkpoint []byte
-}
-
-func (c *commandSpecPreGang) BodyLen() int             { panic("decode only") }
-func (c *commandSpecPreGang) AppendTo(b []byte) []byte { panic("decode only") }
-
-func (c *commandSpecPreGang) Decode(body []byte) error {
-	r := Reader{b: body}
-	*c = commandSpecPreGang{
-		ID:         r.Text(),
-		Project:    r.Text(),
-		Tenant:     r.Text(),
-		Origin:     r.Text(),
-		Type:       r.Text(),
-		MinCores:   r.Int(),
-		MaxCores:   r.Int(),
-		Priority:   r.Int(),
-		Payload:    r.Bytes(),
-		Checkpoint: r.Bytes(),
-	}
-	return r.err
 }
 
 // TestGangSpecDecodesByPreGangShape covers the reverse direction: a gang
@@ -165,7 +144,7 @@ func TestGangSpecDecodesByPreGangShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got commandSpecPreGang
-	if err := Unmarshal(raw, &got); err != nil {
+	if err := DecodeStruct(raw[1:], &got); err != nil {
 		t.Fatalf("gang spec failed to decode under pre-gang shape: %v", err)
 	}
 	if got.ID != "rx-e00001-r03" || got.Project != "remd" || got.Type != "repex-md" {

@@ -8,22 +8,26 @@
 // package, carried inside an Envelope that supports TTL-limited
 // store-and-forward routing across the server overlay.
 //
-// Two encodings sit behind Marshal and Unmarshal, one per type. Every type
-// that implements Message — the messages of the command round trip
-// (Envelope, AnnounceRequest, Workload and its CommandSpecs, CommandResult,
-// Heartbeat and its ack, FrameChunk, WorkerFailed) and the engines' payloads,
-// outputs and checkpoints (internal/engines) — uses the hand-written binary
-// codec in codec.go: tag byte 0x00, then every struct as
+// Two encodings sit behind Marshal and Unmarshal, one per type. Every
+// registered type — the messages of the command round trip (Envelope,
+// AnnounceRequest, Workload and its CommandSpecs, CommandResult, Heartbeat
+// and its ack, FrameChunk, WorkerFailed), the engines' payloads, outputs and
+// checkpoints (internal/engines) and the store's WAL records and snapshots
+// (internal/store) — uses the binary codec in codec.go: tag byte 0x00, then
+// every struct as
 //
 //	uvarint bodyLen | fields in declaration order
 //
-// with fields only ever appended, a short body leaving the missing fields
-// zero and a long one skipped past the last known field (the evolution rule;
-// codec.go has the field encodings). Everything else — controller parameters,
-// the admin and replication payloads — is gob, which gives the same
-// append-only contract by field name. Unmarshal reads either: a gob stream
-// never starts with 0x00, so blobs written before the binary codec reached a
-// type (WAL records, checkpoints, queued payloads in snapshots) still decode.
+// written from the struct's declaration, with no encoder of its own. The
+// declaration order is the format: fields are only ever appended, a short
+// body leaves the missing fields zero and a long one is skipped past the last
+// known field (the evolution rule; codec.go has the field encodings and the
+// one struct tag, `wire:"fixed64"`). Everything else — controller
+// parameters, the admin and replication payloads — is gob, which gives the
+// same append-only contract by field name. Unmarshal reads either: a gob
+// stream never starts with 0x00, so blobs written before the binary codec
+// reached a type (WAL records, checkpoints, queued payloads in snapshots)
+// still decode.
 package wire
 
 import (
@@ -33,29 +37,29 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
 )
 
-// ProtocolVersion guards against mixed-version overlays. Version 2 added
-// tenant identity, admission-control error codes and the tenant admin
-// messages; version 3 replaced the gob envelope and the gob encoding of the
-// command round trip's messages with the binary codec (codec.go); version 4
-// moved the engines' payloads, outputs and checkpoints inside those messages
-// to the same codec, which a v3 worker cannot decode (it would fail every
-// command with "data is binary-coded, which this type is not"). The
-// hello/join handshake refuses a version-skewed peer: a v4 node reads a v3
-// hello and fails with ErrProtoVersion naming both versions, as it does a v1
-// or v2 hello through the gob fallback; a v3 node refuses a v4 hello the
-// same way, and a v2 node cannot parse it at all and fails with a decode
-// error. Payload blobs of every era still decode (old WAL records).
+// ProtocolVersion guards against mixed-version overlays. A version names a
+// set of encodings: a node speaks exactly one, and the hello/join handshake
+// refuses a peer that speaks another with ErrProtoVersion naming both
+// versions (a version-1 or -2 hello is gob, which a node reads through the
+// gob fallback in order to refuse it). Version 4 is the binary codec on the
+// round trip's messages and on the engines' payloads, outputs and
+// checkpoints inside them; a version-3 node sends only the round trip's
+// messages in it and fails every command whose payload is binary-coded.
+// Payload blobs of every version still decode (old WAL records).
 //
-// Additions ride within a version as appended fields: CommandSpec.GangID/
-// GangSize, ProjectStatus.Detail, the frame-streaming messages and
-// AnnounceRequest.WaitSeconds all arrived that way, and frames captured
-// before each existed decode with the new fields at their zero values. A
-// field is never removed, only left unread (GangID/GangSize are), and a node
-// that has never heard of MsgFrameChunk declines it via the overlay's
-// unknown-handler path while the final result blob still carries every
-// frame, so a fleet of mixed minor builds degrades instead of mis-scheduling.
+// Additions ride within a version as appended fields (the codec's evolution
+// rule; testdata/shapes.golden lists every coded field in order):
+// CommandSpec.GangID/GangSize, ProjectStatus.Detail, the frame-streaming
+// messages and AnnounceRequest.WaitSeconds all arrived that way, and frames
+// captured before each existed decode with the new fields at their zero
+// values. A field is never removed, only left unread (GangID/GangSize are),
+// and a node that has never heard of MsgFrameChunk declines it via the
+// overlay's unknown-handler path while the final result blob still carries
+// every frame, so a fleet of mixed minor builds degrades instead of
+// mis-scheduling.
 const ProtocolVersion = 4
 
 // ErrProtoVersion is the sentinel for cross-version handshake and envelope
@@ -198,7 +202,7 @@ type Envelope struct {
 	Version   int
 	Type      MsgType
 	From, To  string // node IDs; empty To = "first server that can handle it"
-	RequestID uint64
+	RequestID uint64 `wire:"fixed64"`
 	IsReply   bool
 	TTL       int
 	Payload   []byte
@@ -543,12 +547,23 @@ type TenantQuotaUpdate struct {
 	MaxStorageBytes int64
 }
 
-// Marshal encodes a payload struct: the binary codec for the types it knows
-// (into one buffer of exactly the encoded size), gob for the rest. A nil
-// pointer is an error under either.
+// Marshal encodes a payload struct: the binary codec for the registered
+// types (into one buffer of exactly the encoded size), gob for the rest. A
+// nil pointer is an error under either.
 func Marshal(v any) ([]byte, error) {
-	if m := asMessage(v); m != nil {
-		return marshalMessage(m, 0)
+	if registered(reflect.TypeOf(v)) != nil {
+		rv := reflect.ValueOf(v)
+		if rv.Kind() != reflect.Pointer {
+			// The codec reaches fields by address: a struct given by value
+			// is copied behind a new pointer.
+			ptr := reflect.New(rv.Type())
+			ptr.Elem().Set(rv)
+			rv = ptr
+		}
+		if rv.IsNil() {
+			return nil, fmt.Errorf("wire: encoding %T: nil pointer", v)
+		}
+		return encodeTagged(rv.Elem(), 0)
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
@@ -568,11 +583,11 @@ func Marshal(v any) ([]byte, error) {
 // Marshal result, a WAL record) and never reuses it, so nothing is pooled.
 func Unmarshal(data []byte, v any) error {
 	if len(data) > 0 && data[0] == codecTag {
-		m, ok := v.(Message)
-		if !ok {
+		rv, p := reflect.ValueOf(v), registered(reflect.TypeOf(v))
+		if p == nil || rv.Kind() != reflect.Pointer || rv.IsNil() {
 			return fmt.Errorf("wire: decoding %T: data is binary-coded, which this type is not", v)
 		}
-		if err := DecodeMessage(data[1:], m); err != nil {
+		if err := decode(data[1:], p, rv.Elem()); err != nil {
 			return fmt.Errorf("wire: decoding %T: %w", v, err)
 		}
 		return nil
@@ -589,7 +604,10 @@ const frameHeaderLen = 4
 // WriteEnvelope frames and writes one envelope — a 4-byte big-endian length
 // followed by the encoded envelope — in a single Write.
 func WriteEnvelope(w io.Writer, env *Envelope) error {
-	frame, err := marshalMessage(env, frameHeaderLen)
+	if env == nil {
+		return errors.New("wire: encoding *wire.Envelope: nil pointer")
+	}
+	frame, err := encodeTagged(reflect.ValueOf(env).Elem(), frameHeaderLen)
 	if err != nil {
 		return err
 	}

@@ -45,8 +45,9 @@ benchmod() {
     $GO test -C benchmarks ./...
 }
 
-# The wire and engine decoders and the WAL and snapshot readers against
-# arbitrary bytes, ten seconds per target: no panic, no allocation out of
+# The binary codec (every registered type, picked by the first input byte),
+# the frame reader and the WAL and snapshot readers against arbitrary bytes,
+# ten seconds per target: no panic, no allocation out of
 # proportion to the input, and whatever decodes survives a round trip or, for
 # the WAL, the intact prefix comes back (go test -fuzz takes one target per
 # run). Minimizing a new interesting input gets 1 s, not the default 60 s: a
@@ -54,10 +55,9 @@ benchmod() {
 # workers minimizing a ten-second run used to sit at 0 execs/s for the rest
 # of its time. A failing input is still reported, whole if not minimized.
 fuzz() {
-    echo "== wire, engine, WAL and snapshot fuzz (10 s per target) =="
-    $GO test -run '^$' -fuzz=FuzzUnmarshalHot -fuzztime=10s -fuzzminimizetime=1s ./internal/wire
+    echo "== codec, frame, WAL and snapshot fuzz (10 s per target) =="
+    $GO test -run '^$' -fuzz='^FuzzUnmarshal$' -fuzztime=10s -fuzzminimizetime=1s ./internal/wire
     $GO test -run '^$' -fuzz=FuzzReadEnvelope -fuzztime=10s -fuzzminimizetime=1s ./internal/wire
-    $GO test -run '^$' -fuzz=FuzzDecodeEngine -fuzztime=10s -fuzzminimizetime=1s ./internal/engines
     $GO test -run '^$' -fuzz=FuzzReadWAL -fuzztime=10s -fuzzminimizetime=1s ./internal/store
     $GO test -run '^$' -fuzz=FuzzDecodeSnapshot -fuzztime=10s -fuzzminimizetime=1s ./internal/store
 }

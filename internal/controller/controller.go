@@ -72,18 +72,12 @@ type Controller interface {
 	CommandFailed(ctx Context, cmd wire.CommandSpec, reason string) error
 }
 
-// FrameSink is an optional extension: controllers that digest streamed
-// frame chunks as workers produce them — instead of waiting for the final
-// result blob — implement it. The server calls FrameChunk under the same
-// per-project lock as the event handlers, both live and during WAL replay.
-// Chunks for one command arrive in frame order but may be re-delivered or
-// overlap after a checkpoint resume; implementations must dedupe by
-// FirstFrame against their own watermark. A controller may also receive the
-// command's final result with frames it already saw streamed — the final
-// blob always carries every frame, so chunk delivery is best-effort.
+// FrameSink is the extension through which controllers once took frame
+// chunks mid-command. No bundled controller implements it and the server
+// never calls it: a command's frames reach its controller in the result
+// alone (CommandFinished). The declaration stays for the benchmark harness,
+// which still compiles against it.
 type FrameSink interface {
-	// FrameChunk ingests one streamed chunk. Errors are logged, not fatal:
-	// the batch path still covers the command.
 	FrameChunk(ctx Context, chunk *wire.FrameChunk) error
 }
 

@@ -50,16 +50,19 @@ type MSMParams struct {
 	MinCores, MaxCores int
 	Seed               uint64
 
-	// Stream enables the incremental analysis pipeline: workers flush frame
-	// chunks every StreamEveryNs as they simulate, the controller digests
-	// them through a mini-batch clusterer with per-trajectory watermarks,
-	// and a generation triggers when the model's state populations converge
-	// instead of after a fixed segment count (SegmentsPerGen stays as the
-	// hard cap). Off by default so the batch pipeline remains the A/B
-	// reference. All stream fields decode as zero values from pre-streaming
-	// parameter blobs.
+	// Stream enables the incremental analysis pipeline: the controller
+	// feeds each finished segment's frames, from its result, to a
+	// mini-batch clusterer, and a generation triggers when the model's
+	// state populations converge instead of after a fixed segment count
+	// (SegmentsPerGen stays as the hard cap). Off by default so the batch
+	// pipeline remains the A/B reference. All stream fields decode as zero
+	// values from pre-streaming parameter blobs.
 	Stream bool
-	// StreamEveryNs is the worker flush interval (0 defaults to 5×FrameNs).
+	// StreamEveryNs is the interval at which workers flush frame chunks to
+	// the project server while a segment runs (0 defaults to 5×FrameNs).
+	// The server answers each chunk "ignored" and the controller takes the
+	// frames from the result; the flush stays only while the benchmark
+	// harness counts the chunks.
 	StreamEveryNs float64
 	// StreamMinDist is the mini-batch clusterer's novelty threshold for
 	// founding new centers (0 admits any distinct frame).
@@ -233,14 +236,13 @@ type msmState struct {
 	// Streaming-mode state (all zero when P.Stream is false, and when decoded
 	// from a pre-streaming snapshot).
 	Stream *msm.StreamState // the clusterer's image; set only inside SaveState and RestoreState
-	// CmdStreamed is the per-command frame watermark: index one past the
-	// last frame already folded into the trajectory via chunks. It is what
-	// makes chunk re-delivery and the final result's full frame set
-	// idempotent.
+	// CmdStreamed and CmdBase are only ever read from a snapshot written
+	// while frames still streamed in mid-command: a command's frame
+	// watermark (one past the last frame already folded into its
+	// trajectory) and its trajectory's time at submission. fold honours
+	// them, so such a command's frames are folded once.
 	CmdStreamed map[string]int
-	// CmdBase is the trajectory's cumulative time at segment submission, so
-	// chunk-local times convert to trajectory times.
-	CmdBase map[string]float64
+	CmdBase     map[string]float64
 	// LastPops is the previous convergence check's normalized state
 	// population vector; ConvOK counts consecutive passing checks;
 	// Converged latches the generation trigger while stragglers drain.
@@ -311,8 +313,6 @@ func (c *MSMController) Start(ctx Context, params []byte) error {
 		if err != nil {
 			return err
 		}
-		c.st.CmdStreamed = make(map[string]int)
-		c.st.CmdBase = make(map[string]float64)
 	}
 
 	for s := 0; s < p.NStarts; s++ {
@@ -362,12 +362,6 @@ func (c *MSMController) RestoreState(data []byte) error {
 			return fmt.Errorf("msm controller: stream state: %w", err)
 		}
 		st.Stream = nil
-		if st.CmdStreamed == nil {
-			st.CmdStreamed = make(map[string]int)
-		}
-		if st.CmdBase == nil {
-			st.CmdBase = make(map[string]float64)
-		}
 	}
 	for _, tr := range st.Trajs {
 		c.trajs[tr.ID] = tr
@@ -405,7 +399,7 @@ func (c *MSMController) submitSegment(ctx Context, tr *msmTraj) error {
 		MinCores: p.MinCores,
 		MaxCores: p.MaxCores,
 	}
-	err := c.submit(ctx, tr.ID, &cmd, &engines.LandscapePayload{
+	return c.submit(ctx, tr.ID, &cmd, &engines.LandscapePayload{
 		Params:        p.Landscape,
 		Start:         tr.Current,
 		DurationNs:    p.SegmentNs,
@@ -413,11 +407,6 @@ func (c *MSMController) submitSegment(ctx Context, tr *msmTraj) error {
 		Seed:          c.rand.Uint64(),
 		StreamEveryNs: p.StreamEveryNs,
 	})
-	if err == nil && c.stream != nil {
-		// Keyed by the ID submit qualified, the one results and chunks carry.
-		c.st.CmdBase[cmd.ID] = tr.Times[len(tr.Times)-1]
-	}
-	return err
 }
 
 // addFrame appends one frame to tr, updating the RMSD minima and the
@@ -470,20 +459,15 @@ func (c *MSMController) fold(ctx Context, trajID string, res *wire.CommandResult
 		return fmt.Errorf("msm controller: ragged segment output for %s", res.CommandID)
 	}
 	// Frame 0 duplicates the previous segment end; skip it when appending.
-	// In streaming mode the watermark may sit further in: everything below
-	// it already arrived via chunks, and the final blob's copy of those
-	// frames is bitwise identical (deterministic engine), so skipping is
-	// lossless.
-	w := 1
-	base := tr.Times[len(tr.Times)-1]
-	if c.stream != nil {
-		base = st.CmdBase[res.CommandID]
-		if s := st.CmdStreamed[res.CommandID]; s > w {
-			w = s
-		}
+	// A restored watermark sits further in: the frames below it are in the
+	// trajectory already, and the result's copy of them is bitwise the same
+	// (deterministic engine), so skipping is lossless.
+	w, base := 1, tr.Times[len(tr.Times)-1]
+	if s, ok := st.CmdStreamed[res.CommandID]; ok {
+		w, base = s, st.CmdBase[res.CommandID]
 		delete(st.CmdStreamed, res.CommandID)
-		delete(st.CmdBase, res.CommandID)
 	}
+	delete(st.CmdBase, res.CommandID)
 	for i := w; i < len(out.Frames); i++ {
 		if err := c.addFrame(tr, base+out.Times[i], out.Frames[i], out.RMSD[i]); err != nil {
 			return err
@@ -501,44 +485,6 @@ func (c *MSMController) fold(ctx Context, trajID string, res *wire.CommandResult
 	// or the populations converged, only stragglers drain.
 	if !st.Converged && tr.Alive && st.SegDone+len(c.led.InFlight) < st.SegTarget {
 		return c.submitSegment(ctx, tr)
-	}
-	return nil
-}
-
-// FrameChunk implements FrameSink: fold streamed frames into the owning
-// trajectory and the incremental model the moment they arrive, deduped by
-// the per-command frame watermark. With streaming disabled it is a no-op —
-// the final result blob carries every frame either way.
-func (c *MSMController) FrameChunk(ctx Context, chunk *wire.FrameChunk) error {
-	if c.stream == nil {
-		return nil
-	}
-	trajID, ok := c.led.InFlight[chunk.CommandID]
-	if !ok {
-		return nil // settled or terminated command
-	}
-	if len(chunk.Times) != len(chunk.Frames) || len(chunk.RMSD) != len(chunk.Frames) {
-		return fmt.Errorf("msm controller: ragged frame chunk for %s", chunk.CommandID)
-	}
-	tr := c.trajs[trajID]
-	w := c.st.CmdStreamed[chunk.CommandID]
-	if w < 1 {
-		w = 1 // frame 0 is the start conformation the trajectory already holds
-	}
-	if chunk.FirstFrame > w {
-		return nil // gap: the final result blob delivers the range intact
-	}
-	base := c.st.CmdBase[chunk.CommandID]
-	for i, f := range chunk.Frames {
-		if chunk.FirstFrame+i < w {
-			continue // re-delivered prefix (deterministic resume overlap)
-		}
-		if err := c.addFrame(tr, base+chunk.Times[i], f, chunk.RMSD[i]); err != nil {
-			return err
-		}
-	}
-	if end := chunk.FirstFrame + len(chunk.Frames); end > w {
-		c.st.CmdStreamed[chunk.CommandID] = end
 	}
 	return nil
 }

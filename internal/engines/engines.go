@@ -52,9 +52,11 @@ type Engine interface {
 // it. Workers call RunStream instead of Run when the engine supports it;
 // whether anything is actually emitted is decided by the command's payload
 // (the landscape engine streams only when StreamEveryNs > 0), so the
-// controller stays in charge of the flush cadence. Emitted chunks are an
-// optimisation: the final output must still carry the complete trajectory,
-// and emit must be called synchronously from the run goroutine.
+// controller stays in charge of the flush cadence. The project server
+// answers every chunk "ignored": the final output must carry the complete
+// trajectory, which is what the controller reads. Emission stays only while
+// the benchmark harness counts chunks per command. emit must be called
+// synchronously from the run goroutine.
 type Streamer interface {
 	Engine
 	RunStream(ctx context.Context, spec wire.CommandSpec, cores int,
@@ -74,9 +76,9 @@ type LandscapePayload struct {
 	FrameNs    float64 // frame recording interval
 	Seed       uint64
 	// StreamEveryNs, when positive, makes the engine flush accumulated
-	// frames to the project server at this simulated-time interval (the
-	// streaming-analysis pipeline). 0 disables streaming; decodes as 0 from
-	// pre-stream frames, so old controllers get the batch behaviour.
+	// frames to the project server at this simulated-time interval, which
+	// the server ignores (see Streamer). 0 disables the flush; decodes as 0
+	// from pre-stream frames.
 	StreamEveryNs float64
 }
 
@@ -116,9 +118,9 @@ func (e *LandscapeEngine) Run(ctx context.Context, spec wire.CommandSpec, cores 
 // RunStream implements Streamer: identical to Run, but when the payload
 // sets StreamEveryNs (and emit is non-nil) the frames accumulated over each
 // flush interval are emitted as a FrameChunk before the run completes. On a
-// checkpoint resume, emission restarts after the checkpointed frames —
-// anything the previous worker streamed beyond the checkpoint is
-// re-produced deterministically and trimmed by the receiver's watermark.
+// checkpoint resume, emission restarts after the checkpointed frames, so
+// frames the previous worker streamed beyond the checkpoint are emitted
+// again.
 func (e *LandscapeEngine) RunStream(ctx context.Context, spec wire.CommandSpec, cores int,
 	progress func([]byte), emit func(*wire.FrameChunk)) ([]byte, error) {
 	var p LandscapePayload

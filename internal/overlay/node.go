@@ -60,7 +60,7 @@ func (e *RemoteError) Unwrap() error { return wire.SentinelFor(e.Code) }
 // this node's own requests. Handlers of one link therefore run concurrently
 // and in no particular order; a sender that needs one request applied before
 // the next waits for the first one's reply, as every in-tree sender that
-// cares does (frame chunks, partial results, WAL shipping). Close waits for
+// cares does (partial results, WAL shipping). Close waits for
 // running handlers, so whatever a handler blocks on must be released before
 // the node is closed.
 type Handler func(from string, payload []byte) ([]byte, error)

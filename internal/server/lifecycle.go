@@ -17,6 +17,7 @@
 package server
 
 import (
+	"errors"
 	"strconv"
 	"time"
 
@@ -56,7 +57,6 @@ type cmdState struct {
 	retries      int
 	preempts     int    // fair-share preemptions; tracked apart from retries
 	checkpoint   []byte // latest partial checkpoint for failover
-	streamed     int    // frames already ingested via streamed chunks
 	submittedAt  time.Time
 	dispatchedAt time.Time
 }
@@ -83,15 +83,20 @@ func (s *Server) end(p *project, to projState, result []byte, reason string) {
 	close(p.done)
 }
 
-// react runs one controller handler (Start, CommandFinished, CommandFailed,
-// FrameChunk) under p.mu, then admits what it submitted (p.staged) as a batch.
-// It returns the handler's error or else the batch's refusal, and then none
-// of the batch is left on the project; the caller decides what the error
-// means for the project.
+// react runs one controller handler (Start, CommandFinished, CommandFailed)
+// under p.mu, then admits what it submitted (p.staged) as a batch. It returns
+// the handler's error or else the batch's refusal, and then none of the batch
+// is left on the project; the caller decides what the error means for the
+// project. p.staged keeps the batch until the next handler runs, for a
+// replayed refusal to drop.
 func (s *Server) react(p *project, handler func(controller.Context) error) error {
+	clear(p.staged)
+	p.staged = p.staged[:0]
 	err := handler(s.contextFor(p))
 	if err == nil {
-		err = s.admit(p.staged)
+		if err = s.admit(p.staged); err != nil {
+			err = refusal{err}
+		}
 	}
 	for _, cs := range p.staged {
 		if err != nil {
@@ -101,16 +106,39 @@ func (s *Server) react(p *project, handler func(controller.Context) error) error
 			s.trace.Record(obs.Span{Stage: obs.StageSubmit, Command: cs.spec.ID, Project: p.name, Start: cs.submittedAt})
 		}
 	}
-	clear(p.staged)
-	p.staged = p.staged[:0]
 	return err
 }
 
-// reacted ends the project if the controller handler that just ran failed.
+// refusal is admission's answer to a handler's batch, as react returns it:
+// unlike the handler's own error, replay cannot re-derive it.
+type refusal struct{ error }
+
+func (r refusal) Unwrap() error { return r.error }
+
+// reacted ends the project if the controller handler that just ran failed or
+// its batch was refused.
 func (s *Server) reacted(p *project, err error) {
-	if err != nil {
+	if errors.As(err, new(refusal)) {
+		s.refused(p, err.Error())
+	} else if err != nil {
 		s.end(p, projFailed, nil, err.Error())
 	}
+}
+
+// refused fails a running project because admission turned away the batch
+// its last handler submitted: a quota, the queue bound, a WAL shed or a
+// duplicate queue ID. Replay skips admission, so the refusal is journaled,
+// after the record whose replay re-runs the handler; replaying it drops
+// that handler's batch again.
+func (s *Server) refused(p *project, reason string) {
+	if p.state != projRunning {
+		return
+	}
+	s.journal(store.Record{Type: store.RecBatchRefused, Project: p.name, Note: reason})
+	for _, cs := range p.staged {
+		delete(p.commands, cs.spec.ID)
+	}
+	s.end(p, projFailed, nil, reason)
 }
 
 // --- command transitions ---

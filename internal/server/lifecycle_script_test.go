@@ -10,9 +10,9 @@ import (
 )
 
 // The lifecycle script: one deterministic run that walks every command
-// transition over a real store — submit, assign, checkpoint, chunk,
-// worker-lost requeue, preempt, terminal failure, result, finish. It speaks
-// only the wire protocol (and ticks the starvation monitor by hand), so the
+// transition over a real store — submit, assign, checkpoint, a
+// worker's frame chunk, worker-lost requeue, preempt, terminal failure,
+// result, finish. It speaks only the wire protocol (and ticks the starvation monitor by hand), so the
 // same file drives the build before the transition table: that is where
 // testdata/lifecycle_journal.golden was captured.
 
@@ -86,7 +86,8 @@ func runLifecycleScript(t *testing.T, st *store.Store) *rig {
 	if err := r.request(t, wire.MsgResult, &partial, nil); err != nil {
 		t.Fatal(err)
 	}
-	if ack := sendChunk(t, r, mkChunk("a2", 0, 1, 2)); ack != "ok" {
+	// A worker's frame chunk: answered at once, taken in nowhere.
+	if ack := sendChunk(t, r, mkChunk("a2", 0, 1, 2)); ack != "ignored" {
 		t.Fatalf("chunk ack = %q", ack)
 	}
 	workerLost(t, r, "w1", "a2") // requeued: the first of MaxRetries = 1

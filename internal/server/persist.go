@@ -5,9 +5,9 @@
 // lifecycle.go.
 //
 // Recovery is event-sourced: the WAL journals the server's *inputs* (project
-// parameters; results, checkpoints and frame chunks in arrival order; quota
-// updates) and its own nondeterministic decisions (assignments, requeues,
-// preemptions, terminal failures), nothing else. Replay re-runs the
+// parameters; results and checkpoints in arrival order; quota updates) and
+// its own nondeterministic decisions (assignments, requeues, preemptions,
+// terminal failures, admission refusals), nothing else. Replay re-runs the
 // deterministic controllers through the normal handlers, re-deriving what
 // they did — submits, status lines, the end of the project. Snapshots bound
 // replay time by capturing full project state, including serialized
@@ -202,7 +202,6 @@ func (s *Server) restoreProject(ps store.ProjectSnap) error {
 			retries:     cs.Retries,
 			preempts:    cs.Preempts,
 			checkpoint:  cs.Checkpoint,
-			streamed:    cs.Streamed,
 			submittedAt: now,
 		}
 	}
@@ -217,8 +216,10 @@ func (s *Server) restoreProject(ps store.ProjectSnap) error {
 // table). Every transition is a no-op from a status it does not move from, so
 // a record the snapshot already reflects (the Rotate→capture overlap window)
 // changes nothing, which is what makes the snapshot protocol safe. The types
-// older builds also wrote — command queued, generation, project finished and
-// failed — are skipped: replaying the input that caused them re-derives them.
+// older builds also wrote are skipped: replaying the input that caused a
+// command queued, generation, project finished or failed record re-derives
+// it, and the result record after a command's frame chunks carries their
+// frames (a command orphaned before its result reruns).
 func (s *Server) replayRecord(r store.Record) {
 	switch r.Type {
 	case store.RecProjectSubmitted:
@@ -237,14 +238,6 @@ func (s *Server) replayRecord(r store.Record) {
 		if err := wire.Unmarshal(r.Data, &upd); err == nil {
 			s.q.SetQuota(upd)
 		}
-	case store.RecFrameChunk:
-		// The watermark advances and the controller's frame sink sees the
-		// identical stream, so a recovered or promoted server resumes the
-		// analysis exactly where the WAL left it.
-		var chunk wire.FrameChunk
-		if p := s.project(r.Project); p != nil && wire.Unmarshal(r.Data, &chunk) == nil {
-			_, _ = s.ingestChunk(p, &chunk, r.Data)
-		}
 	case store.RecResult:
 		// Settled commands are skipped, fresh ones drive the controller
 		// exactly as they did live.
@@ -262,6 +255,12 @@ func (s *Server) replayRecord(r store.Record) {
 		s.withProjectCommand(r.Project, r.Command, func(p *project, cs *cmdState) { s.requeue(p, cs, r) })
 	case store.RecCommandFailed:
 		s.withProjectCommand(r.Project, r.Command, func(p *project, cs *cmdState) { s.failed(p, cs, r) })
+	case store.RecBatchRefused:
+		if p := s.project(r.Project); p != nil {
+			p.mu.Lock()
+			s.refused(p, r.Note)
+			p.mu.Unlock()
+		}
 	}
 }
 
@@ -398,7 +397,6 @@ func (s *Server) captureSnapshot() (*store.Snapshot, error) {
 				Worker:     cs.worker,
 				Retries:    cs.retries,
 				Checkpoint: cs.checkpoint,
-				Streamed:   cs.streamed,
 				Preempts:   cs.preempts,
 			})
 		}

@@ -1,9 +1,12 @@
 package server
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -303,6 +306,64 @@ func TestRecoveryFinishedProjectStaysQueryable(t *testing.T) {
 	if len(wl2.Commands) != 0 {
 		t.Fatalf("finished project's commands re-queued: %v", wl2.Commands)
 	}
+}
+
+// TestRecoveryRefusedBatchStaysRefused: when admission refuses the commands
+// a controller handler submitted, the project fails live. Replay skips
+// admission and cannot re-derive that decision, so a restart must still end
+// where the live server did: the project failed with the refusal as its
+// note, none of the refused commands queued or dispatchable. Two refusals:
+// a result's children past the tenant's queued-command quota (the
+// TestRefusedBatchQueuesNothing scenario), and a second project's Start
+// whose command ID the queue already holds.
+func TestRecoveryRefusedBatchStaysRefused(t *testing.T) {
+	script := func() *testController {
+		return &testController{
+			submit:   []wire.CommandSpec{cmdSpec("c1")},
+			children: map[string][]wire.CommandSpec{"c1": {cmdSpec("k1"), cmdSpec("k2")}},
+		}
+	}
+	dir := t.TempDir()
+	st := openTestStore(t, dir)
+	r1 := newRig(t, Config{HeartbeatInterval: time.Hour, RelayTimeout: 50 * time.Millisecond, Store: st}, script())
+	upd := wire.TenantQuotaUpdate{Tenant: "capped", MaxQueued: 1, MaxCores: -1, MaxStorageBytes: -1}
+	if err := r1.request(t, wire.MsgTenantQuotaSet, &upd, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := r1.request(t, wire.MsgSubmit, &wire.ProjectSubmit{Name: "proj", Controller: "test", Tenant: "capped"}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := r1.request(t, wire.MsgSubmit, &wire.ProjectSubmit{Name: "dup", Controller: "test"}, nil); err == nil {
+		t.Fatal("a Start batch whose command ID is already queued was admitted")
+	}
+	takeWork(t, r1, "w1", []string{"sim"}, "c1")
+	res := wire.CommandResult{CommandID: "c1", Project: "proj", WorkerID: "w1", OK: true}
+	if err := r1.request(t, wire.MsgResult, &res, nil); !errors.Is(err, wire.ErrQuotaExceeded) {
+		t.Fatalf("result ack err = %v, want the quota refusal", err)
+	}
+	live := make(map[string]wire.ProjectStatus)
+	for name, want := range map[string]string{"proj": wire.ErrQuotaExceeded.Error(), "dup": "duplicate command ID"} {
+		pst, _ := r1.srv.Project(name)
+		if pst.State != "failed" || !strings.Contains(pst.Note, want) || pst.Queued != 0 {
+			t.Fatalf("live %s: %s (%q), %d queued; want failed with %q, none queued", name, pst.State, pst.Note, pst.Queued, want)
+		}
+		live[name] = pst
+	}
+	r1.srv.Close()
+	st.Close()
+
+	st2 := openTestStore(t, dir)
+	defer st2.Close()
+	r2 := newRig(t, Config{HeartbeatInterval: time.Hour, RelayTimeout: 50 * time.Millisecond, Store: st2}, script())
+	for name, want := range live {
+		if got, _ := r2.srv.Project(name); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s after the restart:\n got  %+v\n live %+v", name, got, want)
+		}
+	}
+	if n := r2.srv.QueueLen(); n != 0 {
+		t.Errorf("the restarted queue holds %d commands", n)
+	}
+	takeWork(t, r2, "w2", []string{"sim"}) // nothing to hand out
 }
 
 // syncGate is a store.Options.SyncHook that holds every fsync in flight

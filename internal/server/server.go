@@ -108,7 +108,7 @@ type project struct {
 	result     []byte
 	failErr    string
 	commands   map[string]*cmdState
-	staged     []*cmdState // submitted by the running handler; see react
+	staged     []*cmdState // submitted by the last handler to run; see react
 	finished   int
 	failed     int
 	done       chan struct{}
@@ -183,9 +183,6 @@ type serverMetrics struct {
 	dispatchLatency *obs.Histogram
 	controllerTime  *obs.Histogram
 	resultBytes     *obs.Histogram
-	streamChunks    *obs.Counter
-	streamFrames    *obs.Counter
-	streamDupes     *obs.Counter
 }
 
 // dispatchBuckets cover queue waits from sub-millisecond (in-process
@@ -226,12 +223,6 @@ func newServerMetrics(o *obs.Obs, nodeID string) serverMetrics {
 			"Time controllers spend reacting to a finished command.", nil, node),
 		resultBytes: m.Histogram("copernicus_result_bytes",
 			"Uploaded result payload sizes.", obs.SizeBuckets(), node),
-		streamChunks: m.Counter("copernicus_stream_chunks_total",
-			"Streamed frame chunks accepted and journaled.", node),
-		streamFrames: m.Counter("copernicus_stream_frames_total",
-			"New frames ingested from streamed chunks (after watermark dedupe).", node),
-		streamDupes: m.Counter("copernicus_stream_duplicate_chunks_total",
-			"Streamed chunks ignored because every frame was below the watermark.", node),
 	}
 }
 
@@ -295,7 +286,7 @@ func New(node *overlay.Node, reg *controller.Registry, cfg Config) *Server {
 	node.Handle(wire.MsgSubmit, s.handleSubmit)
 	node.Handle(wire.MsgAnnounce, s.handleAnnounce)
 	node.Handle(wire.MsgResult, s.handleResult)
-	node.Handle(wire.MsgFrameChunk, s.handleFrameChunk)
+	node.Handle(wire.MsgFrameChunk, handleFrameChunk)
 	node.Handle(wire.MsgHeartbeat, s.handleHeartbeat)
 	node.Handle(wire.MsgStatus, s.handleStatus)
 	node.Handle(wire.MsgWorkerFailed, s.handleWorkerFailed)
@@ -891,76 +882,11 @@ func (s *Server) ingestResult(p *project, res *wire.CommandResult, encoded []byt
 	return reply, worker, err
 }
 
-// handleFrameChunk ingests a streamed frame chunk at the project server.
-// Chunks are an optimization overlay on the result path: anything
-// surprising — unknown command, settled command, duplicate or gapped frame
-// range — is acknowledged and dropped, because the command's final result
-// blob carries every frame and heals whatever the stream missed.
-func (s *Server) handleFrameChunk(from string, payload []byte) ([]byte, error) {
-	var chunk wire.FrameChunk
-	if err := wire.Unmarshal(payload, &chunk); err != nil {
-		return nil, err
-	}
-	p := s.project(chunk.Project)
-	if p == nil {
-		return nil, overlay.ErrNotHandled // maybe another server's project
-	}
-	reply, err := s.ingestChunk(p, &chunk, payload)
-	s.commit()
-	return reply, err
-}
-
-// ingestChunk applies one streamed chunk under the project lock, advancing
-// the command's frame watermark and feeding the controller's FrameSink.
-// Called live from handleFrameChunk and during WAL replay.
-func (s *Server) ingestChunk(p *project, chunk *wire.FrameChunk, payload []byte) ([]byte, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	cs := p.command(chunk.CommandID)
-	if cs == nil || cs.settled() || p.state != projRunning {
-		return []byte("ignored"), nil
-	}
-	chunk.CommandID = cs.spec.ID // if it was bare; payload keeps it as it arrived
-	// Frame 0 is the segment's start conformation, which the controller
-	// already holds; the stream begins at frame 1.
-	start := cs.streamed
-	if start < 1 {
-		start = 1
-	}
-	end := chunk.FirstFrame + len(chunk.Frames)
-	if end <= start {
-		// Re-delivery of frames already ingested (e.g. a checkpoint-resumed
-		// run deterministically re-producing its prefix on a new worker).
-		s.met.streamDupes.Inc()
-		return []byte("ignored"), nil
-	}
-	if chunk.FirstFrame > start {
-		// A gap: an earlier chunk never arrived. Ingesting out-of-order
-		// frames would corrupt transition counting, so drop the chunk and
-		// let the final result blob deliver the range intact.
-		s.met.streamDupes.Inc()
-		return []byte("gap"), nil
-	}
-	// Journal before the controller reacts so recovery and standby replay
-	// reconstruct the exact same stream position.
-	s.journal(store.Record{Type: store.RecFrameChunk,
-		Project: chunk.Project, Command: chunk.CommandID, Worker: chunk.WorkerID,
-		Data: payload})
-	cs.streamed = end
-	s.met.streamChunks.Inc()
-	s.met.streamFrames.Add(uint64(end - start))
-	if sink, ok := p.ctrl.(controller.FrameSink); ok {
-		// The sink's error is non-fatal by contract (the batch path still
-		// covers the command) and leaves what it submitted standing.
-		s.reacted(p, s.react(p, func(c controller.Context) error {
-			if err := sink.FrameChunk(c, chunk); err != nil {
-				s.log.Warn("frame sink rejected chunk", "project", p.name, "cmd", chunk.CommandID, "err", err)
-			}
-			return nil
-		}))
-	}
-	return []byte("ok"), nil
-}
+// handleFrameChunk answers the mid-command frame chunks workers send with
+// "ignored" at once. A command's frames reach its controller in the result
+// alone; declining instead would send the worker's synchronous emit on an
+// anycast search nobody answers, and stall it for the request timeout.
+func handleFrameChunk(string, []byte) ([]byte, error) { return []byte("ignored"), nil }
 
 // --- heartbeats and failure recovery ---
 

@@ -32,8 +32,6 @@ type testController struct {
 	failed         []string
 	finishOn       int // Finish the project after this many completions (0 = never)
 	resubmitFailed bool
-	chunks         int // frame chunks the server fed to the FrameSink
-	chunkFrames    int // frames carried by those chunks
 	// afterSubmit, when set, runs in Start after each command it submits.
 	afterSubmit func(project, cmd string)
 }
@@ -89,6 +87,34 @@ func (c *testController) counts() (fin, fail int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.finished), len(c.failed)
+}
+
+// sendChunk delivers one frame chunk, as a streaming worker would, and returns
+// the raw ack.
+func sendChunk(t *testing.T, r *rig, chunk *wire.FrameChunk) string {
+	t.Helper()
+	payload, err := wire.Marshal(chunk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reply, err := r.client.RequestTimeout(r.srv.Node().ID(), wire.MsgFrameChunk, payload, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(reply)
+}
+
+// mkChunk builds a chunk of n synthetic frames starting at index first.
+func mkChunk(cmd string, seq, first, n int) *wire.FrameChunk {
+	ch := &wire.FrameChunk{
+		Project: "proj", CommandID: cmd, WorkerID: "w1", Seq: seq, FirstFrame: first,
+	}
+	for i := 0; i < n; i++ {
+		ch.Times = append(ch.Times, float64(first+i))
+		ch.Frames = append(ch.Frames, []float64{float64(first + i), 0})
+		ch.RMSD = append(ch.RMSD, 1)
+	}
+	return ch
 }
 
 // rig is a one-server test deployment with a raw client node for speaking

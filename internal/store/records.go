@@ -48,10 +48,14 @@ const (
 	// tenant; Count carries the preemption tally. Distinct from
 	// RecCommandRequeued so preemptions never consume failure retries.
 	RecCommandPreempted
-	// RecFrameChunk advances a command's streamed-frame watermark; Data
-	// holds the wire.FrameChunk. Journaled so recovery and standby promotion
-	// resume the analysis stream without double-counting frames.
+	// RecFrameChunk advanced a command's streamed-frame watermark (Data: the
+	// wire.FrameChunk). No longer written; replay ignores it, because the
+	// command's result record carries every frame.
 	RecFrameChunk
+	// RecBatchRefused fails a project because admission refused the commands
+	// a controller handler submitted; Note carries the refusal. It follows
+	// the record whose replay re-runs that handler.
+	RecBatchRefused
 )
 
 // String returns the record type's stable wire name (used by state inspect).
@@ -83,6 +87,8 @@ func (t RecordType) String() string {
 		return "command_preempted"
 	case RecFrameChunk:
 		return "frame_chunk"
+	case RecBatchRefused:
+		return "batch_refused"
 	default:
 		return fmt.Sprintf("unknown(%d)", uint8(t))
 	}
@@ -116,7 +122,7 @@ type Record struct {
 	// RecProjectSubmitted.
 	Count int
 	// Note is free text: controller name on submit, status note on
-	// generation advance, failure reason on failure records.
+	// generation advance, failure reason on failure and refusal records.
 	Note string
 	// Data is the event payload (params, spec, result, checkpoint bytes).
 	Data []byte
@@ -129,9 +135,8 @@ type CommandSnap struct {
 	Worker     string
 	Retries    int
 	Checkpoint []byte
-	// Streamed is the command's streamed-frame watermark: how many of its
-	// output frames the controller has already ingested via frame chunks.
-	// Decodes as 0 from pre-streaming snapshots.
+	// Streamed was the command's streamed-frame watermark. No longer written
+	// (always 0); decoded so snapshots older builds wrote still read.
 	Streamed int
 	// Preempts is the fair-share preemption tally, kept apart from Retries.
 	// Decodes as 0 from snapshots written before it was captured.

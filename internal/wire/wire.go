@@ -56,10 +56,9 @@ import (
 // messages and AnnounceRequest.WaitSeconds all arrived that way, and frames
 // captured before each existed decode with the new fields at their zero
 // values. A field is never removed, only left unread (GangID/GangSize are),
-// and a node that has never heard of MsgFrameChunk declines it via the
-// overlay's unknown-handler path while the final result blob still carries
-// every frame, so a fleet of mixed minor builds degrades instead of
-// mis-scheduling.
+// and a message type is never dropped: MsgFrameChunk, whose content servers
+// no longer read, is still answered, so a fleet of mixed minor builds
+// degrades instead of mis-scheduling.
 const ProtocolVersion = 4
 
 // ErrProtoVersion is the sentinel for cross-version handshake and envelope
@@ -181,11 +180,10 @@ const (
 	// (TenantQuotaUpdate → TenantStatus). The change is journaled on durable
 	// servers, so it survives restarts and ships to standbys.
 	MsgTenantQuotaSet MsgType = "tenantquotaset"
-	// MsgFrameChunk streams a slice of trajectory frames from a worker to
-	// the command's project server while the command is still running
-	// (FrameChunk). Chunks ride within protocol version 2: pre-stream nodes
-	// never see the type, and FrameChunk's fields decode as zero values from
-	// any frame that predates them.
+	// MsgFrameChunk carries a slice of trajectory frames from a worker to
+	// the command's project server while the command still runs
+	// (FrameChunk). The server answers "ignored" at once and reads nothing:
+	// the result carries every frame.
 	MsgFrameChunk MsgType = "framechunk"
 	// MsgWorkAvailable is a one-way notice (overlay.Node.Flood, no payload,
 	// no reply): the sending server has queued commands that none of its own
@@ -292,19 +290,16 @@ type CommandResult struct {
 	WallSeconds float64
 }
 
-// FrameChunk is a mid-command slice of trajectory frames streamed to the
-// project server so analysis can start before the command's final result
-// blob arrives. Chunks are an optimisation overlay, not the source of
-// truth: the final CommandResult still carries every frame, so a dropped
-// chunk costs nothing and a re-delivered one is absorbed idempotently.
+// FrameChunk is a mid-command slice of trajectory frames that a streaming
+// engine emits and the worker ships to the project server before the
+// command's result. No server ingests one: the result carries every frame.
+// Workers still send them while the benchmark harness counts chunks per
+// command, and the type stays registered for the frame-chunk records of
+// older logs.
 //
 // FirstFrame indexes into the command's full output frame sequence (frame 0
 // is the segment's starting conformation, which duplicates the previous
-// segment's end); the server keeps a per-command ingest watermark of frames
-// applied so far, drops chunks entirely below it, and consumers trim
-// partial overlap. After a checkpoint resume on a new worker Seq restarts
-// at 0 but FirstFrame continues from the checkpoint position, so watermark
-// arithmetic survives hand-offs.
+// segment's end).
 type FrameChunk struct {
 	Project   string
 	CommandID string

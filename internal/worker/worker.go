@@ -674,10 +674,9 @@ func (w *Worker) sendResult(ctx context.Context, origin string, res *wire.Comman
 }
 
 // sendChunk ships one streamed frame chunk to the project server: retried
-// direct delivery to the origin, then retried anycast. There is no disk
-// rung — chunks are an optimization overlay on the batch path, and the
-// final result blob carries every frame, so a dropped chunk costs analysis
-// latency, never data.
+// direct delivery to the origin, then retried anycast. The server answers
+// "ignored" and the result carries every frame, so there is no disk rung and
+// a dropped chunk costs nothing.
 func (w *Worker) sendChunk(ctx context.Context, origin string, chunk *wire.FrameChunk) {
 	payload, err := wire.Marshal(chunk)
 	if err != nil {

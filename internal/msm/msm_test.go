@@ -327,6 +327,75 @@ func TestStationaryDistributionTwoState(t *testing.T) {
 	}
 }
 
+// stationaryByPropagate is StationaryDistribution as one Propagate per
+// step writes it: the reference the two-buffer iteration must match bitwise.
+func stationaryByPropagate(t *TransitionMatrix, tol float64, maxIter int) []float64 {
+	p := make([]float64, t.N())
+	for i := range p {
+		p[i] = 1 / float64(t.N())
+	}
+	for k := 0; k < maxIter; k++ {
+		q := t.Propagate(p)
+		s := 0.0
+		for _, v := range q {
+			s += v
+		}
+		if s > 0 {
+			for i := range q {
+				q[i] /= s
+			}
+		}
+		d := 0.0
+		for i := range q {
+			d += math.Abs(q[i] - p[i])
+		}
+		p = q
+		if d < tol {
+			break
+		}
+	}
+	return p
+}
+
+// randomSparseMatrix draws a transition matrix over n states with about
+// fanout non-zero counts per row.
+func randomSparseMatrix(r *rng.Source, n, fanout int) *TransitionMatrix {
+	c := NewCounts(n)
+	for i := 0; i < n; i++ {
+		for k := 0; k < fanout; k++ {
+			c.Add(i, r.Intn(n), 1+float64(r.Intn(20)))
+		}
+	}
+	return c.TransitionMatrix(0.01)
+}
+
+func TestStationaryDistributionMatchesPerStepPropagate(t *testing.T) {
+	r := rng.New(20261017)
+	for trial := 0; trial < 40; trial++ {
+		n := 2 + r.Intn(60)
+		tm := randomSparseMatrix(r, n, 1+r.Intn(4))
+		tol := []float64{0, 1e-12, 1e-6}[trial%3]
+		maxIter := 1 + r.Intn(400)
+		got, want := tm.StationaryDistribution(tol, maxIter), stationaryByPropagate(tm, tol, maxIter)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d (n=%d, tol=%g, maxIter=%d): π[%d] = %v, per-step Propagate gives %v",
+					trial, n, tol, maxIter, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+func TestStationaryDistributionAllocsDoNotGrowWithIterations(t *testing.T) {
+	tm := randomSparseMatrix(rng.New(7), 50, 3)
+	for _, iters := range []int{1, 10, 1000} {
+		// tol 0 never converges early: every run takes all iters steps.
+		if a := testing.AllocsPerRun(20, func() { tm.StationaryDistribution(0, iters) }); a > 2 {
+			t.Errorf("%d iterations: %.0f allocations, want at most 2", iters, a)
+		}
+	}
+}
+
 func TestEquilibriumTopState(t *testing.T) {
 	c := NewCounts(2)
 	c.Add(0, 0, 9)

@@ -165,7 +165,12 @@ func (t *TransitionMatrix) Propagate(p []float64) []float64 {
 	if len(p) != t.n {
 		panic(fmt.Sprintf("msm: propagating %d-vector through %d-state matrix", len(p), t.n))
 	}
-	out := make([]float64, t.n)
+	return t.propagateInto(make([]float64, t.n), p)
+}
+
+// propagateInto writes p·T into out, an N-vector, and returns it.
+func (t *TransitionMatrix) propagateInto(out, p []float64) []float64 {
+	clear(out)
 	for i, pi := range p {
 		if pi == 0 {
 			continue
@@ -191,12 +196,12 @@ func (t *TransitionMatrix) PropagateN(p []float64, n int) []float64 {
 // produced by LargestConnectedSet + Restrict; on reducible matrices it
 // returns the distribution reached from uniform after maxIter steps.
 func (t *TransitionMatrix) StationaryDistribution(tol float64, maxIter int) []float64 {
-	p := make([]float64, t.n)
+	p, q := make([]float64, t.n), make([]float64, t.n)
 	for i := range p {
 		p[i] = 1 / float64(t.n)
 	}
 	for k := 0; k < maxIter; k++ {
-		q := t.Propagate(p)
+		t.propagateInto(q, p)
 		// Normalise against drift.
 		s := 0.0
 		for _, v := range q {
@@ -211,7 +216,7 @@ func (t *TransitionMatrix) StationaryDistribution(tol float64, maxIter int) []fl
 		for i := range q {
 			d += math.Abs(q[i] - p[i])
 		}
-		p = q
+		p, q = q, p
 		if d < tol {
 			break
 		}

@@ -114,9 +114,10 @@ type peerLink struct {
 	id   string
 	conn net.Conn
 
-	out  chan *wire.Envelope
-	done chan struct{}
-	once sync.Once
+	out   chan *wire.Envelope
+	done  chan struct{}
+	frame []byte // the write loop's send buffer
+	once  sync.Once
 	// handlers holds one token per running request handler of this link.
 	handlers chan struct{}
 
@@ -160,7 +161,7 @@ func (p *peerLink) writeLoop() {
 	for {
 		select {
 		case env := <-p.out:
-			if err := wire.WriteEnvelope(p.conn, env); err != nil {
+			if err := p.write(env); err != nil {
 				p.close()
 				return
 			}
@@ -170,6 +171,18 @@ func (p *peerLink) writeLoop() {
 			return
 		}
 	}
+}
+
+// write frames env into the link's reused send buffer and writes it.
+func (p *peerLink) write(env *wire.Envelope) error {
+	frame, err := wire.AppendEnvelope(p.frame[:0], env)
+	if err == nil {
+		_, err = p.conn.Write(frame)
+	}
+	if cap(frame) <= wire.MaxReusedBuffer {
+		p.frame = frame
+	}
+	return err
 }
 
 // close severs the link: the writer exits, queued envelopes are discarded,

@@ -61,17 +61,16 @@ func seal(out []byte, at int) {
 
 func init() { wire.Register(Record{}, Snapshot{}) }
 
-// encodeFrame renders one record as a frame, into one buffer of exactly the
-// frame's size with the header written in place.
-func encodeFrame(rec *Record) ([]byte, error) {
-	frame, err := wire.EncodeStruct(rec, frameHeaderLen)
+// appendFrame appends rec's frame, with the header written in place, to dst.
+func appendFrame(dst []byte, rec *Record) ([]byte, error) {
+	frame, err := wire.AppendStruct(dst, rec, frameHeaderLen)
 	if err != nil {
 		return nil, err
 	}
-	if n := len(frame) - frameHeaderLen; n > maxRecordBytes {
+	if n := len(frame) - len(dst) - frameHeaderLen; n > maxRecordBytes {
 		return nil, fmt.Errorf("store: record of %d bytes exceeds the %d-byte frame limit", n, maxRecordBytes)
 	}
-	seal(frame, 0)
+	seal(frame, len(dst))
 	return frame, nil
 }
 

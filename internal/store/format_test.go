@@ -67,7 +67,7 @@ func FuzzReadWAL(f *testing.F) {
 	}
 	binFrames := make([][]byte, len(good))
 	for i := range good {
-		fr, err := encodeFrame(&good[i])
+		fr, err := appendFrame(nil, &good[i])
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -142,7 +142,7 @@ func FuzzReadWAL(f *testing.F) {
 func TestBinaryRecordsOwnTheirData(t *testing.T) {
 	var seg []byte
 	for i, data := range []string{"first", "second", "third"} {
-		fr, err := encodeFrame(&Record{Seq: uint64(i + 1), Type: RecResult, Data: []byte(data)})
+		fr, err := appendFrame(nil, &Record{Seq: uint64(i + 1), Type: RecResult, Data: []byte(data)})
 		if err != nil {
 			t.Fatal(err)
 		}

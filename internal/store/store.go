@@ -37,6 +37,7 @@ import (
 
 	"copernicus/internal/obs"
 	"copernicus/internal/store/atomicfile"
+	"copernicus/internal/wire"
 )
 
 // Options configures a Store. Dir is required.
@@ -58,7 +59,8 @@ type Options struct {
 	// WriteHook, when set, intercepts every WAL frame just before it is
 	// written — the chaos harness's entry point for injecting short writes
 	// and I/O errors. Returning a shortened slice simulates a torn write;
-	// returning an error simulates a failing disk.
+	// returning an error simulates a failing disk. The frame is the store's
+	// append buffer: a hook must not keep it past its return.
 	WriteHook func(frame []byte) ([]byte, error)
 	// SyncHook, when set, runs in place of every fsync of the active segment
 	// and is handed the real one (a no-op under NoSync). Test-only: it lets a
@@ -108,6 +110,7 @@ type Store struct {
 
 	mu        sync.Mutex
 	seg       *os.File
+	frame     []byte // the append buffer every WAL frame is encoded into
 	segIndex  uint64
 	segBytes  int64
 	nextSeq   uint64
@@ -342,9 +345,12 @@ func (s *Store) readyLocked() error {
 // writes it to the active segment: the one routine that puts a frame in the
 // WAL. It wakes the syncer but does not wait for it.
 func (s *Store) writeLocked(rec *Record) error {
-	frame, err := encodeFrame(rec)
+	frame, err := appendFrame(s.frame[:0], rec)
 	if err != nil {
 		return err
+	}
+	if cap(frame) <= wire.MaxReusedBuffer {
+		s.frame = frame
 	}
 	full := len(frame)
 	if s.opts.WriteHook != nil {

@@ -8,8 +8,8 @@ package wire
 // codec are the registered ones (Register): this package's messages of the
 // command round trip, the engines' payloads, outputs and checkpoints
 // (internal/engines), and the store's WAL records and snapshots
-// (internal/store, through EncodeStruct and DecodeStruct). Every other type
-// stays on gob (wire.go).
+// (internal/store, through AppendStruct, EncodeStruct and DecodeStruct).
+// Every other type stays on gob (wire.go).
 //
 // Layout. A Marshal result is the tag byte 0x00 followed by one struct. No
 // gob stream starts with 0x00 (a gob message opens with its non-zero
@@ -238,29 +238,25 @@ func planOf(t reflect.Type) (*plan, error) {
 // fields, without the tag — after headroom zero bytes, into one buffer of
 // exactly that size. Any struct type the encodings cover will do; only a
 // registered type's plan is kept.
-func EncodeStruct(v any, headroom int) ([]byte, error) {
+func EncodeStruct(v any, headroom int) ([]byte, error) { return AppendStruct(nil, v, headroom) }
+
+// AppendStruct is EncodeStruct appending to dst, for a single writer that
+// reuses one buffer: dst is grown only when it lacks the room.
+func AppendStruct(dst []byte, v any, headroom int) ([]byte, error) {
 	rv := reflect.ValueOf(v)
 	if rv.Kind() != reflect.Pointer || rv.IsNil() {
 		// reflect.TypeOf, not %T: handing v to fmt would move every value
 		// encoded to the heap.
 		return nil, fmt.Errorf("wire: encoding %v: not a pointer to a struct", reflect.TypeOf(v))
 	}
-	return encode(rv.Elem(), headroom)
+	return encode(dst, rv.Elem(), headroom)
 }
 
-// encodeTagged is encode with the tag byte after headroom: a Marshal result,
-// or an envelope's frame.
-func encodeTagged(v reflect.Value, headroom int) ([]byte, error) {
-	b, err := encode(v, headroom+1)
-	if err != nil {
-		return nil, err
-	}
-	b[headroom] = codecTag
-	return b, nil
-}
-
-// encode is EncodeStruct for v, an addressable struct.
-func encode(v reflect.Value, headroom int) ([]byte, error) {
+// encode, the one encoding routine, appends headroom zero bytes and then v,
+// an addressable struct, to dst. A dst without the room is copied into one
+// buffer of exactly the size needed: a nil dst costs one exact-size
+// allocation, a reused buffer that is big enough none.
+func encode(dst []byte, v reflect.Value, headroom int) ([]byte, error) {
 	p, err := planOf(v.Type())
 	if err != nil {
 		return nil, err
@@ -271,8 +267,17 @@ func encode(v reflect.Value, headroom int) ([]byte, error) {
 		}
 	}
 	n := p.size(v)
-	b := make([]byte, headroom, headroom+sizeUvarint(uint64(n))+n)
-	return p.appendFields(binary.AppendUvarint(b, uint64(n)), v), nil
+	need := headroom + sizeUvarint(uint64(n)) + n
+	if cap(dst)-len(dst) < need {
+		dst = append(make([]byte, 0, len(dst)+need), dst...)
+	}
+	b := dst[:len(dst)+headroom] // within cap: the check above made room
+	clear(b[len(dst):])
+	out := p.appendFields(binary.AppendUvarint(b, uint64(n)), v)
+	if len(out) != len(dst)+need {
+		return nil, fmt.Errorf("wire: encoding %v: sized %d bytes, wrote %d", v.Type(), need, len(out)-len(dst))
+	}
+	return out, nil
 }
 
 // fieldPtr returns the address of fv, an addressable field of type T.

@@ -558,7 +558,11 @@ func Marshal(v any) ([]byte, error) {
 		if rv.IsNil() {
 			return nil, fmt.Errorf("wire: encoding %T: nil pointer", v)
 		}
-		return encodeTagged(rv.Elem(), 0)
+		b, err := encode(nil, rv.Elem(), 1)
+		if err == nil {
+			b[0] = codecTag
+		}
+		return b, err
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
@@ -574,8 +578,10 @@ func Marshal(v any) ([]byte, error) {
 // and Checkpoint, and the engines' checkpoint and state bytes) are sub-slices
 // of data, not copies. Callers therefore hand
 // over data for good — it must not be written to or reused while v is alive.
-// Every producer in the tree allocates data per message (a frame body, a
-// Marshal result, a WAL record) and never reuses it, so nothing is pooled.
+// A single writer (an overlay link's write loop, the WAL appender) encodes
+// every message into one send buffer it owns and reuses; a receiver
+// allocates each frame (readBody, a WAL record's copy) and hands it over.
+// Nothing is ever decoded from a send buffer.
 func Unmarshal(data []byte, v any) error {
 	if len(data) > 0 && data[0] == codecTag {
 		rv, p := reflect.ValueOf(v), registered(reflect.TypeOf(v))
@@ -596,25 +602,40 @@ func Unmarshal(data []byte, v any) error {
 // frameHeaderLen is the size of a frame's big-endian length prefix.
 const frameHeaderLen = 4
 
+// MaxReusedBuffer is the largest send buffer a single writer keeps between
+// messages, the bound a reader trusts a header's word up to.
+const MaxReusedBuffer = trustedBodyBytes
+
 // WriteEnvelope frames and writes one envelope — a 4-byte big-endian length
 // followed by the encoded envelope — in a single Write.
 func WriteEnvelope(w io.Writer, env *Envelope) error {
-	if env == nil {
-		return errors.New("wire: encoding *wire.Envelope: nil pointer")
-	}
-	frame, err := encodeTagged(reflect.ValueOf(env).Elem(), frameHeaderLen)
+	frame, err := AppendEnvelope(nil, env)
 	if err != nil {
 		return err
 	}
-	n := len(frame) - frameHeaderLen
-	if n > MaxFrameBytes {
-		return fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
-	}
-	binary.BigEndian.PutUint32(frame, uint32(n))
 	if _, err := w.Write(frame); err != nil {
 		return fmt.Errorf("wire: writing frame: %w", err)
 	}
 	return nil
+}
+
+// AppendEnvelope appends env's frame, as WriteEnvelope writes it, to dst.
+func AppendEnvelope(dst []byte, env *Envelope) ([]byte, error) {
+	if env == nil {
+		return nil, errors.New("wire: encoding *wire.Envelope: nil pointer")
+	}
+	at := len(dst)
+	frame, err := encode(dst, reflect.ValueOf(env).Elem(), frameHeaderLen+1)
+	if err != nil {
+		return nil, err
+	}
+	n := len(frame) - at - frameHeaderLen
+	if n > MaxFrameBytes {
+		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
+	}
+	binary.BigEndian.PutUint32(frame[at:], uint32(n))
+	frame[at+frameHeaderLen] = codecTag
+	return frame, nil
 }
 
 // ReadEnvelope reads one framed envelope. The envelope's Payload is a

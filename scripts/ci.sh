@@ -119,8 +119,10 @@ failover() {
 # Event-driven dispatch under stress: relay-homed workers picking up a
 # campaign submitted after they parked, the park/wake/expire/supersede/close
 # interleavings, a handler's commands reaching a match whole (and no match
-# waiting on a handler), and the overlay's concurrent request handlers, 20
-# times each — see docs/SCHEDULING.md ("Dispatch").
+# waiting on a handler), the overlay's concurrent request handlers, and the
+# two single writers' reused send buffers (a link's frames and the WAL's
+# records arrive whole and in order), 20 times each — see docs/SCHEDULING.md
+# ("Dispatch") and docs/PERFORMANCE.md ("Send-side frames").
 dispatch() {
     echo "== event-driven dispatch stress (race, x20) =="
     $GO test -race -count=20 -timeout 600s \
@@ -129,7 +131,8 @@ dispatch() {
         -run 'TestParked|TestWakeCostsOnePerPush|TestLateRelayedWorkloadHandedBack|TestRelayedAssignmentLostReplyRecovered|TestAnnounceNeverWaitsOnAHandler|TestHandlerBatchArrivesWhole|TestRefusedBatchQueuesNothing' ./internal/server/
     $GO test -race -count=20 -timeout 600s -run 'TestWorkerAbortsTerminatedCommand' ./internal/worker/
     $GO test -race -count=20 -timeout 600s \
-        -run 'TestBlockedHandler|TestCloseWithBlockedHandler|TestLinkHandlerCap|TestFloodPasses' ./internal/overlay/
+        -run 'TestBlockedHandler|TestCloseWithBlockedHandler|TestLinkHandlerCap|TestFloodPasses|TestLinkFramesSurviveBufferReuse' ./internal/overlay/
+    $GO test -race -count=20 -timeout 600s -run 'TestRecordsSurviveFrameReuse' ./internal/store/
 }
 
 # The multi-tenant scheduling acceptance scenario: 2000 tenants with

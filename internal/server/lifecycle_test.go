@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"copernicus/internal/controller"
 	"copernicus/internal/store"
 	"copernicus/internal/wire"
 )
@@ -163,50 +164,57 @@ func TestLifecycleLiveEqualsReplay(t *testing.T) {
 	}
 }
 
-// tableFixture builds a storeless server holding project "proj", running or
-// ended, with command c1 driven to status from by the real transitions.
-func tableFixture(t *testing.T, from cmdStatus, ended bool) *rig {
+// tableFixture builds a bare server (no overlay, no store) holding project
+// "proj", running or ended, with command c1 driven to status from by the real
+// transitions.
+func tableFixture(t *testing.T, from cmdStatus, ended bool) (*Server, *testController) {
 	t.Helper()
 	ctrl := &testController{submit: []wire.CommandSpec{cmdSpec("c1")}}
-	r := newRig(t, Config{HeartbeatInterval: time.Hour}, ctrl)
-	r.submit(t, "proj")
-	if from != cmdQueued && from != cmdTerminated {
-		takeWork(t, r, "w1", []string{"sim"}, "c1")
+	s := bareServer(func() controller.Controller { return ctrl }, 2, time.Now, nil)
+	if err := s.startProject(&wire.ProjectSubmit{Name: "proj", Controller: "test"}); err != nil {
+		t.Fatal(err)
 	}
-	r.srv.withProjectCommand("proj", "c1", func(p *project, cs *cmdState) {
+	if from != cmdQueued && from != cmdTerminated {
+		if wl := s.q.Match(announce("w1", 1).Info); len(wl.Commands) != 1 {
+			t.Fatalf("w1 matched %v, want c1", wl.Commands)
+		}
+	}
+	s.withProjectCommand("proj", "c1", func(p *project, cs *cmdState) {
 		switch from {
+		case cmdRunning:
+			assigned(p, cs, "w1", 1)
 		case cmdDone:
-			res := wire.CommandResult{CommandID: "c1", Project: "proj", WorkerID: "w1", OK: true}
-			if _, err := r.srv.done(p, cs, &res, nil); err != nil {
-				t.Fatal(err)
-			}
+			assigned(p, cs, "w1", 1)
+			ingest(p, &wire.CommandResult{CommandID: "c1", Project: "proj", WorkerID: "w1", OK: true}, nil)
 		case cmdFailed:
-			r.srv.failed(p, cs, store.Record{Type: store.RecCommandFailed, Command: "c1", Note: "setup"})
+			assigned(p, cs, "w1", 1)
+			failed(p, cs, store.Record{Type: store.RecCommandFailed, Command: "c1", Note: "setup"})
 		case cmdTerminated:
-			r.srv.terminated(p, cs)
+			terminated(p, cs)
 		}
 		if cs.status != from {
 			t.Fatalf("fixture reached status %d, want %d", cs.status, from)
 		}
 		if ended {
-			r.srv.contextFor(p).Fail(errors.New("stopped"))
+			p.Fail(errors.New("stopped"))
 		}
 	})
-	return r
+	return s, ctrl
 }
 
 // tableImage is everything a transition may touch: the project image, the
 // controller's, and the matching queue's length and in-flight charge.
-func tableImage(r *rig) string {
-	return fmt.Sprintf("%+v | %s | queued=%d inflight=%d", imageOf(r.srv), ctlImage(r.ctrl),
-		r.srv.QueueLen(), r.srv.q.InflightCores(""))
+func tableImage(s *Server, ctrl *testController) string {
+	return fmt.Sprintf("%+v | %s | queued=%d inflight=%d", imageOf(s), ctlImage(ctrl),
+		s.QueueLen(), s.q.InflightCores(""))
 }
 
 // TestLifecycleTransitionTable walks the table docs/PERSISTENCE.md prints:
-// every record × every from-status × project running/ended, applied live and
-// under replay. Applying a record twice leaves what applying it once leaves,
-// a record applied from a status it does not move from changes nothing at
-// all, and one applied from a status it does move from changes something.
+// every record × every from-status × project running/ended, run through its
+// transition and applied live and under replay. Applying a record twice
+// leaves what applying it once leaves, a record applied from a status it does
+// not move from changes nothing at all, and one applied from a status it does
+// move from changes something.
 func TestLifecycleTransitionTable(t *testing.T) {
 	mustMarshal := func(v any) []byte {
 		data, err := wire.Marshal(v)
@@ -237,13 +245,17 @@ func TestLifecycleTransitionTable(t *testing.T) {
 		{store.Record{Type: store.RecProjectFinished, Data: []byte("result")}, []cmdStatus{}, false},
 		{store.Record{Type: store.RecProjectFailed, Note: "gave up"}, []cmdStatus{}, false},
 	}
-	apply := func(r *rig, replay bool, rec store.Record) string {
+	apply := func(s *Server, ctrl *testController, replay bool, rec store.Record) string {
 		if replay {
-			r.srv.replay(&store.Recovered{Records: []store.Record{rec}})
+			s.replay(&store.Recovered{Records: []store.Record{rec}})
 		} else {
-			r.srv.replayRecord(rec)
+			p := s.project("proj")
+			p.mu.Lock()
+			redo(p, rec)
+			s.apply(p)
+			p.mu.Unlock()
 		}
-		return tableImage(r)
+		return tableImage(s, ctrl)
 	}
 	for _, row := range records {
 		row.rec.Project, row.rec.Command = "proj", "c1"
@@ -251,10 +263,10 @@ func TestLifecycleTransitionTable(t *testing.T) {
 			for _, ended := range []bool{false, true} {
 				for _, replay := range []bool{false, true} {
 					name := fmt.Sprintf("%s from status %d, project ended=%v, replay=%v", row.rec.Type, from, ended, replay)
-					r := tableFixture(t, from, ended)
-					before := tableImage(r)
-					once := apply(r, replay, row.rec)
-					twice := apply(r, replay, row.rec)
+					s, ctrl := tableFixture(t, from, ended)
+					before := tableImage(s, ctrl)
+					once := apply(s, ctrl, replay, row.rec)
+					twice := apply(s, ctrl, replay, row.rec)
 					if once != twice {
 						t.Errorf("%s: not idempotent\n once  %s\n twice %s", name, once, twice)
 					}

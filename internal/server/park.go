@@ -29,10 +29,9 @@ import (
 //	            while it waited: empty workload
 //
 // Every transition happens under parking.mu, so "exactly one" is the lock's
-// doing. All announce matching runs under the same lock, and so does the push
-// of a controller handler's commands once it has returned (admit): a match
-// sees all of a handler's commands or none, a command pushed after a miss
-// finds the waiter in line, and no match ever waits for a handler. Lock
+// doing; so does all matching and the push of a returned handler's commands
+// (admit): a match sees all of a handler's commands or none, a push after a
+// miss finds the waiter in line, and no match waits for a handler. Lock
 // order: p.mu → parking.mu → q.mu; nothing takes p.mu under parking.mu.
 
 type parkOutcome int
@@ -118,17 +117,12 @@ func (s *Server) queueReady(first bool) {
 	}
 }
 
-// admit pushes the commands a controller handler submitted, once it has
-// returned, in one hold of parking.mu: a worker takes one workload and does
-// not announce again until it has run it, so it must be offered the whole
-// batch. Each command passes admission in submit order; on a refusal those
-// already pushed are removed before the lock is released. A command the
-// handler terminated is not pushed, and replay pushes nothing (reseedQueue
-// fills the queue from the statuses replay ends on).
+// admit, the fxAdmit effect, pushes a returned handler's batch in one hold
+// of parking.mu: a worker takes one workload and does not announce again
+// until it has run it, so it must be offered the whole batch. Each command
+// passes admission in submit order; on a refusal those already pushed are
+// removed before the lock is released. A terminated command is not pushed.
 func (s *Server) admit(batch []*cmdState) error {
-	if len(batch) == 0 || s.replaying.Load() {
-		return nil
-	}
 	s.park.mu.Lock()
 	defer s.park.mu.Unlock()
 	for i, cs := range batch {
@@ -165,14 +159,11 @@ func (s *Server) runDispatcher() {
 }
 
 // wakeParked offers the queue to the line, head first. A waiter whose match
-// finds commands leaves with them; one that cannot use what is queued (wrong
-// executable, too few cores, a tenant's quota) goes to the back of the line
-// and the next one is tried, until the queue is empty or everyone in line
-// has passed — so k pushed commands cost about k matches, not one per parked
-// worker. If commands are still left, this was the event that put the first
-// of them into an empty queue, and another server has been looking, the
-// overlay is told once. A waiter whose worker's link has closed since it
-// parked is answered empty instead: nobody would read its workload.
+// finds commands leaves with them; one that cannot use what is queued goes to
+// the back, until the queue is empty or everyone has passed — k pushes cost
+// about k matches. If commands are left, this event put the first into an
+// empty queue, and another server has been looking, the overlay is told
+// once. A waiter whose link has closed is answered empty.
 func (s *Server) wakeParked() {
 	p := &s.park
 	edge := p.edge.Swap(false)
@@ -200,12 +191,11 @@ func (s *Server) wakeParked() {
 	}
 }
 
-// matchOrPark serves a direct announce: an older announce of the same worker
-// is answered first (the worker has given up on it), then the queue is
-// tried, and on a miss the announce joins the line for hold — the server's
-// RelayTimeout or the worker's stated budget, whichever is shorter. The
-// waiter is nil when the match hit, and when the server is closing. from is
-// the announcing node; if it is linked to this one, a wake checks the link.
+// matchOrPark serves a direct announce: the worker's older announce is
+// answered first, then the queue is tried, and on a miss the announce joins
+// the line for RelayTimeout or the worker's budget, whichever is shorter.
+// The waiter is nil on a hit and when closing. A wake checks the link to
+// from, the announcing node, if it is linked to this one.
 func (s *Server) matchOrPark(from string, req *wire.AnnounceRequest) (wire.Workload, *waiter) {
 	p := &s.park
 	p.mu.Lock()
@@ -289,16 +279,13 @@ func (s *Server) releaseParked() {
 	}
 }
 
-// search looks for work in the overlay on a parked worker's behalf, in the
-// background: a relayed copy of the announce goes out anycast and runs until
-// some server answers it or the waiter's hold ends. Only transport failures
-// (dropped links, truncated frames) are retried: an anycast deadline means
-// "no server has work", a missing route means the same, and a remote handler
-// error will not change on retry. A workload that comes back is recorded
-// against the worker whether or not the waiter still stands; if it does not,
-// the workload is not delivered, and the worker's next announce finds the
-// commands on its record, takes them for orphans and hands them back to
-// their origin (touchWorker, recoverOrphans).
+// search looks for work in the overlay for a parked worker, in the
+// background: a relayed copy of the announce goes out anycast until a server
+// answers or the hold ends. Only transport failures are retried: a deadline
+// or a missing route means "no server has work", and a remote error will not
+// change. A workload that comes back is recorded against the worker; if the
+// waiter is gone, the worker's next announce takes the commands for orphans
+// and hands them back to their origin (touchWorker, recoverOrphans).
 func (s *Server) search(w *waiter) {
 	select {
 	case <-w.done:

@@ -1,21 +1,18 @@
-// Durable project state: journaling of lifecycle transitions into the
-// configured store, snapshot capture at WAL rotation, and the startup
-// recovery path that replays snapshot + tail into a fresh server. The
-// transitions themselves — what each record means, live and replayed — are in
-// lifecycle.go.
-//
-// Recovery is event-sourced: the WAL journals the server's *inputs* (project
-// parameters; results and checkpoints in arrival order; quota updates) and
-// its own nondeterministic decisions (assignments, requeues, preemptions,
-// terminal failures, admission refusals), nothing else. Replay re-runs the
-// deterministic controllers through the normal handlers, re-deriving what
-// they did — submits, status lines, the end of the project. Snapshots bound
-// replay time by capturing full project state, including serialized
-// controller state (controller.Durable), so compaction can delete old segments.
+// Applying the transitions' effects (lifecycle.go) — journaling among them —
+// snapshot capture at WAL rotation, and the startup recovery that replays
+// snapshot + tail into a fresh server. Recovery is event-sourced: the WAL
+// holds the server's inputs (project parameters, results and checkpoints in
+// arrival order, quota updates) and its own nondeterministic decisions
+// (assignments, requeues, preemptions, terminal failures, admission
+// refusals). Replay runs each record through the transition that wrote it,
+// re-running the deterministic controllers, and drops the live-only effects.
+// Snapshots, with each controller's state (controller.Durable), bound it.
 package server
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"copernicus/internal/controller"
@@ -24,60 +21,111 @@ import (
 	"copernicus/internal/wire"
 )
 
+// apply carries out, in order, the effects p's transitions left in p.fx and
+// empties it, under the p.mu the transitions ran under. A push the queue
+// refuses is fed back to the transition it causes (refused for a handler's
+// batch, failed for a requeue), whose effects follow. It returns a batch's
+// refusal; one of Start's batch that withdraws the project stops it there.
+func (s *Server) apply(p *project) (refusal error) {
+	for i := 0; i < len(p.fx); i++ {
+		if err := s.do(p, p.fx[i], s.log); err != nil {
+			if refusal = err; p.fx[i].start && withdraws(err) {
+				break
+			}
+			refused(p, err.Error())
+		}
+	}
+	clear(p.fx)
+	p.fx = p.fx[:0]
+	return refusal
+}
+
+// applyReplayed is apply for recovery: it drops the live-only effects, so
+// nothing is refused, and logs to log.
+func (s *Server) applyReplayed(p *project, log *obs.Logger) {
+	for _, e := range p.fx {
+		if !e.kind.liveOnly() {
+			s.do(p, e, log)
+		}
+	}
+	clear(p.fx)
+	p.fx = p.fx[:0]
+}
+
+// withdraws reports whether a refusal of Start's batch withdraws the project
+// instead of failing it: the client may retry under the same name.
+func withdraws(err error) bool {
+	return errors.Is(err, wire.ErrQuotaExceeded) || errors.Is(err, wire.ErrAdmissionShed)
+}
+
+// do applies one effect of p's and returns admission's refusal of a batch.
+func (s *Server) do(p *project, e effect, log *obs.Logger) error {
+	switch e.kind {
+	case fxJournal:
+		s.journal(e.rec)
+	case fxAdmit:
+		if err := s.admit(p.staged); err != nil {
+			return err
+		}
+		for _, cs := range p.staged {
+			if cs.status == cmdQueued {
+				s.met.submitted.Inc()
+				s.trace.Record(obs.Span{Stage: obs.StageSubmit, Command: cs.spec.ID, Project: p.name, Start: cs.submittedAt})
+			}
+		}
+	case fxRequeue:
+		if err := s.q.Requeue(e.cs.resumable()); err != nil {
+			failed(p, e.cs, store.Record{Type: store.RecCommandFailed, Project: p.name,
+				Command: e.rec.Command, Worker: e.rec.Worker, Note: "requeue failed: " + err.Error()})
+			return nil
+		}
+		fallthrough
+	case fxObserve:
+		e.counter.Inc() // both nil-safe
+		e.hist.Observe(e.value)
+		if e.span.Stage != "" {
+			s.trace.Record(e.span)
+		}
+	case fxRelease:
+		s.q.Release(e.id, e.value)
+	case fxRemove:
+		s.q.Remove(e.id)
+	case fxCharge:
+		s.q.ChargeStorage(e.id, int64(e.value))
+	case fxLog:
+		log.Log(e.level, e.msg, e.kvs...)
+	}
+	return nil
+}
+
 // journal and commit are the two halves of every durable transition, and
 // between them hold the server's one durability invariant: records are
 // written in lock order; nothing leaves the process until the WAL is durable
 // through the last record the reply could depend on.
 //
-// journal stages one lifecycle record in the configured store — framed and
-// written, in the order callers hold the project lock, but not yet fsynced —
-// and never blocks on the disk, so it is safe under p.mu. Journaling
-// failures are availability-over-durability: the server keeps serving (the
-// store's wal_errors counter and the log record the gap) rather than
-// refusing work because a disk is unhappy.
+// journal stages one record — written in project-lock order, not yet
+// fsynced — and never blocks on the disk, so it is safe under p.mu. A
+// failure is availability over durability: the store's wal_errors counter
+// and the log record the gap, and the server keeps serving.
 func (s *Server) journal(rec store.Record) {
-	if !s.journaling() {
+	if s.stage == nil {
 		return
 	}
-	if _, err := s.cfg.Store.Stage(rec); err != nil {
+	if _, err := s.stage(rec); err != nil {
 		s.log.Error("journaling state transition failed; continuing without durability",
 			"type", rec.Type.String(), "project", rec.Project, "cmd", rec.Command, "err", err)
 	}
 }
 
-// journaling reports whether transitions are being written down: there is a
-// store and the server is not replaying it.
-func (s *Server) journaling() bool { return s.cfg.Store != nil && !s.replaying.Load() }
-
-// journalPayload journals rec with payload v as its Data; a server that is
-// not journaling does not encode v at all. A payload that will not encode
-// costs the record, which is logged like any other journaling failure instead
-// of being dropped silently.
-func (s *Server) journalPayload(rec store.Record, v any) {
-	if !s.journaling() {
-		return
-	}
-	data, err := wire.Marshal(v)
-	if err != nil {
-		s.log.Error("encoding journal record failed; continuing without durability",
-			"type", rec.Type.String(), "project", rec.Project, "cmd", rec.Command, "err", err)
-		return
-	}
-	rec.Data = data
-	s.journal(rec)
-}
-
-// commit blocks until everything journaled so far is durable. Every handler
-// whose reply tells a peer that a transition happened calls it after
-// dropping its locks and before the reply leaves: the WAL is prefix-durable,
-// so one barrier on the tail covers every record the handler (or anyone
-// before it) staged, and concurrent handlers share the fsync. A crash before
-// the barrier returns means the peer was never acked, and redelivery, orphan
-// requeue and duplicate absorption heal it exactly as for a torn tail.
-// Transitions with no reply (reap, requeue, preempt) only journal; the next
-// barrier or the syncer's own pace makes them durable.
+// commit blocks until everything journaled so far is durable. A handler
+// whose reply tells a peer of a transition calls it after dropping its locks
+// and before replying: the WAL is prefix-durable, so one barrier on the tail
+// covers all it (or anyone before it) staged, and concurrent handlers share
+// the fsync. A crash before it returns means the peer was never acked, and
+// redelivery, orphan requeue and duplicate absorption heal it as they heal a
+// torn tail. Transitions with no reply (reap, requeue, preempt) only journal.
 func (s *Server) commit() {
-	if !s.journaling() {
+	if s.cfg.Store == nil {
 		return
 	}
 	// A failed fsync is logged and counted once by the store, not by each
@@ -88,11 +136,9 @@ func (s *Server) commit() {
 // --- recovery ---
 
 // recoverFromStore replays the store's recovered image (newest snapshot +
-// WAL tail) into the server, then re-seeds the command queue and requeues
-// commands that were assigned but never resolved. Called from New before
-// any protocol handler is registered, so nothing races the replay.
-// Per-project and per-record failures are logged and skipped — recovery
-// salvages everything salvageable instead of refusing to start.
+// WAL tail), then re-seeds the queue and requeues commands assigned but never
+// resolved; New calls it before registering any handler. A project or record
+// that fails is logged and skipped: recovery salvages what it can.
 func (s *Server) recoverFromStore() {
 	rec := s.cfg.Store.Recovered()
 	if rec.Snapshot == nil && len(rec.Records) == 0 {
@@ -111,20 +157,11 @@ func (s *Server) recoverFromStore() {
 		"orphans_requeued", orphans, "elapsed", time.Since(start))
 }
 
-// replay rebuilds project state from a recovered image: the snapshot's
-// projects are restored, then every tail record is applied through the same
-// transitions that wrote it. While it runs nothing is journaled, the matching
-// queue is left for reseedQueue, and transitions are observed by a throwaway
-// registry and tracer and a logger that marks its lines as replayed — what
-// was counted when it happened is not counted again.
+// replay restores the snapshot's projects, then applies every tail record
+// through the transition that wrote it minus the live-only effects: nothing
+// is journaled, queued or counted again (reseedQueue fills the queue).
 func (s *Server) replay(rec *store.Recovered) (restored int) {
-	log, met, trace, scratch := s.log, s.met, s.trace, obs.New()
-	s.log, s.met, s.trace = log.With("replay", true), newServerMetrics(scratch, ""), scratch.Trace
-	s.replaying.Store(true)
-	defer func() {
-		s.replaying.Store(false)
-		s.log, s.met, s.trace = log, met, trace
-	}()
+	log := s.log.With("replay", true)
 	if rec.Snapshot != nil {
 		// Tenant accounts first: weights, quotas and the storage already
 		// billed, so replayed/reseeded commands land in configured accounts.
@@ -144,7 +181,7 @@ func (s *Server) replay(rec *store.Recovered) (restored int) {
 		}
 		for _, ps := range rec.Snapshot.Projects {
 			if err := s.restoreProject(ps); err != nil {
-				s.log.Error("restoring project from snapshot failed",
+				log.Error("restoring project from snapshot failed",
 					"project", ps.Name, "err", err)
 				continue
 			}
@@ -152,7 +189,7 @@ func (s *Server) replay(rec *store.Recovered) (restored int) {
 		}
 	}
 	for _, r := range rec.Records {
-		s.replayRecord(r)
+		s.replayRecord(r, log)
 	}
 	return restored
 }
@@ -187,6 +224,7 @@ func (s *Server) restoreProject(ps store.ProjectSnap) error {
 		finished:   ps.Finished,
 		failed:     ps.Failed,
 		seed:       ps.Seed,
+		env:        &s.env,
 		commands:   make(map[string]*cmdState, len(ps.Commands)),
 		done:       make(chan struct{}),
 	}
@@ -211,83 +249,65 @@ func (s *Server) restoreProject(ps store.ProjectSnap) error {
 	return nil
 }
 
-// replayRecord applies one journaled event: decode, look up, and call the
-// transition that journaled it (lifecycle.go; docs/PERSISTENCE.md has the
-// table). Every transition is a no-op from a status it does not move from, so
-// a record the snapshot already reflects (the Rotate→capture overlap window)
-// changes nothing, which is what makes the snapshot protocol safe. The types
-// older builds also wrote are skipped: replaying the input that caused a
-// command queued, generation, project finished or failed record re-derives
-// it, and the result record after a command's frame chunks carries their
-// frames (a command orphaned before its result reruns).
-func (s *Server) replayRecord(r store.Record) {
+// replayRecord applies one journaled record: a submission or a quota here,
+// anything else through redo. A record the snapshot already reflects (the
+// Rotate→capture overlap) changes nothing, which keeps snapshots safe.
+func (s *Server) replayRecord(r store.Record, log *obs.Logger) {
 	switch r.Type {
 	case store.RecProjectSubmitted:
-		ctrl, err := s.reg.New(r.Note)
+		// A project that is already there is one the snapshot reflects; a
+		// Start that fails does so as deterministically as it did live.
+		sub := &wire.ProjectSubmit{Name: r.Project, Controller: r.Note, Tenant: r.Tenant, Priority: r.Count, Params: r.Data}
+		p, err := s.publish(sub)
 		if err == nil {
-			// A project that is already there is one the snapshot reflects; a
-			// Start that fails does so as deterministically as it did live.
-			err = s.startProject(&wire.ProjectSubmit{Name: r.Project, Controller: r.Note,
-				Tenant: r.Tenant, Priority: r.Count, Params: r.Data}, ctrl)
+			err = start(p, sub)
+			s.applyReplayed(p, log)
+			p.mu.Unlock()
 		}
 		if err != nil {
-			s.log.Warn("replayed project submit", "project", r.Project, "err", err)
+			log.Warn("replayed project submit", "project", r.Project, "err", err)
 		}
 	case store.RecTenantQuota:
 		var upd wire.TenantQuotaUpdate
 		if err := wire.Unmarshal(r.Data, &upd); err == nil {
 			s.q.SetQuota(upd)
 		}
-	case store.RecResult:
-		// Settled commands are skipped, fresh ones drive the controller
-		// exactly as they did live.
-		var res wire.CommandResult
-		if p := s.project(r.Project); p != nil && wire.Unmarshal(r.Data, &res) == nil {
-			if _, _, err := s.ingestResult(p, &res, nil); err != nil {
-				s.log.Warn("replaying result failed", "cmd", res.CommandID, "err", err)
-			}
-		}
-	case store.RecCommandAssigned:
-		s.withProjectCommand(r.Project, r.Command, func(p *project, cs *cmdState) { s.assigned(p, cs, r.Worker, 0) })
-	case store.RecCheckpoint:
-		s.withProjectCommand(r.Project, r.Command, func(p *project, cs *cmdState) { s.checkpointed(p, cs, r.Data) })
-	case store.RecCommandRequeued, store.RecCommandPreempted:
-		s.withProjectCommand(r.Project, r.Command, func(p *project, cs *cmdState) { s.requeue(p, cs, r) })
-	case store.RecCommandFailed:
-		s.withProjectCommand(r.Project, r.Command, func(p *project, cs *cmdState) { s.failed(p, cs, r) })
-	case store.RecBatchRefused:
+	default:
 		if p := s.project(r.Project); p != nil {
 			p.mu.Lock()
-			s.refused(p, r.Note)
+			redo(p, r)
+			s.applyReplayed(p, log)
 			p.mu.Unlock()
 		}
 	}
 }
 
-// reseedQueue pushes every replayed still-queued command back into the
-// matching queue and requeues commands whose assignment was journaled but
-// whose result never arrived (orphans: the worker died with the server, or
-// its result is still in flight — if it lands later, the duplicate-result
-// path settles it and pulls the requeue). Orphans go through requeueOrFail
-// like a live worker loss — same retry cap, so a command that straddles
-// restart after restart is not retried without bound — and, the replay flag
-// being cleared by now, are journaled like one.
+// reseedQueue, a live step, pushes every still-queued command back into the
+// queue and requeues orphans: commands assigned but with no result (the
+// worker died with the server, or its result is in flight and settles the
+// command, pulling the requeue, when it lands). They go through requeueOrFail
+// like a live worker loss, under the same retry cap, journaled like one —
+// in command-ID order, so the same journal restarts the same way.
 func (s *Server) reseedQueue() (orphans, queued int) {
 	for _, p := range s.projectList() {
 		p.mu.Lock()
-		for id, cs := range p.commands {
-			if p.state != projRunning {
-				break // ended before the restart, or by a terminal orphan failure below
-			}
-			switch cs.status {
+		ids := make([]string, 0, len(p.commands))
+		for id := range p.commands {
+			ids = append(ids, id)
+		}
+		slices.Sort(ids)
+		// Not once it has ended: before the restart, or by an orphan's failure.
+		for i := 0; i < len(ids) && p.state == projRunning; i++ {
+			switch cs := p.commands[ids[i]]; cs.status {
 			case cmdQueued:
-				if err := s.enqueue(cs); err != nil {
-					s.log.Error("re-seeding queued command failed", "cmd", id, "err", err)
+				if err := s.q.Requeue(cs.resumable()); err != nil {
+					s.log.Error("re-seeding queued command failed", "cmd", ids[i], "err", err)
 				} else {
 					queued++
 				}
 			case cmdRunning:
-				if s.requeueOrFail(p, cs, cs.worker, "orphaned by restart"); cs.status == cmdQueued {
+				requeueOrFail(p, cs, cs.worker, "orphaned by restart")
+				if s.apply(p); cs.status == cmdQueued {
 					orphans++
 				}
 			}
@@ -322,14 +342,11 @@ func (s *Server) maybeSnapshot() {
 }
 
 // SnapshotNow rotates the WAL and writes a snapshot of all project state,
-// letting the store compact everything older. The ordering is what makes
-// it crash-safe: rotate FIRST, capture second, commit third — any record
-// journaled during the capture lands in the new segment and is replayed
-// (idempotently) on top of the snapshot, so no transition can fall between
-// the two, and is durable before the snapshot that may reflect it is. The
-// snapshot is stamped with the rotate-time last sequence, not a later
-// cursor: the capture only guarantees to reflect records journaled before
-// the rotation, and recovery skips everything at or below the stamp.
+// letting the store compact everything older. Rotate first, capture second,
+// commit third: a record journaled during the capture lands in the new
+// segment, is replayed (idempotently) on top of the snapshot, and is durable
+// before a snapshot that may reflect it. The snapshot is stamped with the
+// rotate-time last sequence, all the capture is sure to reflect.
 func (s *Server) SnapshotNow() error {
 	st := s.cfg.Store
 	if st == nil {

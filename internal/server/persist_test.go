@@ -621,3 +621,46 @@ func TestByPathResultRefusedWithoutSharedFS(t *testing.T) {
 		t.Errorf("c1 in status %d, want still running", status)
 	}
 }
+
+// TestRecoveryCountsNothing: what a server counts and traces is what it has
+// done since it started. A restart that replays finished, requeued and failed
+// commands counts none of them, observes no dispatch latency and records no
+// span until new traffic arrives.
+func TestRecoveryCountsNothing(t *testing.T) {
+	script := func() *testController {
+		return &testController{submit: []wire.CommandSpec{typedCmd("c1", "x1"), typedCmd("c2", "x2"), typedCmd("c3", "x3")}}
+	}
+	dir := t.TempDir()
+	st := openTestStore(t, dir)
+	r1 := newRig(t, Config{HeartbeatInterval: time.Hour, MaxRetries: 1, Store: st}, script())
+	r1.submit(t, "proj")
+	takeWork(t, r1, "w1", []string{"x1", "x2", "x3"}, "c1", "c2", "c3")
+	sendResult(t, r1, "c1", "w1")
+	workerLost(t, r1, "w1", "c2", "c3") // both requeued: the first of MaxRetries = 1
+	takeWork(t, r1, "w2", []string{"x3"}, "c3")
+	workerLost(t, r1, "w2", "c3") // retries exhausted: failed
+	want := func(r *rig, when string) {
+		t.Helper()
+		if pst, _ := r.srv.Project("proj"); pst.Finished != 1 || pst.Failed != 1 || pst.Queued != 1 || pst.Running != 0 {
+			t.Fatalf("%s: %+v, want one finished, one failed, one queued and none running", when, pst)
+		}
+	}
+	want(r1, "before the restart")
+	r1.srv.Close()
+	st.Close()
+
+	st2 := openTestStore(t, dir)
+	defer st2.Close()
+	o := obs.New()
+	r2 := newRig(t, Config{HeartbeatInterval: time.Hour, MaxRetries: 1, Store: st2, Obs: o}, script())
+	want(r2, "after the restart")
+	for _, name := range []string{"copernicus_commands_submitted_total", "copernicus_commands_finished_total",
+		"copernicus_commands_requeued_total", "copernicus_commands_failed_total", "copernicus_dispatch_latency_seconds_count"} {
+		if v := metricValue(t, o, name); v != 0 {
+			t.Errorf("%s = %g after the restart, want 0", name, v)
+		}
+	}
+	if spans := o.Trace.Spans(); len(spans) != 0 {
+		t.Errorf("the restart recorded %d spans, want none: %+v", len(spans), spans)
+	}
+}

@@ -1,12 +1,9 @@
 // Package server implements the Copernicus server: the symmetric overlay
 // participant of §2 that holds projects, queues commands, matches workloads
-// to announcing workers, relays requests for workers it cannot serve
-// locally, monitors heartbeats, and drives controller plugins as commands
-// complete.
-//
-// Every server runs identical code; whether it acts as a project server or
-// as a relay on a cluster head node is determined purely by which projects
-// it holds and how it is connected — the paper's "fully symmetric"
+// to announcing workers, relays for workers it cannot serve, monitors
+// heartbeats, and drives controller plugins as commands complete. Whether it
+// acts as a project server or as a relay on a cluster head node depends only
+// on the projects it holds and its links: the paper's "fully symmetric"
 // architecture.
 //
 // This file holds the protocol handlers; what they do to a command or a
@@ -94,8 +91,8 @@ func (c *Config) fill() {
 	}
 }
 
-// project is one controller-driven job. Its state, and the status of each of
-// its commands, change only through the transitions in lifecycle.go.
+// project is one controller-driven job, changed only by the transitions in
+// lifecycle.go, and the Context its controller's handlers are given.
 type project struct {
 	mu         sync.Mutex
 	name       string
@@ -113,6 +110,8 @@ type project struct {
 	failed     int
 	done       chan struct{}
 	seed       uint64
+	env        *env
+	fx         []effect // the transitions' effects, until the server applies them
 }
 
 // workerState is the home server's liveness record for a worker.
@@ -126,16 +125,17 @@ type workerState struct {
 
 // Server is a Copernicus server node.
 type Server struct {
-	node *overlay.Node
-	reg  *controller.Registry
-	cfg  Config
-	q    *queue.Queue
-	rpol retry.Policy
-	// log, met and trace are where transitions are observed; recovery swaps
-	// them while it replays (see replay).
+	node  *overlay.Node
+	reg   *controller.Registry
+	cfg   Config
+	q     *queue.Queue
+	rpol  retry.Policy
 	log   *obs.Logger
 	met   serverMetrics
 	trace *obs.Tracer
+	env   env // what the transitions read; every project points here
+	// stage writes a journal record: the store's Stage, nil without a store.
+	stage func(store.Record) (uint64, error)
 
 	mu       sync.Mutex
 	projects map[string]*project
@@ -148,15 +148,10 @@ type Server struct {
 	park parking
 
 	// closeMu/closing gate goAsync against Close: handlers can still fire
-	// while Close drains, and a WaitGroup must never be Add-ed
-	// concurrently with Wait.
+	// while Close drains, and a WaitGroup must not be Add-ed during Wait.
 	closeMu sync.Mutex
 	closing bool
 
-	// replaying is true while New replays recovered state: nothing is
-	// journaled and the matching queue is left alone, so a replayed event is
-	// applied exactly once and never re-journaled (see lifecycle.go).
-	replaying atomic.Bool
 	// snapshotting serialises background snapshot captures.
 	snapshotting atomic.Bool
 
@@ -243,6 +238,7 @@ func New(node *overlay.Node, reg *controller.Registry, cfg Config) *Server {
 		preempted: make(map[string]struct{}),
 		stop:      make(chan struct{}),
 	}
+	s.env = env{origin: node.ID(), maxRetries: cfg.MaxRetries, now: time.Now, obs: cfg.Obs, met: &s.met}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	s.initParking()
 	qcfg := queue.Config{
@@ -255,6 +251,7 @@ func New(node *overlay.Node, reg *controller.Registry, cfg Config) *Server {
 		// by the slow-append threshold, throttles matching and admission.
 		st, slow := cfg.Store, cfg.WALSlowAppend.Seconds()
 		qcfg.Pressure = func() float64 { return st.AppendLatency() / slow }
+		s.stage = st.Stage
 	}
 	s.q = queue.NewWithConfig(qcfg)
 	// Overlay requests the server makes on its own behalf (work searches,
@@ -370,11 +367,7 @@ func (s *Server) handleSubmit(from string, payload []byte) ([]byte, error) {
 		s.met.admissionReject.Inc()
 		return nil, fmt.Errorf("server: admitting project %q: %w", sub.Name, err)
 	}
-	ctrl, err := s.reg.New(sub.Controller)
-	if err != nil {
-		return nil, err
-	}
-	err = s.startProject(&sub, ctrl)
+	err := s.startProject(&sub)
 	s.commit()
 	if err != nil {
 		return nil, err
@@ -389,11 +382,40 @@ func (s *Server) handleSubmit(from string, payload []byte) ([]byte, error) {
 	})
 }
 
-// startProject publishes an admitted project, runs its controller's Start
-// handler and journals the submission, all under the project's lock. The
-// caller commits before replying. Replay applies RecProjectSubmitted by
-// calling it too, where nothing is journaled and no admission can bounce.
-func (s *Server) startProject(sub *wire.ProjectSubmit, ctrl controller.Controller) error {
+// startProject publishes an admitted project and runs its start transition;
+// the caller commits. A quota or shed refusal of Start's batch withdraws it
+// whole: nothing durable or matchable, the name free for the client's retry.
+func (s *Server) startProject(sub *wire.ProjectSubmit) error {
+	p, err := s.publish(sub)
+	if err != nil {
+		return err
+	}
+	defer p.mu.Unlock()
+	err = start(p, sub)
+	refusal := s.apply(p)
+	switch {
+	case withdraws(refusal):
+		s.mu.Lock()
+		delete(s.projects, sub.Name)
+		s.mu.Unlock()
+		s.met.admissionReject.Inc()
+		return fmt.Errorf("server: admitting project %q: %w", sub.Name, refusal)
+	case err != nil || refusal != nil:
+		return fmt.Errorf("server: starting project %q: %w", sub.Name, errors.Join(err, refusal))
+	}
+	return nil
+}
+
+// publish adds a new project, live or replayed, and returns it locked until
+// its start transition's effects are applied. That keeps the snapshot
+// protocol safe: a capture that sees the project waits on p.mu for the
+// submission record and commits it before publishing; one that scanned
+// before the publish rotated before it too, and replays the record on top.
+func (s *Server) publish(sub *wire.ProjectSubmit) (*project, error) {
+	ctrl, err := s.reg.New(sub.Controller)
+	if err != nil {
+		return nil, err
+	}
 	p := &project{
 		name:     sub.Name,
 		ctrl:     ctrl,
@@ -403,45 +425,17 @@ func (s *Server) startProject(sub *wire.ProjectSubmit, ctrl controller.Controlle
 		commands: make(map[string]*cmdState),
 		done:     make(chan struct{}),
 		seed:     seedFromName(sub.Name),
+		env:      &s.env,
 	}
-	// Publish the project under its own (already held) lock and hold that
-	// lock until the submission is journaled, which keeps the snapshot
-	// protocol (rotate, then capture, then barrier) safe. A capture that
-	// sees the project blocks on p.mu until the record is staged, and ends
-	// with a commit barrier on the WAL tail before its snapshot is
-	// published, so the snapshot never outlives a submission the log lost.
-	// A capture that scanned before the publish also rotated before it, so
-	// the record's sequence is above the snapshot's rotate-time LastSeq and
-	// is replayed on top of it.
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if _, dup := s.projects[sub.Name]; dup {
-		s.mu.Unlock()
-		return fmt.Errorf("server: project %q already exists", sub.Name)
+		p.mu.Unlock()
+		return nil, fmt.Errorf("server: project %q already exists", sub.Name)
 	}
 	s.projects[sub.Name] = p
-	s.mu.Unlock()
-
-	// Start before journaling the submission: if the controller's first
-	// submits are bounced by admission control, the project is withdrawn
-	// entirely — nothing durable, nothing ever matchable, the name reusable
-	// by the client's retry.
-	err := s.react(p, func(c controller.Context) error { return ctrl.Start(c, sub.Params) })
-	if errors.Is(err, wire.ErrQuotaExceeded) || errors.Is(err, wire.ErrAdmissionShed) {
-		s.mu.Lock()
-		delete(s.projects, sub.Name)
-		s.mu.Unlock()
-		s.met.admissionReject.Inc()
-		return fmt.Errorf("server: admitting project %q: %w", sub.Name, err)
-	}
-	s.journal(store.Record{Type: store.RecProjectSubmitted, Project: sub.Name,
-		Tenant: sub.Tenant, Count: sub.Priority, Note: sub.Controller, Data: sub.Params})
-	if err != nil {
-		s.reacted(p, err)
-		return fmt.Errorf("server: starting project %q: %w", sub.Name, err)
-	}
-	return nil
+	return p, nil
 }
 
 // seedFromName derives a stable project seed.
@@ -466,14 +460,11 @@ func (s *Server) Project(name string) (wire.ProjectStatus, bool) {
 // ProjectNames returns the names of every project this server holds. A
 // promoted standby announces these on the overlay so workers and clients
 // redirect to the new owner.
-func (s *Server) ProjectNames() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.projects))
-	for name := range s.projects {
-		out = append(out, name)
+func (s *Server) ProjectNames() (names []string) {
+	for _, p := range s.projectList() {
+		names = append(names, p.name)
 	}
-	return out
+	return names
 }
 
 // WaitProject blocks until the named project finishes or fails, or ctx is
@@ -500,15 +491,6 @@ func (s *Server) WaitProject(ctx context.Context, name string) (wire.ProjectStat
 // record whose replay ends the project again is durable.
 func (s *Server) status(p *project) wire.ProjectStatus {
 	p.mu.Lock()
-	st := s.statusLocked(p)
-	p.mu.Unlock()
-	if projState(st.State) != projRunning {
-		s.commit()
-	}
-	return st
-}
-
-func (s *Server) statusLocked(p *project) wire.ProjectStatus {
 	st := wire.ProjectStatus{
 		Name:       p.name,
 		Controller: p.ctrl.Name(),
@@ -538,6 +520,10 @@ func (s *Server) statusLocked(p *project) wire.ProjectStatus {
 			st.Detail = blob
 		}
 	}
+	p.mu.Unlock()
+	if projState(st.State) != projRunning {
+		s.commit()
+	}
 	return st
 }
 
@@ -555,62 +541,13 @@ func (s *Server) handleStatus(from string, payload []byte) ([]byte, error) {
 	return wire.Marshal(&st)
 }
 
-// --- controller context ---
-
-type ctxImpl struct {
-	s *Server
-	p *project
-}
-
-func (s *Server) contextFor(p *project) controller.Context { return &ctxImpl{s: s, p: p} }
-
-func (c *ctxImpl) ProjectName() string { return c.p.name }
-func (c *ctxImpl) Seed() uint64        { return c.p.seed }
-func (c *ctxImpl) Obs() *obs.Obs       { return c.s.cfg.Obs }
-func (c *ctxImpl) Logf(format string, args ...any) {
-	c.s.log.Info(fmt.Sprintf(format, args...), "project", c.p.name)
-}
-
-func (c *ctxImpl) Submit(cmd wire.CommandSpec) error {
-	cmd.Project = c.p.name
-	cmd.Origin = c.s.node.ID()
-	cmd.Tenant = c.p.tenant
-	if cmd.Priority == 0 {
-		cmd.Priority = c.p.priority
-	}
-	if err := cmd.Validate(); err != nil {
-		return err
-	}
-	if _, dup := c.p.commands[cmd.ID]; dup {
-		return fmt.Errorf("server: duplicate command %q in project %q", cmd.ID, c.p.name)
-	}
-	c.p.staged = append(c.p.staged, c.s.queued(c.p, cmd))
-	return nil
-}
-
-func (c *ctxImpl) Terminate(id string) bool {
-	cs, ok := c.p.commands[id]
-	if ok {
-		c.s.terminated(c.p, cs)
-	}
-	return ok
-}
-
-func (c *ctxImpl) SetStatus(generation int, note string) { c.p.generation, c.p.note = generation, note }
-
-func (c *ctxImpl) Finish(result []byte) { c.s.end(c.p, projFinished, result, "") }
-
-func (c *ctxImpl) Fail(err error) { c.s.end(c.p, projFailed, nil, err.Error()) }
-
 // --- worker traffic ---
 
 // handleAnnounce matches a worker to queued commands. A relayed announce —
-// another server searching on its worker's behalf — is matched or declined,
-// so the overlay carries it on to "the first server with available
-// commands". A direct announce that misses is parked (park.go): it waits for
-// a queue event, for the overlay search started on its behalf, or for its
-// hold to run out, and is answered then. Nothing on this path waits on a
-// timer while there is work to hand out.
+// another server searching for its worker — is matched or declined, so the
+// overlay carries it on to "the first server with available commands". A
+// direct announce that misses is parked (park.go) until a queue event, the
+// overlay search for it, or the end of its hold: never while work waits.
 func (s *Server) handleAnnounce(from string, payload []byte) ([]byte, error) {
 	var req wire.AnnounceRequest
 	if err := wire.Unmarshal(payload, &req); err != nil {
@@ -647,32 +584,22 @@ func (s *Server) handleAnnounce(from string, payload []byte) ([]byte, error) {
 
 // assign hands a matched workload to the announcing worker: the assignments
 // are recorded and journaled, made durable, and only then encoded for the
-// reply — on the direct path and on a parked announce's wake alike.
+// reply — on the direct path and on a parked announce's wake alike. A worker
+// that announced directly is recorded for heartbeat tracking.
 func (s *Server) assign(info wire.WorkerInfo, wl wire.Workload, direct bool) ([]byte, error) {
 	wl.HeartbeatSeconds = s.cfg.HeartbeatInterval.Seconds()
 	wl.SharedFS = s.cfg.FSToken != "" && s.cfg.FSToken == info.FSToken
-	s.markAssigned(info, wl, direct)
-	s.commit() // one barrier for every assignment in the workload
-	return wire.Marshal(&wl)
-}
-
-// markAssigned updates project command states for a local match and, when
-// the worker announced directly to us, records it for heartbeat tracking.
-func (s *Server) markAssigned(info wire.WorkerInfo, wl wire.Workload, direct bool) {
 	for _, cmd := range wl.Commands {
 		s.withProjectCommand(cmd.Project, cmd.ID, func(p *project, cs *cmdState) {
-			s.assigned(p, cs, info.ID, wl.Cores[cmd.ID])
+			assigned(p, cs, info.ID, wl.Cores[cmd.ID])
 		})
 	}
 	// A direct announce refreshes the worker's record. A relayed match is
-	// noted only when the worker is one of our own (it has announced directly
-	// before, so a record exists) — and noted NOW rather than when the relay
-	// reply makes it home: the reply can still be lost, most plainly when the
-	// search raced its deadline and the late answer is discarded, and these
-	// commands would otherwise be tracked by nobody; the worker's next idle
-	// announce then recovers them through the normal orphan path. For another
-	// server's worker there is no record here, and its home server notes the
-	// assignment on the reply instead.
+	// noted only for one of our own workers (a record exists), and now, not
+	// when the relay reply makes it home: that reply can be lost (a search
+	// that raced its deadline), and the worker's next idle announce then
+	// recovers the commands as orphans. Another server's worker is noted by
+	// its home server, on the reply.
 	var orphans map[string]string
 	if direct {
 		orphans = s.touchWorker(info)
@@ -685,15 +612,15 @@ func (s *Server) markAssigned(info wire.WorkerInfo, wl wire.Workload, direct boo
 	}
 	s.mu.Unlock()
 	s.recoverOrphans(info.ID, orphans)
+	s.commit() // one barrier for every assignment in the workload
+	return wire.Marshal(&wl)
 }
 
-// recordRelayedWorkload notes which origin server each relayed command
-// belongs to, so heartbeat failures can be reported upstream — and, for a
-// workload that came back too late to be delivered, so the worker's next
-// announce hands the commands back. The worker was last seen when its
-// announce was parked, which can be longer ago than the reaper allows: its
-// liveness record is refreshed (the announce was open until now), or created
-// again if the reaper has already taken it.
+// recordRelayedWorkload notes each relayed command's origin server, so a
+// heartbeat failure is reported there — and, for a workload that came back
+// too late to deliver, so the worker's next announce hands it back. The
+// announce was open until now, however long ago it parked: the worker's
+// liveness record is refreshed, or created again if the reaper took it.
 func (s *Server) recordRelayedWorkload(info wire.WorkerInfo, wl *wire.Workload) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -708,14 +635,11 @@ func (s *Server) recordRelayedWorkload(info wire.WorkerInfo, wl *wire.Workload) 
 	}
 }
 
-// touchWorker refreshes (or creates) the liveness record of a directly
-// announcing worker. A worker only announces once its previous workload has
-// fully completed, so the command record is reset here rather than tracked
-// per result. Commands still on record at that point are orphans — the
-// workload reply that assigned them was lost on a severed link and the
-// worker never knew about them — and are returned for recovery; nobody
-// will ever run or heartbeat them otherwise, and the worker's own
-// announces keep its liveness fresh so the reaper never would.
+// touchWorker refreshes (or creates) a directly announcing worker's record.
+// A worker announces only once its previous workload is done, so commands
+// still on record are orphans — their workload reply was lost on a severed
+// link — and are returned for recovery: nobody will run them, and the
+// worker's announces keep the reaper away.
 func (s *Server) touchWorker(info wire.WorkerInfo) map[string]string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -751,13 +675,15 @@ func (s *Server) project(name string) *project {
 	return s.projects[name]
 }
 
-// withProjectCommand runs f under the project lock if both exist.
+// withProjectCommand runs f under the project lock if both exist, and applies
+// the effects of the transitions it ran.
 func (s *Server) withProjectCommand(projectName, cmdID string, f func(*project, *cmdState)) {
 	if p := s.project(projectName); p != nil {
 		p.mu.Lock()
 		defer p.mu.Unlock()
 		if cs := p.command(cmdID); cs != nil {
 			f(p, cs)
+			s.apply(p)
 		}
 	}
 }
@@ -785,12 +711,14 @@ func (s *Server) projectList() []*project {
 }
 
 // forCommand runs f, under the project's lock, on the command called id in
-// each project that has one, until f reports that it was the one meant.
+// each project that has one, until f reports that it was the one meant, and
+// applies the effects of the transitions it ran.
 func (s *Server) forCommand(id string, f func(*project, *cmdState) bool) bool {
 	for _, p := range s.projectList() {
 		p.mu.Lock()
 		cs := p.command(id)
 		hit := cs != nil && f(p, cs)
+		s.apply(p)
 		p.mu.Unlock()
 		if hit {
 			return true
@@ -800,7 +728,7 @@ func (s *Server) forCommand(id string, f func(*project, *cmdState) bool) bool {
 }
 
 // handleResult ingests finished, failed or partial command results at the
-// project server.
+// project server: the ingest transition, under the project lock.
 func (s *Server) handleResult(from string, payload []byte) ([]byte, error) {
 	var res wire.CommandResult
 	if err := wire.Unmarshal(payload, &res); err != nil {
@@ -824,20 +752,26 @@ func (s *Server) handleResult(from string, payload []byte) ([]byte, error) {
 			return nil, fmt.Errorf("server: reading shared-FS output %s: %w", res.OutputPath, err)
 		}
 		res.Output = data
-		payload = nil // no longer res's encoding
+		if payload, err = wire.Marshal(&res); err != nil { // journaled with the output
+			return nil, err
+		}
 	}
 
-	reply, settledWorker, err := s.ingestResult(p, &res, payload)
+	p.mu.Lock()
+	reply, settledWorker, err := ingest(p, &res, payload)
+	if refusal := s.apply(p); refusal != nil && err == nil {
+		// The controller's reply to the result was refused: so is the result.
+		reply, err = nil, refusal
+	}
+	p.mu.Unlock()
 	// The ack — for a result, a checkpoint, or a controller failure alike —
 	// leaves only once what the ingest journaled is durable.
 	s.commit()
 	s.maybeSnapshot()
 	if settledWorker != "" {
-		// That worker's run of the command is over: drop it from the worker's
-		// assignment record, so its next idle announce is not mistaken for an
-		// orphaned workload, and from the preemption abort set (a preempted
-		// command whose old worker finished before the abort reached it lands
-		// here), now that the project's lock is dropped.
+		// That worker's run is over: drop it from the worker's record, so its
+		// next idle announce is no orphaned workload, and from the preemption
+		// abort set (its old worker may finish before the abort reaches it).
 		s.mu.Lock()
 		if ws := s.workers[settledWorker]; ws != nil {
 			delete(ws.commands, res.CommandID)
@@ -848,40 +782,6 @@ func (s *Server) handleResult(from string, payload []byte) ([]byte, error) {
 	return reply, err
 }
 
-// ingestResult applies one result message under the project lock — a
-// checkpoint, a failure the worker reports, or the final result — and returns
-// the ID of the worker whose assignment it settled ("" if none). encoded is as
-// for done. Called live from handleResult and during WAL replay.
-func (s *Server) ingestResult(p *project, res *wire.CommandResult, encoded []byte) (reply []byte, settledWorker string, err error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	cs := p.command(res.CommandID)
-	if cs == nil {
-		return []byte("ignored"), "", nil
-	}
-	res.CommandID = cs.spec.ID // if it was bare; encoded keeps it as it arrived
-	worker := cs.worker
-	switch {
-	case res.Partial:
-		s.checkpointed(p, cs, res.Checkpoint)
-		return []byte("checkpointed"), "", nil
-	case !res.OK && !cs.settled():
-		// The run failed on the worker (an engine error). That is a lost run
-		// like any other, except that the worker is alive to say so: spend the
-		// retry budget, then tell the controller — and acknowledge, so the
-		// worker stops redelivering. A run the command has been requeued or
-		// reassigned away from is nobody's any more.
-		if !cs.runningOn(res.WorkerID) {
-			return []byte("ignored"), "", nil
-		}
-		s.q.Release(res.CommandID, res.WallSeconds) // the measured charge, not requeue's estimate
-		s.requeueOrFail(p, cs, res.WorkerID, "worker reported failure: "+res.Error)
-		return []byte("noted"), worker, nil
-	}
-	reply, err = s.done(p, cs, res, encoded)
-	return reply, worker, err
-}
-
 // handleFrameChunk answers the mid-command frame chunks workers send with
 // "ignored" at once. A command's frames reach its controller in the result
 // alone; declining instead would send the worker's synchronous emit on an
@@ -890,8 +790,9 @@ func handleFrameChunk(string, []byte) ([]byte, error) { return []byte("ignored")
 
 // --- heartbeats and failure recovery ---
 
-// handleHeartbeat refreshes liveness and reports terminated commands the
-// worker should abort.
+// handleHeartbeat refreshes liveness and reports the commands the worker
+// should abort: those preempted from it, and those settled here (terminated,
+// or finished or failed by another worker's report).
 func (s *Server) handleHeartbeat(from string, payload []byte) ([]byte, error) {
 	var hb wire.Heartbeat
 	if err := wire.Unmarshal(payload, &hb); err != nil {
@@ -918,7 +819,7 @@ func (s *Server) handleHeartbeat(from string, payload []byte) ([]byte, error) {
 			}
 		}
 		s.mu.Unlock()
-		if evicted || s.forCommand(id, func(_ *project, cs *cmdState) bool { return cs.status == cmdTerminated }) {
+		if evicted || s.forCommand(id, func(_ *project, cs *cmdState) bool { return cs.settled() }) {
 			ack.AbortCommandIDs = append(ack.AbortCommandIDs, id)
 		}
 	}
@@ -967,14 +868,11 @@ func (s *Server) reapDeadWorkers() {
 	}
 }
 
-// preemptForStarved evicts one running command at its last checkpoint
-// boundary when a tenant has starved past cfg.PreemptAge (queued work,
-// nothing running) while another tenant dominates the fleet's cores. The
-// victim is the dominant tenant's checkpointed command: it is requeued from
-// its checkpoint (losing only the work since), its old worker is told to
-// abort at the next heartbeat, and the freed cores let the starved tenant's
-// fair-share turn come up. At most one command is preempted per monitor
-// tick, so a single starved tenant cannot mass-evict the fleet.
+// preemptForStarved evicts one running command at its last checkpoint when a
+// tenant has starved past cfg.PreemptAge (queued work, nothing running) while
+// another dominates the fleet's cores: the dominant tenant's checkpointed
+// command is requeued from its checkpoint, its worker told to abort at the
+// next heartbeat. One per monitor tick, so nobody mass-evicts the fleet.
 func (s *Server) preemptForStarved() {
 	if s.cfg.PreemptAge <= 0 {
 		return
@@ -1001,8 +899,9 @@ func (s *Server) preemptForStarved() {
 				continue
 			}
 			worker := cs.worker
-			s.requeue(p, cs, store.Record{Type: store.RecCommandPreempted, Project: p.name,
+			requeue(p, cs, store.Record{Type: store.RecCommandPreempted, Project: p.name,
 				Command: id, Worker: worker, Tenant: p.tenant, Count: cs.preempts + 1})
+			s.apply(p)
 			p.mu.Unlock()
 			s.log.Info("preempted at checkpoint boundary for starved tenant", "cmd", id,
 				"worker", worker, "victim_tenant", victim, "victim_cores", cores, "starved_tenant", starved)
@@ -1086,8 +985,12 @@ func (s *Server) handleTenantQuotaSet(from string, payload []byte) ([]byte, erro
 	if upd.Tenant == "" {
 		return nil, fmt.Errorf("server: tenant quota update needs a tenant ID")
 	}
+	data, err := wire.Marshal(&upd)
+	if err != nil {
+		return nil, err
+	}
 	st := s.q.SetQuota(upd)
-	s.journalPayload(store.Record{Type: store.RecTenantQuota, Tenant: upd.Tenant}, &upd)
+	s.journal(store.Record{Type: store.RecTenantQuota, Tenant: upd.Tenant, Data: data})
 	s.commit()
 	s.log.Info("tenant quota updated", "tenant", upd.Tenant, "weight", st.Weight,
 		"max_queued", st.MaxQueued, "max_cores", st.MaxCores, "max_storage_bytes", st.MaxStorageBytes)
@@ -1110,7 +1013,7 @@ func (s *Server) recoverCommands(wf wire.WorkerFailed) {
 	for _, cmdID := range wf.CommandIDs {
 		s.forCommand(cmdID, func(p *project, cs *cmdState) bool {
 			hit := cs.runningOn(wf.WorkerID) // else finished, terminated, or reassigned elsewhere
-			s.requeueOrFail(p, cs, wf.WorkerID, "")
+			requeueOrFail(p, cs, wf.WorkerID, "")
 			return hit
 		})
 	}

@@ -605,3 +605,27 @@ func TestLateResultAfterRequeueAccepted(t *testing.T) {
 		t.Errorf("controller saw %d completions", fin)
 	}
 }
+
+// TestHeartbeatAbortsSettledCommand: w1 is lost (reported as the reaper
+// reports it), its command c1 is requeued and handed to w2, and then w1's
+// late result settles c1. w2's run can only end as a duplicate, so its next
+// heartbeat must tell it to abort c1.
+func TestHeartbeatAbortsSettledCommand(t *testing.T) {
+	ctrl := &testController{submit: []wire.CommandSpec{cmdSpec("c1")}}
+	r := newRig(t, Config{HeartbeatInterval: time.Hour}, ctrl)
+	r.submit(t, "proj")
+	takeWork(t, r, "w1", []string{"sim"}, "c1")
+	workerLost(t, r, "w1", "c1")
+	takeWork(t, r, "w2", []string{"sim"}, "c1")
+	sendResult(t, r, "c1", "w1")
+	if fin, _ := ctrl.counts(); fin != 1 {
+		t.Fatalf("controller saw %d completions, want w1's late result", fin)
+	}
+	var ack wire.HeartbeatAck
+	if err := r.request(t, wire.MsgHeartbeat, &wire.Heartbeat{WorkerID: "w2", CommandIDs: []string{"c1"}}, &ack); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(ack.AbortCommandIDs) != "[c1]" {
+		t.Fatalf("w2's heartbeat ack aborts %v, want [c1]", ack.AbortCommandIDs)
+	}
+}

@@ -84,15 +84,17 @@ chaos() {
 # bundled kind from two tenants sharing the restarted server five times
 # over, then the command
 # lifecycle's transition table and the server-level recovery tests (the
-# state directories older builds wrote among them) 20 times each — see
-# docs/PERSISTENCE.md.
+# state directories older builds wrote among them) 20 times each, and the
+# lifecycle's explicit-state checker over every order of events to depth 8
+# (tier-1 runs depth 6) — see docs/PERSISTENCE.md.
 crash() {
-    echo "== crash-restart recovery (race; lifecycle table x20, WAL faults x5, two of a kind x5) =="
+    echo "== crash-restart recovery (race; lifecycle table x20, WAL faults x5, two of a kind x5; lifecycle checker to depth 8) =="
     $GO test -race -run TestFabricCrashRestart -timeout 600s ./internal/core/
     $GO test -race -count=5 -run TestFabricCrashRestartWithWALFaults -timeout 900s ./internal/core/
     $GO test -race -count=5 -run TestFabricTwoProjectsOfAKindCrashRestart -timeout 900s ./internal/core/
     $GO test -race -count=20 -timeout 900s \
         -run 'TestLifecycle|TestRecovery|TestWorkerReportedFailure|TestAckImpliesDurable|TestRecoversParentWrittenStateDir' ./internal/server/
+    CPC_CHECK_DEPTH=8 $GO test -count=1 -timeout 900s -run 'TestChecker' ./internal/server/
 }
 
 # Heartbeat-lease failover: the project server hard-killed (and fully
@@ -119,7 +121,8 @@ failover() {
 # Event-driven dispatch under stress: relay-homed workers picking up a
 # campaign submitted after they parked, the park/wake/expire/supersede/close
 # interleavings, a handler's commands reaching a match whole (and no match
-# waiting on a handler), the overlay's concurrent request handlers, and the
+# waiting on a handler), a worker told to abort a command another worker's
+# late result settled, the overlay's concurrent request handlers, and the
 # two single writers' reused send buffers (a link's frames and the WAL's
 # records arrive whole and in order), 20 times each — see docs/SCHEDULING.md
 # ("Dispatch") and docs/PERFORMANCE.md ("Send-side frames").
@@ -128,7 +131,7 @@ dispatch() {
     $GO test -race -count=20 -timeout 600s \
         -run 'TestFabricMSMDistributedAcrossRelays|TestIdleFleetPicksUpAtOnce|TestFabricCloseWithIdleWorkers' ./internal/core/
     $GO test -race -count=20 -timeout 600s \
-        -run 'TestParked|TestWakeCostsOnePerPush|TestLateRelayedWorkloadHandedBack|TestRelayedAssignmentLostReplyRecovered|TestAnnounceNeverWaitsOnAHandler|TestHandlerBatchArrivesWhole|TestRefusedBatchQueuesNothing' ./internal/server/
+        -run 'TestParked|TestWakeCostsOnePerPush|TestLateRelayedWorkloadHandedBack|TestRelayedAssignmentLostReplyRecovered|TestAnnounceNeverWaitsOnAHandler|TestHandlerBatchArrivesWhole|TestRefusedBatchQueuesNothing|TestHeartbeatAbortsSettledCommand' ./internal/server/
     $GO test -race -count=20 -timeout 600s -run 'TestWorkerAbortsTerminatedCommand' ./internal/worker/
     $GO test -race -count=20 -timeout 600s \
         -run 'TestBlockedHandler|TestCloseWithBlockedHandler|TestLinkHandlerCap|TestFloodPasses|TestLinkFramesSurviveBufferReuse' ./internal/overlay/

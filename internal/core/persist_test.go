@@ -15,13 +15,24 @@ import (
 
 // waitForProgress polls project status until at least minFinished commands
 // have completed — "mid-ensemble", the moment the crash tests pull the plug.
+// A status request that fails (a chaos run can drop it) is retried until the
+// deadline.
 func waitForProgress(t *testing.T, f *Fabric, name string, minFinished int) wire.ProjectStatus {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Minute)
+	var failures int
+	var lastErr error
+	defer func() {
+		if failures > 0 {
+			t.Logf("waitForProgress: %d status requests failed and were retried (last: %v)", failures, lastErr)
+		}
+	}()
 	for time.Now().Before(deadline) {
 		st, err := f.Status(ctxTimeout(t, 10*time.Second), name)
 		if err != nil {
-			t.Fatal(err)
+			failures, lastErr = failures+1, err
+			time.Sleep(20 * time.Millisecond)
+			continue
 		}
 		if st.State != "running" {
 			t.Fatalf("project left running state before the crash: %q (%s)", st.State, st.Note)

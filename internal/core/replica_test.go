@@ -54,21 +54,23 @@ func waitClosed(t *testing.T, ch <-chan struct{}, timeout time.Duration, what st
 }
 
 // waitReplicaCaughtUp blocks until the standby of primary pi has
-// acknowledged the primary's whole journal (at least min records), and
-// returns the acknowledged frontier.
+// acknowledged the primary's whole journal (at least min records) and counts
+// itself caught up since its last join — what a lapsed lease needs before it
+// promotes — and returns the acknowledged frontier.
 func waitReplicaCaughtUp(t *testing.T, f *Fabric, pi int, min uint64) uint64 {
 	t.Helper()
+	standby := f.Peer(f.cfg.Standbys[pi])
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
 		last := f.Store(pi).LastSeq()
 		acked := f.Peer(pi).AckedSeq()
-		if acked == last && last >= min {
+		if acked == last && last >= min && standby.CaughtUp() {
 			return acked
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("standby never caught up to primary %d (acked %d, journal %d)",
-		pi, f.Peer(pi).AckedSeq(), f.Store(pi).LastSeq())
+	t.Fatalf("standby never caught up to primary %d (acked %d, journal %d, standby caught up %v)",
+		pi, f.Peer(pi).AckedSeq(), f.Store(pi).LastSeq(), standby.CaughtUp())
 	return 0
 }
 

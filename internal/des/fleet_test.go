@@ -3,12 +3,15 @@ package des
 import (
 	"testing"
 
-	"copernicus/internal/queue"
+	"copernicus/internal/controller"
+	"copernicus/internal/server"
 	"copernicus/internal/wire"
 )
 
 // probe is a scenario that records when each of its commands starts and
-// finishes; every command runs for the same time.
+// finishes; every command runs for the same time. Commands pushed raw are
+// settled by the probe; those of project "p", whose Start submits c1, by the
+// core.
 type probe struct {
 	f      *fleet
 	run    float64
@@ -16,27 +19,43 @@ type probe struct {
 	ends   map[string]float64
 }
 
-func newProbe(cfg queue.Config, workers, cores int, run float64) *probe {
+func newProbe(pressure func() float64, workers, cores int, run float64) *probe {
 	p := &probe{run: run, starts: make(map[string][]float64), ends: make(map[string]float64)}
-	p.f = newFleet(cfg, workers, cores, "sim", p)
+	reg := controller.NewRegistry()
+	reg.Register("probe", func() controller.Controller { return probeController{} })
+	p.f = newFleet(server.Config{}, server.Hooks{Origin: "probe", Pressure: pressure}, reg, workers, cores, "sim", p)
 	return p
 }
 
 func (p *probe) runTime(wire.CommandSpec) float64 { return p.run }
 func (p *probe) started(c wire.CommandSpec)       { p.starts[c.ID] = append(p.starts[c.ID], p.f.now) }
-func (p *probe) finished(c wire.CommandSpec, _ float64) {
+func (p *probe) finished(c wire.CommandSpec, worker string, seconds float64) {
 	p.ends[c.ID] = p.f.now
+	if _, err := p.f.core.Result(&wire.CommandResult{CommandID: c.ID, Project: c.Project, WorkerID: worker,
+		OK: true, WallSeconds: seconds}, nil); err != nil {
+		p.f.q.Release(c.ID, seconds)
+	}
 }
 
 func probeCmd(id string) wire.CommandSpec {
-	return wire.CommandSpec{ID: id, Project: "p", Type: "sim", MinCores: 1, MaxCores: 1}
+	return wire.CommandSpec{ID: id, Project: "raw", Type: "sim", MinCores: 1, MaxCores: 1}
 }
+
+// probeController runs project "p": its Start submits c1.
+type probeController struct{}
+
+func (probeController) Name() string { return "probe" }
+func (probeController) Start(ctx controller.Context, _ []byte) error {
+	return ctx.Submit(wire.CommandSpec{ID: "c1", Type: "sim", MinCores: 1, MaxCores: 1})
+}
+func (probeController) CommandFinished(controller.Context, *wire.CommandResult) error    { return nil }
+func (probeController) CommandFailed(controller.Context, wire.CommandSpec, string) error { return nil }
 
 // TestFleetPushWakesParkedWorker: the idle fleet's workers are parked, so a
 // command pushed at t = 10.3 s starts at 10.3 s — the queue's Ready hook
 // wakes the line — not at the next re-announce (t = 12 s).
 func TestFleetPushWakesParkedWorker(t *testing.T) {
-	p := newProbe(queue.Config{}, 2, 1, 5)
+	p := newProbe(nil, 2, 1, 5)
 	p.f.at(10.3, func() {
 		if err := p.f.q.Push(probeCmd("c1")); err != nil {
 			t.Error(err)
@@ -57,12 +76,12 @@ func TestFleetPushWakesParkedWorker(t *testing.T) {
 // parked worker's hold runs out every 2 s, at t = 6 s.
 func TestFleetHoldExpiryServesWhatTimeClears(t *testing.T) {
 	var f *fleet
-	p := newProbe(queue.Config{Pressure: func() float64 {
+	p := newProbe(func() float64 {
 		if f.now < 5 {
 			return 1
 		}
 		return 0
-	}}, 1, 1, 5)
+	}, 1, 1, 5)
 	f = p.f
 	f.at(1, func() {
 		if err := f.q.Requeue(probeCmd("c1")); err != nil {
@@ -76,14 +95,14 @@ func TestFleetHoldExpiryServesWhatTimeClears(t *testing.T) {
 }
 
 // TestFleetKillRequeuesBankedProgress: a worker dies 35 s into a 100 s
-// command with 10 s checkpoints. The command is released and requeued at
-// once, a parked worker takes it at the same instant, and it runs only the
-// 70 s its last checkpoint left.
+// command of project p with 10 s checkpoints. The core requeues it at once,
+// a parked worker takes it at the same instant, and it runs only the 70 s
+// its last checkpoint left.
 func TestFleetKillRequeuesBankedProgress(t *testing.T) {
-	p := newProbe(queue.Config{}, 2, 1, 100)
+	p := newProbe(nil, 2, 1, 100)
 	p.f.checkpoint = 10
 	p.f.at(0, func() {
-		if err := p.f.q.Push(probeCmd("c1")); err != nil {
+		if _, err := p.f.core.Submit(&wire.ProjectSubmit{Name: "p", Controller: "probe"}); err != nil {
 			t.Error(err)
 		}
 	})
@@ -95,8 +114,11 @@ func TestFleetKillRequeuesBankedProgress(t *testing.T) {
 	if p.ends["c1"] != 105 {
 		t.Errorf("c1 ended at %v, want 105", p.ends["c1"])
 	}
-	if p.f.kills != 1 || p.f.requeued != 1 || p.f.granted != 0 || p.f.busy != 100 {
-		t.Errorf("kills=%d requeued=%d granted=%d busy=%v, want 1 1 0 100",
-			p.f.kills, p.f.requeued, p.f.granted, p.f.busy)
+	if p.f.kills != 1 || p.f.lost != 1 || p.f.granted != 0 || p.f.busy != 100 {
+		t.Errorf("kills=%d lost=%d granted=%d busy=%v, want 1 1 0 100",
+			p.f.kills, p.f.lost, p.f.granted, p.f.busy)
+	}
+	if st, _ := p.f.core.Project("p"); st.Finished != 1 || st.Failed != 0 {
+		t.Errorf("project p: %+v, want c1 finished after one requeue", st)
 	}
 }

@@ -12,19 +12,18 @@ import (
 
 	"copernicus/internal/controller"
 	"copernicus/internal/obs"
-	"copernicus/internal/queue"
 	"copernicus/internal/store"
 	"copernicus/internal/wire"
 )
 
 // An explicit-state model checker for the command lifecycle, in the manner
-// of store/replica's: one project on a bare server — the real transitions
-// and the real effect shell over a real in-memory queue, on a clock that
-// never moves, with no overlay and no store — driven by a scripted controller
+// of store/replica's: one project on a Core — the real transitions and the
+// real effect shell over a real in-memory queue, on a clock that never
+// moves, with no overlay and no store — driven by a scripted controller
 // and two one-core workers through every order of their events, breadth
 // first to a depth bound, each distinct world visited once (by hash). A
-// world is rebuilt by re-running the events that reach it on a fresh
-// server, so nothing is ever copied.
+// world is rebuilt by re-running the events that reach it on a fresh core,
+// so nothing is ever copied.
 //
 // The events: a worker announces (and is assigned what the queue matches),
 // checkpoints, returns an OK result, reports a failure, or is lost; a lost
@@ -33,7 +32,7 @@ import (
 // from its journal. The controller's Start submits c1 and c2; c1's result
 // submits c3 and terminates c2; c3's result finishes the project.
 //
-// After every event the journal so far is replayed into another bare server,
+// After every event the journal so far is replayed into another core,
 // and the checker asks that replay rebuild the live image, journaling and
 // queueing nothing of its own; that every command is queued exactly when the
 // queue holds it and never leaves a settled status; that the controller hears
@@ -75,25 +74,24 @@ func (c *lcController) CommandFailed(_ controller.Context, cmd wire.CommandSpec,
 	return nil
 }
 
-// bareServer is a Server with no overlay node and no store: a real queue on
-// clock, transitions that read maxRetries, and the journal appended to
-// *journal (not kept when nil). It serves the transitions, apply and replay;
-// nothing in it starts a goroutine.
-func bareServer(newCtl func() controller.Controller, maxRetries int, clock func() time.Time, journal *[]store.Record) *Server {
+// testObs is every testCore's: the checker builds a core per world, and
+// registering its series once keeps that cheap.
+var testObs = obs.NewWith(obs.Options{TraceCapacity: 64})
+
+// testCore is a Core with no store, on clock, registering newCtl as
+// controller "test", with the journal appended to *journal (not kept when
+// nil). Nothing in it starts a goroutine.
+func testCore(newCtl func() controller.Controller, clock func() time.Time, journal *[]store.Record) *Core {
 	reg := controller.NewRegistry()
 	reg.Register("test", newCtl)
-	o := obs.NewWith(obs.Options{TraceCapacity: 64})
-	s := &Server{reg: reg, cfg: Config{MaxRetries: maxRetries, Obs: o}, log: o.Log, trace: o.Trace,
-		met: newServerMetrics(o, "bare"), q: queue.NewWithConfig(queue.Config{Clock: clock}),
-		projects: make(map[string]*project), workers: make(map[string]*workerState), preempted: make(map[string]struct{})}
-	s.env = env{origin: "bare", maxRetries: maxRetries, now: clock, obs: o, met: &s.met}
+	h := Hooks{Origin: "bare", Clock: clock}
 	if journal != nil {
-		s.stage = func(r store.Record) (uint64, error) {
+		h.Stage = func(r store.Record) (uint64, error) {
 			*journal = append(*journal, r)
 			return uint64(len(*journal)), nil
 		}
 	}
-	return s
+	return NewCore(reg, Config{Obs: testObs}, h)
 }
 
 var lcEpoch = time.Unix(1_000_000_000, 0)
@@ -135,7 +133,7 @@ type lcWorker struct {
 }
 
 type lcWorld struct {
-	s        *Server
+	s        *Core
 	ctl      *lcController
 	journal  []store.Record
 	w        [2]lcWorker
@@ -144,19 +142,21 @@ type lcWorld struct {
 	settled  map[string]cmdStatus
 }
 
-// server returns a bare server journaling into w.journal whose controller,
-// once made, is w.ctl.
-func (w *lcWorld) server() *Server {
-	return bareServer(func() controller.Controller {
+// core returns a core journaling into w.journal, with the checker's retry
+// budget, whose controller, once made, is w.ctl.
+func (w *lcWorld) core() *Core {
+	c := testCore(func() controller.Controller {
 		w.ctl = &lcController{}
 		return w.ctl
-	}, lcRetries, lcClock, &w.journal)
+	}, lcClock, &w.journal)
+	c.env.retries = lcRetries
+	return c
 }
 
 func newWorld() *lcWorld {
 	w := &lcWorld{settled: make(map[string]cmdStatus)}
-	w.s = w.server()
-	if err := w.s.startProject(&wire.ProjectSubmit{Name: "proj", Controller: "test"}); err != nil {
+	w.s = w.core()
+	if _, err := w.s.Submit(&wire.ProjectSubmit{Name: "proj", Controller: "test"}); err != nil {
 		panic(err)
 	}
 	return w
@@ -193,13 +193,13 @@ func (w *lcWorld) enabled(l int) bool {
 	return k.run != ""
 }
 
-// deliver hands one result message to the server, as a worker does.
+// deliver hands one result message to the core, as the shell does.
 func (w *lcWorld) deliver(res *wire.CommandResult) {
 	payload, err := wire.Marshal(res)
 	if err != nil {
 		panic(err)
 	}
-	w.s.handleResult("", payload)
+	w.s.Result(res, payload)
 }
 
 // step runs event l and returns a broken invariant about settled commands,
@@ -212,7 +212,7 @@ func (w *lcWorld) step(l int) error {
 	case eRestart:
 		w.restarts++
 		recs := slices.Clone(w.journal)
-		w.s = w.server()
+		w.s = w.core()
 		w.s.replay(&store.Recovered{Records: recs})
 		if len(w.journal) != len(recs) {
 			return fmt.Errorf("replay journaled %s", journalLines(w.journal[len(recs):]))
@@ -223,11 +223,8 @@ func (w *lcWorld) step(l int) error {
 		ok := &wire.CommandResult{Project: "proj", WorkerID: name, OK: true}
 		switch l / 2 {
 		case eAnnounce:
-			wl := w.s.q.Match(wire.WorkerInfo{ID: name, Platform: "smp", Cores: 1, Executables: []string{"sim"}})
-			for _, cmd := range wl.Commands {
-				w.s.withProjectCommand(cmd.Project, cmd.ID, func(p *project, cs *cmdState) {
-					assigned(p, cs, name, wl.Cores[cmd.ID])
-				})
+			info := wire.WorkerInfo{ID: name, Platform: "smp", Cores: 1, Executables: []string{"sim"}}
+			for _, cmd := range w.s.Assign(info, w.s.q.Match(info)).Commands {
 				k.run, k.ckpt = cmd.ID, false
 			}
 		case eCheckpoint:
@@ -242,7 +239,7 @@ func (w *lcWorld) step(l int) error {
 			w.deliver(&wire.CommandResult{Project: "proj", CommandID: k.run, WorkerID: name, Error: "boom"})
 			k.run = ""
 		case eLose:
-			w.s.recoverCommands(wire.WorkerFailed{WorkerID: name, CommandIDs: []string{k.run}})
+			w.s.WorkerFailed(wire.WorkerFailed{WorkerID: name, CommandIDs: []string{k.run}})
 			k.ghost, k.run = k.run, ""
 		case eLate:
 			ok.CommandID, ok.Output, k.ghost = k.ghost, []byte("late"), ""
@@ -293,14 +290,7 @@ func (w *lcWorld) check() error {
 		if k.run == "" {
 			continue
 		}
-		payload, err := wire.Marshal(&wire.Heartbeat{WorkerID: lcWorkers[i], CommandIDs: []string{k.run}})
-		if err != nil {
-			return err
-		}
-		var ack wire.HeartbeatAck
-		if reply, err := w.s.handleHeartbeat("", payload); err != nil || wire.Unmarshal(reply, &ack) != nil {
-			return fmt.Errorf("%s's heartbeat: %v", lcWorkers[i], err)
-		}
+		ack := w.s.heartbeat(&wire.Heartbeat{WorkerID: lcWorkers[i], CommandIDs: []string{k.run}})
 		if aborted, settled := len(ack.AbortCommandIDs) > 0, img.Commands[k.run].Status >= cmdDone; aborted != settled {
 			return fmt.Errorf("%s runs %s (status %d): its heartbeat ack aborts it = %v, want %v",
 				lcWorkers[i], k.run, img.Commands[k.run].Status, aborted, settled)
@@ -316,15 +306,16 @@ func (w *lcWorld) check() error {
 	}
 	var again []store.Record
 	var ctl *lcController
-	r := bareServer(func() controller.Controller {
+	r := testCore(func() controller.Controller {
 		ctl = &lcController{}
 		return ctl
-	}, lcRetries, lcClock, &again)
+	}, lcClock, &again)
+	r.env.retries = lcRetries
 	r.replay(&store.Recovered{Records: w.journal})
 	if len(again) > 0 {
 		return fmt.Errorf("replaying the journal journaled %s", journalLines(again))
 	}
-	if n := r.QueueLen(); n > 0 {
+	if n := r.q.Len(); n > 0 {
 		return fmt.Errorf("replaying the journal queued %d commands", n)
 	}
 	if got, live := fmt.Sprint(imageOf(r)), fmt.Sprint(imageOf(w.s)); got != live {
@@ -379,11 +370,18 @@ func exploreLifecycle(depth int) (states int, trace []string) {
 		var next [][]int
 		for _, path := range frontier {
 			parent := rebuild(path)
+			var labels []int
 			for l := range nLabels {
-				if !parent.enabled(l) {
-					continue
+				if parent.enabled(l) {
+					labels = append(labels, l)
 				}
-				w, child := rebuild(path), append(slices.Clone(path), l)
+			}
+			for i, l := range labels {
+				// The last child steps the parent itself; the others, rebuilds.
+				w, child := parent, append(slices.Clone(path), l)
+				if i < len(labels)-1 {
+					w = rebuild(path)
+				}
 				err := w.step(l)
 				if err == nil {
 					err = w.check()

@@ -39,8 +39,11 @@ func lifecycleCtl() *testController {
 func lifecycleConfig(st *store.Store) Config {
 	// The hour keeps the reaper and the monitor's own preemption tick out of
 	// the run; the script ticks preemptForStarved itself.
-	return Config{HeartbeatInterval: time.Hour, PreemptAge: time.Millisecond, MaxRetries: 1, Store: st}
+	return Config{HeartbeatInterval: time.Hour, PreemptAge: time.Millisecond, Store: st}
 }
+
+// lifecycleRetries is the script's retry budget.
+const lifecycleRetries = 1
 
 // takeWork announces worker with the given executables and checks that it is
 // handed exactly want, in that order.
@@ -72,7 +75,7 @@ func workerLost(t *testing.T, r *rig, worker string, cmds ...string) {
 // rig, still open.
 func runLifecycleScript(t *testing.T, st *store.Store) *rig {
 	t.Helper()
-	r := newRig(t, lifecycleConfig(st), lifecycleCtl())
+	r := newRigBudget(t, lifecycleConfig(st), lifecycleCtl(), lifecycleRetries)
 	submit := func(name, tenant string) {
 		t.Helper()
 		if err := r.request(t, wire.MsgSubmit, &wire.ProjectSubmit{Name: name, Controller: "test", Tenant: tenant}, nil); err != nil {
@@ -90,12 +93,12 @@ func runLifecycleScript(t *testing.T, st *store.Store) *rig {
 	if ack := sendChunk(t, r, mkChunk("a2", 0, 1, 2)); ack != "ignored" {
 		t.Fatalf("chunk ack = %q", ack)
 	}
-	workerLost(t, r, "w1", "a2") // requeued: the first of MaxRetries = 1
+	workerLost(t, r, "w1", "a2") // requeued: the first of lifecycleRetries = 1
 
 	// The minnow starves behind the whale's checkpointed a1, which is evicted.
 	submit("pb", "minnow")
 	time.Sleep(5 * time.Millisecond)
-	r.srv.preemptForStarved()
+	r.srv.core.preemptForStarved()
 	if st, _ := r.srv.Project("proj"); st.Running != 0 || st.Queued != 3 {
 		t.Fatalf("after preemption: %+v, want all three of proj's commands queued", st)
 	}

@@ -37,13 +37,21 @@ func (pushController) CommandFailed(controller.Context, wire.CommandSpec, string
 // parkNode starts a server with the push controller on its own node of net.
 func parkNode(t *testing.T, net *overlay.MemNetwork, seed uint64, addr string, cfg Config) *Server {
 	t.Helper()
+	return parkNodeBudget(t, net, seed, addr, cfg, maxRetries)
+}
+
+// parkNodeBudget is parkNode whose server spends a retry budget of retries.
+func parkNodeBudget(t *testing.T, net *overlay.MemNetwork, seed uint64, addr string, cfg Config, retries int) *Server {
+	t.Helper()
 	node := overlay.NewNode(overlay.NewIdentityFromSeed(seed), overlay.NewTrustStore(), net.Transport())
 	if err := node.Listen(addr); err != nil {
 		t.Fatal(err)
 	}
 	reg := controller.NewRegistry()
 	reg.Register("push", func() controller.Controller { return pushController{} })
-	srv := New(node, reg, cfg)
+	srv := newServer(node, reg, cfg)
+	srv.core.env.retries = retries
+	srv.start()
 	t.Cleanup(func() {
 		srv.Close()
 		node.Close()
@@ -116,9 +124,9 @@ func waitParked(t *testing.T, s *Server, n int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		s.park.mu.Lock()
-		got := s.park.line.Len()
-		s.park.mu.Unlock()
+		s.core.park.mu.Lock()
+		got := s.core.park.line.Len()
+		s.core.park.mu.Unlock()
 		if got == n {
 			return
 		}
@@ -292,8 +300,8 @@ func parkInterleavings(t *testing.T, seed int64, closeEarly bool) {
 	const workers, projects = 16, 40
 	o := obs.New()
 	net := overlay.NewMemNetwork()
-	srv := parkNode(t, net, 1, "srv", Config{Obs: o, HeartbeatInterval: time.Hour,
-		RelayTimeout: 150 * time.Millisecond, MaxRetries: 1 << 20})
+	srv := parkNodeBudget(t, net, 1, "srv", Config{Obs: o, HeartbeatInterval: time.Hour,
+		RelayTimeout: 150 * time.Millisecond}, 1<<20)
 	c := newParkClient(t, net, 2, "srv", srv)
 
 	var mu sync.Mutex
@@ -405,23 +413,23 @@ func parkInterleavings(t *testing.T, seed int64, closeEarly bool) {
 		outcomes += fmt.Sprintf(" %s=%g", name, n)
 	}
 	t.Logf("outcomes:%s orphan events=%g", outcomes, metricValue(t, o, "copernicus_commands_orphaned_total"))
-	if n := srv.park.line.Len() + len(srv.park.byWorker); n != 0 {
+	if n := srv.core.park.line.Len() + len(srv.core.park.byWorker); n != 0 {
 		t.Errorf("%d waiters left in the line after Close", n)
 	}
 
-	srv.mu.Lock()
-	defer srv.mu.Unlock()
-	for _, p := range srv.projects {
+	srv.core.mu.Lock()
+	defer srv.core.mu.Unlock()
+	for _, p := range srv.core.projects {
 		for id, cs := range p.commands {
 			switch cs.status {
 			case cmdDone:
 			case cmdQueued:
-				if !srv.q.Contains(id) {
+				if !srv.core.q.Contains(id) {
 					t.Errorf("command %s is queued but not in the queue: a match took it and nobody assigned it", id)
 				}
 			case cmdRunning:
 				onRecord := false
-				if ws := srv.workers[cs.worker]; ws != nil {
+				if ws := srv.core.workers[cs.worker]; ws != nil {
 					_, onRecord = ws.commands[id]
 				}
 				if left[id] == 0 && !onRecord {
@@ -540,7 +548,7 @@ func TestParkedWorkerGoneGetsNoWork(t *testing.T) {
 	if err != nil || len(wl.Commands) != 1 || wl.Commands[0].ID != "p-c0" {
 		t.Fatalf("the live worker got %+v err=%v, want p-c0", wl.Commands, err)
 	}
-	srv.withProjectCommand("p", "p-c0", func(_ *project, cs *cmdState) {
+	srv.core.withProjectCommand("p", "p-c0", func(_ *project, cs *cmdState) {
 		if cs.status != cmdRunning || cs.worker != "live" {
 			t.Errorf("p-c0 status %d on %q, want running on the live worker", cs.status, cs.worker)
 		}
@@ -640,9 +648,9 @@ func TestHandlerBatchArrivesWhole(t *testing.T) {
 	}()
 	// Let the announce arrive during the block: it parks, or waits on its way.
 	for deadline := time.Now().Add(200 * time.Millisecond); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-		r.srv.park.mu.Lock()
-		parked := r.srv.park.line.Len()
-		r.srv.park.mu.Unlock()
+		r.srv.core.park.mu.Lock()
+		parked := r.srv.core.park.line.Len()
+		r.srv.core.park.mu.Unlock()
 		if parked == 1 {
 			break
 		}

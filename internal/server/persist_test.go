@@ -613,7 +613,7 @@ func TestByPathResultRefusedWithoutSharedFS(t *testing.T) {
 			t.Errorf("result journaled: %q", rec.Data)
 		}
 	}
-	p := r.srv.project("proj")
+	p := r.srv.core.project("proj")
 	p.mu.Lock()
 	status := p.command("c1").status
 	p.mu.Unlock()
@@ -632,11 +632,11 @@ func TestRecoveryCountsNothing(t *testing.T) {
 	}
 	dir := t.TempDir()
 	st := openTestStore(t, dir)
-	r1 := newRig(t, Config{HeartbeatInterval: time.Hour, MaxRetries: 1, Store: st}, script())
+	r1 := newRigBudget(t, Config{HeartbeatInterval: time.Hour, Store: st}, script(), 1)
 	r1.submit(t, "proj")
 	takeWork(t, r1, "w1", []string{"x1", "x2", "x3"}, "c1", "c2", "c3")
 	sendResult(t, r1, "c1", "w1")
-	workerLost(t, r1, "w1", "c2", "c3") // both requeued: the first of MaxRetries = 1
+	workerLost(t, r1, "w1", "c2", "c3") // both requeued: the first of a budget of 1
 	takeWork(t, r1, "w2", []string{"x3"}, "c3")
 	workerLost(t, r1, "w2", "c3") // retries exhausted: failed
 	want := func(r *rig, when string) {
@@ -652,7 +652,7 @@ func TestRecoveryCountsNothing(t *testing.T) {
 	st2 := openTestStore(t, dir)
 	defer st2.Close()
 	o := obs.New()
-	r2 := newRig(t, Config{HeartbeatInterval: time.Hour, MaxRetries: 1, Store: st2, Obs: o}, script())
+	r2 := newRigBudget(t, Config{HeartbeatInterval: time.Hour, Store: st2, Obs: o}, script(), 1)
 	want(r2, "after the restart")
 	for _, name := range []string{"copernicus_commands_submitted_total", "copernicus_commands_finished_total",
 		"copernicus_commands_requeued_total", "copernicus_commands_failed_total", "copernicus_dispatch_latency_seconds_count"} {

@@ -128,6 +128,13 @@ type rig struct {
 
 func newRig(t *testing.T, cfg Config, ctrl *testController) *rig {
 	t.Helper()
+	return newRigBudget(t, cfg, ctrl, maxRetries)
+}
+
+// newRigBudget is newRig whose server spends a retry budget of retries,
+// recovery included.
+func newRigBudget(t *testing.T, cfg Config, ctrl *testController, retries int) *rig {
+	t.Helper()
 	net := overlay.NewMemNetwork()
 	sNode := overlay.NewNode(overlay.NewIdentityFromSeed(1), overlay.NewTrustStore(), net.Transport())
 	if err := sNode.Listen("srv"); err != nil {
@@ -135,7 +142,9 @@ func newRig(t *testing.T, cfg Config, ctrl *testController) *rig {
 	}
 	reg := controller.NewRegistry()
 	reg.Register("test", func() controller.Controller { return ctrl })
-	srv := New(sNode, reg, cfg)
+	srv := newServer(sNode, reg, cfg)
+	srv.core.env.retries = retries
+	srv.start()
 
 	client := overlay.NewNode(overlay.NewIdentityFromSeed(2), overlay.NewTrustStore(), net.Transport())
 	if _, err := client.ConnectPeer("srv"); err != nil {
@@ -428,7 +437,7 @@ func TestWorkerFailureRequeuesWithCheckpoint(t *testing.T) {
 
 func TestWorkerFailureExhaustsRetries(t *testing.T) {
 	ctrl := &testController{submit: []wire.CommandSpec{cmdSpec("c1")}}
-	r := newRig(t, Config{HeartbeatInterval: 40 * time.Millisecond, MaxRetries: 1}, ctrl)
+	r := newRigBudget(t, Config{HeartbeatInterval: 40 * time.Millisecond}, ctrl, 1)
 	r.submit(t, "proj")
 
 	// Two successive workers take the command and die.

@@ -66,7 +66,7 @@ func TestSubmitReceiptThreadsTenant(t *testing.T) {
 		}
 	}
 	// Tenant accounting followed the dispatch.
-	ts, ok := r.srv.q.Tenant("acme")
+	ts, ok := r.srv.core.q.Tenant("acme")
 	if !ok || ts.InflightCores != 2 {
 		t.Errorf("tenant status = %+v", ts)
 	}
@@ -307,7 +307,7 @@ func TestRefusedBatchQueuesNothing(t *testing.T) {
 	if n := r.srv.QueueLen(); n != 0 {
 		t.Errorf("queue holds %d commands after the refusal", n)
 	}
-	if n := r.srv.q.InflightCores("capped"); n != 0 {
+	if n := r.srv.core.q.InflightCores("capped"); n != 0 {
 		t.Errorf("tenant still charged %d in-flight cores", n)
 	}
 	takeWork(t, r, "w2", []string{"sim"}) // nothing to hand out

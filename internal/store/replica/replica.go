@@ -296,6 +296,10 @@ func (p *Peer) AckedSeq() uint64 {
 	return s.acked
 }
 
+// CaughtUp reports whether this standby has applied a batch's whole tail
+// since it last joined: until it has, a lapsed lease does not promote it.
+func (p *Peer) CaughtUp() bool { return p.view.Load().caughtUp }
+
 // Promoted is closed when this peer promotes itself to primary.
 func (p *Peer) Promoted() <-chan struct{} { return p.promoted }
 

@@ -122,16 +122,19 @@ failover() {
 # campaign submitted after they parked, the park/wake/expire/supersede/close
 # interleavings, a handler's commands reaching a match whole (and no match
 # waiting on a handler), a worker told to abort a command another worker's
-# late result settled, the overlay's concurrent request handlers, and the
-# two single writers' reused send buffers (a link's frames and the WAL's
-# records arrive whole and in order), 20 times each — see docs/SCHEDULING.md
-# ("Dispatch") and docs/PERFORMANCE.md ("Send-side frames").
+# late result settled, the transport-free core's own tests (no core file
+# imports a transport, starts a goroutine or reads the wall clock; restored
+# commands carry the restoring server's origin), the overlay's concurrent
+# request handlers, and the two single writers' reused send buffers (a
+# link's frames and the WAL's records arrive whole and in order), 20 times
+# each — see docs/SCHEDULING.md ("Dispatch") and docs/PERFORMANCE.md
+# ("Send-side frames").
 dispatch() {
     echo "== event-driven dispatch stress (race, x20) =="
     $GO test -race -count=20 -timeout 600s \
         -run 'TestFabricMSMDistributedAcrossRelays|TestIdleFleetPicksUpAtOnce|TestFabricCloseWithIdleWorkers' ./internal/core/
     $GO test -race -count=20 -timeout 600s \
-        -run 'TestParked|TestWakeCostsOnePerPush|TestLateRelayedWorkloadHandedBack|TestRelayedAssignmentLostReplyRecovered|TestAnnounceNeverWaitsOnAHandler|TestHandlerBatchArrivesWhole|TestRefusedBatchQueuesNothing|TestHeartbeatAbortsSettledCommand' ./internal/server/
+        -run 'TestParked|TestWakeCostsOnePerPush|TestLateRelayedWorkloadHandedBack|TestRelayedAssignmentLostReplyRecovered|TestAnnounceNeverWaitsOnAHandler|TestHandlerBatchArrivesWhole|TestRefusedBatchQueuesNothing|TestHeartbeatAbortsSettledCommand|TestCore' ./internal/server/
     $GO test -race -count=20 -timeout 600s -run 'TestWorkerAbortsTerminatedCommand' ./internal/worker/
     $GO test -race -count=20 -timeout 600s \
         -run 'TestBlockedHandler|TestCloseWithBlockedHandler|TestLinkHandlerCap|TestFloodPasses|TestLinkFramesSurviveBufferReuse' ./internal/overlay/
@@ -140,10 +143,11 @@ dispatch() {
 
 # The multi-tenant scheduling acceptance scenario: 2000 tenants with
 # heavy-tailed traffic against the real fair-share queue, with a slow-fsync
-# WAL fault window, and its seed determinism, on the DES fleet that
-# dispatches like the server (parked announces woken by the queue's Ready
-# hook, re-announced when the 2 s hold runs out), then that fleet's own
-# tests three times over — see docs/SCHEDULING.md ("Scenario dispatch").
+# WAL fault window, its seed determinism and its parent-captured scorecards,
+# on the DES fleet that dispatches through the server's own core (parked
+# announces woken by the queue's Ready hook, re-announced when the 2 s hold
+# runs out), then that fleet's own tests three times over — see
+# docs/SCHEDULING.md ("Scenario dispatch").
 tenants() {
     echo "== multi-tenant scheduling scenario (race; fleet x3) =="
     $GO test -race -run 'TestMultiTenantScenario|TestTenantScenario' -timeout 300s ./internal/des/

@@ -229,7 +229,7 @@ func TestWorkerNoEngineReportsFailure(t *testing.T) {
 }
 
 // TestWorkerEngineErrorPropagates: an engine that always fails costs the
-// command its retry budget — the server requeues it MaxRetries (2) times, the
+// command its retry budget — the server requeues it twice (its retry budget), the
 // worker being alive to take it again — and then reaches the controller as a
 // terminal failure, which here ends the project. The failure reports are
 // acknowledged, so nothing is left for the worker to redeliver.
@@ -250,7 +250,7 @@ func TestWorkerEngineErrorPropagates(t *testing.T) {
 		t.Errorf("controller saw %d results and %d failures, want 0 and 1", len(res), len(fails))
 	}
 	if ran := eng.ran.Load(); ran != 3 {
-		t.Errorf("engine ran %d times, want 1 + MaxRetries = 3", ran)
+		t.Errorf("engine ran %d times, want 1 + 2 retries = 3", ran)
 	}
 }
 

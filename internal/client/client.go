@@ -135,15 +135,11 @@ func (c *Client) Submit(ctx context.Context, req SubmitRequest, opts ...SubmitOp
 	if !req.Deadline.IsZero() {
 		sub.DeadlineUnixNano = req.Deadline.UnixNano()
 	}
-	payload, err := wire.Marshal(&sub)
-	if err != nil {
-		return wire.SubmitReceipt{}, err
-	}
 	var receipt wire.SubmitReceipt
 	attempt := 0
-	err = c.rpol.Do(ctx, "submit", func(ctx context.Context) error {
+	err := c.rpol.Do(ctx, "submit", func(ctx context.Context) error {
 		attempt++
-		reply, err := c.node.Request(ctx, c.Server(), wire.MsgSubmit, payload)
+		reply, err := c.node.Request(ctx, c.Server(), wire.MsgSubmit, &sub)
 		var remote *overlay.RemoteError
 		if errors.As(err, &remote) {
 			if attempt > 1 && strings.Contains(remote.Msg, "already exists") {
@@ -169,23 +165,15 @@ func (c *Client) Submit(ctx context.Context, req SubmitRequest, opts ...SubmitOp
 // Tenants lists every tenant account the submission server's scheduler
 // knows about (weights, quotas, usage).
 func (c *Client) Tenants(ctx context.Context) ([]wire.TenantStatus, error) {
-	payload, err := wire.Marshal(&wire.TenantListRequest{})
-	if err != nil {
-		return nil, err
-	}
 	var list wire.TenantList
-	err = c.request(ctx, "tenant_list", wire.MsgTenantList, payload, &list)
+	err := c.request(ctx, "tenant_list", wire.MsgTenantList, &wire.TenantListRequest{}, &list)
 	return list.Tenants, err
 }
 
 // TenantQuota reports one tenant's weight, quotas and usage.
 func (c *Client) TenantQuota(ctx context.Context, tenant string) (wire.TenantStatus, error) {
-	payload, err := wire.Marshal(&wire.TenantQuotaRequest{Tenant: tenant})
-	if err != nil {
-		return wire.TenantStatus{}, err
-	}
 	var st wire.TenantStatus
-	err = c.request(ctx, "tenant_quota_get", wire.MsgTenantQuotaGet, payload, &st)
+	err := c.request(ctx, "tenant_quota_get", wire.MsgTenantQuotaGet, &wire.TenantQuotaRequest{Tenant: tenant}, &st)
 	return st, err
 }
 
@@ -193,21 +181,17 @@ func (c *Client) TenantQuota(ctx context.Context, tenant string) (wire.TenantSta
 // semantics: Weight <= 0 keeps, negative quota keeps, zero clears) and
 // returns the resulting status.
 func (c *Client) SetTenantQuota(ctx context.Context, upd wire.TenantQuotaUpdate) (wire.TenantStatus, error) {
-	payload, err := wire.Marshal(&upd)
-	if err != nil {
-		return wire.TenantStatus{}, err
-	}
 	var st wire.TenantStatus
-	err = c.request(ctx, "tenant_quota_set", wire.MsgTenantQuotaSet, payload, &st)
+	err := c.request(ctx, "tenant_quota_set", wire.MsgTenantQuotaSet, &upd, &st)
 	return st, err
 }
 
 // request runs one retried unicast request against the submission server
 // and decodes the reply. Remote handler errors are permanent (the server
 // answered; asking again changes nothing).
-func (c *Client) request(ctx context.Context, op string, t wire.MsgType, payload []byte, out any) error {
+func (c *Client) request(ctx context.Context, op string, t wire.MsgType, body, out any) error {
 	return c.rpol.Do(ctx, op, func(ctx context.Context) error {
-		reply, err := c.node.Request(ctx, c.Server(), t, payload)
+		reply, err := c.node.Request(ctx, c.Server(), t, body)
 		if err != nil {
 			var remote *overlay.RemoteError
 			if errors.As(err, &remote) {
@@ -222,13 +206,10 @@ func (c *Client) request(ctx context.Context, op string, t wire.MsgType, payload
 // Status queries the project's current state; any server holding it may
 // answer (anycast), so it works through relays and after a re-home.
 func (c *Client) Status(ctx context.Context, name string) (wire.ProjectStatus, error) {
-	payload, err := wire.Marshal(&wire.ProjectStatusRequest{Name: name})
-	if err != nil {
-		return wire.ProjectStatus{}, err
-	}
+	req := wire.ProjectStatusRequest{Name: name}
 	var st wire.ProjectStatus
-	err = c.rpol.Do(ctx, "status", func(ctx context.Context) error {
-		reply, err := c.node.Request(ctx, "", wire.MsgStatus, payload)
+	err := c.rpol.Do(ctx, "status", func(ctx context.Context) error {
+		reply, err := c.node.Request(ctx, "", wire.MsgStatus, &req)
 		if err != nil {
 			var remote *overlay.RemoteError
 			if errors.As(err, &remote) || errors.Is(err, context.DeadlineExceeded) {

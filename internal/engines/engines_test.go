@@ -1,6 +1,7 @@
 package engines
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"testing"
@@ -321,6 +322,49 @@ func TestDefaultEngineSet(t *testing.T) {
 	for _, want := range []string{LandscapeName, MDName, BARName, RepexMDName} {
 		if !names[want] {
 			t.Errorf("missing engine %q", want)
+		}
+	}
+}
+
+// TestStreamNeverWritesAnEmittedChunk: a worker hands each emitted chunk to
+// the overlay, whose links encode it whenever they get to it, so the engine
+// must not write a chunk, or the frames in it, once emit has returned. Every
+// chunk's bytes at emit time are compared with its bytes after the run, for
+// a fresh run and for one resumed from a checkpoint.
+func TestStreamNeverWritesAnEmittedChunk(t *testing.T) {
+	eng := &LandscapeEngine{CheckpointEveryNs: 6}
+	p := defaultLandscapePayload()
+	p.StreamEveryNs = 4
+	spec := landscapeSpec(t, p)
+	var checkpoints [][]byte
+	progress := func(ck []byte) { checkpoints = append(checkpoints, ck) }
+	for _, run := range []string{"fresh", "resumed"} {
+		if run == "resumed" {
+			spec.Checkpoint = checkpoints[0]
+		}
+		var chunks []*wire.FrameChunk
+		var atEmit [][]byte
+		emit := func(c *wire.FrameChunk) {
+			b, err := wire.Marshal(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			chunks, atEmit = append(chunks, c), append(atEmit, b)
+		}
+		if _, err := eng.RunStream(context.Background(), spec, 1, progress, emit); err != nil {
+			t.Fatal(err)
+		}
+		if len(chunks) < 2 {
+			t.Fatalf("%s run emitted %d chunks, want several", run, len(chunks))
+		}
+		for i, c := range chunks {
+			b, err := wire.Marshal(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(b, atEmit[i]) {
+				t.Errorf("%s run: chunk %d changed after it was emitted", run, i)
+			}
 		}
 	}
 }

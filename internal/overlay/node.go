@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"copernicus/internal/obs"
+	"copernicus/internal/retry"
 	"copernicus/internal/wire"
 )
 
@@ -86,6 +87,9 @@ type Node struct {
 	handlers map[wire.MsgType]Handler
 	pending  map[uint64]chan *wire.Envelope
 	closed   bool
+	// latency holds Request's latency series by message type, each resolved
+	// on the type's first request.
+	latency map[wire.MsgType]*obs.Histogram
 
 	listeners []net.Listener
 	reqID     atomic.Uint64
@@ -121,9 +125,12 @@ type peerLink struct {
 	// handlers holds one token per running request handler of this link.
 	handlers chan struct{}
 
-	// Per-peer traffic series, resolved once at addPeer.
+	// Per-peer traffic series and the node's error counter, resolved once
+	// at addPeer.
 	rxMsgs, txMsgs   *obs.Counter
 	rxBytes, txBytes *obs.Counter
+	errs             *obs.Counter
+	log              *obs.Logger
 }
 
 func newPeerLink(id string, conn net.Conn) *peerLink {
@@ -165,24 +172,34 @@ func (p *peerLink) writeLoop() {
 				p.close()
 				return
 			}
-			p.txMsgs.Inc()
-			p.txBytes.Add(uint64(len(env.Payload)))
 		case <-p.done:
 			return
 		}
 	}
 }
 
-// write frames env into the link's reused send buffer and writes it.
+// write frames env into the link's reused send buffer — a value body is
+// encoded straight into it — and writes it. An envelope that cannot be
+// framed is dropped and counted: nothing of it reached the connection, so
+// the link and the other requests on it carry on, and its own request times
+// out. Only a failed write, which may leave the stream mid-frame, is
+// returned.
 func (p *peerLink) write(env *wire.Envelope) error {
 	frame, err := wire.AppendEnvelope(p.frame[:0], env)
-	if err == nil {
-		_, err = p.conn.Write(frame)
+	if err != nil {
+		p.errs.Inc()
+		p.log.Warn("dropping an envelope that cannot be framed", "peer", p.id, "type", string(env.Type), "err", err)
+		return nil
 	}
 	if cap(frame) <= wire.MaxReusedBuffer {
 		p.frame = frame
 	}
-	return err
+	if _, err := p.conn.Write(frame); err != nil {
+		return err
+	}
+	p.txMsgs.Inc()
+	p.txBytes.Add(uint64(env.PayloadLen()))
+	return nil
 }
 
 // close severs the link: the writer exits, queued envelopes are discarded,
@@ -201,6 +218,7 @@ func NewNode(id *Identity, trust *TrustStore, tr Transport) *Node {
 		peers:    make(map[string]*peerLink),
 		handlers: make(map[wire.MsgType]Handler),
 		pending:  make(map[uint64]chan *wire.Envelope),
+		latency:  make(map[wire.MsgType]*obs.Histogram),
 		seen:     newSeenCache(4096),
 		Obs:      obs.New(),
 	}
@@ -376,6 +394,7 @@ func (n *Node) addPeer(peerID string, conn net.Conn) (*peerLink, error) {
 	link.txMsgs = m.Counter(msgsName, msgsHelp, obs.L("node", n.id.ID, "peer", peerID, "dir", "tx"))
 	link.rxBytes = m.Counter(bytesName, bytesHelp, obs.L("node", n.id.ID, "peer", peerID, "dir", "rx"))
 	link.txBytes = m.Counter(bytesName, bytesHelp, obs.L("node", n.id.ID, "peer", peerID, "dir", "tx"))
+	link.errs, link.log = n.sendErrors(), n.log()
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.closed {
@@ -431,14 +450,27 @@ func (n *Node) Peers() []string {
 // settle or time out. It is a best-effort broadcast for control-plane
 // announcements (e.g. a promoted standby claiming ownership): peers without
 // a handler for the type simply return an error reply, which is discarded.
-func (n *Node) NotifyPeers(t wire.MsgType, payload []byte, timeout time.Duration) {
+// body is taken as by Request, and marshalled, if at all, once for all
+// peers.
+func (n *Node) NotifyPeers(t wire.MsgType, body any, timeout time.Duration) {
+	if timeout <= 0 {
+		timeout = DefaultRequestTimeout
+	}
+	env, err := n.envelope(t, body)
+	if err != nil {
+		return
+	}
 	var wg sync.WaitGroup
 	for _, id := range n.Peers() {
+		env := env
+		env.To = id
 		wg.Add(1)
-		go func(id string) {
+		go func() {
 			defer wg.Done()
-			_, _ = n.RequestTimeout(id, t, payload, timeout)
-		}(id)
+			ctx, cancel := context.WithTimeout(context.Background(), timeout)
+			defer cancel()
+			_, _ = n.request(ctx, &env)
+		}()
 	}
 	wg.Wait()
 }
@@ -478,7 +510,36 @@ func (n *Node) Close() {
 // node. A ctx without a deadline gets DefaultRequestTimeout. Error replies
 // from the remote handler surface as *RemoteError; a node with no usable
 // route fails fast with ErrNoRoute instead of waiting out the deadline.
-func (n *Node) Request(ctx context.Context, to string, t wire.MsgType, payload []byte) ([]byte, error) {
+//
+// body is the request's payload, taken as wire.Envelope.SetBody takes it: a
+// []byte is sent as it is, a registered wire type is encoded by each link's
+// writer straight into its frame, and any other type is marshalled here. A
+// body the codec refuses fails the request at once with Marshal's error,
+// marked permanent for retry.Policy: nothing was sent, and the same body would
+// be refused again. The body is handed over for good: it must not be written
+// after the call, even after a timeout, because a queued frame may still be
+// encoded from it.
+func (n *Node) Request(ctx context.Context, to string, t wire.MsgType, body any) ([]byte, error) {
+	env, err := n.envelope(t, body)
+	if err != nil {
+		return nil, err
+	}
+	env.To = to
+	return n.request(ctx, &env)
+}
+
+// envelope returns a request of type t from this node carrying body, not yet
+// numbered.
+func (n *Node) envelope(t wire.MsgType, body any) (wire.Envelope, error) {
+	env := wire.Envelope{Version: wire.ProtocolVersion, Type: t, From: n.id.ID, TTL: DefaultTTL}
+	if err := env.SetBody(body); err != nil {
+		return env, retry.Permanent(err)
+	}
+	return env, nil
+}
+
+// request numbers env, routes it and waits for the reply, as Request.
+func (n *Node) request(ctx context.Context, env *wire.Envelope) ([]byte, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -487,15 +548,19 @@ func (n *Node) Request(ctx context.Context, to string, t wire.MsgType, payload [
 		ctx, cancel = context.WithTimeout(ctx, DefaultRequestTimeout)
 		defer cancel()
 	}
+	to, t := env.To, env.Type
 	start := time.Now()
-	defer func() {
-		n.Obs.Metrics.Histogram("copernicus_overlay_request_seconds",
-			"Round-trip latency of overlay requests, by message type.",
-			nil, obs.L("node", n.id.ID, "type", string(t))).Observe(time.Since(start).Seconds())
-	}()
 	id := n.reqID.Add(1)
 	ch := make(chan *wire.Envelope, 1)
 	n.mu.Lock()
+	latency := n.latency[t]
+	if latency == nil {
+		latency = n.Obs.Metrics.Histogram("copernicus_overlay_request_seconds",
+			"Round-trip latency of overlay requests, by message type.",
+			nil, obs.L("node", n.id.ID, "type", string(t)))
+		n.latency[t] = latency
+	}
+	defer func() { latency.Observe(time.Since(start).Seconds()) }()
 	if n.closed {
 		n.mu.Unlock()
 		return nil, net.ErrClosed
@@ -518,15 +583,7 @@ func (n *Node) Request(ctx context.Context, to string, t wire.MsgType, payload [
 		n.mu.Unlock()
 	}()
 
-	env := &wire.Envelope{
-		Version:   wire.ProtocolVersion,
-		Type:      t,
-		From:      n.id.ID,
-		To:        to,
-		RequestID: id,
-		TTL:       DefaultTTL,
-		Payload:   payload,
-	}
+	env.RequestID = id
 	n.route(env, nil)
 
 	select {
@@ -552,13 +609,13 @@ func (n *Node) Request(ctx context.Context, to string, t wire.MsgType, payload [
 // RequestTimeout is a convenience wrapper for callers (mostly tests) that
 // think in deadlines rather than contexts. A non-positive timeout selects
 // DefaultRequestTimeout.
-func (n *Node) RequestTimeout(to string, t wire.MsgType, payload []byte, timeout time.Duration) ([]byte, error) {
+func (n *Node) RequestTimeout(to string, t wire.MsgType, body any, timeout time.Duration) ([]byte, error) {
 	if timeout <= 0 {
 		timeout = DefaultRequestTimeout
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	return n.Request(ctx, to, t, payload)
+	return n.Request(ctx, to, t, body)
 }
 
 // Flood sends a one-way notice to every node the overlay can reach: the
@@ -666,7 +723,11 @@ func (n *Node) serve(h Handler, env *wire.Envelope, link *peerLink) {
 // handle is the one place a request handler is invoked: it runs h on env and
 // replies, or forwards an anycast request the handler declined.
 func (n *Node) handle(h Handler, env *wire.Envelope, origin string) {
-	reply, err := h(env.From, env.Payload)
+	payload, err := env.PayloadBytes()
+	var reply []byte
+	if err == nil {
+		reply, err = h(env.From, payload)
+	}
 	if errors.Is(err, ErrNotHandled) {
 		n.forward(env, origin)
 		return

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/tls"
 	"encoding/binary"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -76,9 +77,11 @@ func tlsPair(t *testing.T) (client, server net.Conn) {
 }
 
 // TestLinkFramesSurviveBufferReuse sends envelopes of seeded random sizes
-// through one link's write loop, whose send buffer is reused, grown and
-// dropped along the way, and checks every byte and the order of what the
-// far end reads.
+// through two links' write loops at once, whose send buffers are reused,
+// grown and dropped along the way, and checks every byte and the order of
+// what the far ends read. About half the envelopes carry their bytes as the
+// Output of a *wire.CommandResult body, which each link encodes straight into
+// its own buffer from the one value both share — a forward to two peers.
 func TestLinkFramesSurviveBufferReuse(t *testing.T) {
 	const n = 500
 	r := rng.New(34)
@@ -103,6 +106,45 @@ func TestLinkFramesSurviveBufferReuse(t *testing.T) {
 	if len(drawn) != len(smallPayloads)+len(bigPayloads) {
 		t.Fatalf("the draw missed a payload size: drew %v", drawn)
 	}
+	asResult := make([]bool, n)
+	for i := range asResult {
+		asResult[i] = r.Intn(2) == 0
+	}
+	envelope := func(i int) *wire.Envelope {
+		env := &wire.Envelope{Version: wire.ProtocolVersion, Type: "reuse",
+			From: "tx", To: "rx", RequestID: uint64(i), Payload: sent[i]}
+		if asResult[i] {
+			if err := env.SetBody(&wire.CommandResult{CommandID: fmt.Sprint("c", i), OK: true,
+				Output: sent[i], WallSeconds: float64(i)}); err != nil {
+				panic(err)
+			}
+		}
+		return env
+	}
+	// check reports how envelope i arrived, "" when whole.
+	check := func(i int, env *wire.Envelope) string {
+		if env.RequestID != uint64(i) {
+			return fmt.Sprintf("arrived as number %d", env.RequestID)
+		}
+		if env.Type != "reuse" || env.From != "tx" || env.To != "rx" {
+			return fmt.Sprintf("arrived as %s/%s→%s", env.Type, env.From, env.To)
+		}
+		got := env.Payload
+		if asResult[i] {
+			var res wire.CommandResult
+			if err := wire.Unmarshal(env.Payload, &res); err != nil {
+				return err.Error()
+			}
+			if res.CommandID != fmt.Sprint("c", i) || !res.OK || res.WallSeconds != float64(i) {
+				return fmt.Sprintf("result body arrived as %s/%v/%v", res.CommandID, res.OK, res.WallSeconds)
+			}
+			got = res.Output
+		}
+		if !bytes.Equal(got, sent[i]) {
+			return fmt.Sprintf("%d-byte payload corrupted: got %d bytes", len(sent[i]), len(got))
+		}
+		return ""
+	}
 	for _, tc := range []struct {
 		name string
 		pair func(*testing.T) (net.Conn, net.Conn)
@@ -111,45 +153,62 @@ func TestLinkFramesSurviveBufferReuse(t *testing.T) {
 		{"tls", tlsPair},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			client, server := tc.pair(t)
-			link := newPeerLink("rx", client)
-			stopped := make(chan struct{})
+			var links []*peerLink
+			var servers []net.Conn
+			stopped := make(chan struct{}, 2)
+			for range 2 {
+				client, server := tc.pair(t)
+				link := newPeerLink("rx", client)
+				go func() {
+					link.writeLoop()
+					stopped <- struct{}{}
+				}()
+				defer link.close()
+				links, servers = append(links, link), append(servers, server)
+			}
 			go func() {
-				link.writeLoop()
-				close(stopped)
-			}()
-			defer link.close()
-			go func() {
-				for i, p := range sent {
-					env := &wire.Envelope{Version: wire.ProtocolVersion, Type: "reuse",
-						From: "tx", To: "rx", RequestID: uint64(i), Payload: p}
-					for link.send(env) != nil {
-						select {
-						case <-link.done:
-							return
-						case <-time.After(time.Millisecond): // queue full: let the writer drain it
+				for i := range sent {
+					env := envelope(i)
+					for _, link := range links {
+						for link.send(env) != nil {
+							select {
+							case <-link.done:
+								return
+							case <-time.After(time.Millisecond): // queue full: let the writer drain it
+							}
 						}
 					}
 				}
 			}()
 
-			for i, want := range sent {
-				env, err := wire.ReadEnvelope(server)
-				if err != nil {
-					t.Fatalf("envelope %d: %v", i, err)
-				}
-				if env.RequestID != uint64(i) {
-					t.Fatalf("envelope %d arrived as number %d", i, env.RequestID)
-				}
-				if env.Type != "reuse" || env.From != "tx" || env.To != "rx" || !bytes.Equal(env.Payload, want) {
-					t.Fatalf("envelope %d (%d-byte payload) corrupted: got %s/%s→%s with %d bytes",
-						i, len(want), env.Type, env.From, env.To, len(env.Payload))
+			failed := make(chan string, 2)
+			for k, server := range servers {
+				go func() {
+					for i := range sent {
+						env, err := wire.ReadEnvelope(server)
+						if err != nil {
+							failed <- fmt.Sprintf("peer %d, envelope %d: %v", k, i, err)
+							return
+						}
+						if msg := check(i, env); msg != "" {
+							failed <- fmt.Sprintf("peer %d, envelope %d (result body %v): %s", k, i, asResult[i], msg)
+							return
+						}
+					}
+					failed <- ""
+				}()
+			}
+			for range servers {
+				if msg := <-failed; msg != "" {
+					t.Fatal(msg)
 				}
 			}
-			link.close()
-			<-stopped
-			if c := cap(link.frame); c > wire.MaxReusedBuffer {
-				t.Errorf("link keeps a %d-byte send buffer, over the %d-byte bound", c, wire.MaxReusedBuffer)
+			for _, link := range links {
+				link.close()
+				<-stopped
+				if c := cap(link.frame); c > wire.MaxReusedBuffer {
+					t.Errorf("link keeps a %d-byte send buffer, over the %d-byte bound", c, wire.MaxReusedBuffer)
+				}
 			}
 		})
 	}
@@ -161,21 +220,32 @@ type discardConn struct{ net.Conn }
 func (discardConn) Write(p []byte) (int, error) { return len(p), nil }
 
 // TestLinkWriteAllocFree pins the reused send buffer: once it has grown to
-// fit, framing and writing an envelope allocates nothing.
+// fit, framing and writing an envelope allocates nothing, whether it carries
+// a 16 KiB payload or a result body with a 16 KiB output, which is encoded
+// straight into the buffer.
 func TestLinkWriteAllocFree(t *testing.T) {
-	link := newPeerLink("rx", discardConn{})
-	env := &wire.Envelope{Version: wire.ProtocolVersion, Type: "result", From: "tx", To: "rx",
-		RequestID: 1, Payload: make([]byte, 16<<10)}
-	if err := link.write(env); err != nil {
+	result := &wire.Envelope{Version: wire.ProtocolVersion, Type: "result", From: "tx", To: "rx", RequestID: 1}
+	if err := result.SetBody(&wire.CommandResult{CommandID: "p/c1", Project: "p", WorkerID: "w", OK: true,
+		Output: make([]byte, 16<<10), CoresUsed: 1, WallSeconds: 0.5}); err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(100, func() {
+	for name, env := range map[string]*wire.Envelope{
+		"16 KiB payload": {Version: wire.ProtocolVersion, Type: "result", From: "tx", To: "rx",
+			RequestID: 1, Payload: make([]byte, 16<<10)},
+		"result body with a 16 KiB output": result,
+	} {
+		link := newPeerLink("rx", discardConn{})
 		if err := link.write(env); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("a link write of a 16 KiB payload allocates %.1f times, want 0", allocs)
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := link.write(env); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("a link write of a %s allocates %.1f times, want 0", name, allocs)
+		}
 	}
 }
 

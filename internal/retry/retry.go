@@ -94,12 +94,6 @@ func (p Policy) Do(ctx context.Context, op string, fn func(ctx context.Context) 
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	labels := obs.L("op", op, "scope", p.Scope)
-	retries := p.Obs.Metrics.Counter("copernicus_retry_attempts_total",
-		"Retried requests (attempts after a failed first try), by operation.", labels)
-	giveups := p.Obs.Metrics.Counter("copernicus_retry_giveups_total",
-		"Requests abandoned after exhausting the retry policy, by operation.", labels)
-
 	delay := p.BaseDelay
 	for attempt := 1; ; attempt++ {
 		actx, cancel := ctx, context.CancelFunc(nil)
@@ -121,7 +115,8 @@ func (p Policy) Do(ctx context.Context, op string, fn func(ctx context.Context) 
 			return fmt.Errorf("retry: %s cancelled after %d attempt(s): %w", op, attempt, err)
 		}
 		if attempt >= p.MaxAttempts {
-			giveups.Inc()
+			p.count(op, "copernicus_retry_giveups_total",
+				"Requests abandoned after exhausting the retry policy, by operation.")
 			return fmt.Errorf("retry: %s gave up after %d attempt(s): %w", op, attempt, err)
 		}
 		select {
@@ -129,7 +124,15 @@ func (p Policy) Do(ctx context.Context, op string, fn func(ctx context.Context) 
 			return fmt.Errorf("retry: %s cancelled during backoff after %d attempt(s): %w", op, attempt, err)
 		case <-time.After(delay):
 		}
-		retries.Inc()
+		p.count(op, "copernicus_retry_attempts_total",
+			"Retried requests (attempts after a failed first try), by operation.")
 		delay = min(2*delay, p.MaxDelay)
 	}
+}
+
+// count adds one to op's series of a retry counter. The series is resolved
+// here, when something is counted, so a request that succeeds at once
+// renders no labels.
+func (p Policy) count(op, name, help string) {
+	p.Obs.Metrics.Counter(name, help, obs.L("op", op, "scope", p.Scope)).Inc()
 }

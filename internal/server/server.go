@@ -392,15 +392,11 @@ func (s *Server) search(w *Waiter) {
 	s.goAsync(func() {
 		relay := w.req
 		relay.Relayed = true
-		payload, err := wire.Marshal(&relay)
-		if err != nil {
-			return
-		}
 		ctx, cancel := context.WithDeadline(s.ctx, w.deadline)
 		defer cancel()
 		var reply []byte
-		err = s.rpol.Do(ctx, "announce_relay", func(ctx context.Context) error {
-			r, err := s.node.Request(ctx, "", wire.MsgAnnounce, payload)
+		err := s.rpol.Do(ctx, "announce_relay", func(ctx context.Context) error {
+			r, err := s.node.Request(ctx, "", wire.MsgAnnounce, &relay)
 			if err != nil {
 				var remote *overlay.RemoteError
 				if errors.As(err, &remote) ||
@@ -512,15 +508,11 @@ func (s *Server) reportFailed(workerID string, commands map[string]string) {
 			s.core.WorkerFailed(wf)
 			continue
 		}
-		payload, err := wire.Marshal(&wf)
-		if err != nil {
-			continue
-		}
 		// Unlike announce relays, this report must land: losing it strands
 		// the origin's commands until its own (much slower) recovery. Retry
 		// every transport failure including timeouts and missing routes.
-		err = s.rpol.Do(context.Background(), "worker_failed_report", func(ctx context.Context) error {
-			_, rerr := s.node.Request(ctx, origin, wire.MsgWorkerFailed, payload)
+		err := s.rpol.Do(context.Background(), "worker_failed_report", func(ctx context.Context) error {
+			_, rerr := s.node.Request(ctx, origin, wire.MsgWorkerFailed, &wf)
 			var remote *overlay.RemoteError
 			if errors.As(rerr, &remote) {
 				return retry.Permanent(rerr)

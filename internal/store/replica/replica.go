@@ -440,11 +440,7 @@ func (p *Peer) dial(addr, id string) (string, error) {
 
 // request is one replication round trip to the counterpart.
 func (p *Peer) request(to string, t wire.MsgType, msg any, ack *wire.ReplAck) error {
-	payload, err := wire.Marshal(msg)
-	if err != nil {
-		return err
-	}
-	raw, err := p.node.RequestTimeout(to, t, payload, p.requestTimeout())
+	raw, err := p.node.RequestTimeout(to, t, msg, p.requestTimeout())
 	if err != nil {
 		return err
 	}
@@ -586,12 +582,11 @@ func (p *Peer) promote(epoch uint64) event {
 	p.log.Info("promoted to primary", "epoch", epoch, "projects", len(projects), "fenced_primary", p.s.peerID)
 	// Claim ownership loudly: the fenced ex-primary (if back) demotes,
 	// workers re-home, clients retarget.
-	if ann, err := wire.Marshal(wire.Promoted{NodeID: p.node.ID(), Epoch: epoch, Projects: projects}); err == nil {
-		p.async(func() event {
-			p.node.NotifyPeers(wire.MsgPromoted, ann, p.requestTimeout())
-			return nil
-		})
-	}
+	ann := wire.Promoted{NodeID: p.node.ID(), Epoch: epoch, Projects: projects}
+	p.async(func() event {
+		p.node.NotifyPeers(wire.MsgPromoted, ann, p.requestTimeout())
+		return nil
+	})
 	close(p.promoted)
 	return evPromoteDone{}
 }

@@ -92,6 +92,7 @@ const (
 	opBool              // bool
 	opString            // string
 	opBytes             // []byte
+	opPayload           // Envelope.Payload: its bytes, or the envelope's body in their place
 	opStrings           // []string
 	opFloats            // []float64
 	opFrames            // [][]float64
@@ -119,10 +120,11 @@ type plan struct {
 }
 
 var (
-	typeStrings = reflect.TypeFor[[]string]()
-	typeFloats  = reflect.TypeFor[[]float64]()
-	typeFrames  = reflect.TypeFor[[][]float64]()
-	typeCounts  = reflect.TypeFor[map[string]int]()
+	typeStrings  = reflect.TypeFor[[]string]()
+	typeFloats   = reflect.TypeFor[[]float64]()
+	typeFrames   = reflect.TypeFor[[][]float64]()
+	typeCounts   = reflect.TypeFor[map[string]int]()
+	typeEnvelope = reflect.TypeFor[Envelope]()
 )
 
 // buildPlan makes t's plan. Nested types reuse their registered plan.
@@ -156,6 +158,9 @@ func buildPlan(t reflect.Type) (*plan, error) {
 			f.op = opString
 		case ft.Kind() == reflect.Slice && ft.Elem().Kind() == reflect.Uint8:
 			f.op = opBytes
+			if t == typeEnvelope && sf.Name == "Payload" {
+				f.op = opPayload
+			}
 		case ft == typeStrings:
 			f.op = opStrings
 		case ft == typeFloats:
@@ -261,10 +266,8 @@ func encode(dst []byte, v reflect.Value, headroom int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.frames {
-		if err := p.checkFrames(v); err != nil {
-			return nil, fmt.Errorf("wire: encoding %v: %w", v.Type(), err)
-		}
+	if err := p.check(v); err != nil {
+		return nil, err
 	}
 	n := p.size(v)
 	need := headroom + sizeUvarint(uint64(n)) + n
@@ -308,6 +311,8 @@ func (p *plan) size(v reflect.Value) int {
 			n++
 		case opString, opBytes:
 			n += sizeBytes(fv.Len())
+		case opPayload:
+			n += sizeBytes(envelopeAt(v).PayloadLen())
 		case opStrings:
 			n += sizeUvarint(uint64(fv.Len()))
 			for _, s := range *fieldPtr[[]string](fv) {
@@ -357,6 +362,8 @@ func (p *plan) appendFields(b []byte, v reflect.Value) []byte {
 			b = appendString(b, fv.String())
 		case opBytes:
 			b = appendBytes(b, fv.Bytes())
+		case opPayload:
+			b = envelopeAt(v).appendPayload(b)
 		case opStrings:
 			ss := *fieldPtr[[]string](fv)
 			b = binary.AppendUvarint(b, uint64(len(ss)))
@@ -429,6 +436,34 @@ func frameDim(frames [][]float64) int {
 		return 0
 	}
 	return len(frames[0])
+}
+
+// check reports what of v, a struct of p's type, the codec cannot carry:
+// Marshal's error for it, before anything is written.
+func (p *plan) check(v reflect.Value) error {
+	if !p.frames {
+		return nil
+	}
+	if err := p.checkFrames(v); err != nil {
+		return fmt.Errorf("wire: encoding %v: %w", v.Type(), err)
+	}
+	return nil
+}
+
+// envelopeAt returns the envelope v, an addressable Envelope, is.
+func envelopeAt(v reflect.Value) *Envelope { return (*Envelope)(v.Addr().UnsafePointer()) }
+
+// appendPayload appends the envelope's Payload field: its bytes, or its body
+// as Marshal(body) would have made them — tag, length, fields — straight
+// into b, with no payload in between.
+func (e *Envelope) appendPayload(b []byte) []byte {
+	if e.body == nil {
+		return appendBytes(b, e.Payload)
+	}
+	bv := reflect.ValueOf(e.body).Elem()
+	b = binary.AppendUvarint(b, uint64(e.PayloadLen()))
+	b = binary.AppendUvarint(append(b, codecTag), uint64(e.bodySize))
+	return registered(bv.Type()).appendFields(b, bv)
 }
 
 // checkFrames reports frames the count | dim | raw layout cannot carry.
@@ -531,7 +566,7 @@ func (r *reader) decode(p *plan, v reflect.Value) {
 			fv.SetBool(r.bool())
 		case opString:
 			fv.SetString(string(r.bytes()))
-		case opBytes:
+		case opBytes, opPayload:
 			fv.SetBytes(r.bytes())
 		case opStrings:
 			*fieldPtr[[]string](fv) = r.strings()

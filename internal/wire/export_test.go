@@ -48,7 +48,7 @@ func MinSize(t reflect.Type) int {
 }
 
 var opNames = [...]string{opInt: "varint", opUint: "uvarint", opByte: "uvarint8", opFixed64: "fixed64",
-	opFloat: "float64", opBool: "bool", opString: "string", opBytes: "bytes", opStrings: "strings",
+	opFloat: "float64", opBool: "bool", opString: "string", opBytes: "bytes", opPayload: "bytes", opStrings: "strings",
 	opFloats: "floats", opFrames: "frames", opCounts: "counts", opStruct: "struct", opStructs: "structs"}
 
 // Shapes lists the fields of every registered type and of every struct

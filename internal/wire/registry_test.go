@@ -30,16 +30,22 @@ import (
 var framesType = reflect.TypeFor[[][]float64]()
 
 // randomValue returns a pointer to a random t in the form the codec gives
-// back: frames of one non-zero width, and nil for every empty list, map or
-// byte run.
+// back: its exported fields random and the rest zero (the codec, like gob,
+// carries exported fields only), frames of one non-zero width, and nil for
+// every empty list, map or byte run.
 func randomValue(tb testing.TB, t reflect.Type, rng *rand.Rand) any {
 	tb.Helper()
-	v, ok := quick.Value(t, rng)
-	if !ok {
-		tb.Fatalf("cannot generate a %v", t)
-	}
 	p := reflect.New(t)
-	p.Elem().Set(v)
+	for i := 0; i < t.NumField(); i++ {
+		if !t.Field(i).IsExported() {
+			continue
+		}
+		v, ok := quick.Value(t.Field(i).Type, rng)
+		if !ok {
+			tb.Fatalf("cannot generate a %v.%s", t, t.Field(i).Name)
+		}
+		p.Elem().Field(i).Set(v)
+	}
 	canonical(p.Elem(), rng)
 	return p.Interface()
 }
@@ -278,7 +284,8 @@ type corpus[T any] struct {
 	Bytes  [][]byte
 }
 
-func checkCorpus[T any](t *testing.T) {
+// loadCorpus reads T's testdata/handcodec file.
+func loadCorpus[T any](t *testing.T) (string, corpus[T]) {
 	name := reflect.TypeFor[T]().String()
 	raw, err := os.ReadFile(filepath.Join("testdata", "handcodec", name+".gob"))
 	if err != nil {
@@ -291,6 +298,11 @@ func checkCorpus[T any](t *testing.T) {
 	if len(c.Values) == 0 || len(c.Values) != len(c.Bytes) {
 		t.Fatalf("%s: %d values, %d encodings", name, len(c.Values), len(c.Bytes))
 	}
+	return name, c
+}
+
+func checkCorpus[T any](t *testing.T) {
+	name, c := loadCorpus[T](t)
 	for i := range c.Values {
 		var got T
 		if err := wire.DecodeStruct(c.Bytes[i], &got); err != nil {
@@ -333,6 +345,81 @@ func TestHandCodecCorpusDecodesAndReencodes(t *testing.T) {
 	}
 	for _, check := range checks {
 		check(t)
+	}
+}
+
+func checkValueBody[T any](t *testing.T) {
+	name, c := loadCorpus[T](t)
+	for i := range c.Values {
+		payload, err := wire.Marshal(&c.Values[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		env := wire.Envelope{Version: wire.ProtocolVersion, Type: wire.MsgResult, From: "tx", To: "rx",
+			RequestID: uint64(i), TTL: 7, Payload: payload}
+		want, err := wire.AppendEnvelope(nil, &env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// By pointer and by value, into a fresh buffer and after what a
+		// reused one already holds.
+		for j, body := range []any{&c.Values[i], c.Values[i]} {
+			if err := env.SetBody(body); err != nil {
+				t.Fatalf("%s #%d: SetBody: %v", name, i, err)
+			}
+			if env.Payload != nil || env.PayloadLen() != len(payload) {
+				t.Errorf("%s #%d: a value body keeps Payload %d bytes and counts %d, want none and %d",
+					name, i, len(env.Payload), env.PayloadLen(), len(payload))
+			}
+			if b, err := env.PayloadBytes(); err != nil || !bytes.Equal(b, payload) {
+				t.Errorf("%s #%d: PayloadBytes gives %d bytes, %v; Marshal gave %d", name, i, len(b), err, len(payload))
+			}
+			prefix := []byte("held")[:4*j]
+			got, err := wire.AppendEnvelope(append(make([]byte, 0, 64), prefix...), &env)
+			if err != nil {
+				t.Fatalf("%s #%d: %v", name, i, err)
+			}
+			if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
+				t.Errorf("%s #%d: the value body frames as\n %+q\nwant (Payload = Marshal(v))\n %+q", name, i, got, want)
+			}
+		}
+	}
+}
+
+// TestValueBodyFramesAsMarshalledPayload: an envelope carrying a registered
+// value as its body frames to the same bytes as one carrying Marshal(value)
+// as its Payload, for every value of the hand-codec corpus whose type is
+// registered.
+func TestValueBodyFramesAsMarshalledPayload(t *testing.T) {
+	for _, check := range []func(*testing.T){
+		checkValueBody[wire.Envelope], checkValueBody[wire.CommandSpec], checkValueBody[wire.CommandResult],
+		checkValueBody[wire.FrameChunk], checkValueBody[wire.WorkerInfo], checkValueBody[wire.AnnounceRequest],
+		checkValueBody[wire.Workload], checkValueBody[wire.Heartbeat], checkValueBody[wire.HeartbeatAck],
+		checkValueBody[wire.WorkerFailed],
+		checkValueBody[engines.LandscapePayload], checkValueBody[engines.LandscapeOutput],
+		checkValueBody[engines.LandscapeCheckpoint], checkValueBody[engines.MDPayload],
+		checkValueBody[engines.MDOutput], checkValueBody[engines.BARPayload], checkValueBody[engines.BAROutput],
+		checkValueBody[engines.RepexMDPayload], checkValueBody[engines.RepexMDOutput],
+		checkValueBody[store.Record], checkValueBody[store.Snapshot],
+	} {
+		check(t)
+	}
+}
+
+// TestSetBodyRefusesWhatMarshalRefuses: a body the codec cannot encode is
+// refused at SetBody with Marshal's own error, and the envelope keeps what it
+// carried.
+func TestSetBodyRefusesWhatMarshalRefuses(t *testing.T) {
+	for _, v := range []any{&wire.FrameChunk{Frames: [][]float64{{1, 2}, {3}}}, (*wire.CommandResult)(nil)} {
+		_, merr := wire.Marshal(v)
+		env := wire.Envelope{Payload: []byte("kept")}
+		err := env.SetBody(v)
+		if err == nil || merr == nil || err.Error() != merr.Error() {
+			t.Errorf("SetBody(%T) = %v, want Marshal's %v", v, err, merr)
+		}
+		if string(env.Payload) != "kept" || env.PayloadLen() != 4 {
+			t.Errorf("a refused %T changed the envelope's payload", v)
+		}
 	}
 }
 

@@ -210,6 +210,72 @@ type Envelope struct {
 	// ErrQuotaExceeded/ErrAdmissionShed sentinels. Decodes as "" from
 	// pre-tenant frames.
 	ErrCode string
+
+	// body, when set, is a registered struct (by pointer) that stands in for
+	// Payload: the frame carries it where Payload's bytes would go, byte for
+	// byte what Payload = Marshal(body) would carry, encoded straight into
+	// the frame (SetBody). Unexported, so the codec neither writes nor reads
+	// it as a field.
+	body     any
+	bodySize int // the body's fields, encoded; its length prefix excluded
+}
+
+// SetBody makes v what the envelope carries as its Payload. A []byte (or
+// nil) is the Payload as it is. A registered struct, or a pointer to one, is
+// kept, and AppendEnvelope encodes it straight into the frame, the same bytes
+// Payload = Marshal(v) would give, with no payload allocated in between. Any
+// other type is marshalled (gob) now. A body the codec cannot encode is
+// refused with the error Marshal returns for it, and the envelope is left as
+// it was.
+//
+// A kept body is read whenever the envelope is written, which may be after
+// the request carrying it has returned, even by a timeout. The caller hands v
+// over for good: nothing may write it after the call, the rule Unmarshal
+// states for its data.
+func (e *Envelope) SetBody(v any) error {
+	switch b := v.(type) {
+	case nil:
+		e.Payload, e.body = nil, nil
+		return nil
+	case []byte:
+		e.Payload, e.body = b, nil
+		return nil
+	}
+	rv, p, err := value(v)
+	if err != nil {
+		return err
+	}
+	if p == nil {
+		payload, err := Marshal(v)
+		if err != nil {
+			return err
+		}
+		e.Payload, e.body = payload, nil
+		return nil
+	}
+	if err := p.check(rv); err != nil {
+		return err
+	}
+	e.Payload, e.body, e.bodySize = nil, rv.Addr().Interface(), p.size(rv)
+	return nil
+}
+
+// PayloadLen is the length of the Payload the envelope's frame carries.
+func (e *Envelope) PayloadLen() int {
+	if e.body == nil {
+		return len(e.Payload)
+	}
+	return 1 + sizeBytes(e.bodySize)
+}
+
+// PayloadBytes returns the Payload the envelope's frame carries: Payload
+// itself, or the body marshalled. A request served where it was made is
+// never framed, and its handler takes bytes.
+func (e *Envelope) PayloadBytes() ([]byte, error) {
+	if e.body == nil {
+		return e.Payload, nil
+	}
+	return marshal(reflect.ValueOf(e.body).Elem())
 }
 
 // CommandSpec describes one simulation command: the unit of work a worker
@@ -546,29 +612,48 @@ type TenantQuotaUpdate struct {
 // types (into one buffer of exactly the encoded size), gob for the rest. A
 // nil pointer is an error under either.
 func Marshal(v any) ([]byte, error) {
-	if registered(reflect.TypeOf(v)) != nil {
-		rv := reflect.ValueOf(v)
-		if rv.Kind() != reflect.Pointer {
-			// The codec reaches fields by address: a struct given by value
-			// is copied behind a new pointer.
-			ptr := reflect.New(rv.Type())
-			ptr.Elem().Set(rv)
-			rv = ptr
-		}
-		if rv.IsNil() {
-			return nil, fmt.Errorf("wire: encoding %T: nil pointer", v)
-		}
-		b, err := encode(nil, rv.Elem(), 1)
-		if err == nil {
-			b[0] = codecTag
-		}
-		return b, err
+	rv, p, err := value(v)
+	if err != nil {
+		return nil, err
+	}
+	if p != nil {
+		return marshal(rv)
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
 		return nil, fmt.Errorf("wire: encoding %T: %w", v, err)
 	}
 	return buf.Bytes(), nil
+}
+
+// value returns v, a registered struct or a pointer to one, as an
+// addressable struct with its plan, and no plan for any other type.
+func value(v any) (reflect.Value, *plan, error) {
+	p := registered(reflect.TypeOf(v))
+	if p == nil {
+		return reflect.Value{}, nil, nil
+	}
+	rv := reflect.ValueOf(v)
+	if rv.Kind() != reflect.Pointer {
+		// The codec reaches fields by address: a struct given by value is
+		// copied behind a new pointer.
+		ptr := reflect.New(rv.Type())
+		ptr.Elem().Set(rv)
+		rv = ptr
+	}
+	if rv.IsNil() {
+		return reflect.Value{}, nil, fmt.Errorf("wire: encoding %T: nil pointer", v)
+	}
+	return rv.Elem(), p, nil
+}
+
+// marshal is Marshal of rv, an addressable registered struct.
+func marshal(rv reflect.Value) ([]byte, error) {
+	b, err := encode(nil, rv, 1)
+	if err == nil {
+		b[0] = codecTag
+	}
+	return b, err
 }
 
 // Unmarshal decodes data into v, whichever of the two encodings data is in.
@@ -581,7 +666,9 @@ func Marshal(v any) ([]byte, error) {
 // A single writer (an overlay link's write loop, the WAL appender) encodes
 // every message into one send buffer it owns and reuses; a receiver
 // allocates each frame (readBody, a WAL record's copy) and hands it over.
-// Nothing is ever decoded from a send buffer.
+// Nothing is ever decoded from a send buffer. The sending side has the
+// mirror rule: a body handed to Envelope.SetBody (and so to an overlay
+// request) is read when its frame is written, and is not written after.
 func Unmarshal(data []byte, v any) error {
 	if len(data) > 0 && data[0] == codecTag {
 		rv, p := reflect.ValueOf(v), registered(reflect.TypeOf(v))

@@ -257,11 +257,12 @@ func (w *Worker) RunningCommands() []string {
 // request runs one overlay request under the worker's retry policy. Remote
 // handler errors are permanent (the request was delivered; the answer will
 // not change); transport errors — no route, timeouts, dropped links — are
-// retried with backoff.
-func (w *Worker) request(ctx context.Context, op, to string, t wire.MsgType, payload []byte) ([]byte, error) {
+// retried with backoff. body is handed to overlay.Node.Request, whose rule
+// holds: nothing writes it after the call.
+func (w *Worker) request(ctx context.Context, op, to string, t wire.MsgType, body any) ([]byte, error) {
 	var reply []byte
 	err := w.rpol.Do(ctx, op, func(ctx context.Context) error {
-		r, err := w.node.Request(ctx, to, t, payload)
+		r, err := w.node.Request(ctx, to, t, body)
 		if err != nil {
 			var remote *overlay.RemoteError
 			if errors.As(err, &remote) {
@@ -341,14 +342,10 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 // up.
 func (w *Worker) announce(ctx context.Context) (*wire.Workload, error) {
 	w.met.announces.Inc()
-	payload, err := wire.Marshal(&wire.AnnounceRequest{
+	reply, err := w.request(ctx, "announce", w.Home(), wire.MsgAnnounce, &wire.AnnounceRequest{
 		Info:        w.info(),
 		WaitSeconds: (w.rpol.PerAttempt / 2).Seconds(),
 	})
-	if err != nil {
-		return nil, err
-	}
-	reply, err := w.request(ctx, "announce", w.Home(), wire.MsgAnnounce, payload)
 	if err != nil {
 		return nil, err
 	}
@@ -473,11 +470,8 @@ func (w *Worker) heartbeatLoop(ctx context.Context, stop <-chan struct{}, interv
 			}
 		}
 		w.mu.Unlock()
-		payload, err := wire.Marshal(&wire.Heartbeat{WorkerID: w.ID(), CommandIDs: live})
-		if err != nil {
-			continue
-		}
-		reply, err := w.request(ctx, "heartbeat", w.Home(), wire.MsgHeartbeat, payload)
+		reply, err := w.request(ctx, "heartbeat", w.Home(), wire.MsgHeartbeat,
+			&wire.Heartbeat{WorkerID: w.ID(), CommandIDs: live})
 		if err != nil {
 			w.log.Warn("heartbeat failed", "err", err)
 			continue
@@ -638,21 +632,17 @@ func (w *Worker) spoolOutput(cmdID string, output []byte) (string, error) {
 // anycast (any server in the overlay can accept and forward), and finally —
 // for completed results — a disk spool redelivered after the next
 // successful announcement. A finished command's CPU-hours are only lost if
-// every rung fails AND the spool is disabled.
+// every rung fails AND the spool is disabled. Each link encodes res straight
+// into its frame; only the spool rung marshals it.
 func (w *Worker) sendResult(ctx context.Context, origin string, res *wire.CommandResult) {
-	payload, err := wire.Marshal(res)
-	if err != nil {
-		w.met.resultErrors.Inc()
-		w.log.Error("encoding result failed", "command", res.CommandID, "err", err)
-		return
-	}
+	var err error
 	if origin != "" {
-		if _, err = w.request(ctx, "result", origin, wire.MsgResult, payload); err == nil {
+		if _, err = w.request(ctx, "result", origin, wire.MsgResult, res); err == nil {
 			return
 		}
 		w.log.Warn("sending result to origin failed, trying anycast", "command", res.CommandID, "err", err)
 	}
-	if _, err = w.request(ctx, "result_anycast", "", wire.MsgResult, payload); err == nil {
+	if _, err = w.request(ctx, "result_anycast", "", wire.MsgResult, res); err == nil {
 		return
 	}
 	w.met.resultErrors.Inc()
@@ -665,7 +655,11 @@ func (w *Worker) sendResult(ctx context.Context, origin string, res *wire.Comman
 		w.log.Error("result lost: no server reachable and spooling disabled", "command", res.CommandID, "err", err)
 		return
 	}
-	if serr := w.spoolResult(res.CommandID, payload); serr != nil {
+	payload, serr := wire.Marshal(res)
+	if serr == nil {
+		serr = w.spoolResult(res.CommandID, payload)
+	}
+	if serr != nil {
 		w.log.Error("spooling undeliverable result failed", "command", res.CommandID, "err", serr)
 		return
 	}
@@ -676,21 +670,19 @@ func (w *Worker) sendResult(ctx context.Context, origin string, res *wire.Comman
 // sendChunk ships one streamed frame chunk to the project server: retried
 // direct delivery to the origin, then retried anycast. The server answers
 // "ignored" and the result carries every frame, so there is no disk rung and
-// a dropped chunk costs nothing.
+// a dropped chunk costs nothing. The links encode chunk straight into their
+// frames: an engine never writes a chunk it has emitted
+// (TestStreamNeverWritesAnEmittedChunk), and a chunk the codec refuses
+// (frames of unequal width) fails each request at once.
 func (w *Worker) sendChunk(ctx context.Context, origin string, chunk *wire.FrameChunk) {
-	payload, err := wire.Marshal(chunk)
-	if err != nil {
-		w.met.streamErrors.Inc()
-		w.log.Error("encoding frame chunk failed", "command", chunk.CommandID, "err", err)
-		return
-	}
+	var err error
 	delivered := false
 	if origin != "" {
-		_, err = w.request(ctx, "framechunk", origin, wire.MsgFrameChunk, payload)
+		_, err = w.request(ctx, "framechunk", origin, wire.MsgFrameChunk, chunk)
 		delivered = err == nil
 	}
 	if !delivered {
-		_, err = w.request(ctx, "framechunk_anycast", "", wire.MsgFrameChunk, payload)
+		_, err = w.request(ctx, "framechunk_anycast", "", wire.MsgFrameChunk, chunk)
 		delivered = err == nil
 	}
 	if !delivered {

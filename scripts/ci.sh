@@ -125,10 +125,11 @@ failover() {
 # late result settled, the transport-free core's own tests (no core file
 # imports a transport, starts a goroutine or reads the wall clock; restored
 # commands carry the restoring server's origin), the overlay's concurrent
-# request handlers, and the two single writers' reused send buffers (a
-# link's frames and the WAL's records arrive whole and in order), 20 times
-# each — see docs/SCHEDULING.md ("Dispatch") and docs/PERFORMANCE.md
-# ("Send-side frames").
+# request handlers, the two single writers' reused send buffers (a link's
+# frames, bytes and value bodies sent to two peers at once, and the WAL's
+# records arrive whole and in order), and a body the codec refuses failing
+# its own request but not the link, 20 times each — see docs/SCHEDULING.md
+# ("Dispatch") and docs/PERFORMANCE.md ("Send-side frames").
 dispatch() {
     echo "== event-driven dispatch stress (race, x20) =="
     $GO test -race -count=20 -timeout 600s \
@@ -137,7 +138,7 @@ dispatch() {
         -run 'TestParked|TestWakeCostsOnePerPush|TestLateRelayedWorkloadHandedBack|TestRelayedAssignmentLostReplyRecovered|TestAnnounceNeverWaitsOnAHandler|TestHandlerBatchArrivesWhole|TestRefusedBatchQueuesNothing|TestHeartbeatAbortsSettledCommand|TestCore' ./internal/server/
     $GO test -race -count=20 -timeout 600s -run 'TestWorkerAbortsTerminatedCommand' ./internal/worker/
     $GO test -race -count=20 -timeout 600s \
-        -run 'TestBlockedHandler|TestCloseWithBlockedHandler|TestLinkHandlerCap|TestFloodPasses|TestLinkFramesSurviveBufferReuse' ./internal/overlay/
+        -run 'TestBlockedHandler|TestCloseWithBlockedHandler|TestLinkHandlerCap|TestFloodPasses|TestLinkFramesSurviveBufferReuse|TestRefusedBodyFailsOneRequest|TestLinkDropsUnframableEnvelope' ./internal/overlay/
     $GO test -race -count=20 -timeout 600s -run 'TestRecordsSurviveFrameReuse' ./internal/store/
 }
 

@@ -12,6 +12,7 @@ import (
 	"copernicus/internal/obs"
 	"copernicus/internal/overlay"
 	"copernicus/internal/store"
+	"copernicus/internal/store/replica"
 	"copernicus/internal/wire"
 )
 
@@ -53,24 +54,23 @@ func waitClosed(t *testing.T, ch <-chan struct{}, timeout time.Duration, what st
 	}
 }
 
-// waitReplicaCaughtUp blocks until the standby of primary pi has
-// acknowledged the primary's whole journal (at least min records) and counts
-// itself caught up since its last join — what a lapsed lease needs before it
-// promotes — and returns the acknowledged frontier.
+// waitReplicaCaughtUp blocks until the standby of primary pi has applied at
+// least min records and counts itself caught up since its last join — the
+// standby's own state, which is what a lapsed lease reads before it
+// promotes — and returns its applied frontier: every record up to it is on
+// the standby.
 func waitReplicaCaughtUp(t *testing.T, f *Fabric, pi int, min uint64) uint64 {
 	t.Helper()
 	standby := f.Peer(f.cfg.Standbys[pi])
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		last := f.Store(pi).LastSeq()
-		acked := f.Peer(pi).AckedSeq()
-		if acked == last && last >= min && standby.CaughtUp() {
-			return acked
+		if applied := standby.AckedSeq(); applied >= min && standby.CaughtUp() {
+			return applied
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("standby never caught up to primary %d (acked %d, journal %d, standby caught up %v)",
-		pi, f.Peer(pi).AckedSeq(), f.Store(pi).LastSeq(), standby.CaughtUp())
+	t.Fatalf("standby of primary %d never caught up (applied %d of at least %d, caught up since its last join %v)",
+		pi, standby.AckedSeq(), min, standby.CaughtUp())
 	return 0
 }
 
@@ -208,18 +208,30 @@ func TestFailoverUnderPartitionChaos(t *testing.T) {
 	if err := f.Submit(ctxTimeout(t, 30*time.Second), "partition-msm", controller.MSMControllerName, &p); err != nil {
 		t.Fatal(err)
 	}
-	waitForProgress(t, f, "partition-msm", 6)
-	waitReplicaCaughtUp(t, f, 0, 10)
+	// In process, not by a status poll: under the drop faults one status
+	// request can spend its 5 s timeout while the campaign finishes.
+	waitRepexProgress(t, f, 0, "partition-msm", 6)
 
 	// Sever the primary's island from the standby's: the direct replication
 	// link in both directions, plus the client's bridge to the primary (the
 	// overlay forwards envelopes multi-hop, so a client peered with both
 	// sides would relay batches around a server-only cut). The campaign
-	// keeps running on the primary while the standby's lease runs out.
-	f.ServerChaos[0].Partition("server-1")
-	f.ServerChaos[1].Partition("server-0")
-	f.ClientChaos.Partition("server-0")
-	waitClosed(t, f.Peer(1).Promoted(), 30*time.Second, "standby promotion during partition")
+	// keeps running on the primary while the standby's lease runs out. A
+	// drop fault can make the standby rejoin around the cut, and a standby
+	// not caught up since its last join rightly never promotes: then heal,
+	// and cut again once it has caught up.
+	for {
+		waitReplicaCaughtUp(t, f, 0, 10)
+		f.ServerChaos[0].Partition("server-1")
+		f.ServerChaos[1].Partition("server-0")
+		f.ClientChaos.Partition("server-0")
+		if promotesCaughtUp(t, f.Peer(1)) {
+			break
+		}
+		f.ServerChaos[0].Heal("server-1")
+		f.ServerChaos[1].Heal("server-0")
+		f.ClientChaos.Heal("server-0")
+	}
 
 	// Heal. The ex-primary's next shipment is refused with the higher epoch
 	// and it demotes — the serving side moves wholesale to the new primary.
@@ -248,6 +260,30 @@ func TestFailoverUnderPartitionChaos(t *testing.T) {
 	if v := promValue(t, body, "copernicus_chaos_faults_total"); v < 1 {
 		t.Errorf("no chaos faults fired (copernicus_chaos_faults_total = %v)", v)
 	}
+}
+
+// promotesCaughtUp waits for standby p to promote, and reports false if it
+// stops counting itself caught up first.
+func promotesCaughtUp(t *testing.T, p *replica.Peer) bool {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for time.Now().Before(deadline) {
+		select {
+		case <-p.Promoted():
+			return true
+		case <-time.After(5 * time.Millisecond):
+		}
+		if !p.CaughtUp() {
+			select {
+			case <-p.Promoted():
+				return true
+			default:
+				return false
+			}
+		}
+	}
+	t.Fatal("timed out waiting for standby promotion during partition")
+	return false
 }
 
 // smallRepexParams is a three-rung sync REMD ladder sized so a run lasts

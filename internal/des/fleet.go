@@ -6,15 +6,17 @@
 // so a handler's whole batch is offered together; a parked announce's hold
 // (the server's RelayTimeout) runs out on the fleet's clock. A kill banks
 // the worker's running commands' progress to the last checkpoint and reports
-// them lost, as a relay server's WorkerFailed does: the core requeues each
-// or, its retry budget spent, fails it to its controller. Each scenario
-// decides what a finished command means.
+// them lost through the core's worker-loss path (WorkerFailed), the one its
+// heartbeat reaper takes: the core requeues each or, its retry budget spent,
+// fails it to its controller. Each scenario decides what a finished command
+// means.
 //
 // One departure from the server: a worker here announces each core as it
 // frees, where the real worker announces only once its whole workload has
-// finished (ROADMAP's per-slot refill item), so the fleet keeps no liveness
-// record per worker: its next announce would take running commands for
-// orphans.
+// finished (ROADMAP's per-slot refill item), so the fleet never applies an
+// announce to the worker's liveness record (the core's touchWorker): its
+// next announce would take running commands for orphans. It never reaps
+// either; a kill is the only loss.
 package des
 
 import (

@@ -18,28 +18,36 @@ import (
 
 // An explicit-state model checker for the command lifecycle, in the manner
 // of store/replica's: one project on a Core — the real transitions and the
-// real effect shell over a real in-memory queue, on a clock that never
-// moves, with no overlay and no store — driven by a scripted controller
-// and two one-core workers through every order of their events, breadth
-// first to a depth bound, each distinct world visited once (by hash). A
-// world is rebuilt by re-running the events that reach it on a fresh core,
-// so nothing is ever copied.
+// real effect shell over a real in-memory queue, on a clock that moves only
+// when a worker falls silent, with no overlay and no store — driven by a
+// scripted controller and two one-core workers through every order of their
+// events, breadth first to a depth bound, each distinct world visited once
+// (by hash). A world is rebuilt by re-running the events that reach it on a
+// fresh core, so nothing is ever copied.
 //
-// The events: a worker announces (and is assigned what the queue matches),
-// checkpoints, returns an OK result, reports a failure, or is lost; a lost
-// or preempted worker's result arrives late; the last OK result is
-// delivered again; a checkpointed command is preempted; the server restarts
-// from its journal. The controller's Start submits c1 and c2; c1's result
-// submits c3 and terminates c2; c3's result finishes the project.
+// The events: a worker announces, directly or by another server's relayed
+// search (and is assigned what the queue matches), checkpoints, returns an
+// OK result, reports a failure, is lost, or falls silent past two heartbeat
+// intervals, so the reaper takes it; a lost, silent or preempted worker's
+// result arrives late; the last OK result is delivered again; a
+// checkpointed command is preempted; the server restarts from its journal.
+// The controller's Start submits c1 and c2; c1's result submits c3 and
+// terminates c2; c3's result finishes the project.
 //
 // After every event the journal so far is replayed into another core,
 // and the checker asks that replay rebuild the live image, journaling and
 // queueing nothing of its own; that every command is queued exactly when the
 // queue holds it and never leaves a settled status; that the controller hears
 // of each command at most once; that no command is retried past its budget;
-// that the in-flight charge is zero whenever nothing runs; and that a worker
-// is told to abort its run at its next heartbeat exactly when the run's
-// command is settled.
+// that the in-flight charge is zero whenever nothing runs; that every
+// running command is on the liveness record of the worker it runs on; and
+// that a worker is told to abort its run at its next heartbeat exactly when
+// the run's command is settled.
+//
+// The clock decides nothing but reaping: the one tenant's commands all have
+// one priority, so the queue's starvation order is its FIFO order. Every
+// record is refreshed at the clock's current reading, so a world is what
+// the records hold, not when they were seen.
 
 const lcRetries = 1 // the retry budget
 
@@ -107,6 +115,8 @@ const (
 	eLose
 	eLate
 	ePreempt
+	eRelayed
+	eSilent
 	nWorkerKinds
 	eDuplicate = 2 * nWorkerKinds
 	eRestart   = eDuplicate + 1
@@ -114,7 +124,7 @@ const (
 )
 
 var lcKindNames = [nWorkerKinds]string{"announces", "checkpoints", "returns OK", "reports a failure",
-	"is lost", "returns a late OK", "is preempted"}
+	"is lost", "returns a late OK", "is preempted", "announces by relay", "falls silent past 2×HB"}
 
 func describeEvent(l int) string {
 	switch l {
@@ -134,6 +144,7 @@ type lcWorker struct {
 
 type lcWorld struct {
 	s        *Core
+	now      time.Time // the core's clock
 	ctl      *lcController
 	journal  []store.Record
 	w        [2]lcWorker
@@ -148,13 +159,13 @@ func (w *lcWorld) core() *Core {
 	c := testCore(func() controller.Controller {
 		w.ctl = &lcController{}
 		return w.ctl
-	}, lcClock, &w.journal)
+	}, func() time.Time { return w.now }, &w.journal)
 	c.env.retries = lcRetries
 	return c
 }
 
 func newWorld() *lcWorld {
-	w := &lcWorld{settled: make(map[string]cmdStatus)}
+	w := &lcWorld{now: lcEpoch, settled: make(map[string]cmdStatus)}
 	w.s = w.core()
 	if _, err := w.s.Submit(&wire.ProjectSubmit{Name: "proj", Controller: "test"}); err != nil {
 		panic(err)
@@ -179,7 +190,7 @@ func (w *lcWorld) enabled(l int) bool {
 	}
 	k := &w.w[l%2]
 	switch l / 2 {
-	case eAnnounce:
+	case eAnnounce, eRelayed:
 		return k.run == ""
 	case eCheckpoint:
 		return k.run != "" && !k.ckpt
@@ -222,9 +233,22 @@ func (w *lcWorld) step(l int) error {
 		k, name := &w.w[l%2], lcWorkers[l%2]
 		ok := &wire.CommandResult{Project: "proj", WorkerID: name, OK: true}
 		switch l / 2 {
-		case eAnnounce:
+		case eAnnounce, eRelayed:
+			// As the shell serves a direct announce (match, touch, assign) and
+			// a relayed one (touch, match, assign what it found).
 			info := wire.WorkerInfo{ID: name, Platform: "smp", Cores: 1, Executables: []string{"sim"}}
-			for _, cmd := range w.s.Assign(info, w.s.q.Match(info)).Commands {
+			var wl wire.Workload
+			if l/2 == eAnnounce {
+				wl = w.s.q.Match(info)
+				w.s.touchWorker(info, true)
+			} else {
+				w.s.touchWorker(info, false)
+				wl = w.s.matchRelayed(info)
+			}
+			if len(wl.Commands) > 0 {
+				wl = w.s.Assign(info, wl)
+			}
+			for _, cmd := range wl.Commands {
 				k.run, k.ckpt = cmd.ID, false
 			}
 		case eCheckpoint:
@@ -240,6 +264,15 @@ func (w *lcWorld) step(l int) error {
 			k.run = ""
 		case eLose:
 			w.s.WorkerFailed(wire.WorkerFailed{WorkerID: name, CommandIDs: []string{k.run}})
+			k.ghost, k.run = k.run, ""
+		case eSilent:
+			// Past two intervals of silence; the other worker, if busy,
+			// heartbeats in time.
+			w.now = w.now.Add(2*w.s.cfg.HeartbeatInterval + time.Second)
+			if other := w.w[1-l%2]; other.run != "" {
+				w.s.heartbeat(&wire.Heartbeat{WorkerID: lcWorkers[1-l%2], CommandIDs: []string{other.run}})
+			}
+			w.s.reapDeadWorkers()
 			k.ghost, k.run = k.run, ""
 		case eLate:
 			ok.CommandID, ok.Output, k.ghost = k.ghost, []byte("late"), ""
@@ -280,6 +313,9 @@ func (w *lcWorld) check() error {
 		}
 		if c.Retries > lcRetries {
 			return fmt.Errorf("%s retried %d times, over its budget of %d", id, c.Retries, lcRetries)
+		}
+		if c.Status == cmdRunning && !w.onRecord(c.Worker, id) {
+			return fmt.Errorf("%s runs on %s, but is not on its liveness record", id, c.Worker)
 		}
 		running = running || c.Status == cmdRunning
 	}
@@ -327,6 +363,14 @@ func (w *lcWorld) check() error {
 	return nil
 }
 
+// onRecord reports whether the command is on the worker's liveness record.
+func (w *lcWorld) onRecord(worker, id string) bool {
+	w.s.mu.Lock()
+	defer w.s.mu.Unlock()
+	ws := w.s.workers[worker]
+	return ws != nil && ws.commands[id]
+}
+
 // String renders everything that decides the world's future: the visited
 // set hashes it.
 func (w *lcWorld) String() string {
@@ -338,6 +382,15 @@ func (w *lcWorld) String() string {
 		}
 	}
 	fmt.Fprintf(&b, " inflight=%d workers=%+v restarts=%d", w.s.q.InflightCores(""), w.w, w.restarts)
+	for _, name := range lcWorkers {
+		var rec []string
+		for _, id := range []string{"c1", "c2", "c3"} {
+			if w.onRecord(name, id) {
+				rec = append(rec, id)
+			}
+		}
+		fmt.Fprintf(&b, " %s.record=%v", name, rec)
+	}
 	if w.last != nil {
 		fmt.Fprintf(&b, " last=%s@%s", w.last.CommandID, w.last.WorkerID)
 	}

@@ -109,13 +109,14 @@ type project struct {
 	fx         []effect // the transitions' effects, until the core applies them
 }
 
-// workerState is the home server's liveness record for a worker.
+// workerState is a server's liveness record for a worker: one that
+// announced to it directly, or runs commands it holds. Only the server that
+// holds a command recovers it, so a worker reached by relay has a record at
+// each origin of its workload, refreshed by the heartbeat it sends there.
 type workerState struct {
 	info     wire.WorkerInfo
 	lastSeen time.Time
-	// commands the worker is running, mapped to the Origin server each
-	// belongs to, learned from relayed workloads.
-	commands map[string]string
+	commands map[string]bool // held here, assigned to the worker
 }
 
 // Core is the server's state and every decision it makes about it.
@@ -373,70 +374,63 @@ func (c *Core) forCommand(id string, f func(*project, *cmdState) bool) bool {
 
 // --- worker traffic ---
 
-// Assign hands a matched workload to the announcing worker: the assignments
-// are journaled, and noted on the worker's record if it has one — for a
-// relayed match, one of our own workers, noted now and not when the relay
-// reply makes it home: that reply can be lost, and the worker's next idle
-// announce then recovers the commands as orphans.
+// Assign hands a matched workload, direct or relayed, to the announcing
+// worker: the assignments are journaled and added to the worker's record,
+// created if need be, before the reply leaves. The reply can be lost; the
+// worker's next announce that reaches this server, or its silence, then
+// recovers the commands.
 func (c *Core) Assign(info wire.WorkerInfo, wl wire.Workload) wire.Workload {
 	wl.HeartbeatSeconds = c.cfg.HeartbeatInterval.Seconds()
 	wl.SharedFS = c.cfg.FSToken != "" && c.cfg.FSToken == info.FSToken
+	var held []string
 	for _, cmd := range wl.Commands {
 		if p := c.project(cmd.Project); p != nil {
 			p.mu.Lock()
 			if cs := p.command(cmd.ID); cs != nil {
 				assigned(p, cs, info.ID, wl.Cores[cmd.ID])
 				c.apply(p)
+				held = append(held, cs.spec.ID)
 			}
 			p.mu.Unlock()
 		}
 	}
 	c.mu.Lock()
-	if ws := c.workers[info.ID]; ws != nil {
-		for _, cmd := range wl.Commands {
-			ws.commands[cmd.ID] = cmd.Origin
-		}
+	ws := c.workers[info.ID]
+	if ws == nil {
+		ws = &workerState{commands: make(map[string]bool)}
+		c.workers[info.ID] = ws
+	}
+	ws.info, ws.lastSeen = info, c.env.now()
+	for _, id := range held {
+		ws.commands[id] = true
 	}
 	c.mu.Unlock()
 	return wl
 }
 
-// touchWorker refreshes (or creates) a directly announcing worker's record.
-// A worker announces only once its previous workload is done, so commands
-// still on record are orphans — their workload reply was lost on a severed
-// link — and are returned for recovery: nobody will run them, and the
-// worker's announces keep the reaper away.
-func (c *Core) touchWorker(info wire.WorkerInfo) map[string]string {
+// touchWorker applies an announce, direct or relayed, to the worker's
+// record. A worker announces only once its previous workload is done, so
+// commands still on its record are orphans — their workload reply was lost —
+// and are requeued at once. A direct announce creates the record; a relayed
+// one that finds none passes through and leaves none.
+func (c *Core) touchWorker(info wire.WorkerInfo, direct bool) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	ws := c.workers[info.ID]
+	if ws == nil && !direct {
+		c.mu.Unlock()
+		return
+	}
 	if ws == nil {
 		ws = &workerState{}
 		c.workers[info.ID] = ws
 	}
 	orphans := ws.commands
-	ws.commands = make(map[string]string)
-	ws.info = info
-	ws.lastSeen = c.env.now()
-	return orphans
-}
-
-// recordRelayedWorkload notes each relayed command's origin server, so a
-// heartbeat failure is reported there — and, for a workload that came back
-// too late to deliver, so the worker's next announce hands it back. The
-// announce was open until now, however long ago it parked: the worker's
-// liveness record is refreshed, or created again if the reaper took it.
-func (c *Core) recordRelayedWorkload(info wire.WorkerInfo, wl *wire.Workload) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ws := c.workers[info.ID]
-	if ws == nil {
-		ws = &workerState{info: info, commands: make(map[string]string)}
-		c.workers[info.ID] = ws
-	}
-	ws.lastSeen = c.env.now()
-	for _, cmd := range wl.Commands {
-		ws.commands[cmd.ID] = cmd.Origin
+	ws.info, ws.lastSeen, ws.commands = info, c.env.now(), make(map[string]bool)
+	c.mu.Unlock()
+	if len(orphans) > 0 {
+		c.met.orphaned.Inc()
+		c.log.Warn("recovering commands orphaned by idle re-announce", "worker", info.ID, "commands", len(orphans))
+		c.lost(info.ID, orphans)
 	}
 }
 
@@ -483,9 +477,11 @@ func (c *Core) Result(res *wire.CommandResult, encoded []byte) ([]byte, error) {
 
 // --- heartbeats and failure recovery ---
 
-// heartbeat refreshes liveness and names the commands the worker should
-// abort: those preempted from it, and those settled here (terminated, or
-// finished or failed by another worker's report).
+// heartbeat refreshes the worker's record, if this server keeps one, and
+// names the commands the worker should abort: those preempted from it, and
+// those settled here (terminated, or finished or failed by another worker's
+// report). A worker heartbeats its home and each other origin of its
+// workload, so every server holding one of its commands hears it.
 func (c *Core) heartbeat(hb *wire.Heartbeat) wire.HeartbeatAck {
 	c.met.heartbeats.Inc()
 	c.mu.Lock()
@@ -516,27 +512,26 @@ func (c *Core) heartbeat(hb *wire.Heartbeat) wire.HeartbeatAck {
 }
 
 // reapDeadWorkers forgets the workers silent for two heartbeat intervals and
-// returns those that held commands (worker ID → its commands), for recovery.
-func (c *Core) reapDeadWorkers() map[string]map[string]string {
+// requeues (or, their budget spent, fails) the commands they held here. An
+// idle worker going quiet needs no recovery: it left, or will re-announce.
+func (c *Core) reapDeadWorkers() {
 	cutoff := c.env.now().Add(-2 * c.cfg.HeartbeatInterval)
-	victims := make(map[string]map[string]string)
+	victims := make(map[string]map[string]bool)
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	for id, ws := range c.workers {
-		if !ws.lastSeen.Before(cutoff) {
-			continue
-		}
-		delete(c.workers, id)
-		// An idle worker (nothing assigned) going quiet needs no recovery:
-		// it either left or will re-announce. Only report workers that held
-		// commands.
-		if len(ws.commands) > 0 {
-			victims[id] = ws.commands
-			c.met.heartbeatMisses.Inc()
-			c.log.Warn("worker missed heartbeats, recovering commands", "worker", id, "commands", len(ws.commands))
+		if ws.lastSeen.Before(cutoff) {
+			delete(c.workers, id)
+			if len(ws.commands) > 0 {
+				victims[id] = ws.commands
+			}
 		}
 	}
-	return victims
+	c.mu.Unlock()
+	for id, commands := range victims {
+		c.met.heartbeatMisses.Inc()
+		c.log.Warn("worker missed heartbeats, recovering commands", "worker", id, "commands", len(commands))
+		c.lost(id, commands)
+	}
 }
 
 // preemptForStarved evicts one running command at its last checkpoint when a
@@ -586,8 +581,20 @@ func (c *Core) preemptForStarved() {
 	}
 }
 
+// lost requeues or fails the commands of a worker's record, in ID order.
+func (c *Core) lost(worker string, commands map[string]bool) {
+	ids := make([]string, 0, len(commands))
+	for id := range commands {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	c.WorkerFailed(wire.WorkerFailed{WorkerID: worker, CommandIDs: ids})
+}
+
 // WorkerFailed requeues (from the last checkpoint) or terminally fails the
-// commands a dead worker was running.
+// commands a dead worker was running: the core's own reaper and orphan
+// recovery, the simulated fleet's kills, and the report a home server older
+// than the per-origin heartbeat sends for a relayed command.
 func (c *Core) WorkerFailed(wf wire.WorkerFailed) {
 	for _, cmdID := range wf.CommandIDs {
 		c.forCommand(cmdID, func(p *project, cs *cmdState) bool {

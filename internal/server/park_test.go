@@ -447,9 +447,10 @@ func parkInterleavings(t *testing.T, seed int64, closeEarly bool) {
 
 // TestLateRelayedWorkloadHandedBack: the overlay search for a parked worker
 // comes home with a workload after a local wake has already answered the
-// announce. The workload is not delivered; it goes on the worker's record,
-// and the worker's next announce hands its commands back to their origin,
-// which dispatches them again. One orphan event, no command lost.
+// announce. The workload is not delivered; the origin keeps its commands on
+// the worker's record there, and the worker's next announce, relayed to the
+// origin, recovers them as orphans and dispatches them again. One orphan
+// event, at the origin; no command lost.
 func TestLateRelayedWorkloadHandedBack(t *testing.T) {
 	o0, o1 := obs.New(), obs.New()
 	net := overlay.NewMemNetwork()
@@ -510,8 +511,11 @@ func TestLateRelayedWorkloadHandedBack(t *testing.T) {
 			t.Fatal("the late workload's command was never handed back and re-dispatched")
 		}
 	}
-	if got := metricValue(t, o1, "copernicus_commands_orphaned_total"); got != 1 {
-		t.Errorf("home server copernicus_commands_orphaned_total = %g, want 1", got)
+	if got := metricValue(t, o0, "copernicus_commands_orphaned_total"); got != 1 {
+		t.Errorf("origin copernicus_commands_orphaned_total = %g, want 1", got)
+	}
+	if got := metricValue(t, o1, "copernicus_commands_orphaned_total"); got != 0 {
+		t.Errorf("home server copernicus_commands_orphaned_total = %g, want 0", got)
 	}
 	if got := metricValue(t, o0, "copernicus_commands_requeued_total"); got != 1 {
 		t.Errorf("origin copernicus_commands_requeued_total = %g, want 1", got)

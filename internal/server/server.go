@@ -78,9 +78,8 @@ func newServer(node *overlay.Node, reg *controller.Registry, cfg Config) *Server
 		h.Stage = st.Stage
 	}
 	s.core = NewCore(reg, cfg, h)
-	// Overlay requests the server makes on its own behalf (work searches,
-	// upstream worker-failure reports): package-default backoff, each
-	// attempt bounded by RelayTimeout.
+	// The overlay searches the server makes for its parked workers:
+	// package-default backoff, each attempt bounded by RelayTimeout.
 	s.rpol = retry.Policy{PerAttempt: cfg.RelayTimeout, Obs: cfg.Obs, Scope: node.ID()}
 	return s
 }
@@ -161,9 +160,8 @@ func (s *Server) Node() *overlay.Node { return s.node }
 func (s *Server) QueueLen() int { return s.core.q.Len() }
 
 // Close stops the heartbeat monitor and the dispatcher, answers every parked
-// announce (empty) and waits for background work (snapshot captures, failure
-// reports; overlay searches are cancelled). The overlay node is left to its
-// owner.
+// announce (empty) and waits for background work (snapshot captures; overlay
+// searches are cancelled). The overlay node is left to its owner.
 func (s *Server) Close() {
 	s.closeMu.Lock()
 	s.cancel()
@@ -240,7 +238,8 @@ func (s *Server) ProjectNames() (names []string) {
 	return names
 }
 
-// Workers returns the home server's current worker liveness records.
+// Workers returns the liveness records this server keeps: the workers homed
+// here, and those running commands it holds.
 func (s *Server) Workers() []wire.WorkerInfo { return s.core.workerInfos() }
 
 // WaitProject blocks until the named project finishes or fails, or ctx is
@@ -270,6 +269,7 @@ func (s *Server) WaitProject(ctx context.Context, name string) (wire.ProjectStat
 // overlay carries it on to "the first server with available commands". A
 // direct announce that misses is parked (park.go) until a queue event, the
 // overlay search for it, or the end of its hold: never while work waits.
+// Either way the announce says the worker is idle (touchWorker).
 func (s *Server) handleAnnounce(from string, payload []byte) ([]byte, error) {
 	var req wire.AnnounceRequest
 	if err := wire.Unmarshal(payload, &req); err != nil {
@@ -281,6 +281,7 @@ func (s *Server) handleAnnounce(from string, payload []byte) ([]byte, error) {
 			// announce it copies has just missed here.
 			return nil, overlay.ErrNotHandled
 		}
+		s.core.touchWorker(req.Info, false)
 		wl := s.core.matchRelayed(req.Info)
 		if len(wl.Commands) == 0 {
 			return nil, overlay.ErrNotHandled
@@ -292,8 +293,8 @@ func (s *Server) handleAnnounce(from string, payload []byte) ([]byte, error) {
 		link = from
 	}
 	wl, w := s.core.Announce(&req, link)
+	s.core.touchWorker(req.Info, true)
 	if w != nil {
-		s.recoverOrphans(req.Info.ID, s.core.touchWorker(req.Info))
 		s.search(w)
 		s.await(w)
 		if w.outcome == parkRelayed {
@@ -305,9 +306,6 @@ func (s *Server) handleAnnounce(from string, payload []byte) ([]byte, error) {
 		// Nothing anywhere: empty workload, the worker announces again.
 		return wire.Marshal(&wire.Workload{HeartbeatSeconds: s.cfg.HeartbeatInterval.Seconds()})
 	}
-	// A direct announce refreshes the worker's record: commands still on it
-	// are orphans.
-	s.recoverOrphans(req.Info.ID, s.core.touchWorker(req.Info))
 	return s.assign(req.Info, wl)
 }
 
@@ -321,19 +319,6 @@ func (s *Server) assign(info wire.WorkerInfo, wl wire.Workload) ([]byte, error) 
 
 // linked reports whether the server has a direct link to node.
 func (s *Server) linked(node string) bool { return slices.Contains(s.node.Peers(), node) }
-
-// recoverOrphans requeues commands stranded by a lost workload reply. It
-// reports asynchronously so the announce reply is not delayed by upstream
-// retry budgets.
-func (s *Server) recoverOrphans(workerID string, commands map[string]string) {
-	if len(commands) == 0 {
-		return
-	}
-	s.core.met.orphaned.Inc()
-	s.core.log.Warn("recovering commands orphaned by idle re-announce",
-		"worker", workerID, "commands", len(commands))
-	s.goAsync(func() { s.reportFailed(workerID, commands) })
-}
 
 // queueReady is the queue's readiness hook: it only nudges the dispatcher,
 // because the caller may hold a project lock and parking.mu.
@@ -380,9 +365,9 @@ func (s *Server) await(w *Waiter) {
 // background: a relayed copy of the announce goes out anycast until a server
 // answers or the hold ends. Only transport failures are retried: a deadline
 // or a missing route means "no server has work", and a remote error will not
-// change. A workload that comes back is recorded against the worker; if the
-// waiter is gone, the worker's next announce takes the commands for orphans
-// and hands them back to their origin (touchWorker, recoverOrphans).
+// change. A workload that comes back after the waiter is gone is dropped:
+// the origin that assigned it keeps it on the worker's record there, and
+// recovers it at the worker's next announce or its silence.
 func (s *Server) search(w *Waiter) {
 	select {
 	case <-w.done:
@@ -416,9 +401,8 @@ func (s *Server) search(w *Waiter) {
 		if err := wire.Unmarshal(reply, &remote); err != nil || len(remote.Commands) == 0 {
 			return
 		}
-		s.core.recordRelayedWorkload(w.req.Info, &remote)
 		if !s.core.resolve(w, parkRelayed, reply) {
-			s.core.log.Info("relayed workload arrived after its announce was answered; left for orphan recovery",
+			s.core.log.Info("relayed workload arrived after its announce was answered; dropped for its origin to recover",
 				"worker", w.req.Info.ID, "commands", len(remote.Commands))
 		}
 	})
@@ -475,8 +459,8 @@ func handleFrameChunk(string, []byte) ([]byte, error) { return []byte("ignored")
 
 // --- heartbeats and failure recovery ---
 
-// monitorHeartbeats declares workers dead after 2× the heartbeat interval,
-// recovers their commands, and preempts for starved tenants.
+// monitorHeartbeats has the core reap the workers silent for 2× the
+// heartbeat interval, and preempt for starved tenants.
 func (s *Server) monitorHeartbeats() {
 	defer s.wg.Done()
 	tick := time.NewTicker(s.cfg.HeartbeatInterval / 2)
@@ -486,41 +470,8 @@ func (s *Server) monitorHeartbeats() {
 		case <-s.ctx.Done():
 			return
 		case <-tick.C:
-			for id, commands := range s.core.reapDeadWorkers() {
-				s.reportFailed(id, commands)
-			}
+			s.core.reapDeadWorkers()
 			s.core.preemptForStarved()
-		}
-	}
-}
-
-// reportFailed recovers the given worker's commands (cmdID → origin server):
-// the core requeues local origins directly, and remote origins receive a
-// retried WorkerFailed report.
-func (s *Server) reportFailed(workerID string, commands map[string]string) {
-	byOrigin := make(map[string][]string)
-	for cmdID, origin := range commands {
-		byOrigin[origin] = append(byOrigin[origin], cmdID)
-	}
-	for origin, ids := range byOrigin {
-		wf := wire.WorkerFailed{WorkerID: workerID, CommandIDs: ids}
-		if origin == s.node.ID() {
-			s.core.WorkerFailed(wf)
-			continue
-		}
-		// Unlike announce relays, this report must land: losing it strands
-		// the origin's commands until its own (much slower) recovery. Retry
-		// every transport failure including timeouts and missing routes.
-		err := s.rpol.Do(context.Background(), "worker_failed_report", func(ctx context.Context) error {
-			_, rerr := s.node.Request(ctx, origin, wire.MsgWorkerFailed, &wf)
-			var remote *overlay.RemoteError
-			if errors.As(rerr, &remote) {
-				return retry.Permanent(rerr)
-			}
-			return rerr
-		})
-		if err != nil {
-			s.core.log.Error("reporting worker failure upstream failed", "origin", origin, "err", err)
 		}
 	}
 }

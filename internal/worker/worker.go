@@ -414,19 +414,15 @@ func (w *Worker) drainSpool(ctx context.Context) {
 }
 
 // execute runs a workload: one goroutine per command plus a heartbeat
-// ticker, blocking until every command has completed or aborted.
+// ticker, blocking until every command has completed or aborted; a
+// heartbeat still in flight then is abandoned.
 func (w *Worker) execute(ctx context.Context, wl *wire.Workload) {
 	cmds := wl.Commands
 	if len(cmds) == 0 {
 		return
 	}
 	var wg sync.WaitGroup
-	ids := make([]string, 0, len(cmds))
-	for _, cmd := range cmds {
-		ids = append(ids, cmd.ID)
-	}
-
-	hbStop := make(chan struct{})
+	hbCtx, stopHB := context.WithCancel(ctx)
 	hbInterval := time.Duration(wl.HeartbeatSeconds * float64(time.Second))
 	if hbInterval <= 0 {
 		hbInterval = 120 * time.Second
@@ -434,7 +430,7 @@ func (w *Worker) execute(ctx context.Context, wl *wire.Workload) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		w.heartbeatLoop(ctx, hbStop, hbInterval, ids)
+		w.heartbeatLoop(hbCtx, hbInterval, cmds)
 	}()
 
 	var cmdWg sync.WaitGroup
@@ -446,48 +442,72 @@ func (w *Worker) execute(ctx context.Context, wl *wire.Workload) {
 		}(cmd)
 	}
 	cmdWg.Wait()
-	close(hbStop)
+	stopHB()
 	wg.Wait()
 }
 
-// heartbeatLoop reports liveness and processes abort instructions.
-func (w *Worker) heartbeatLoop(ctx context.Context, stop <-chan struct{}, interval time.Duration, ids []string) {
+// heartbeatLoop reports liveness and processes abort instructions. Each
+// interval it heartbeats its home with every command it runs, and each other
+// server its running commands came from with those: the server that holds a
+// command tracks the worker running it, and only that server can tell it to
+// abort — the home, too, once it has taken a failed origin's projects over.
+// The heartbeats go out side by side, each given one interval: a slow link
+// to one server neither delays the others nor outlives the next heartbeat.
+func (w *Worker) heartbeatLoop(ctx context.Context, interval time.Duration, cmds []wire.CommandSpec) {
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
 	for {
 		select {
-		case <-stop:
-			return
 		case <-ctx.Done():
 			return
 		case <-tick.C:
 		}
+		home := w.Home()
+		live := map[string][]string{home: nil}
 		w.mu.Lock()
-		live := make([]string, 0, len(ids))
-		for _, id := range ids {
-			if _, ok := w.running[id]; ok {
-				live = append(live, id)
+		for _, cmd := range cmds {
+			if _, ok := w.running[cmd.ID]; ok {
+				live[home] = append(live[home], cmd.ID)
+				if cmd.Origin != "" && cmd.Origin != home {
+					live[cmd.Origin] = append(live[cmd.Origin], cmd.ID)
+				}
 			}
 		}
 		w.mu.Unlock()
-		reply, err := w.request(ctx, "heartbeat", w.Home(), wire.MsgHeartbeat,
-			&wire.Heartbeat{WorkerID: w.ID(), CommandIDs: live})
-		if err != nil {
-			w.log.Warn("heartbeat failed", "err", err)
-			continue
+		round, cancel := context.WithTimeout(ctx, interval)
+		var wg sync.WaitGroup
+		for to, ids := range live {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				w.heartbeat(round, to, ids)
+			}()
 		}
-		var ack wire.HeartbeatAck
-		if err := wire.Unmarshal(reply, &ack); err != nil {
-			continue
-		}
-		for _, id := range ack.AbortCommandIDs {
-			w.mu.Lock()
-			cancel := w.running[id]
-			w.mu.Unlock()
-			if cancel != nil {
-				w.log.Info("aborting terminated command", "command", id)
-				cancel()
-			}
+		wg.Wait()
+		cancel()
+	}
+}
+
+// heartbeat sends one heartbeat naming ids to server to, and cancels the
+// commands its ack aborts.
+func (w *Worker) heartbeat(ctx context.Context, to string, ids []string) {
+	reply, err := w.request(ctx, "heartbeat", to, wire.MsgHeartbeat,
+		&wire.Heartbeat{WorkerID: w.ID(), CommandIDs: ids})
+	if err != nil {
+		w.log.Warn("heartbeat failed", "server", to, "err", err)
+		return
+	}
+	var ack wire.HeartbeatAck
+	if err := wire.Unmarshal(reply, &ack); err != nil {
+		return
+	}
+	for _, id := range ack.AbortCommandIDs {
+		w.mu.Lock()
+		cancel := w.running[id]
+		w.mu.Unlock()
+		if cancel != nil {
+			w.log.Info("aborting terminated command", "command", id)
+			cancel()
 		}
 	}
 }
@@ -534,6 +554,8 @@ func (w *Worker) runCommand(ctx context.Context, cmd wire.CommandSpec, cores int
 		}
 	}
 
+	// Checkpoints and chunks are sent under the run's context: an abort
+	// ends a send that is waiting on a slow link, as it ends the run.
 	progress := func(checkpoint []byte) {
 		w.saveLocalCheckpoint(cmd.ID, checkpoint)
 		partial := wire.CommandResult{
@@ -545,7 +567,7 @@ func (w *Worker) runCommand(ctx context.Context, cmd wire.CommandSpec, cores int
 			Checkpoint: checkpoint,
 		}
 		w.met.checkpointBytes.Observe(float64(len(checkpoint)))
-		w.sendResult(ctx, cmd.Origin, &partial)
+		w.sendResult(runCtx, cmd.Origin, &partial)
 	}
 
 	start := time.Now()
@@ -554,7 +576,7 @@ func (w *Worker) runCommand(ctx context.Context, cmd wire.CommandSpec, cores int
 	if streamer, ok := eng.(engines.Streamer); ok {
 		emit := func(chunk *wire.FrameChunk) {
 			chunk.WorkerID = w.ID()
-			w.sendChunk(ctx, cmd.Origin, chunk)
+			w.sendChunk(runCtx, cmd.Origin, chunk)
 		}
 		output, err = streamer.RunStream(runCtx, cmd, cores, progress, emit)
 	} else {

@@ -103,13 +103,15 @@ crash() {
 # docs/PERSISTENCE.md ("Replication & failover") — then the Host assembly
 # cpcserver starts, driven directly: restart-after-fence with each side's
 # original configuration, a standby started before its primary, and
-# failover over real TLS, five times each. Then the replication protocol
+# failover over real TLS, five times each, and the partition drill with
+# drop faults on the server links ten times. Then the replication protocol
 # itself: the explicit-state checker over every interleaving to depth 16
 # (tier-1 runs depth 12), and the real Peer under a flapping link and a
 # failing Promote hook, 100 times.
 failover() {
-    echo "== standby failover (race; Host restart-after-fence, standby-first start and TLS failover x5) =="
+    echo "== standby failover (race; Host restart-after-fence, standby-first start and TLS failover x5; partition under drop faults x10) =="
     $GO test -race -run TestFailover -timeout 600s ./internal/core/
+    $GO test -race -count=10 -timeout 1800s -run '^TestFailoverUnderPartitionChaos$' ./internal/core/
     $GO test -race -count=5 -timeout 900s \
         -run 'TestHost|TestStandbyStartsBeforeItsPrimary|TestFailoverOverTLS|TestTLSDeploymentEndToEnd' ./internal/core/
     echo "== replication protocol (checker to depth 16; flapping link and failed promotion, race x100) =="
@@ -122,7 +124,9 @@ failover() {
 # campaign submitted after they parked, the park/wake/expire/supersede/close
 # interleavings, a handler's commands reaching a match whole (and no match
 # waiting on a handler), a worker told to abort a command another worker's
-# late result settled, the transport-free core's own tests (no core file
+# late result settled, a relay-homed worker's lost workload reply recovered
+# and its command aborted from the origin that holds it, the transport-free
+# core's own tests (no core file
 # imports a transport, starts a goroutine or reads the wall clock; restored
 # commands carry the restoring server's origin), the overlay's concurrent
 # request handlers, the two single writers' reused send buffers (a link's
@@ -135,7 +139,7 @@ dispatch() {
     $GO test -race -count=20 -timeout 600s \
         -run 'TestFabricMSMDistributedAcrossRelays|TestIdleFleetPicksUpAtOnce|TestFabricCloseWithIdleWorkers' ./internal/core/
     $GO test -race -count=20 -timeout 600s \
-        -run 'TestParked|TestWakeCostsOnePerPush|TestLateRelayedWorkloadHandedBack|TestRelayedAssignmentLostReplyRecovered|TestAnnounceNeverWaitsOnAHandler|TestHandlerBatchArrivesWhole|TestRefusedBatchQueuesNothing|TestHeartbeatAbortsSettledCommand|TestCore' ./internal/server/
+        -run 'TestParked|TestWakeCostsOnePerPush|TestLateRelayedWorkloadHandedBack|TestRelayedAssignmentLostReplyRecovered|TestAnnounceNeverWaitsOnAHandler|TestHandlerBatchArrivesWhole|TestRefusedBatchQueuesNothing|TestHeartbeatAbortsSettledCommand|TestCore|TestLostRelayedReplyProjectFinishes|TestRelayedCommandAbortedAtOrigin' ./internal/server/
     $GO test -race -count=20 -timeout 600s -run 'TestWorkerAbortsTerminatedCommand' ./internal/worker/
     $GO test -race -count=20 -timeout 600s \
         -run 'TestBlockedHandler|TestCloseWithBlockedHandler|TestLinkHandlerCap|TestFloodPasses|TestLinkFramesSurviveBufferReuse|TestRefusedBodyFailsOneRequest|TestLinkDropsUnframableEnvelope' ./internal/overlay/

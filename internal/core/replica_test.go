@@ -219,14 +219,18 @@ func TestFailoverUnderPartitionChaos(t *testing.T) {
 	// keeps running on the primary while the standby's lease runs out. A
 	// drop fault can make the standby rejoin around the cut, and a standby
 	// not caught up since its last join rightly never promotes: then heal,
-	// and cut again once it has caught up.
-	for {
+	// and cut again once it has caught up, a few times at most.
+	const cuts = 3
+	for cut := 1; ; cut++ {
 		waitReplicaCaughtUp(t, f, 0, 10)
 		f.ServerChaos[0].Partition("server-1")
 		f.ServerChaos[1].Partition("server-0")
 		f.ClientChaos.Partition("server-0")
 		if promotesCaughtUp(t, f.Peer(1)) {
 			break
+		}
+		if cut == cuts {
+			t.Fatalf("standby dropped its caught-up state at each of %d cuts and never promoted", cuts)
 		}
 		f.ServerChaos[0].Heal("server-1")
 		f.ServerChaos[1].Heal("server-0")

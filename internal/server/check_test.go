@@ -190,8 +190,10 @@ func (w *lcWorld) enabled(l int) bool {
 	}
 	k := &w.w[l%2]
 	switch l / 2 {
-	case eAnnounce, eRelayed:
+	case eAnnounce:
 		return k.run == ""
+	case eRelayed:
+		return true // while the worker runs, a stale copy
 	case eCheckpoint:
 		return k.run != "" && !k.ckpt
 	case eLate:
@@ -235,18 +237,27 @@ func (w *lcWorld) step(l int) error {
 		switch l / 2 {
 		case eAnnounce, eRelayed:
 			// As the shell serves a direct announce (match, touch, assign) and
-			// a relayed one (touch, match, assign what it found).
+			// a relayed one (re-offer or match, assign what it found).
 			info := wire.WorkerInfo{ID: name, Platform: "smp", Cores: 1, Executables: []string{"sim"}}
+			busy := k.run
+			running := busy != "" && w.command(busy).runningOn(name)
 			var wl wire.Workload
 			if l/2 == eAnnounce {
 				wl = w.s.q.Match(info)
-				w.s.touchWorker(info, true)
+				w.s.touchWorker(info)
 			} else {
-				w.s.touchWorker(info, false)
 				wl = w.s.matchRelayed(info)
 			}
 			if len(wl.Commands) > 0 {
 				wl = w.s.Assign(info, wl)
+			}
+			if busy != "" {
+				// A stale relayed copy: its home drops the reply, and the
+				// worker runs on. The command it runs stays its.
+				if running && !w.command(busy).runningOn(name) {
+					return fmt.Errorf("a stale relayed announce took %s off %s, which runs it", busy, name)
+				}
+				break
 			}
 			for _, cmd := range wl.Commands {
 				k.run, k.ckpt = cmd.ID, false
@@ -367,8 +378,11 @@ func (w *lcWorld) check() error {
 func (w *lcWorld) onRecord(worker, id string) bool {
 	w.s.mu.Lock()
 	defer w.s.mu.Unlock()
-	ws := w.s.workers[worker]
-	return ws != nil && ws.commands[id]
+	if ws := w.s.workers[worker]; ws != nil {
+		_, on := ws.commands[id]
+		return on
+	}
+	return false
 }
 
 // String renders everything that decides the world's future: the visited

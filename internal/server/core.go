@@ -5,6 +5,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 	"time"
@@ -109,14 +110,13 @@ type project struct {
 	fx         []effect // the transitions' effects, until the core applies them
 }
 
-// workerState is a server's liveness record for a worker: one that
-// announced to it directly, or runs commands it holds. Only the server that
-// holds a command recovers it, so a worker reached by relay has a record at
-// each origin of its workload, refreshed by the heartbeat it sends there.
+// workerState is a server's liveness record for a worker that announced to
+// it directly or runs commands it holds: only the server that holds a
+// command recovers it, so a relayed worker has a record at each origin.
 type workerState struct {
 	info     wire.WorkerInfo
 	lastSeen time.Time
-	commands map[string]bool // held here, assigned to the worker
+	commands map[string]int // held here and assigned to the worker: their cores
 }
 
 // Core is the server's state and every decision it makes about it.
@@ -374,22 +374,24 @@ func (c *Core) forCommand(id string, f func(*project, *cmdState) bool) bool {
 
 // --- worker traffic ---
 
-// Assign hands a matched workload, direct or relayed, to the announcing
-// worker: the assignments are journaled and added to the worker's record,
-// created if need be, before the reply leaves. The reply can be lost; the
-// worker's next announce that reaches this server, or its silence, then
-// recovers the commands.
+// Assign hands a matched or re-offered workload, direct or relayed, to the
+// announcing worker: the assignments are journaled and added to the worker's
+// record, created if need be, before the reply leaves. The reply can be
+// lost; the worker's next announce that reaches this server, or its
+// silence, then recovers the commands.
 func (c *Core) Assign(info wire.WorkerInfo, wl wire.Workload) wire.Workload {
 	wl.HeartbeatSeconds = c.cfg.HeartbeatInterval.Seconds()
 	wl.SharedFS = c.cfg.FSToken != "" && c.cfg.FSToken == info.FSToken
-	var held []string
+	held := make(map[string]int)
 	for _, cmd := range wl.Commands {
 		if p := c.project(cmd.Project); p != nil {
 			p.mu.Lock()
 			if cs := p.command(cmd.ID); cs != nil {
 				assigned(p, cs, info.ID, wl.Cores[cmd.ID])
 				c.apply(p)
-				held = append(held, cs.spec.ID)
+				if cs.runningOn(info.ID) { // else settled before it could be assigned
+					held[cs.spec.ID] = wl.Cores[cmd.ID]
+				}
 			}
 			p.mu.Unlock()
 		}
@@ -397,35 +399,56 @@ func (c *Core) Assign(info wire.WorkerInfo, wl wire.Workload) wire.Workload {
 	c.mu.Lock()
 	ws := c.workers[info.ID]
 	if ws == nil {
-		ws = &workerState{commands: make(map[string]bool)}
+		ws = &workerState{commands: make(map[string]int)}
 		c.workers[info.ID] = ws
 	}
 	ws.info, ws.lastSeen = info, c.env.now()
-	for _, id := range held {
-		ws.commands[id] = true
-	}
+	maps.Copy(ws.commands, held)
 	c.mu.Unlock()
 	return wl
 }
 
-// touchWorker applies an announce, direct or relayed, to the worker's
-// record. A worker announces only once its previous workload is done, so
-// commands still on its record are orphans — their workload reply was lost —
-// and are requeued at once. A direct announce creates the record; a relayed
-// one that finds none passes through and leaves none.
-func (c *Core) touchWorker(info wire.WorkerInfo, direct bool) {
+// reoffer answers a relayed announce with the commands still running on the
+// worker's record here, as they were assigned. A relayed copy, unlike a
+// direct announce, cannot prove the worker idle: its home may send several
+// for one parked worker, and one can arrive after another's workload was
+// delivered. So nothing is requeued: a worker that never got the commands
+// takes them now, and the home of one that runs them drops the reply.
+func (c *Core) reoffer(info wire.WorkerInfo) wire.Workload {
+	var wl wire.Workload
+	c.mu.Lock()
+	if ws := c.workers[info.ID]; ws != nil {
+		wl.Cores = maps.Clone(ws.commands)
+	}
+	c.mu.Unlock()
+	for id := range wl.Cores {
+		c.forCommand(id, func(_ *project, cs *cmdState) bool {
+			if cs.runningOn(info.ID) {
+				wl.Commands = append(wl.Commands, cs.resumable())
+			}
+			return true
+		})
+	}
+	if len(wl.Commands) > 0 {
+		c.met.orphaned.Inc()
+		c.log.Info("re-offering a worker's record to its relayed announce", "worker", info.ID, "commands", len(wl.Commands))
+	}
+	return wl
+}
+
+// touchWorker applies a direct announce to the worker's record, creating it
+// if need be. A worker announces only once its previous workload is done,
+// so commands still on its record are orphans — their workload reply was
+// lost — and are requeued at once.
+func (c *Core) touchWorker(info wire.WorkerInfo) {
 	c.mu.Lock()
 	ws := c.workers[info.ID]
-	if ws == nil && !direct {
-		c.mu.Unlock()
-		return
-	}
 	if ws == nil {
 		ws = &workerState{}
 		c.workers[info.ID] = ws
 	}
 	orphans := ws.commands
-	ws.info, ws.lastSeen, ws.commands = info, c.env.now(), make(map[string]bool)
+	ws.info, ws.lastSeen, ws.commands = info, c.env.now(), make(map[string]int)
 	c.mu.Unlock()
 	if len(orphans) > 0 {
 		c.met.orphaned.Inc()
@@ -486,28 +509,30 @@ func (c *Core) heartbeat(hb *wire.Heartbeat) wire.HeartbeatAck {
 	c.met.heartbeats.Inc()
 	c.mu.Lock()
 	ws := c.workers[hb.WorkerID]
-	if ws != nil {
-		ws.lastSeen = c.env.now()
+	if ws == nil {
+		ws = &workerState{} // none kept here: nothing to refresh or delete
 	}
+	ws.lastSeen = c.env.now()
 	c.mu.Unlock()
 
 	var ack wire.HeartbeatAck
 	for _, id := range hb.CommandIDs {
 		c.mu.Lock()
+		// Preempted for a starved tenant: the command was requeued from its
+		// checkpoint, so the old worker must stop burning cores on it.
 		_, evicted := c.preempted[id]
-		if evicted {
-			// Preempted for a starved tenant: the command was requeued from
-			// its checkpoint, so the old worker must stop burning cores on it.
-			delete(c.preempted, id)
-			if ws != nil {
-				delete(ws.commands, id)
-			}
-		}
+		delete(c.preempted, id)
 		c.mu.Unlock()
 		if evicted || c.forCommand(id, func(_ *project, cs *cmdState) bool { return cs.settled() }) {
 			ack.AbortCommandIDs = append(ack.AbortCommandIDs, id)
 		}
 	}
+	// Aborted runs are over here: off the record, so its silence loses none.
+	c.mu.Lock()
+	for _, id := range ack.AbortCommandIDs {
+		delete(ws.commands, id)
+	}
+	c.mu.Unlock()
 	return ack
 }
 
@@ -516,7 +541,7 @@ func (c *Core) heartbeat(hb *wire.Heartbeat) wire.HeartbeatAck {
 // idle worker going quiet needs no recovery: it left, or will re-announce.
 func (c *Core) reapDeadWorkers() {
 	cutoff := c.env.now().Add(-2 * c.cfg.HeartbeatInterval)
-	victims := make(map[string]map[string]bool)
+	victims := make(map[string]map[string]int)
 	c.mu.Lock()
 	for id, ws := range c.workers {
 		if ws.lastSeen.Before(cutoff) {
@@ -582,7 +607,7 @@ func (c *Core) preemptForStarved() {
 }
 
 // lost requeues or fails the commands of a worker's record, in ID order.
-func (c *Core) lost(worker string, commands map[string]bool) {
+func (c *Core) lost(worker string, commands map[string]int) {
 	ids := make([]string, 0, len(commands))
 	for id := range commands {
 		ids = append(ids, id)

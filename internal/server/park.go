@@ -191,11 +191,15 @@ func (c *Core) Announce(req *wire.AnnounceRequest, link string) (wire.Workload, 
 	return wl, w
 }
 
-// matchRelayed serves another server's search. Relayed announces are never
-// parked — two servers could both end up answering one request and the
+// matchRelayed serves another server's search: with what the worker's
+// record here holds (reoffer), or else from the queue. Relayed announces are
+// never parked — two servers could both end up answering one request and the
 // second workload would be lost — so a miss is only remembered: the searcher
 // has a worker waiting, which is what makes a later notice worth sending.
 func (c *Core) matchRelayed(info wire.WorkerInfo) wire.Workload {
+	if wl := c.reoffer(info); len(wl.Commands) > 0 {
+		return wl
+	}
 	p := &c.park
 	p.mu.Lock()
 	defer p.mu.Unlock()

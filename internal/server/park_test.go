@@ -449,8 +449,8 @@ func parkInterleavings(t *testing.T, seed int64, closeEarly bool) {
 // comes home with a workload after a local wake has already answered the
 // announce. The workload is not delivered; the origin keeps its commands on
 // the worker's record there, and the worker's next announce, relayed to the
-// origin, recovers them as orphans and dispatches them again. One orphan
-// event, at the origin; no command lost.
+// origin, is offered them again. One orphan event, at the origin; no command
+// lost, and no retry spent.
 func TestLateRelayedWorkloadHandedBack(t *testing.T) {
 	o0, o1 := obs.New(), obs.New()
 	net := overlay.NewMemNetwork()
@@ -517,12 +517,163 @@ func TestLateRelayedWorkloadHandedBack(t *testing.T) {
 	if got := metricValue(t, o1, "copernicus_commands_orphaned_total"); got != 0 {
 		t.Errorf("home server copernicus_commands_orphaned_total = %g, want 0", got)
 	}
-	if got := metricValue(t, o0, "copernicus_commands_requeued_total"); got != 1 {
-		t.Errorf("origin copernicus_commands_requeued_total = %g, want 1", got)
+	if got := metricValue(t, o0, "copernicus_commands_requeued_total"); got != 0 {
+		t.Errorf("origin copernicus_commands_requeued_total = %g, want 0", got)
 	}
 	if got := metricValue(t, o1, `copernicus_server_announce_hold_seconds_count{node="`+home.Node().ID()+`",outcome="relayed"}`); got != 1 {
 		t.Errorf("hold histogram counted %g relayed outcomes, want 1 (the re-dispatch)", got)
 	}
+}
+
+// TestLateRelayedWorkloadReapedAtOrigin: as above, the search's workload
+// comes home after a local wake answered the announce, but the home has more
+// local work, so the worker's next announces never reach the origin. The
+// origin, which the worker does not heartbeat, reaps its record after two
+// heartbeat intervals and requeues the command while the worker is still
+// busy: the dropped workload is recovered within 2×HB.
+func TestLateRelayedWorkloadReapedAtOrigin(t *testing.T) {
+	const hb = 100 * time.Millisecond
+	o0 := obs.New()
+	net := overlay.NewMemNetwork()
+	origin := parkNode(t, net, 1, "s0", Config{HeartbeatInterval: hb, RelayTimeout: 10 * time.Second, Obs: o0})
+	home := parkNode(t, net, 2, "s1", Config{HeartbeatInterval: time.Hour, RelayTimeout: 10 * time.Second})
+	if _, err := home.Node().ConnectPeer("s0"); err != nil {
+		t.Fatal(err)
+	}
+	c0 := newParkClient(t, net, 3, "s0", origin)
+	c1 := newParkClient(t, net, 4, "s1", home)
+
+	gate := make(chan struct{})
+	matched := make(chan struct{}, 4)
+	origin.Node().Handle(wire.MsgAnnounce, func(from string, payload []byte) ([]byte, error) {
+		reply, err := origin.handleAnnounce(from, payload)
+		if err == nil {
+			matched <- struct{}{}
+			<-gate
+		}
+		return reply, err
+	})
+
+	c0.push(t, "far", 1)
+	answer := make(chan wire.Workload, 1)
+	go func() {
+		wl, err := c1.announce("w1", "sim", 8*time.Second)
+		if err != nil {
+			t.Errorf("announce: %v", err)
+		}
+		answer <- wl
+	}()
+	<-matched
+	c1.push(t, "near", 2)
+	wl := <-answer
+	dropped := time.Now()
+	close(gate)
+	if len(wl.Commands) != 1 || wl.Commands[0].ID != "near-c0" {
+		t.Fatalf("parked announce got %+v, want the local near-c0", wl.Commands)
+	}
+
+	// The worker runs near-c0 and announces nowhere meanwhile.
+	for queued := false; !queued; time.Sleep(5 * time.Millisecond) {
+		origin.core.withProjectCommand("far", "far-c0", func(_ *project, cs *cmdState) {
+			queued = cs.status == cmdQueued
+		})
+		if time.Since(dropped) > 20*hb {
+			t.Fatal("the dropped workload's command was not requeued at the origin")
+		}
+	}
+	if got := metricValue(t, o0, "copernicus_heartbeat_misses_total"); got != 1 {
+		t.Errorf("origin copernicus_heartbeat_misses_total = %g, want 1", got)
+	}
+	if got := metricValue(t, o0, "copernicus_commands_orphaned_total"); got != 0 {
+		t.Errorf("origin copernicus_commands_orphaned_total = %g, want 0", got)
+	}
+	// The worker's next announce is served at home.
+	c1.finish(t, "w1", wl)
+	if wl, err := c1.announce("w1", "sim", time.Second); err != nil || len(wl.Commands) != 1 || wl.Commands[0].ID != "near-c1" {
+		t.Fatalf("next announce got %+v (err %v), want the local near-c1", wl.Commands, err)
+	}
+}
+
+// TestStaleRelayedAnnounceRequeuesNothing: work-available notices reach the
+// home while its search for a parked worker is on its way to the origin, so
+// three relayed copies of one announce arrive there. The second one's
+// workload is delivered; the other two arrive while the worker runs it. They
+// are offered the same command again, and the home drops those replies:
+// nothing is requeued and no retry is spent.
+func TestStaleRelayedAnnounceRequeuesNothing(t *testing.T) {
+	o0 := obs.New()
+	net := overlay.NewMemNetwork()
+	cfg := Config{HeartbeatInterval: time.Hour, RelayTimeout: 10 * time.Second}
+	home := parkNode(t, net, 2, "s1", cfg)
+	cfg.Obs = o0
+	origin := parkNode(t, net, 1, "s0", cfg)
+	if _, err := home.Node().ConnectPeer("s0"); err != nil {
+		t.Fatal(err)
+	}
+	c0 := newParkClient(t, net, 3, "s0", origin)
+	c1 := newParkClient(t, net, 4, "s1", home)
+
+	// Each relayed announce is held at the origin until its gate opens, or
+	// the test ends.
+	gates := make(chan chan struct{}, 3) // one per copy: the search and two notices'
+	ended := make(chan struct{})
+	t.Cleanup(func() { close(ended) })
+	var handled atomic.Int32
+	origin.Node().Handle(wire.MsgAnnounce, func(from string, payload []byte) ([]byte, error) {
+		gate := make(chan struct{})
+		select {
+		case gates <- gate:
+		case <-ended:
+		}
+		select {
+		case <-gate:
+		case <-ended:
+		}
+		defer handled.Add(1)
+		return origin.handleAnnounce(from, payload)
+	})
+	next := func() chan struct{} {
+		select {
+		case g := <-gates:
+			return g
+		case <-time.After(5 * time.Second):
+			t.Fatal("no relayed announce reached the origin")
+			return nil
+		}
+	}
+
+	c0.push(t, "far", 1)
+	answer := make(chan wire.Workload, 1)
+	go func() {
+		wl, err := c1.announce("w1", "sim", 8*time.Second)
+		if err != nil {
+			t.Errorf("announce: %v", err)
+		}
+		answer <- wl
+	}()
+	first := next()
+	home.handleWorkAvailable("s0", nil)
+	home.handleWorkAvailable("s0", nil)
+	second, third := next(), next()
+	close(second)
+	wl := <-answer
+	if len(wl.Commands) != 1 || wl.Commands[0].ID != "far-c0" {
+		t.Fatalf("parked announce got %+v, want far-c0", wl.Commands)
+	}
+	close(first)
+	close(third)
+	for handled.Load() < 3 {
+		time.Sleep(time.Millisecond)
+	}
+	if got := metricValue(t, o0, "copernicus_commands_requeued_total"); got != 0 {
+		t.Errorf("origin copernicus_commands_requeued_total = %g, want 0: a running command was requeued", got)
+	}
+	c0.finish(t, "w1", wl)
+	origin.core.withProjectCommand("far", "far-c0", func(_ *project, cs *cmdState) {
+		if cs.status != cmdDone || cs.retries != 0 {
+			t.Errorf("far-c0 has status %d after %d retries, want done after none", cs.status, cs.retries)
+		}
+	})
 }
 
 // TestParkedWorkerGoneGetsNoWork: a worker whose link closes while its

@@ -103,8 +103,8 @@ func (e *relayEngine) Run(ctx context.Context, spec wire.CommandSpec, _ int, _ f
 // TestLostRelayedReplyProjectFinishes: the origin matches the relay's search
 // for a worker and journals the assignment, and its workload reply is lost:
 // it is held until the search has given up. The worker's next announce,
-// relayed to the origin, finds the command on the worker's record there and
-// the origin dispatches it again, so the project finishes. With no record of
+// relayed to the origin, is offered the command again from the worker's
+// record there, so the project finishes. With no record of
 // a worker it reached by relay, the origin would leave the command running
 // on nobody, and the project would never finish.
 func TestLostRelayedReplyProjectFinishes(t *testing.T) {

@@ -269,20 +269,18 @@ func (s *Server) WaitProject(ctx context.Context, name string) (wire.ProjectStat
 // overlay carries it on to "the first server with available commands". A
 // direct announce that misses is parked (park.go) until a queue event, the
 // overlay search for it, or the end of its hold: never while work waits.
-// Either way the announce says the worker is idle (touchWorker).
+// A direct announce says the worker is idle (touchWorker); a relayed copy
+// may be stale, and is offered what the worker's record holds (reoffer).
 func (s *Server) handleAnnounce(from string, payload []byte) ([]byte, error) {
 	var req wire.AnnounceRequest
 	if err := wire.Unmarshal(payload, &req); err != nil {
 		return nil, err
 	}
 	if req.Relayed {
-		if from == s.node.ID() {
-			// Our own search, passing through on its way out: the direct
-			// announce it copies has just missed here.
-			return nil, overlay.ErrNotHandled
+		var wl wire.Workload
+		if from != s.node.ID() { // else our own search, on its way out: it just missed here
+			wl = s.core.matchRelayed(req.Info)
 		}
-		s.core.touchWorker(req.Info, false)
-		wl := s.core.matchRelayed(req.Info)
 		if len(wl.Commands) == 0 {
 			return nil, overlay.ErrNotHandled
 		}
@@ -293,7 +291,7 @@ func (s *Server) handleAnnounce(from string, payload []byte) ([]byte, error) {
 		link = from
 	}
 	wl, w := s.core.Announce(&req, link)
-	s.core.touchWorker(req.Info, true)
+	s.core.touchWorker(req.Info)
 	if w != nil {
 		s.search(w)
 		s.await(w)

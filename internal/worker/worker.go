@@ -413,46 +413,35 @@ func (w *Worker) drainSpool(ctx context.Context) {
 	}
 }
 
-// execute runs a workload: one goroutine per command plus a heartbeat
-// ticker, blocking until every command has completed or aborted; a
-// heartbeat still in flight then is abandoned.
+// execute runs a workload: one goroutine per command and the heartbeats,
+// until every command has completed or aborted.
 func (w *Worker) execute(ctx context.Context, wl *wire.Workload) {
-	cmds := wl.Commands
-	if len(cmds) == 0 {
-		return
-	}
-	var wg sync.WaitGroup
-	hbCtx, stopHB := context.WithCancel(ctx)
 	hbInterval := time.Duration(wl.HeartbeatSeconds * float64(time.Second))
 	if hbInterval <= 0 {
 		hbInterval = 120 * time.Second
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		w.heartbeatLoop(hbCtx, hbInterval, cmds)
-	}()
-
-	var cmdWg sync.WaitGroup
-	for _, cmd := range cmds {
-		cmdWg.Add(1)
-		go func(cmd wire.CommandSpec) {
-			defer cmdWg.Done()
+	var wg sync.WaitGroup
+	for _, cmd := range wl.Commands {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
 			w.runCommand(ctx, cmd, wl.Cores[cmd.ID], wl.SharedFS)
-		}(cmd)
+		}()
 	}
-	cmdWg.Wait()
-	stopHB()
+	hbCtx, stopHB := context.WithCancel(ctx)
+	go func() {
+		wg.Wait()
+		stopHB()
+	}()
+	w.heartbeatLoop(hbCtx, hbInterval, wl.Commands) // until the commands end, or ctx
 	wg.Wait()
 }
 
-// heartbeatLoop reports liveness and processes abort instructions. Each
-// interval it heartbeats its home with every command it runs, and each other
-// server its running commands came from with those: the server that holds a
-// command tracks the worker running it, and only that server can tell it to
-// abort — the home, too, once it has taken a failed origin's projects over.
-// The heartbeats go out side by side, each given one interval: a slow link
-// to one server neither delays the others nor outlives the next heartbeat.
+// heartbeatLoop reports liveness and processes abort instructions, until
+// ctx ends. Each interval it heartbeats its home with every command it
+// runs, and each other server its commands came from with those: only the
+// server that holds a command tracks its worker and can abort it. The
+// heartbeats go out side by side, each given one interval.
 func (w *Worker) heartbeatLoop(ctx context.Context, interval time.Duration, cmds []wire.CommandSpec) {
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
@@ -501,11 +490,10 @@ func (w *Worker) heartbeat(ctx context.Context, to string, ids []string) {
 	if err := wire.Unmarshal(reply, &ack); err != nil {
 		return
 	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	for _, id := range ack.AbortCommandIDs {
-		w.mu.Lock()
-		cancel := w.running[id]
-		w.mu.Unlock()
-		if cancel != nil {
+		if cancel := w.running[id]; cancel != nil {
 			w.log.Info("aborting terminated command", "command", id)
 			cancel()
 		}

@@ -45,9 +45,12 @@ func BenchmarkNonbondedKernel(b *testing.B) {
 	}
 }
 
-// BenchmarkNeighborRebuild times a full cell-grid rebuild (binning, slab
-// traversal, parameter packing, merge sort) at fixed positions, serial vs
-// two and four slab workers.
+// BenchmarkNeighborRebuild times a full neighbour-list rebuild at fixed
+// positions. The cell-grid rows (binning, slab traversal, parameter packing,
+// merge sort) run on a 2048-atom LJ fluid with serial, two and four slab
+// workers; the smallbox rows run on md_ensemble's box (192 waters, cutoff
+// 0.6 + skin 0.08), whose 1.8 nm edge is under three listing radii, so it
+// takes the all-pairs row-band sweep, serial and on two workers.
 func BenchmarkNeighborRebuild(b *testing.B) {
 	sys, err := topology.LJFluid(2048, 8, 1)
 	if err != nil {
@@ -61,6 +64,25 @@ func BenchmarkNeighborRebuild(b *testing.B) {
 		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
 			for n := 0; n < b.N; n++ {
 				s.nbl.rebuildWith(s.pos, s.top, workers)
+			}
+		})
+	}
+
+	small, err := topology.WaterBox(192, 1)
+	if err != nil {
+		b.Fatalf("WaterBox: %v", err)
+	}
+	cfg = DefaultConfig()
+	cfg.Cutoff = 0.6
+	cfg.Skin = 0.08
+	ss := benchSim(b, small, cfg)
+	if ss.nbl.gridFits() {
+		b.Fatal("md_ensemble box fits the cell grid; the smallbox rows would not time the all-pairs sweep")
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("smallbox/workers%d", workers), func(b *testing.B) {
+			for n := 0; n < b.N; n++ {
+				ss.nbl.rebuildWith(ss.pos, ss.top, workers)
 			}
 		})
 	}

@@ -9,7 +9,9 @@
 // different worker — the failure-recovery path of the paper's §2.3.
 //
 // Parallelism inside one simulation is the shard pool: the force loop and
-// the cell rebuild are split across goroutines (the paper's thread level).
+// both neighbour rebuild paths, the cell grid's slabs and the small-box
+// all-pairs sweep's row bands, are split across goroutines (the paper's
+// thread level).
 // Above it sit commands and the overlay fleet; the MPI level's Fig 6 traffic
 // is a closed form in internal/experiments, and SIMD is out of scope.
 //
@@ -71,7 +73,7 @@ type Config struct {
 	TauT          float64        // Berendsen/Nosé–Hoover coupling time, ps
 	Gamma         float64        // Langevin friction, 1/ps
 	EpsilonRF     float64        // reaction-field dielectric; 0 disables RF correction
-	Shards        int            // goroutine shards for the force loop; <=1 serial
+	Shards        int            // goroutines for the force loop and neighbour rebuild; <=1 serial
 	Seed          uint64         // RNG seed for velocities and Langevin noise
 	COMEvery      int            // centre-of-mass motion removal interval; 0 disables
 

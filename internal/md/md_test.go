@@ -160,7 +160,7 @@ func numericalForceCheck(t *testing.T, s *Sim, tol float64) {
 					p.Z += sign * h
 				}
 				s.pos[idx] = p
-				s.nbl.rebuild(s.pos, s.top)
+				s.nbl.rebuildWith(s.pos, s.top, 1)
 				s.computeForces()
 				return s.pot.LJ + s.pot.Coulomb + s.pot.Bond + s.pot.Angle + s.pot.Dihedral
 			}
@@ -177,7 +177,7 @@ func numericalForceCheck(t *testing.T, s *Sim, tol float64) {
 			}
 			s.pos[idx] = orig
 		}
-		s.nbl.rebuild(s.pos, s.top)
+		s.nbl.rebuildWith(s.pos, s.top, 1)
 		s.computeForces()
 		scale := 1 + analytic.Norm()
 		if analytic.Sub(numeric).Norm() > tol*scale {
@@ -367,7 +367,7 @@ func TestShardedForcesMatchSerial(t *testing.T) {
 }
 
 func TestNeighborCellVsAllPairs(t *testing.T) {
-	// Same system, forced down each neighbour path, must agree.
+	// The cell grid must find exactly the reference sweep's pairs.
 	sys := smallFluid(t, 216)
 	s, err := New(sys, nveConfig())
 	if err != nil {
@@ -376,11 +376,9 @@ func TestNeighborCellVsAllPairs(t *testing.T) {
 	if !s.nbl.periodic() || !s.nbl.gridFits() {
 		t.Skip("system too small for the cell grid; nothing to compare")
 	}
-	cellPairs := pairSet(s.nbl.pairIJ())
-	nl2 := newNeighborList(s.box, s.cfg.Cutoff+s.cfg.Skin)
-	nl2.cacheAtomParams(s.top)
-	nl2.rebuildAllPairs(s.Positions(), s.top)
-	allPairs := pairSet(nl2.pairIJ())
+	cellPairs := pairSetOf(&s.nbl.plist)
+	ref := referencePairs(s.box, s.Positions(), s.top, s.cfg.Cutoff+s.cfg.Skin)
+	allPairs := pairSetOf(&ref)
 	if len(cellPairs) != len(allPairs) {
 		t.Fatalf("cell list found %d pairs, all-pairs %d", len(cellPairs), len(allPairs))
 	}
@@ -389,14 +387,6 @@ func TestNeighborCellVsAllPairs(t *testing.T) {
 			t.Fatalf("cell list missing pair %v", p)
 		}
 	}
-}
-
-func pairSet(ps []pair) map[pair]bool {
-	m := make(map[pair]bool, len(ps))
-	for _, p := range ps {
-		m[p] = true
-	}
-	return m
 }
 
 func TestCheckpointRoundTrip(t *testing.T) {

@@ -1,16 +1,13 @@
 package md
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 
 	"copernicus/internal/topology"
 	"copernicus/internal/vec"
 )
-
-// pair is one unexcluded non-bonded pair within the listing radius, used by
-// tests and the set-comparison helpers; the kernel itself consumes pairList.
-type pair struct{ i, j int32 }
 
 // pairList is the packed struct-of-arrays pair list the non-bonded kernel
 // iterates. All interaction parameters are baked in at rebuild time — the
@@ -44,24 +41,29 @@ func (pl *pairList) append(i, j int32, c6, c12, qqf float64) {
 	pl.qqf = append(pl.qqf, qqf)
 }
 
-// resize grows the arrays to exactly n entries, reusing capacity.
+// resize sets the arrays to exactly n entries, reusing capacity. When it has
+// to allocate it leaves a quarter of headroom, so a list whose length creeps
+// up across rebuilds stops reallocating after the first few.
 func (pl *pairList) resize(n int) {
-	grow := func(s []float64) []float64 {
-		if cap(s) < n {
-			return make([]float64, n)
-		}
-		return s[:n]
+	pl.ai = resized(pl.ai, n)
+	pl.aj = resized(pl.aj, n)
+	pl.c6 = resized(pl.c6, n)
+	pl.c12 = resized(pl.c12, n)
+	pl.qqf = resized(pl.qqf, n)
+}
+
+// reserve empties the list and makes room for n entries, with resize's
+// headroom, so appending up to that many allocates nothing.
+func (pl *pairList) reserve(n int) {
+	pl.resize(n)
+	pl.reset()
+}
+
+func resized[T int32 | float64](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n, n+n/4)
 	}
-	if cap(pl.ai) < n {
-		pl.ai = make([]int32, n)
-		pl.aj = make([]int32, n)
-	} else {
-		pl.ai = pl.ai[:n]
-		pl.aj = pl.aj[:n]
-	}
-	pl.c6 = grow(pl.c6)
-	pl.c12 = grow(pl.c12)
-	pl.qqf = grow(pl.qqf)
+	return s[:n]
 }
 
 // halfShellStencil is the 13 forward neighbour cell offsets of the half-shell
@@ -81,15 +83,16 @@ var halfShellStencil = func() [][3]int {
 }()
 
 // neighborList produces the packed pair list consumed by the non-bonded
-// kernel. For periodic boxes it uses a linked-cell decomposition with cells
-// at least rlist wide, with pair generation parallelised over x-slabs of the
-// grid; for aperiodic systems (single molecules in vacuo) it falls back to an
-// O(n²) sweep, which is fine at the system sizes involved.
+// kernel. Periodic boxes at least three listing radii wide use a linked-cell
+// decomposition with cells at least rlist wide, its pair generation split
+// over x-slabs of the grid. Smaller boxes and aperiodic systems (single
+// molecules in vacuo) take an O(n²) sweep split over bands of rows. Both
+// splits run on the command's rebuild workers.
 //
 // The generated list is deterministic and independent of the worker count:
-// each x-slab fills its own buffer in the same traversal order a serial sweep
-// would use, and the buffers are merged in slab order before the final
-// group-by-i counting sort.
+// each slab or band fills its own buffer in the order a serial sweep would
+// use, and the buffers are joined in slab or band order (for slabs, followed
+// by a group-by-i counting sort).
 type neighborList struct {
 	box   vec.Box
 	rlist float64  // cutoff + skin
@@ -100,14 +103,23 @@ type neighborList struct {
 	chg []float64
 	qed bool // true if any atom carries charge
 
-	// cell grid scratch, reused across rebuilds
+	// rebuild scratch, reused across rebuilds
 	nc      [3]int
 	heads   []int32
 	next    []int32
 	cellDim vec.V3
-	slabs   []pairList // per-x-slab pair buffers
+	slabs   []pairList // per-x-slab or per-row-band pair buffers
+	bands   []int      // row-band bounds: band b is rows [bands[b], bands[b+1])
 	counts  []int32    // counting-sort scratch, len natoms
 }
+
+// parallelMinCandidates is the all-pairs candidate count, n(n−1)/2, below
+// which the sweep is not worth a fan-out (about 180 atoms).
+const parallelMinCandidates = 1 << 14
+
+// bandsPerWorker cuts the all-pairs sweep finer than the worker count, so a
+// worker the scheduler delays holds up at most a small band.
+const bandsPerWorker = 4
 
 func newNeighborList(box vec.Box, rlist float64) *neighborList {
 	return &neighborList{box: box, rlist: rlist}
@@ -136,20 +148,15 @@ func (nl *neighborList) cacheAtomParams(top *topology.Topology) {
 	}
 }
 
-// rebuild regenerates the pair list serially from current positions.
-func (nl *neighborList) rebuild(pos []vec.V3, top *topology.Topology) {
-	nl.rebuildWith(pos, top, 1)
-}
-
-// rebuildWith regenerates the pair list, parallelising cell-grid pair
-// generation across up to `workers` goroutines. The result is identical for
+// rebuildWith regenerates the pair list from current positions, splitting
+// the work across up to `workers` goroutines. The result is identical for
 // every worker count.
 func (nl *neighborList) rebuildWith(pos []vec.V3, top *topology.Topology, workers int) {
 	nl.cacheAtomParams(top)
 	if nl.periodic() && nl.gridFits() {
 		nl.rebuildCells(pos, top, workers)
 	} else {
-		nl.rebuildAllPairs(pos, top)
+		nl.rebuildAllPairs(pos, top, workers)
 	}
 }
 
@@ -162,6 +169,52 @@ func (nl *neighborList) gridFits() bool {
 		}
 	}
 	return true
+}
+
+// expectedPairs estimates a periodic box's list length from its density
+// (half of each atom's neighbours within rlist), for presizing the pair
+// buffers. Aperiodic systems get 0: their lists grow by append.
+func (nl *neighborList) expectedPairs(natoms int) int {
+	if !nl.periodic() {
+		return 0
+	}
+	n := float64(natoms)
+	sphere := 4 * math.Pi / 3 * nl.rlist * nl.rlist * nl.rlist
+	return int(0.5 * n * n * sphere / nl.box.Volume())
+}
+
+// fillSlabs fills the pair buffers nl.slabs[0:n], buffer k by fill, on up
+// to `workers` goroutines (the caller among them) that pull buffer indices
+// from a shared cursor; it returns once all are full. Each buffer is first
+// reserved for `per` pairs. fill gets and returns the buffer by value, so it
+// appends to a header on its own stack: appending through nl.slabs[k] itself
+// would rewrite, on every pair, a cache line that neighbouring buffers'
+// headers share.
+func (nl *neighborList) fillSlabs(workers, n, per int, fill func(buf pairList, k int) pairList) {
+	if len(nl.slabs) < n {
+		nl.slabs = append(nl.slabs, make([]pairList, n-len(nl.slabs))...)
+	}
+	var cursor atomic.Int64
+	work := func() {
+		for {
+			k := int(cursor.Add(1)) - 1
+			if k >= n {
+				return
+			}
+			nl.slabs[k].reserve(per)
+			nl.slabs[k] = fill(nl.slabs[k], k)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(workers, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 }
 
 // packInto appends pair (i, j) with baked interaction parameters, normalising
@@ -178,20 +231,69 @@ func (nl *neighborList) packInto(buf *pairList, top *topology.Topology, i, j int
 	buf.append(int32(i), int32(j), c6, c12, qqf)
 }
 
-// rebuildAllPairs is the O(n²) aperiodic fallback; its output is naturally
-// grouped by i.
-func (nl *neighborList) rebuildAllPairs(pos []vec.V3, top *topology.Topology) {
-	nl.plist.reset()
-	r2 := nl.rlist * nl.rlist
+// rebuildAllPairs is the O(n²) sweep over every i < j, for boxes too small
+// for the cell grid and for aperiodic systems. Row i holds the n−i−1
+// candidates j > i; the rows are cut into bands of equal candidate count,
+// each band fills its own buffer, and the buffers are concatenated in band
+// order. The list thus comes out grouped by ascending i, in serial sweep
+// order, whatever the worker count.
+func (nl *neighborList) rebuildAllPairs(pos []vec.V3, top *topology.Topology, workers int) {
 	n := len(pos)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if top.Excluded(i, j) {
+	candidates := n * (n - 1) / 2
+	expected := nl.expectedPairs(n)
+	if workers <= 1 || candidates < parallelMinCandidates {
+		nl.plist.reserve(expected)
+		nl.fillRows(&nl.plist, pos, top, 0, n)
+		return
+	}
+
+	nbands := bandsPerWorker * workers
+	nl.bands = append(nl.bands[:0], 0)
+	i, done := 0, 0
+	for b := 1; b < nbands; b++ {
+		for i < n && done*nbands < b*candidates {
+			done += n - i - 1
+			i++
+		}
+		nl.bands = append(nl.bands, i)
+	}
+	nl.bands = append(nl.bands, n)
+
+	nl.fillSlabs(workers, nbands, expected/nbands, func(buf pairList, b int) pairList {
+		nl.fillRows(&buf, pos, top, nl.bands[b], nl.bands[b+1])
+		return buf
+	})
+
+	total := 0
+	for b := 0; b < nbands; b++ {
+		total += nl.slabs[b].Len()
+	}
+	nl.plist.resize(total)
+	dst, off := &nl.plist, 0
+	for b := 0; b < nbands; b++ {
+		src := &nl.slabs[b]
+		copy(dst.ai[off:], src.ai)
+		copy(dst.aj[off:], src.aj)
+		copy(dst.c6[off:], src.c6)
+		copy(dst.c12[off:], src.c12)
+		copy(dst.qqf[off:], src.qqf)
+		off += src.Len()
+	}
+}
+
+// fillRows appends the pairs of rows [lo, hi) to buf in sweep order. It is
+// tryPair inlined by hand (a call per candidate costs the sweep ~8 %): the
+// distance test runs before the binary-searched exclusion test, which then
+// sees only the quarter or so of candidates within range.
+func (nl *neighborList) fillRows(buf *pairList, pos []vec.V3, top *topology.Topology, lo, hi int) {
+	r2 := nl.rlist * nl.rlist
+	for i := lo; i < hi; i++ {
+		p := pos[i]
+		for j := i + 1; j < len(pos); j++ {
+			if nl.box.MinImage(p, pos[j]).Norm2() > r2 || top.Excluded(i, j) {
 				continue
 			}
-			if nl.box.MinImage(pos[i], pos[j]).Norm2() <= r2 {
-				nl.packInto(&nl.plist, top, i, j)
-			}
+			nl.packInto(buf, top, i, j)
 		}
 	}
 }
@@ -226,34 +328,10 @@ func (nl *neighborList) rebuildCells(pos []vec.V3, top *topology.Topology, worke
 	// appends into its private buffer; merging in cx order reproduces the
 	// serial traversal order exactly, whatever the worker count.
 	nslabs := nl.nc[0]
-	if len(nl.slabs) < nslabs {
-		nl.slabs = append(nl.slabs, make([]pairList, nslabs-len(nl.slabs))...)
-	}
-	if workers > nslabs {
-		workers = nslabs
-	}
-	if workers <= 1 {
-		for cx := 0; cx < nslabs; cx++ {
-			nl.fillSlab(cx, pos, top)
-		}
-	} else {
-		var cursor atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					cx := int(cursor.Add(1)) - 1
-					if cx >= nslabs {
-						return
-					}
-					nl.fillSlab(cx, pos, top)
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	nl.fillSlabs(workers, nslabs, nl.expectedPairs(len(pos))/nslabs, func(buf pairList, cx int) pairList {
+		nl.fillSlab(&buf, cx, pos, top)
+		return buf
+	})
 	nl.mergeSlabs(nslabs, len(pos))
 }
 
@@ -283,9 +361,7 @@ func (nl *neighborList) cellOf(p vec.V3) int {
 }
 
 // fillSlab generates the pairs whose home cell has x-index cx.
-func (nl *neighborList) fillSlab(cx int, pos []vec.V3, top *topology.Topology) {
-	buf := &nl.slabs[cx]
-	buf.reset()
+func (nl *neighborList) fillSlab(buf *pairList, cx int, pos []vec.V3, top *topology.Topology) {
 	r2 := nl.rlist * nl.rlist
 	for cy := 0; cy < nl.nc[1]; cy++ {
 		for cz := 0; cz < nl.nc[2]; cz++ {
@@ -313,12 +389,10 @@ func (nl *neighborList) fillSlab(cx int, pos []vec.V3, top *topology.Topology) {
 }
 
 func (nl *neighborList) tryPair(buf *pairList, pos []vec.V3, top *topology.Topology, i, j int, r2 float64) {
-	if top.Excluded(i, j) {
+	if nl.box.MinImage(pos[i], pos[j]).Norm2() > r2 || top.Excluded(i, j) {
 		return
 	}
-	if nl.box.MinImage(pos[i], pos[j]).Norm2() <= r2 {
-		nl.packInto(buf, top, i, j)
-	}
+	nl.packInto(buf, top, i, j)
 }
 
 // mergeSlabs concatenates the slab buffers and counting-sorts the result by
@@ -364,14 +438,4 @@ func (nl *neighborList) mergeSlabs(nslabs, natoms int) {
 			dst.qqf[p] = src.qqf[k]
 		}
 	}
-}
-
-// pairIJ returns the plain (i, j) pair view of the packed list, for tests and
-// set comparisons.
-func (nl *neighborList) pairIJ() []pair {
-	out := make([]pair, nl.plist.Len())
-	for k := range out {
-		out[k] = pair{nl.plist.ai[k], nl.plist.aj[k]}
-	}
-	return out
 }

@@ -1,7 +1,9 @@
 package md
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"copernicus/internal/rng"
@@ -9,26 +11,180 @@ import (
 	"copernicus/internal/vec"
 )
 
-// pairKey is a canonical (i<j) pair identity for set comparison.
-type pairKey struct{ i, j int32 }
+// pair is a canonical (i<j) pair identity for set comparison.
+type pair struct{ i, j int32 }
 
-func pairSetOf(ps []pair) map[pairKey]bool {
-	set := make(map[pairKey]bool, len(ps))
-	for _, p := range ps {
-		i, j := p.i, p.j
+func pairSetOf(pl *pairList) map[pair]bool {
+	set := make(map[pair]bool, pl.Len())
+	for k := range pl.ai {
+		i, j := pl.ai[k], pl.aj[k]
 		if i > j {
 			i, j = j, i
 		}
-		set[pairKey{i, j}] = true
+		set[pair{i, j}] = true
 	}
 	return set
 }
 
+// referencePairs is the test oracle for every rebuild path: a plain serial
+// sweep over all i < j that tests the exclusion first and the full
+// vec.Box.MinImage norm second, and bakes each pair's parameters straight
+// from the topology tables. It shares no code with the neighbour list.
+func referencePairs(box vec.Box, pos []vec.V3, top *topology.Topology, rlist float64) pairList {
+	var ref pairList
+	for i := range pos {
+		for j := i + 1; j < len(pos); j++ {
+			if top.Excluded(i, j) || box.MinImage(pos[i], pos[j]).Norm2() > rlist*rlist {
+				continue
+			}
+			a, b := top.Atoms[i], top.Atoms[j]
+			c6, c12 := top.LJPair(a.Type, b.Type)
+			ref.ai = append(ref.ai, int32(i))
+			ref.aj = append(ref.aj, int32(j))
+			ref.c6 = append(ref.c6, c6)
+			ref.c12 = append(ref.c12, c12)
+			ref.qqf = append(ref.qqf, topology.CoulombConst*a.Charge*b.Charge)
+		}
+	}
+	return ref
+}
+
+// samePairList fails t unless got is want entry for entry: the same pairs in
+// the same order with bit-identical baked parameters.
+func samePairList(t *testing.T, label string, got, want *pairList) {
+	t.Helper()
+	if got.Len() != want.Len() {
+		t.Fatalf("%s: %d pairs, reference has %d", label, got.Len(), want.Len())
+	}
+	for k := range want.ai {
+		if got.ai[k] != want.ai[k] || got.aj[k] != want.aj[k] ||
+			math.Float64bits(got.c6[k]) != math.Float64bits(want.c6[k]) ||
+			math.Float64bits(got.c12[k]) != math.Float64bits(want.c12[k]) ||
+			math.Float64bits(got.qqf[k]) != math.Float64bits(want.qqf[k]) {
+			t.Fatalf("%s: entry %d is (%d,%d; %g,%g,%g), reference has (%d,%d; %g,%g,%g)",
+				label, k, got.ai[k], got.aj[k], got.c6[k], got.c12[k], got.qqf[k],
+				want.ai[k], want.aj[k], want.c6[k], want.c12[k], want.qqf[k])
+		}
+	}
+}
+
+// shake moves every atom off its builder's regular arrangement.
+func shake(sys *topology.System, r *rng.Source, sd float64) {
+	for i := range sys.Pos {
+		d := vec.New(r.Norm(), r.Norm(), r.Norm()).Scale(sd)
+		sys.Pos[i] = sys.Box.Wrap(sys.Pos[i].Add(d))
+	}
+}
+
+// TestAllPairsRebuildMatchesReference checks the row-band all-pairs sweep
+// against the reference list entry for entry — pairs, order and baked
+// parameters — for every worker count, on md_ensemble's box (192 waters at
+// rlist 0.68, edge under three listing radii), random periodic boxes too
+// small for the cell grid, and an aperiodic peptide. Each list is rebuilt
+// twice, so reused band buffers are covered as well as fresh ones.
+func TestAllPairsRebuildMatchesReference(t *testing.T) {
+	type system struct {
+		name  string
+		sys   *topology.System
+		rlist float64
+	}
+	water, err := topology.WaterBox(192, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peptide, err := topology.Peptide(240, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	systems := []system{{"md_ensemble", water, 0.68}, {"peptide", peptide, 1.2}}
+	r := rng.New(7)
+	for k := 0; k < 6; k++ {
+		var sys *topology.System
+		if k%2 == 1 {
+			sys, err = topology.WaterBox(64+r.Intn(160), r.Uint64())
+		} else {
+			sys, err = topology.LJFluid(100+r.Intn(300), 5+5*r.Float64(), r.Uint64())
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		shake(sys, r, 0.05)
+		// Between a third and a half of the edge: too small for the cell
+		// grid, and no pair has a second image within range.
+		rlist := sys.Box.L.X * (0.34 + 0.15*r.Float64())
+		systems = append(systems, system{fmt.Sprintf("random%d", k), sys, rlist})
+	}
+
+	for _, c := range systems {
+		want := referencePairs(c.sys.Box, c.sys.Pos, c.sys.Top, c.rlist)
+		if want.Len() == 0 {
+			t.Fatalf("%s: reference list is empty", c.name)
+		}
+		for _, workers := range []int{1, 2, 5} {
+			nl := newNeighborList(c.sys.Box, c.rlist)
+			if nl.periodic() && nl.gridFits() {
+				t.Fatalf("%s: box fits the cell grid; the sweep would not be tested", c.name)
+			}
+			for round := 0; round < 2; round++ {
+				nl.rebuildWith(c.sys.Pos, c.sys.Top, workers)
+				samePairList(t, fmt.Sprintf("%s workers %d round %d", c.name, workers, round), &nl.plist, &want)
+			}
+		}
+	}
+}
+
+// TestRebuildAllocatesNothing checks, on the cell path and on the band path,
+// serial and fanned out, that the first rebuild presizes its pair buffers
+// from the box density instead of growing them append by append, and that
+// rebuilding again at fixed positions allocates (next to) nothing.
+func TestRebuildAllocatesNothing(t *testing.T) {
+	cellSys, err := topology.LJFluid(512, 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bandSys, err := topology.WaterBox(192, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		sys   *topology.System
+		rlist float64
+		cells bool
+	}{{"cells", cellSys, 1.0, true}, {"bands", bandSys, 0.68, false}} {
+		for _, workers := range []int{1, 2} {
+			nl := newNeighborList(c.sys.Box, c.rlist)
+			if got := nl.periodic() && nl.gridFits(); got != c.cells {
+				t.Fatalf("%s: cell grid fits = %v", c.name, got)
+			}
+			nl.cacheAtomParams(c.sys.Top)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			nl.rebuildWith(c.sys.Pos, c.sys.Top, workers)
+			runtime.ReadMemStats(&after)
+			// Five arrays per buffer, allocated once each, and a few
+			// closures; growing from empty by append takes hundreds.
+			if n := after.Mallocs - before.Mallocs; n > 100 {
+				t.Errorf("%s workers %d: first rebuild made %d allocations", c.name, workers, n)
+			}
+			const rounds = 10
+			runtime.ReadMemStats(&before)
+			for k := 0; k < rounds; k++ {
+				nl.rebuildWith(c.sys.Pos, c.sys.Top, workers)
+			}
+			runtime.ReadMemStats(&after)
+			if per := (after.TotalAlloc - before.TotalAlloc) / rounds; per >= 1024 {
+				t.Errorf("%s workers %d: %d B allocated per rebuild at fixed positions", c.name, workers, per)
+			}
+		}
+	}
+}
+
 // TestPairListPropertyRandomBoxes checks, across randomly drawn periodic
 // systems and listing radii, that the parallel cell-grid rebuild produces
-// exactly the O(n²) reference pair set for every worker count, that the packed
-// list is grouped by ascending i, and that the baked parameters match the
-// topology tables.
+// exactly the reference sweep's pair set for every worker count, that the
+// packed list is grouped by ascending i, and that the baked parameters match
+// the topology tables.
 func TestPairListPropertyRandomBoxes(t *testing.T) {
 	r := rng.New(42)
 	for iter := 0; iter < 12; iter++ {
@@ -43,28 +199,22 @@ func TestPairListPropertyRandomBoxes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iter %d: building system: %v", iter, err)
 		}
-		// Shake atoms off the builder's regular arrangement.
-		for i := range sys.Pos {
-			d := vec.New(r.Norm(), r.Norm(), r.Norm()).Scale(0.05)
-			sys.Pos[i] = sys.Box.Wrap(sys.Pos[i].Add(d))
-		}
+		shake(sys, r, 0.05)
 		// Draw a listing radius, clamped so the cell grid fits (≥3 cells per
-		// axis) — otherwise both paths would take the same O(n²) fallback and
-		// the comparison would be vacuous.
+		// axis) — otherwise the rebuild would take the all-pairs sweep, which
+		// TestAllPairsRebuildMatchesReference covers.
 		rlist := 0.55 + 0.5*r.Float64()
 		if max := sys.Box.L.X / 3; rlist > max {
 			rlist = max
 		}
 
-		ref := newNeighborList(sys.Box, rlist)
-		ref.cacheAtomParams(sys.Top)
-		ref.rebuildAllPairs(sys.Pos, sys.Top)
-		want := pairSetOf(ref.pairIJ())
+		ref := referencePairs(sys.Box, sys.Pos, sys.Top, rlist)
+		want := pairSetOf(&ref)
 
 		for _, workers := range []int{1, 2, 5} {
 			nl := newNeighborList(sys.Box, rlist)
 			nl.rebuildWith(sys.Pos, sys.Top, workers)
-			got := pairSetOf(nl.pairIJ())
+			got := pairSetOf(&nl.plist)
 			if len(got) != nl.plist.Len() {
 				t.Fatalf("iter %d workers %d: duplicate pairs in packed list", iter, workers)
 			}

@@ -70,6 +70,8 @@ END {
         if (("NeighborRebuild/workers1" in ns) && (("NeighborRebuild/workers" w) in ns) && ns["NeighborRebuild/workers" w] > 0)
             printf ",\n  \"rebuild_speedup_%dworkers\": %.3f", w, ns["NeighborRebuild/workers1"] / ns["NeighborRebuild/workers" w]
     }
+    if (("NeighborRebuild/smallbox/workers1" in ns) && ("NeighborRebuild/smallbox/workers2" in ns) && ns["NeighborRebuild/smallbox/workers2"] > 0)
+        printf ",\n  \"small_box_rebuild_speedup_2workers\": %.3f", ns["NeighborRebuild/smallbox/workers1"] / ns["NeighborRebuild/smallbox/workers2"]
     printf "\n}\n"
 }' "$TMP" > "$OUT"
 

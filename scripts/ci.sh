@@ -36,6 +36,10 @@ race() {
         ./internal/store/replica/... ./internal/md/... ./internal/des/... \
         ./internal/repex/... ./internal/msm/... ./internal/controller/... \
         ./internal/engines/...
+    # The neighbour-list rebuild fills per-slab and per-band buffers from
+    # several goroutines at once: run its tests three times over.
+    echo "== go test -race -count=3 (md neighbour-list rebuild) =="
+    $GO test -race -count=3 -run 'PairList|Neighbor|Rebuild' ./internal/md/
 }
 
 # benchmarks/ is a nested module: ./... does not reach it.

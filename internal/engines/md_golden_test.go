@@ -59,3 +59,59 @@ func TestMDEngineEnsembleGolden(t *testing.T) {
 		}
 	}
 }
+
+// The goldens below pin the two rebuild paths md_ensemble does not take,
+// with final energy bits captured before the md package's minimum-image
+// helper replaced vec.Box.MinImage on its hot paths: a water box wide enough
+// for the cell grid (400 waters, 2.30 nm edge against 3 × 0.68 nm) on a
+// 2-core grant, and an aperiodic peptide run serially, which takes the
+// all-pairs sweep with no periodic axis and every bonded term class. The
+// peptide has 6 residues because topology.Peptide starts longer chains with
+// atoms i and i+5 overlapping, and those runs blow up within ten steps.
+// Skipped off amd64 for the reason given above.
+
+func TestMDEngineCellGridGolden(t *testing.T) {
+	cfg := md.DefaultConfig()
+	cfg.Cutoff = 0.6
+	cfg.Skin = 0.08
+	cfg.Shards = 0
+	cfg.Seed = 1
+	p := &MDPayload{SystemKind: "water", SystemN: 400, BuildSeed: 1, Config: cfg, Steps: 60}
+	checkMDGolden(t, p, 2, [4]uint64{0x410eac6dfd8c34e9, 0x40fd0477b62f0c12, 0x40b90212c55247ef, 0xc0c878ee47935c3e})
+}
+
+func TestMDEnginePeptideGolden(t *testing.T) {
+	cfg := md.DefaultConfig()
+	cfg.Shards = 1
+	cfg.Seed = 1
+	p := &MDPayload{SystemKind: "peptide", SystemN: 6, BuildSeed: 1, Config: cfg, Steps: 60}
+	checkMDGolden(t, p, 1, [4]uint64{0x406d12549ae5f3d5, 0x406742d4dc20fbea, 0xbfebc131889d5d06, 0xbfd90ad0d75ea746})
+}
+
+// checkMDGolden runs payload p through MDEngine.Run on a grant of cores and
+// demands the final total, kinetic, LJ and Coulomb energy bits in want.
+func checkMDGolden(t *testing.T, p *MDPayload, cores int, want [4]uint64) {
+	t.Helper()
+	if runtime.GOARCH != "amd64" {
+		t.Skip("golden energy bits were captured on amd64; other backends may fuse multiply-adds")
+	}
+	payload, err := wire.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := wire.CommandSpec{ID: "golden", Project: "p", Type: MDName, MinCores: cores, MaxCores: cores, Payload: payload}
+	out, err := (&MDEngine{}).Run(context.Background(), spec, cores, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res MDOutput
+	if err := wire.Unmarshal(out, &res); err != nil {
+		t.Fatal(err)
+	}
+	got := [4]float64{res.Final.Total(), res.Final.Kinetic, res.Final.LJ, res.Final.Coulomb}
+	for k, name := range [4]string{"total", "kinetic", "LJ", "Coulomb"} {
+		if bits := math.Float64bits(got[k]); bits != want[k] {
+			t.Errorf("%s energy %v (%#x), golden %v (%#x)", name, got[k], bits, math.Float64frombits(want[k]), want[k])
+		}
+	}
+}

@@ -48,7 +48,9 @@ func BenchmarkNonbondedKernel(b *testing.B) {
 // BenchmarkNeighborRebuild times a full neighbour-list rebuild at fixed
 // positions. The cell-grid rows (binning, slab traversal, parameter packing,
 // merge sort) run on a 2048-atom LJ fluid with serial, two and four slab
-// workers; the smallbox rows run on md_ensemble's box (192 waters, cutoff
+// workers, and the grid rows on 64- to 256-atom fluids in a box of 27
+// cells, serial and on two workers, either side of the fan-out threshold
+// (2¹⁴ estimated candidates, about 180 atoms in 27 cells); the smallbox rows run on md_ensemble's box (192 waters, cutoff
 // 0.6 + skin 0.08), whose 1.8 nm edge is under three listing radii, so it
 // takes the all-pairs row-band sweep, serial and on two workers.
 func BenchmarkNeighborRebuild(b *testing.B) {
@@ -66,6 +68,24 @@ func BenchmarkNeighborRebuild(b *testing.B) {
 				s.nbl.rebuildWith(s.pos, s.top, workers)
 			}
 		})
+	}
+	for _, natoms := range []int{64, 128, 256} {
+		// A 3.17 nm edge: 27 cells of the 1 nm listing radius at any size.
+		sys, err := topology.LJFluid(natoms, float64(natoms)/32, 1)
+		if err != nil {
+			b.Fatalf("LJFluid: %v", err)
+		}
+		gs := benchSim(b, sys, cfg)
+		if !gs.nbl.gridFits() {
+			b.Fatalf("%d-atom box does not fit the cell grid", natoms)
+		}
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("grid/atoms%d/workers%d", natoms, workers), func(b *testing.B) {
+				for n := 0; n < b.N; n++ {
+					gs.nbl.rebuildWith(gs.pos, gs.top, workers)
+				}
+			})
+		}
 	}
 
 	small, err := topology.WaterBox(192, 1)

@@ -81,7 +81,10 @@ func Resume(sys *topology.System, cfg Config, checkpoint []byte) (*Sim, error) {
 	if len(data.Pos) != len(s.pos) || len(data.Vel) != len(s.vel) || len(data.NbrRef) != len(s.pos) {
 		return nil, fmt.Errorf("md: checkpoint has %d atoms, system has %d", len(data.Pos), len(s.pos))
 	}
-	copy(s.pos, data.Pos)
+	for i := range s.pos {
+		s.pos[i] = s.box.Wrap(data.Pos[i])
+		s.nbrRef[i] = s.box.Wrap(data.NbrRef[i])
+	}
 	copy(s.vel, data.Vel)
 	s.step = data.Step
 	s.time = data.Time
@@ -92,8 +95,7 @@ func Resume(sys *topology.System, cfg Config, checkpoint []byte) (*Sim, error) {
 	// Rebuild the pair list from the checkpointed rebuild-reference
 	// positions, then evaluate forces at the current ones — exactly the
 	// Verlet-list state the original run was in when it checkpointed.
-	s.nbl.rebuildWith(data.NbrRef, s.top, s.cfg.Shards)
-	copy(s.nbrRef, data.NbrRef)
+	s.nbl.rebuildWith(s.nbrRef, s.top, s.cfg.Shards)
 	s.sinceRebuild = data.SinceRebuild
 	s.computeForces()
 	return s, nil

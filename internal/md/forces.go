@@ -199,12 +199,13 @@ func (s *Sim) nonbondedRange(pl *pairList, lo, hi int, out []vec.V3) (eLJ, eCoul
 	invRc2 := 1 / rc2
 	invRc6 := invRc2 * invRc2 * invRc2
 
+	im := s.im
 	pos := s.pos
 	ai, aj := pl.ai, pl.aj
 	c6s, c12s, qqfs := pl.c6, pl.c12, pl.qqf
 	for k := lo; k < hi; k++ {
 		i, j := ai[k], aj[k]
-		d := s.box.MinImage(pos[i], pos[j])
+		d := im.minImage(pos[i], pos[j])
 		r2 := d.Norm2()
 		if r2 > rc2 || r2 == 0 {
 			continue
@@ -234,8 +235,9 @@ func (s *Sim) nonbondedRange(pl *pairList, lo, hi int, out []vec.V3) (eLJ, eCoul
 // [lo, hi), accumulating forces into out and returning the energy.
 func (s *Sim) bondRange(lo, hi int, out []vec.V3) float64 {
 	e := 0.0
+	im := s.im
 	for _, b := range s.top.Bonds[lo:hi] {
-		d := s.box.MinImage(s.pos[b.I], s.pos[b.J])
+		d := im.minImage(s.pos[b.I], s.pos[b.J])
 		r := d.Norm()
 		if r == 0 {
 			continue
@@ -254,9 +256,10 @@ func (s *Sim) bondRange(lo, hi int, out []vec.V3) float64 {
 // [lo, hi), accumulating forces into out and returning the energy.
 func (s *Sim) angleRange(lo, hi int, out []vec.V3) float64 {
 	e := 0.0
+	im := s.im
 	for _, a := range s.top.Angles[lo:hi] {
-		rij := s.box.MinImage(s.pos[a.I], s.pos[a.J])
-		rkj := s.box.MinImage(s.pos[a.K], s.pos[a.J])
+		rij := im.minImage(s.pos[a.I], s.pos[a.J])
+		rkj := im.minImage(s.pos[a.K], s.pos[a.J])
 		nij, nkj := rij.Norm(), rkj.Norm()
 		if nij == 0 || nkj == 0 {
 			continue
@@ -291,10 +294,11 @@ func (s *Sim) angleRange(lo, hi int, out []vec.V3) float64 {
 // with F_j, F_k fixed by momentum and torque conservation.
 func (s *Sim) dihedralRange(lo, hi int, out []vec.V3) float64 {
 	e := 0.0
+	im := s.im
 	for _, d := range s.top.Dihedrals[lo:hi] {
-		rij := s.box.MinImage(s.pos[d.I], s.pos[d.J])
-		rkj := s.box.MinImage(s.pos[d.K], s.pos[d.J])
-		rkl := s.box.MinImage(s.pos[d.K], s.pos[d.L])
+		rij := im.minImage(s.pos[d.I], s.pos[d.J])
+		rkj := im.minImage(s.pos[d.K], s.pos[d.J])
+		rkl := im.minImage(s.pos[d.K], s.pos[d.L])
 
 		m := rij.Cross(rkj)
 		nvec := rkj.Cross(rkl)

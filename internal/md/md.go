@@ -159,6 +159,7 @@ type Sim struct {
 	top *topology.Topology
 	cfg Config
 	box vec.Box
+	im  imager // minimum image in box, for the hot loops
 
 	pos []vec.V3
 	vel []vec.V3
@@ -204,18 +205,24 @@ func New(sys *topology.System, cfg Config) (*Sim, error) {
 	if len(sys.Pos) != n {
 		return nil, fmt.Errorf("md: %d positions for %d atoms", len(sys.Pos), n)
 	}
-	if sys.Box.L.X > 0 && sys.Box.L.X < 2*(cfg.Cutoff+cfg.Skin) {
-		return nil, fmt.Errorf("md: box edge %.3g smaller than twice cutoff+skin %.3g",
-			sys.Box.L.X, 2*(cfg.Cutoff+cfg.Skin))
+	for _, l := range [3]float64{sys.Box.L.X, sys.Box.L.Y, sys.Box.L.Z} {
+		if l > 0 && l < 2*(cfg.Cutoff+cfg.Skin) {
+			return nil, fmt.Errorf("md: box edge %.3g smaller than twice cutoff+skin %.3g",
+				l, 2*(cfg.Cutoff+cfg.Skin))
+		}
 	}
 	s := &Sim{
 		top:  sys.Top,
 		cfg:  cfg,
 		box:  sys.Box,
-		pos:  append([]vec.V3(nil), sys.Pos...),
+		im:   newImager(sys.Box),
+		pos:  make([]vec.V3, n),
 		vel:  make([]vec.V3, n),
 		frc:  make([]vec.V3, n),
 		rand: rng.New(cfg.Seed),
+	}
+	for i, p := range sys.Pos {
+		s.pos[i] = s.box.Wrap(p)
 	}
 	dof := float64(s.top.DegreesOfFreedom())
 	s.qNH = dof * topology.KB * cfg.Temperature * cfg.TauT * cfg.TauT
@@ -398,8 +405,9 @@ func (s *Sim) maybeRebuild() error {
 // any atom since the last neighbour rebuild.
 func (s *Sim) maxDisplacement2() float64 {
 	maxd := 0.0
+	im := s.im
 	for i, p := range s.pos {
-		if d := s.box.MinImage(p, s.nbrRef[i]).Norm2(); d > maxd {
+		if d := im.minImage(p, s.nbrRef[i]).Norm2(); d > maxd {
 			maxd = d
 		}
 	}

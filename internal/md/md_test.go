@@ -58,6 +58,17 @@ func TestBoxTooSmallRejected(t *testing.T) {
 	if _, err := New(sys, cfg); err == nil {
 		t.Error("box smaller than 2(rc+skin) should be rejected")
 	}
+	// Every periodic axis counts, not only x: the pair loops' minimum image
+	// relies on it.
+	for a := 0; a < 3; a++ {
+		sys := smallFluid(t, 64)
+		l := [3]float64{sys.Box.L.X, sys.Box.L.Y, sys.Box.L.Z}
+		l[a] = 1.5 // under 2 × (0.9 + 0.1)
+		sys.Box = vec.Box{L: vec.New(l[0], l[1], l[2])}
+		if _, err := New(sys, cfg); err == nil {
+			t.Errorf("box %v accepted", sys.Box.L)
+		}
+	}
 }
 
 func TestPositionCountMismatch(t *testing.T) {

@@ -95,6 +95,7 @@ var halfShellStencil = func() [][3]int {
 // by a group-by-i counting sort).
 type neighborList struct {
 	box   vec.Box
+	im    imager
 	rlist float64  // cutoff + skin
 	plist pairList // packed output consumed by the kernel
 
@@ -113,8 +114,9 @@ type neighborList struct {
 	counts  []int32    // counting-sort scratch, len natoms
 }
 
-// parallelMinCandidates is the all-pairs candidate count, n(n−1)/2, below
-// which the sweep is not worth a fan-out (about 180 atoms).
+// parallelMinCandidates is the candidate pair count below which a rebuild
+// is not worth a fan-out: n(n−1)/2 for the all-pairs sweep (about 180
+// atoms), gridCandidates for the cell grid.
 const parallelMinCandidates = 1 << 14
 
 // bandsPerWorker cuts the all-pairs sweep finer than the worker count, so a
@@ -122,7 +124,7 @@ const parallelMinCandidates = 1 << 14
 const bandsPerWorker = 4
 
 func newNeighborList(box vec.Box, rlist float64) *neighborList {
-	return &neighborList{box: box, rlist: rlist}
+	return &neighborList{box: box, im: newImager(box), rlist: rlist}
 }
 
 // periodic reports whether all three axes are periodic, the only case the
@@ -281,21 +283,48 @@ func (nl *neighborList) rebuildAllPairs(pos []vec.V3, top *topology.Topology, wo
 	}
 }
 
-// fillRows appends the pairs of rows [lo, hi) to buf in sweep order. It is
-// tryPair inlined by hand (a call per candidate costs the sweep ~8 %): the
-// distance test runs before the binary-searched exclusion test, which then
-// sees only the quarter or so of candidates within range.
+// fillRows appends the pairs of rows [lo, hi) to buf in sweep order. The
+// distance test runs first, and only the quarter or so of candidates within
+// range meet the exclusion test: a cursor into row i's sorted exclusion list
+// (the order BuildExclusions makes and Excluded's binary search relies on)
+// that walks forward as j ascends. Pairs are packed inline onto local slice
+// headers, written back once.
 func (nl *neighborList) fillRows(buf *pairList, pos []vec.V3, top *topology.Topology, lo, hi int) {
+	im := nl.im
 	r2 := nl.rlist * nl.rlist
+	typ, chg := nl.typ, nl.chg
+	ai, aj, c6s, c12s, qqfs := buf.ai, buf.aj, buf.c6, buf.c12, buf.qqf
 	for i := lo; i < hi; i++ {
 		p := pos[i]
+		ti := int(typ[i])
+		var cqi float64
+		if nl.qed {
+			cqi = topology.CoulombConst * chg[i]
+		}
+		var excl []int
+		if i < len(top.Exclusions) {
+			excl = top.Exclusions[i]
+		}
+		x := 0
 		for j := i + 1; j < len(pos); j++ {
-			if nl.box.MinImage(p, pos[j]).Norm2() > r2 || top.Excluded(i, j) {
+			if im.minImage(p, pos[j]).Norm2() > r2 {
 				continue
 			}
-			nl.packInto(buf, top, i, j)
+			for x < len(excl) && excl[x] < j {
+				x++
+			}
+			if x < len(excl) && excl[x] == j {
+				continue
+			}
+			c6, c12 := top.LJPair(ti, int(typ[j]))
+			ai = append(ai, int32(i))
+			aj = append(aj, int32(j))
+			c6s = append(c6s, c6)
+			c12s = append(c12s, c12)
+			qqfs = append(qqfs, cqi*chg[j])
 		}
 	}
+	buf.ai, buf.aj, buf.c6, buf.c12, buf.qqf = ai, aj, c6s, c12s, qqfs
 }
 
 func (nl *neighborList) rebuildCells(pos []vec.V3, top *topology.Topology, workers int) {
@@ -324,6 +353,9 @@ func (nl *neighborList) rebuildCells(pos []vec.V3, top *topology.Topology, worke
 		nl.heads[c] = int32(i)
 	}
 
+	if nl.gridCandidates(len(pos)) < parallelMinCandidates {
+		workers = 1
+	}
 	// Per-x-slab pair generation. Each slab owns the cells with its cx and
 	// appends into its private buffer; merging in cx order reproduces the
 	// serial traversal order exactly, whatever the worker count.
@@ -333,6 +365,13 @@ func (nl *neighborList) rebuildCells(pos []vec.V3, top *topology.Topology, worke
 		return buf
 	})
 	nl.mergeSlabs(nslabs, len(pos))
+}
+
+// gridCandidates estimates the candidate pairs the cell grid's half-shell
+// traversal meets for natoms atoms: each atom against half of its own cell
+// and 13 neighbour cells, 13.5·n²/cells in all.
+func (nl *neighborList) gridCandidates(natoms int) int {
+	return 27 * natoms * natoms / (2 * nl.nc[0] * nl.nc[1] * nl.nc[2])
 }
 
 // cellOf maps a position to its grid cell, clamping against rounding at both
@@ -389,7 +428,7 @@ func (nl *neighborList) fillSlab(buf *pairList, cx int, pos []vec.V3, top *topol
 }
 
 func (nl *neighborList) tryPair(buf *pairList, pos []vec.V3, top *topology.Topology, i, j int, r2 float64) {
-	if nl.box.MinImage(pos[i], pos[j]).Norm2() > r2 || top.Excluded(i, j) {
+	if nl.im.minImage(pos[i], pos[j]).Norm2() > r2 || top.Excluded(i, j) {
 		return
 	}
 	nl.packInto(buf, top, i, j)

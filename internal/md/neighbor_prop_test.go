@@ -81,7 +81,8 @@ func shake(sys *topology.System, r *rng.Source, sd float64) {
 // parameters — for every worker count, on md_ensemble's box (192 waters at
 // rlist 0.68, edge under three listing radii), random periodic boxes too
 // small for the cell grid, and an aperiodic peptide. Each list is rebuilt
-// twice, so reused band buffers are covered as well as fresh ones.
+// twice, so reused band buffers are covered as well as fresh ones. One box
+// is exactly two listing radii wide.
 func TestAllPairsRebuildMatchesReference(t *testing.T) {
 	type system struct {
 		name  string
@@ -114,6 +115,14 @@ func TestAllPairsRebuildMatchesReference(t *testing.T) {
 		rlist := sys.Box.L.X * (0.34 + 0.15*r.Float64())
 		systems = append(systems, system{fmt.Sprintf("random%d", k), sys, rlist})
 	}
+	// A box of exactly two listing radii, the smallest New accepts: pairs
+	// half a box apart on one axis sit at the listing radius itself.
+	edge, err := topology.WaterBox(128, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shake(edge, r, 0.05)
+	systems = append(systems, system{"two-rlist", edge, edge.Box.L.X / 2})
 
 	for _, c := range systems {
 		want := referencePairs(c.sys.Box, c.sys.Pos, c.sys.Top, c.rlist)
@@ -182,18 +191,24 @@ func TestRebuildAllocatesNothing(t *testing.T) {
 
 // TestPairListPropertyRandomBoxes checks, across randomly drawn periodic
 // systems and listing radii, that the parallel cell-grid rebuild produces
-// exactly the reference sweep's pair set for every worker count, that the
-// packed list is grouped by ascending i, and that the baked parameters match
-// the topology tables.
+// exactly the reference sweep's pair set for every worker count, the serial
+// list entry for entry, that the packed list is grouped by ascending i, and
+// that the baked parameters match the topology tables. The last four systems
+// are large enough for the slab fan-out.
 func TestPairListPropertyRandomBoxes(t *testing.T) {
 	r := rng.New(42)
-	for iter := 0; iter < 12; iter++ {
+	fannedOut := 0
+	for iter := 0; iter < 16; iter++ {
 		var sys *topology.System
 		var err error
-		if iter%4 == 3 {
+		switch {
+		case iter >= 12:
+			// Larger fluids, above the slab fan-out threshold.
+			sys, err = topology.LJFluid(400+r.Intn(400), 5+5*r.Float64(), r.Uint64())
+		case iter%4 == 3:
 			// Water boxes cover exclusions and charges.
 			sys, err = topology.WaterBox(27+r.Intn(64), r.Uint64())
-		} else {
+		default:
 			sys, err = topology.LJFluid(64+r.Intn(200), 5+5*r.Float64(), r.Uint64())
 		}
 		if err != nil {
@@ -211,9 +226,18 @@ func TestPairListPropertyRandomBoxes(t *testing.T) {
 		ref := referencePairs(sys.Box, sys.Pos, sys.Top, rlist)
 		want := pairSetOf(&ref)
 
+		var serial pairList
 		for _, workers := range []int{1, 2, 5} {
 			nl := newNeighborList(sys.Box, rlist)
 			nl.rebuildWith(sys.Pos, sys.Top, workers)
+			if workers == 1 {
+				serial = nl.plist
+				if nl.gridCandidates(len(sys.Pos)) >= parallelMinCandidates {
+					fannedOut++
+				}
+			} else {
+				samePairList(t, fmt.Sprintf("iter %d workers %d", iter, workers), &nl.plist, &serial)
+			}
 			got := pairSetOf(&nl.plist)
 			if len(got) != nl.plist.Len() {
 				t.Fatalf("iter %d workers %d: duplicate pairs in packed list", iter, workers)
@@ -241,6 +265,9 @@ func TestPairListPropertyRandomBoxes(t *testing.T) {
 				}
 			}
 		}
+	}
+	if fannedOut < 4 {
+		t.Errorf("only %d of 16 systems above parallelMinCandidates: the slab fan-out is barely exercised", fannedOut)
 	}
 }
 

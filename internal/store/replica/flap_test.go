@@ -12,6 +12,7 @@ import (
 	"copernicus/internal/obs"
 	"copernicus/internal/overlay"
 	"copernicus/internal/store"
+	"copernicus/internal/wire"
 )
 
 // chaosPair is a primary and a standby whose links run through chaos
@@ -236,4 +237,41 @@ func TestLinkFlapping(t *testing.T) {
 		t.Error("the standby acknowledged no record while the link flapped")
 	}
 	t.Logf("%d records acknowledged, %d in the final journal, primary: node %d", len(acked), len(recs), prim)
+}
+
+// TestRejoinKeepsCatchUp: a caught-up standby whose link goes quiet rejoins
+// the same primary in the same epoch and stays eligible, so a lapse right
+// after promotes it; a join that brings a new epoch or a new primary starts
+// the catch-up over. A standby that lost eligibility on every quiet-link
+// rejoin would, when its primary died in that window, never take over:
+// after the declined lapse nothing re-arms the lease.
+func TestRejoinKeepsCatchUp(t *testing.T) {
+	caughtUp := func() state {
+		s, _ := step(boot(store.RoleStandby, 1, "p", "primary", 10, time.Second), evTick{})
+		s, _ = step(s, evJoined{id: "p", ack: wire.ReplAck{Epoch: 1}})
+		s, _ = step(s, evApplied{applied: 10, tail: 10})
+		for k := 0; k < quietTicks; k++ {
+			s, _ = step(s, evTick{})
+		}
+		if !s.caughtUp || !s.joining {
+			t.Fatalf("setup: caughtUp %v joining %v, want a caught-up standby rejoining", s.caughtUp, s.joining)
+		}
+		return s
+	}
+	for _, c := range []struct {
+		name    string
+		id      string
+		epoch   uint64
+		promote bool
+	}{
+		{"same primary and epoch", "p", 1, true},
+		{"new epoch", "p", 2, false},
+		{"new primary", "q", 1, false},
+	} {
+		s, _ := step(caughtUp(), evJoined{id: c.id, ack: wire.ReplAck{Epoch: c.epoch}})
+		s, _ = step(s, evLapse{})
+		if got := s.role == store.RolePrimary; got != c.promote {
+			t.Errorf("%s: lapse after the rejoin promoted = %v, want %v", c.name, got, c.promote)
+		}
+	}
 }

@@ -297,7 +297,8 @@ func (p *Peer) AckedSeq() uint64 {
 }
 
 // CaughtUp reports whether this standby has applied a batch's whole tail
-// since it last joined: until it has, a lapsed lease does not promote it.
+// since it began following its primary in the current epoch: until it has,
+// a lapsed lease does not promote it.
 func (p *Peer) CaughtUp() bool { return p.view.Load().caughtUp }
 
 // Promoted is closed when this peer promotes itself to primary.

@@ -30,7 +30,7 @@ type state struct {
 
 	// Standby side.
 	applied  uint64 // the local applied frontier
-	caughtUp bool   // since the last (re)join, applied reached a batch's TailSeq
+	caughtUp bool   // applied reached a batch's TailSeq of this primary and epoch
 	joining  bool   // a dial or join is in flight
 	quiet    int    // ticks since the last contact, saturating at quietTicks
 }
@@ -123,8 +123,9 @@ type (
 )
 
 // mayPromote is the promotion-eligibility rule: a standby whose lease lapsed
-// promotes only if, since it last (re)joined, its applied frontier reached
-// the primary's tail as a batch reported it (ReplBatch.TailSeq). The lease
+// promotes only if, since it began following this primary in this epoch, its
+// applied frontier reached the primary's tail as a batch reported it
+// (ReplBatch.TailSeq). The lease
 // alone is not enough: a freshly demoted peer with an empty directory arms
 // its lease on its first batch, and if it then promoted it would fence the
 // primary holding the history.
@@ -157,6 +158,7 @@ func step(s state, ev event) (state, []action) {
 		if primary || !s.joining {
 			return s, nil
 		}
+		rejoin := ev.id == s.peerID
 		s.joining, s.peerID = false, cmp.Or(s.peerID, ev.id)
 		switch {
 		case ev.err != nil:
@@ -165,7 +167,13 @@ func step(s state, ev event) (state, []action) {
 			return s, []action{actLog{level: obs.LevelWarn, msg: "primary refused join",
 				kv: []any{"reason", ev.ack.Reason, "epoch", ev.ack.Epoch}}}
 		}
-		s.caughtUp = false // a (re)join starts a new catch-up
+		// A join to a new primary or epoch starts a new catch-up. A rejoin
+		// to the primary already followed, in the same epoch, keeps it: a
+		// link gone quiet is what a failing primary looks like first, and a
+		// standby that forgot it had caught up would not take over from it.
+		if !rejoin || ev.ack.Epoch > s.epoch {
+			s.caughtUp = false
+		}
 		var acts []action
 		if ev.ack.Epoch > s.epoch {
 			s.epoch = ev.ack.Epoch

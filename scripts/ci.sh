@@ -40,6 +40,10 @@ race() {
     # several goroutines at once: run its tests three times over.
     echo "== go test -race -count=3 (md neighbour-list rebuild) =="
     $GO test -race -count=3 -run 'PairList|Neighbor|Rebuild' ./internal/md/
+    # The engine goldens drive the band fill, the slab fill and the sharded
+    # force loop end to end through MDEngine.Run.
+    echo "== go test -race -count=3 (md engine goldens) =="
+    $GO test -race -count=3 -run 'Golden' ./internal/engines/
 }
 
 # benchmarks/ is a nested module: ./... does not reach it.

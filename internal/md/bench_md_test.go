@@ -20,39 +20,57 @@ func benchSim(b *testing.B, sys *topology.System, cfg Config) *Sim {
 	return s
 }
 
-// BenchmarkNonbondedKernel times the packed-pair non-bonded kernel alone: one
-// pass over a prebuilt pair list into a scratch force buffer, no neighbour
-// rebuilds, no integration. This is the inner loop the packed layout exists
-// for.
+// BenchmarkNonbondedKernel times the non-bonded kernel alone: one pass over
+// a prebuilt pair list into a scratch force buffer, no neighbour rebuilds,
+// no integration. The ljfluid row runs a 2048-atom LJ fluid, one type and no
+// charges; the water row runs md_ensemble's box (192 waters, cutoff 0.6 +
+// skin 0.08), whose two LJ types and charges time the per-row type lookup
+// and the Coulomb branch.
 func BenchmarkNonbondedKernel(b *testing.B) {
-	sys, err := topology.LJFluid(2048, 8, 1)
+	fluid, err := topology.LJFluid(2048, 8, 1)
 	if err != nil {
 		b.Fatalf("LJFluid: %v", err)
 	}
-	cfg := DefaultConfig()
-	cfg.Thermostat = NoThermostat
-	cfg.Temperature = 120
-	s := benchSim(b, sys, cfg)
-	pl := &s.nbl.plist
-	buf := make([]vec.V3, s.NAtoms())
-	b.ReportMetric(float64(pl.Len()), "pairs")
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		for i := range buf {
-			buf[i] = vec.Zero
-		}
-		s.nonbondedRange(pl, 0, pl.Len(), buf)
+	fluidCfg := DefaultConfig()
+	fluidCfg.Thermostat = NoThermostat
+	fluidCfg.Temperature = 120
+	water, err := topology.WaterBox(192, 1)
+	if err != nil {
+		b.Fatalf("WaterBox: %v", err)
+	}
+	waterCfg := DefaultConfig()
+	waterCfg.Cutoff = 0.6
+	waterCfg.Skin = 0.08
+	for _, bc := range []struct {
+		name string
+		sys  *topology.System
+		cfg  Config
+	}{{"ljfluid", fluid, fluidCfg}, {"water", water, waterCfg}} {
+		b.Run(bc.name, func(b *testing.B) {
+			s := benchSim(b, bc.sys, bc.cfg)
+			np := s.nbl.plist.Len()
+			buf := make([]vec.V3, s.NAtoms())
+			b.ReportMetric(float64(np), "pairs")
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				for i := range buf {
+					buf[i] = vec.Zero
+				}
+				s.nonbondedRange(0, np, buf)
+			}
+		})
 	}
 }
 
 // BenchmarkNeighborRebuild times a full neighbour-list rebuild at fixed
-// positions. The cell-grid rows (binning, slab traversal, parameter packing,
-// merge sort) run on a 2048-atom LJ fluid with serial, two and four slab
-// workers, and the grid rows on 64- to 256-atom fluids in a box of 27
-// cells, serial and on two workers, either side of the fan-out threshold
-// (2¹⁴ estimated candidates, about 180 atoms in 27 cells); the smallbox rows run on md_ensemble's box (192 waters, cutoff
-// 0.6 + skin 0.08), whose 1.8 nm edge is under three listing radii, so it
-// takes the all-pairs row-band sweep, serial and on two workers.
+// positions. The cell-grid rows (binning, slab traversal, merge sort) run
+// on a 2048-atom LJ fluid with serial, two and four slab workers, and the
+// grid rows on 64- to 256-atom fluids in a box of 27 cells, serial and on
+// two workers, either side of the fan-out threshold (2¹⁴ estimated
+// candidates, about 180 atoms in 27 cells); the smallbox rows run on
+// md_ensemble's box (192 waters, cutoff 0.6 + skin 0.08), whose 1.8 nm
+// edge is under three listing radii, so it takes the all-pairs row-band
+// sweep, serial and on two workers.
 func BenchmarkNeighborRebuild(b *testing.B) {
 	sys, err := topology.LJFluid(2048, 8, 1)
 	if err != nil {

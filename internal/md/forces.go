@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"copernicus/internal/topology"
 	"copernicus/internal/vec"
 )
 
@@ -102,7 +103,7 @@ func chunkRange(n, parts, w int) (lo, hi int) {
 // potential-energy breakdown in s.pot.
 //
 // With Shards <= 1 (or a trivially small system) everything runs inline and
-// serially. Otherwise every term class — the packed non-bonded pairs and the
+// serially. Otherwise every term class — the non-bonded pairs and the
 // bonded bond/angle/dihedral lists — is partitioned across the shard pool
 // into private force buffers, followed by a parallel reduction in which each
 // shard sums a disjoint atom range across all buffers, replacing the old
@@ -114,8 +115,7 @@ func (s *Sim) computeForces() {
 		t0 = time.Now()
 	}
 
-	pl := &s.nbl.plist
-	np := pl.Len()
+	np := s.nbl.plist.Len()
 	nb, na, nd := len(s.top.Bonds), len(s.top.Angles), len(s.top.Dihedrals)
 	ns := s.shards.n
 	s.pot = Energies{}
@@ -124,7 +124,7 @@ func (s *Sim) computeForces() {
 		for i := range s.frc {
 			s.frc[i] = vec.Zero
 		}
-		s.pot.LJ, s.pot.Coulomb = s.nonbondedRange(pl, 0, np, s.frc)
+		s.pot.LJ, s.pot.Coulomb = s.nonbondedRange(0, np, s.frc)
 		s.pot.Bond = s.bondRange(0, nb, s.frc)
 		s.pot.Angle = s.angleRange(0, na, s.frc)
 		s.pot.Dihedral = s.dihedralRange(0, nd, s.frc)
@@ -136,7 +136,7 @@ func (s *Sim) computeForces() {
 				buf[i] = vec.Zero
 			}
 			lo, hi := chunkRange(np, ns, w)
-			p.eLJ[w], p.eCoul[w] = s.nonbondedRange(pl, lo, hi, buf)
+			p.eLJ[w], p.eCoul[w] = s.nonbondedRange(lo, hi, buf)
 			lo, hi = chunkRange(nb, ns, w)
 			p.eBond[w] = s.bondRange(lo, hi, buf)
 			lo, hi = chunkRange(na, ns, w)
@@ -174,14 +174,18 @@ func (s *Sim) computeForces() {
 }
 
 // nonbondedRange computes LJ and reaction-field Coulomb interactions for the
-// packed pair range [lo, hi), accumulating forces into out. It returns the
-// LJ and Coulomb energy contributions. All per-pair parameters come baked
-// into the pair list; the loop reads no topology tables.
+// pair index range [lo, hi) of the list, accumulating forces into out. It
+// returns the LJ and Coulomb energy contributions. The range may start and
+// end mid-row. Per row, the loop holds atom i's position and force in
+// registers, slices i's row of the LJ type table and premultiplies i's
+// charge by the Coulomb constant; it stores out[i] once at the row's end,
+// which adds in the same sequence as storing it per pair, since no partner
+// j is i.
 //
 // Reaction field: V(r) = f q_i q_j (1/r + k_rf r² − c_rf) for r < r_c, with
 // k_rf = (ε−1)/((2ε+1) r_c³) and c_rf = 1/r_c + k_rf r_c², so the potential
 // and field vanish smoothly at the cutoff — the paper's villin protocol.
-func (s *Sim) nonbondedRange(pl *pairList, lo, hi int, out []vec.V3) (eLJ, eCoul float64) {
+func (s *Sim) nonbondedRange(lo, hi int, out []vec.V3) (eLJ, eCoul float64) {
 	rc := s.cfg.Cutoff
 	rc2 := rc * rc
 	var krf, crf float64
@@ -201,32 +205,42 @@ func (s *Sim) nonbondedRange(pl *pairList, lo, hi int, out []vec.V3) (eLJ, eCoul
 
 	im := s.im
 	pos := s.pos
-	ai, aj := pl.ai, pl.aj
-	c6s, c12s, qqfs := pl.c6, pl.c12, pl.qqf
-	for k := lo; k < hi; k++ {
-		i, j := ai[k], aj[k]
-		d := im.minImage(pos[i], pos[j])
-		r2 := d.Norm2()
-		if r2 > rc2 || r2 == 0 {
-			continue
+	nl := s.nbl
+	start, aj := nl.plist.start, nl.plist.aj
+	typ, chg, nt := nl.typ, nl.chg, nl.ntypes
+	for i, k := nl.plist.rowOf(lo), lo; k < hi; i++ {
+		end := min(int(start[i+1]), hi)
+		pi, fi := pos[i], out[i]
+		row := int(typ[i]) * nt
+		c6s := nl.c6[row : row+nt]
+		c12s := nl.c12[row : row+nt][:len(c6s)] // c6s's bounds check covers it
+		cqi := topology.CoulombConst * chg[i]
+		for _, j := range aj[k:end] {
+			d := im.minImage(pi, pos[j])
+			r2 := d.Norm2()
+			if r2 > rc2 || r2 == 0 {
+				continue
+			}
+			inv2 := 1 / r2
+			inv6 := inv2 * inv2 * inv2
+
+			c6, c12 := c6s[typ[j]], c12s[typ[j]]
+			// F(r)·r̂/r = (12 c12 r⁻¹² − 6 c6 r⁻⁶) / r²
+			fr := (12*c12*inv6*inv6 - 6*c6*inv6) * inv2
+			eLJ += c12*inv6*inv6 - c6*inv6 - (c12*invRc6*invRc6 - c6*invRc6)
+
+			if qqf := cqi * chg[j]; qqf != 0 {
+				r := math.Sqrt(r2)
+				eCoul += qqf * (1/r + krf*r2 - crf)
+				fr += qqf * (1/(r2*r) - 2*krf)
+			}
+
+			f := d.Scale(fr)
+			fi = fi.Add(f)
+			out[j] = out[j].Sub(f)
 		}
-		inv2 := 1 / r2
-		inv6 := inv2 * inv2 * inv2
-
-		c6, c12 := c6s[k], c12s[k]
-		// F(r)·r̂/r = (12 c12 r⁻¹² − 6 c6 r⁻⁶) / r²
-		fr := (12*c12*inv6*inv6 - 6*c6*inv6) * inv2
-		eLJ += c12*inv6*inv6 - c6*inv6 - (c12*invRc6*invRc6 - c6*invRc6)
-
-		if qqf := qqfs[k]; qqf != 0 {
-			r := math.Sqrt(r2)
-			eCoul += qqf * (1/r + krf*r2 - crf)
-			fr += qqf * (1/(r2*r) - 2*krf)
-		}
-
-		f := d.Scale(fr)
-		out[i] = out[i].Add(f)
-		out[j] = out[j].Sub(f)
+		out[i] = fi
+		k = end
 	}
 	return eLJ, eCoul
 }
@@ -331,6 +345,5 @@ func (s *Sim) dihedralRange(lo, hi int, out []vec.V3) float64 {
 	return e
 }
 
-// Forces returns a copy of the current force array (for testing and the
-// rank-decomposition driver).
+// Forces returns a copy of the current force array.
 func (s *Sim) Forces() []vec.V3 { return append([]vec.V3(nil), s.frc...) }

@@ -2,6 +2,7 @@ package md
 
 import (
 	"math"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -9,62 +10,40 @@ import (
 	"copernicus/internal/vec"
 )
 
-// pairList is the packed struct-of-arrays pair list the non-bonded kernel
-// iterates. All interaction parameters are baked in at rebuild time — the
-// combined LJ coefficients and the premultiplied charge product — so the
-// per-pair inner loop touches no topology tables and no Atom structs, only
-// these flat arrays and the position slice. Entries are grouped by ascending
-// ai, which keeps the force writes for one i atom in consecutive iterations.
+// pairList is the row-compressed pair list the non-bonded kernel iterates:
+// row i's partners, every one of them above i, are aj[start[i]:start[i+1]],
+// in the order the rebuild produced them. It stores 4 bytes a pair and no
+// interaction parameters: the kernel reads each pair's LJ coefficients from
+// the type table and its charge product from the charges, which the
+// neighbour list caches once per topology.
 type pairList struct {
-	ai, aj []int32
-	c6     []float64
-	c12    []float64
-	qqf    []float64 // CoulombConst · q_i · q_j; 0 means no Coulomb term
+	start []int32 // natoms+1 row offsets into aj
+	aj    []int32
 }
 
-// Len returns the number of packed pairs.
-func (pl *pairList) Len() int { return len(pl.ai) }
+// Len returns the number of pairs.
+func (pl *pairList) Len() int { return len(pl.aj) }
 
-func (pl *pairList) reset() {
-	pl.ai = pl.ai[:0]
-	pl.aj = pl.aj[:0]
-	pl.c6 = pl.c6[:0]
-	pl.c12 = pl.c12[:0]
-	pl.qqf = pl.qqf[:0]
+// rowOf returns the row holding pair k: the i with start[i] <= k <
+// start[i+1]. For k = Len() it returns the row count.
+func (pl *pairList) rowOf(k int) int {
+	n := len(pl.start) - 1
+	return sort.Search(n, func(i int) bool { return int(pl.start[i+1]) > k })
 }
 
-func (pl *pairList) append(i, j int32, c6, c12, qqf float64) {
-	pl.ai = append(pl.ai, i)
-	pl.aj = append(pl.aj, j)
-	pl.c6 = append(pl.c6, c6)
-	pl.c12 = append(pl.c12, c12)
-	pl.qqf = append(pl.qqf, qqf)
-}
-
-// resize sets the arrays to exactly n entries, reusing capacity. When it has
-// to allocate it leaves a quarter of headroom, so a list whose length creeps
-// up across rebuilds stops reallocating after the first few.
-func (pl *pairList) resize(n int) {
-	pl.ai = resized(pl.ai, n)
-	pl.aj = resized(pl.aj, n)
-	pl.c6 = resized(pl.c6, n)
-	pl.c12 = resized(pl.c12, n)
-	pl.qqf = resized(pl.qqf, n)
-}
-
-// reserve empties the list and makes room for n entries, with resize's
-// headroom, so appending up to that many allocates nothing.
-func (pl *pairList) reserve(n int) {
-	pl.resize(n)
-	pl.reset()
-}
-
-func resized[T int32 | float64](s []T, n int) []T {
+// resized returns s with exactly n entries, reusing its capacity. When it
+// has to allocate it leaves a quarter of headroom, so a list whose length
+// creeps up across rebuilds stops reallocating after the first few.
+func resized(s []int32, n int) []int32 {
 	if cap(s) < n {
-		return make([]T, n, n+n/4)
+		return make([]int32, n, n+n/4)
 	}
 	return s[:n]
 }
+
+// reserved returns s emptied, with room for n entries (and resized's
+// headroom), so appending up to that many allocates nothing.
+func reserved(s []int32, n int) []int32 { return resized(s, n)[:0] }
 
 // halfShellStencil is the 13 forward neighbour cell offsets of the half-shell
 // traversal, fixed for every rebuild (hoisted so rebuilds allocate nothing).
@@ -82,36 +61,40 @@ var halfShellStencil = func() [][3]int {
 	return st
 }()
 
-// neighborList produces the packed pair list consumed by the non-bonded
-// kernel. Periodic boxes at least three listing radii wide use a linked-cell
-// decomposition with cells at least rlist wide, its pair generation split
-// over x-slabs of the grid. Smaller boxes and aperiodic systems (single
-// molecules in vacuo) take an O(n²) sweep split over bands of rows. Both
-// splits run on the command's rebuild workers.
+// neighborList produces the row-compressed pair list consumed by the
+// non-bonded kernel. Periodic boxes at least three listing radii wide use a
+// linked-cell decomposition with cells at least rlist wide, its pair
+// generation split over x-slabs of the grid. Smaller boxes and aperiodic
+// systems (single molecules in vacuo) take an O(n²) sweep split over bands
+// of rows. Both splits run on the command's rebuild workers.
 //
 // The generated list is deterministic and independent of the worker count:
 // each slab or band fills its own buffer in the order a serial sweep would
-// use, and the buffers are joined in slab or band order (for slabs, followed
-// by a group-by-i counting sort).
+// use, and the buffers are joined in slab or band order (for slabs, by a
+// group-by-i counting sort).
 type neighborList struct {
 	box   vec.Box
 	im    imager
 	rlist float64  // cutoff + skin
-	plist pairList // packed output consumed by the kernel
+	plist pairList // output consumed by the kernel
 
-	// per-atom parameter caches, filled once from the topology
-	typ []int32
-	chg []float64
-	qed bool // true if any atom carries charge
+	// parameter caches, filled once from the topology: each atom's LJ type
+	// and charge, and the combined LJ coefficients of type pair (a, b) at
+	// a·ntypes+b
+	typ     []int32
+	chg     []float64
+	c6, c12 []float64
+	ntypes  int
 
 	// rebuild scratch, reused across rebuilds
 	nc      [3]int
 	heads   []int32
 	next    []int32
 	cellDim vec.V3
-	slabs   []pairList // per-x-slab or per-row-band pair buffers
-	bands   []int      // row-band bounds: band b is rows [bands[b], bands[b+1])
-	counts  []int32    // counting-sort scratch, len natoms
+	// per-band partners j, or per-slab (i, j) pairs flattened two entries a
+	// pair
+	slabs [][]int32
+	bands []int // row-band bounds: band b is rows [bands[b], bands[b+1])
 }
 
 // parallelMinCandidates is the candidate pair count below which a rebuild
@@ -133,8 +116,9 @@ func (nl *neighborList) periodic() bool {
 	return nl.box.L.X > 0 && nl.box.L.Y > 0 && nl.box.L.Z > 0
 }
 
-// cacheAtomParams snapshots per-atom LJ type and charge into flat arrays so
-// pair packing reads int32/float64 slices instead of Atom structs.
+// cacheAtomParams snapshots per-atom LJ type and charge, and the topology's
+// LJ pair table, into flat arrays, so the kernel reads int32/float64 slices
+// instead of Atom structs and topology methods.
 func (nl *neighborList) cacheAtomParams(top *topology.Topology) {
 	if len(nl.typ) == len(top.Atoms) {
 		return
@@ -144,8 +128,14 @@ func (nl *neighborList) cacheAtomParams(top *topology.Topology) {
 	for i, a := range top.Atoms {
 		nl.typ[i] = int32(a.Type)
 		nl.chg[i] = a.Charge
-		if a.Charge != 0 {
-			nl.qed = true
+	}
+	nt := len(top.LJTypes)
+	nl.ntypes = nt
+	nl.c6 = make([]float64, nt*nt)
+	nl.c12 = make([]float64, nt*nt)
+	for a := 0; a < nt; a++ {
+		for b := 0; b < nt; b++ {
+			nl.c6[a*nt+b], nl.c12[a*nt+b] = top.LJPair(a, b)
 		}
 	}
 }
@@ -185,16 +175,16 @@ func (nl *neighborList) expectedPairs(natoms int) int {
 	return int(0.5 * n * n * sphere / nl.box.Volume())
 }
 
-// fillSlabs fills the pair buffers nl.slabs[0:n], buffer k by fill, on up
-// to `workers` goroutines (the caller among them) that pull buffer indices
-// from a shared cursor; it returns once all are full. Each buffer is first
-// reserved for `per` pairs. fill gets and returns the buffer by value, so it
-// appends to a header on its own stack: appending through nl.slabs[k] itself
-// would rewrite, on every pair, a cache line that neighbouring buffers'
-// headers share.
-func (nl *neighborList) fillSlabs(workers, n, per int, fill func(buf pairList, k int) pairList) {
+// fillSlabs fills the buffers nl.slabs[0:n], buffer k by fill, on up to
+// `workers` goroutines (the caller among them) that pull buffer indices from
+// a shared cursor; it returns once all are full. Each buffer is first
+// reserved for `per` entries. fill gets and returns the buffer by value, so
+// it appends to a header on its own stack: appending through nl.slabs[k]
+// itself would rewrite, on every pair, a cache line that neighbouring
+// buffers' headers share.
+func (nl *neighborList) fillSlabs(workers, n, per int, fill func(buf []int32, k int) []int32) {
 	if len(nl.slabs) < n {
-		nl.slabs = append(nl.slabs, make([]pairList, n-len(nl.slabs))...)
+		nl.slabs = append(nl.slabs, make([][]int32, n-len(nl.slabs))...)
 	}
 	var cursor atomic.Int64
 	work := func() {
@@ -203,8 +193,7 @@ func (nl *neighborList) fillSlabs(workers, n, per int, fill func(buf pairList, k
 			if k >= n {
 				return
 			}
-			nl.slabs[k].reserve(per)
-			nl.slabs[k] = fill(nl.slabs[k], k)
+			nl.slabs[k] = fill(reserved(nl.slabs[k], per), k)
 		}
 	}
 	var wg sync.WaitGroup
@@ -219,93 +208,71 @@ func (nl *neighborList) fillSlabs(workers, n, per int, fill func(buf pairList, k
 	wg.Wait()
 }
 
-// packInto appends pair (i, j) with baked interaction parameters, normalising
-// to i < j. Exclusions have already been filtered by the caller.
-func (nl *neighborList) packInto(buf *pairList, top *topology.Topology, i, j int) {
-	if i > j {
-		i, j = j, i
-	}
-	c6, c12 := top.LJPair(int(nl.typ[i]), int(nl.typ[j]))
-	var qqf float64
-	if nl.qed {
-		qqf = topology.CoulombConst * nl.chg[i] * nl.chg[j]
-	}
-	buf.append(int32(i), int32(j), c6, c12, qqf)
-}
-
 // rebuildAllPairs is the O(n²) sweep over every i < j, for boxes too small
 // for the cell grid and for aperiodic systems. Row i holds the n−i−1
 // candidates j > i; the rows are cut into bands of equal candidate count,
-// each band fills its own buffer, and the buffers are concatenated in band
-// order. The list thus comes out grouped by ascending i, in serial sweep
-// order, whatever the worker count.
+// each band fills its own buffer with its rows' partners and writes each
+// row's count, and the buffers are concatenated in band order while a
+// prefix sum turns the counts into row offsets. The list thus comes out in
+// serial sweep order whatever the worker count.
 func (nl *neighborList) rebuildAllPairs(pos []vec.V3, top *topology.Topology, workers int) {
 	n := len(pos)
+	pl := &nl.plist
+	pl.start = resized(pl.start, n+1)
 	candidates := n * (n - 1) / 2
 	expected := nl.expectedPairs(n)
 	if workers <= 1 || candidates < parallelMinCandidates {
-		nl.plist.reserve(expected)
-		nl.fillRows(&nl.plist, pos, top, 0, n)
-		return
-	}
-
-	nbands := bandsPerWorker * workers
-	nl.bands = append(nl.bands[:0], 0)
-	i, done := 0, 0
-	for b := 1; b < nbands; b++ {
-		for i < n && done*nbands < b*candidates {
-			done += n - i - 1
-			i++
+		pl.aj = nl.fillRows(reserved(pl.aj, expected), pos, top, 0, n)
+	} else {
+		nbands := bandsPerWorker * workers
+		nl.bands = append(nl.bands[:0], 0)
+		i, done := 0, 0
+		for b := 1; b < nbands; b++ {
+			for i < n && done*nbands < b*candidates {
+				done += n - i - 1
+				i++
+			}
+			nl.bands = append(nl.bands, i)
 		}
-		nl.bands = append(nl.bands, i)
-	}
-	nl.bands = append(nl.bands, n)
+		nl.bands = append(nl.bands, n)
 
-	nl.fillSlabs(workers, nbands, expected/nbands, func(buf pairList, b int) pairList {
-		nl.fillRows(&buf, pos, top, nl.bands[b], nl.bands[b+1])
-		return buf
-	})
+		nl.fillSlabs(workers, nbands, expected/nbands, func(buf []int32, b int) []int32 {
+			return nl.fillRows(buf, pos, top, nl.bands[b], nl.bands[b+1])
+		})
 
-	total := 0
-	for b := 0; b < nbands; b++ {
-		total += nl.slabs[b].Len()
+		total := 0
+		for _, buf := range nl.slabs[:nbands] {
+			total += len(buf)
+		}
+		pl.aj = resized(pl.aj, total)
+		off := 0
+		for _, buf := range nl.slabs[:nbands] {
+			off += copy(pl.aj[off:], buf)
+		}
 	}
-	nl.plist.resize(total)
-	dst, off := &nl.plist, 0
-	for b := 0; b < nbands; b++ {
-		src := &nl.slabs[b]
-		copy(dst.ai[off:], src.ai)
-		copy(dst.aj[off:], src.aj)
-		copy(dst.c6[off:], src.c6)
-		copy(dst.c12[off:], src.c12)
-		copy(dst.qqf[off:], src.qqf)
-		off += src.Len()
+	pl.start[0] = 0
+	for i := 1; i <= n; i++ {
+		pl.start[i] += pl.start[i-1]
 	}
 }
 
-// fillRows appends the pairs of rows [lo, hi) to buf in sweep order. The
-// distance test runs first, and only the quarter or so of candidates within
-// range meet the exclusion test: a cursor into row i's sorted exclusion list
-// (the order BuildExclusions makes and Excluded's binary search relies on)
-// that walks forward as j ascends. Pairs are packed inline onto local slice
-// headers, written back once.
-func (nl *neighborList) fillRows(buf *pairList, pos []vec.V3, top *topology.Topology, lo, hi int) {
+// fillRows appends the partners of rows [lo, hi) to aj in sweep order and
+// writes row i's partner count to plist.start[i+1]. The distance test runs
+// first, and only the quarter or so of candidates within range meet the
+// exclusion test: a cursor into row i's sorted exclusion list (the order
+// BuildExclusions makes and Excluded's binary search relies on) that walks
+// forward as j ascends.
+func (nl *neighborList) fillRows(aj []int32, pos []vec.V3, top *topology.Topology, lo, hi int) []int32 {
 	im := nl.im
 	r2 := nl.rlist * nl.rlist
-	typ, chg := nl.typ, nl.chg
-	ai, aj, c6s, c12s, qqfs := buf.ai, buf.aj, buf.c6, buf.c12, buf.qqf
+	counts := nl.plist.start[1:]
 	for i := lo; i < hi; i++ {
 		p := pos[i]
-		ti := int(typ[i])
-		var cqi float64
-		if nl.qed {
-			cqi = topology.CoulombConst * chg[i]
-		}
 		var excl []int
 		if i < len(top.Exclusions) {
 			excl = top.Exclusions[i]
 		}
-		x := 0
+		x, row := 0, len(aj)
 		for j := i + 1; j < len(pos); j++ {
 			if im.minImage(p, pos[j]).Norm2() > r2 {
 				continue
@@ -316,15 +283,11 @@ func (nl *neighborList) fillRows(buf *pairList, pos []vec.V3, top *topology.Topo
 			if x < len(excl) && excl[x] == j {
 				continue
 			}
-			c6, c12 := top.LJPair(ti, int(typ[j]))
-			ai = append(ai, int32(i))
 			aj = append(aj, int32(j))
-			c6s = append(c6s, c6)
-			c12s = append(c12s, c12)
-			qqfs = append(qqfs, cqi*chg[j])
 		}
+		counts[i] = int32(len(aj) - row)
 	}
-	buf.ai, buf.aj, buf.c6, buf.c12, buf.qqf = ai, aj, c6s, c12s, qqfs
+	return aj
 }
 
 func (nl *neighborList) rebuildCells(pos []vec.V3, top *topology.Topology, workers int) {
@@ -360,9 +323,8 @@ func (nl *neighborList) rebuildCells(pos []vec.V3, top *topology.Topology, worke
 	// appends into its private buffer; merging in cx order reproduces the
 	// serial traversal order exactly, whatever the worker count.
 	nslabs := nl.nc[0]
-	nl.fillSlabs(workers, nslabs, nl.expectedPairs(len(pos))/nslabs, func(buf pairList, cx int) pairList {
-		nl.fillSlab(&buf, cx, pos, top)
-		return buf
+	nl.fillSlabs(workers, nslabs, 2*nl.expectedPairs(len(pos))/nslabs, func(buf []int32, cx int) []int32 {
+		return nl.fillSlab(buf, cx, pos, top)
 	})
 	nl.mergeSlabs(nslabs, len(pos))
 }
@@ -399,8 +361,9 @@ func (nl *neighborList) cellOf(p vec.V3) int {
 	return (cx*nl.nc[1]+cy)*nl.nc[2] + cz
 }
 
-// fillSlab generates the pairs whose home cell has x-index cx.
-func (nl *neighborList) fillSlab(buf *pairList, cx int, pos []vec.V3, top *topology.Topology) {
+// fillSlab appends the pairs whose home cell has x-index cx to buf, as
+// (i, j) entry pairs with i < j.
+func (nl *neighborList) fillSlab(buf []int32, cx int, pos []vec.V3, top *topology.Topology) []int32 {
 	r2 := nl.rlist * nl.rlist
 	for cy := 0; cy < nl.nc[1]; cy++ {
 		for cz := 0; cz < nl.nc[2]; cz++ {
@@ -408,7 +371,7 @@ func (nl *neighborList) fillSlab(buf *pairList, cx int, pos []vec.V3, top *topol
 			// Pairs within the cell.
 			for i := nl.heads[c]; i >= 0; i = nl.next[i] {
 				for j := nl.next[i]; j >= 0; j = nl.next[j] {
-					nl.tryPair(buf, pos, top, int(i), int(j), r2)
+					buf = nl.tryPair(buf, pos, top, i, j, r2)
 				}
 			}
 			// Pairs with the half shell.
@@ -419,62 +382,54 @@ func (nl *neighborList) fillSlab(buf *pairList, cx int, pos []vec.V3, top *topol
 				o := (ox*nl.nc[1]+oy)*nl.nc[2] + oz
 				for i := nl.heads[c]; i >= 0; i = nl.next[i] {
 					for j := nl.heads[o]; j >= 0; j = nl.next[j] {
-						nl.tryPair(buf, pos, top, int(i), int(j), r2)
+						buf = nl.tryPair(buf, pos, top, i, j, r2)
 					}
 				}
 			}
 		}
 	}
+	return buf
 }
 
-func (nl *neighborList) tryPair(buf *pairList, pos []vec.V3, top *topology.Topology, i, j int, r2 float64) {
-	if nl.im.minImage(pos[i], pos[j]).Norm2() > r2 || top.Excluded(i, j) {
-		return
+// tryPair appends (i, j), ordered i < j, to buf if the pair is within the
+// listing radius and not excluded.
+func (nl *neighborList) tryPair(buf []int32, pos []vec.V3, top *topology.Topology, i, j int32, r2 float64) []int32 {
+	if nl.im.minImage(pos[i], pos[j]).Norm2() > r2 || top.Excluded(int(i), int(j)) {
+		return buf
 	}
-	nl.packInto(buf, top, i, j)
+	if i > j {
+		i, j = j, i
+	}
+	return append(buf, i, j)
 }
 
-// mergeSlabs concatenates the slab buffers and counting-sorts the result by
-// ai, so the kernel walks each i atom's pairs consecutively. The sort is
-// stable over the slab-order concatenation, keeping the final list fully
-// deterministic.
+// mergeSlabs counting-sorts the slab buffers' pairs by i into the list, so
+// the kernel walks each i atom's pairs as one row. The sort is stable over
+// the slab-order concatenation, keeping the final list fully deterministic.
+// It counts row i's pairs into start[i+2], so that the prefix sum leaves
+// row i's first offset in start[i+1], the cursor the scatter advances to
+// row i's end, which is row i+1's first offset.
 func (nl *neighborList) mergeSlabs(nslabs, natoms int) {
+	pl := &nl.plist
+	start := resized(pl.start, natoms+2)
+	clear(start)
 	total := 0
-	for s := 0; s < nslabs; s++ {
-		total += nl.slabs[s].Len()
-	}
-	if cap(nl.counts) < natoms {
-		nl.counts = make([]int32, natoms)
-	}
-	counts := nl.counts[:natoms]
-	for i := range counts {
-		counts[i] = 0
-	}
-	for s := 0; s < nslabs; s++ {
-		for _, i := range nl.slabs[s].ai {
-			counts[i]++
+	for _, buf := range nl.slabs[:nslabs] {
+		total += len(buf) / 2
+		for k := 0; k < len(buf); k += 2 {
+			start[buf[k]+2]++
 		}
 	}
-	// Prefix sum: counts[i] becomes the write offset of atom i's first pair.
-	var off int32
-	for i := range counts {
-		c := counts[i]
-		counts[i] = off
-		off += c
+	for i := 2; i < len(start); i++ {
+		start[i] += start[i-1]
 	}
-	nl.plist.resize(total)
-	dst := &nl.plist
-	for s := 0; s < nslabs; s++ {
-		src := &nl.slabs[s]
-		for k := range src.ai {
-			i := src.ai[k]
-			p := counts[i]
-			counts[i]++
-			dst.ai[p] = i
-			dst.aj[p] = src.aj[k]
-			dst.c6[p] = src.c6[k]
-			dst.c12[p] = src.c12[k]
-			dst.qqf[p] = src.qqf[k]
+	aj := resized(pl.aj, total)
+	for _, buf := range nl.slabs[:nslabs] {
+		for k := 0; k < len(buf); k += 2 {
+			c := &start[buf[k]+1]
+			aj[*c] = buf[k+1]
+			*c++
 		}
 	}
+	pl.start, pl.aj = start[:natoms+1], aj
 }

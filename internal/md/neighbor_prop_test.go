@@ -16,54 +16,51 @@ type pair struct{ i, j int32 }
 
 func pairSetOf(pl *pairList) map[pair]bool {
 	set := make(map[pair]bool, pl.Len())
-	for k := range pl.ai {
-		i, j := pl.ai[k], pl.aj[k]
-		if i > j {
-			i, j = j, i
+	for i := 0; i+1 < len(pl.start); i++ {
+		for _, j := range pl.aj[pl.start[i]:pl.start[i+1]] {
+			set[pair{int32(i), j}] = true
 		}
-		set[pair{i, j}] = true
 	}
 	return set
 }
 
 // referencePairs is the test oracle for every rebuild path: a plain serial
 // sweep over all i < j that tests the exclusion first and the full
-// vec.Box.MinImage norm second, and bakes each pair's parameters straight
-// from the topology tables. It shares no code with the neighbour list.
+// vec.Box.MinImage norm second, recording row i's offset before its
+// partners. It shares no code with the neighbour list.
 func referencePairs(box vec.Box, pos []vec.V3, top *topology.Topology, rlist float64) pairList {
 	var ref pairList
 	for i := range pos {
+		ref.start = append(ref.start, int32(len(ref.aj)))
 		for j := i + 1; j < len(pos); j++ {
 			if top.Excluded(i, j) || box.MinImage(pos[i], pos[j]).Norm2() > rlist*rlist {
 				continue
 			}
-			a, b := top.Atoms[i], top.Atoms[j]
-			c6, c12 := top.LJPair(a.Type, b.Type)
-			ref.ai = append(ref.ai, int32(i))
 			ref.aj = append(ref.aj, int32(j))
-			ref.c6 = append(ref.c6, c6)
-			ref.c12 = append(ref.c12, c12)
-			ref.qqf = append(ref.qqf, topology.CoulombConst*a.Charge*b.Charge)
 		}
 	}
+	ref.start = append(ref.start, int32(len(ref.aj)))
 	return ref
 }
 
-// samePairList fails t unless got is want entry for entry: the same pairs in
-// the same order with bit-identical baked parameters.
+// samePairList fails t unless got is want entry for entry: the same row
+// offsets and the same partners in the same order.
 func samePairList(t *testing.T, label string, got, want *pairList) {
 	t.Helper()
+	if len(got.start) != len(want.start) {
+		t.Fatalf("%s: %d row offsets, reference has %d", label, len(got.start), len(want.start))
+	}
 	if got.Len() != want.Len() {
 		t.Fatalf("%s: %d pairs, reference has %d", label, got.Len(), want.Len())
 	}
-	for k := range want.ai {
-		if got.ai[k] != want.ai[k] || got.aj[k] != want.aj[k] ||
-			math.Float64bits(got.c6[k]) != math.Float64bits(want.c6[k]) ||
-			math.Float64bits(got.c12[k]) != math.Float64bits(want.c12[k]) ||
-			math.Float64bits(got.qqf[k]) != math.Float64bits(want.qqf[k]) {
-			t.Fatalf("%s: entry %d is (%d,%d; %g,%g,%g), reference has (%d,%d; %g,%g,%g)",
-				label, k, got.ai[k], got.aj[k], got.c6[k], got.c12[k], got.qqf[k],
-				want.ai[k], want.aj[k], want.c6[k], want.c12[k], want.qqf[k])
+	for i := range want.start {
+		if got.start[i] != want.start[i] {
+			t.Fatalf("%s: row %d starts at %d, reference at %d", label, i, got.start[i], want.start[i])
+		}
+	}
+	for k := range want.aj {
+		if got.aj[k] != want.aj[k] {
+			t.Fatalf("%s: entry %d (row %d) is %d, reference has %d", label, k, want.rowOf(k), got.aj[k], want.aj[k])
 		}
 	}
 }
@@ -77,8 +74,8 @@ func shake(sys *topology.System, r *rng.Source, sd float64) {
 }
 
 // TestAllPairsRebuildMatchesReference checks the row-band all-pairs sweep
-// against the reference list entry for entry — pairs, order and baked
-// parameters — for every worker count, on md_ensemble's box (192 waters at
+// against the reference list entry for entry — row offsets, partners and
+// their order — for every worker count, on md_ensemble's box (192 waters at
 // rlist 0.68, edge under three listing radii), random periodic boxes too
 // small for the cell grid, and an aperiodic peptide. Each list is rebuilt
 // twice, so reused band buffers are covered as well as fresh ones. One box
@@ -171,7 +168,7 @@ func TestRebuildAllocatesNothing(t *testing.T) {
 			runtime.ReadMemStats(&before)
 			nl.rebuildWith(c.sys.Pos, c.sys.Top, workers)
 			runtime.ReadMemStats(&after)
-			// Five arrays per buffer, allocated once each, and a few
+			// An array or two per buffer, allocated once each, and a few
 			// closures; growing from empty by append takes hundreds.
 			if n := after.Mallocs - before.Mallocs; n > 100 {
 				t.Errorf("%s workers %d: first rebuild made %d allocations", c.name, workers, n)
@@ -192,9 +189,9 @@ func TestRebuildAllocatesNothing(t *testing.T) {
 // TestPairListPropertyRandomBoxes checks, across randomly drawn periodic
 // systems and listing radii, that the parallel cell-grid rebuild produces
 // exactly the reference sweep's pair set for every worker count, the serial
-// list entry for entry, that the packed list is grouped by ascending i, and
-// that the baked parameters match the topology tables. The last four systems
-// are large enough for the slab fan-out.
+// list entry for entry, and a well-formed row layout: offsets from 0 to the
+// pair count, never falling, and every partner of row i above i. The last
+// four systems are large enough for the slab fan-out.
 func TestPairListPropertyRandomBoxes(t *testing.T) {
 	r := rng.New(42)
 	fannedOut := 0
@@ -252,16 +249,18 @@ func TestPairListPropertyRandomBoxes(t *testing.T) {
 				}
 			}
 			pl := &nl.plist
-			for k := 0; k < pl.Len(); k++ {
-				if k > 0 && pl.ai[k] < pl.ai[k-1] {
-					t.Fatalf("iter %d workers %d: packed list not grouped by i at entry %d", iter, workers, k)
+			if len(pl.start) != len(sys.Pos)+1 || pl.start[0] != 0 || int(pl.start[len(sys.Pos)]) != pl.Len() {
+				t.Fatalf("iter %d workers %d: %d row offsets from %d to %d for %d atoms and %d pairs",
+					iter, workers, len(pl.start), pl.start[0], pl.start[len(pl.start)-1], len(sys.Pos), pl.Len())
+			}
+			for i := range sys.Pos {
+				if pl.start[i+1] < pl.start[i] {
+					t.Fatalf("iter %d workers %d: row %d ends at %d before it starts at %d", iter, workers, i, pl.start[i+1], pl.start[i])
 				}
-				i, j := int(pl.ai[k]), int(pl.aj[k])
-				c6, c12 := sys.Top.LJPair(sys.Top.Atoms[i].Type, sys.Top.Atoms[j].Type)
-				qqf := topology.CoulombConst * sys.Top.Atoms[i].Charge * sys.Top.Atoms[j].Charge
-				if pl.c6[k] != c6 || pl.c12[k] != c12 || pl.qqf[k] != qqf {
-					t.Fatalf("iter %d workers %d: baked params for pair (%d,%d) = (%g,%g,%g), want (%g,%g,%g)",
-						iter, workers, i, j, pl.c6[k], pl.c12[k], pl.qqf[k], c6, c12, qqf)
+				for _, j := range pl.aj[pl.start[i]:pl.start[i+1]] {
+					if int(j) <= i {
+						t.Fatalf("iter %d workers %d: row %d holds partner %d", iter, workers, i, j)
+					}
 				}
 			}
 		}

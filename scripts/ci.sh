@@ -37,9 +37,10 @@ race() {
         ./internal/repex/... ./internal/msm/... ./internal/controller/... \
         ./internal/engines/...
     # The neighbour-list rebuild fills per-slab and per-band buffers from
-    # several goroutines at once: run its tests three times over.
-    echo "== go test -race -count=3 (md neighbour-list rebuild) =="
-    $GO test -race -count=3 -run 'PairList|Neighbor|Rebuild' ./internal/md/
+    # several goroutines at once, and the kernel reads the list it leaves:
+    # run their tests three times over.
+    echo "== go test -race -count=3 (md neighbour-list rebuild and kernel) =="
+    $GO test -race -count=3 -run 'PairList|Neighbor|Rebuild|NonbondedKernel' ./internal/md/
     # The engine goldens drive the band fill, the slab fill and the sharded
     # force loop end to end through MDEngine.Run.
     echo "== go test -race -count=3 (md engine goldens) =="

@@ -70,7 +70,9 @@ func BenchmarkNonbondedKernel(b *testing.B) {
 // candidates, about 180 atoms in 27 cells); the smallbox rows run on
 // md_ensemble's box (192 waters, cutoff 0.6 + skin 0.08), whose 1.8 nm
 // edge is under three listing radii, so it takes the all-pairs row-band
-// sweep, serial and on two workers.
+// sweep, serial and on two workers. The water870 rows time both paths,
+// serial, on 290 waters at that radius, the smallest water box the grid
+// takes: where the grid starts to pay.
 func BenchmarkNeighborRebuild(b *testing.B) {
 	sys, err := topology.LJFluid(2048, 8, 1)
 	if err != nil {
@@ -124,6 +126,28 @@ func BenchmarkNeighborRebuild(b *testing.B) {
 			}
 		})
 	}
+
+	// The crossover: 290 waters at the same radius, a 2.06 nm edge, just
+	// over three listing radii, so the box takes the 27-cell grid. The
+	// sweep row runs the all-pairs sweep on the same positions.
+	cross, err := topology.WaterBox(290, 1)
+	if err != nil {
+		b.Fatalf("WaterBox: %v", err)
+	}
+	cs := benchSim(b, cross, cfg)
+	if !cs.nbl.gridFits() || int(cs.box.L.X/cs.nbl.rlist) != 3 {
+		b.Fatal("290-water box is not a 27-cell grid; the water870 rows would not time the crossover")
+	}
+	b.Run("water870/grid", func(b *testing.B) {
+		for n := 0; n < b.N; n++ {
+			cs.nbl.rebuildWith(cs.pos, cs.top, 1)
+		}
+	})
+	b.Run("water870/sweep", func(b *testing.B) {
+		for n := 0; n < b.N; n++ {
+			cs.nbl.rebuildAllPairs(cs.pos, cs.top, 1)
+		}
+	})
 }
 
 // BenchmarkStepVillinBox times full MD steps on a villin-scale solvated box

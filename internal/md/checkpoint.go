@@ -2,6 +2,7 @@ package md
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/gob"
 	"fmt"
 
@@ -65,7 +66,8 @@ func (s *Sim) Checkpoint() ([]byte, error) {
 
 // Resume reconstructs a simulation from a system definition, a config, and a
 // checkpoint previously produced by Checkpoint. The system's initial
-// positions are ignored in favour of the checkpointed state.
+// positions are ignored in favour of the checkpointed state, which must
+// match the system's atom count and hold no NaN or infinity.
 func Resume(sys *topology.System, cfg Config, checkpoint []byte) (*Sim, error) {
 	var data checkpointData
 	if err := gob.NewDecoder(bytes.NewReader(checkpoint)).Decode(&data); err != nil {
@@ -74,12 +76,16 @@ func Resume(sys *topology.System, cfg Config, checkpoint []byte) (*Sim, error) {
 	if data.Version != checkpointVersion {
 		return nil, fmt.Errorf("md: checkpoint version %d, engine expects %d", data.Version, checkpointVersion)
 	}
+	if n := sys.Top.NAtoms(); len(data.Pos) != n || len(data.Vel) != n || len(data.NbrRef) != n {
+		return nil, fmt.Errorf("md: checkpoint has %d atoms, system has %d", len(data.Pos), n)
+	}
+	if err := cmp.Or(checkFinite("checkpoint position", data.Pos), checkFinite("checkpoint velocity", data.Vel),
+		checkFinite("checkpoint rebuild reference", data.NbrRef)); err != nil {
+		return nil, err
+	}
 	s, err := New(sys, cfg)
 	if err != nil {
 		return nil, err
-	}
-	if len(data.Pos) != len(s.pos) || len(data.Vel) != len(s.vel) || len(data.NbrRef) != len(s.pos) {
-		return nil, fmt.Errorf("md: checkpoint has %d atoms, system has %d", len(data.Pos), len(s.pos))
 	}
 	for i := range s.pos {
 		s.pos[i] = s.box.Wrap(data.Pos[i])
@@ -90,6 +96,7 @@ func Resume(sys *topology.System, cfg Config, checkpoint []byte) (*Sim, error) {
 	s.time = data.Time
 	s.xiNH = data.XiNH
 	if err := s.rand.UnmarshalBinary(data.Rng); err != nil {
+		s.Close()
 		return nil, fmt.Errorf("md: restoring rng: %w", err)
 	}
 	// Rebuild the pair list from the checkpointed rebuild-reference

@@ -159,7 +159,7 @@ type Sim struct {
 	top *topology.Topology
 	cfg Config
 	box vec.Box
-	im  imager // minimum image in box, for the hot loops
+	im  *imager // minimum image in box, for the hot loops
 
 	pos []vec.V3
 	vel []vec.V3
@@ -205,6 +205,9 @@ func New(sys *topology.System, cfg Config) (*Sim, error) {
 	if len(sys.Pos) != n {
 		return nil, fmt.Errorf("md: %d positions for %d atoms", len(sys.Pos), n)
 	}
+	if err := checkFinite("position", sys.Pos); err != nil {
+		return nil, err
+	}
 	for _, l := range [3]float64{sys.Box.L.X, sys.Box.L.Y, sys.Box.L.Z} {
 		if l > 0 && l < 2*(cfg.Cutoff+cfg.Skin) {
 			return nil, fmt.Errorf("md: box edge %.3g smaller than twice cutoff+skin %.3g",
@@ -235,6 +238,17 @@ func New(sys *topology.System, cfg Config) (*Sim, error) {
 	s.rebuildNow(rebuildInitial)
 	s.computeForces()
 	return s, nil
+}
+
+// checkFinite returns an error naming field and the first atom of vs with a
+// NaN or infinity: the pair loops' minimum image and distance test need none.
+func checkFinite(field string, vs []vec.V3) error {
+	for i, v := range vs {
+		if !v.IsFinite() {
+			return fmt.Errorf("md: %s of atom %d is not finite: %v", field, i, v)
+		}
+	}
+	return nil
 }
 
 // Close releases the persistent force-loop workers. It is safe to call on a

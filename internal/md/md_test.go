@@ -1,7 +1,10 @@
 package md
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
+	"strings"
 	"testing"
 
 	"copernicus/internal/topology"
@@ -458,6 +461,41 @@ func TestCheckpointErrors(t *testing.T) {
 	other := smallFluid(t, 125)
 	if _, err := Resume(other, cfg, ckpt); err == nil {
 		t.Error("checkpoint with mismatched atom count should fail")
+	}
+
+	// A non-finite coordinate is refused up front, naming the field and
+	// the atom, not stepped until it surfaces as a divergence elsewhere.
+	var data checkpointData
+	if err := gob.NewDecoder(bytes.NewReader(ckpt)).Decode(&data); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, want string
+		spoil      func(d *checkpointData)
+	}{
+		{"NaN position", "checkpoint position of atom 5", func(d *checkpointData) { d.Pos[5].Y = math.NaN() }},
+		{"Inf velocity", "checkpoint velocity of atom 17", func(d *checkpointData) { d.Vel[17].Z = math.Inf(-1) }},
+		{"NaN rebuild reference", "checkpoint rebuild reference of atom 63", func(d *checkpointData) { d.NbrRef[63].X = math.NaN() }},
+	} {
+		d := data
+		d.Pos = append([]vec.V3(nil), data.Pos...)
+		d.Vel = append([]vec.V3(nil), data.Vel...)
+		d.NbrRef = append([]vec.V3(nil), data.NbrRef...)
+		c.spoil(&d)
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(d); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Resume(sys, cfg, buf.Bytes())
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Resume error %v, want one naming %q", c.name, err, c.want)
+		}
+	}
+	bad := *sys
+	bad.Pos = append([]vec.V3(nil), sys.Pos...)
+	bad.Pos[9].X = math.Inf(1)
+	if _, err := New(&bad, cfg); err == nil || !strings.Contains(err.Error(), "position of atom 9") {
+		t.Errorf("New with an infinite position: error %v, want one naming position of atom 9", err)
 	}
 }
 

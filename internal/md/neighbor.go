@@ -2,6 +2,7 @@ package md
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -74,7 +75,7 @@ var halfShellStencil = func() [][3]int {
 // group-by-i counting sort).
 type neighborList struct {
 	box   vec.Box
-	im    imager
+	im    *imager
 	rlist float64  // cutoff + skin
 	plist pairList // output consumed by the kernel
 
@@ -257,35 +258,40 @@ func (nl *neighborList) rebuildAllPairs(pos []vec.V3, top *topology.Topology, wo
 }
 
 // fillRows appends the partners of rows [lo, hi) to aj in sweep order and
-// writes row i's partner count to plist.start[i+1]. The distance test runs
-// first, and only the quarter or so of candidates within range meet the
-// exclusion test: a cursor into row i's sorted exclusion list (the order
-// BuildExclusions makes and Excluded's binary search relies on) that walks
-// forward as j ascends.
+// writes row i's partner count to plist.start[i+1]. The distance test has no
+// branch: every candidate j is written past the row's accepted partners,
+// and the cursor advances by the sign bit of r² − d², clear exactly when
+// d² ≤ r² (New, Resume and maybeRebuild keep d² finite). The quarter or so
+// accepted then meet a cursor into row i's sorted exclusion list (the order
+// BuildExclusions makes) that walks forward as j ascends.
 func (nl *neighborList) fillRows(aj []int32, pos []vec.V3, top *topology.Topology, lo, hi int) []int32 {
-	im := nl.im
 	r2 := nl.rlist * nl.rlist
 	counts := nl.plist.start[1:]
 	for i := lo; i < hi; i++ {
-		p := pos[i]
+		p, row := pos[i], len(aj)
+		aj = slices.Grow(aj, len(pos)-i-1)[:row+len(pos)-i-1]
+		w := row
+		for k, q := range pos[i+1:] {
+			aj[w] = int32(i + 1 + k)
+			w += int(1 ^ math.Float64bits(r2-nl.im.minImage(p, q).Norm2())>>63)
+		}
 		var excl []int
 		if i < len(top.Exclusions) {
 			excl = top.Exclusions[i]
 		}
-		x, row := 0, len(aj)
-		for j := i + 1; j < len(pos); j++ {
-			if im.minImage(p, pos[j]).Norm2() > r2 {
-				continue
-			}
-			for x < len(excl) && excl[x] < j {
+		x, kept := 0, row
+		for _, j := range aj[row:w] {
+			for x < len(excl) && excl[x] < int(j) {
 				x++
 			}
-			if x < len(excl) && excl[x] == j {
+			if x < len(excl) && excl[x] == int(j) {
 				continue
 			}
-			aj = append(aj, int32(j))
+			aj[kept] = j
+			kept++
 		}
-		counts[i] = int32(len(aj) - row)
+		aj = aj[:kept]
+		counts[i] = int32(kept - row)
 	}
 	return aj
 }

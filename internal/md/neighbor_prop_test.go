@@ -79,7 +79,8 @@ func shake(sys *topology.System, r *rng.Source, sd float64) {
 // rlist 0.68, edge under three listing radii), random periodic boxes too
 // small for the cell grid, and an aperiodic peptide. Each list is rebuilt
 // twice, so reused band buffers are covered as well as fresh ones. One box
-// is exactly two listing radii wide.
+// is exactly two listing radii wide, and one pair sits exactly at the
+// listing radius.
 func TestAllPairsRebuildMatchesReference(t *testing.T) {
 	type system struct {
 		name  string
@@ -137,6 +138,30 @@ func TestAllPairsRebuildMatchesReference(t *testing.T) {
 			}
 		}
 	}
+
+	// Two atoms exactly the listing radius apart, d² = r² in floats: the
+	// sweep's branch-free test, the cell grid and the reference all list
+	// the pair. The box is 3.2 listing radii wide, so it fits the grid and
+	// the sweep is called directly.
+	pair, err := topology.LJFluid(2, 0.25, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pair.Box = vec.NewCubicBox(2)
+	pair.Pos = []vec.V3{vec.New(0, 0, 0), vec.New(0.625, 0, 0)}
+	rlist := 0.5 + 0.125
+	want := referencePairs(pair.Box, pair.Pos, pair.Top, rlist)
+	if want.Len() != 1 {
+		t.Fatalf("at rlist: reference lists %d pairs, want 1", want.Len())
+	}
+	nl := newNeighborList(pair.Box, rlist)
+	if !nl.gridFits() {
+		t.Fatal("at rlist: box does not fit the cell grid")
+	}
+	nl.rebuildWith(pair.Pos, pair.Top, 1)
+	samePairList(t, "at rlist, cell grid", &nl.plist, &want)
+	nl.rebuildAllPairs(pair.Pos, pair.Top, 1)
+	samePairList(t, "at rlist, sweep", &nl.plist, &want)
 }
 
 // TestRebuildAllocatesNothing checks, on the cell path and on the band path,

@@ -6,6 +6,10 @@
 #   benchtime   go -benchtime value for the micro-benches (default 2s;
 #               pass e.g. 1x for a smoke run)
 #
+# Each row runs 5 times (-count) and BENCH_md.json records the
+# median: one run of a kernel row spreads by ±20 % on a 2-vCPU host, too
+# much to resolve a before/after. The count is stamped into the file.
+#
 # The parallel-speedup numbers (shard scaling, rebuild workers) are
 # meaningless on a single-core host, so such runs are refused unless
 # BENCH_ALLOW_SINGLE_CORE=1 — and then the output is annotated so nobody
@@ -35,33 +39,44 @@ if [ "$NPROC" -le 1 ]; then
 fi
 
 BENCHTIME="${1:-2s}"
+COUNT=5
 TMP="$(mktemp)"
 trap 'rm -f "$TMP"' EXIT
 
-echo "== kernel micro-benches (internal/md, -benchtime $BENCHTIME) =="
+echo "== kernel micro-benches (internal/md, -benchtime $BENCHTIME, -count $COUNT) =="
 go test -run=NONE -bench='BenchmarkNonbondedKernel|BenchmarkNeighborRebuild|BenchmarkStepVillinBox' \
-    -benchtime "$BENCHTIME" ./internal/md | tee "$TMP"
+    -benchtime "$BENCHTIME" -count "$COUNT" ./internal/md | tee "$TMP"
 
-awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v nproc="$NPROC" -v single="$SINGLE_CORE" '
+awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v nproc="$NPROC" -v single="$SINGLE_CORE" -v count="$COUNT" '
 /^Benchmark/ {
     name = $1
     sub(/^Benchmark/, "", name)
     sub(/-[0-9]+$/, "", name)   # strip GOMAXPROCS suffix
     for (i = 2; i < NF; i++) {
-        if ($(i+1) == "ns/op") ns[name] = $i
+        if ($(i+1) == "ns/op") {
+            # insert in order, so the runs of a row stay sorted
+            k = ++runs[name]
+            while (k > 1 && run[name, k-1] > $i + 0) { run[name, k] = run[name, k-1]; k-- }
+            run[name, k] = $i + 0
+        }
     }
 }
 END {
+    for (name in runs) {
+        m = runs[name]
+        ns[name] = (m % 2) ? run[name, (m+1)/2] : (run[name, m/2] + run[name, m/2+1]) / 2
+    }
     printf "{\n"
     printf "  \"generated\": \"%s\",\n", date
     printf "  \"nproc\": %d,\n", nproc
+    printf "  \"count\": %d,\n", count
     if (single) printf "  \"single_core_host\": true,\n"
     printf "  \"ns_per_op\": {\n"
     n = 0
     for (k in ns) order[n++] = k
     for (i = 0; i < n; i++) {
         k = order[i]
-        printf "    \"%s\": %s%s\n", k, ns[k], (i < n-1 ? "," : "")
+        printf "    \"%s\": %.0f%s\n", k, ns[k], (i < n-1 ? "," : "")
     }
     printf "  }"
     for (w = 2; w <= 4; w += 2) {
@@ -70,6 +85,8 @@ END {
         if (("NeighborRebuild/workers1" in ns) && (("NeighborRebuild/workers" w) in ns) && ns["NeighborRebuild/workers" w] > 0)
             printf ",\n  \"rebuild_speedup_%dworkers\": %.3f", w, ns["NeighborRebuild/workers1"] / ns["NeighborRebuild/workers" w]
     }
+    if (("NeighborRebuild/water870/grid" in ns) && ("NeighborRebuild/water870/sweep" in ns) && ns["NeighborRebuild/water870/sweep"] > 0)
+        printf ",\n  \"water870_grid_over_sweep\": %.3f", ns["NeighborRebuild/water870/grid"] / ns["NeighborRebuild/water870/sweep"]
     if (("NeighborRebuild/smallbox/workers1" in ns) && ("NeighborRebuild/smallbox/workers2" in ns) && ns["NeighborRebuild/smallbox/workers2"] > 0)
         printf ",\n  \"small_box_rebuild_speedup_2workers\": %.3f", ns["NeighborRebuild/smallbox/workers1"] / ns["NeighborRebuild/smallbox/workers2"]
     printf "\n}\n"

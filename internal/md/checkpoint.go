@@ -5,6 +5,7 @@ import (
 	"cmp"
 	"encoding/gob"
 	"fmt"
+	"math"
 
 	"copernicus/internal/topology"
 	"copernicus/internal/vec"
@@ -67,7 +68,8 @@ func (s *Sim) Checkpoint() ([]byte, error) {
 // Resume reconstructs a simulation from a system definition, a config, and a
 // checkpoint previously produced by Checkpoint. The system's initial
 // positions are ignored in favour of the checkpointed state, which must
-// match the system's atom count and hold no NaN or infinity.
+// match the system's atom count and hold no NaN or infinity, in its
+// coordinates or its Nosé–Hoover variable.
 func Resume(sys *topology.System, cfg Config, checkpoint []byte) (*Sim, error) {
 	var data checkpointData
 	if err := gob.NewDecoder(bytes.NewReader(checkpoint)).Decode(&data); err != nil {
@@ -82,6 +84,9 @@ func Resume(sys *topology.System, cfg Config, checkpoint []byte) (*Sim, error) {
 	if err := cmp.Or(checkFinite("checkpoint position", data.Pos), checkFinite("checkpoint velocity", data.Vel),
 		checkFinite("checkpoint rebuild reference", data.NbrRef)); err != nil {
 		return nil, err
+	}
+	if math.IsNaN(data.XiNH) || math.IsInf(data.XiNH, 0) {
+		return nil, fmt.Errorf("md: checkpoint Nosé–Hoover variable XiNH is %v", data.XiNH)
 	}
 	s, err := New(sys, cfg)
 	if err != nil {

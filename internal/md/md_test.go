@@ -476,6 +476,8 @@ func TestCheckpointErrors(t *testing.T) {
 		{"NaN position", "checkpoint position of atom 5", func(d *checkpointData) { d.Pos[5].Y = math.NaN() }},
 		{"Inf velocity", "checkpoint velocity of atom 17", func(d *checkpointData) { d.Vel[17].Z = math.Inf(-1) }},
 		{"NaN rebuild reference", "checkpoint rebuild reference of atom 63", func(d *checkpointData) { d.NbrRef[63].X = math.NaN() }},
+		{"NaN XiNH", "XiNH is NaN", func(d *checkpointData) { d.XiNH = math.NaN() }},
+		{"Inf XiNH", "XiNH is +Inf", func(d *checkpointData) { d.XiNH = math.Inf(1) }},
 	} {
 		d := data
 		d.Pos = append([]vec.V3(nil), data.Pos...)

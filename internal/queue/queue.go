@@ -106,7 +106,8 @@ type Queue struct {
 	// fair-share charge accounting.
 	inflight map[string]*inflightCmd
 	seq      uint64
-	total    int // queued commands across all tenants
+	total    int         // queued commands across all tenants
+	widths   map[int]int // queued commands by MinCores
 	// vclock is the scheduler's virtual time: the highest settled vtime
 	// (vtime less its provisional charges) of a tenant at service. Newly
 	// active tenants start at the clock, so an idle tenant cannot bank
@@ -189,6 +190,7 @@ func NewWithConfig(cfg Config) *Queue {
 		tenants:  make(map[string]*tenantQ),
 		byID:     make(map[string]*item),
 		inflight: make(map[string]*inflightCmd),
+		widths:   make(map[int]int),
 	}
 }
 
@@ -387,6 +389,7 @@ func (q *Queue) push(cmd wire.CommandSpec, admit bool) error {
 	heap.Push(&t.items, it)
 	heap.Push(&t.ages, it)
 	q.total++
+	q.widths[cmd.MinCores]++
 	q.pushes.Inc()
 	ready = readiness{fire: true, first: q.total == 1}
 	return nil
@@ -418,6 +421,23 @@ func (q *Queue) removeItemLocked(it *item) {
 	heap.Remove(&it.t.items, it.pidx)
 	heap.Remove(&it.t.ages, it.aidx)
 	q.total--
+	if q.widths[it.cmd.MinCores]--; q.widths[it.cmd.MinCores] == 0 {
+		delete(q.widths, it.cmd.MinCores)
+	}
+}
+
+// Wider reports whether a queued command needs more than cores and at most
+// upTo cores: one that a worker offering cores now would pass over, but
+// could run with all its upTo free.
+func (q *Queue) Wider(cores, upTo int) bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for w := range q.widths {
+		if w > cores && w <= upTo {
+			return true
+		}
+	}
+	return false
 }
 
 // Contains reports whether a command is queued.

@@ -435,3 +435,33 @@ func TestPropertyNoLeakedCoreGrant(t *testing.T) {
 		}
 	}
 }
+
+// TestWider: the width query sees a queued command needing more cores than
+// offered and at most the worker's, and forgets it once it leaves the queue,
+// by a match or a removal.
+func TestWider(t *testing.T) {
+	q := New()
+	for _, c := range []wire.CommandSpec{cmd("one", 0, 1, 1), cmd("two", 0, 2, 2), cmd("four", 0, 4, 4)} {
+		if err := q.Push(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		cores, upTo int
+		want        bool
+	}{{1, 1, false}, {1, 2, true}, {2, 2, false}, {2, 3, false}, {2, 4, true}, {4, 8, false}} {
+		if got := q.Wider(c.cores, c.upTo); got != c.want {
+			t.Errorf("Wider(%d, %d) = %v, want %v", c.cores, c.upTo, got, c.want)
+		}
+	}
+	if wl := q.Match(worker(4, "sim")); len(wl.Commands) != 2 || wl.Commands[1].ID != "two" {
+		t.Fatalf("matched %+v, want one and two", wl.Commands)
+	}
+	if !q.Wider(1, 4) {
+		t.Error("Wider(1, 4) lost four when one and two were matched")
+	}
+	q.Remove("four")
+	if q.Wider(0, 8) {
+		t.Error("Wider(0, 8) with nothing queued")
+	}
+}

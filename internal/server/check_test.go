@@ -27,7 +27,9 @@ import (
 //
 // The events: a worker announces, directly or by another server's relayed
 // search (and is assigned what the queue matches), checkpoints, returns an
-// OK result, reports a failure, is lost, or falls silent past two heartbeat
+// OK result, returns one that asks for a refill (and runs what the refill
+// assigns), returns one whose refill reply is lost so that it retries the
+// result, reports a failure, is lost, or falls silent past two heartbeat
 // intervals, so the reaper takes it; a lost, silent or preempted worker's
 // result arrives late; the last OK result is delivered again; a
 // checkpointed command is preempted; the server restarts from its journal.
@@ -117,6 +119,8 @@ const (
 	ePreempt
 	eRelayed
 	eSilent
+	eRefill
+	eRetried
 	nWorkerKinds
 	eDuplicate = 2 * nWorkerKinds
 	eRestart   = eDuplicate + 1
@@ -124,7 +128,8 @@ const (
 )
 
 var lcKindNames = [nWorkerKinds]string{"announces", "checkpoints", "returns OK", "reports a failure",
-	"is lost", "returns a late OK", "is preempted", "announces by relay", "falls silent past 2×HB"}
+	"is lost", "returns a late OK", "is preempted", "announces by relay", "falls silent past 2×HB",
+	"returns OK with a refill", "loses its refill reply and retries the result"}
 
 func describeEvent(l int) string {
 	switch l {
@@ -215,6 +220,13 @@ func (w *lcWorld) deliver(res *wire.CommandResult) {
 	w.s.Result(res, payload)
 }
 
+// refill asks for res's refill, as the shell does after a result its worker
+// sent itself, and returns the commands it assigned.
+func (w *lcWorld) refill(res *wire.CommandResult) []wire.CommandSpec {
+	wl, _ := w.s.Refill(res)
+	return wl.Commands
+}
+
 // step runs event l and returns a broken invariant about settled commands,
 // which only the path to a world can show.
 func (w *lcWorld) step(l int) error {
@@ -269,6 +281,17 @@ func (w *lcWorld) step(l int) error {
 		case eOK:
 			ok.CommandID, ok.Output, k.run = k.run, []byte("out"), ""
 			w.deliver(ok)
+			w.last = ok
+		case eRefill, eRetried:
+			ok.CommandID, ok.Output, ok.Refill, k.run = k.run, []byte("out"), 1, ""
+			w.deliver(ok)
+			if l/2 == eRetried {
+				w.refill(ok) // its reply is lost; the worker sends the result again
+				w.deliver(ok)
+			}
+			for _, cmd := range w.refill(ok) {
+				k.run, k.ckpt = cmd.ID, false
+			}
 			w.last = ok
 		case eFail:
 			w.deliver(&wire.CommandResult{Project: "proj", CommandID: k.run, WorkerID: name, Error: "boom"})

@@ -117,6 +117,10 @@ type workerState struct {
 	info     wire.WorkerInfo
 	lastSeen time.Time
 	commands map[string]int // held here and assigned to the worker: their cores
+	// refills names, of the commands on the record that a refill assigned,
+	// the result whose refill it was: a retry of that result says the reply
+	// was lost (Refill).
+	refills map[string]string
 }
 
 // Core is the server's state and every decision it makes about it.
@@ -399,7 +403,7 @@ func (c *Core) Assign(info wire.WorkerInfo, wl wire.Workload) wire.Workload {
 	c.mu.Lock()
 	ws := c.workers[info.ID]
 	if ws == nil {
-		ws = &workerState{commands: make(map[string]int)}
+		ws = &workerState{commands: make(map[string]int), refills: make(map[string]string)}
 		c.workers[info.ID] = ws
 	}
 	ws.info, ws.lastSeen = info, c.env.now()
@@ -448,7 +452,7 @@ func (c *Core) touchWorker(info wire.WorkerInfo) {
 		c.workers[info.ID] = ws
 	}
 	orphans := ws.commands
-	ws.info, ws.lastSeen, ws.commands = info, c.env.now(), make(map[string]int)
+	ws.info, ws.lastSeen, ws.commands, ws.refills = info, c.env.now(), make(map[string]int), make(map[string]string)
 	c.mu.Unlock()
 	if len(orphans) > 0 {
 		c.met.orphaned.Inc()
@@ -491,11 +495,72 @@ func (c *Core) Result(res *wire.CommandResult, encoded []byte) ([]byte, error) {
 		c.mu.Lock()
 		if ws := c.workers[settledWorker]; ws != nil {
 			delete(ws.commands, res.CommandID)
+			delete(ws.refills, res.CommandID)
 		}
 		delete(c.preempted, res.CommandID)
 		c.mu.Unlock()
 	}
 	return reply, err
+}
+
+// Refill answers a final OK result that asks, by its worker itself, for the
+// cores its run freed to be filled: the queue is matched for res.Refill
+// cores as the worker's announce would be, from the worker's record, and
+// what it takes is assigned. It never parks. ok is false, and nothing
+// happens, unless the command is done here and the worker has a record.
+//
+// A retried result means the reply to the first never reached the worker:
+// what that refill assigned and is still on the record is requeued first, as
+// an idle announce requeues orphans. And a refill takes nothing while a wider
+// command waits that the worker could run on all its cores, so the worker
+// drains to an idle announce that offers them.
+func (c *Core) Refill(res *wire.CommandResult) (wl wire.Workload, ok bool) {
+	p := c.project(res.Project)
+	if p == nil || !res.OK || res.Partial || res.Refill <= 0 {
+		return wl, false
+	}
+	p.mu.Lock()
+	cs := p.command(res.CommandID)
+	done := cs != nil && cs.status == cmdDone
+	p.mu.Unlock()
+	c.mu.Lock()
+	ws := c.workers[res.WorkerID]
+	if !done || ws == nil {
+		c.mu.Unlock()
+		return wl, false
+	}
+	info, stranded := ws.info, make(map[string]int)
+	for id, from := range ws.refills {
+		if from == res.CommandID {
+			stranded[id] = ws.commands[id]
+			delete(ws.commands, id)
+			delete(ws.refills, id)
+		}
+	}
+	c.mu.Unlock()
+	if len(stranded) > 0 {
+		c.met.orphaned.Inc()
+		c.log.Warn("recovering commands whose refill reply was lost", "worker", res.WorkerID, "commands", len(stranded))
+		c.lost(res.WorkerID, stranded)
+	}
+	offer := info
+	offer.Cores = min(res.Refill, info.Cores)
+	c.park.mu.Lock()
+	if !c.q.Wider(offer.Cores, info.Cores) {
+		wl = c.q.Match(offer)
+	}
+	c.park.mu.Unlock()
+	wl = c.Assign(info, wl)
+	c.mu.Lock()
+	if ws := c.workers[res.WorkerID]; ws != nil {
+		for _, cmd := range wl.Commands {
+			if _, on := ws.commands[cmd.ID]; on {
+				ws.refills[cmd.ID] = res.CommandID
+			}
+		}
+	}
+	c.mu.Unlock()
+	return wl, true
 }
 
 // --- heartbeats and failure recovery ---
@@ -531,6 +596,7 @@ func (c *Core) heartbeat(hb *wire.Heartbeat) wire.HeartbeatAck {
 	c.mu.Lock()
 	for _, id := range ack.AbortCommandIDs {
 		delete(ws.commands, id)
+		delete(ws.refills, id)
 	}
 	c.mu.Unlock()
 	return ack

@@ -418,6 +418,8 @@ func (s *Server) handleWorkAvailable(from string, payload []byte) ([]byte, error
 
 // handleResult ingests finished, failed or partial command results at the
 // project server, and acknowledges once what the ingest journaled is durable.
+// A result its worker sent itself that asks for a refill is answered with
+// the next workload, assigned under the same commit.
 func (s *Server) handleResult(from string, payload []byte) ([]byte, error) {
 	var res wire.CommandResult
 	if err := wire.Unmarshal(payload, &res); err != nil {
@@ -444,6 +446,11 @@ func (s *Server) handleResult(from string, payload []byte) ([]byte, error) {
 		}
 	}
 	reply, err := s.core.Result(&res, payload)
+	if err == nil && res.Refill > 0 && from == res.WorkerID {
+		if wl, ok := s.core.Refill(&res); ok {
+			reply, err = wire.Marshal(&wl)
+		}
+	}
 	s.commit()
 	s.maybeSnapshot()
 	return reply, err

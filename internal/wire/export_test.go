@@ -13,6 +13,7 @@ const CodecTag = codecTag
 
 var (
 	Allocated = allocated
+	Grown     = grown
 	Fresh     = fresh
 	Rebody    = rebody
 )

@@ -53,7 +53,8 @@ import (
 // Additions ride within a version as appended fields (the codec's evolution
 // rule; testdata/shapes.golden lists every coded field in order):
 // CommandSpec.GangID/GangSize, ProjectStatus.Detail, the frame-streaming
-// messages and AnnounceRequest.WaitSeconds all arrived that way, and frames
+// messages, AnnounceRequest.WaitSeconds and CommandResult.Refill all arrived
+// that way, and frames
 // captured before each existed decode with the new fields at their zero
 // values. A field is never removed, only left unread (GangID/GangSize are),
 // and a message type is never dropped: MsgFrameChunk, whose content servers
@@ -354,6 +355,11 @@ type CommandResult struct {
 	Checkpoint  []byte // latest checkpoint, for hand-off on failure
 	CoresUsed   int
 	WallSeconds float64
+	// Refill is the cores a final OK result asks the server to fill: those
+	// its run frees, with any others idle on its worker. The reply is then
+	// the next Workload (maybe empty), not "ok". 0 asks for nothing, and
+	// decodes from older frames.
+	Refill int
 }
 
 // FrameChunk is a mid-command slice of trajectory frames that a streaming

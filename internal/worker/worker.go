@@ -7,6 +7,7 @@
 package worker
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -106,7 +107,7 @@ type Worker struct {
 
 	mu      sync.Mutex
 	home    string // node ID of the current home server
-	running map[string]context.CancelFunc
+	running map[string]runningCmd
 
 	// announceFails counts consecutive post-retry announce failures (only
 	// touched from the Run loop); nextServer round-robins ServerAddrs.
@@ -115,6 +116,15 @@ type Worker struct {
 
 	// Completed counts finished commands (for tests and monitoring).
 	completed int
+	// idle counts the cores no command of the running workload holds: a
+	// result that asks for a refill claims them with its own.
+	idle int
+}
+
+// runningCmd is a command the worker runs: where its heartbeats go, and its abort.
+type runningCmd struct {
+	origin string
+	cancel context.CancelFunc
 }
 
 // workerMetrics holds this worker's registry handles. Per-engine command
@@ -183,7 +193,7 @@ func New(node *overlay.Node, home string, engs []engines.Engine, cfg Config) (*W
 		home:    home,
 		engines: make(map[string]engines.Engine, len(engs)),
 		cfg:     cfg,
-		running: make(map[string]context.CancelFunc),
+		running: make(map[string]runningCmd),
 	}
 	for _, e := range engs {
 		if _, dup := w.engines[e.Name()]; dup {
@@ -413,28 +423,46 @@ func (w *Worker) drainSpool(ctx context.Context) {
 	}
 }
 
-// execute runs a workload: one goroutine per command and the heartbeats,
-// until every command has completed or aborted.
+// execute runs a workload: one goroutine per command slot and the
+// heartbeats, until no command runs. A slot whose result is answered with
+// the next workload (a refill) starts it on the cores it freed at once.
 func (w *Worker) execute(ctx context.Context, wl *wire.Workload) {
 	hbInterval := time.Duration(wl.HeartbeatSeconds * float64(time.Second))
 	if hbInterval <= 0 {
 		hbInterval = 120 * time.Second
 	}
+	w.mu.Lock()
+	w.idle = w.cfg.Cores - coresOf(wl)
+	w.mu.Unlock()
 	var wg sync.WaitGroup
-	for _, cmd := range wl.Commands {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w.runCommand(ctx, cmd, wl.Cores[cmd.ID], wl.SharedFS)
-		}()
+	var start func(wl *wire.Workload)
+	start = func(wl *wire.Workload) {
+		for _, cmd := range wl.Commands {
+			wg.Add(1) // by a running slot, if a refill: the count is not 0
+			go func() {
+				defer wg.Done()
+				if next := w.runCommand(ctx, cmd, wl.Cores[cmd.ID], wl.SharedFS); next != nil {
+					start(next)
+				}
+			}()
+		}
 	}
+	start(wl)
 	hbCtx, stopHB := context.WithCancel(ctx)
 	go func() {
 		wg.Wait()
 		stopHB()
 	}()
-	w.heartbeatLoop(hbCtx, hbInterval, wl.Commands) // until the commands end, or ctx
+	w.heartbeatLoop(hbCtx, hbInterval) // until the commands end, or ctx
 	wg.Wait()
+}
+
+// coresOf is the cores a workload's commands run on.
+func coresOf(wl *wire.Workload) (n int) {
+	for _, cmd := range wl.Commands {
+		n += cmp.Or(wl.Cores[cmd.ID], cmd.MinCores)
+	}
+	return n
 }
 
 // heartbeatLoop reports liveness and processes abort instructions, until
@@ -442,7 +470,7 @@ func (w *Worker) execute(ctx context.Context, wl *wire.Workload) {
 // runs, and each other server its commands came from with those: only the
 // server that holds a command tracks its worker and can abort it. The
 // heartbeats go out side by side, each given one interval.
-func (w *Worker) heartbeatLoop(ctx context.Context, interval time.Duration, cmds []wire.CommandSpec) {
+func (w *Worker) heartbeatLoop(ctx context.Context, interval time.Duration) {
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
 	for {
@@ -454,12 +482,10 @@ func (w *Worker) heartbeatLoop(ctx context.Context, interval time.Duration, cmds
 		home := w.Home()
 		live := map[string][]string{home: nil}
 		w.mu.Lock()
-		for _, cmd := range cmds {
-			if _, ok := w.running[cmd.ID]; ok {
-				live[home] = append(live[home], cmd.ID)
-				if cmd.Origin != "" && cmd.Origin != home {
-					live[cmd.Origin] = append(live[cmd.Origin], cmd.ID)
-				}
+		for id, r := range w.running {
+			live[home] = append(live[home], id)
+			if r.origin != "" && r.origin != home {
+				live[r.origin] = append(live[r.origin], id)
 			}
 		}
 		w.mu.Unlock()
@@ -493,19 +519,28 @@ func (w *Worker) heartbeat(ctx context.Context, to string, ids []string) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	for _, id := range ack.AbortCommandIDs {
-		if cancel := w.running[id]; cancel != nil {
+		if r, ok := w.running[id]; ok {
 			w.log.Info("aborting terminated command", "command", id)
-			cancel()
+			r.cancel()
 		}
 	}
 }
 
 // runCommand executes one command and reports its result to the project
-// server.
-func (w *Worker) runCommand(ctx context.Context, cmd wire.CommandSpec, cores int, sharedFS bool) {
+// server. An OK result sent to the worker's home, while the worker goes on,
+// asks for its cores, and any others idle, to be refilled; it returns the
+// workload the server answered with, nil for none. The cores nothing is
+// started on go back to the idle ones.
+func (w *Worker) runCommand(ctx context.Context, cmd wire.CommandSpec, cores int, sharedFS bool) *wire.Workload {
 	if cores <= 0 {
 		cores = cmd.MinCores
 	}
+	free := cores
+	defer func() {
+		w.mu.Lock()
+		w.idle += free
+		w.mu.Unlock()
+	}()
 	eng := w.engines[cmd.Type]
 	res := wire.CommandResult{
 		CommandID: cmd.ID,
@@ -516,13 +551,13 @@ func (w *Worker) runCommand(ctx context.Context, cmd wire.CommandSpec, cores int
 	if eng == nil {
 		res.Error = fmt.Sprintf("worker: no engine for %q", cmd.Type)
 		w.sendResult(ctx, cmd.Origin, &res)
-		return
+		return nil
 	}
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	w.mu.Lock()
-	w.running[cmd.ID] = cancel
+	w.running[cmd.ID] = runningCmd{origin: cmd.Origin, cancel: cancel}
 	w.mu.Unlock()
 	defer func() {
 		w.mu.Lock()
@@ -596,14 +631,14 @@ func (w *Worker) runCommand(ctx context.Context, cmd wire.CommandSpec, cores int
 			if ctx.Err() == nil {
 				w.dropLocalCheckpoint(cmd.ID)
 			}
-			return
+			return nil
 		}
 		w.met.commandsFailed.Inc()
 		w.log.Warn("command failed", "command", cmd.ID, "engine", cmd.Type, "err", err)
 		res.Error = err.Error()
 		w.dropLocalCheckpoint(cmd.ID)
 		w.sendResult(ctx, cmd.Origin, &res)
-		return
+		return nil
 	}
 	w.met.commandsOK.Inc()
 	w.dropLocalCheckpoint(cmd.ID)
@@ -617,10 +652,22 @@ func (w *Worker) runCommand(ctx context.Context, cmd wire.CommandSpec, cores int
 	} else {
 		res.Output = output
 	}
-	w.sendResult(ctx, cmd.Origin, &res)
+	if ctx.Err() == nil && (cmd.Origin == "" || cmd.Origin == w.Home()) {
+		w.mu.Lock()
+		res.Refill, w.idle = w.idle+cores, 0
+		w.mu.Unlock()
+		free = res.Refill
+	}
+	reply := w.sendResult(ctx, cmd.Origin, &res)
 	w.mu.Lock()
 	w.completed++
 	w.mu.Unlock()
+	var next wire.Workload
+	if res.Refill == 0 || wire.Unmarshal(reply, &next) != nil || len(next.Commands) == 0 {
+		return nil // an old server's "ok", an empty refill, or none asked
+	}
+	free -= coresOf(&next)
+	return &next
 }
 
 // spoolOutput writes output to the shared filesystem and returns its path.
@@ -643,38 +690,43 @@ func (w *Worker) spoolOutput(cmdID string, output []byte) (string, error) {
 // for completed results — a disk spool redelivered after the next
 // successful announcement. A finished command's CPU-hours are only lost if
 // every rung fails AND the spool is disabled. Each link encodes res straight
-// into its frame; only the spool rung marshals it.
-func (w *Worker) sendResult(ctx context.Context, origin string, res *wire.CommandResult) {
-	var err error
+// into its frame; only the spool rung marshals it, asking for no refill. It
+// returns the server's reply, nil if none came.
+func (w *Worker) sendResult(ctx context.Context, origin string, res *wire.CommandResult) []byte {
 	if origin != "" {
-		if _, err = w.request(ctx, "result", origin, wire.MsgResult, res); err == nil {
-			return
+		reply, err := w.request(ctx, "result", origin, wire.MsgResult, res)
+		if err == nil {
+			return reply
 		}
 		w.log.Warn("sending result to origin failed, trying anycast", "command", res.CommandID, "err", err)
 	}
-	if _, err = w.request(ctx, "result_anycast", "", wire.MsgResult, res); err == nil {
-		return
+	reply, err := w.request(ctx, "result_anycast", "", wire.MsgResult, res)
+	if err == nil {
+		return reply
 	}
 	w.met.resultErrors.Inc()
 	if res.Partial {
 		// Checkpoints are advisory; the next one supersedes this one.
 		w.log.Warn("dropping undeliverable checkpoint", "command", res.CommandID, "err", err)
-		return
+		return nil
 	}
 	if w.cfg.ResultSpoolDir == "" {
 		w.log.Error("result lost: no server reachable and spooling disabled", "command", res.CommandID, "err", err)
-		return
+		return nil
 	}
-	payload, serr := wire.Marshal(res)
+	spooled := *res // the links may still be encoding res: nothing writes it
+	spooled.Refill = 0
+	payload, serr := wire.Marshal(&spooled)
 	if serr == nil {
 		serr = w.spoolResult(res.CommandID, payload)
 	}
 	if serr != nil {
 		w.log.Error("spooling undeliverable result failed", "command", res.CommandID, "err", serr)
-		return
+		return nil
 	}
 	w.met.resultsSpooled.Inc()
 	w.log.Warn("spooled undeliverable result for redelivery", "command", res.CommandID, "err", err)
+	return nil
 }
 
 // sendChunk ships one streamed frame chunk to the project server: retried

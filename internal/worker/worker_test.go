@@ -124,13 +124,19 @@ type rig struct {
 
 func newRig(t *testing.T, ctrl *recController, engs []engines.Engine, wcfg Config) *rig {
 	t.Helper()
+	return newRigFor(t, ctrl, ctrl, engs, wcfg)
+}
+
+// newRigFor is newRig whose server runs plugin, which records into ctrl.
+func newRigFor(t *testing.T, plugin controller.Controller, ctrl *recController, engs []engines.Engine, wcfg Config) *rig {
+	t.Helper()
 	net := overlay.NewMemNetwork()
 	sNode := overlay.NewNode(overlay.NewIdentityFromSeed(1), overlay.NewTrustStore(), net.Transport())
 	if err := sNode.Listen("srv"); err != nil {
 		t.Fatal(err)
 	}
 	reg := controller.NewRegistry()
-	reg.Register("rec", func() controller.Controller { return ctrl })
+	reg.Register("rec", func() controller.Controller { return plugin })
 	srv := server.New(sNode, reg, server.Config{HeartbeatInterval: 100 * time.Millisecond})
 
 	wNode := overlay.NewNode(overlay.NewIdentityFromSeed(2), overlay.NewTrustStore(), net.Transport())

@@ -141,7 +141,18 @@ failover() {
 # request handlers, the two single writers' reused send buffers (a link's
 # frames, bytes and value bodies sent to two peers at once, and the WAL's
 # records arrive whole and in order), and a body the codec refuses failing
-# its own request but not the link, 20 times each — see docs/SCHEDULING.md
+# its own request but not the link, 20 times each; then the refill, 20 times
+# each: a 2-core worker running 40 commands on three announces
+# (TestRefillRunsAStreamOnFewAnnounces), a wider command never passed over
+# (TestRefillNeverPassesOverAWiderCommand), an idle core claimed by the next
+# refill (TestRefillClaimsIdleCores), refilled commands heartbeated and
+# aborted (TestRefilledCommandsHeartbeatAndAbort), no refill asked when
+# shutting down or spooled (TestNoRefillWhenShuttingDownOrSpooled), an old
+# server's "ok" (TestOldServerAnswerMeansNoRefill), a lost refill reply
+# recovered by the result's retry (TestLostRefillReplyRequeuedByRetry), old
+# and forwarded results answered as before
+# (TestResultWithoutRefillRepliesAsBefore) and a refill's records replayed
+# (TestReplayedRefillAssignsOnlyJournaled) — see docs/SCHEDULING.md
 # ("Dispatch") and docs/PERFORMANCE.md ("Send-side frames").
 dispatch() {
     echo "== event-driven dispatch stress (race, x20) =="
@@ -153,6 +164,11 @@ dispatch() {
     $GO test -race -count=20 -timeout 600s \
         -run 'TestBlockedHandler|TestCloseWithBlockedHandler|TestLinkHandlerCap|TestFloodPasses|TestLinkFramesSurviveBufferReuse|TestRefusedBodyFailsOneRequest|TestLinkDropsUnframableEnvelope' ./internal/overlay/
     $GO test -race -count=20 -timeout 600s -run 'TestRecordsSurviveFrameReuse' ./internal/store/
+    echo "== refill per slot (race, x20) =="
+    $GO test -race -count=20 -timeout 600s \
+        -run 'TestRefillRunsAStreamOnFewAnnounces|TestRefillNeverPassesOverAWiderCommand|TestRefillClaimsIdleCores|TestRefilledCommandsHeartbeatAndAbort|TestNoRefillWhenShuttingDownOrSpooled|TestOldServerAnswerMeansNoRefill' ./internal/worker/
+    $GO test -race -count=20 -timeout 600s \
+        -run 'TestLostRefillReplyRequeuedByRetry|TestResultWithoutRefillRepliesAsBefore|TestReplayedRefillAssignsOnlyJournaled' ./internal/server/
 }
 
 # The multi-tenant scheduling acceptance scenario: 2000 tenants with

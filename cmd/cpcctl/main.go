@@ -35,6 +35,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"time"
@@ -300,7 +301,7 @@ func tenantCmd(cl *client.Client, args []string) {
 			log.Fatalf("tenant list: %v", err)
 		}
 		for _, t := range tenants {
-			printTenant(t)
+			printTenant(os.Stdout, t)
 		}
 	case "quota":
 		if len(args) < 2 {
@@ -321,7 +322,7 @@ func tenantCmd(cl *client.Client, args []string) {
 			if err != nil {
 				log.Fatalf("tenant quota get: %v", err)
 			}
-			printTenant(st)
+			printTenant(os.Stdout, st)
 		case "set":
 			fs := flag.NewFlagSet("tenant quota set", flag.ExitOnError)
 			tenant := fs.String("tenant", "", "tenant ID (required)")
@@ -345,7 +346,7 @@ func tenantCmd(cl *client.Client, args []string) {
 			if err != nil {
 				log.Fatalf("tenant quota set: %v", err)
 			}
-			printTenant(st)
+			printTenant(os.Stdout, st)
 		default:
 			fmt.Fprintf(os.Stderr, "cpcctl tenant quota: unknown action %q\n", args[1])
 			os.Exit(2)
@@ -356,14 +357,14 @@ func tenantCmd(cl *client.Client, args []string) {
 	}
 }
 
-func printTenant(t wire.TenantStatus) {
+func printTenant(w io.Writer, t wire.TenantStatus) {
 	id := t.ID
 	if id == "" {
 		id = "(default)"
 	}
-	fmt.Printf("%s  weight=%g max-queued=%d max-cores=%d max-storage-bytes=%d  queued=%d inflight-cores=%d core-seconds=%.1f storage-bytes=%d oldest-wait=%.1fs\n",
+	fmt.Fprintf(w, "%s  weight=%g max-queued=%d max-cores=%d max-storage-bytes=%d  queued=%d inflight-cores=%d core-seconds=%.1f storage-bytes=%d oldest-wait=%.1fs shed=%d quota-rejects=%d\n",
 		id, t.Weight, t.MaxQueued, t.MaxCores, t.MaxStorageBytes,
-		t.Queued, t.InflightCores, t.CoreSeconds, t.StorageBytes, t.OldestWaitSeconds)
+		t.Queued, t.InflightCores, t.CoreSeconds, t.StorageBytes, t.OldestWaitSeconds, t.Shed, t.QuotaRejects)
 }
 
 func status(cl *client.Client, args []string) {

@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	cpcworker -server head1:7770,head2:7770 [-cores N] [-platform smp]
+//	cpcworker -server head1:7770,head2:7770 [-cores N]
 //
 // -server takes a comma-separated list: the worker homes on the first
 // address that answers and re-homes round-robin through the rest when its
@@ -55,7 +55,6 @@ func registerFlags(fs *flag.FlagSet) *options {
 	w, r := &o.worker, &o.worker.Retry
 	fs.StringVar(&o.servers, "server", "127.0.0.1:7770", "comma-separated server addresses; first responder becomes home, the rest are re-home candidates")
 	fs.IntVar(&w.Cores, "cores", runtime.NumCPU(), "cores to announce; MD commands clamp their force-loop shards to this grant (payload Shards<=0 auto-sizes to it)")
-	fs.StringVar(&w.Platform, "platform", "smp", "platform plugin name")
 	fs.DurationVar(&w.PollInterval, "poll", 2*time.Second, "back-off after an empty or failed announce")
 	fs.StringVar(&w.FSToken, "fs-token", "", "shared-filesystem token")
 	fs.StringVar(&w.SpoolDir, "spool-dir", "", "shared-filesystem spool directory")
@@ -120,8 +119,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("creating worker: %v", err)
 	}
-	fmt.Printf("cpcworker: %s attached to server %s (%d cores, platform %s)\n",
-		wk.ID(), home, cfg.Cores, cfg.Platform)
+	fmt.Printf("cpcworker: %s attached to server %s (%d cores)\n", wk.ID(), home, cfg.Cores)
 	if opts.metricsAddr != "" {
 		go func() {
 			fmt.Printf("cpcworker: metrics on http://%s/metrics\n", opts.metricsAddr)

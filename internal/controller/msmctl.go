@@ -681,21 +681,19 @@ func (c *MSMController) round(ctx Context) error {
 	return nil
 }
 
-// observeGeneration publishes the finished generation's duration, state
-// count and spawn fan-out to the server's metrics registry and trace, then
-// restarts the generation clock for the next cohort.
+// observeGeneration adds the finished generation to the server's metrics,
+// which sum over its MSM projects, and records it, with its project, state
+// count and spawn fan-out, in the trace; then it restarts the generation
+// clock for the next cohort.
 func (c *MSMController) observeGeneration(ctx Context, gs GenerationStats) {
 	o := ctx.Obs()
 	dur := time.Since(c.genStart)
-	l := obs.L("project", ctx.ProjectName(), "controller", MSMControllerName)
+	l := obs.L("controller", MSMControllerName)
 	o.Metrics.Histogram("copernicus_generation_seconds",
 		"Wall time of each adaptive-sampling generation.",
 		obs.DefBuckets(), l).Observe(dur.Seconds())
 	o.Metrics.Counter("copernicus_generations_total",
 		"Adaptive-sampling generations completed.", l).Inc()
-	o.Metrics.Gauge("copernicus_msm_states",
-		"Markov states in the largest connected set at the latest generation.", l).
-		Set(float64(gs.States))
 	o.Metrics.Histogram("copernicus_msm_analysis_seconds",
 		"Wall time of the per-generation model-building step alone (clustering, counting, stationary analysis).",
 		obs.DefBuckets(), l).Observe(gs.AnalysisSeconds)

@@ -240,17 +240,17 @@ func (c *RepexController) submitSegment(ctx Context, r int) error {
 }
 
 // attemptExchange runs one Metropolis attempt between rungs i and i+1 and
-// publishes it to the metrics.
+// adds it to the server's totals; each pair's counts are the ladder's own
+// (RepexDetail).
 func (c *RepexController) attemptExchange(ctx Context, i int) {
 	before := c.st.Stats.RoundTrips
 	acc := repex.Exchange(c.st.Temps, c.st.Rungs, &c.st.Stats, i, c.rand.Float64())
-	pair := obs.L("pair", fmt.Sprintf("%d-%d", i, i+1))
 	m := ctx.Obs().Metrics
 	m.Counter("copernicus_repex_exchange_attempts_total",
-		"REMD exchange attempts, by neighbour pair.", pair).Inc()
+		"REMD exchange attempts, over every ladder and pair.", obs.L()).Inc()
 	if acc {
 		m.Counter("copernicus_repex_exchange_accepts_total",
-			"Accepted REMD exchanges, by neighbour pair.", pair).Inc()
+			"Accepted REMD exchanges, over every ladder and pair.", obs.L()).Inc()
 	}
 	if trips := c.st.Stats.RoundTrips - before; trips > 0 {
 		m.Counter("copernicus_repex_round_trips_total",

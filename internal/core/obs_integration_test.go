@@ -13,6 +13,7 @@ import (
 
 	"copernicus/internal/controller"
 	"copernicus/internal/obs"
+	"copernicus/internal/wire"
 )
 
 // httpGetBody fetches url and returns the body, failing the test on error.
@@ -175,5 +176,78 @@ func TestFabricObservabilityEndToEnd(t *testing.T) {
 	}
 	if dump.Stages[obs.StageRun].Count == 0 {
 		t.Error("/debug/trace summaries missing the run stage")
+	}
+}
+
+// TestFabricMetricsCarryNoClientNames: a fabric running two MSM projects
+// and two REMD ladders, one of eight rungs, registers no series labelled
+// with a project or a ladder pair. What one project did is read from its
+// status: the server's unlabelled exchange totals are the sums of each
+// ladder's RepexDetail counts, and its generation count the sum of the
+// MSM projects' generations.
+func TestFabricMetricsCarryNoClientNames(t *testing.T) {
+	o := obs.New()
+	f, err := NewFabric(FabricConfig{Servers: 1, WorkersPerServer: 2, Obs: o})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	msm := smallMSMParams()
+	msm.Generations = 2
+	wide, narrow := controller.DefaultRepexParams(), controller.DefaultRepexParams()
+	wide.Replicas = 8
+	ladders := map[string]*controller.RepexParams{"ladder-8": &wide, "ladder-4": &narrow}
+	for _, name := range []string{"msm-a", "msm-b"} {
+		if err := f.Submit(ctxTimeout(t, 30*time.Second), name, controller.MSMControllerName, &msm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, p := range ladders {
+		if err := f.Submit(ctxTimeout(t, 30*time.Second), name, controller.RepexControllerName, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var attempts, accepts, generations uint64
+	for _, name := range []string{"msm-a", "msm-b", "ladder-8", "ladder-4"} {
+		st, err := f.Wait(ctxTimeout(t, 2*time.Minute), name)
+		if err != nil || st.State != "finished" {
+			t.Fatalf("%s: state=%q err=%v", name, st.State, err)
+		}
+		if ladders[name] == nil {
+			generations += uint64(st.Generation) + 1 // numbered from 0
+			continue
+		}
+		var d controller.RepexDetail
+		if err := wire.Unmarshal(st.Detail, &d); err != nil {
+			t.Fatalf("%s detail: %v", name, err)
+		}
+		if len(d.Attempts) != ladders[name].Replicas-1 {
+			t.Fatalf("%s detail has %d pairs, want %d", name, len(d.Attempts), ladders[name].Replicas-1)
+		}
+		for i := range d.Attempts {
+			attempts += d.Attempts[i]
+			accepts += d.Accepts[i]
+		}
+	}
+
+	var b strings.Builder
+	o.Metrics.WriteText(&b)
+	body := b.String()
+	for _, line := range strings.Split(body, "\n") {
+		if strings.Contains(line, `project="`) || strings.Contains(line, `pair="`) {
+			t.Errorf("series carries a client-chosen name: %s", line)
+		}
+	}
+	if attempts == 0 {
+		t.Fatal("the ladders attempted no exchange")
+	}
+	if got := promValue(t, body, "copernicus_repex_exchange_attempts_total"); got != float64(attempts) {
+		t.Errorf("exchange attempts total = %g, the ladders' details sum to %d", got, attempts)
+	}
+	if got := promValue(t, body, "copernicus_repex_exchange_accepts_total"); got != float64(accepts) {
+		t.Errorf("exchange accepts total = %g, the ladders' details sum to %d", got, accepts)
+	}
+	if got := promValue(t, body, "copernicus_generations_total"); got != float64(generations) {
+		t.Errorf("generations total = %g, the projects report %d", got, generations)
 	}
 }

@@ -11,12 +11,13 @@
 // fails it to its controller. Each scenario decides what a finished command
 // means.
 //
-// One departure from the server: a worker here announces each core as it
-// frees, where the real worker announces only once its whole workload has
-// finished (ROADMAP's per-slot refill item), so the fleet never applies an
-// announce to the worker's liveness record (the core's touchWorker): its
-// next announce would take running commands for orphans. It never reaps
-// either; a kill is the only loss.
+// One departure from the server: a worker here announces the cores each
+// finished command frees, and that announce may park, where the real worker
+// asks for them in the result itself (CommandResult.Refill), and a refill
+// never parks. A fleet worker thus announces while others of its commands
+// run, so the fleet never applies an announce to the worker's liveness
+// record (the core's touchWorker): its next announce would take running
+// commands for orphans. It never reaps either; a kill is the only loss.
 package des
 
 import (
@@ -173,7 +174,7 @@ func (f *fleet) announce(wi int) {
 	if !w.alive || w.free < 1 {
 		return
 	}
-	info := wire.WorkerInfo{ID: w.id, Platform: "smp", Cores: w.free, Executables: f.exe}
+	info := wire.WorkerInfo{ID: w.id, Cores: w.free, Executables: f.exe}
 	wl, parked := f.core.Announce(&wire.AnnounceRequest{Info: info}, w.id)
 	if parked == nil {
 		f.start(wi, wl)

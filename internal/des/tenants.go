@@ -87,8 +87,7 @@ type TenantParams struct {
 	GapSLOSeconds float64
 
 	Seed uint64
-	// Obs, when set, receives the queue's copernicus_queue_* and
-	// copernicus_tenant_* metric families.
+	// Obs, when set, receives the queue's copernicus_queue_* metrics.
 	Obs *obs.Obs
 }
 
@@ -344,17 +343,27 @@ func (s *tenantScenario) finished(c wire.CommandSpec, _ string, seconds float64)
 // SimulateTenants runs the multi-tenant control-plane scenario and returns
 // its SLO scorecard. It is deterministic for a given TenantParams.
 func SimulateTenants(p TenantParams) (TenantResult, error) {
+	s, err := runTenants(p)
+	if err != nil {
+		return TenantResult{}, err
+	}
+	return s.res, nil
+}
+
+// runTenants runs the scenario and returns it finished, with its queue and
+// every tenant's scorecard.
+func runTenants(p TenantParams) (*tenantScenario, error) {
 	if p.Tenants < 1 || p.Workers < 1 || p.CoresPerWorker < 1 {
-		return TenantResult{}, fmt.Errorf("des: tenants, workers and cores must be positive")
+		return nil, fmt.Errorf("des: tenants, workers and cores must be positive")
 	}
 	if p.HorizonSeconds <= 0 || p.MeanCmdSeconds <= 0 {
-		return TenantResult{}, fmt.Errorf("des: horizon and command time must be positive")
+		return nil, fmt.Errorf("des: horizon and command time must be positive")
 	}
 	if len(p.WeightClasses) == 0 || p.HeavyPerClass < 1 {
-		return TenantResult{}, fmt.Errorf("des: need at least one weight class and heavy hitter")
+		return nil, fmt.Errorf("des: need at least one weight class and heavy hitter")
 	}
 	if p.ParetoAlpha <= 1 {
-		return TenantResult{}, fmt.Errorf("des: ParetoAlpha must exceed 1")
+		return nil, fmt.Errorf("des: ParetoAlpha must exceed 1")
 	}
 
 	s := &tenantScenario{
@@ -463,5 +472,5 @@ func SimulateTenants(p TenantParams) (TenantResult, error) {
 		}
 		s.res.MaxShareError = math.Max(s.res.MaxShareError, math.Abs(sh/mean-1))
 	}
-	return s.res, nil
+	return s, nil
 }

@@ -12,13 +12,11 @@ import (
 // four weight classes drive the real fair-share queue for a simulated
 // hour with a slow-fsync WAL fault window at mid-run.
 func TestMultiTenantScenario(t *testing.T) {
-	p := DefaultTenantParams()
-	o := obs.New()
-	p.Obs = o
-	res, err := SimulateTenants(p)
+	s, err := runTenants(DefaultTenantParams())
 	if err != nil {
 		t.Fatal(err)
 	}
+	p, res := s.p, s.res
 	t.Logf("submitted=%d dispatched=%d completed=%d shed=%d quotaReject=%d util=%.2f",
 		res.Submitted, res.Dispatched, res.Completed, res.Shed, res.QuotaReject, res.Utilization)
 	t.Logf("shareErr=%.3f maxWait=%.0fs maxGap=%.0fs starved=%d",
@@ -85,22 +83,55 @@ func TestMultiTenantScenario(t *testing.T) {
 		t.Error("no terminal quota rejections despite capped tenants")
 	}
 
-	// The per-tenant metric families are populated for operators.
-	var b strings.Builder
-	o.Metrics.WriteText(&b)
-	text := b.String()
-	for _, family := range []string{
-		"copernicus_tenant_queued",
-		"copernicus_tenant_inflight_cores",
-		"copernicus_queue_pressure",
-		"copernicus_queue_shed_total",
-	} {
-		if !strings.Contains(text, family) {
-			t.Errorf("metrics output missing %s", family)
+	// Each tenant's refusals are on its account, as the scenario saw them.
+	for _, st := range s.stats {
+		ts, ok := s.f.q.Tenant(st.ID)
+		if st.Submitted+st.Shed+st.QuotaReject > 0 && !ok {
+			t.Fatalf("tenant %s submitted and has no account", st.ID)
+		}
+		if ts.Shed != st.Shed || ts.QuotaRejects != st.QuotaReject {
+			t.Errorf("tenant %s's account shows %d shed and %d quota rejects, the scenario saw %d and %d",
+				st.ID, ts.Shed, ts.QuotaRejects, st.Shed, st.QuotaReject)
 		}
 	}
-	if !strings.Contains(text, `tenant="heavy-0-0"`) {
-		t.Error("metrics output missing per-tenant labels")
+}
+
+// TestTenantSeriesDoNotGrowWithTenants: the scenario at its defaults leaves
+// as many series in the registry with 300 tenants as with 2000, and none of
+// them names a tenant; each tenant's figures are on its account instead.
+func TestTenantSeriesDoNotGrowWithTenants(t *testing.T) {
+	series := map[int]int{}
+	for _, n := range []int{300, 2000} {
+		p := DefaultTenantParams()
+		p.Tenants = n
+		p.Obs = obs.New()
+		if _, err := SimulateTenants(p); err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		p.Obs.Metrics.WriteText(&b)
+		for _, line := range strings.Split(strings.TrimSpace(b.String()), "\n") {
+			if strings.HasPrefix(line, "#") {
+				continue
+			}
+			series[n]++
+			if strings.Contains(line, `tenant="`) {
+				t.Errorf("%d tenants: series names a tenant: %s", n, line)
+			}
+		}
+		for _, family := range []string{
+			"copernicus_queue_oldest_wait_seconds",
+			"copernicus_queue_pressure",
+			"copernicus_queue_shed_total",
+		} {
+			if !strings.Contains(b.String(), family) {
+				t.Errorf("%d tenants: metrics output missing %s", n, family)
+			}
+		}
+		t.Logf("%d tenants: %d series, %d bytes of /metrics", n, series[n], b.Len())
+	}
+	if series[300] != series[2000] {
+		t.Errorf("series: %d with 300 tenants, %d with 2000", series[300], series[2000])
 	}
 }
 

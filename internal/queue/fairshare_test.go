@@ -10,11 +10,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"copernicus/internal/obs"
 	"copernicus/internal/wire"
 )
 
@@ -520,5 +522,66 @@ func TestColdStartTenantGetsItsShare(t *testing.T) {
 	if share := float64(served["b"]) / 200; math.Abs(share-0.5) > 0.1 {
 		t.Errorf("b's share of the 200 dispatches after it started = %.2f (a %d, b %d), want 0.5 ± 0.1",
 			share, served["a"], served["b"])
+	}
+}
+
+// TestOldestWaitAcrossTenants: copernicus_queue_oldest_wait_seconds reads 0
+// on an empty queue and otherwise the age of the oldest command queued for
+// any tenant.
+func TestOldestWaitAcrossTenants(t *testing.T) {
+	clk := newSimClock()
+	q := NewWithConfig(Config{Clock: clk.Now})
+	o := obs.New()
+	q.SetObs(o, nil)
+	oldest := func() string {
+		var b strings.Builder
+		o.Metrics.WriteText(&b)
+		for _, line := range strings.Split(b.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, "copernicus_queue_oldest_wait_seconds "); ok {
+				return v
+			}
+		}
+		t.Fatal("no copernicus_queue_oldest_wait_seconds series")
+		return ""
+	}
+	if got := oldest(); got != "0" {
+		t.Errorf("empty queue: oldest wait %s, want 0", got)
+	}
+	if err := q.Push(fsSpec("a1", "a", 0, 1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(10 * time.Second)
+	if err := q.Push(fsSpec("b1", "b", 0, 1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(5 * time.Second)
+	if got := oldest(); got != "15" {
+		t.Errorf("oldest wait %s, want 15 (a1's age)", got)
+	}
+	q.Remove("a1")
+	if got := oldest(); got != "5" {
+		t.Errorf("after a1 left: oldest wait %s, want 5 (b1's age)", got)
+	}
+	q.Remove("b1")
+	if got := oldest(); got != "0" {
+		t.Errorf("drained queue: oldest wait %s, want 0", got)
+	}
+}
+
+// TestRefusalsCountOnTheAccount: each refused submission counts on its
+// tenant's account, shed apart from over quota, storage refusals included.
+func TestRefusalsCountOnTheAccount(t *testing.T) {
+	q := NewWithConfig(Config{MaxQueuedTotal: 2})
+	q.SetQuota(wire.TenantQuotaUpdate{Tenant: "capped", Weight: 1, MaxQueued: 1, MaxCores: -1, MaxStorageBytes: 10})
+	for i, tenant := range []string{"capped", "capped", "free", "free"} {
+		q.Push(fsSpec(fmt.Sprintf("c%d", i), tenant, 0, 1, 1))
+	}
+	q.CheckStorage("capped", 11)
+	for _, want := range []wire.TenantStatus{{ID: "capped", QuotaRejects: 2}, {ID: "free", Shed: 1}} {
+		st, _ := q.Tenant(want.ID)
+		if st.Shed != want.Shed || st.QuotaRejects != want.QuotaRejects {
+			t.Errorf("%s: %d shed, %d quota rejects; want %d and %d",
+				want.ID, st.Shed, st.QuotaRejects, want.Shed, want.QuotaRejects)
+		}
 	}
 }

@@ -119,8 +119,6 @@ type Queue struct {
 	lastPressure float64
 
 	// Optional instrumentation, wired by SetObs; nil-safe to use unset.
-	o            *obs.Obs
-	baseLabels   obs.Labels
 	pushes       *obs.Counter
 	matched      *obs.Counter
 	emptyMatches *obs.Counter
@@ -154,10 +152,8 @@ type tenantQ struct {
 	coreSeconds   float64 // released actual core-seconds, cumulative
 	storageBytes  int64
 	estSeconds    float64 // EWMA of this tenant's command wall seconds
-	// Per-tenant metric handles (lazily created when obs is wired).
-	metShed   *obs.Counter
-	metQuota  *obs.Counter
-	metrified bool
+	// Admissions refused: shed (retryable) and over a quota (terminal).
+	shed, quotaRejects int
 }
 
 type item struct {
@@ -216,13 +212,13 @@ func (q *Queue) tenantLocked(id string) *tenantQ {
 	if !ok {
 		t = &tenantQ{id: id, weight: 1}
 		q.tenants[id] = t
-		q.metrifyLocked(t)
 	}
 	return t
 }
 
-// SetObs wires queue metrics into o: the legacy copernicus_queue_* family
-// plus the per-tenant copernicus_tenant_* family (labelled tenant="...").
+// SetObs wires the copernicus_queue_* metrics into o. Every series is an
+// aggregate over tenants: what one tenant holds is read from its account
+// (Tenant, Tenants), so the registry does not grow with the tenants seen.
 // labels distinguish this queue's series when several queues share a
 // registry (servers pass their node ID). Call before traffic arrives.
 func (q *Queue) SetObs(o *obs.Obs, labels obs.Labels) {
@@ -239,6 +235,9 @@ func (q *Queue) SetObs(o *obs.Obs, labels obs.Labels) {
 			defer q.mu.Unlock()
 			return q.lastPressure
 		})
+	o.Metrics.GaugeFunc("copernicus_queue_oldest_wait_seconds",
+		"Age of the oldest queued command over all tenants (0 when none is queued).",
+		labels, q.oldestWait)
 	q.pushes = o.Metrics.Counter("copernicus_queue_pushes_total",
 		"Commands enqueued (including requeues after worker failures).", labels)
 	q.matched = o.Metrics.Counter("copernicus_queue_matched_total",
@@ -252,60 +251,18 @@ func (q *Queue) SetObs(o *obs.Obs, labels obs.Labels) {
 	q.matchSeconds = o.Metrics.Histogram("copernicus_queue_match_seconds",
 		"Latency of the workload-assembly matcher.",
 		[]float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1}, labels)
-	q.mu.Lock()
-	q.o = o
-	q.baseLabels = labels
-	for _, t := range q.tenants {
-		q.metrifyLocked(t)
-	}
-	q.mu.Unlock()
 }
 
-// metrifyLocked registers t's per-tenant series. The gauge callbacks lock
-// q.mu; that is safe because the obs registry renders gauge functions
-// outside its own lock.
-func (q *Queue) metrifyLocked(t *tenantQ) {
-	if q.o == nil || t.metrified {
-		return
+// oldestWait is the age in seconds of the oldest command queued for any
+// tenant, 0 when nothing is queued: the starvation indicator.
+func (q *Queue) oldestWait() float64 {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	var oldest float64
+	for _, t := range q.tenants {
+		oldest = max(oldest, q.oldestWaitLocked(t))
 	}
-	t.metrified = true
-	ls := obs.Labels{"tenant": t.id}
-	for k, v := range q.baseLabels {
-		ls[k] = v
-	}
-	m := q.o.Metrics
-	tt := t
-	m.GaugeFunc("copernicus_tenant_queued",
-		"Commands queued for this tenant.", ls, func() float64 {
-			q.mu.Lock()
-			defer q.mu.Unlock()
-			return float64(tt.items.Len())
-		})
-	m.GaugeFunc("copernicus_tenant_inflight_cores",
-		"Cores currently assigned to this tenant's running commands.", ls,
-		func() float64 {
-			q.mu.Lock()
-			defer q.mu.Unlock()
-			return float64(tt.inflightCores)
-		})
-	m.GaugeFunc("copernicus_tenant_core_seconds",
-		"Cumulative core-seconds of completed work billed to this tenant.", ls,
-		func() float64 {
-			q.mu.Lock()
-			defer q.mu.Unlock()
-			return tt.coreSeconds
-		})
-	m.GaugeFunc("copernicus_tenant_oldest_wait_seconds",
-		"Age of this tenant's oldest queued command (0 when idle).", ls,
-		func() float64 {
-			q.mu.Lock()
-			defer q.mu.Unlock()
-			return q.oldestWaitLocked(tt)
-		})
-	t.metShed = m.Counter("copernicus_tenant_shed_total",
-		"This tenant's submissions shed by admission control.", ls)
-	t.metQuota = m.Counter("copernicus_tenant_quota_rejects_total",
-		"This tenant's submissions rejected by a quota.", ls)
+	return oldest
 }
 
 func (q *Queue) oldestWaitLocked(t *tenantQ) float64 {
@@ -361,19 +318,19 @@ func (q *Queue) push(cmd wire.CommandSpec, admit bool) error {
 	if admit {
 		if p := q.pressureLocked(); p >= shedAt {
 			q.shedTotal.Inc()
-			t.metShed.Inc()
+			t.shed++
 			return fmt.Errorf("queue: WAL pressure %.2f at shed threshold %.2f: %w",
 				p, shedAt, wire.ErrAdmissionShed)
 		}
 		if q.cfg.MaxQueuedTotal > 0 && q.total >= q.cfg.MaxQueuedTotal {
 			q.shedTotal.Inc()
-			t.metShed.Inc()
+			t.shed++
 			return fmt.Errorf("queue: %d commands queued, global bound %d: %w",
 				q.total, q.cfg.MaxQueuedTotal, wire.ErrAdmissionShed)
 		}
 		if t.maxQueued > 0 && t.items.Len() >= t.maxQueued {
 			q.quotaRejects.Inc()
-			t.metQuota.Inc()
+			t.quotaRejects++
 			return fmt.Errorf("queue: tenant %q has %d commands queued, quota %d: %w",
 				t.id, t.items.Len(), t.maxQueued, wire.ErrQuotaExceeded)
 		}
@@ -832,6 +789,8 @@ func (q *Queue) statusLocked(t *tenantQ) wire.TenantStatus {
 		CoreSeconds:       t.coreSeconds,
 		StorageBytes:      t.storageBytes,
 		OldestWaitSeconds: q.oldestWaitLocked(t),
+		Shed:              t.shed,
+		QuotaRejects:      t.quotaRejects,
 	}
 }
 
@@ -846,7 +805,7 @@ func (q *Queue) CheckStorage(tenant string, add int64) error {
 	}
 	if t.storageBytes+add > t.maxStorage {
 		q.quotaRejects.Inc()
-		t.metQuota.Inc()
+		t.quotaRejects++
 		return fmt.Errorf("queue: tenant %q stores %d bytes, adding %d exceeds quota %d: %w",
 			tenant, t.storageBytes, add, t.maxStorage, wire.ErrQuotaExceeded)
 	}

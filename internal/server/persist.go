@@ -144,8 +144,9 @@ func (c *Core) replay(rec *store.Recovered) (restored int) {
 	if rec.Snapshot != nil {
 		// Tenant accounts first: weights, quotas and the storage already
 		// billed, so replayed/reseeded commands land in configured accounts.
-		// Fair-share virtual time and core-second usage restart from zero —
-		// a restart is a deliberate amnesty, not a billing event.
+		// Fair-share virtual time, core-second usage and the shed and
+		// quota-reject counts restart from zero — a restart is a deliberate
+		// amnesty, not a billing event.
 		for _, ts := range rec.Snapshot.Tenants {
 			c.q.SetQuota(wire.TenantQuotaUpdate{
 				Tenant:          ts.ID,

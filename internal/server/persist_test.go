@@ -442,7 +442,9 @@ func awaitStaged(t *testing.T, st *store.Store, base uint64, n int) {
 // (no lock is held across the wait); both acks leave once the fsync
 // completes. And a crash while an ack is still held back loses nothing that
 // was promised: the unacknowledged result is not counted, its command comes
-// back as an orphan, and the redelivered result is taken exactly once.
+// back as an orphan, and the redelivered result is taken exactly once. The
+// other replies that tell of a transition wait for it too: the ack of a
+// worker-failure report, and a heartbeat ack naming a preemption's abort.
 func TestAckImpliesDurable(t *testing.T) {
 	dir := t.TempDir()
 	gate := &syncGate{}
@@ -451,7 +453,7 @@ func TestAckImpliesDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	r1 := newRig(t, Config{HeartbeatInterval: time.Hour, Store: st}, threeCmdCtl())
+	r1 := newRig(t, Config{HeartbeatInterval: time.Hour, PreemptAge: time.Millisecond, Store: st}, threeCmdCtl())
 	t.Cleanup(gate.release) // before the rig closes: handlers may be held on it
 	r1.submit(t, "proj")
 	var wl wire.Workload
@@ -574,6 +576,62 @@ func TestAckImpliesDurable(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("held result ack never left")
 	}
+
+	// A worker-failure report is acknowledged once the requeue it caused
+	// is durable.
+	takeWork(t, r1, "w4", []string{"sim"}, "c3")
+	gate.hold()
+	base = st.LastSeq()
+	failAck := asyncRequest(t, r1, 13, wire.MsgWorkerFailed, &wire.WorkerFailed{WorkerID: "w4", CommandIDs: []string{"c3"}})
+	awaitStaged(t, st, base, 1)
+	awaitHeld(t, gate, failAck, "worker-failure ack")
+
+	// A heartbeat ack that tells a worker to abort for a preemption leaves
+	// once the preemption is durable: the monitor that staged it commits
+	// nothing itself.
+	takeWork(t, r1, "w4", []string{"sim"}, "c3")
+	checkpoint := &wire.CommandResult{CommandID: "c3", Project: "proj", WorkerID: "w4",
+		OK: true, Partial: true, Checkpoint: []byte("half")}
+	if err := r1.request(t, wire.MsgResult, checkpoint, nil); err != nil {
+		t.Fatal(err)
+	}
+	r1.ctrl.mu.Lock()
+	r1.ctrl.submitFor = map[string][]wire.CommandSpec{"starved": {cmdSpec("s1")}}
+	r1.ctrl.mu.Unlock()
+	if err := r1.request(t, wire.MsgSubmit, &wire.ProjectSubmit{Name: "starved", Controller: "test", Tenant: "minnow"}, nil); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(5 * time.Millisecond) // past PreemptAge
+	gate.hold()
+	base = st.LastSeq()
+	r1.srv.core.preemptForStarved()
+	awaitStaged(t, st, base, 1)
+	hbAck := asyncRequest(t, r1, 14, wire.MsgHeartbeat, &wire.Heartbeat{WorkerID: "w4", CommandIDs: []string{"c3"}})
+	time.Sleep(50 * time.Millisecond) // room for a premature reply to land
+	reply := awaitHeld(t, gate, hbAck, "heartbeat ack naming a preemption")
+	var ack wire.HeartbeatAck
+	if err := wire.Unmarshal(reply, &ack); err != nil || len(ack.AbortCommandIDs) != 1 || ack.AbortCommandIDs[0] != "c3" {
+		t.Errorf("heartbeat ack %+v (err %v), want c3 aborted", ack, err)
+	}
+}
+
+// awaitHeld checks that reply has not left while the gate holds the fsync,
+// releases the gate and returns the reply, which must then leave.
+func awaitHeld(t *testing.T, gate *syncGate, reply <-chan []byte, what string) []byte {
+	t.Helper()
+	select {
+	case <-reply:
+		t.Fatalf("%s left before its record was durable", what)
+	default:
+	}
+	gate.release()
+	select {
+	case b := <-reply:
+		return b
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s never left after the fsync completed", what)
+	}
+	return nil
 }
 
 // TestByPathResultRefusedWithoutSharedFS: a server without an FSToken shares

@@ -100,7 +100,11 @@ func (s *Server) start() *Server {
 	node.Handle(wire.MsgResult, s.handleResult)
 	node.Handle(wire.MsgFrameChunk, handleFrameChunk)
 	node.Handle(wire.MsgHeartbeat, serve(func(hb *wire.Heartbeat) (wire.HeartbeatAck, error) {
-		return s.core.heartbeat(hb), nil
+		ack := s.core.heartbeat(hb)
+		if len(ack.AbortCommandIDs) > 0 {
+			s.commit() // an abort tells of a preemption or a settlement
+		}
+		return ack, nil
 	}))
 	node.Handle(wire.MsgStatus, serve(func(req *wire.ProjectStatusRequest) (wire.ProjectStatus, error) {
 		if st, ok := s.Project(req.Name); ok {
@@ -114,6 +118,7 @@ func (s *Server) start() *Server {
 			return nil, err
 		}
 		s.core.WorkerFailed(wf)
+		s.commit()
 		return []byte("ok"), nil
 	})
 	node.Handle(wire.MsgWorkAvailable, s.handleWorkAvailable)

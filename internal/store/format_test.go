@@ -204,6 +204,25 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// snapBeforeTenantCounts is a snapshot file as the build before
+// TenantStatus.Shed and QuotaRejects wrote it (captured): the default
+// tenant's 32-byte account and tenant "a"'s. Both are shorter than the
+// smallest account with the two counts, so only a count bound that leaves
+// appended fields out admits the list.
+var snapBeforeTenantCounts = []byte("CPCSNAP2\x00\x00\x00Nw\xf5\x04}M\x80\x80\xd0\xe2\u01bf\u0397/\x03\x00\x02\x1f\x00\x00\x00\x00\x00\x00\x00\xf0?\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00>@\x00\x00\x00\x00\x00\x00\x00\x00\x00 \x01a\x00\x00\x00\x00\x00\x00\x00@\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\xe0?")
+
+func TestSnapshotBeforeTenantCountsDecodes(t *testing.T) {
+	got, err := decodeSnapshot(snapBeforeTenantCounts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := &Snapshot{TakenAt: 1_700_000_000_000_000_000, LastSeq: 3, Tenants: []wire.TenantStatus{
+		{ID: "", Weight: 1, CoreSeconds: 30}, {ID: "a", Weight: 2, Queued: 1, OldestWaitSeconds: 0.5}}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("decoded as %+v, want %+v", got, want)
+	}
+}
+
 // FuzzDecodeSnapshot decodes arbitrary snapshot files in either format,
 // with the header left as the fuzzer wrote it or sealed over the body so that
 // the body reaches the decoder. No panic; allocation in proportion to the

@@ -27,6 +27,14 @@ import (
 // overlay. Timers are abstract: an armed lease may lapse at any moment, which
 // covers every schedule of real timeouts.
 //
+// Besides the safety invariants (check), the checker holds the promotion
+// rule to what it is for: a standby that has caught up with its primary in
+// the epoch it follows it, since it last started, and whose log holds every
+// record that primary acknowledged, may promote once the primary is down.
+// The model tracks that catch-up itself (mPeer.caughtAt), apart from the
+// standby's own flag, so a step that forgets it — say, when the standby
+// rejoins, in the same epoch, the primary it already follows — is found.
+//
 // Not modelled: snapshot baselines (a batch that installs one is, to step,
 // a batch like any other) and crashes inside one feed of the run loop.
 
@@ -98,6 +106,9 @@ type mPeer struct {
 	serving bool   // the serving side is up: it takes client writes
 	seen    uint64 // the highest epoch a primary or a refusal has shown this peer
 	acted   uint64 // the highest epoch this peer has shipped or announced under
+	// caughtAt is the epoch in which this peer, since it last started,
+	// applied a batch up to the tail its primary reported (0: none).
+	caughtAt uint64
 }
 
 type world struct {
@@ -202,7 +213,7 @@ func (w *world) apply(l int) error {
 		err = w.feed(i, evLapse{}, nil, l/2 == lLapseHookFails)
 	case lCrash:
 		w.crashes++
-		p.up, p.serving, p.armed = false, false, false
+		p.up, p.serving, p.armed, p.caughtAt = false, false, false, 0
 		for k := range w.net[i] {
 			w.net[i][k] = mMsg{} // its own requests and the replies it awaits
 		}
@@ -320,6 +331,9 @@ func (w *world) do(i int, a action, in *mMsg, hookFails bool) (event, error) {
 			}
 		}
 		ev.applied = uint64(p.log.n)
+		if ev.reason == "" && ev.applied >= ev.tail {
+			p.caughtAt = p.s.epoch
+		}
 		return ev, nil
 	case actPersist:
 		p.meta = a.meta
@@ -385,6 +399,15 @@ func (w *world) check() error {
 		}
 		if q := &w.p[other(i)]; i == 0 && q.up && q.serving && q.s.epoch == p.s.epoch {
 			return fmt.Errorf("two unfenced primaries at epoch %d", p.s.epoch)
+		}
+	}
+	for i := range w.p {
+		p, q := &w.p[i], &w.p[other(i)]
+		if p.up && p.s.role == store.RoleStandby && p.s.peerID == names[other(i)] && p.caughtAt == p.s.epoch &&
+			!q.up && q.meta.Role == store.RolePrimary && q.meta.Epoch == p.s.epoch &&
+			q.log.mask()&^p.log.mask() == 0 && !mayPromote(p.s) {
+			return fmt.Errorf("%s caught up at epoch %d and holds every record of down primary %s, but may not promote",
+				names[i], p.s.epoch, names[other(i)])
 		}
 	}
 	return nil
@@ -560,7 +583,8 @@ func checkDepth(t *testing.T) int {
 }
 
 // TestCheckerPromotionRule: with the catch-up rule, no interleaving up to
-// the depth bound breaks an invariant.
+// the depth bound breaks an invariant, and a caught-up standby holding
+// every record of its down primary may always promote.
 func TestCheckerPromotionRule(t *testing.T) {
 	depth := checkDepth(t)
 	start := time.Now()
@@ -569,6 +593,19 @@ func TestCheckerPromotionRule(t *testing.T) {
 		t.Fatalf("counterexample:\n%s", strings.Join(trace, "\n"))
 	}
 	t.Logf("depth %d: %d states, no counterexample (%v)", depth, states, time.Since(start).Round(time.Millisecond))
+}
+
+// TestCheckerFindsRefusedPromotion: a rule that never promotes keeps every
+// record, and leaves a down primary's caught-up standby unable to take
+// over. The checker must find that, or it checks only safety.
+func TestCheckerFindsRefusedPromotion(t *testing.T) {
+	defer func(rule func(state) bool) { mayPromote = rule }(mayPromote)
+	mayPromote = func(state) bool { return false }
+	states, trace := explore(12)
+	if trace == nil {
+		t.Fatalf("no counterexample in %d states", states)
+	}
+	t.Logf("counterexample after %d states:\n%s", states, strings.Join(trace, "\n"))
 }
 
 // TestCheckerFindsLeaseOnlyPromotion: the rule before catch-up — a lapsed

@@ -24,7 +24,10 @@ package wire
 // ended before a field leaves that field and all later ones zero; a decoder
 // that has filled the last field it knows skips what is left of the body.
 // Inside a list nothing is optional: a count that promises more elements
-// than the body holds is an error.
+// than the body holds is an error. A field appended to a struct that lists
+// hold is tagged `wire:"appended"`: it is coded as its type says, but does
+// not count toward the smallest element (below), which older elements
+// without it would undercut.
 //
 // Field encodings, by Go type (named types by their underlying kind):
 //
@@ -139,11 +142,16 @@ func buildPlan(t reflect.Type) (*plan, error) {
 			continue // as gob
 		}
 		f := field{name: sf.Name, index: i}
+		tag := sf.Tag.Get("wire")
+		appended := tag == "appended"
+		if appended {
+			tag = ""
+		}
 		switch ft := sf.Type; {
-		case sf.Tag.Get("wire") == "fixed64" && ft.Kind() == reflect.Uint64:
+		case tag == "fixed64" && ft.Kind() == reflect.Uint64:
 			f.op = opFixed64
-		case sf.Tag.Get("wire") != "":
-			return nil, fmt.Errorf("wire: %v.%s: unknown tag %q", t, sf.Name, sf.Tag.Get("wire"))
+		case tag != "":
+			return nil, fmt.Errorf("wire: %v.%s: unknown tag %q", t, sf.Name, tag)
 		case ft.Kind() == reflect.Int || ft.Kind() == reflect.Int64:
 			f.op = opInt
 		case ft.Kind() == reflect.Uint64:
@@ -182,12 +190,15 @@ func buildPlan(t reflect.Type) (*plan, error) {
 		default:
 			return nil, fmt.Errorf("wire: %v.%s: no encoding for %v", t, sf.Name, ft)
 		}
-		switch f.op {
-		case opFixed64, opFloat:
+		switch {
+		case appended:
+			// Elements written before the field existed lack it, and a
+			// list of them must still pass the count bound.
+		case f.op == opFixed64 || f.op == opFloat:
 			p.min += 8
-		case opFrames:
+		case f.op == opFrames:
 			p.min += 2
-		case opStruct:
+		case f.op == opStruct:
 			p.min += f.elem.min
 		default:
 			p.min++

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -32,21 +33,47 @@ var (
 	frameV3Fixture = []byte("\x00\x00\x006\x004\x06\x06result\x03w-7\x05srv-a\b\a\x06\x05\x04\x03\x02\x01\x01\x0e\x03pay\x04boom\x0eadmission_shed")
 )
 
-// appendedSince holds, per coded type, the encoding of the zero values of
-// the fields appended to it after the fixtures and the hand-codec corpus
-// were captured. A captured value re-encodes as its captured body grown by
-// these bytes, and by nothing else.
-var appendedSince = map[reflect.Type][]byte{
-	reflect.TypeFor[CommandResult](): {0x00}, // Refill
+// appendedSince holds, per coded type, how many of its last fields were
+// appended after the fixtures and the hand-codec corpus were captured.
+var appendedSince = map[reflect.Type]int{
+	reflect.TypeFor[CommandResult](): 1, // Refill
+	reflect.TypeFor[TenantStatus]():  2, // Shed, QuotaRejects
 }
 
-// grown is a captured uvarint bodyLen | fields, without the tag, as v's type
-// encodes it now: the body followed by the zeros of the fields appended since.
+// asCaptured encodes *v as uvarint bodyLen | fields, without the tag, the
+// way the build that captured the fixtures and the corpus did: without the
+// fields appended since, in v and in every struct it nests.
+func asCaptured(v any) []byte {
+	rv := reflect.ValueOf(v).Elem()
+	p, err := planOf(rv.Type())
+	if err != nil {
+		panic(err)
+	}
+	p = capturedPlan(p)
+	return p.appendFields(binary.AppendUvarint(nil, uint64(p.size(rv))), rv)
+}
+
+// grown is a captured top-level message (tag, length, fields) as v's type
+// marshals it now: the fields followed by one zero byte for each field
+// appended since, every one of them an int.
 func grown(captured []byte, v any) []byte {
-	tail := appendedSince[reflect.Indirect(reflect.ValueOf(v)).Type()]
-	n, k := binary.Uvarint(captured)
-	out := binary.AppendUvarint(make([]byte, 0, len(captured)+len(tail)+1), n+uint64(len(tail)))
-	return append(append(out, captured[k:]...), tail...)
+	n := appendedSince[reflect.TypeOf(v).Elem()]
+	size, k := binary.Uvarint(captured[1:])
+	out := binary.AppendUvarint([]byte{codecTag}, size+uint64(n))
+	out = append(out, captured[1+k:]...)
+	return append(out, make([]byte, n)...)
+}
+
+// capturedPlan is p less the fields appended since the capture.
+func capturedPlan(p *plan) *plan {
+	c := *p
+	c.fields = slices.Clone(p.fields[:len(p.fields)-appendedSince[p.typ]])
+	for i := range c.fields {
+		if c.fields[i].elem != nil {
+			c.fields[i].elem = capturedPlan(c.fields[i].elem)
+		}
+	}
+	return &c
 }
 
 func fixtureSpec() CommandSpec {
@@ -96,13 +123,18 @@ func TestV3FixturesDecodeAndReencode(t *testing.T) {
 			t.Errorf("%s fixture decoded as %+v, want %+v", f.name, got, f.value)
 		}
 		// Encoding is deterministic (Workload.Cores is sorted), so the value
-		// gives the captured bytes back, grown by any field appended since.
+		// gives the captured bytes back from the fields it had then.
+		if raw := asCaptured(f.value); !bytes.Equal(raw, f.bytes[1:]) {
+			t.Errorf("%s encodes as %+q, captured %+q", f.name, raw, f.bytes[1:])
+		}
+		// And Marshal writes the captured message grown by the zeros of the
+		// fields appended since, and by nothing else.
 		raw, err := Marshal(f.value)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := append([]byte{codecTag}, grown(f.bytes[1:], f.value)...); !bytes.Equal(raw, want) {
-			t.Errorf("%s encodes as %+q, captured %+q", f.name, raw, want)
+		if want := grown(f.bytes, f.value); !bytes.Equal(raw, want) {
+			t.Errorf("%s marshals as %+q, want %+q", f.name, raw, want)
 		}
 	}
 	// Version 4 left the envelope's layout as it was, so the v3 frame's body

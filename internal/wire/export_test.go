@@ -12,10 +12,10 @@ import (
 const CodecTag = codecTag
 
 var (
-	Allocated = allocated
-	Grown     = grown
-	Fresh     = fresh
-	Rebody    = rebody
+	Allocated  = allocated
+	AsCaptured = asCaptured
+	Fresh      = fresh
+	Rebody     = rebody
 )
 
 // FixtureSeeds are the captured fixtures of every protocol version, as

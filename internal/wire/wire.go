@@ -53,10 +53,11 @@ import (
 // Additions ride within a version as appended fields (the codec's evolution
 // rule; testdata/shapes.golden lists every coded field in order):
 // CommandSpec.GangID/GangSize, ProjectStatus.Detail, the frame-streaming
-// messages, AnnounceRequest.WaitSeconds and CommandResult.Refill all arrived
-// that way, and frames
-// captured before each existed decode with the new fields at their zero
-// values. A field is never removed, only left unread (GangID/GangSize are),
+// messages, AnnounceRequest.WaitSeconds, CommandResult.Refill and
+// TenantStatus.Shed/QuotaRejects all arrived that way, and frames captured
+// before each existed decode with the new fields at their zero values. A
+// field is never removed, only left unread (GangID/GangSize and
+// WorkerInfo.Platform are),
 // and a message type is never dropped: MsgFrameChunk, whose content servers
 // no longer read, is still answered, so a fleet of mixed minor builds
 // degrades instead of mis-scheduling.
@@ -302,9 +303,8 @@ type CommandSpec struct {
 	// GangID and GangSize are decoded and not read. Builds that
 	// co-scheduled replica-exchange epochs set them to group an epoch's
 	// segments; the fields stay, under the codec's append-only rule, so
-	// that those builds' frames, WALs and snapshots still decode, and
-	// Validate still checks them. Both decode as zero from frames older
-	// than the fields.
+	// that those builds' frames, WALs and snapshots still decode. Both
+	// decode as zero from frames older than the fields.
 	GangID   string
 	GangSize int
 }
@@ -325,13 +325,6 @@ func (c *CommandSpec) Validate() error {
 	}
 	if c.MaxCores < c.MinCores {
 		return fmt.Errorf("wire: command %s has MaxCores %d < MinCores %d", c.ID, c.MaxCores, c.MinCores)
-	}
-	if c.GangID == "" && c.GangSize != 0 {
-		return fmt.Errorf("wire: command %s has GangSize %d without a GangID", c.ID, c.GangSize)
-	}
-	if c.GangID != "" && c.GangSize < 2 {
-		return fmt.Errorf("wire: command %s in gang %q needs GangSize >= 2, got %d",
-			c.ID, c.GangID, c.GangSize)
 	}
 	return nil
 }
@@ -392,8 +385,10 @@ type FrameChunk struct {
 // WorkerInfo announces a worker's resources and capabilities, mirroring the
 // paper's bootstrap handshake (architecture, cores, executables).
 type WorkerInfo struct {
-	ID          string
-	Platform    string // "smp", "mpi", ...
+	ID string
+	// Platform is decoded and not read; workers leave it empty. It stays
+	// under the codec's append-only rule.
+	Platform    string
 	Cores       int
 	Executables []string
 	// FSToken identifies the filesystem the worker can exchange files on;
@@ -588,6 +583,11 @@ type TenantStatus struct {
 	// OldestWaitSeconds is how long the tenant's oldest queued command has
 	// been waiting (0 when nothing is queued).
 	OldestWaitSeconds float64
+	// Shed and QuotaRejects count the tenant's submissions refused by
+	// admission control (retryable) and by a quota (terminal). Appended;
+	// a snapshot carries them, and restore leaves them at zero.
+	Shed         int `wire:"appended"`
+	QuotaRejects int `wire:"appended"`
 }
 
 // TenantListRequest asks for all tenant accounts.

@@ -28,8 +28,6 @@ import (
 
 // Config tunes a worker.
 type Config struct {
-	// Platform is the announced platform plugin name ("smp" by default).
-	Platform string
 	// Cores is the announced core count (default 1).
 	Cores int
 	// PollInterval is the shortest time between two idle announces: the
@@ -71,9 +69,6 @@ type Config struct {
 }
 
 func (c *Config) fill() {
-	if c.Platform == "" {
-		c.Platform = "smp"
-	}
 	if c.Cores <= 0 {
 		c.Cores = 1
 	}
@@ -127,9 +122,9 @@ type runningCmd struct {
 	cancel context.CancelFunc
 }
 
-// workerMetrics holds this worker's registry handles. Per-engine command
-// wall-time histograms are resolved lazily (get-or-create) in runCommand.
+// workerMetrics holds this worker's registry handles, resolved once in New.
 type workerMetrics struct {
+	runSeconds      map[string]*obs.Histogram // by engine
 	announces       *obs.Counter
 	announceErrors  *obs.Counter
 	commandsOK      *obs.Counter
@@ -145,9 +140,16 @@ type workerMetrics struct {
 	ckptResumes     *obs.Counter
 }
 
-func newWorkerMetrics(o *obs.Obs, workerID string) workerMetrics {
+func newWorkerMetrics(o *obs.Obs, workerID string, engines []string) workerMetrics {
 	l := obs.L("worker", workerID)
+	runSeconds := make(map[string]*obs.Histogram, len(engines))
+	for _, e := range engines {
+		runSeconds[e] = o.Metrics.Histogram("copernicus_worker_command_seconds",
+			"Wall time of engine runs, by engine type.",
+			obs.DefBuckets(), obs.L("worker", workerID, "engine", e))
+	}
 	return workerMetrics{
+		runSeconds: runSeconds,
 		announces: o.Metrics.Counter("copernicus_worker_announces_total",
 			"Resource announcements sent to the home server.", l),
 		announceErrors: o.Metrics.Counter("copernicus_worker_announce_errors_total",
@@ -206,7 +208,7 @@ func New(node *overlay.Node, home string, engs []engines.Engine, cfg Config) (*W
 	w.rpol = cfg.Retry
 	w.rpol.Scope = node.ID()
 	w.log = cfg.Obs.Log.Named("worker").With("worker", node.ID())
-	w.met = newWorkerMetrics(cfg.Obs, node.ID())
+	w.met = newWorkerMetrics(cfg.Obs, node.ID(), w.executables)
 	// A promoted standby announces ownership of its dead primary's projects;
 	// adopting it as home immediately beats waiting out failed announces
 	// before the rehome dial loop finds it.
@@ -290,7 +292,6 @@ func (w *Worker) request(ctx context.Context, op, to string, t wire.MsgType, bod
 func (w *Worker) info() wire.WorkerInfo {
 	return wire.WorkerInfo{
 		ID:          w.node.ID(),
-		Platform:    w.cfg.Platform,
 		Cores:       w.cfg.Cores,
 		Executables: w.executables,
 		FSToken:     w.cfg.FSToken,
@@ -606,10 +607,7 @@ func (w *Worker) runCommand(ctx context.Context, cmd wire.CommandSpec, cores int
 		output, err = eng.Run(runCtx, cmd, cores, progress)
 	}
 	res.WallSeconds = time.Since(start).Seconds()
-	w.cfg.Obs.Metrics.Histogram("copernicus_worker_command_seconds",
-		"Wall time of engine runs, by engine type.",
-		obs.DefBuckets(), obs.L("worker", w.ID(), "engine", cmd.Type)).
-		Observe(res.WallSeconds)
+	w.met.runSeconds[cmd.Type].Observe(res.WallSeconds)
 	span := obs.Span{
 		Stage:    obs.StageRun,
 		Command:  cmd.ID,

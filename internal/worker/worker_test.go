@@ -422,13 +422,13 @@ func TestWorkerInfoAnnouncesEverything(t *testing.T) {
 	n := overlay.NewNode(overlay.NewIdentityFromSeed(9), overlay.NewTrustStore(), net.Transport())
 	defer n.Close()
 	wk, err := New(n, "home", []engines.Engine{&fakeEngine{name: "c"}, &fakeEngine{name: "a"}, &fakeEngine{name: "b"}}, Config{
-		Platform: "mpi", Cores: 48, FSToken: "fs",
+		Cores: 48, FSToken: "fs",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	info := wk.info()
-	if info.Platform != "mpi" || info.Cores != 48 || info.FSToken != "fs" {
+	if info.Cores != 48 || info.FSToken != "fs" {
 		t.Errorf("info = %+v", info)
 	}
 	// Sorted once at New: the payload is the same bytes on every announce.

@@ -108,7 +108,7 @@ func TestFabricCrashRestartParentSyncLadder(t *testing.T) {
 
 	// The fixture is the case this test is about: its snapshot holds the
 	// running epoch as a gang.
-	st, err := store.Open(store.Options{Dir: dir, NoSync: true})
+	st, err := store.Open(store.Options{Dir: dir, SyncHook: func(func() error) error { return nil }})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -418,7 +418,9 @@ func TestFailoverPreservesRepexLadder(t *testing.T) {
 // promoted server must absorb it idempotently: "ignored" reply, duplicate
 // counter bumped, finished count unchanged.
 func TestFailoverDuplicateResultAbsorbedOnce(t *testing.T) {
-	f := replicatedFabric(t, nil)
+	// No snapshots: a rotation would compact result records out of the
+	// dead primary's WAL.
+	f := replicatedFabric(t, func(cfg *FabricConfig) { cfg.SnapshotEvery = 0 })
 	defer f.Close()
 	stateDir := f.cfg.StateDir
 
@@ -439,10 +441,7 @@ func TestFailoverDuplicateResultAbsorbedOnce(t *testing.T) {
 
 	// Dig a finished result out of the dead primary's WAL — preferably one
 	// that was provably replicated before the crash, so the promoted server
-	// already absorbed it during replay. A snapshot rotation near the crash
-	// point can compact those out of the tail; any result record for the
-	// project still proves absorb-once, since the promoted server finished
-	// every command either way. Its Data field is the verbatim
+	// already absorbed it during replay. Its Data field is the verbatim
 	// wire.CommandResult the worker originally delivered.
 	rec, err := store.ReadAll(filepath.Join(stateDir, "server-0"))
 	if err != nil {

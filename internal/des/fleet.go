@@ -1,36 +1,32 @@
 // The virtual-clock worker fleet both queue scenarios (tenants.go,
-// repex.go) run on. It dispatches through the server's own core
-// (server.Core) on the fleet's clock: a worker announces its free cores, the
-// core matches them or parks the announce; every queue readiness event wakes
-// the line at the same virtual instant, once the event that fired it is over,
-// so a handler's whole batch is offered together; a parked announce's hold
-// (the server's RelayTimeout) runs out on the fleet's clock. A kill banks
-// the worker's running commands' progress to the last checkpoint and reports
-// them lost through the core's worker-loss path (WorkerFailed), the one its
-// heartbeat reaper takes: the core requeues each or, its retry budget spent,
-// fails it to its controller. Each scenario decides what a finished command
-// means.
-//
-// One departure from the server: a worker here announces the cores each
-// finished command frees, and that announce may park, where the real worker
-// asks for them in the result itself (CommandResult.Refill), and a refill
-// never parks. A fleet worker thus announces while others of its commands
-// run, so the fleet never applies an announce to the worker's liveness
-// record (the core's touchWorker): its next announce would take running
-// commands for orphans. It never reaps either; a kill is the only loss.
+// repex.go) run on: the server's core (server.Core) and a worker core
+// (worker.Core) per worker, called on the fleet's clock in the order their
+// shells call them. A worker that holds no run announces; the core matches
+// it or parks the announce until a queue readiness event (played once the
+// event that fired it is over, so a handler's batch is offered whole) or its
+// hold's end on the fleet's clock. An engine run is a timed event: at its
+// end the scenario reports the result to the core, and the worker core's
+// refill (Core.Refill) starts at once, its cores that nothing fills joining
+// the worker's idle pool. So a busy worker never announces or parks, and the
+// server's worker records hold as in production. A kill banks each running
+// command's progress to its last checkpoint and reports the runs lost
+// through WorkerFailed, the core's reaper path (requeue, or fail once the
+// retry budget is spent); a revive starts a fresh worker core. Heartbeats
+// and the reaper are not simulated. Each scenario decides what a finished
+// command means.
 package des
 
 import (
 	"container/heap"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"copernicus/internal/controller"
 	"copernicus/internal/queue"
 	"copernicus/internal/server"
 	"copernicus/internal/wire"
+	"copernicus/internal/worker"
 )
 
 // event is one entry of the fleet's virtual-time heap.
@@ -64,14 +60,9 @@ type scenario interface {
 	runTime(cmd wire.CommandSpec) float64
 	// started is told of every dispatch of cmd.
 	started(cmd wire.CommandSpec)
-	// finished is told that cmd ran to completion on worker.
+	// finished is told that cmd ran to completion on worker, and reports its
+	// result to the core.
 	finished(cmd wire.CommandSpec, worker string, seconds float64)
-}
-
-type fworker struct {
-	id    string
-	free  int
-	alive bool
 }
 
 // dispatch is one run of a command on a worker.
@@ -92,10 +83,11 @@ type fleet struct {
 	q      *queue.Queue
 	sc     scenario
 
-	exe        []string // what every worker can run
-	cores      int      // per worker
-	checkpoint float64  // seconds between checkpoints; 0 banks all progress at a kill
-	workers    []fworker
+	home       string         // the core's node ID: every worker's home
+	exe        []string       // what every worker can run
+	cores      int            // per worker
+	checkpoint float64        // seconds between checkpoints; 0 banks all progress at a kill
+	workers    []*worker.Core // nil while dead
 	byID       map[string]int
 	ready      bool // the queue fired Ready during the current event
 
@@ -103,10 +95,11 @@ type fleet struct {
 	running map[string]*dispatch
 
 	// Scorecard.
-	granted int     // cores held by running commands
-	busy    float64 // core-seconds run: finished commands plus progress banked at kills
-	kills   int
-	lost    int // runs killed: each requeued, or failed once its retry budget is spent
+	granted   int     // cores held by running commands
+	busy      float64 // core-seconds run: finished commands plus progress banked at kills
+	announces int     // matched or parked
+	kills     int
+	lost      int // runs killed: each requeued, or failed once its retry budget is spent
 }
 
 // newFleet builds a fleet of workers with cores each around a core tuned by
@@ -114,20 +107,26 @@ type fleet struct {
 // controllers of the projects a scenario submits to it.
 func newFleet(cfg server.Config, h server.Hooks, reg *controller.Registry, workers, cores int, exe string, sc scenario) *fleet {
 	f := &fleet{
-		sc: sc, exe: []string{exe}, cores: cores, byID: make(map[string]int),
-		rem: make(map[string]float64), running: make(map[string]*dispatch),
+		sc: sc, home: h.Origin, exe: []string{exe}, cores: cores, byID: make(map[string]int),
+		workers: make([]*worker.Core, workers),
+		rem:     make(map[string]float64), running: make(map[string]*dispatch),
 	}
 	epoch := time.Unix(1_700_000_000, 0)
 	f.clock = func() time.Time { return epoch.Add(time.Duration(f.now * float64(time.Second))) }
 	h.Clock, h.Ready = f.clock, func(bool) { f.ready = true }
 	f.core = server.NewCore(reg, cfg, h)
 	f.q = f.core.Queue()
-	for wi := 0; wi < workers; wi++ {
-		id := fmt.Sprintf("w%03d", wi)
-		f.workers = append(f.workers, fworker{id: id, free: cores, alive: true})
-		f.byID[id] = wi
+	for wi := range f.workers {
+		f.hire(wi)
 	}
 	return f
+}
+
+// hire gives worker wi a fresh worker core, idle.
+func (f *fleet) hire(wi int) {
+	id := fmt.Sprintf("w%03d", wi)
+	f.byID[id] = wi
+	f.workers[wi] = worker.NewCore(wire.WorkerInfo{ID: id, Cores: f.cores, Executables: f.exe}, f.home)
 }
 
 // at schedules fn at virtual time t.
@@ -160,24 +159,26 @@ func (f *fleet) settle() {
 	f.ready = false
 	// A worker's link is up while it lives: a killed worker's announce is
 	// answered empty.
-	woken, _ := f.core.Wake(false, func(id string) bool { return f.workers[f.byID[id]].alive })
+	woken, _ := f.core.Wake(false, func(id string) bool { return f.workers[f.byID[id]] != nil })
 	for _, w := range woken {
-		f.start(f.byID[w.Worker().ID], w.Workload())
+		f.begin(f.byID[w.Worker().ID], w.Workload())
 	}
 }
 
-// announce is worker wi announcing its free cores to the core: it takes
+// announce is worker wi announcing, if it lives and holds no run: it takes
 // what the queue matches or, on a miss, parks until a wake or its hold's
 // end, when it announces again.
 func (f *fleet) announce(wi int) {
-	w := &f.workers[wi]
-	if !w.alive || w.free < 1 {
+	w := f.workers[wi]
+	if w == nil || !w.Idle() {
 		return
 	}
-	info := wire.WorkerInfo{ID: w.id, Cores: w.free, Executables: f.exe}
-	wl, parked := f.core.Announce(&wire.AnnounceRequest{Info: info}, w.id)
+	f.announces++
+	info := w.Info()
+	wl, parked := f.core.Announce(&wire.AnnounceRequest{Info: info}, info.ID)
+	f.core.TouchWorker(info)
 	if parked == nil {
-		f.start(wi, wl)
+		f.begin(wi, wl)
 		return
 	}
 	hold := parked.Deadline().Sub(f.clock()).Seconds()
@@ -188,13 +189,19 @@ func (f *fleet) announce(wi int) {
 	})
 }
 
-// start hands worker wi the workload the core matched for it and runs it.
+// begin assigns worker wi the workload its announce took, and starts it.
+func (f *fleet) begin(wi int, wl wire.Workload) {
+	w := f.workers[wi]
+	wl = f.core.Assign(w.Info(), wl)
+	w.Begin(&wl)
+	f.start(wi, wl)
+}
+
+// start runs the commands of a workload worker wi holds, each for the run
+// time it still owes.
 func (f *fleet) start(wi int, wl wire.Workload) {
-	w := &f.workers[wi]
-	f.core.Assign(wire.WorkerInfo{ID: w.id}, wl)
 	for _, c := range wl.Commands {
 		d := &dispatch{cmd: c, wi: wi, cores: wl.Cores[c.ID], started: f.now}
-		w.free -= d.cores
 		f.granted += d.cores
 		if _, ok := f.rem[c.ID]; !ok {
 			f.rem[c.ID] = f.sc.runTime(c)
@@ -205,8 +212,9 @@ func (f *fleet) start(wi int, wl wire.Workload) {
 	}
 }
 
-// complete finishes d, unless a kill took its command off the worker since;
-// the worker then announces the freed cores.
+// complete finishes d, unless a kill took its command off the worker since:
+// the scenario reports the result, the refill the worker core asks for
+// starts, and a worker left holding nothing announces.
 func (f *fleet) complete(d *dispatch) {
 	id := d.cmd.ID
 	if f.running[id] != d {
@@ -217,8 +225,15 @@ func (f *fleet) complete(d *dispatch) {
 	secs := f.now - d.started
 	f.busy += secs * float64(d.cores)
 	f.granted -= d.cores
-	f.workers[d.wi].free += d.cores
-	f.sc.finished(d.cmd, f.workers[d.wi].id, secs)
+	w := f.workers[d.wi]
+	wid := w.Info().ID
+	refill := w.Refill(id)
+	f.sc.finished(d.cmd, wid, secs)
+	// The reported result as Refill reads it; a refill of 0 takes nothing.
+	next, _ := f.core.Refill(&wire.CommandResult{CommandID: id, Project: d.cmd.Project,
+		WorkerID: wid, OK: true, Refill: refill})
+	w.Replied(id, refill, &next)
+	f.start(d.wi, next)
 	f.announce(d.wi)
 }
 
@@ -227,19 +242,13 @@ func (f *fleet) complete(d *dispatch) {
 // that the worker was lost while running them, in command-ID order: requeue
 // order decides dispatch order.
 func (f *fleet) kill(wi int) {
-	w := &f.workers[wi]
-	if !w.alive {
+	w := f.workers[wi]
+	if w == nil {
 		return
 	}
-	w.alive, w.free = false, 0
+	f.workers[wi] = nil
 	f.kills++
-	var ids []string
-	for id, d := range f.running {
-		if d.wi == wi {
-			ids = append(ids, id)
-		}
-	}
-	sort.Strings(ids)
+	ids := w.Running()
 	for _, id := range ids {
 		d := f.running[id]
 		banked := f.now - d.started
@@ -252,13 +261,13 @@ func (f *fleet) kill(wi int) {
 		delete(f.running, id)
 	}
 	f.lost += len(ids)
-	f.core.WorkerFailed(wire.WorkerFailed{WorkerID: w.id, CommandIDs: ids})
+	f.core.WorkerFailed(wire.WorkerFailed{WorkerID: w.Info().ID, CommandIDs: ids})
 }
 
-// revive brings dead worker wi back with all its cores free.
+// revive brings dead worker wi back with a fresh worker core.
 func (f *fleet) revive(wi int) {
-	if w := &f.workers[wi]; !w.alive {
-		w.alive, w.free = true, f.cores
+	if f.workers[wi] == nil {
+		f.hire(wi)
 		f.announce(wi)
 	}
 }

@@ -6,12 +6,12 @@ import (
 	"testing"
 )
 
-// TestTenantScenarioMatchesParentGolden: dispatching through the server's
-// core, the multi-tenant scenario scores byte for byte what it scored on the
-// fleet's own copy of the server's dispatch, at the default parameters and
-// at TestTenantScenarioDeterministic's trimmed ones. The goldens were
-// captured from that build; they are captured bytes — never regenerate them
-// from current code.
+// TestTenantScenarioMatchesParentGolden: the multi-tenant scenario scores
+// byte for byte what it scored in the build that first ran the shipped
+// worker core (worker.Core) on the fleet and submitted each burst as a
+// project, at the default parameters and at TestTenantScenarioDeterministic's
+// trimmed ones. The goldens were captured from that build; they are captured
+// bytes — never regenerate them from current code.
 func TestTenantScenarioMatchesParentGolden(t *testing.T) {
 	trimmed := DefaultTenantParams()
 	trimmed.Tenants = 300

@@ -3,8 +3,11 @@
 // clock. Thousands of tenants submit heavy-tailed bursts of commands, a
 // small set of "heavy hitter" tenants in distinct weight classes keep
 // permanent backlogs, and a slow-fsync WAL fault window in the middle of
-// the run exercises admission backpressure. The scenario measures the
-// control plane's multi-tenant SLOs:
+// the run exercises admission backpressure. Each burst and each top-up is a
+// project of the scenario's burst controller, submitted to the REAL server
+// core, so the core admits, sheds or refuses it whole, as it does a Start
+// batch, and every command takes the shipped lifecycle. The scenario
+// measures the control plane's multi-tenant SLOs:
 //
 //   - core-time delivered to saturated tenants is proportional to their
 //     configured weights,
@@ -26,8 +29,10 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 	"time"
 
+	"copernicus/internal/controller"
 	"copernicus/internal/obs"
 	"copernicus/internal/server"
 	"copernicus/internal/wire"
@@ -174,34 +179,51 @@ type TenantResult struct {
 type tenantStat struct {
 	TenantSLO
 	backlog      int
-	backlogSince float64
+	backlogSince float64 // when backlog last rose from 0
 	lastServed   float64
-	everServed   bool
 }
 
 // noteGap folds how long st has gone unserved while backlogged, as of now,
 // into its longest gap.
 func (st *tenantStat) noteGap(now float64) {
-	ref := st.backlogSince
-	if st.everServed && st.lastServed > ref {
-		ref = st.lastServed
+	st.MaxGapSeconds = math.Max(st.MaxGapSeconds, now-math.Max(st.backlogSince, st.lastServed))
+}
+
+// burstName is the scenario's controller: a burst project's Start submits
+// as many one-core commands as its parameters say, as one batch.
+const burstName = "burst"
+
+type burstController struct{}
+
+func (burstController) Name() string { return burstName }
+func (burstController) Start(ctx controller.Context, params []byte) error {
+	n, err := strconv.Atoi(string(params))
+	for k := 0; err == nil && k < n; k++ {
+		err = ctx.Submit(wire.CommandSpec{ID: ctx.ProjectName() + "/" + strconv.Itoa(k),
+			Type: "sim", MinCores: 1, MaxCores: 1})
 	}
-	st.MaxGapSeconds = math.Max(st.MaxGapSeconds, now-ref)
+	return err
+}
+func (burstController) CommandFinished(controller.Context, *wire.CommandResult) error    { return nil }
+func (burstController) CommandFailed(controller.Context, wire.CommandSpec, string) error { return nil }
+
+// burst is an admitted burst project: whose, and when it was submitted.
+type burst struct {
+	ti int // stats index
+	at float64
 }
 
 // tenantScenario is the engine state for one SimulateTenants run.
 type tenantScenario struct {
-	p        TenantParams
-	f        *fleet
-	rng      *rand.Rand
-	walEWMA  float64       // the WAL's append-latency EWMA
-	stats    []*tenantStat // heavy hitters first, then background
-	heavyN   int
-	meanGap  float64 // background tenants' mean gap between bursts
-	enqAt    map[string]float64
-	cmdOwner map[string]int // cmdID -> stats index
-	nextCmd  int
-	res      TenantResult
+	p       TenantParams
+	f       *fleet
+	rng     *rand.Rand
+	walEWMA float64       // the WAL's append-latency EWMA
+	stats   []*tenantStat // heavy hitters first, then background
+	heavyN  int
+	meanGap float64          // background tenants' mean gap between bursts
+	bursts  map[string]burst // by project name
+	res     TenantResult
 }
 
 func (s *tenantScenario) inFault() bool {
@@ -225,26 +247,25 @@ func (s *tenantScenario) walAppend() {
 // threshold.
 func (s *tenantScenario) pressure() float64 { return s.walEWMA / s.p.WALSlowSeconds }
 
-// submit pushes one command for tenant ti, with full admission accounting.
-func (s *tenantScenario) submit(ti int) {
+// submit submits n commands for tenant ti as one burst project, with full
+// admission accounting: the core admits, sheds or refuses the burst whole.
+func (s *tenantScenario) submit(ti, n int) {
 	st := s.stats[ti]
-	s.nextCmd++
-	id := fmt.Sprintf("c%07d", s.nextCmd)
-	err := s.f.q.Push(wire.CommandSpec{
-		ID: id, Project: st.ID, Tenant: st.ID,
-		Type: "sim", MinCores: 1, MaxCores: 1,
-	})
+	name := fmt.Sprintf("b%06d", len(s.bursts)) // a refused burst's name is free again
+	_, err := s.f.core.Submit(&wire.ProjectSubmit{Name: name, Controller: burstName, Tenant: st.ID,
+		Params: []byte(strconv.Itoa(n))})
 	switch {
 	case err == nil:
-		st.Submitted++
-		s.res.Submitted++
+		st.Submitted += n
+		s.res.Submitted += n
 		if st.backlog == 0 {
 			st.backlogSince = s.f.now
 		}
-		st.backlog++
-		s.enqAt[id] = s.f.now
-		s.cmdOwner[id] = ti
-		s.walAppend() // servers journal every admitted command
+		st.backlog += n
+		s.bursts[name] = burst{ti: ti, at: s.f.now}
+		for range n {
+			s.walAppend() // servers journal every admitted command
+		}
 	case errors.Is(err, wire.ErrQuotaExceeded):
 		st.QuotaReject++
 		s.res.QuotaReject++
@@ -260,34 +281,18 @@ func (s *tenantScenario) submit(ti int) {
 // arrive submits background tenant ti's heavy-tailed burst (a truncated
 // discrete Pareto) and schedules its next one.
 func (s *tenantScenario) arrive(ti int) {
-	u := s.rng.Float64()
-	if u < 1e-12 {
-		u = 1e-12 // keep the power law finite
-	}
-	burst := int(1 / math.Pow(u, 1/s.p.ParetoAlpha))
-	if burst < 1 {
-		burst = 1
-	}
-	if burst > s.p.MaxBatch {
-		burst = s.p.MaxBatch
-	}
-	for k := 0; k < burst; k++ {
-		s.submit(ti)
-	}
+	u := max(s.rng.Float64(), 1e-12) // keep the power law finite
+	s.submit(ti, min(max(int(1/math.Pow(u, 1/s.p.ParetoAlpha)), 1), s.p.MaxBatch))
 	s.f.at(s.f.now+s.rng.ExpFloat64()*s.meanGap, func() { s.arrive(ti) })
 }
 
-// refill tops heavy hitter ti's backlog up, every 30 s.
-func (s *tenantScenario) refill(ti int) {
-	st := s.stats[ti]
-	for st.backlog < s.p.HeavyBacklog {
-		before := st.Submitted
-		s.submit(ti)
-		if st.Submitted == before {
-			break // admission shed; retry at the next refill
-		}
+// topUp tops heavy hitter ti's backlog up, every 30 s; a shed top-up waits
+// for the next.
+func (s *tenantScenario) topUp(ti int) {
+	if n := s.p.HeavyBacklog - s.stats[ti].backlog; n > 0 {
+		s.submit(ti, n)
 	}
-	s.f.at(s.f.now+30, func() { s.refill(ti) })
+	s.f.at(s.f.now+30, func() { s.topUp(ti) })
 }
 
 // walTick is the periodic control-plane journal traffic (snapshots, worker
@@ -309,7 +314,8 @@ func (s *tenantScenario) started(c wire.CommandSpec) {
 	if s.f.granted > s.res.PeakInflightCores {
 		s.res.PeakInflightCores = s.f.granted
 	}
-	st := s.stats[s.cmdOwner[c.ID]]
+	b := s.bursts[c.Project]
+	st := s.stats[b.ti]
 	st.Dispatched++
 	s.res.Dispatched++
 	if now >= s.p.FaultEndFrac*s.p.HorizonSeconds {
@@ -317,26 +323,20 @@ func (s *tenantScenario) started(c wire.CommandSpec) {
 	}
 	st.noteGap(now)
 	st.lastServed = now
-	st.everServed = true
 	st.backlog--
-	if st.backlog > 0 {
-		st.backlogSince = now
-	}
-	if wait := now - s.enqAt[c.ID]; wait > st.MaxWaitSeconds {
-		st.MaxWaitSeconds = wait
-	}
-	delete(s.enqAt, c.ID)
+	st.MaxWaitSeconds = math.Max(st.MaxWaitSeconds, now-b.at)
 }
 
-// finished settles the command's fair-share charge, as a result would.
-func (s *tenantScenario) finished(c wire.CommandSpec, _ string, seconds float64) {
-	s.f.q.Release(c.ID, seconds)
+// finished reports the command's result to the core, which settles its
+// fair-share charge.
+func (s *tenantScenario) finished(c wire.CommandSpec, worker string, seconds float64) {
+	s.f.core.Result(&wire.CommandResult{CommandID: c.ID, Project: c.Project, WorkerID: worker,
+		OK: true, WallSeconds: seconds}, nil)
 	if s.inFault() && s.f.granted < s.res.MinInflightDuringFault {
 		s.res.MinInflightDuringFault = s.f.granted
 	}
-	s.stats[s.cmdOwner[c.ID]].Completed++
+	s.stats[s.bursts[c.Project].ti].Completed++
 	s.res.Completed++
-	delete(s.cmdOwner, c.ID)
 	s.walAppend() // servers journal every result
 }
 
@@ -367,17 +367,17 @@ func runTenants(p TenantParams) (*tenantScenario, error) {
 	}
 
 	s := &tenantScenario{
-		p:        p,
-		rng:      rand.New(rand.NewSource(int64(p.Seed))),
-		enqAt:    make(map[string]float64),
-		cmdOwner: make(map[string]int),
+		p:      p,
+		rng:    rand.New(rand.NewSource(int64(p.Seed))),
+		bursts: make(map[string]burst),
 	}
 	s.res.Params = p
 	s.res.Capacity = p.Workers * p.CoresPerWorker
 
-	// Commands are pushed raw, with no project: the scenario settles them.
+	reg := controller.NewRegistry()
+	reg.Register(burstName, func() controller.Controller { return burstController{} })
 	s.f = newFleet(server.Config{StarvationAge: p.StarvationAge, MaxQueuedTotal: p.MaxQueuedTotal, Obs: p.Obs},
-		server.Hooks{Origin: "des", Pressure: s.pressure}, nil, p.Workers, p.CoresPerWorker, "sim", s)
+		server.Hooks{Origin: "des", Pressure: s.pressure}, reg, p.Workers, p.CoresPerWorker, "sim", s)
 	q := s.f.q
 
 	// Heavy hitters: HeavyPerClass saturated tenants per weight class.
@@ -421,7 +421,7 @@ func runTenants(p TenantParams) (*tenantScenario, error) {
 		s.f.at(s.rng.ExpFloat64()*s.meanGap, func() { s.arrive(s.heavyN + i) })
 	}
 	for i := 0; i < s.heavyN; i++ {
-		s.f.at(0, func() { s.refill(i) })
+		s.f.at(0, func() { s.topUp(i) })
 	}
 	s.f.at(0, s.walTick)
 	s.f.run(h, func() bool { return false })

@@ -256,7 +256,7 @@ func (w *lcWorld) step(l int) error {
 			var wl wire.Workload
 			if l/2 == eAnnounce {
 				wl = w.s.q.Match(info)
-				w.s.touchWorker(info)
+				w.s.TouchWorker(info)
 			} else {
 				wl = w.s.matchRelayed(info)
 			}

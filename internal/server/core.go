@@ -440,11 +440,12 @@ func (c *Core) reoffer(info wire.WorkerInfo) wire.Workload {
 	return wl
 }
 
-// touchWorker applies a direct announce to the worker's record, creating it
-// if need be. A worker announces only once its previous workload is done,
-// so commands still on its record are orphans — their workload reply was
-// lost — and are requeued at once.
-func (c *Core) touchWorker(info wire.WorkerInfo) {
+// TouchWorker is a direct announce's liveness update: it applies the
+// announce to the worker's record, creating it if need be. Its host calls it
+// after Announce's match, outside the parking lock. A worker announces only
+// once it holds no run (worker.Core.Idle), so commands still on its record
+// are orphans — their workload reply was lost — and are requeued at once.
+func (c *Core) TouchWorker(info wire.WorkerInfo) {
 	c.mu.Lock()
 	ws := c.workers[info.ID]
 	if ws == nil {

@@ -313,7 +313,7 @@ func TestRecoveryLostResultRecordPlantsNoChildren(t *testing.T) {
 	}
 	dir := t.TempDir()
 	var failNext atomic.Bool
-	st, err := store.Open(store.Options{Dir: dir, NoSync: true,
+	st, err := store.Open(store.Options{Dir: dir, SyncHook: noSync,
 		WriteHook: func(frame []byte) ([]byte, error) {
 			if failNext.CompareAndSwap(true, false) {
 				return nil, errors.New("injected append failure")

@@ -53,7 +53,7 @@ func (c *testController) RestoreState(data []byte) error {
 // openTestStore opens a store on dir with fsync disabled (throwaway dirs).
 func openTestStore(t *testing.T, dir string) *store.Store {
 	t.Helper()
-	st, err := store.Open(store.Options{Dir: dir, NoSync: true})
+	st, err := store.Open(store.Options{Dir: dir, SyncHook: noSync})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,6 +366,10 @@ func TestRecoveryRefusedBatchStaysRefused(t *testing.T) {
 	takeWork(t, r2, "w2", []string{"sim"}) // nothing to hand out
 }
 
+// noSync is a store.Options.SyncHook that skips the fsync: tests on
+// throwaway dirs.
+func noSync(func() error) error { return nil }
+
 // syncGate is a store.Options.SyncHook that holds every fsync in flight
 // while held.
 type syncGate struct {
@@ -448,7 +452,7 @@ func awaitStaged(t *testing.T, st *store.Store, base uint64, n int) {
 func TestAckImpliesDurable(t *testing.T) {
 	dir := t.TempDir()
 	gate := &syncGate{}
-	st, err := store.Open(store.Options{Dir: dir, NoSync: true, SyncHook: gate.hook})
+	st, err := store.Open(store.Options{Dir: dir, SyncHook: gate.hook})
 	if err != nil {
 		t.Fatal(err)
 	}

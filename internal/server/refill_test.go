@@ -166,7 +166,7 @@ func TestReplayedRefillAssignsOnlyJournaled(t *testing.T) {
 		t.Fatal(err)
 	}
 	info := wire.WorkerInfo{ID: "w1", Platform: "smp", Cores: 1, Executables: []string{"sim"}}
-	c.touchWorker(info)
+	c.TouchWorker(info)
 	c.Assign(info, c.q.Match(info))
 	res := &wire.CommandResult{Project: "proj", CommandID: "c1", WorkerID: "w1", OK: true, Refill: 1}
 	payload, err := wire.Marshal(res)

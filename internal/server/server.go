@@ -274,7 +274,7 @@ func (s *Server) WaitProject(ctx context.Context, name string) (wire.ProjectStat
 // overlay carries it on to "the first server with available commands". A
 // direct announce that misses is parked (park.go) until a queue event, the
 // overlay search for it, or the end of its hold: never while work waits.
-// A direct announce says the worker is idle (touchWorker); a relayed copy
+// A direct announce says the worker is idle (TouchWorker); a relayed copy
 // may be stale, and is offered what the worker's record holds (reoffer).
 func (s *Server) handleAnnounce(from string, payload []byte) ([]byte, error) {
 	var req wire.AnnounceRequest
@@ -296,7 +296,7 @@ func (s *Server) handleAnnounce(from string, payload []byte) ([]byte, error) {
 		link = from
 	}
 	wl, w := s.core.Announce(&req, link)
-	s.core.touchWorker(req.Info)
+	s.core.TouchWorker(req.Info)
 	if w != nil {
 		s.search(w)
 		s.await(w)

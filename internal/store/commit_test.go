@@ -115,7 +115,6 @@ func waitFor(t *testing.T, what string, ch <-chan struct{}) {
 // instant, whatever other writers, commits and rotations are going on.
 func TestCommitFrontier(t *testing.T) {
 	opts := testOptions(t)
-	opts.NoSync = false
 	gate := newSyncGate(opts.Dir)
 	opts.SyncHook = gate.hook
 	s := mustOpen(t, opts)
@@ -240,7 +239,6 @@ func TestRotateAndCloseWaitOutInflightSync(t *testing.T) {
 	for _, op := range []string{"rotate", "close"} {
 		t.Run(op, func(t *testing.T) {
 			opts := testOptions(t)
-			opts.NoSync = false
 			gate := newSyncGate(opts.Dir)
 			opts.SyncHook = gate.hook
 			s := mustOpen(t, opts)

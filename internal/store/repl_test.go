@@ -240,7 +240,7 @@ func TestInstallSnapshotUnknownSegmentDefers(t *testing.T) {
 	dir := dst.Dir()
 	dst.Close()
 
-	dst2 := mustOpen(t, Options{Dir: dir, NoSync: true, Obs: obs.New()})
+	dst2 := mustOpen(t, Options{Dir: dir, SyncHook: noSync, Obs: obs.New()})
 	defer dst2.Close()
 
 	src := mustOpen(t, testOptions(t))

@@ -42,10 +42,10 @@ func newChaosPair(t *testing.T, primaryHooks, standbyHooks Hooks) *chaosPair {
 	}
 	primaryDir := t.TempDir()
 	var err error
-	if cp.primaryStore, err = store.Open(store.Options{Dir: primaryDir, NoSync: true, Obs: obs.New()}); err != nil {
+	if cp.primaryStore, err = store.Open(store.Options{Dir: primaryDir, SyncHook: noSync, Obs: obs.New()}); err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Interval: cp.interval, LeaseTimeout: cp.leaseTimeout, StoreOptions: store.Options{NoSync: true}}
+	cfg := Config{Interval: cp.interval, LeaseTimeout: cp.leaseTimeout, StoreOptions: store.Options{SyncHook: noSync}}
 	pcfg, scfg := cfg, cfg
 	pcfg.Dir, pcfg.Role, pcfg.Hooks, pcfg.Obs = primaryDir, store.RolePrimary, primaryHooks, obs.New()
 	scfg.Dir, scfg.Role, scfg.Hooks, scfg.Obs = t.TempDir(), store.RoleStandby, standbyHooks, obs.New()

@@ -26,6 +26,10 @@ type testPair struct {
 	promotedStores chan *store.Store
 }
 
+// noSync is a store.Options.SyncHook that skips the fsync: tests on
+// throwaway dirs.
+func noSync(func() error) error { return nil }
+
 func newTestPair(t *testing.T, hooks bool) *testPair {
 	t.Helper()
 	tp := &testPair{
@@ -50,7 +54,7 @@ func newTestPair(t *testing.T, hooks bool) *testPair {
 	}
 
 	var err error
-	tp.primaryStore, err = store.Open(store.Options{Dir: tp.primaryDir, NoSync: true, Obs: obs.New()})
+	tp.primaryStore, err = store.Open(store.Options{Dir: tp.primaryDir, SyncHook: noSync, Obs: obs.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +64,7 @@ func newTestPair(t *testing.T, hooks bool) *testPair {
 		Role:         store.RolePrimary,
 		Interval:     tp.interval,
 		LeaseTimeout: tp.leaseTimeout,
-		StoreOptions: store.Options{NoSync: true},
+		StoreOptions: store.Options{SyncHook: noSync},
 		Obs:          obs.New(),
 	}, nil)
 	if err != nil {
@@ -75,7 +79,7 @@ func newTestPair(t *testing.T, hooks bool) *testPair {
 		SelfAddr:     "standby",
 		Interval:     tp.interval,
 		LeaseTimeout: tp.leaseTimeout,
-		StoreOptions: store.Options{NoSync: true},
+		StoreOptions: store.Options{SyncHook: noSync},
 		Obs:          obs.New(),
 	}
 	if hooks {
@@ -172,7 +176,7 @@ func TestLateJoinResyncsThroughSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	pDir := t.TempDir()
-	ps, err := store.Open(store.Options{Dir: pDir, NoSync: true, Obs: obs.New()})
+	ps, err := store.Open(store.Options{Dir: pDir, SyncHook: noSync, Obs: obs.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +214,7 @@ func TestLateJoinResyncsThroughSnapshot(t *testing.T) {
 		Dir: sDir, Role: store.RoleStandby,
 		PeerID: pNode.ID(), PeerAddr: "primary", SelfAddr: "standby",
 		Interval: 10 * time.Millisecond, LeaseTimeout: 120 * time.Millisecond,
-		StoreOptions: store.Options{NoSync: true},
+		StoreOptions: store.Options{SyncHook: noSync},
 		Obs:          obs.New(),
 	}, nil)
 	if err != nil {
@@ -322,7 +326,7 @@ func TestStalePrimaryIsFencedAndDemotes(t *testing.T) {
 		Role:         store.RolePrimary,
 		Interval:     tp.interval,
 		LeaseTimeout: tp.leaseTimeout,
-		StoreOptions: store.Options{NoSync: true},
+		StoreOptions: store.Options{SyncHook: noSync},
 		Hooks: Hooks{Demote: func(epoch uint64, newPrimary string) error {
 			demoteCh <- epoch
 			return tp.primaryStore.Close()

@@ -54,8 +54,6 @@ type Options struct {
 	// hints (ShouldSnapshot). 0 disables the hint; snapshots then happen
 	// only when the owner asks. Default 512 when negative.
 	SnapshotEvery int
-	// NoSync skips fsync entirely (unit tests on throwaway dirs).
-	NoSync bool
 	// WriteHook, when set, intercepts every WAL frame just before it is
 	// written — the chaos harness's entry point for injecting short writes
 	// and I/O errors. Returning a shortened slice simulates a torn write;
@@ -63,8 +61,8 @@ type Options struct {
 	// append buffer: a hook must not keep it past its return.
 	WriteHook func(frame []byte) ([]byte, error)
 	// SyncHook, when set, runs in place of every fsync of the active segment
-	// and is handed the real one (a no-op under NoSync). Test-only: it lets a
-	// test hold a group commit in flight, fail it, or note what it covered.
+	// and is handed the real one. Test-only: it lets a test hold a group
+	// commit in flight, fail it, note what it covered, or skip it.
 	SyncHook func(sync func() error) error
 	// Obs receives the copernicus_store_* metrics; nil selects a silent
 	// bundle.
@@ -467,14 +465,10 @@ func (s *Store) flush() {
 
 // fsync syncs one segment file, through the test hook if one is set.
 func (s *Store) fsync(seg *os.File) error {
-	sync := seg.Sync
-	if s.opts.NoSync {
-		sync = func() error { return nil }
-	}
 	if s.opts.SyncHook != nil {
-		return s.opts.SyncHook(sync)
+		return s.opts.SyncHook(seg.Sync)
 	}
-	return sync()
+	return seg.Sync()
 }
 
 // resolveLocked gives every record up to through (the oldest staged at
@@ -586,15 +580,13 @@ func (s *Store) rotateLocked() error {
 		f.Close()
 		return fmt.Errorf("store: writing segment header: %w", err)
 	}
-	if !s.opts.NoSync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return fmt.Errorf("store: syncing segment header: %w", err)
-		}
-		if err := atomicfile.SyncDir(s.opts.Dir); err != nil {
-			f.Close()
-			return err
-		}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return fmt.Errorf("store: syncing segment header: %w", err)
+	}
+	if err := atomicfile.SyncDir(s.opts.Dir); err != nil {
+		f.Close()
+		return err
 	}
 	s.seg = f
 	s.segIndex = idx

@@ -11,8 +11,11 @@ import (
 
 func testOptions(t *testing.T) Options {
 	t.Helper()
-	return Options{Dir: t.TempDir(), NoSync: true, Obs: obs.New()}
+	return Options{Dir: t.TempDir(), SyncHook: noSync, Obs: obs.New()}
 }
+
+// noSync is a SyncHook that skips the fsync: tests on throwaway dirs.
+func noSync(func() error) error { return nil }
 
 func mustOpen(t *testing.T, opts Options) *Store {
 	t.Helper()
@@ -335,7 +338,7 @@ func TestAppendsAfterWriteFaultSurviveRecovery(t *testing.T) {
 	appendN(t, s, 3)
 	s.Close()
 
-	s2 := mustOpen(t, Options{Dir: opts.Dir, NoSync: true})
+	s2 := mustOpen(t, Options{Dir: opts.Dir, SyncHook: noSync})
 	defer s2.Close()
 	rec := s2.Recovered()
 	if len(rec.Records) != 7 {
@@ -412,7 +415,7 @@ func TestWriteHookFaults(t *testing.T) {
 	short = false
 	s.Close()
 
-	s2 := mustOpen(t, Options{Dir: opts.Dir, NoSync: true, Obs: obs.New()})
+	s2 := mustOpen(t, Options{Dir: opts.Dir, SyncHook: noSync, Obs: obs.New()})
 	defer s2.Close()
 	rec := s2.Recovered()
 	if len(rec.Records) != 2 {
@@ -532,7 +535,7 @@ func TestInspect(t *testing.T) {
 
 func TestGroupCommitConcurrentAppends(t *testing.T) {
 	opts := testOptions(t)
-	opts.NoSync = false // real fsyncs so group commit actually batches
+	opts.SyncHook = nil // real fsyncs so group commit actually batches
 	s := mustOpen(t, opts)
 	defer s.Close()
 	const writers, each = 8, 20

@@ -390,3 +390,109 @@ func TestOldServerAnswerMeansNoRefill(t *testing.T) {
 		t.Errorf("ran %v, want c1 and c2 once each", started)
 	}
 }
+
+// TestSpooledResultRedeliveredWhileRefilling: a 2-core worker runs x for a
+// server it cannot reach and a stream of home commands on its other core.
+// x's result is spooled. Once x's origin is reachable, the next result that
+// reaches home drains the spool: x reaches its origin while the stream still
+// runs, though the worker, always refilled, never announces again.
+func TestSpooledResultRedeliveredWhileRefilling(t *testing.T) {
+	const n = 100
+	net := overlay.NewMemNetwork()
+	home := overlay.NewNode(overlay.NewIdentityFromSeed(1), overlay.NewTrustStore(), net.Transport())
+	if err := home.Listen("srv"); err != nil {
+		t.Fatal(err)
+	}
+	defer home.Close()
+	far := overlay.NewNode(overlay.NewIdentityFromSeed(3), overlay.NewTrustStore(), net.Transport())
+	if err := far.Listen("far"); err != nil {
+		t.Fatal(err)
+	}
+	defer far.Close()
+
+	var mu sync.Mutex
+	announces, streamed := 0, 0
+	xAfter := -1 // stream results home had taken when x reached far
+	stream := func(i int) wire.CommandSpec {
+		cmd := oneCore(fmt.Sprintf("s%03d", i))
+		cmd.Project, cmd.Origin = "p", home.ID()
+		return cmd
+	}
+	home.Handle(wire.MsgAnnounce, func(string, []byte) ([]byte, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		announces++
+		wl := wire.Workload{HeartbeatSeconds: 60}
+		if announces == 1 {
+			x := oneCore("x")
+			x.Project, x.Origin = "fp", far.ID()
+			wl.Commands = []wire.CommandSpec{stream(0), x}
+			wl.Cores = map[string]int{"s000": 1, "x": 1}
+		}
+		return wire.Marshal(&wl)
+	})
+	home.Handle(wire.MsgResult, func(_ string, payload []byte) ([]byte, error) {
+		var res wire.CommandResult
+		if err := wire.Unmarshal(payload, &res); err != nil {
+			return nil, err
+		}
+		if res.Project != "p" {
+			return nil, overlay.ErrNotHandled // far's project
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		streamed++
+		wl := wire.Workload{HeartbeatSeconds: 60}
+		if res.Refill > 0 && streamed < n {
+			next := stream(streamed)
+			wl.Commands, wl.Cores = []wire.CommandSpec{next}, map[string]int{next.ID: 1}
+		}
+		return wire.Marshal(&wl)
+	})
+	far.Handle(wire.MsgResult, func(_ string, payload []byte) ([]byte, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if xAfter < 0 {
+			xAfter = streamed
+		}
+		return []byte("ok"), nil
+	})
+
+	wNode := overlay.NewNode(overlay.NewIdentityFromSeed(2), overlay.NewTrustStore(), net.Transport())
+	defer wNode.Close()
+	if _, err := wNode.ConnectPeer("srv"); err != nil {
+		t.Fatal(err)
+	}
+	spool := t.TempDir()
+	eng := &startLog{name: "sim", delay: 20 * time.Millisecond, hold: map[string]time.Duration{"x": time.Millisecond}}
+	wk, err := New(wNode, home.ID(), []engines.Engine{eng}, Config{Cores: 2, PollInterval: 10 * time.Millisecond,
+		ResultSpoolDir: spool, Retry: retry.Policy{MaxAttempts: 1, PerAttempt: 100 * time.Millisecond}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() { _ = wk.Run(ctx) }()
+
+	// x's origin is not linked to anything until x's result is on disk.
+	waitCond(t, 5*time.Second, func() bool {
+		_, err := os.Stat(filepath.Join(spool, "x.result"))
+		return err == nil
+	})
+	if _, err := wNode.ConnectPeer("far"); err != nil {
+		t.Fatal(err)
+	}
+	waitCond(t, 10*time.Second, func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return xAfter >= 0
+	})
+	mu.Lock()
+	defer mu.Unlock()
+	if xAfter >= n {
+		t.Errorf("x reached its origin only after all %d stream results", n)
+	}
+	if announces != 1 {
+		t.Errorf("the worker announced %d times, want once: every result was refilled", announces)
+	}
+}

@@ -187,7 +187,7 @@ func TestWorkerLocalCheckpointResume(t *testing.T) {
 	go func() { wk2.runCommand(context.Background(), cmd2, 1, false); close(done2) }()
 	waitCond(t, 5*time.Second, func() bool { return len(wk2.loadLocalCheckpoint(cmd2.ID)) > 0 })
 	wk2.mu.Lock()
-	abort := wk2.running[cmd2.ID].cancel
+	abort := wk2.core.running[cmd2.ID].abort
 	wk2.mu.Unlock()
 	abort()
 	<-done2

@@ -1,13 +1,21 @@
 // Package worker implements the Copernicus worker client of §2.3: it
-// announces its resources (platform, cores, installed executables) to its
-// nearest server, receives a workload, executes the commands through the
-// engine plugins, streams heartbeats, reports partial checkpoints for
-// failover, and returns results to each command's project server through
-// the overlay.
+// announces its resources (cores, installed executables) to its nearest
+// server, receives a workload, executes the commands through the engine
+// plugins, streams heartbeats, reports partial checkpoints for failover, and
+// returns results to each command's project server through the overlay, each
+// asking for the next command on the cores it frees.
+//
+// A Core (core.go) holds the worker's runs and makes every decision about
+// them: what a workload starts, what refill a result asks for, whom to
+// heartbeat with which commands, which runs an ack aborts, and when the
+// worker is idle and announces. The discrete-event fleet (internal/des)
+// drives it on a virtual clock. This file's Worker is the shell that puts a
+// core on an overlay node: it makes the requests with their retry and spool
+// ladder, runs the engines on goroutines, keeps the files and the timers, and
+// calls the core under its mutex.
 package worker
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -16,6 +24,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"copernicus/internal/engines"
@@ -48,7 +57,8 @@ type Config struct {
 	ServerAddrs []string
 	// ResultSpoolDir, when set, lets the worker persist results it cannot
 	// deliver to any server and redeliver them after the next successful
-	// announcement, so finished CPU-hours survive a full partition.
+	// announcement or result delivery, so finished CPU-hours survive a full
+	// partition.
 	ResultSpoolDir string
 	// FSToken and SpoolDir enable the shared-filesystem result path: when
 	// the assigning server advertises the same token, results are written
@@ -97,12 +107,8 @@ type Worker struct {
 	log     *obs.Logger
 	met     workerMetrics
 
-	// executables is the sorted engine list every announce carries.
-	executables []string
-
-	mu      sync.Mutex
-	home    string // node ID of the current home server
-	running map[string]runningCmd
+	mu   sync.Mutex
+	core *Core // its announcement is fixed at New: read without mu
 
 	// announceFails counts consecutive post-retry announce failures (only
 	// touched from the Run loop); nextServer round-robins ServerAddrs.
@@ -111,16 +117,21 @@ type Worker struct {
 
 	// Completed counts finished commands (for tests and monitoring).
 	completed int
-	// idle counts the cores no command of the running workload holds: a
-	// result that asks for a refill claims them with its own.
-	idle int
+
+	// spool says whether a result this process spooled may still wait on
+	// disk (one of the spool* states).
+	spool atomic.Int32
 }
 
-// runningCmd is a command the worker runs: where its heartbeats go, and its abort.
-type runningCmd struct {
-	origin string
-	cancel context.CancelFunc
-}
+// The spool's states. A worker whose results keep being refilled never
+// announces, so it also drains once a result has reached a server since one
+// was spooled; the origin of a spooled command would otherwise reap it.
+const (
+	spoolEmpty    int32 = iota // nothing spooled waits
+	spoolWaiting               // a result waits, and no delivery has succeeded since
+	spoolDue                   // a result waits, and a delivery has succeeded since
+	spoolDraining              // a slot is draining
+)
 
 // workerMetrics holds this worker's registry handles, resolved once in New.
 type workerMetrics struct {
@@ -192,23 +203,24 @@ func New(node *overlay.Node, home string, engs []engines.Engine, cfg Config) (*W
 	}
 	w := &Worker{
 		node:    node,
-		home:    home,
 		engines: make(map[string]engines.Engine, len(engs)),
 		cfg:     cfg,
-		running: make(map[string]runningCmd),
 	}
+	var executables []string
 	for _, e := range engs {
 		if _, dup := w.engines[e.Name()]; dup {
 			return nil, fmt.Errorf("worker: duplicate engine %q", e.Name())
 		}
 		w.engines[e.Name()] = e
-		w.executables = append(w.executables, e.Name())
+		executables = append(executables, e.Name())
 	}
-	sort.Strings(w.executables)
+	sort.Strings(executables) // once: every announce carries the same bytes
+	w.core = NewCore(wire.WorkerInfo{ID: node.ID(), Cores: cfg.Cores, Executables: executables,
+		FSToken: cfg.FSToken}, home)
 	w.rpol = cfg.Retry
 	w.rpol.Scope = node.ID()
 	w.log = cfg.Obs.Log.Named("worker").With("worker", node.ID())
-	w.met = newWorkerMetrics(cfg.Obs, node.ID(), w.executables)
+	w.met = newWorkerMetrics(cfg.Obs, node.ID(), executables)
 	// A promoted standby announces ownership of its dead primary's projects;
 	// adopting it as home immediately beats waiting out failed announces
 	// before the rehome dial loop finds it.
@@ -236,12 +248,12 @@ func (w *Worker) ID() string { return w.node.ID() }
 func (w *Worker) Home() string {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.home
+	return w.core.Home()
 }
 
 func (w *Worker) setHome(id string) {
 	w.mu.Lock()
-	w.home = id
+	w.core.SetHome(id)
 	w.mu.Unlock()
 }
 
@@ -258,12 +270,7 @@ func (w *Worker) Completed() int {
 func (w *Worker) RunningCommands() []string {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	out := make([]string, 0, len(w.running))
-	for id := range w.running {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
+	return w.core.Running()
 }
 
 // request runs one overlay request under the worker's retry policy. Remote
@@ -288,15 +295,8 @@ func (w *Worker) request(ctx context.Context, op, to string, t wire.MsgType, bod
 	return reply, err
 }
 
-// info builds the announcement payload.
-func (w *Worker) info() wire.WorkerInfo {
-	return wire.WorkerInfo{
-		ID:          w.node.ID(),
-		Cores:       w.cfg.Cores,
-		Executables: w.executables,
-		FSToken:     w.cfg.FSToken,
-	}
-}
+// info is the announcement payload.
+func (w *Worker) info() wire.WorkerInfo { return w.core.Info() }
 
 // Run announces, executes and reports until ctx is cancelled. It returns
 // ctx.Err() on cancellation, or the first fatal protocol error.
@@ -316,7 +316,10 @@ func (w *Worker) Run(ctx context.Context) error {
 			}
 		} else {
 			w.announceFails = 0
-			w.drainSpool(ctx)
+			w.spool.Store(spoolEmpty)
+			if w.drainSpool(ctx) {
+				w.spool.Store(spoolWaiting)
+			}
 			if len(wl.Commands) > 0 {
 				w.execute(ctx, wl)
 				continue
@@ -394,16 +397,17 @@ func (w *Worker) rehome() {
 }
 
 // drainSpool redelivers results spooled during an outage, anycast so any
-// server holding the project can accept them. Files stay on disk until a
-// delivery succeeds; servers treat duplicates idempotently, so redelivering
-// a result the origin already counted is harmless.
-func (w *Worker) drainSpool(ctx context.Context) {
+// server holding the project can accept them, and reports whether one is
+// left undelivered. Files stay on disk until a delivery succeeds; servers
+// treat duplicates idempotently, so redelivering a result the origin already
+// counted is harmless.
+func (w *Worker) drainSpool(ctx context.Context) (left bool) {
 	if w.cfg.ResultSpoolDir == "" {
-		return
+		return false
 	}
 	paths, err := filepath.Glob(filepath.Join(w.cfg.ResultSpoolDir, "*.result"))
 	if err != nil || len(paths) == 0 {
-		return
+		return false
 	}
 	sort.Strings(paths)
 	for _, path := range paths {
@@ -414,7 +418,7 @@ func (w *Worker) drainSpool(ctx context.Context) {
 		}
 		if _, err := w.request(ctx, "result_redeliver", "", wire.MsgResult, payload); err != nil {
 			w.log.Warn("redelivering spooled result failed", "path", path, "err", err)
-			return // connectivity degraded again; keep the rest for later
+			return true // connectivity degraded again; keep the rest for later
 		}
 		w.met.redelivered.Inc()
 		w.log.Info("redelivered spooled result", "path", path)
@@ -422,18 +426,33 @@ func (w *Worker) drainSpool(ctx context.Context) {
 			w.log.Warn("removing delivered spool file failed", "path", path, "err", err)
 		}
 	}
+	return false
+}
+
+// redeliver drains the spool if a result has been delivered since one was
+// spooled, unless another slot already does.
+func (w *Worker) redeliver(ctx context.Context) {
+	if !w.spool.CompareAndSwap(spoolDue, spoolDraining) {
+		return
+	}
+	next := spoolEmpty
+	if w.drainSpool(ctx) {
+		next = spoolWaiting
+	}
+	w.spool.CompareAndSwap(spoolDraining, next) // a result spooled meanwhile keeps it waiting
 }
 
 // execute runs a workload: one goroutine per command slot and the
-// heartbeats, until no command runs. A slot whose result is answered with
-// the next workload (a refill) starts it on the cores it freed at once.
+// heartbeats, until the core holds no run. A slot whose result is answered
+// with the next workload (a refill) starts it on the cores it freed at once,
+// then redelivers the spool if its result made it due.
 func (w *Worker) execute(ctx context.Context, wl *wire.Workload) {
 	hbInterval := time.Duration(wl.HeartbeatSeconds * float64(time.Second))
 	if hbInterval <= 0 {
 		hbInterval = 120 * time.Second
 	}
 	w.mu.Lock()
-	w.idle = w.cfg.Cores - coresOf(wl)
+	w.core.Begin(wl)
 	w.mu.Unlock()
 	var wg sync.WaitGroup
 	var start func(wl *wire.Workload)
@@ -445,6 +464,7 @@ func (w *Worker) execute(ctx context.Context, wl *wire.Workload) {
 				if next := w.runCommand(ctx, cmd, wl.Cores[cmd.ID], wl.SharedFS); next != nil {
 					start(next)
 				}
+				w.redeliver(ctx)
 			}()
 		}
 	}
@@ -458,19 +478,9 @@ func (w *Worker) execute(ctx context.Context, wl *wire.Workload) {
 	wg.Wait()
 }
 
-// coresOf is the cores a workload's commands run on.
-func coresOf(wl *wire.Workload) (n int) {
-	for _, cmd := range wl.Commands {
-		n += cmp.Or(wl.Cores[cmd.ID], cmd.MinCores)
-	}
-	return n
-}
-
 // heartbeatLoop reports liveness and processes abort instructions, until
-// ctx ends. Each interval it heartbeats its home with every command it
-// runs, and each other server its commands came from with those: only the
-// server that holds a command tracks its worker and can abort it. The
-// heartbeats go out side by side, each given one interval.
+// ctx ends. Each interval it sends the heartbeats the core names, side by
+// side, each given one interval.
 func (w *Worker) heartbeatLoop(ctx context.Context, interval time.Duration) {
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
@@ -480,15 +490,8 @@ func (w *Worker) heartbeatLoop(ctx context.Context, interval time.Duration) {
 			return
 		case <-tick.C:
 		}
-		home := w.Home()
-		live := map[string][]string{home: nil}
 		w.mu.Lock()
-		for id, r := range w.running {
-			live[home] = append(live[home], id)
-			if r.origin != "" && r.origin != home {
-				live[r.origin] = append(live[r.origin], id)
-			}
-		}
+		live := w.core.Heartbeats()
 		w.mu.Unlock()
 		round, cancel := context.WithTimeout(ctx, interval)
 		var wg sync.WaitGroup
@@ -518,53 +521,56 @@ func (w *Worker) heartbeat(ctx context.Context, to string, ids []string) {
 		return
 	}
 	w.mu.Lock()
-	defer w.mu.Unlock()
-	for _, id := range ack.AbortCommandIDs {
-		if r, ok := w.running[id]; ok {
-			w.log.Info("aborting terminated command", "command", id)
-			r.cancel()
-		}
+	aborted := w.core.Abort(ack.AbortCommandIDs)
+	w.mu.Unlock()
+	for _, id := range aborted {
+		w.log.Info("aborting terminated command", "command", id)
 	}
 }
 
 // runCommand executes one command and reports its result to the project
 // server. An OK result sent to the worker's home, while the worker goes on,
 // asks for its cores, and any others idle, to be refilled; it returns the
-// workload the server answered with, nil for none. The cores nothing is
-// started on go back to the idle ones.
+// workload the server answered with, nil for none. The core holds the run
+// until then, and the cores nothing is started on go back to its idle ones.
 func (w *Worker) runCommand(ctx context.Context, cmd wire.CommandSpec, cores int, sharedFS bool) *wire.Workload {
-	if cores <= 0 {
-		cores = cmd.MinCores
+	runCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	w.mu.Lock()
+	cores = w.core.Start(cmd, cores, cancel)
+	w.mu.Unlock()
+	var next wire.Workload
+	refill := 0
+	if res := w.execCommand(ctx, runCtx, cmd, cores, sharedFS); res != nil {
+		reply := w.sendResult(ctx, cmd.Origin, res)
+		if refill = res.Refill; refill > 0 && wire.Unmarshal(reply, &next) != nil {
+			next = wire.Workload{} // an old server's "ok", or no reply
+		}
 	}
-	free := cores
-	defer func() {
-		w.mu.Lock()
-		w.idle += free
-		w.mu.Unlock()
-	}()
-	eng := w.engines[cmd.Type]
-	res := wire.CommandResult{
+	w.mu.Lock()
+	w.core.Replied(cmd.ID, refill, &next)
+	w.mu.Unlock()
+	if len(next.Commands) == 0 {
+		return nil
+	}
+	return &next
+}
+
+// execCommand runs cmd's engine under runCtx and returns the result to
+// report, nil for none: the run was aborted, or the worker is shutting down.
+// A final OK result asks for the refill the core decides while ctx lives.
+func (w *Worker) execCommand(ctx, runCtx context.Context, cmd wire.CommandSpec, cores int, sharedFS bool) *wire.CommandResult {
+	res := &wire.CommandResult{
 		CommandID: cmd.ID,
 		Project:   cmd.Project,
 		WorkerID:  w.ID(),
 		CoresUsed: cores,
 	}
+	eng := w.engines[cmd.Type]
 	if eng == nil {
 		res.Error = fmt.Sprintf("worker: no engine for %q", cmd.Type)
-		w.sendResult(ctx, cmd.Origin, &res)
-		return nil
+		return res
 	}
-
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	w.mu.Lock()
-	w.running[cmd.ID] = runningCmd{origin: cmd.Origin, cancel: cancel}
-	w.mu.Unlock()
-	defer func() {
-		w.mu.Lock()
-		delete(w.running, cmd.ID)
-		w.mu.Unlock()
-	}()
 
 	// The server's checkpoint is authoritative; the local copy only covers
 	// the dispatch arriving without one — a worker restart before the server
@@ -635,8 +641,7 @@ func (w *Worker) runCommand(ctx context.Context, cmd wire.CommandSpec, cores int
 		w.log.Warn("command failed", "command", cmd.ID, "engine", cmd.Type, "err", err)
 		res.Error = err.Error()
 		w.dropLocalCheckpoint(cmd.ID)
-		w.sendResult(ctx, cmd.Origin, &res)
-		return nil
+		return res
 	}
 	w.met.commandsOK.Inc()
 	w.dropLocalCheckpoint(cmd.ID)
@@ -650,22 +655,13 @@ func (w *Worker) runCommand(ctx context.Context, cmd wire.CommandSpec, cores int
 	} else {
 		res.Output = output
 	}
-	if ctx.Err() == nil && (cmd.Origin == "" || cmd.Origin == w.Home()) {
-		w.mu.Lock()
-		res.Refill, w.idle = w.idle+cores, 0
-		w.mu.Unlock()
-		free = res.Refill
-	}
-	reply := w.sendResult(ctx, cmd.Origin, &res)
 	w.mu.Lock()
 	w.completed++
-	w.mu.Unlock()
-	var next wire.Workload
-	if res.Refill == 0 || wire.Unmarshal(reply, &next) != nil || len(next.Commands) == 0 {
-		return nil // an old server's "ok", an empty refill, or none asked
+	if ctx.Err() == nil {
+		res.Refill = w.core.Refill(cmd.ID)
 	}
-	free -= coresOf(&next)
-	return &next
+	w.mu.Unlock()
+	return res
 }
 
 // spoolOutput writes output to the shared filesystem and returns its path.
@@ -686,7 +682,7 @@ func (w *Worker) spoolOutput(cmdID string, output []byte) (string, error) {
 // degradation ladder: retried direct delivery to the origin, then retried
 // anycast (any server in the overlay can accept and forward), and finally —
 // for completed results — a disk spool redelivered after the next
-// successful announcement. A finished command's CPU-hours are only lost if
+// successful announcement or result delivery. A finished command's CPU-hours are only lost if
 // every rung fails AND the spool is disabled. Each link encodes res straight
 // into its frame; only the spool rung marshals it, asking for no refill. It
 // returns the server's reply, nil if none came.
@@ -694,12 +690,14 @@ func (w *Worker) sendResult(ctx context.Context, origin string, res *wire.Comman
 	if origin != "" {
 		reply, err := w.request(ctx, "result", origin, wire.MsgResult, res)
 		if err == nil {
+			w.spool.CompareAndSwap(spoolWaiting, spoolDue)
 			return reply
 		}
 		w.log.Warn("sending result to origin failed, trying anycast", "command", res.CommandID, "err", err)
 	}
 	reply, err := w.request(ctx, "result_anycast", "", wire.MsgResult, res)
 	if err == nil {
+		w.spool.CompareAndSwap(spoolWaiting, spoolDue)
 		return reply
 	}
 	w.met.resultErrors.Inc()
@@ -723,6 +721,7 @@ func (w *Worker) sendResult(ctx context.Context, origin string, res *wire.Comman
 		return nil
 	}
 	w.met.resultsSpooled.Inc()
+	w.spool.Store(spoolWaiting)
 	w.log.Warn("spooled undeliverable result for redelivery", "command", res.CommandID, "err", err)
 	return nil
 }

@@ -148,7 +148,9 @@ failover() {
 # refill (TestRefillClaimsIdleCores), refilled commands heartbeated and
 # aborted (TestRefilledCommandsHeartbeatAndAbort), no refill asked when
 # shutting down or spooled (TestNoRefillWhenShuttingDownOrSpooled), an old
-# server's "ok" (TestOldServerAnswerMeansNoRefill), a lost refill reply
+# server's "ok" (TestOldServerAnswerMeansNoRefill), a result spooled for an
+# unreachable origin redelivered while the other slot keeps refilling
+# (TestSpooledResultRedeliveredWhileRefilling), a lost refill reply
 # recovered by the result's retry (TestLostRefillReplyRequeuedByRetry), old
 # and forwarded results answered as before
 # (TestResultWithoutRefillRepliesAsBefore) and a refill's records replayed
@@ -166,33 +168,37 @@ dispatch() {
     $GO test -race -count=20 -timeout 600s -run 'TestRecordsSurviveFrameReuse' ./internal/store/
     echo "== refill per slot (race, x20) =="
     $GO test -race -count=20 -timeout 600s \
-        -run 'TestRefillRunsAStreamOnFewAnnounces|TestRefillNeverPassesOverAWiderCommand|TestRefillClaimsIdleCores|TestRefilledCommandsHeartbeatAndAbort|TestNoRefillWhenShuttingDownOrSpooled|TestOldServerAnswerMeansNoRefill' ./internal/worker/
+        -run 'TestRefillRunsAStreamOnFewAnnounces|TestRefillNeverPassesOverAWiderCommand|TestRefillClaimsIdleCores|TestRefilledCommandsHeartbeatAndAbort|TestNoRefillWhenShuttingDownOrSpooled|TestOldServerAnswerMeansNoRefill|TestSpooledResultRedeliveredWhileRefilling' ./internal/worker/
     $GO test -race -count=20 -timeout 600s \
         -run 'TestLostRefillReplyRequeuedByRetry|TestResultWithoutRefillRepliesAsBefore|TestReplayedRefillAssignsOnlyJournaled' ./internal/server/
 }
 
 # The multi-tenant scheduling acceptance scenario: 2000 tenants with
-# heavy-tailed traffic against the real fair-share queue, with a slow-fsync
-# WAL fault window, its seed determinism and its parent-captured scorecards,
-# on the DES fleet that dispatches through the server's own core (parked
-# announces woken by the queue's Ready hook, re-announced when the 2 s hold
-# runs out), then that fleet's own tests three times over — see
+# heavy-tailed traffic, each burst a project, against the real server core
+# and fair-share queue, with a slow-fsync WAL fault window, its seed
+# determinism and its captured scorecards, on the DES fleet that runs the
+# server's core and the shipped worker core (parked announces woken by the
+# queue's Ready hook, re-announced when the 2 s hold runs out, busy workers
+# refilled through their results), then that fleet's own tests and
+# TestDESRefillRidesTheResult (a refill starts the next command at the
+# instant the first ends, with no announce) three times over — see
 # docs/SCHEDULING.md ("Scenario dispatch").
 tenants() {
-    echo "== multi-tenant scheduling scenario (race; fleet x3) =="
+    echo "== multi-tenant scheduling scenario (race; fleet and refill x3) =="
     $GO test -race -run 'TestMultiTenantScenario|TestTenantScenario' -timeout 300s ./internal/des/
-    $GO test -race -count=3 -run TestFleet -timeout 300s ./internal/des/
+    $GO test -race -count=3 -run 'TestFleet|TestDESRefillRidesTheResult' -timeout 300s ./internal/des/
 }
 
 # The replica-exchange scheduling scenario: the shipped RepexController's
 # sync vs async ladders on the same DES fleet against the real fair-share
-# queue, with a worker-churn fault window, and the fleet's tests three times
-# over, then a sync ladder wider than any one worker on a real fabric five
-# times over — see docs/SCHEDULING.md ("Replica-exchange dispatch").
+# queue, with a worker-churn fault window, and the fleet's tests and
+# TestDESRefillRidesTheResult three times over, then a sync ladder wider
+# than any one worker on a real fabric five times over — see
+# docs/SCHEDULING.md ("Replica-exchange dispatch").
 repex() {
-    echo "== replica-exchange scheduling scenario (race; fleet x3, wide sync ladder x5) =="
+    echo "== replica-exchange scheduling scenario (race; fleet and refill x3, wide sync ladder x5) =="
     $GO test -race -run TestRepexDES -timeout 300s ./internal/des/
-    $GO test -race -count=3 -run TestFleet -timeout 300s ./internal/des/
+    $GO test -race -count=3 -run 'TestFleet|TestDESRefillRidesTheResult' -timeout 300s ./internal/des/
     $GO test -race -count=5 -run TestRepexSyncLadderWiderThanWorker -timeout 300s ./internal/core/
 }
 

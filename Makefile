@@ -1,7 +1,7 @@
 # Convenience targets; scripts/ci.sh is the canonical gate.
 GO ?= go
 
-.PHONY: all build vet test race fuzz chaos crash failover dispatch tenants repex stream ci bench bench-e2e fmt
+.PHONY: all build vet test race fuzz chaos crash failover dispatch fleet tenants repex stream ci bench bench-e2e fmt
 
 all: build
 
@@ -16,7 +16,7 @@ test:
 
 # Each scenario stanza (its packages, regex, -count and timeout) is spelled
 # out once, in scripts/ci.sh; these targets run it by name.
-race fuzz chaos crash failover dispatch tenants repex stream:
+race fuzz chaos crash failover dispatch fleet tenants repex stream:
 	GO=$(GO) sh scripts/ci.sh $@
 
 ci:

@@ -4,26 +4,31 @@
 // and then simulated the controller's activity given different numbers of
 // cores per task and total resources allocated."
 //
-// The model: a villin MSM project is a sequence of generations; each
-// generation runs RoundsPerGen 50-ns segments per trajectory (the second
-// round models the controller extending trajectories as they finish), with
-// a clustering barrier between generations. Workers of CoresPerSim cores
-// each pull segments from the queue; segment wall time follows a measured
-// single-simulation speedup curve. The simulator reports time-to-solution,
-// scaling efficiency tres(1)/(N·tres(N)) and ensemble-level bandwidth —
-// the exact quantities plotted in Figs 7, 8 and 9.
+// The model is only the measured single-simulation speedup curve, which
+// sets a segment's run time; the trajectory chains, RoundsPerGen 50-ns
+// segments per trajectory per generation (the later rounds model the
+// controller extending trajectories as they finish); and the clustering
+// pause between generations. Dispatch is the shipped dispatch: each
+// generation is a project on the virtual-clock fleet (fleet.go), whose
+// workers run the server's core and the shipped worker core. The simulator
+// reports time-to-solution, scaling efficiency tres(1)/(N·tres(N)) and
+// ensemble-level bandwidth — the quantities plotted in Figs 7, 8 and 9.
 //
-// The package's other scenarios run shipped code instead of a model of it:
-// the multi-tenant (tenants.go) and replica-exchange (repex.go) scenarios
-// drive the real queue, and the latter the real RepexController, on one
-// virtual-clock fleet that dispatches like the server (fleet.go); the
+// The multi-tenant (tenants.go) and replica-exchange (repex.go, with the
+// real RepexController) scenarios run on the same fleet; the
 // streaming-analysis scenario (stream.go) runs the real internal/msm code.
 package des
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
+	"time"
+
+	"copernicus/internal/controller"
+	"copernicus/internal/server"
+	"copernicus/internal/wire"
 )
 
 // SpeedModel is the single-simulation performance curve s(c):
@@ -101,23 +106,23 @@ func PaperParams() Params {
 }
 
 func (p *Params) validate() error {
-	if p.TotalCores < 1 {
-		return fmt.Errorf("des: need at least one core")
-	}
-	if p.CoresPerSim < 1 {
-		return fmt.Errorf("des: need at least one core per simulation")
-	}
-	if p.CoresPerSim > p.TotalCores {
-		return fmt.Errorf("des: cores per simulation %d exceeds total %d", p.CoresPerSim, p.TotalCores)
+	if p.CoresPerSim < 1 || p.CoresPerSim > p.TotalCores {
+		return fmt.Errorf("des: cores per simulation %d must be 1 to the total %d", p.CoresPerSim, p.TotalCores)
 	}
 	if p.Trajectories < 1 || p.RoundsPerGen < 1 || p.Generations < 1 {
 		return fmt.Errorf("des: trajectory/round/generation counts must be positive")
 	}
-	if p.SegmentNs <= 0 {
-		return fmt.Errorf("des: segment length must be positive")
+	// NaN fails every comparison; a negative or infinite time would run the
+	// fleet's clock backwards or never end.
+	for _, x := range []float64{p.SegmentNs, p.Speed.S1, p.Speed.C0, p.Speed.Alpha} {
+		if !(x > 0) || math.IsInf(x, 1) {
+			return fmt.Errorf("des: segment length and speed model parameters must be positive and finite")
+		}
 	}
-	if p.Speed.S1 <= 0 || p.Speed.C0 <= 0 || p.Speed.Alpha <= 0 {
-		return fmt.Errorf("des: speed model parameters must be positive")
+	for _, x := range []float64{p.ClusteringHours, p.TransferSecondsPerCommand, p.BytesPerCommand} {
+		if !(x >= 0) || math.IsInf(x, 1) {
+			return fmt.Errorf("des: clustering pause, transfer time and payload must be non-negative and finite")
+		}
 	}
 	return nil
 }
@@ -132,86 +137,96 @@ type Result struct {
 	BandwidthMBps float64 // ensemble-level result traffic (Fig 9)
 }
 
-// workerHeap orders workers by the time they become free.
-type workerHeap []float64
+// scaling runs a Params scenario on the fleet and is the controller of its
+// generations, one project at a time. Start submits every trajectory's
+// first segment and each finish that trajectory's next, until it has run
+// RoundsPerGen (the paper's extend-on-finish); the last finish ends the
+// project, and the next generation is submitted ClusteringHours later.
+// Segment k of a generation extends trajectory k mod Trajectories.
+type scaling struct {
+	p              Params
+	f              *fleet
+	run            float64 // a segment's run time, seconds
+	left           int     // segments of the running generation not yet finished
+	gens, commands int     // generations and segments finished
+	err            error
+}
 
-func (h workerHeap) Len() int           { return len(h) }
-func (h workerHeap) Less(i, j int) bool { return h[i] < h[j] }
-func (h workerHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *workerHeap) Push(x any)        { *h = append(*h, x.(float64)) }
-func (h *workerHeap) Pop() any          { old := *h; v := old[len(old)-1]; *h = old[:len(old)-1]; return v }
+func (s *scaling) Name() string { return "scaling" }
+func (s *scaling) Start(ctx controller.Context, _ []byte) (err error) {
+	s.left = s.p.Trajectories * s.p.RoundsPerGen
+	for k := 0; err == nil && k < s.p.Trajectories; k++ {
+		err = s.segment(ctx, k)
+	}
+	return err
+}
+func (s *scaling) CommandFinished(ctx controller.Context, res *wire.CommandResult) error {
+	s.commands++
+	if s.left--; s.left == 0 {
+		ctx.Finish(nil)
+		if s.gens++; s.gens < s.p.Generations {
+			s.f.at(s.f.now+s.p.ClusteringHours*3600, s.submit)
+		}
+		return nil
+	}
+	k, err := strconv.Atoi(res.CommandID[strings.LastIndexByte(res.CommandID, '/')+1:])
+	if k += s.p.Trajectories; err != nil || k >= s.p.Trajectories*s.p.RoundsPerGen {
+		return err
+	}
+	return s.segment(ctx, k)
+}
+func (s *scaling) CommandFailed(controller.Context, wire.CommandSpec, string) error { return nil }
 
-// Simulate runs the event simulation and returns the scenario metrics.
+// segment submits segment k, which takes a worker's every core.
+func (s *scaling) segment(ctx controller.Context, k int) error {
+	return ctx.Submit(wire.CommandSpec{ID: ctx.ProjectName() + "/" + strconv.Itoa(k), Type: "sim",
+		MinCores: s.p.CoresPerSim, MaxCores: s.p.CoresPerSim})
+}
+
+// submit submits the next generation's project.
+func (s *scaling) submit() {
+	_, s.err = s.f.core.Submit(&wire.ProjectSubmit{Name: "gen" + strconv.Itoa(s.gens), Controller: s.Name()})
+}
+
+func (s *scaling) runTime(wire.CommandSpec) float64 { return s.run }
+func (s *scaling) started(wire.CommandSpec)         {}
+func (s *scaling) finished(c wire.CommandSpec, worker string, seconds float64) {
+	if _, err := s.f.core.Result(&wire.CommandResult{CommandID: c.ID, Project: c.Project, WorkerID: worker,
+		OK: true, WallSeconds: seconds}, nil); err != nil {
+		s.err = err
+	}
+}
+
+// Simulate runs the scenario on the fleet, TotalCores/CoresPerSim workers
+// of CoresPerSim cores each, and returns its metrics. An idle worker's
+// announce is held for a century, so it stays parked until there is work
+// instead of re-announcing every 2 s; the run must finish within that hold.
 func Simulate(p Params) (Result, error) {
 	if err := p.validate(); err != nil {
 		return Result{}, err
 	}
 	workers := p.TotalCores / p.CoresPerSim
-	if workers < 1 {
-		workers = 1
-	}
 	segHours := p.Speed.SegmentHours(p.CoresPerSim, p.SegmentNs)
-	overhead := p.TransferSecondsPerCommand / 3600
-
-	free := make(workerHeap, workers)
-	heap.Init(&free)
-
-	now := 0.0
-	commands := 0
-	busyHours := 0.0
-	for gen := 0; gen < p.Generations; gen++ {
-		// Each trajectory is a chain of RoundsPerGen sequential segments;
-		// chains run independently (a trajectory's extension starts as soon
-		// as its previous segment finishes and a worker is available — the
-		// paper's extend-on-finish behaviour).
-		ready := make([]float64, p.Trajectories) // chain next-segment ready time
-		remaining := make([]int, p.Trajectories)
-		for i := range ready {
-			ready[i] = now
-			remaining[i] = p.RoundsPerGen
-		}
-		genEnd := now
-		total := p.Trajectories * p.RoundsPerGen
-		for done := 0; done < total; done++ {
-			// Earliest-ready chain with work left.
-			best := -1
-			for i := range ready {
-				if remaining[i] > 0 && (best < 0 || ready[i] < ready[best]) {
-					best = i
-				}
-			}
-			w := heap.Pop(&free).(float64)
-			start := math.Max(w, ready[best])
-			end := start + segHours + overhead
-			heap.Push(&free, end)
-			ready[best] = end
-			remaining[best]--
-			commands++
-			busyHours += segHours
-			if end > genEnd {
-				genEnd = end
-			}
-		}
-		// Clustering barrier: all workers idle until analysis completes.
-		now = genEnd + p.ClusteringHours
-		for i := range free {
-			if free[i] < now {
-				free[i] = now
-			}
-		}
-		heap.Init(&free)
+	s := &scaling{p: p, run: segHours*3600 + p.TransferSecondsPerCommand}
+	reg := controller.NewRegistry()
+	reg.Register(s.Name(), func() controller.Controller { return s })
+	const hold = 100 * 365 * 24 * time.Hour
+	s.f = newFleet(server.Config{RelayTimeout: hold}, server.Hooks{Origin: "des-scaling"}, reg,
+		workers, p.CoresPerSim, "sim", s)
+	s.submit()
+	s.f.run(hold.Seconds(), func() bool { return s.err != nil || s.gens == p.Generations })
+	if s.err == nil && s.gens < p.Generations {
+		s.err = fmt.Errorf("des: the run stopped after %d of %d generations", s.gens, p.Generations)
 	}
-	hours := now - p.ClusteringHours // the final analysis is the result itself
-
-	res := Result{
-		Hours:       hours,
-		Workers:     workers,
-		Commands:    commands,
-		SimulatedNs: float64(commands) * p.SegmentNs,
+	if s.err != nil {
+		return Result{}, s.err
 	}
+
+	hours := s.f.now / 3600 // the final analysis is the result itself
+	res := Result{Hours: hours, Workers: workers, Commands: s.commands, SimulatedNs: float64(s.commands) * p.SegmentNs}
 	if hours > 0 {
-		res.BusyFraction = busyHours / (hours * float64(workers))
-		res.BandwidthMBps = float64(commands) * p.BytesPerCommand / 1e6 / (hours * 3600)
+		res.BusyFraction = float64(s.commands) * segHours / (hours * float64(workers))
+		res.BandwidthMBps = float64(s.commands) * p.BytesPerCommand / 1e6 / (hours * 3600)
 	}
 	return res, nil
 }
@@ -260,18 +275,12 @@ func Sweep(base Params, coresPerSim, totalCores []int) ([]SweepPoint, error) {
 				continue
 			}
 			p := base
-			p.CoresPerSim = c
-			p.TotalCores = n
+			p.CoresPerSim, p.TotalCores = c, n
 			r, err := Simulate(p)
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, SweepPoint{
-				TotalCores:  n,
-				CoresPerSim: c,
-				Result:      r,
-				Efficiency:  Efficiency(ref, n, r.Hours),
-			})
+			out = append(out, SweepPoint{TotalCores: n, CoresPerSim: c, Result: r, Efficiency: Efficiency(ref, n, r.Hours)})
 		}
 	}
 	return out, nil

@@ -61,6 +61,39 @@ func TestValidation(t *testing.T) {
 	}
 }
 
+// TestValidationRefusesNonFiniteAndNegative: every float parameter is
+// refused when NaN, infinite or, for those that may be 0, negative — on the
+// fleet such a run time or pause would run the core's clock backwards.
+func TestValidationRefusesNonFiniteAndNegative(t *testing.T) {
+	nan := math.NaN()
+	for name, mutate := range map[string]func(*Params){
+		"SegmentNs NaN":                 func(p *Params) { p.SegmentNs = nan },
+		"Speed.S1 NaN":                  func(p *Params) { p.Speed.S1 = nan },
+		"Speed.C0 +Inf":                 func(p *Params) { p.Speed.C0 = math.Inf(1) },
+		"Speed.Alpha +Inf":              func(p *Params) { p.Speed.Alpha = math.Inf(1) },
+		"ClusteringHours -1":            func(p *Params) { p.ClusteringHours = -1 },
+		"TransferSecondsPerCommand NaN": func(p *Params) { p.TransferSecondsPerCommand = nan },
+		"BytesPerCommand -4e6":          func(p *Params) { p.BytesPerCommand = -4e6 },
+	} {
+		p := PaperParams()
+		mutate(&p)
+		if r, err := Simulate(p); err == nil {
+			t.Errorf("%s accepted: %+v", name, r)
+		}
+	}
+}
+
+// TestSimulateRefusesAnUnfinishedRun: a run that cannot finish within the
+// fleet's horizon (here one segment takes millennia) is an error, not a
+// result.
+func TestSimulateRefusesAnUnfinishedRun(t *testing.T) {
+	p := PaperParams()
+	p.Speed.S1 = 1e-6
+	if r, err := Simulate(p); err == nil {
+		t.Errorf("an unfinished run scored %+v", r)
+	}
+}
+
 func TestPaperCalibration(t *testing.T) {
 	p := PaperParams()
 	ref, err := ReferenceHours(p)

@@ -1,19 +1,19 @@
-// The virtual-clock worker fleet both queue scenarios (tenants.go,
-// repex.go) run on: the server's core (server.Core) and a worker core
-// (worker.Core) per worker, called on the fleet's clock in the order their
-// shells call them. A worker that holds no run announces; the core matches
-// it or parks the announce until a queue readiness event (played once the
-// event that fired it is over, so a handler's batch is offered whole) or its
-// hold's end on the fleet's clock. An engine run is a timed event: at its
-// end the scenario reports the result to the core, and the worker core's
-// refill (Core.Refill) starts at once, its cores that nothing fills joining
-// the worker's idle pool. So a busy worker never announces or parks, and the
-// server's worker records hold as in production. A kill banks each running
-// command's progress to its last checkpoint and reports the runs lost
-// through WorkerFailed, the core's reaper path (requeue, or fail once the
-// retry budget is spent); a revive starts a fresh worker core. Heartbeats
-// and the reaper are not simulated. Each scenario decides what a finished
-// command means.
+// The virtual-clock worker fleet every queue scenario (des.go's scaling
+// study, tenants.go, repex.go) runs on: the server's core (server.Core) and
+// a worker core (worker.Core) per worker, called on the fleet's clock in the
+// order their shells call them. A worker that holds no run announces; the
+// core matches it or parks the announce until a queue readiness event
+// (played once the event that fired it is over, so a handler's batch is
+// offered whole) or its hold's end on the fleet's clock. An engine run is a
+// timed event: at its end the scenario reports the result to the core, and
+// the worker core's refill (Core.Refill) starts at once, its cores that
+// nothing fills joining the worker's idle pool. So a busy worker never
+// announces or parks, and the server's worker records hold as in
+// production. A kill banks each running command's progress to its last
+// checkpoint and reports the runs lost through WorkerFailed, the core's
+// reaper path (requeue, or fail once the retry budget is spent); a revive
+// starts a fresh worker core. Heartbeats and the reaper are not simulated.
+// Each scenario decides what a finished command means.
 package des
 
 import (

@@ -150,10 +150,7 @@ func (s *rxScenario) runTime(wire.CommandSpec) float64 {
 	}
 	// Pareto with the configured mean: xm·U^(-1/alpha), xm = mean·(α-1)/α.
 	xm := s.p.MeanSegSeconds * (s.p.ParetoAlpha - 1) / s.p.ParetoAlpha
-	u := s.rng.Float64()
-	if u < 1e-12 {
-		u = 1e-12
-	}
+	u := max(s.rng.Float64(), 1e-12) // keep the power law finite
 	d := xm * math.Pow(u, -1/s.p.ParetoAlpha)
 	if cap := s.p.MaxSegFactor * s.p.MeanSegSeconds; cap > 0 && d > cap {
 		d = cap

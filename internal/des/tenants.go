@@ -442,12 +442,8 @@ func runTenants(p TenantParams) (*tenantScenario, error) {
 		if ts, ok := q.Tenant(st.ID); ok {
 			st.CoreSeconds = ts.CoreSeconds
 		}
-		if st.MaxWaitSeconds > s.res.MaxWaitSeconds {
-			s.res.MaxWaitSeconds = st.MaxWaitSeconds
-		}
-		if st.MaxGapSeconds > s.res.MaxGapSeconds {
-			s.res.MaxGapSeconds = st.MaxGapSeconds
-		}
+		s.res.MaxWaitSeconds = math.Max(s.res.MaxWaitSeconds, st.MaxWaitSeconds)
+		s.res.MaxGapSeconds = math.Max(s.res.MaxGapSeconds, st.MaxGapSeconds)
 		if st.MaxGapSeconds > gapSLO {
 			s.res.Starved = append(s.res.Starved, st.ID)
 		}
@@ -457,20 +453,16 @@ func runTenants(p TenantParams) (*tenantScenario, error) {
 	// Weighted-fairness score across the saturated heavy hitters: the
 	// spread of CoreSeconds/Weight relative to its mean.
 	var shareSum float64
-	shares := make([]float64, s.heavyN)
-	for i := 0; i < s.heavyN; i++ {
-		st := s.stats[i]
+	for _, st := range s.stats[:s.heavyN] {
 		s.res.Heavy = append(s.res.Heavy, st.TenantSLO)
-		shares[i] = st.CoreSeconds / st.Weight
-		shareSum += shares[i]
+		shareSum += st.CoreSeconds / st.Weight
 	}
 	mean := shareSum / float64(s.heavyN)
-	for _, sh := range shares {
-		if mean <= 0 {
-			s.res.MaxShareError = 1
-			break
-		}
-		s.res.MaxShareError = math.Max(s.res.MaxShareError, math.Abs(sh/mean-1))
+	for _, st := range s.res.Heavy {
+		s.res.MaxShareError = math.Max(s.res.MaxShareError, math.Abs(st.CoreSeconds/st.Weight/mean-1))
+	}
+	if mean <= 0 {
+		s.res.MaxShareError = 1
 	}
 	return s, nil
 }

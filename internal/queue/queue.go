@@ -430,8 +430,11 @@ func quotaAllowsLocked(t *tenantQ, extra int) bool {
 // tracked as in-flight until Release. An empty workload means the queue
 // holds nothing this worker may run right now.
 func (q *Queue) Match(info wire.WorkerInfo) wire.Workload {
-	start := q.now()
-	defer func() { q.matchSeconds.Observe(time.Since(start).Seconds()) }()
+	// The histogram times the call on the wall clock; the queue's clock,
+	// which a simulator may set, dates the dispatch and starvation ages.
+	began := time.Now()
+	defer func() { q.matchSeconds.Observe(time.Since(began).Seconds()) }()
+	now := q.now()
 	canRun := make(map[string]bool, len(info.Executables))
 	for _, e := range info.Executables {
 		canRun[e] = true
@@ -458,7 +461,7 @@ func (q *Queue) Match(info wire.WorkerInfo) wire.Workload {
 	remaining := budget
 	var chosen []*item
 	for remaining > 0 && q.total > 0 {
-		it := q.selectLocked(canRun, remaining, start)
+		it := q.selectLocked(canRun, remaining, now)
 		if it == nil {
 			break
 		}
@@ -470,7 +473,7 @@ func (q *Queue) Match(info wire.WorkerInfo) wire.Workload {
 		if settled := t.vtime - t.provisional; settled > q.vclock {
 			q.vclock = settled
 		}
-		t.lastServed = start
+		t.lastServed = now
 		// Provisional fair-share charge at MinCores; growth below adds the
 		// difference. Charging per pick (not after the loop) keeps multiple
 		// picks within one Match fair too.
@@ -479,7 +482,7 @@ func (q *Queue) Match(info wire.WorkerInfo) wire.Workload {
 		t.provisional += charge
 		t.inflightCores += it.cmd.MinCores
 		q.inflight[it.cmd.ID] = &inflightCmd{
-			t: t, cores: it.cmd.MinCores, est: est, charged: charge, start: start,
+			t: t, cores: it.cmd.MinCores, est: est, charged: charge, start: now,
 		}
 		remaining -= it.cmd.MinCores
 		chosen = append(chosen, it)

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"copernicus/internal/obs"
 	"copernicus/internal/wire"
 )
 
@@ -463,5 +464,22 @@ func TestWider(t *testing.T) {
 	q.Remove("four")
 	if q.Wider(0, 8) {
 		t.Error("Wider(0, 8) with nothing queued")
+	}
+}
+
+// TestMatchTimedOnTheWallClock: copernicus_queue_match_seconds times Match
+// on the wall clock, whatever the queue's own clock reads. Under a clock
+// fixed in the past, timing it on that clock recorded years per call.
+func TestMatchTimedOnTheWallClock(t *testing.T) {
+	past := time.Unix(1_700_000_000, 0)
+	q := NewWithConfig(Config{Clock: func() time.Time { return past }})
+	q.SetObs(obs.New(), nil)
+	if err := q.Push(cmd("c1", 0, 1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	q.Match(worker(1, "sim"))
+	q.Match(worker(1, "sim")) // and an empty match
+	if n, sum := q.matchSeconds.Count(), q.matchSeconds.Sum(); n != 2 || sum >= 1 {
+		t.Errorf("match histogram: %d observations summing to %v s, want 2 under 1 s", n, sum)
 	}
 }

@@ -173,32 +173,38 @@ dispatch() {
         -run 'TestLostRefillReplyRequeuedByRetry|TestResultWithoutRefillRepliesAsBefore|TestReplayedRefillAssignsOnlyJournaled' ./internal/server/
 }
 
+# The DES fleet every queue scenario runs on, the server's core and the
+# shipped worker core on a virtual clock (parked announces woken by the
+# queue's Ready hook, re-announced when their hold runs out, busy workers
+# refilled through their results): its own tests and
+# TestDESRefillRidesTheResult (a refill starts the next command at the
+# instant the first ends, with no announce) three times over, then the
+# Figs 7–9 scaling sweep on it against the scores captured from the list
+# scheduler it replaced — see docs/SCHEDULING.md ("Scenario dispatch").
+fleet() {
+    echo "== DES fleet (race; fleet and refill x3, scaling sweep golden) =="
+    $GO test -race -count=3 -run 'TestFleet|TestDESRefillRidesTheResult' -timeout 300s ./internal/des/
+    $GO test -race -run TestScalingSweepMatchesParentGolden -timeout 300s ./internal/des/
+}
+
 # The multi-tenant scheduling acceptance scenario: 2000 tenants with
 # heavy-tailed traffic, each burst a project, against the real server core
-# and fair-share queue, with a slow-fsync WAL fault window, its seed
-# determinism and its captured scorecards, on the DES fleet that runs the
-# server's core and the shipped worker core (parked announces woken by the
-# queue's Ready hook, re-announced when the 2 s hold runs out, busy workers
-# refilled through their results), then that fleet's own tests and
-# TestDESRefillRidesTheResult (a refill starts the next command at the
-# instant the first ends, with no announce) three times over — see
-# docs/SCHEDULING.md ("Scenario dispatch").
+# and fair-share queue on the DES fleet, with a slow-fsync WAL fault
+# window, its seed determinism and its captured scorecards — see
+# docs/SCHEDULING.md ("The multi-tenant scenario").
 tenants() {
-    echo "== multi-tenant scheduling scenario (race; fleet and refill x3) =="
+    echo "== multi-tenant scheduling scenario (race) =="
     $GO test -race -run 'TestMultiTenantScenario|TestTenantScenario' -timeout 300s ./internal/des/
-    $GO test -race -count=3 -run 'TestFleet|TestDESRefillRidesTheResult' -timeout 300s ./internal/des/
 }
 
 # The replica-exchange scheduling scenario: the shipped RepexController's
 # sync vs async ladders on the same DES fleet against the real fair-share
-# queue, with a worker-churn fault window, and the fleet's tests and
-# TestDESRefillRidesTheResult three times over, then a sync ladder wider
-# than any one worker on a real fabric five times over — see
+# queue, with a worker-churn fault window, then a sync ladder wider than
+# any one worker on a real fabric five times over — see
 # docs/SCHEDULING.md ("Replica-exchange dispatch").
 repex() {
-    echo "== replica-exchange scheduling scenario (race; fleet and refill x3, wide sync ladder x5) =="
+    echo "== replica-exchange scheduling scenario (race; wide sync ladder x5) =="
     $GO test -race -run TestRepexDES -timeout 300s ./internal/des/
-    $GO test -race -count=3 -run 'TestFleet|TestDESRefillRidesTheResult' -timeout 300s ./internal/des/
     $GO test -race -count=5 -run TestRepexSyncLadderWiderThanWorker -timeout 300s ./internal/core/
 }
 
@@ -211,12 +217,12 @@ stream() {
 }
 
 case "${1:-all}" in
-all) set -- basic race benchmod fuzz smoke chaos crash failover dispatch tenants repex stream ;;
+all) set -- basic race benchmod fuzz smoke chaos crash failover dispatch fleet tenants repex stream ;;
 quick) set -- basic ;;
 esac
 for stanza in "$@"; do
     case "$stanza" in
-    basic | race | benchmod | fuzz | smoke | chaos | crash | failover | dispatch | tenants | repex | stream) "$stanza" ;;
+    basic | race | benchmod | fuzz | smoke | chaos | crash | failover | dispatch | fleet | tenants | repex | stream) "$stanza" ;;
     *)
         echo "ci: unknown stanza $stanza" >&2
         exit 2

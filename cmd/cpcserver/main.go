@@ -76,7 +76,7 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "standalone /metrics+/debug address (e.g. :9090); empty disables (the -monitor-addr handler always includes them)")
 	fs.StringVar(&srv.FSToken, "fs-token", "", "shared-filesystem token (enables by-path result exchange)")
 	fs.StringVar(&st.Dir, "state-dir", "", "durable state directory (WAL + snapshots); empty keeps all project state in memory")
-	fs.DurationVar(&st.FsyncInterval, "fsync-interval", 2*time.Millisecond, "group-commit window: how long the WAL syncer waits for more appends before one shared fsync (0 = fsync each batch immediately)")
+	fs.DurationVar(&st.FsyncInterval, "fsync-interval", 2*time.Millisecond, "longest a WAL group commit waits, after its first record, for the writers the last fsync released before one shared fsync (0 = fsync each batch immediately)")
 	fs.IntVar(&st.SnapshotEvery, "snapshot-every", 512, "WAL records between snapshots (snapshots truncate the log; 0 disables automatic snapshots)")
 	fs.StringVar(&o.repl.PeerAddr, "standby-of", "", "primary server address to replicate from: run as its warm standby and promote on lease lapse (requires -state-dir)")
 	fs.BoolVar(&o.replicate, "replicate", false, "accept a standby and ship it the WAL (requires -state-dir)")

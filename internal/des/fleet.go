@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"copernicus/internal/controller"
+	"copernicus/internal/obs"
 	"copernicus/internal/queue"
 	"copernicus/internal/server"
 	"copernicus/internal/wire"
@@ -104,8 +105,12 @@ type fleet struct {
 
 // newFleet builds a fleet of workers with cores each around a core tuned by
 // cfg and h, whose Clock and Ready the fleet supplies; reg holds the
-// controllers of the projects a scenario submits to it.
+// controllers of the projects a scenario submits to it. A cfg without an Obs
+// gets one without a tracer: no scenario reads the core's spans.
 func newFleet(cfg server.Config, h server.Hooks, reg *controller.Registry, workers, cores int, exe string, sc scenario) *fleet {
+	if cfg.Obs == nil {
+		cfg.Obs = &obs.Obs{Metrics: obs.NewRegistry(), Log: obs.NewLogger(nil, obs.LevelOff)}
+	}
 	f := &fleet{
 		sc: sc, home: h.Origin, exe: []string{exe}, cores: cores, byID: make(map[string]int),
 		workers: make([]*worker.Core, workers),

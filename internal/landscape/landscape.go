@@ -78,6 +78,8 @@ func DefaultParams() Params {
 // all mutable state lives in the caller-supplied RNG and coordinates.
 type Model struct {
 	p Params
+	// drift (−D·dt) and noise (√(2·D·dt)) are Step's coefficients.
+	drift, noise float64
 }
 
 // New validates the parameters and returns a Model.
@@ -100,7 +102,7 @@ func New(p Params) (*Model, error) {
 	if p.RMSDPerRadius <= 0 || p.FoldedRMSD <= 0 {
 		return nil, fmt.Errorf("landscape: RMSD mapping must be positive")
 	}
-	return &Model{p: p}, nil
+	return &Model{p: p, drift: -p.Diffusion * p.Dt, noise: math.Sqrt(2 * p.Diffusion * p.Dt)}, nil
 }
 
 // Params returns the model parameters.
@@ -138,12 +140,6 @@ func gate(r float64) float64 {
 	return math.Exp(-d * d / 0.045)
 }
 
-// dGate is the derivative of gate with respect to r.
-func dGate(r float64) float64 {
-	d := r - 0.5
-	return gate(r) * (-2 * d / 0.045)
-}
-
 // Gradient computes ∇U at x into out (len must equal Dim). It returns out.
 func (m *Model) Gradient(x, out []float64) []float64 {
 	r := norm(x)
@@ -155,8 +151,11 @@ func (m *Model) Gradient(x, out []float64) []float64 {
 	if m.p.Wells > 0 {
 		theta := math.Atan2(x[1], x[0])
 		k := float64(m.p.Wells)
-		dUdTheta = m.p.WellDepth * k * math.Sin(k*theta) * gate(r)
-		wellR = m.p.WellDepth * (1 - math.Cos(k*theta)) * dGate(r)
+		sin, cos := math.Sincos(k * theta)
+		g := gate(r)
+		dGate := g * (-2 * (r - 0.5) / 0.045) // d gate/dr
+		dUdTheta = m.p.WellDepth * k * sin * g
+		wellR = m.p.WellDepth * (1 - cos) * dGate
 	}
 
 	if r < 1e-12 {
@@ -218,9 +217,8 @@ func (m *Model) UnfoldedStart(i int, seed uint64) []float64 {
 // x ← x − D ∇U dt + √(2 D dt) ξ  (kT = 1).
 func (m *Model) Step(x []float64, grad []float64, r *rng.Source) {
 	m.Gradient(x, grad)
-	sd := math.Sqrt(2 * m.p.Diffusion * m.p.Dt)
 	for i := range x {
-		x[i] += -m.p.Diffusion*m.p.Dt*grad[i] + sd*r.Norm()
+		x[i] += m.drift*grad[i] + m.noise*r.Norm()
 	}
 }
 

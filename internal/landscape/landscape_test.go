@@ -308,6 +308,78 @@ func TestPropertyPotentialRotationInvariantWithoutWells(t *testing.T) {
 	}
 }
 
+// oldGradient is the gradient as first written: gate evaluated twice and
+// separate Sin and Cos. Gradient and Step must reproduce it bit for bit, so
+// a trajectory does not depend on which build simulated it.
+func oldGradient(m *Model, x, out []float64) []float64 {
+	r := norm(x)
+	d := r - 1
+	dUdr := 16*m.p.Barrier*(2*r*d*d+2*r*r*d) + m.p.Tilt
+	var dUdTheta, wellR float64
+	if m.p.Wells > 0 {
+		theta := math.Atan2(x[1], x[0])
+		k := float64(m.p.Wells)
+		dUdTheta = m.p.WellDepth * k * math.Sin(k*theta) * gate(r)
+		wellR = m.p.WellDepth * (1 - math.Cos(k*theta)) * (gate(r) * (-2 * (r - 0.5) / 0.045))
+	}
+	if r < 1e-12 {
+		for i := range out {
+			out[i] = 0
+		}
+		return out
+	}
+	for i := range x {
+		out[i] = (dUdr + wellR) * x[i] / r
+	}
+	if m.p.Wells > 0 {
+		rho2 := x[0]*x[0] + x[1]*x[1]
+		if rho2 > 1e-12 {
+			out[0] += dUdTheta * (-x[1] / rho2)
+			out[1] += dUdTheta * (x[0] / rho2)
+		}
+	}
+	return out
+}
+
+func TestGradientAndStepMatchOldFormulaBitForBit(t *testing.T) {
+	m, err := New(DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pick := rng.New(11)
+	x := make([]float64, m.Dim())
+	got, want := make([]float64, m.Dim()), make([]float64, m.Dim())
+	for n := 0; n < 100000; n++ {
+		for i := range x {
+			x[i] = 1.5 * (2*pick.Float64() - 1)
+		}
+		m.Gradient(x, got)
+		oldGradient(m, x, want)
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("Gradient(%v)[%d] = %v, old formula %v", x, i, got[i], want[i])
+			}
+		}
+	}
+
+	a, b := m.UnfoldedStart(0, 1), m.UnfoldedStart(0, 1)
+	ra, rb := rng.New(5), rng.New(5)
+	grad := make([]float64, m.Dim())
+	sd := math.Sqrt(2 * m.p.Diffusion * m.p.Dt)
+	for n := 0; n < 20000; n++ {
+		m.Step(a, grad, ra)
+		oldGradient(m, b, grad)
+		for i := range b {
+			b[i] += -m.p.Diffusion*m.p.Dt*grad[i] + sd*rb.Norm()
+		}
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			t.Fatalf("after 20000 steps x = %v, old step %v", a, b)
+		}
+	}
+}
+
 func BenchmarkStep(b *testing.B) {
 	m, err := New(DefaultParams())
 	if err != nil {

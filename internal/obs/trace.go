@@ -46,18 +46,23 @@ type Span struct {
 }
 
 // Tracer records spans into a bounded ring buffer: the newest Capacity
-// spans are retained, older ones are evicted in FIFO order. A nil *Tracer
-// drops all records.
+// spans are retained, older ones are evicted in FIFO order. The ring is
+// allocated a chunk at a time as spans arrive, so a tracer nothing records
+// into costs next to nothing and a full one holds exactly Capacity spans.
+// A nil *Tracer drops all records.
 type Tracer struct {
-	capn  int
-	mu    sync.Mutex
-	buf   []Span
-	next  int    // ring write position
-	total uint64 // spans ever recorded
+	capn   int
+	mu     sync.Mutex
+	chunks [][]Span // the ring, traceChunk spans per chunk
+	total  uint64   // spans ever recorded
 }
 
 // DefaultTraceCapacity bounds the ring buffer when no capacity is given.
 const DefaultTraceCapacity = 4096
+
+// traceChunk is how many spans the ring grows by at a time: on 64-bit
+// platforms 120 KiB, whole pages, so a chunk carries no allocation slack.
+const traceChunk = 1024
 
 // NewTracer returns a tracer retaining the last capacity spans
 // (DefaultTraceCapacity if capacity <= 0).
@@ -65,7 +70,7 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
 	}
-	return &Tracer{capn: capacity, buf: make([]Span, 0, capacity)}
+	return &Tracer{capn: capacity}
 }
 
 // Capacity returns the ring buffer size.
@@ -76,6 +81,9 @@ func (t *Tracer) Capacity() int {
 	return t.capn
 }
 
+// slot is ring position i.
+func (t *Tracer) slot(i int) *Span { return &t.chunks[i/traceChunk][i%traceChunk] }
+
 // Record stores a span, stamping Start with the current time if unset.
 func (t *Tracer) Record(s Span) {
 	if t == nil {
@@ -85,12 +93,11 @@ func (t *Tracer) Record(s Span) {
 		s.Start = time.Now()
 	}
 	t.mu.Lock()
-	if len(t.buf) < cap(t.buf) {
-		t.buf = append(t.buf, s)
-	} else {
-		t.buf[t.next] = s
-		t.next = (t.next + 1) % cap(t.buf)
+	i := int(t.total % uint64(t.capn))
+	if t.total < uint64(t.capn) && i%traceChunk == 0 {
+		t.chunks = append(t.chunks, make([]Span, min(traceChunk, t.capn-i)))
 	}
+	*t.slot(i) = s
 	t.total++
 	t.mu.Unlock()
 }
@@ -102,13 +109,14 @@ func (t *Tracer) Spans() []Span {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Span, 0, len(t.buf))
-	if len(t.buf) < cap(t.buf) {
-		out = append(out, t.buf...)
-		return out
+	n, oldest := t.capn, int(t.total%uint64(t.capn))
+	if t.total < uint64(t.capn) {
+		n, oldest = int(t.total), 0
 	}
-	out = append(out, t.buf[t.next:]...)
-	out = append(out, t.buf[:t.next]...)
+	out := make([]Span, n)
+	for k := range out {
+		out[k] = *t.slot((oldest + k) % t.capn)
+	}
 	return out
 }
 

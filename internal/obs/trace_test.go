@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -27,6 +28,47 @@ func TestTracerEvictionOrder(t *testing.T) {
 		want := fmt.Sprintf("c%d", i+3) // c0..c2 evicted
 		if s.Command != want {
 			t.Errorf("span %d = %q, want %q", i, s.Command, want)
+		}
+	}
+}
+
+// TestTracerGrowsOnDemand: the ring is allocated as spans arrive, not up
+// front, never beyond its capacity, and keeps the eviction order across the
+// growth steps.
+func TestTracerGrowsOnDemand(t *testing.T) {
+	const n = 1000
+	tracers := make([]*Tracer, n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range tracers {
+		tracers[i] = NewTracer(0)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per >= 1024 {
+		t.Errorf("a new tracer allocates %d bytes before any span arrives, want < 1 KiB", per)
+	}
+
+	tr := NewTracer(2500)
+	if len(tr.Spans()) != 0 {
+		t.Fatal("a new tracer holds spans")
+	}
+	for i := 0; i < 6000; i++ {
+		tr.Record(Span{Stage: StageRun, Command: fmt.Sprintf("c%d", i)})
+	}
+	held := 0
+	for _, c := range tr.chunks {
+		held += len(c)
+	}
+	if held != 2500 {
+		t.Errorf("ring of capacity 2500 grew to %d spans", held)
+	}
+	spans := tr.Spans()
+	if len(spans) != 2500 {
+		t.Fatalf("retained %d spans, want 2500", len(spans))
+	}
+	for i, s := range spans {
+		if want := fmt.Sprintf("c%d", i+3500); s.Command != want {
+			t.Fatalf("span %d = %q, want %q", i, s.Command, want)
 		}
 	}
 }

@@ -289,36 +289,178 @@ func TestRotateAndCloseWaitOutInflightSync(t *testing.T) {
 	}
 }
 
-// BenchmarkAppendParallel measures durable appends under 1, 4 and 16
-// concurrent writers with real fsyncs: ns/op is wall time per record, and
-// records/fsync is the batching the group commit achieved.
-func BenchmarkAppendParallel(b *testing.B) {
-	for _, writers := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("writers=%d", writers), func(b *testing.B) {
-			s, err := Open(Options{Dir: b.TempDir()})
-			if err != nil {
-				b.Fatal(err)
+// TestLoneWriterDoesNotWaitOutTheInterval: the fsync interval caps the
+// group-commit wait, it does not set it. A writer whose every record is the
+// whole batch fsyncs at once, so 100 sequential appends finish promptly even
+// under an hour-long interval.
+func TestLoneWriterDoesNotWaitOutTheInterval(t *testing.T) {
+	opts := testOptions(t)
+	opts.FsyncInterval = time.Hour
+	s := mustOpen(t, opts)
+	defer s.Close()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 100; i++ {
+			if err := s.Append(Record{Type: RecResult}); err != nil {
+				t.Errorf("append %d: %v", i, err)
+				return
 			}
-			defer s.Close()
-			data := make([]byte, 1024)
-			var next atomic.Int64
-			var wg sync.WaitGroup
-			b.ResetTimer()
-			for w := 0; w < writers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for next.Add(1) <= int64(b.N) {
-						if err := s.Append(Record{Type: RecResult, Data: data}); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}()
-			}
-			wg.Wait()
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)/float64(s.met.fsyncs.Value()), "records/fsync")
-		})
+		}
+	}()
+	waitFor(t, "100 sequential appends", done)
+	if got := s.met.fsyncs.Value(); got != 100 {
+		t.Errorf("%d fsyncs for 100 sequential appends, want 100", got)
 	}
+	if got := s.met.capped.Value(); got != 0 {
+		t.Errorf("%d batches waited out the interval", got)
+	}
+}
+
+// startBehindHeldFsync opens a store whose first fsync, covering a record
+// nobody commits, is held until every writer has staged its first record
+// behind it, so the second fsync covers and releases them all together. Each
+// writer appends rounds records; done closes when they have all returned.
+func startBehindHeldFsync(t *testing.T, opts Options, writers, rounds int) (s *Store, done <-chan struct{}) {
+	t.Helper()
+	held, entered := make(chan struct{}), make(chan struct{}, 1)
+	var calls atomic.Int32
+	opts.SyncHook = func(sync func() error) error {
+		if calls.Add(1) == 1 {
+			entered <- struct{}{}
+			<-held
+		}
+		return nil
+	}
+	s = mustOpen(t, opts)
+	if _, err := s.Stage(Record{Type: RecResult}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "fsync 1 to start", entered)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if err := s.Append(Record{Type: RecResult}); err != nil {
+					t.Errorf("append: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		s.mu.Lock()
+		waiting := s.waiting
+		s.mu.Unlock()
+		if waiting == writers {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d writers waiting behind fsync 1", waiting, writers)
+		}
+	}
+	close(held)
+	all := make(chan struct{})
+	go func() { wg.Wait(); close(all) }()
+	return s, all
+}
+
+// TestReleasedWritersShareTheNextFsync: the k writers one fsync releases
+// re-stage and are covered by exactly one next fsync, not split between two
+// — round after round, under an interval long enough that only the writers
+// coming back can end the wait.
+func TestReleasedWritersShareTheNextFsync(t *testing.T) {
+	const writers, rounds = 4, 5
+	opts := testOptions(t)
+	opts.FsyncInterval = time.Hour
+	s, done := startBehindHeldFsync(t, opts, writers, rounds)
+	defer s.Close()
+	waitFor(t, "the writers", done)
+	if got, want := s.met.fsyncs.Value(), uint64(1+rounds); got != want {
+		t.Errorf("%d writers × %d rounds took %d fsyncs, want %d (one per round)", writers, rounds, got, want)
+	}
+	if got := s.met.capped.Value(); got != 0 {
+		t.Errorf("%d batches waited out the interval", got)
+	}
+}
+
+// TestWaitForWritersIsCapped: when the writers the last fsync released do not
+// come back, the batch goes at the fsync interval, and the capped counter
+// says so.
+func TestWaitForWritersIsCapped(t *testing.T) {
+	opts := testOptions(t)
+	opts.FsyncInterval = 5 * time.Millisecond
+	s, done := startBehindHeldFsync(t, opts, 1, 1)
+	defer s.Close()
+	waitFor(t, "the writer", done) // fsync 2 released it: the next batch waits for one
+	seq, err := s.Stage(Record{Type: RecResult})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); s.met.fsyncs.Value() < 3; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("a record nobody commits was never fsynced")
+		}
+	}
+	if err := s.Commit(seq); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.met.capped.Value(); got != 1 {
+		t.Errorf("capped counter %d, want 1", got)
+	}
+}
+
+// BenchmarkAppendParallel measures durable appends under 1, 4 and 16
+// concurrent writers at the default 2 ms fsync interval, with the disk's own
+// fsync and with one a SyncHook slows by 2 ms and by 8 ms: ns/op is wall
+// time per record, and records/fsync is the batching the group commit
+// achieved.
+func BenchmarkAppendParallel(b *testing.B) {
+	for _, slow := range []time.Duration{0, 2 * time.Millisecond, 8 * time.Millisecond} {
+		name := "fsync=disk"
+		if slow > 0 {
+			name = fmt.Sprintf("fsync=+%v", slow)
+		}
+		for _, writers := range []int{1, 4, 16} {
+			b.Run(fmt.Sprintf("%s/writers=%d", name, writers), func(b *testing.B) {
+				opts := Options{Dir: b.TempDir(), FsyncInterval: 2 * time.Millisecond}
+				if slow > 0 {
+					opts.SyncHook = func(sync func() error) error {
+						time.Sleep(slow)
+						return sync()
+					}
+				}
+				benchAppend(b, opts, writers)
+			})
+		}
+	}
+}
+
+func benchAppend(b *testing.B, opts Options, writers int) {
+	s, err := Open(opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	data := make([]byte, 1024)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	b.ResetTimer()
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for next.Add(1) <= int64(b.N) {
+				if err := s.Append(Record{Type: RecResult, Data: data}); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	b.StopTimer()
+	b.ReportMetric(float64(b.N)/float64(s.met.fsyncs.Value()), "records/fsync")
 }

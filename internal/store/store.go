@@ -44,11 +44,14 @@ import (
 type Options struct {
 	// Dir is the state directory; created if missing.
 	Dir string
-	// FsyncInterval is the group-commit window: after the first append of a
-	// batch, the syncer waits this long for more appends to pile on before
-	// issuing one fsync for all of them. 0 means fsync as soon as the
-	// syncer gets the batch (still group commit: appends that arrive while
-	// a previous fsync is in flight share the next one).
+	// FsyncInterval caps the group-commit wait. The syncer holds a batch
+	// open until the Commit callers the previous fsync released wait on it
+	// again, beside any still waiting when that fsync ended, but never
+	// longer than this after it takes the batch up. The first batch, and
+	// any batch whose writers come back sooner, is fsynced at once. 0 means
+	// fsync as soon as the syncer gets the batch (still group commit:
+	// appends that arrive while a previous fsync is in flight share the
+	// next one).
 	FsyncInterval time.Duration
 	// SnapshotEvery is the number of appended records between snapshot
 	// hints (ShouldSnapshot). 0 disables the hint; snapshots then happen
@@ -123,10 +126,18 @@ type Store struct {
 	// pendingSince is when the oldest record that no fsync has picked up
 	// yet was staged; zero when there is none.
 	pendingSince time.Time
-	// syncing is true while the syncer fsyncs seg outside mu: staging goes
-	// on, rotation and close wait on synced so the file is not sealed or
-	// closed under it.
-	syncing bool
+	// syncing is true while the syncer fsyncs seg outside mu, through
+	// syncThrough: staging goes on, rotation and close wait on synced so the
+	// file is not sealed or closed under it.
+	syncing     bool
+	syncThrough uint64
+	// The group commit counts Commit callers, not records: a replicated
+	// batch is many records and one writer. waiting are the callers blocked
+	// on a record no fsync has picked up yet, riding those the in-flight
+	// fsync covers. want is how many waiting callers the syncer holds the
+	// next batch for: those still waiting when the last fsync ended, plus
+	// the writers it released.
+	waiting, riding, want int
 	// segFirst maps segment index → the first sequence number appended (or
 	// appendable) in that segment, for segments created by this process. It
 	// lets replication shipping skip whole segments and lets a replica pick
@@ -148,6 +159,7 @@ type Store struct {
 	latEWMA float64
 
 	kick chan struct{}
+	back chan struct{} // Commit: waiting has reached want
 	stop chan struct{}
 	wg   sync.WaitGroup
 }
@@ -162,6 +174,7 @@ type failedSync struct {
 type storeMetrics struct {
 	appends     *obs.Counter
 	fsyncs      *obs.Counter
+	capped      *obs.Counter
 	walErrors   *obs.Counter
 	snapshots   *obs.Counter
 	recoveries  *obs.Counter
@@ -184,6 +197,8 @@ func newStoreMetrics(o *obs.Obs, dir string) storeMetrics {
 			"Records appended to the write-ahead log.", l),
 		fsyncs: m.Counter("copernicus_store_wal_fsyncs_total",
 			"Group-commit fsync batches issued.", l),
+		capped: m.Counter("copernicus_store_wal_batch_capped_total",
+			"Group commits whose wait for their writers ended at the fsync interval.", l),
 		walErrors: m.Counter("copernicus_store_wal_errors_total",
 			"WAL appends that failed at the I/O layer.", l),
 		snapshots: m.Counter("copernicus_store_snapshots_total",
@@ -222,6 +237,7 @@ func Open(opts Options) (*Store, error) {
 		log:      opts.Obs.Log.Named("store").With("dir", opts.Dir),
 		met:      newStoreMetrics(opts.Obs, opts.Dir),
 		kick:     make(chan struct{}, 1),
+		back:     make(chan struct{}, 1),
 		stop:     make(chan struct{}),
 		segFirst: make(map[uint64]uint64),
 	}
@@ -312,8 +328,21 @@ func (s *Store) Commit(seq uint64) error {
 	if seq >= s.nextSeq {
 		return fmt.Errorf("store: commit of record %d, but the log ends at %d", seq, s.nextSeq-1)
 	}
-	for s.durable < seq {
-		s.synced.Wait()
+	if s.durable < seq {
+		if s.syncing && seq <= s.syncThrough {
+			s.riding++
+		} else {
+			s.waiting++
+			if s.waiting >= s.want {
+				select {
+				case s.back <- struct{}{}:
+				default: // the syncer has a wake-up queued already
+				}
+			}
+		}
+		for s.durable < seq {
+			s.synced.Wait()
+		}
 	}
 	for _, f := range s.failed {
 		if f.from <= seq && seq <= f.to {
@@ -422,16 +451,47 @@ func (s *Store) syncLoop() {
 			return
 		case <-s.kick:
 		}
-		if d := s.opts.FsyncInterval; d > 0 {
-			// Let more records accumulate into this batch.
-			select {
-			case <-s.stop:
-				return
-			case <-time.After(d):
-			}
+		if !s.gather() {
+			return
 		}
 		s.flush()
 	}
+}
+
+// gather holds the pending batch open until the writers the last fsync
+// released are waiting on it again, beside those that were still waiting
+// when it ended, or for FsyncInterval, whichever comes first. Waiting for the
+// writers rather than the clock lets a lone writer fsync at once, while
+// writers woken together by one fsync share the next instead of splitting
+// into alternating half-batches. It reports false when the store is stopping.
+func (s *Store) gather() bool {
+	d := s.opts.FsyncInterval
+	if d <= 0 || s.gathered() {
+		return true
+	}
+	timeout := time.NewTimer(d)
+	defer timeout.Stop()
+	for !s.gathered() {
+		select {
+		case <-s.stop:
+			return false
+		case <-timeout.C:
+			if !s.gathered() {
+				s.met.capped.Inc()
+			}
+			return true
+		case <-s.back:
+		}
+	}
+	return true
+}
+
+// gathered reports whether the pending batch may go: nothing is pending, or
+// as many Commit callers wait on it as the syncer holds it for.
+func (s *Store) gathered() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.pendingSince.IsZero() || s.waiting >= s.want
 }
 
 // flush fsyncs the active segment outside s.mu, so writers keep staging into
@@ -445,7 +505,8 @@ func (s *Store) flush() {
 	}
 	seg := s.seg
 	s.pendingSince = time.Time{}
-	s.syncing = true
+	s.syncing, s.syncThrough = true, through
+	s.riding, s.waiting = s.waiting, 0
 	s.mu.Unlock()
 
 	t0 := time.Now()
@@ -481,7 +542,14 @@ func (s *Store) resolveLocked(through uint64, since time.Time, err error) {
 		// append starts a fresh one rather than extending it.
 		s.poisoned = true
 	}
+	released := s.riding
+	s.riding = 0
+	if through == s.nextSeq-1 {
+		released += s.waiting
+		s.waiting = 0
+	}
 	if through > s.durable {
+		s.want = s.waiting + released
 		if err != nil {
 			s.failed = append(s.failed, failedSync{from: s.durable + 1, to: through, err: err})
 			s.met.walErrors.Inc()

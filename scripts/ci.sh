@@ -72,10 +72,12 @@ fuzz() {
 }
 
 smoke() {
-    echo "== bench smoke (md, wire, msm) =="
+    echo "== bench smoke (md, wire, msm, store, landscape) =="
     $GO test -run=NONE -bench=. -benchtime=1x ./internal/md
     $GO test -run=NONE -bench=BenchmarkWireRoundTrip -benchtime=1x ./internal/wire
     $GO test -run=NONE -bench='BenchmarkKCenters|BenchmarkAssignAll' -benchtime=1x ./internal/msm
+    $GO test -run=NONE -bench=BenchmarkAppendParallel -benchtime=1x ./internal/store
+    $GO test -run=NONE -bench=BenchmarkStep -benchtime=1x ./internal/landscape
 }
 
 # Chaos soak: the MSM pipeline completing under seeded fault injection

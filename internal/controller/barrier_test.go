@@ -2,6 +2,8 @@ package controller
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 	"runtime"
 	"strconv"
 	"testing"
@@ -26,14 +28,88 @@ func runCampaign(t *testing.T, ctx *fakeCtx, ctrl Controller) *MSMResult {
 	return &res
 }
 
+// goldenRelTol is how far a float of an MSM result may sit from the value a
+// parent build captured, relative to the larger of the two. The landscape
+// engine computes its angular wells without atan2 and Sincos, so a
+// trajectory rounds differently in the last bits (the worst gap measured in
+// a result was 7.4e-16); a model built on different samples would differ
+// far beyond it, and its integers would not match.
+const goldenRelTol = 1e-13
+
+// resultGap is the comparator for MSM results against captured values:
+// every integer, bool, string and length must be equal, and every float
+// within relTol of want's relative to the larger magnitude (NaN matches
+// NaN). It returns a description of the first difference, or "", and the
+// largest relative float gap seen.
+func resultGap(got, want any, relTol float64) (diff string, worst float64) {
+	var walk func(path string, g, w reflect.Value) string
+	walk = func(path string, g, w reflect.Value) string {
+		switch g.Kind() {
+		case reflect.Pointer:
+			return walk(path, g.Elem(), w.Elem())
+		case reflect.Struct:
+			for i := 0; i < g.NumField(); i++ {
+				if d := walk(path+"."+g.Type().Field(i).Name, g.Field(i), w.Field(i)); d != "" {
+					return d
+				}
+			}
+		case reflect.Slice, reflect.Array:
+			if g.Len() != w.Len() {
+				return fmt.Sprintf("%s: length %d, want %d", path, g.Len(), w.Len())
+			}
+			for i := 0; i < g.Len(); i++ {
+				if d := walk(fmt.Sprintf("%s[%d]", path, i), g.Index(i), w.Index(i)); d != "" {
+					return d
+				}
+			}
+		case reflect.Float64:
+			a, b := g.Float(), w.Float()
+			if a == b || math.IsNaN(a) && math.IsNaN(b) {
+				return ""
+			}
+			gap := math.Abs(a-b) / math.Max(math.Abs(a), math.Abs(b))
+			worst = math.Max(worst, gap)
+			if !(gap <= relTol) {
+				return fmt.Sprintf("%s: %v, want %v (%.2g relative)", path, a, b, gap)
+			}
+		case reflect.Int, reflect.Int64:
+			if g.Int() != w.Int() {
+				return fmt.Sprintf("%s: %d, want %d", path, g.Int(), w.Int())
+			}
+		case reflect.Uint64:
+			if g.Uint() != w.Uint() {
+				return fmt.Sprintf("%s: %d, want %d", path, g.Uint(), w.Uint())
+			}
+		case reflect.Bool:
+			if g.Bool() != w.Bool() {
+				return fmt.Sprintf("%s: %v, want %v", path, g.Bool(), w.Bool())
+			}
+		case reflect.String:
+			if g.String() != w.String() {
+				return fmt.Sprintf("%s: %q, want %q", path, g.String(), w.String())
+			}
+		default:
+			return fmt.Sprintf("%s: cannot compare a %s", path, g.Kind())
+		}
+		return ""
+	}
+	g, w := reflect.ValueOf(got), reflect.ValueOf(want)
+	if g.Type() != w.Type() {
+		return fmt.Sprintf("comparing a %s with a %s", g.Type(), w.Type()), 0
+	}
+	return walk(g.Type().String(), g, w), worst
+}
+
 // TestBatchCampaignMatchesParentGolden pins "same model, not a similar one".
 // The table was printed by this campaign (the benchmark's shape: 4 × 4
 // trajectories, 32 segments of 100 ns a generation, 80 clusters; fake-context
 // seed 7, one command at a time) at the commit before the barrier kept
 // k-centers' assignment, pruned by the triangle inequality and read the
 // append-only frame set — when it gathered every frame afresh, ran the
-// unpruned KCenters and then AssignAll. The values are exact: the new
-// barrier must build bitwise the same clustering and hence the same model.
+// unpruned KCenters and then AssignAll. The new barrier must build the same
+// clustering and hence the same model: the integers are exact, and the
+// floats, which moved in the last bits when the landscape engine stopped
+// calling atan2, are held to goldenRelTol.
 func TestBatchCampaignMatchesParentGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden values were captured on amd64; the engine's floating point may fuse differently elsewhere")
@@ -72,21 +148,29 @@ func TestBatchCampaignMatchesParentGolden(t *testing.T) {
 	if len(res.Generations) != len(golden) {
 		t.Fatalf("%d generations, want %d", len(res.Generations), len(golden))
 	}
+	worst := 0.0
 	for i, want := range golden {
 		g := res.Generations[i]
-		if g.FramesTotal != want.frames || g.States != want.states || g.TopStateRMSD != want.topStateRMSD ||
-			g.FoldedPiFrac != want.foldedPiFrac || g.SpawnedStates != want.spawnedStates {
-			t.Errorf("generation %d: frames %d states %d top RMSD %v folded %v spawned %d, parent had %+v",
-				i, g.FramesTotal, g.States, g.TopStateRMSD, g.FoldedPiFrac, g.SpawnedStates, want)
+		got := want
+		got.frames, got.states, got.topStateRMSD = g.FramesTotal, g.States, g.TopStateRMSD
+		got.foldedPiFrac, got.spawnedStates = g.FoldedPiFrac, g.SpawnedStates
+		diff, gap := resultGap(got, want, goldenRelTol)
+		if diff != "" {
+			t.Errorf("generation %d: %s; parent had %+v", i, diff, want)
 		}
+		worst = math.Max(worst, gap)
 	}
 	last := res.Generations[len(golden)-1]
-	if res.THalfNs != goldenTHalfNs || res.CKError != goldenCKError || last.SimulatedNs != goldenTotalSim ||
-		len(res.ImpliedTimescales) != 4 || res.ImpliedTimescales[3] != goldenSlowest {
-		t.Errorf("final analysis: t½ %v CK %v timescales %v simulated %v, parent had %v %v [… %v] %v",
-			res.THalfNs, res.CKError, res.ImpliedTimescales, last.SimulatedNs,
-			goldenTHalfNs, goldenCKError, goldenSlowest, goldenTotalSim)
+	if len(res.ImpliedTimescales) != 4 {
+		t.Fatalf("final analysis: timescales %v, parent had 4", res.ImpliedTimescales)
 	}
+	got := [4]float64{res.THalfNs, res.CKError, res.ImpliedTimescales[3], last.SimulatedNs}
+	want := [4]float64{goldenTHalfNs, goldenCKError, goldenSlowest, goldenTotalSim}
+	diff, gap := resultGap(got, want, goldenRelTol)
+	if diff != "" {
+		t.Errorf("final analysis (t½, CK, slowest timescale, simulated ns): %s", diff)
+	}
+	t.Logf("largest relative gap from the parent's floats: %.2g", math.Max(worst, gap))
 }
 
 // TestRestoredCampaignRebuildsFrameSet covers the path only a restart

@@ -1,7 +1,6 @@
 package controller
 
 import (
-	"bytes"
 	"os"
 	"runtime"
 	"testing"
@@ -58,8 +57,10 @@ func TestMSMStreamingFullRun(t *testing.T) {
 // holds this campaign's MSMResult (wall-clock AnalysisSeconds zeroed) as the
 // build that still streamed produced it, every chunk delivered to the
 // controller before its command's result. This build takes a segment's
-// frames from the result alone and must finish with the same result, byte
-// for byte. Captured bytes; never regenerate them from current code.
+// frames from the result alone and must finish with the same result: exact
+// in every integer, string and length, and within goldenRelTol in every
+// float, which moved in the last bits when the landscape engine stopped
+// calling atan2. Captured bytes; never regenerate them from current code.
 func TestMSMStreamingMatchesParentGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden values were captured on amd64; the engine's floating point may fuse differently elsewhere")
@@ -89,10 +90,11 @@ func TestMSMStreamingMatchesParentGolden(t *testing.T) {
 	if err := wire.Unmarshal(raw, &want); err != nil {
 		t.Fatal(err)
 	}
-	// Both re-encoded by this process, so gob's type numbering cannot differ.
-	if !bytes.Equal(mustParams(t, got), mustParams(t, &want)) {
-		t.Errorf("the streaming campaign diverged from the parent's result:\n got  %+v\n want %+v", got, &want)
+	diff, worst := resultGap(got, &want, goldenRelTol)
+	if diff != "" {
+		t.Errorf("the streaming campaign diverged from the parent's result: %s\n got  %+v\n want %+v", diff, got, &want)
 	}
+	t.Logf("largest relative gap from the parent's floats: %.2g", worst)
 }
 
 // TestMSMStreamingSaveRestore proves the durable snapshot carries the

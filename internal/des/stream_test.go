@@ -5,20 +5,16 @@ import "testing"
 // TestStreamAnalysisDES is the streaming-analysis acceptance scenario: over
 // a 20-round adaptive campaign, per-round incremental analysis cost stays
 // flat while batch reclustering grows with the campaign, and by round 20
-// the incremental path is clearly cheaper. Assertions lean on the
-// deterministic work-unit model; wall-time checks use generous factors so
-// loaded CI machines don't flake them.
+// the incremental path is clearly cheaper. Every assertion is on the
+// deterministic work-unit model, so the outcome does not depend on the
+// machine's load; measured wall times are logged, not asserted.
 //
 // The batch arm's units are the distances k-centers really evaluated. Until
 // the barrier fused the assignment into k-centers and pruned by the triangle
 // inequality they were 2·frames·K by construction, and round 20 read 40×
-// in units, 33–43× measured (21–24× under -race) and 20× over the campaign
-// (13×); pruned, round 20 evaluates 17 distances a frame instead of 240
-// and reads 2.8× in units, 10× measured (5.4–6.5×) and 5.5× over the
-// campaign (3.2×). The three "≥ 5×" bounds were lowered to what still
-// holds with room to spare (units 2, measured 3, campaign 2); every shape
-// assertion — incremental flat, batch growing, ≥ 4× first to last — is as
-// it was.
+// in units; pruned, round 20 evaluates 17 distances a frame instead of 240
+// and reads 2.8× in units (10× measured, 5.4–6.5× under -race), with batch
+// units 20× round 1's.
 func TestStreamAnalysisDES(t *testing.T) {
 	p := DefaultStreamAnalysisParams()
 	res, err := SimulateStreamAnalysis(p)
@@ -39,52 +35,32 @@ func TestStreamAnalysisDES(t *testing.T) {
 				sr.Round, sr.IncrementalUnits, first.IncrementalUnits)
 		}
 	}
-	// Batch cost grows strictly with the campaign.
+	// Batch cost grows strictly with the campaign, and about in proportion
+	// to its frames (20× from round 1 to round 20).
 	for i := 1; i < len(res.Rounds); i++ {
 		if res.Rounds[i].BatchUnits <= res.Rounds[i-1].BatchUnits {
 			t.Errorf("round %d: batch units %.0f did not grow past %.0f",
 				res.Rounds[i].Round, res.Rounds[i].BatchUnits, res.Rounds[i-1].BatchUnits)
 		}
 	}
-
-	// The acceptance bound: by round 20 the incremental path is ≥2× cheaper
-	// in distance evaluations — although the batch path prunes most of its
-	// own and the incremental one scans every center for every frame — and
-	// ≥3× in the measured wall time of the real clustering code.
-	if s := res.UnitSpeedup(20); s < 2 {
-		t.Errorf("unit speedup at round 20 = %.1f×, want ≥ 2×", s)
-	}
-	if s := res.MeasuredSpeedup(20); s < 3 {
-		t.Errorf("measured speedup at round 20 = %.1f×, want ≥ 3×", s)
-	}
-	if res.IncrementalTotalSeconds <= 0 ||
-		res.BatchTotalSeconds/res.IncrementalTotalSeconds < 2 {
-		t.Errorf("campaign totals: batch %.3fs vs incremental %.3fs, want ≥ 2× apart",
-			res.BatchTotalSeconds, res.IncrementalTotalSeconds)
-	}
-
-	// Measured flatness, with slack for scheduler noise: the final
-	// incremental round may not cost more than 5× the cheapest one, while
-	// the final batch round must clearly outgrow its first.
-	minInc := res.Rounds[0].IncrementalSeconds
-	for _, sr := range res.Rounds {
-		if sr.IncrementalSeconds < minInc {
-			minInc = sr.IncrementalSeconds
-		}
-	}
 	last := res.Rounds[len(res.Rounds)-1]
-	if minInc > 0 && last.IncrementalSeconds/minInc > 5 {
-		t.Errorf("incremental wall time drifted: round 20 %.4fs vs min %.4fs",
-			last.IncrementalSeconds, minInc)
+	if g := last.BatchUnits / first.BatchUnits; g < 15 {
+		t.Errorf("batch units grew %.1f× from round 1 to round 20, want ≥ 15× (read 20.0×)", g)
 	}
-	if last.BatchSeconds < 4*res.Rounds[0].BatchSeconds {
-		t.Errorf("batch wall time did not grow: round 1 %.4fs, round 20 %.4fs",
-			res.Rounds[0].BatchSeconds, last.BatchSeconds)
+
+	// The acceptance bound: by round 20 the incremental path is cheaper in
+	// distance evaluations by at least 2.5× (read 2.81×), although the
+	// batch path prunes most of its own and the incremental one scans every
+	// center for every frame.
+	if s := res.UnitSpeedup(20); s < 2.5 {
+		t.Errorf("unit speedup at round 20 = %.2f×, want ≥ 2.5× (read 2.81×)", s)
 	}
 
 	t.Logf("round 20: batch %.0f units (%.4fs) vs incremental %.0f units (%.4fs) — %.1f× / %.1f× cheaper",
 		last.BatchUnits, last.BatchSeconds, last.IncrementalUnits, last.IncrementalSeconds,
 		res.UnitSpeedup(20), res.MeasuredSpeedup(20))
+	t.Logf("batch round 1 → 20: %.1f× in units, %.1f× measured", last.BatchUnits/first.BatchUnits,
+		last.BatchSeconds/first.BatchSeconds)
 	t.Logf("campaign: batch %.3fs vs incremental %.3fs over %d rounds",
 		res.BatchTotalSeconds, res.IncrementalTotalSeconds, p.Rounds)
 }

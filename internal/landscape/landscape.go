@@ -118,13 +118,14 @@ func (m *Model) Dim() int { return m.p.Dimension }
 // where the quartic has minima at r = 0 (native) and r = 1 (unfolded) with a
 // barrier of height B at r = ½, the tilt favours the native basin, and the
 // angular term (θ in the x₀x₁-plane, gated by a Gaussian g centred on the
-// barrier region) carves intermediate wells.
+// barrier region) carves intermediate wells. On the x₂… axis, where θ is
+// undefined, the angular term is taken as 0.
 func (m *Model) Potential(x []float64) float64 {
 	r := norm(x)
 	u := m.radialU(r)
 	if m.p.Wells > 0 {
-		theta := math.Atan2(x[1], x[0])
-		u += m.p.WellDepth * (1 - math.Cos(float64(m.p.Wells)*theta)) * gate(r)
+		cos, _ := wellPhase(m.p.Wells, x[0], x[1])
+		u += m.p.WellDepth * (1 - cos) * gate(r)
 	}
 	return u
 }
@@ -140,6 +141,35 @@ func gate(r float64) float64 {
 	return math.Exp(-d * d / 0.045)
 }
 
+// minRho2 is the smallest x₀² + x₁² that wellPhase normalises by directly:
+// above it the sum is a normal number, so ρ keeps full precision.
+const minRho2 = 0x1p-1000
+
+// wellPhase returns cos kθ and sin kθ, θ the angle of (x₀, x₁) in their
+// plane: the k-th power of (x₀ + i·x₁)/ρ by k − 1 complex multiplications,
+// so the wells cost no atan2 and no sine. Where x₀² + x₁² would lose
+// precision to underflow, both are first divided by the larger of |x₀|,
+// |x₁|. At ρ = 0 θ is undefined and it returns (1, 0): no well and no
+// angular force.
+func wellPhase(k int, x0, x1 float64) (cos, sin float64) {
+	rho2 := x0*x0 + x1*x1
+	if !(rho2 >= minRho2) {
+		scale := math.Max(math.Abs(x0), math.Abs(x1))
+		if scale == 0 {
+			return 1, 0
+		}
+		x0, x1 = x0/scale, x1/scale
+		rho2 = x0*x0 + x1*x1
+	}
+	inv := 1 / math.Sqrt(rho2)
+	c, s := x0*inv, x1*inv
+	cos, sin = c, s
+	for i := 1; i < k; i++ {
+		cos, sin = cos*c-sin*s, cos*s+sin*c
+	}
+	return cos, sin
+}
+
 // Gradient computes ∇U at x into out (len must equal Dim). It returns out.
 func (m *Model) Gradient(x, out []float64) []float64 {
 	r := norm(x)
@@ -149,12 +179,10 @@ func (m *Model) Gradient(x, out []float64) []float64 {
 
 	var dUdTheta, wellR float64
 	if m.p.Wells > 0 {
-		theta := math.Atan2(x[1], x[0])
-		k := float64(m.p.Wells)
-		sin, cos := math.Sincos(k * theta)
+		cos, sin := wellPhase(m.p.Wells, x[0], x[1])
 		g := gate(r)
 		dGate := g * (-2 * (r - 0.5) / 0.045) // d gate/dr
-		dUdTheta = m.p.WellDepth * k * sin * g
+		dUdTheta = m.p.WellDepth * float64(m.p.Wells) * sin * g
 		wellR = m.p.WellDepth * (1 - cos) * dGate
 	}
 
@@ -284,10 +312,12 @@ func (t Traj) Duration() float64 {
 	return t.Times[len(t.Times)-1] - t.Times[0]
 }
 
-// EquilibriumFoldedFraction estimates the Boltzmann-weight fraction of the
-// folded region by radial quadrature of exp(−G(r)) with the d-dimensional
-// volume element r^(d−1) (angular wells average out to a constant factor at
-// this level). It is used to sanity-check calibrations, not in the pipeline.
+// EquilibriumFoldedFraction returns the Boltzmann-weight fraction of the
+// folded region, by radial quadrature of exp(−U) with the d-dimensional
+// volume element r^(d−1). The angular wells are integrated out exactly: θ
+// is uniform on every sphere, and the mean of exp(−W·g(r)·(1 − cos kθ))
+// over it is e^(−W·g)·I₀(W·g), a factor that depends on r through the
+// gate. It is used to sanity-check calibrations, not in the pipeline.
 func (m *Model) EquilibriumFoldedFraction() float64 {
 	const rMax = 1.6
 	const nBins = 4000
@@ -298,6 +328,10 @@ func (m *Model) EquilibriumFoldedFraction() float64 {
 	for i := 0; i < nBins; i++ {
 		r := (float64(i) + 0.5) * dr
 		w := math.Pow(r, dim-1) * math.Exp(-m.radialU(r))
+		if m.p.Wells > 0 {
+			a := m.p.WellDepth * gate(r)
+			w *= math.Exp(-a) * besselI0(a)
+		}
 		total += w
 		if r <= rc {
 			folded += w
@@ -307,6 +341,19 @@ func (m *Model) EquilibriumFoldedFraction() float64 {
 		return 0
 	}
 	return folded / total
+}
+
+// besselI0 is the modified Bessel function I₀(z) = Σ (z²/4)ʲ/(j!)², summed
+// until a term no longer changes the sum (about ten terms at the default
+// well depth).
+func besselI0(z float64) float64 {
+	q := z * z / 4
+	sum, term := 1.0, 1.0
+	for j := 1; term > 1e-17*sum; j++ {
+		term *= q / float64(j*j)
+		sum += term
+	}
+	return sum
 }
 
 func norm(x []float64) float64 {

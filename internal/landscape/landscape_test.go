@@ -251,6 +251,45 @@ func TestEquilibriumFoldedFractionCalibration(t *testing.T) {
 	}
 }
 
+// TestEquilibriumFoldedFractionMatchesQuadrature checks the radial formula,
+// angular wells integrated out by I₀, against a quadrature of exp(−U) over
+// r, cos φ and θ that calls Potential itself. Midpoint rules on [0, r_c]
+// and [r_c, 1.6] in r, and on cos φ; θ's integrand is periodic, where the
+// midpoint rule converges fast. Without the I₀ factor the formula read
+// 0.672 where the quadrature reads 0.692; with no wells both read 0.672.
+func TestEquilibriumFoldedFractionMatchesQuadrature(t *testing.T) {
+	for _, wells := range []int{3, 0} {
+		m := modelWithWells(t, wells)
+		const nR, nCos, nTheta = 400, 4, 64
+		shell := func(lo, hi float64) float64 {
+			dr, dc, dt := (hi-lo)/nR, 2.0/nCos, 2*math.Pi/nTheta
+			sum := 0.0
+			x := make([]float64, 3)
+			for i := 0; i < nR; i++ {
+				r := lo + (float64(i)+0.5)*dr
+				for j := 0; j < nCos; j++ {
+					c := -1 + (float64(j)+0.5)*dc
+					sinPhi := math.Sqrt(1 - c*c)
+					for k := 0; k < nTheta; k++ {
+						th := (float64(k) + 0.5) * dt
+						x[0], x[1], x[2] = r*sinPhi*math.Cos(th), r*sinPhi*math.Sin(th), r*c
+						sum += r * r * math.Exp(-m.Potential(x)) * dr * dc * dt
+					}
+				}
+			}
+			return sum
+		}
+		rc := m.FoldedRadius()
+		folded := shell(0, rc)
+		want := folded / (folded + shell(rc, 1.6))
+		got := m.EquilibriumFoldedFraction()
+		if math.Abs(got-want) > 1e-4 {
+			t.Errorf("wells=%d: EquilibriumFoldedFraction = %.5f, 3-d quadrature %.5f", wells, got, want)
+		}
+		t.Logf("wells=%d: formula %.6f, quadrature %.6f", wells, got, want)
+	}
+}
+
 func TestFoldingHappensOnSimulationTimescale(t *testing.T) {
 	// A short ensemble must show some folding by 500 ns but not instant
 	// folding — the separation of timescales the MSM pipeline needs.
@@ -308,9 +347,9 @@ func TestPropertyPotentialRotationInvariantWithoutWells(t *testing.T) {
 	}
 }
 
-// oldGradient is the gradient as first written: gate evaluated twice and
-// separate Sin and Cos. Gradient and Step must reproduce it bit for bit, so
-// a trajectory does not depend on which build simulated it.
+// oldGradient is the gradient as first written: θ from atan2, gate
+// evaluated twice, separate Sin and Cos. Gradient computes cos kθ and sin kθ
+// without them and must track it to rounding.
 func oldGradient(m *Model, x, out []float64) []float64 {
 	r := norm(x)
 	d := r - 1
@@ -341,41 +380,146 @@ func oldGradient(m *Model, x, out []float64) []float64 {
 	return out
 }
 
-func TestGradientAndStepMatchOldFormulaBitForBit(t *testing.T) {
-	m, err := New(DefaultParams())
+// oldPotential is Potential as first written, θ from atan2.
+func oldPotential(m *Model, x []float64) float64 {
+	r := norm(x)
+	u := m.radialU(r)
+	if m.p.Wells > 0 {
+		theta := math.Atan2(x[1], x[0])
+		u += m.p.WellDepth * (1 - math.Cos(float64(m.p.Wells)*theta)) * gate(r)
+	}
+	return u
+}
+
+// gradientGap returns the largest component difference of two gradients
+// relative to want's L1 norm.
+func gradientGap(got, want []float64) float64 {
+	var gap, l1 float64
+	for i := range want {
+		gap = math.Max(gap, math.Abs(got[i]-want[i]))
+		l1 += math.Abs(want[i])
+	}
+	if l1 == 0 {
+		return gap
+	}
+	return gap / l1
+}
+
+func modelWithWells(t testing.TB, wells int) *Model {
+	t.Helper()
+	p := DefaultParams()
+	p.Wells = wells
+	m, err := New(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pick := rng.New(11)
-	x := make([]float64, m.Dim())
-	got, want := make([]float64, m.Dim()), make([]float64, m.Dim())
-	for n := 0; n < 100000; n++ {
-		for i := range x {
-			x[i] = 1.5 * (2*pick.Float64() - 1)
+	return m
+}
+
+// TestGradientAndStepTrackOldFormula: computing cos kθ and sin kθ as a power
+// of (x₀ + i·x₁)/ρ rounds differently from atan2 and Sincos, and by no more
+// than that. Over random points for several well counts the gradient stays
+// within 1e-13 of the old formula's, relative to its L1 norm (the largest
+// gap measured was 4.3e-14, at one well); Step, fed the same noise, stays
+// within 1e-12 of the old formula's trajectory over 2·10⁵ steps on five
+// seeds (measured: 2.2e-14), so a trajectory samples the old model's own
+// path.
+func TestGradientAndStepTrackOldFormula(t *testing.T) {
+	const gradTol, trajTol = 1e-13, 1e-12
+	for _, wells := range []int{1, 2, 3, 5} {
+		m := modelWithWells(t, wells)
+		pick := rng.New(11)
+		x := make([]float64, m.Dim())
+		got, want := make([]float64, m.Dim()), make([]float64, m.Dim())
+		worst := 0.0
+		for n := 0; n < 100000; n++ {
+			for i := range x {
+				x[i] = 1.5 * (2*pick.Float64() - 1)
+			}
+			m.Gradient(x, got)
+			oldGradient(m, x, want)
+			gap := gradientGap(got, want)
+			if gap > gradTol {
+				t.Fatalf("wells=%d: Gradient(%v) = %v, old formula %v (gap %.2g of |g|₁)", wells, x, got, want, gap)
+			}
+			if u, v := m.Potential(x), oldPotential(m, x); math.Abs(u-v) > gradTol*(1+math.Abs(v)) {
+				t.Fatalf("wells=%d: Potential(%v) = %v, old formula %v", wells, x, u, v)
+			}
+			worst = math.Max(worst, gap)
 		}
-		m.Gradient(x, got)
-		oldGradient(m, x, want)
-		for i := range got {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("Gradient(%v)[%d] = %v, old formula %v", x, i, got[i], want[i])
+		t.Logf("wells=%d: worst gradient gap %.2g of |g|₁", wells, worst)
+	}
+
+	m := defaultModel(t)
+	worst := 0.0
+	for seed := uint64(1); seed <= 5; seed++ {
+		a, b := m.UnfoldedStart(int(seed), seed), m.UnfoldedStart(int(seed), seed)
+		ra, rb := rng.New(seed), rng.New(seed)
+		grad := make([]float64, m.Dim())
+		for n := 0; n < 200000; n++ {
+			m.Step(a, grad, ra)
+			oldGradient(m, b, grad)
+			for i := range b {
+				b[i] += m.drift*grad[i] + m.noise*rb.Norm()
+			}
+			for i := range a {
+				worst = math.Max(worst, math.Abs(a[i]-b[i]))
+			}
+			if worst > trajTol {
+				t.Fatalf("seed %d, step %d: x = %v, old step %v", seed, n, a, b)
 			}
 		}
 	}
+	t.Logf("worst trajectory gap %.2g", worst)
+}
 
-	a, b := m.UnfoldedStart(0, 1), m.UnfoldedStart(0, 1)
-	ra, rb := rng.New(5), rng.New(5)
-	grad := make([]float64, m.Dim())
-	sd := math.Sqrt(2 * m.p.Diffusion * m.p.Dt)
-	for n := 0; n < 20000; n++ {
-		m.Step(a, grad, ra)
-		oldGradient(m, b, grad)
-		for i := range b {
-			b[i] += -m.p.Diffusion*m.p.Dt*grad[i] + sd*rb.Norm()
+// TestGradientOnTheWellAxis: at ρ = 0 the angle is undefined. The wells
+// contribute nothing there, the force is radial along x₂, and it is the
+// old formula's (atan2(0, 0) = 0) to the bit.
+func TestGradientOnTheWellAxis(t *testing.T) {
+	m := defaultModel(t)
+	got, want := make([]float64, 3), make([]float64, 3)
+	for _, z := range []float64{0.3, -0.5, 0.6, 1.2} {
+		x := []float64{0, 0, z}
+		m.Gradient(x, got)
+		oldGradient(m, x, want)
+		if got[0] != 0 || got[1] != 0 || got[2] == 0 || got[2] != want[2] {
+			t.Errorf("Gradient(%v) = %v, old formula %v", x, got, want)
+		}
+		if u := m.Potential(x); u != m.radialU(math.Abs(z)) {
+			t.Errorf("Potential(%v) = %v, radial part alone %v", x, u, m.radialU(math.Abs(z)))
 		}
 	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			t.Fatalf("after 20000 steps x = %v, old step %v", a, b)
+}
+
+// TestGradientWhereRho2Underflows: x₀² + x₁² underflows (to a subnormal at
+// 1e-160, to 0 at 1e-170) while ρ > 0. The angle is still well defined,
+// and the well term must read it as the old formula did; the angular force
+// stays off, as the old ρ² > 1e-12 guard has it.
+func TestGradientWhereRho2Underflows(t *testing.T) {
+	got, want := make([]float64, 3), make([]float64, 3)
+	for _, wells := range []int{1, 2, 3, 5} {
+		m := modelWithWells(t, wells)
+		for _, x := range [][]float64{
+			{1e-160, 1e-160, 0.5},
+			{1e-160, 1e-160, 0.6},
+			{-3e-170, 1e-170, 0.45},
+			{1e-170, -2e-170, -0.62},
+		} {
+			m.Gradient(x, got)
+			oldGradient(m, x, want)
+			if gap := gradientGap(got, want); gap > 1e-13 {
+				t.Errorf("wells=%d: Gradient(%v) = %v, old formula %v", wells, x, got, want)
+			}
+			if u, v := m.Potential(x), oldPotential(m, x); math.Abs(u-v) > 1e-13*(1+math.Abs(v)) {
+				t.Errorf("wells=%d: Potential(%v) = %v, old formula %v", wells, x, u, v)
+			}
+			cos, sin := wellPhase(wells, x[0], x[1])
+			theta := float64(wells) * math.Atan2(x[1], x[0])
+			if math.Abs(cos-math.Cos(theta)) > 1e-15 || math.Abs(sin-math.Sin(theta)) > 1e-15 {
+				t.Errorf("wells=%d: wellPhase(%v) = (%v, %v), want (%v, %v)",
+					wells, x[:2], cos, sin, math.Cos(theta), math.Sin(theta))
+			}
 		}
 	}
 }
@@ -391,6 +535,29 @@ func BenchmarkStep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Step(x, grad, r)
+	}
+}
+
+// BenchmarkGradient evaluates the gradient over the frames of nine short
+// trajectories, one from each unfolded start, so θ and r vary as in a run.
+func BenchmarkGradient(b *testing.B) {
+	m, err := New(DefaultParams())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var points [][]float64
+	r := rng.New(1)
+	for k := 0; k < 9; k++ {
+		tr, err := m.Simulate(m.UnfoldedStart(k, 1), 20, 0.5, r.Split())
+		if err != nil {
+			b.Fatal(err)
+		}
+		points = append(points, tr.Frames...)
+	}
+	grad := make([]float64, m.Dim())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Gradient(points[i%len(points)], grad)
 	}
 }
 

@@ -77,7 +77,7 @@ smoke() {
     $GO test -run=NONE -bench=BenchmarkWireRoundTrip -benchtime=1x ./internal/wire
     $GO test -run=NONE -bench='BenchmarkKCenters|BenchmarkAssignAll' -benchtime=1x ./internal/msm
     $GO test -run=NONE -bench=BenchmarkAppendParallel -benchtime=1x ./internal/store
-    $GO test -run=NONE -bench=BenchmarkStep -benchtime=1x ./internal/landscape
+    $GO test -run=NONE -bench='BenchmarkStep|BenchmarkGradient' -benchtime=1x ./internal/landscape
 }
 
 # Chaos soak: the MSM pipeline completing under seeded fault injection
@@ -212,10 +212,12 @@ repex() {
 
 # The streaming-analysis scenario: incremental mini-batch clustering vs full
 # batch reclustering over a 20-round adaptive campaign, on the real
-# internal/msm code — see docs/PERFORMANCE.md ("Streaming analysis").
+# internal/msm code, three times over: it asserts only on the deterministic
+# unit accounting, so load cannot fail it — see docs/PERFORMANCE.md
+# ("Streaming analysis").
 stream() {
-    echo "== streaming-analysis scenario (race) =="
-    $GO test -race -run TestStreamAnalysisDES -timeout 300s ./internal/des/
+    echo "== streaming-analysis scenario (race, x3) =="
+    $GO test -race -count=3 -run TestStreamAnalysisDES -timeout 300s ./internal/des/
 }
 
 case "${1:-all}" in

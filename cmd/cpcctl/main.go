@@ -15,7 +15,7 @@
 // Controller flags (submit):
 //
 //	msm: -generations -clusters -starts -tasks -segment-ns -weighting
-//	     -stream -stream-every-ns -converge-tol -converge-checks
+//	     -stream -converge-tol -converge-checks
 //	bar: -windows -samples -target-stderr -delta-f
 //	repex: -replicas -t-min -t-max -mode -segment-steps -epochs
 //
@@ -132,8 +132,7 @@ func submit(cl *client.Client, args []string) {
 	tasks := fs.Int("tasks", 25, "msm: trajectories per start")
 	segment := fs.Float64("segment-ns", 50, "msm: command length in ns")
 	weighting := fs.String("weighting", "adaptive", "msm: adaptive or even")
-	stream := fs.Bool("stream", false, "msm: stream frame chunks + incremental clustering")
-	streamEvery := fs.Float64("stream-every-ns", 0, "msm: worker flush interval in ns (0 = 5×frame)")
+	stream := fs.Bool("stream", false, "msm: incremental clustering of each result's frames, generations on population convergence")
 	convTol := fs.Float64("converge-tol", 0, "msm: population-convergence TV tolerance (0 = default)")
 	convChecks := fs.Int("converge-checks", 0, "msm: consecutive passing checks per generation (0 = default)")
 	// BAR flags.
@@ -172,7 +171,6 @@ func submit(cl *client.Client, args []string) {
 		p.SegmentNs = *segment
 		p.Seed = *seed
 		p.Stream = *stream
-		p.StreamEveryNs = *streamEvery
 		p.ConvergeTol = *convTol
 		p.ConvergeChecks = *convChecks
 		switch *weighting {

@@ -42,9 +42,17 @@ import (
 // queue holds it and never leaves a settled status; that the controller hears
 // of each command at most once; that no command is retried past its budget;
 // that the in-flight charge is zero whenever nothing runs; that every
-// running command is on the liveness record of the worker it runs on; and
+// running command is on the liveness record of the worker it runs on, and
+// every entry on a record runs on that worker unsettled or is marked stop;
 // that a worker is told to abort its run at its next heartbeat exactly when
-// the run's command is settled.
+// the run's command is settled; and that a worker whose run was preempted is
+// told to abort it at its next heartbeat, unless the command has since been
+// handed back to it.
+//
+// A preempted worker is modelled as stopping at once, free to announce,
+// while it still owes the preempted run's abort a hearing: until it hears it
+// at a heartbeat, announces idle (so it stopped), reports the run, is
+// reaped, or the server restarts (records are not durable).
 //
 // The clock decides nothing but reaping: the one tenant's commands all have
 // one priority, so the queue's starvation order is its FIFO order. Every
@@ -145,6 +153,8 @@ type lcWorker struct {
 	run   string // the command it runs, "" when idle
 	ckpt  bool   // it has checkpointed this run
 	ghost string // a run taken from it, lost or preempted, whose result may still come
+	// evicted is a run preempted from it whose abort it has not yet heard.
+	evicted string
 }
 
 type lcWorld struct {
@@ -257,6 +267,7 @@ func (w *lcWorld) step(l int) error {
 			if l/2 == eAnnounce {
 				wl = w.s.q.Match(info)
 				w.s.TouchWorker(info)
+				k.evicted = "" // idle: it stopped the run
 			} else {
 				wl = w.s.matchRelayed(info)
 			}
@@ -303,24 +314,38 @@ func (w *lcWorld) step(l int) error {
 			// Past two intervals of silence; the other worker, if busy,
 			// heartbeats in time.
 			w.now = w.now.Add(2*w.s.cfg.HeartbeatInterval + time.Second)
-			if other := w.w[1-l%2]; other.run != "" {
-				w.s.heartbeat(&wire.Heartbeat{WorkerID: lcWorkers[1-l%2], CommandIDs: []string{other.run}})
+			if other := &w.w[1-l%2]; other.run != "" || other.evicted != "" {
+				hb := &wire.Heartbeat{WorkerID: lcWorkers[1-l%2]}
+				for _, id := range []string{other.run, other.evicted} {
+					if id != "" {
+						hb.CommandIDs = append(hb.CommandIDs, id)
+					}
+				}
+				if slices.Contains(w.s.heartbeat(hb).AbortCommandIDs, other.evicted) {
+					other.evicted = ""
+				}
 			}
 			w.s.reapDeadWorkers()
-			k.ghost, k.run = k.run, ""
+			k.ghost, k.run, k.evicted = k.run, "", ""
 		case eLate:
 			ok.CommandID, ok.Output, k.ghost = k.ghost, []byte("late"), ""
+			if ok.CommandID == k.evicted {
+				k.evicted = ""
+			}
 			w.deliver(ok)
 			w.last = ok
 		case ePreempt:
+			// As preemptForStarved evicts.
 			p := w.s.project("proj")
 			p.mu.Lock()
-			cs := p.commands[k.run]
-			requeue(p, cs, store.Record{Type: store.RecCommandPreempted, Project: "proj",
-				Command: k.run, Worker: name, Count: cs.preempts + 1})
-			w.s.apply(p)
+			w.s.evict(p, p.commands[k.run])
 			p.mu.Unlock()
-			k.ghost, k.run = k.run, ""
+			k.ghost, k.evicted, k.run = k.run, k.run, ""
+		}
+	}
+	for i := range w.w {
+		if k := &w.w[i]; k.evicted != "" && (l == eRestart || w.command(k.evicted).runningOn(lcWorkers[i])) {
+			k.evicted = "" // forgotten with the records, or handed back
 		}
 	}
 	img := imageOf(w.s)["proj"]
@@ -356,6 +381,14 @@ func (w *lcWorld) check() error {
 	if n := w.s.q.InflightCores(""); !running && n != 0 {
 		return fmt.Errorf("nothing runs, but %d cores are charged in flight", n)
 	}
+	for _, name := range lcWorkers {
+		for _, id := range []string{"c1", "c2", "c3"} {
+			c := img.Commands[id]
+			if w.onRecord(name, id) && !w.markedStop(name, id) && (c.Status != cmdRunning || c.Worker != name) {
+				return fmt.Errorf("%s is on %s's record unmarked, but has status %d on %q", id, name, c.Status, c.Worker)
+			}
+		}
+	}
 	for i, k := range w.w {
 		if k.run == "" {
 			continue
@@ -364,6 +397,15 @@ func (w *lcWorld) check() error {
 		if aborted, settled := len(ack.AbortCommandIDs) > 0, img.Commands[k.run].Status >= cmdDone; aborted != settled {
 			return fmt.Errorf("%s runs %s (status %d): its heartbeat ack aborts it = %v, want %v",
 				lcWorkers[i], k.run, img.Commands[k.run].Status, aborted, settled)
+		}
+	}
+	for i, k := range w.w {
+		if k.evicted == "" {
+			continue
+		}
+		ack := w.s.heartbeat(&wire.Heartbeat{WorkerID: lcWorkers[i], CommandIDs: []string{k.evicted}})
+		if len(ack.AbortCommandIDs) == 0 {
+			return fmt.Errorf("%s's run of %s was preempted, but its heartbeat ack does not abort it", lcWorkers[i], k.evicted)
 		}
 	}
 	heard := make(map[string]bool)
@@ -408,6 +450,14 @@ func (w *lcWorld) onRecord(worker, id string) bool {
 	return false
 }
 
+// markedStop reports whether the worker's record marks the command stop.
+func (w *lcWorld) markedStop(worker, id string) bool {
+	w.s.mu.Lock()
+	defer w.s.mu.Unlock()
+	ws := w.s.workers[worker]
+	return ws != nil && ws.commands[id].stop
+}
+
 // String renders everything that decides the world's future: the visited
 // set hashes it.
 func (w *lcWorld) String() string {
@@ -422,7 +472,9 @@ func (w *lcWorld) String() string {
 	for _, name := range lcWorkers {
 		var rec []string
 		for _, id := range []string{"c1", "c2", "c3"} {
-			if w.onRecord(name, id) {
+			if w.markedStop(name, id) {
+				rec = append(rec, id+"!")
+			} else if w.onRecord(name, id) {
 				rec = append(rec, id)
 			}
 		}

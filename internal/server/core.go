@@ -116,11 +116,16 @@ type project struct {
 type workerState struct {
 	info     wire.WorkerInfo
 	lastSeen time.Time
-	commands map[string]int // held here and assigned to the worker: their cores
-	// refills names, of the commands on the record that a refill assigned,
-	// the result whose refill it was: a retry of that result says the reply
-	// was lost (Refill).
-	refills map[string]string
+	commands map[string]entry // held here and assigned to the worker
+}
+
+// entry is one command on a worker's record, the one source of its aborts:
+// it runs there unsettled, or is marked stop (fxStop) for a heartbeat to abort.
+type entry struct {
+	p      *project
+	cores  int
+	stop   bool
+	refill string // the result whose refill assigned it: a retry says the reply was lost (Refill)
 }
 
 // Core is the server's state and every decision it makes about it.
@@ -136,9 +141,6 @@ type Core struct {
 	mu       sync.Mutex
 	projects map[string]*project
 	workers  map[string]*workerState
-	// preempted holds command IDs evicted by fair-share preemption whose
-	// old worker has not yet been told to abort (via heartbeat ack).
-	preempted map[string]struct{}
 
 	// park holds the announces of idle workers; see park.go.
 	park parking
@@ -148,14 +150,13 @@ type Core struct {
 func NewCore(reg *controller.Registry, cfg Config, h Hooks) *Core {
 	cfg.fill()
 	c := &Core{
-		reg:       reg,
-		cfg:       cfg,
-		log:       cfg.Obs.Log.Named("server").With("node", h.Origin),
-		met:       newServerMetrics(cfg.Obs, h.Origin),
-		stage:     h.Stage,
-		projects:  make(map[string]*project),
-		workers:   make(map[string]*workerState),
-		preempted: make(map[string]struct{}),
+		reg:      reg,
+		cfg:      cfg,
+		log:      cfg.Obs.Log.Named("server").With("node", h.Origin),
+		met:      newServerMetrics(cfg.Obs, h.Origin),
+		stage:    h.Stage,
+		projects: make(map[string]*project),
+		workers:  make(map[string]*workerState),
 	}
 	c.env = env{origin: h.Origin, retries: maxRetries, now: h.Clock, obs: cfg.Obs, met: &c.met}
 	c.initParking(h.Origin)
@@ -359,17 +360,20 @@ func (p *project) command(id string) *cmdState {
 	return p.commands[p.name+"/"+id]
 }
 
-// forCommand runs f, under the project's lock, on the command called id in
-// each project that has one, until f reports that it was the one meant, and
-// applies the effects of the transitions it ran.
+// onCommand runs f, under p's lock, on p's command called id if it has one,
+// applies the effects of the transitions it ran, and returns what f returns.
+func (c *Core) onCommand(p *project, id string, f func(*project, *cmdState) bool) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	defer c.apply(p)
+	cs := p.command(id)
+	return cs != nil && f(p, cs)
+}
+
+// forCommand is onCommand on each project until f hits: for IDs on no record.
 func (c *Core) forCommand(id string, f func(*project, *cmdState) bool) bool {
 	for _, p := range c.projectList() {
-		p.mu.Lock()
-		cs := p.command(id)
-		hit := cs != nil && f(p, cs)
-		c.apply(p)
-		p.mu.Unlock()
-		if hit {
+		if c.onCommand(p, id, f) {
 			return true
 		}
 	}
@@ -384,9 +388,16 @@ func (c *Core) forCommand(id string, f func(*project, *cmdState) bool) bool {
 // lost; the worker's next announce that reaches this server, or its
 // silence, then recovers the commands.
 func (c *Core) Assign(info wire.WorkerInfo, wl wire.Workload) wire.Workload {
+	return c.assign(info, wl, "")
+}
+
+// assign is Assign, for the refill of result refill if that is not "".
+func (c *Core) assign(info wire.WorkerInfo, wl wire.Workload, refill string) wire.Workload {
 	wl.HeartbeatSeconds = c.cfg.HeartbeatInterval.Seconds()
 	wl.SharedFS = c.cfg.FSToken != "" && c.cfg.FSToken == info.FSToken
-	held := make(map[string]int)
+	c.mu.Lock()
+	c.record(info)
+	c.mu.Unlock()
 	for _, cmd := range wl.Commands {
 		if p := c.project(cmd.Project); p != nil {
 			p.mu.Lock()
@@ -394,22 +405,35 @@ func (c *Core) Assign(info wire.WorkerInfo, wl wire.Workload) wire.Workload {
 				assigned(p, cs, info.ID, wl.Cores[cmd.ID])
 				c.apply(p)
 				if cs.runningOn(info.ID) { // else settled before it could be assigned
-					held[cs.spec.ID] = wl.Cores[cmd.ID]
+					c.mu.Lock() // on the record before p.mu is let go, for fxStop to mark
+					c.record(info).commands[cs.spec.ID] = entry{p: p, cores: wl.Cores[cmd.ID], refill: refill}
+					c.mu.Unlock()
 				}
 			}
 			p.mu.Unlock()
 		}
 	}
-	c.mu.Lock()
+	return wl
+}
+
+// take removes command id from the record, which may be nil, and returns it.
+func (ws *workerState) take(id string) (en entry) {
+	if ws != nil {
+		en = ws.commands[id]
+		delete(ws.commands, id)
+	}
+	return en
+}
+
+// record returns the worker's record, created if need be, refreshed by info.
+func (c *Core) record(info wire.WorkerInfo) *workerState {
 	ws := c.workers[info.ID]
 	if ws == nil {
-		ws = &workerState{commands: make(map[string]int), refills: make(map[string]string)}
+		ws = &workerState{commands: make(map[string]entry)}
 		c.workers[info.ID] = ws
 	}
 	ws.info, ws.lastSeen = info, c.env.now()
-	maps.Copy(ws.commands, held)
-	c.mu.Unlock()
-	return wl
+	return ws
 }
 
 // reoffer answers a relayed announce with the commands still running on the
@@ -419,16 +443,17 @@ func (c *Core) Assign(info wire.WorkerInfo, wl wire.Workload) wire.Workload {
 // delivered. So nothing is requeued: a worker that never got the commands
 // takes them now, and the home of one that runs them drops the reply.
 func (c *Core) reoffer(info wire.WorkerInfo) wire.Workload {
-	var wl wire.Workload
+	var held map[string]entry
 	c.mu.Lock()
 	if ws := c.workers[info.ID]; ws != nil {
-		wl.Cores = maps.Clone(ws.commands)
+		held = maps.Clone(ws.commands)
 	}
 	c.mu.Unlock()
-	for id := range wl.Cores {
-		c.forCommand(id, func(_ *project, cs *cmdState) bool {
-			if cs.runningOn(info.ID) {
-				wl.Commands = append(wl.Commands, cs.resumable())
+	wl := wire.Workload{Cores: make(map[string]int)}
+	for id, en := range held {
+		c.onCommand(en.p, id, func(_ *project, cs *cmdState) bool {
+			if cs.runningOn(info.ID) { // so not marked stop
+				wl.Commands, wl.Cores[id] = append(wl.Commands, cs.resumable()), en.cores
 			}
 			return true
 		})
@@ -447,19 +472,11 @@ func (c *Core) reoffer(info wire.WorkerInfo) wire.Workload {
 // are orphans — their workload reply was lost — and are requeued at once.
 func (c *Core) TouchWorker(info wire.WorkerInfo) {
 	c.mu.Lock()
-	ws := c.workers[info.ID]
-	if ws == nil {
-		ws = &workerState{}
-		c.workers[info.ID] = ws
-	}
+	ws := c.record(info)
 	orphans := ws.commands
-	ws.info, ws.lastSeen, ws.commands, ws.refills = info, c.env.now(), make(map[string]int), make(map[string]string)
+	ws.commands = make(map[string]entry)
 	c.mu.Unlock()
-	if len(orphans) > 0 {
-		c.met.orphaned.Inc()
-		c.log.Warn("recovering commands orphaned by idle re-announce", "worker", info.ID, "commands", len(orphans))
-		c.lost(info.ID, orphans)
-	}
+	c.lost(info.ID, orphans, c.met.orphaned, "recovering commands orphaned by idle re-announce")
 }
 
 // workerInfos returns the worker liveness records, sorted by ID.
@@ -483,23 +500,11 @@ func (c *Core) Result(res *wire.CommandResult, encoded []byte) ([]byte, error) {
 		return nil, fmt.Errorf("server: project %q not held here", res.Project)
 	}
 	p.mu.Lock()
-	reply, settledWorker, err := ingest(p, res, encoded)
+	defer p.mu.Unlock()
+	reply, err := ingest(p, res, encoded)
 	if refusal := c.apply(p); refusal != nil && err == nil {
 		// The controller's reply to the result was refused: so is the result.
 		reply, err = nil, refusal
-	}
-	p.mu.Unlock()
-	if settledWorker != "" {
-		// That worker's run is over: drop it from the worker's record, so its
-		// next idle announce is no orphaned workload, and from the preemption
-		// abort set (its old worker may finish before the abort reaches it).
-		c.mu.Lock()
-		if ws := c.workers[settledWorker]; ws != nil {
-			delete(ws.commands, res.CommandID)
-			delete(ws.refills, res.CommandID)
-		}
-		delete(c.preempted, res.CommandID)
-		c.mu.Unlock()
 	}
 	return reply, err
 }
@@ -520,30 +525,21 @@ func (c *Core) Refill(res *wire.CommandResult) (wl wire.Workload, ok bool) {
 	if p == nil || !res.OK || res.Partial || res.Refill <= 0 {
 		return wl, false
 	}
-	p.mu.Lock()
-	cs := p.command(res.CommandID)
-	done := cs != nil && cs.status == cmdDone
-	p.mu.Unlock()
+	done := c.onCommand(p, res.CommandID, func(_ *project, cs *cmdState) bool { return cs.status == cmdDone })
 	c.mu.Lock()
 	ws := c.workers[res.WorkerID]
 	if !done || ws == nil {
 		c.mu.Unlock()
 		return wl, false
 	}
-	info, stranded := ws.info, make(map[string]int)
-	for id, from := range ws.refills {
-		if from == res.CommandID {
-			stranded[id] = ws.commands[id]
-			delete(ws.commands, id)
-			delete(ws.refills, id)
+	info, stranded := ws.info, make(map[string]entry)
+	for id, en := range ws.commands {
+		if en.refill == res.CommandID {
+			stranded[id] = ws.take(id)
 		}
 	}
 	c.mu.Unlock()
-	if len(stranded) > 0 {
-		c.met.orphaned.Inc()
-		c.log.Warn("recovering commands whose refill reply was lost", "worker", res.WorkerID, "commands", len(stranded))
-		c.lost(res.WorkerID, stranded)
-	}
+	c.lost(res.WorkerID, stranded, c.met.orphaned, "recovering commands whose refill reply was lost")
 	offer := info
 	offer.Cores = min(res.Refill, info.Cores)
 	c.park.mu.Lock()
@@ -551,55 +547,39 @@ func (c *Core) Refill(res *wire.CommandResult) (wl wire.Workload, ok bool) {
 		wl = c.q.Match(offer)
 	}
 	c.park.mu.Unlock()
-	wl = c.Assign(info, wl)
-	c.mu.Lock()
-	if ws := c.workers[res.WorkerID]; ws != nil {
-		for _, cmd := range wl.Commands {
-			if _, on := ws.commands[cmd.ID]; on {
-				ws.refills[cmd.ID] = res.CommandID
-			}
-		}
-	}
-	c.mu.Unlock()
-	return wl, true
+	return c.assign(info, wl, res.CommandID), true
 }
 
 // --- heartbeats and failure recovery ---
 
 // heartbeat refreshes the worker's record, if this server keeps one, and
-// names the commands the worker should abort: those preempted from it, and
-// those settled here (terminated, or finished or failed by another worker's
-// report). A worker heartbeats its home and each other origin of its
-// workload, so every server holding one of its commands hears it.
-func (c *Core) heartbeat(hb *wire.Heartbeat) wire.HeartbeatAck {
+// aborts the named commands it marks stop (preempted, terminated, settled by
+// another's report), off the record so its silence loses none. A worker
+// heartbeats its home and each other origin of its workload.
+func (c *Core) heartbeat(hb *wire.Heartbeat) (ack wire.HeartbeatAck) {
 	c.met.heartbeats.Inc()
+	var unknown []string
 	c.mu.Lock()
 	ws := c.workers[hb.WorkerID]
 	if ws == nil {
 		ws = &workerState{} // none kept here: nothing to refresh or delete
 	}
 	ws.lastSeen = c.env.now()
-	c.mu.Unlock()
-
-	var ack wire.HeartbeatAck
 	for _, id := range hb.CommandIDs {
-		c.mu.Lock()
-		// Preempted for a starved tenant: the command was requeued from its
-		// checkpoint, so the old worker must stop burning cores on it.
-		_, evicted := c.preempted[id]
-		delete(c.preempted, id)
-		c.mu.Unlock()
-		if evicted || c.forCommand(id, func(_ *project, cs *cmdState) bool { return cs.settled() }) {
+		if en, on := ws.commands[id]; !on {
+			unknown = append(unknown, id)
+		} else if en.stop {
+			ack.AbortCommandIDs = append(ack.AbortCommandIDs, id)
+			ws.take(id)
+		}
+	}
+	c.mu.Unlock()
+	// On no record here (a restart, a reaped worker, a bare ID): abort if settled.
+	for _, id := range unknown {
+		if c.forCommand(id, func(_ *project, cs *cmdState) bool { return cs.settled() }) {
 			ack.AbortCommandIDs = append(ack.AbortCommandIDs, id)
 		}
 	}
-	// Aborted runs are over here: off the record, so its silence loses none.
-	c.mu.Lock()
-	for _, id := range ack.AbortCommandIDs {
-		delete(ws.commands, id)
-		delete(ws.refills, id)
-	}
-	c.mu.Unlock()
 	return ack
 }
 
@@ -608,29 +588,24 @@ func (c *Core) heartbeat(hb *wire.Heartbeat) wire.HeartbeatAck {
 // idle worker going quiet needs no recovery: it left, or will re-announce.
 func (c *Core) reapDeadWorkers() {
 	cutoff := c.env.now().Add(-2 * c.cfg.HeartbeatInterval)
-	victims := make(map[string]map[string]int)
+	victims := make(map[string]map[string]entry)
 	c.mu.Lock()
 	for id, ws := range c.workers {
 		if ws.lastSeen.Before(cutoff) {
 			delete(c.workers, id)
-			if len(ws.commands) > 0 {
-				victims[id] = ws.commands
-			}
+			victims[id] = ws.commands
 		}
 	}
 	c.mu.Unlock()
 	for id, commands := range victims {
-		c.met.heartbeatMisses.Inc()
-		c.log.Warn("worker missed heartbeats, recovering commands", "worker", id, "commands", len(commands))
-		c.lost(id, commands)
+		c.lost(id, commands, c.met.heartbeatMisses, "worker missed heartbeats, recovering commands")
 	}
 }
 
 // preemptForStarved evicts one running command at its last checkpoint when a
 // tenant has starved past cfg.PreemptAge (queued work, nothing running) while
-// another dominates the fleet's cores: the dominant tenant's checkpointed
-// command is requeued from its checkpoint, its worker told to abort at the
-// next heartbeat. One per monitor tick, so nobody mass-evicts the fleet.
+// another dominates the fleet's cores. One per monitor tick, so nobody
+// mass-evicts the fleet.
 func (c *Core) preemptForStarved() {
 	if c.cfg.PreemptAge <= 0 {
 		return
@@ -645,55 +620,65 @@ func (c *Core) preemptForStarved() {
 	}
 	for _, p := range c.projectList() {
 		p.mu.Lock()
-		if p.tenant != victim || p.state != projRunning {
-			p.mu.Unlock()
-			continue
-		}
 		for id, cs := range p.commands {
-			// Only checkpointed commands are evictable: preempting without a
-			// checkpoint would throw away the whole run, which is worse for
-			// the fleet than letting the starved tenant wait one more tick.
-			if cs.status != cmdRunning || len(cs.checkpoint) == 0 {
+			// Only the victim's checkpointed commands are evictable: without a
+			// checkpoint the whole run is thrown away, worse for the fleet
+			// than the starved tenant waiting one more tick.
+			if p.tenant != victim || p.state != projRunning || cs.status != cmdRunning || len(cs.checkpoint) == 0 {
 				continue
 			}
-			worker := cs.worker
-			requeue(p, cs, store.Record{Type: store.RecCommandPreempted, Project: p.name,
-				Command: id, Worker: worker, Tenant: p.tenant, Count: cs.preempts + 1})
-			c.apply(p)
-			p.mu.Unlock()
 			c.log.Info("preempted at checkpoint boundary for starved tenant", "cmd", id,
-				"worker", worker, "victim_tenant", victim, "victim_cores", cores, "starved_tenant", starved)
-			// The old worker is told to abort at its next heartbeat.
-			c.mu.Lock()
-			c.preempted[id] = struct{}{}
-			c.mu.Unlock()
+				"worker", cs.worker, "victim_tenant", victim, "victim_cores", cores, "starved_tenant", starved)
+			c.evict(p, cs)
+			p.mu.Unlock()
 			return
 		}
 		p.mu.Unlock()
 	}
 }
 
-// lost requeues or fails the commands of a worker's record, in ID order.
-func (c *Core) lost(worker string, commands map[string]int) {
+// evict requeues cs, running and checkpointed, from its checkpoint for a
+// starved tenant; its worker's record marks it stop, for that worker alone.
+func (c *Core) evict(p *project, cs *cmdState) {
+	requeue(p, cs, store.Record{Type: store.RecCommandPreempted, Project: p.name,
+		Command: cs.spec.ID, Worker: cs.worker, Tenant: p.tenant, Count: cs.preempts + 1})
+	c.apply(p)
+}
+
+// lost requeues or fails, in ID order, the commands taken off a worker's
+// record not marked stop, if any, counting the loss on count and logging why.
+func (c *Core) lost(worker string, commands map[string]entry, count *obs.Counter, why string) {
 	ids := make([]string, 0, len(commands))
-	for id := range commands {
-		ids = append(ids, id)
+	for id, en := range commands {
+		if !en.stop {
+			ids = append(ids, id)
+		}
+	}
+	if len(ids) > 0 {
+		count.Inc()
+		c.log.Warn(why, "worker", worker, "commands", len(ids))
 	}
 	sort.Strings(ids)
-	c.WorkerFailed(wire.WorkerFailed{WorkerID: worker, CommandIDs: ids})
+	for _, id := range ids {
+		c.onCommand(commands[id].p, id, func(p *project, cs *cmdState) bool { return requeueOrFail(p, cs, worker, "") })
+	}
 }
 
 // WorkerFailed requeues (from the last checkpoint) or terminally fails the
-// commands a dead worker was running: the core's own reaper and orphan
-// recovery, the simulated fleet's kills, and the report a home server older
-// than the per-origin heartbeat sends for a relayed command.
+// commands a dead worker was running, taking them off its record: the
+// simulated fleet's kills, and the report a home server older than the
+// per-origin heartbeat sends for a relayed command.
 func (c *Core) WorkerFailed(wf wire.WorkerFailed) {
-	for _, cmdID := range wf.CommandIDs {
-		c.forCommand(cmdID, func(p *project, cs *cmdState) bool {
-			hit := cs.runningOn(wf.WorkerID) // else finished, terminated, or reassigned elsewhere
-			requeueOrFail(p, cs, wf.WorkerID, "")
-			return hit
-		})
+	lose := func(p *project, cs *cmdState) bool { return requeueOrFail(p, cs, wf.WorkerID, "") }
+	for _, id := range wf.CommandIDs {
+		c.mu.Lock()
+		en := c.workers[wf.WorkerID].take(id)
+		c.mu.Unlock()
+		if en.p != nil {
+			c.onCommand(en.p, id, lose)
+		} else {
+			c.forCommand(id, lose)
+		}
 	}
 }
 

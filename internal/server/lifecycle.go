@@ -88,6 +88,8 @@ const (
 	fxJournal fxKind = iota // stage rec in the write-ahead log
 	fxAdmit                 // push p.staged as one batch; a refusal comes back as refused
 	fxRequeue               // push cs back from its checkpoint; a refusal fails it, else observe
+	fxStop                  // mark rec.Command stop on rec.Worker's record: taken without its report
+	fxDrop                  // take rec.Command off rec.Worker's record: its own report ended the run
 	fxObserve               // counter.Inc(), hist.Observe(value), record span: those set
 	fxRelease               // settle command id's in-flight charge at value wall seconds
 	fxRemove                // pull command id from the queue
@@ -117,6 +119,9 @@ func (p *project) emit(e effect)                          { p.fx = append(p.fx, 
 func (p *project) journal(rec store.Record)               { p.emit(effect{kind: fxJournal, rec: rec}) }
 func (p *project) observe(e effect)                       { e.kind = fxObserve; p.emit(e) }
 func (p *project) account(k fxKind, id string, v float64) { p.emit(effect{kind: k, id: id, value: v}) }
+func (p *project) mark(k fxKind, cs *cmdState, w string) {
+	p.emit(effect{kind: k, rec: store.Record{Command: cs.spec.ID, Worker: w}})
+}
 func (p *project) log(l obs.Level, msg string, kvs ...any) {
 	p.emit(effect{kind: fxLog, level: l, msg: msg, kvs: kvs})
 }
@@ -226,6 +231,7 @@ func requeue(p *project, cs *cmdState, rec store.Record) {
 	count := p.env.met.requeued
 	if rec.Type == store.RecCommandPreempted {
 		cs.preempts, count = rec.Count, p.env.met.preempted
+		p.mark(fxStop, cs, cs.worker)
 	} else {
 		cs.retries = rec.Count
 	}
@@ -264,52 +270,51 @@ func failed(p *project, cs *cmdState, rec store.Record) {
 // worker died, the server restarted, the worker reported a failure): requeue
 // while the retry budget lasts, then fail terminally. note annotates both
 // records; a plain worker loss has none, and fails as "worker lost".
-func requeueOrFail(p *project, cs *cmdState, worker, note string) {
+func requeueOrFail(p *project, cs *cmdState, worker, note string) bool {
 	if !cs.runningOn(worker) {
-		return
+		return false // finished, terminated, or reassigned elsewhere
 	}
 	rec := store.Record{Type: store.RecCommandRequeued, Project: p.name, Command: cs.spec.ID,
 		Worker: worker, Count: cs.retries + 1, Note: note}
 	if cs.retries < p.env.retries {
 		requeue(p, cs, rec)
-		return
+		return true
 	}
 	rec.Type, rec.Count, rec.Note = store.RecCommandFailed, 0, "worker lost"
 	if note != "" {
 		rec.Note = note + "; retries exhausted"
 	}
 	failed(p, cs, rec)
+	return true
 }
 
 // ingest applies one result message — a checkpoint, a failure the worker
-// reports, or the final result, journaled as encoded — and returns the reply
-// and the worker whose assignment it settled ("" if none).
-func ingest(p *project, res *wire.CommandResult, encoded []byte) (reply []byte, settledWorker string, err error) {
+// reports, or the final result, journaled as encoded — and returns the reply.
+func ingest(p *project, res *wire.CommandResult, encoded []byte) ([]byte, error) {
 	cs := p.command(res.CommandID)
 	if cs == nil {
-		return []byte("ignored"), "", nil
+		return []byte("ignored"), nil
 	}
 	res.CommandID = cs.spec.ID // if it was bare; encoded keeps it as it arrived
-	worker := cs.worker
-	switch {
-	case res.Partial:
+	if res.Partial {
 		checkpointed(p, cs, res.Checkpoint)
-		return []byte("checkpointed"), "", nil
-	case !res.OK && !cs.settled():
+		return []byte("checkpointed"), nil
+	}
+	p.mark(fxDrop, cs, res.WorkerID) // its run is over: no orphan at its next idle announce
+	if !res.OK && !cs.settled() {
 		// The run failed on the worker (an engine error). That is a lost run
 		// like any other, except that the worker is alive to say so: spend the
 		// retry budget, then tell the controller — and acknowledge, so the
 		// worker stops redelivering. A run the command has been requeued or
 		// reassigned away from is nobody's any more.
 		if !cs.runningOn(res.WorkerID) {
-			return []byte("ignored"), "", nil
+			return []byte("ignored"), nil
 		}
 		p.account(fxRelease, res.CommandID, res.WallSeconds) // the measured charge, not requeue's estimate
 		requeueOrFail(p, cs, res.WorkerID, "worker reported failure: "+res.Error)
-		return []byte("noted"), worker, nil
+		return []byte("noted"), nil
 	}
-	reply, err = done(p, cs, res, encoded)
-	return reply, worker, err
+	return done(p, cs, res, encoded)
 }
 
 // done applies a command's final result, journaled in full (replay needs no
@@ -327,6 +332,7 @@ func done(p *project, cs *cmdState, res *wire.CommandResult, encoded []byte) ([]
 		// worker wastes cycles on it.
 		p.account(fxRemove, res.CommandID, 0)
 	}
+	p.mark(fxStop, cs, cs.worker) // a run elsewhere can only end as a duplicate (the reporter's is dropped)
 	p.journal(store.Record{Type: store.RecResult,
 		Project: res.Project, Command: res.CommandID, Worker: res.WorkerID, Data: encoded})
 	cs.status = cmdDone
@@ -370,6 +376,7 @@ func terminated(p *project, cs *cmdState) {
 		// Settle the fair-share in-flight charge now; the worker is told to
 		// abort at its next heartbeat and sends no result.
 		p.account(fxRelease, cs.spec.ID, 0)
+		p.mark(fxStop, cs, cs.worker)
 	default:
 		return
 	}

@@ -86,6 +86,14 @@ func (c *Core) do(p *project, e effect, log *obs.Logger) error {
 		if e.span.Stage != "" {
 			c.cfg.Obs.Trace.Record(e.span)
 		}
+	case fxStop, fxDrop:
+		c.mu.Lock()
+		if ws := c.workers[e.rec.Worker]; ws != nil && ws.commands[e.rec.Command].p == p {
+			if en := ws.take(e.rec.Command); e.kind == fxStop {
+				ws.commands[e.rec.Command] = entry{p: p, cores: en.cores, stop: true, refill: en.refill}
+			}
+		}
+		c.mu.Unlock()
 	case fxRelease:
 		c.q.Release(e.id, e.value)
 	case fxRemove:

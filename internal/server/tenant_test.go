@@ -2,10 +2,13 @@ package server
 
 import (
 	"errors"
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"copernicus/internal/controller"
 	"copernicus/internal/wire"
 )
 
@@ -273,6 +276,136 @@ func TestCheckpointPreemptionForStarvedTenant(t *testing.T) {
 	} else if string(cp) != "halfway" {
 		t.Errorf("preempted command redispatched with checkpoint %q, want \"halfway\"", cp)
 	}
+}
+
+// preemptCore is a bare core (no overlay, no store) that preempts for a
+// tenant starved a minute, on a clock the returned function moves, running
+// ctrl for every project.
+func preemptCore(ctrl controller.Controller) (*Core, func(time.Duration)) {
+	now := lcEpoch
+	reg := controller.NewRegistry()
+	reg.Register("test", func() controller.Controller { return ctrl })
+	s := NewCore(reg, Config{Obs: testObs, PreemptAge: time.Minute}, Hooks{Origin: "bare", Clock: func() time.Time { return now }})
+	return s, func(d time.Duration) { now = now.Add(d) }
+}
+
+// submitTenant submits project name, billed to the tenant of that name.
+func submitTenant(t *testing.T, s *Core, name string) {
+	t.Helper()
+	if _, err := s.Submit(&wire.ProjectSubmit{Name: name, Controller: "test", Tenant: name}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// take assigns the worker what the queue matches for its cores, as an
+// announce does, and checks that it is want.
+func take(t *testing.T, s *Core, worker string, cores int, want string) {
+	t.Helper()
+	info := announce(worker, cores).Info
+	var got []string
+	for _, cmd := range s.Assign(info, s.q.Match(info)).Commands {
+		got = append(got, cmd.ID)
+	}
+	sort.Strings(got)
+	if fmt.Sprint(got) != want {
+		t.Fatalf("%s took %v, want %s", worker, got, want)
+	}
+}
+
+// starveMinnow checkpoints the whale's c1 on w1, so that it is evictable,
+// and starves tenant minnow's m1 past PreemptAge.
+func starveMinnow(t *testing.T, s *Core, wait func(time.Duration)) {
+	t.Helper()
+	s.Result(&wire.CommandResult{Project: "whale", CommandID: "c1", WorkerID: "w1", OK: true,
+		Partial: true, Checkpoint: []byte("halfway")}, nil)
+	submitTenant(t, s, "minnow")
+	wait(2 * time.Minute)
+}
+
+// TestPreemptionAbortsOnlyTheEvictedRun: preemptForStarved evicts the whale's
+// c1 from w1 for the starved minnow, and w2 takes c1. w2's heartbeat, though
+// it comes first, leaves w2's run alone, and w1's aborts w1's. Losing w1 then
+// takes nothing from w2, whose result finishes the project.
+func TestPreemptionAbortsOnlyTheEvictedRun(t *testing.T) {
+	ctrl := &testController{finishOn: 1, submitFor: map[string][]wire.CommandSpec{
+		"whale": {cmdSpec("c1")}, "minnow": {cmdSpec("m1")}}}
+	s, wait := preemptCore(ctrl)
+	submitTenant(t, s, "whale")
+	take(t, s, "w1", 1, "[c1]")
+	starveMinnow(t, s, wait)
+	s.preemptForStarved()
+	take(t, s, "w2", 2, "[c1 m1]")
+	if ack := s.heartbeat(&wire.Heartbeat{WorkerID: "w2", CommandIDs: []string{"c1"}}); len(ack.AbortCommandIDs) != 0 {
+		t.Errorf("w2, which c1 was handed to, is told to abort %v", ack.AbortCommandIDs)
+	}
+	if ack := s.heartbeat(&wire.Heartbeat{WorkerID: "w1", CommandIDs: []string{"c1"}}); fmt.Sprint(ack.AbortCommandIDs) != "[c1]" {
+		t.Errorf("w1, which c1 was preempted from, is told to abort %v, want [c1]", ack.AbortCommandIDs)
+	}
+	s.WorkerFailed(wire.WorkerFailed{WorkerID: "w1", CommandIDs: []string{"c1"}})
+	s.mu.Lock()
+	_, on := s.workers["w2"].commands["c1"]
+	s.mu.Unlock()
+	if !on {
+		t.Error("c1 is not on the record of w2, which runs it")
+	}
+	s.Result(&wire.CommandResult{Project: "whale", CommandID: "c1", WorkerID: "w2", OK: true}, nil)
+	if st, _ := s.Project("whale"); st.State != "finished" {
+		t.Errorf("whale is %s after w2's result, want finished", st.State)
+	}
+}
+
+// blockingController blocks in CommandFinished for c3 until released.
+type blockingController struct {
+	testController
+	entered, release chan struct{}
+}
+
+func (c *blockingController) CommandFinished(ctx controller.Context, res *wire.CommandResult) error {
+	if res.CommandID == "c3" {
+		close(c.entered)
+		<-c.release
+	}
+	return c.testController.CommandFinished(ctx, res)
+}
+
+// TestHeartbeatAnsweredWhileControllerBlocks: the whale's controller blocks
+// in CommandFinished, under the project's lock, until released a second
+// later at most. w1's heartbeat meanwhile names c2, which runs on it, and c1,
+// which was preempted from it. Both are on w1's record, so it is answered
+// within 100 ms, and aborts c1 only.
+func TestHeartbeatAnsweredWhileControllerBlocks(t *testing.T) {
+	ctrl := &blockingController{entered: make(chan struct{}), release: make(chan struct{})}
+	ctrl.submitFor = map[string][]wire.CommandSpec{
+		"whale": {cmdSpec("c1"), cmdSpec("c2"), cmdSpec("c3")}, "minnow": {cmdSpec("m1")}}
+	s, wait := preemptCore(ctrl)
+	submitTenant(t, s, "whale")
+	take(t, s, "w1", 2, "[c1 c2]")
+	take(t, s, "w2", 1, "[c3]")
+	starveMinnow(t, s, wait)
+	s.preemptForStarved()
+
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		s.Result(&wire.CommandResult{Project: "whale", CommandID: "c3", WorkerID: "w2", OK: true}, nil)
+	}()
+	<-ctrl.entered
+	answered := make(chan wire.HeartbeatAck, 1)
+	began := time.Now()
+	go func() { answered <- s.heartbeat(&wire.Heartbeat{WorkerID: "w1", CommandIDs: []string{"c1", "c2"}}) }()
+	select {
+	case ack := <-answered:
+		if d := time.Since(began); d > 100*time.Millisecond {
+			t.Errorf("the heartbeat was answered after %v behind a blocked controller", d)
+		}
+		if fmt.Sprint(ack.AbortCommandIDs) != "[c1]" {
+			t.Errorf("w1's heartbeat ack aborts %v, want [c1]", ack.AbortCommandIDs)
+		}
+	case <-time.After(time.Second):
+		t.Error("the heartbeat is still waiting after 1 s behind a blocked controller")
+	}
+	close(ctrl.release)
+	<-finished
 }
 
 // TestRefusedBatchQueuesNothing: a CommandFinished handler submits two

@@ -156,7 +156,13 @@ failover() {
 # recovered by the result's retry (TestLostRefillReplyRequeuedByRetry), old
 # and forwarded results answered as before
 # (TestResultWithoutRefillRepliesAsBefore) and a refill's records replayed
-# (TestReplayedRefillAssignsOnlyJournaled) — see docs/SCHEDULING.md
+# (TestReplayedRefillAssignsOnlyJournaled); then the worker's record as the
+# one source of its aborts, 20 times each: a preemption's abort told to the
+# evicted run alone, never to the run the command was handed to
+# (TestPreemptionAbortsOnlyTheEvictedRun, and the monitor-driven
+# TestCheckpointPreemptionForStarvedTenant), and a heartbeat answered from
+# the record within 100 ms while a controller blocks in CommandFinished
+# (TestHeartbeatAnsweredWhileControllerBlocks) — see docs/SCHEDULING.md
 # ("Dispatch") and docs/PERFORMANCE.md ("Send-side frames").
 dispatch() {
     echo "== event-driven dispatch stress (race, x20) =="
@@ -173,6 +179,9 @@ dispatch() {
         -run 'TestRefillRunsAStreamOnFewAnnounces|TestRefillNeverPassesOverAWiderCommand|TestRefillClaimsIdleCores|TestRefilledCommandsHeartbeatAndAbort|TestNoRefillWhenShuttingDownOrSpooled|TestOldServerAnswerMeansNoRefill|TestSpooledResultRedeliveredWhileRefilling' ./internal/worker/
     $GO test -race -count=20 -timeout 600s \
         -run 'TestLostRefillReplyRequeuedByRetry|TestResultWithoutRefillRepliesAsBefore|TestReplayedRefillAssignsOnlyJournaled' ./internal/server/
+    echo "== aborts from the worker's record (race, x20) =="
+    $GO test -race -count=20 -timeout 600s \
+        -run 'TestPreemptionAbortsOnlyTheEvictedRun|TestHeartbeatAnsweredWhileControllerBlocks|TestCheckpointPreemptionForStarvedTenant' ./internal/server/
 }
 
 # The DES fleet every queue scenario runs on, the server's core and the
